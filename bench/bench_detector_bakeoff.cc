@@ -1,21 +1,21 @@
-// Detection-quality bake-off across change-point backends.
+// Detection-quality bake-off between the two change-point detectors.
 //
-// FBDetect's CUSUM+EM detector (§5.2.1) is one of several credible designs;
-// the backend registry (src/tsa/changepoint_backend.h) makes E-divisive,
-// PELT, and an offline BOCPD adapter drop-in replacements. This bench puts
-// all four on IDENTICAL labelled fleets and scores each on the axes that
+// DetectionConfig::change_point_detector picks FBDetect's CUSUM+EM detector
+// (§5.2.1, the default) or E-divisive means, Hunter's detector. This bench
+// puts both on IDENTICAL labelled fleets and scores each on the axes that
 // matter at hyperscale:
 //   - precision / recall against injected ground truth (group-based
 //     matching, same standard as bench_fpfn_accounting / bench_robustness)
 //   - time-to-detect: mean gap between an injected event's start and the
 //     detected_at of the first report that matches it
 //   - CPU cost: wall time of the detection phase (identical data, identical
-//     scan-thread count — only the backend varies)
+//     scan-thread count — only the detector varies)
 // over a matrix of regression magnitudes {50%, 5%, 0.5%} x ingest fault
 // rates {0, 0.05, 0.10} (FaultInjectorConfig::AllKinds). Each matrix cell
-// generates its fleet ONCE and runs every backend over the same db, so
-// scores differ only by detector. Writes BENCH_detectors.json; `--smoke`
-// shrinks the world for CI.
+// generates its fleet ONCE and runs both detectors over the same db, so
+// scores differ only by detector. Writes BENCH_detectors.json (one "backends"
+// entry per detector, named "cusum_em" and "e_divisive"); `--smoke` shrinks
+// the world for CI. DESIGN.md §17 records why these are the two detectors.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,15 +35,23 @@
 namespace fbdetect {
 namespace {
 
-constexpr const char* kBackends[] = {"cusum_em", "e_divisive", "pelt", "bocpd"};
+struct NamedDetector {
+  ChangePointDetector detector;
+  const char* name;
+};
+
+constexpr NamedDetector kDetectors[] = {
+    {ChangePointDetector::kCusumEm, "cusum_em"},
+    {ChangePointDetector::kEDivisive, "e_divisive"},
+};
 
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
       .count();
 }
 
-struct BackendScore {
-  std::string backend;
+struct DetectorScore {
+  std::string detector;
   size_t reports = 0;
   size_t true_regressions = 0;
   size_t false_positives = 0;
@@ -58,10 +66,10 @@ struct BackendScore {
 struct Cell {
   double magnitude = 0.0;
   double fault_rate = 0.0;
-  std::vector<BackendScore> scores;
+  std::vector<DetectorScore> scores;
 };
 
-// One fleet per (magnitude, fault rate); every backend scans the same db.
+// One fleet per (magnitude, fault rate); both detectors scan the same db.
 Cell RunCell(double magnitude, double fault_rate, bool smoke, uint64_t seed) {
   FleetSimulator fleet;
   ScenarioOptions options;
@@ -98,11 +106,11 @@ Cell RunCell(double magnitude, double fault_rate, bool smoke, uint64_t seed) {
   cell.fault_rate = fault_rate;
 
   CallGraphCodeInfo code_info(&scenario.service->graph());
-  for (const char* backend : kBackends) {
+  for (const NamedDetector& detector : kDetectors) {
     PipelineOptions pipeline_options;
-    pipeline_options.detection.change_point_backend = backend;
+    pipeline_options.detection.change_point_detector = detector.detector;
     // A threshold below the smallest planted magnitude's gCPU footprint, so
-    // the threshold filter never hides backend differences.
+    // the threshold filter never hides detector differences.
     pipeline_options.detection.threshold = 0.00005;
     pipeline_options.detection.windows.historical = smoke ? Days(2) : Days(4);
     pipeline_options.detection.windows.analysis = Hours(4);
@@ -156,8 +164,8 @@ Cell RunCell(double magnitude, double fault_rate, bool smoke, uint64_t seed) {
       return false;
     };
 
-    BackendScore score;
-    score.backend = backend;
+    DetectorScore score;
+    score.detector = detector.name;
     score.reports = reports.size();
     score.detect_ms = detect_ms;
     for (const Regression& report : reports) {
@@ -225,7 +233,7 @@ int Main(int argc, char** argv) {
       smoke = true;
     }
   }
-  PrintHeader(std::string("detector bake-off — backends on identical labelled fleets") +
+  PrintHeader(std::string("detector bake-off — detectors on identical labelled fleets") +
               (smoke ? " [smoke]" : ""));
 
   const std::vector<double> magnitudes = {0.5, 0.05, 0.005};
@@ -233,15 +241,15 @@ int Main(int argc, char** argv) {
   const uint64_t kSeed = 99;
 
   const std::vector<int> widths = {6, 7, 11, 8, 4, 4, 7, 7, 8, 10};
-  PrintRow({"mag", "faults", "backend", "reports", "TR", "FP", "recall", "prec",
+  PrintRow({"mag", "faults", "detector", "reports", "TR", "FP", "recall", "prec",
             "ttd_h", "detect_ms"},
            widths);
   std::vector<Cell> cells;
   for (const double magnitude : magnitudes) {
     for (const double rate : fault_rates) {
       Cell cell = RunCell(magnitude, rate, smoke, kSeed);
-      for (const BackendScore& s : cell.scores) {
-        PrintRow({FormatDouble(magnitude, "%.3f"), FormatDouble(rate, "%.2f"), s.backend,
+      for (const DetectorScore& s : cell.scores) {
+        PrintRow({FormatDouble(magnitude, "%.3f"), FormatDouble(rate, "%.2f"), s.detector,
                   std::to_string(s.reports), std::to_string(s.true_regressions),
                   std::to_string(s.false_positives), FormatPercent(s.recall, 1),
                   FormatPercent(s.precision, 1),
@@ -253,13 +261,13 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Per-backend rollup across the whole matrix.
-  std::printf("\nper-backend rollup (unweighted means across %zu cells):\n", cells.size());
-  for (const char* backend : kBackends) {
+  // Per-detector rollup across the whole matrix.
+  std::printf("\nper-detector rollup (unweighted means across %zu cells):\n", cells.size());
+  for (const NamedDetector& detector : kDetectors) {
     double precision = 0.0, recall = 0.0, detect_ms = 0.0;
     for (const Cell& cell : cells) {
-      for (const BackendScore& s : cell.scores) {
-        if (s.backend == backend) {
+      for (const DetectorScore& s : cell.scores) {
+        if (s.detector == detector.name) {
           precision += s.precision;
           recall += s.recall;
           detect_ms += s.detect_ms;
@@ -268,7 +276,7 @@ int Main(int argc, char** argv) {
     }
     const double n = static_cast<double>(cells.size());
     std::printf("  %-11s recall %5.1f%%  precision %5.1f%%  detect %6.0f ms/cell\n",
-                backend, 100.0 * recall / n, 100.0 * precision / n, detect_ms / n);
+                detector.name, 100.0 * recall / n, 100.0 * precision / n, detect_ms / n);
   }
 
   FILE* json = std::fopen("BENCH_detectors.json", "w");
@@ -283,14 +291,14 @@ int Main(int argc, char** argv) {
     std::fprintf(json, "    {\"magnitude\": %.3f, \"fault_rate\": %.2f, \"backends\": [\n",
                  cell.magnitude, cell.fault_rate);
     for (size_t b = 0; b < cell.scores.size(); ++b) {
-      const BackendScore& s = cell.scores[b];
+      const DetectorScore& s = cell.scores[b];
       std::fprintf(json,
                    "      {\"backend\": \"%s\", \"reports\": %zu, "
                    "\"true_regressions\": %zu, \"false_positives\": %zu, "
                    "\"injected\": %zu, \"caught\": %zu, \"precision\": %.4f, "
                    "\"recall\": %.4f, \"mean_ttd_hours\": %.2f, "
                    "\"detect_ms\": %.1f}%s\n",
-                   s.backend.c_str(), s.reports, s.true_regressions, s.false_positives,
+                   s.detector.c_str(), s.reports, s.true_regressions, s.false_positives,
                    s.injected, s.caught, s.precision, s.recall, s.mean_ttd_hours,
                    s.detect_ms, b + 1 < cell.scores.size() ? "," : "");
     }

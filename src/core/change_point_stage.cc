@@ -2,23 +2,52 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
-#include "src/common/check.h"
 #include "src/stats/descriptive.h"
+#include "src/tsa/e_divisive.h"
+#include "src/tsa/em_changepoint.h"
 
 namespace fbdetect {
+namespace {
 
-ChangePointStage::ChangePointStage(const DetectionConfig& config)
-    : config_(config), backend_(MakeChangePointBackend(config.change_point_backend)) {
-  // A misconfigured detector must fail loudly at construction, not silently
-  // skip every scan.
-  if (backend_ == nullptr) {
-    std::fprintf(stderr, "unknown change-point backend: %s\n",
-                 config.change_point_backend.c_str());
+// The configured detector's strongest single split of `values`, in the
+// §5.2.1 form: `index` is the first post-change element, `delta` the
+// after-minus-before mean difference, and `found` only when the split is
+// significant at config.significance_level. Both detectors are deterministic
+// (E-divisive's permutation test uses a fixed seed).
+ChangePoint LocateChangePoint(std::span<const double> values, const DetectionConfig& config) {
+  switch (config.change_point_detector) {
+    case ChangePointDetector::kCusumEm: {
+      ChangePointConfig cusum_em;
+      cusum_em.min_segment = config.min_segment;
+      cusum_em.max_iterations = config.max_em_iterations;
+      cusum_em.significance_level = config.significance_level;
+      return DetectChangePoint(values, cusum_em);
+    }
+    case ChangePointDetector::kEDivisive: {
+      EDivisiveConfig e_divisive;
+      e_divisive.min_segment = config.min_segment;
+      e_divisive.significance_level = config.significance_level;
+      const EDivisiveResult split = EDivisiveSingleSplit(values, e_divisive);
+      ChangePoint cp;
+      if (!split.found || split.index == 0) {
+        return cp;
+      }
+      cp.found = true;
+      cp.index = split.index;
+      cp.mean_before = Mean(values.subspan(0, split.index));
+      cp.mean_after = Mean(values.subspan(split.index));
+      cp.delta = cp.mean_after - cp.mean_before;
+      cp.p_value = split.p_value;
+      return cp;
+    }
   }
-  FBD_CHECK(backend_ != nullptr);
+  return ChangePoint{};
 }
+
+}  // namespace
 
 std::optional<ScanCandidate> ChangePointStage::DetectCandidate(const ScanView& view) const {
   // Minimum data requirements: the statistics below need a meaningful
@@ -40,11 +69,7 @@ std::optional<ScanCandidate> ChangePointStage::DetectCandidate(const ScanView& v
   const size_t context = std::min(view.historical_size, view.analysis_size);
   const std::span<const double> scan = view.full.subspan(view.historical_size - context);
 
-  ChangePointBackendOptions backend_options;
-  backend_options.min_segment = config_.min_segment;
-  backend_options.significance_level = config_.significance_level;
-  backend_options.max_em_iterations = config_.max_em_iterations;
-  const ChangePoint cp = backend_->Detect(scan, backend_options);
+  const ChangePoint cp = LocateChangePoint(scan, config_);
   if (!cp.found) {
     return std::nullopt;
   }

@@ -1,11 +1,11 @@
 // Stage 1 of the short-term path (Fig. 6): change-point detection.
 //
-// For one metric's windows, runs the configured change-point backend
-// (default: the iterative CUSUM+EM detector, §5.2.1) over the recent data
-// (a one-analysis-window tail of the historical window for context, plus
-// the analysis and extended windows), validates the candidate with the
-// backend's significance test, and — when the change point falls inside
-// the analysis window — emits a candidate.
+// For one metric's windows, runs the configured change-point detector
+// (default: the iterative CUSUM+EM detector, §5.2.1; alternative: E-divisive)
+// over the recent data (a one-analysis-window tail of the historical window
+// for context, plus the analysis and extended windows), validates the
+// candidate with the detector's significance test, and — when the change
+// point falls inside the analysis window — emits a candidate.
 //
 // The hot path (DetectCandidate) consumes a pre-oriented ScanView and emits
 // only scalars; window data is copied into a Regression exclusively for
@@ -14,14 +14,12 @@
 #ifndef FBDETECT_SRC_CORE_CHANGE_POINT_STAGE_H_
 #define FBDETECT_SRC_CORE_CHANGE_POINT_STAGE_H_
 
-#include <memory>
 #include <optional>
 
 #include "src/common/sim_time.h"
 #include "src/core/regression.h"
 #include "src/core/scan_view.h"
 #include "src/core/workload_config.h"
-#include "src/tsa/changepoint_backend.h"
 #include "src/tsdb/metric_id.h"
 #include "src/tsdb/window.h"
 
@@ -29,10 +27,10 @@ namespace fbdetect {
 
 class ChangePointStage {
  public:
-  // Resolves config.change_point_backend against the backend registry;
-  // aborts (FBD_CHECK) on an unknown name — a misconfigured detector must
-  // fail loudly at construction, not silently skip every scan.
-  explicit ChangePointStage(const DetectionConfig& config);
+  // Keeps a reference to `config`, which must outlive the stage. Stateless
+  // otherwise: DetectCandidate is const and thread-safe, so one instance
+  // serves every scan worker (the determinism contract).
+  explicit ChangePointStage(const DetectionConfig& config) : config_(config) {}
 
   // Zero-copy core: returns candidate scalars, or nullopt when no
   // significant change point lies in the analysis window. `view` must be
@@ -46,9 +44,6 @@ class ChangePointStage {
 
  private:
   const DetectionConfig& config_;
-  // Const after construction; Detect() is const and thread-safe, so one
-  // instance serves every scan worker (the determinism contract).
-  std::unique_ptr<const ChangePointBackend> backend_;
 };
 
 }  // namespace fbdetect

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -32,17 +31,11 @@ Duration MergerTolerance(const PipelineOptions& options) {
   return options.detection.windows.analysis;
 }
 
-// Points per day at the metric's native resolution, for the went-away
-// detector's previous-day percentile.
-size_t PointsPerDay(std::span<const TimePoint> timestamps) {
-  if (timestamps.size() < 2) {
-    return 0;
+// Bumps a deterministic scan counter; handles are null when telemetry is off.
+void Count(Counter* counter) {
+  if (counter != nullptr) {
+    counter->Increment();
   }
-  const Duration dt = timestamps[1] - timestamps[0];
-  if (dt <= 0) {
-    return 0;
-  }
-  return static_cast<size_t>(kDay / dt);
 }
 
 // Canonical survivor order: MetricId's field-wise ordering, short-term before
@@ -95,13 +88,6 @@ Pipeline::Pipeline(const TimeSeriesDatabase* db, const ChangeLog* change_log,
       worker_scratch_(static_cast<size_t>(std::max(1, options_.scan_threads))),
       worker_series_scratch_(static_cast<size_t>(std::max(1, options_.scan_threads))) {
   FBD_CHECK(db_ != nullptr);
-  if (options_.scan_mode != ScanMode::kBatch) {
-    detector_store_ = std::make_unique<DetectorStateStore>(
-        options_.scan_mode == ScanMode::kStreaming
-            ? DetectorStateStore::Mode::kStreaming
-            : DetectorStateStore::Mode::kBatch,
-        options_.streaming);
-  }
   cost_shift_.AddDefaultDetectors(code_info, change_log_);
   if (change_log_ != nullptr) {
     RootCauseConfig rc = options_.root_cause;
@@ -181,12 +167,6 @@ void Pipeline::RegisterInstruments() {
   obs_.tsdb_list_cache_misses = counter("tsdb.scan.list_cache_misses");
   obs_.tsdb_list_cache_shard_refreshes = counter(kCounterListCacheShardRefreshes);
 
-  obs_.scan_dirty = counter(kCounterScanDirty);
-  obs_.scan_clean = counter(kCounterScanClean);
-  obs_.scan_cache_hit = counter(kCounterScanCacheHit);
-  obs_.run_short_circuits = counter(kCounterRunShortCircuits);
-  obs_.streaming_alerts = counter(kCounterStreamingAlerts);
-
   // Durable-tier mirrors only exist when the scanned database has the tier
   // on, so pipelines over RAM-only databases keep an unchanged instrument
   // set. All kRuntime: values depend on commit batching, memory budgets, and
@@ -225,9 +205,6 @@ void Pipeline::SyncTelemetry() {
   obs_.tsdb_list_cache_hits->Set(scan.list_cache_hits);
   obs_.tsdb_list_cache_misses->Set(scan.list_cache_misses);
   obs_.tsdb_list_cache_shard_refreshes->Set(scan.list_cache_shard_refreshes);
-  if (detector_store_ != nullptr) {
-    obs_.streaming_alerts->Set(detector_store_->alerts_raised());
-  }
   const ThreadPool::Stats pool = pool_.stats();
   obs_.pool_batches->Set(pool.batches);
   obs_.pool_tasks->Set(pool.tasks);
@@ -330,102 +307,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
                           FunnelStats& long_funnel, std::vector<double>& scratch,
                           TimeSeries& series_scratch,
                           std::vector<QuarantineRecord>& quarantine) const {
-  if (obs_.enabled) {
-    obs_.series_in->Increment();
-  }
-  if (detector_store_ == nullptr) {
-    // Batch mode: the oracle. Every series re-evaluates every run.
-    SeriesScanEvents events;
-    EvaluateSeries(id, as_of, survivors, short_funnel, long_funnel, scratch,
-                   series_scratch, quarantine, events);
-    ApplyScanEvents(events);
-    return;
-  }
-  // Gated/streaming mode: replay the cached verdict while the series' TSDB
-  // version is unchanged; re-evaluate (and refill the cache) when it moved.
-  // The scan visits each series exactly once per run, so the verdict slot is
-  // accessed exclusively here even with scan_threads > 1.
-  const std::optional<InternedMetricId> interned = db_->TryIntern(id);
-  if (!interned) {
-    // Ids come from CachedMetrics, so their symbols exist; only reachable if
-    // the series vanished since the listing. Evaluate uncached.
-    SeriesScanEvents events;
-    EvaluateSeries(id, as_of, survivors, short_funnel, long_funnel, scratch,
-                   series_scratch, quarantine, events);
-    ApplyScanEvents(events);
-    return;
-  }
-  const uint64_t version = db_->SeriesVersion(*interned);
-  SeriesVerdict& verdict = detector_store_->StateFor(*interned).verdict();
-  if (verdict.valid && verdict.version == version) {
-    if (obs_.enabled) {
-      obs_.scan_clean->Increment();
-      obs_.scan_cache_hit->Increment();
-    }
-    ApplyScanEvents(verdict.events);
-    survivors.insert(survivors.end(), verdict.survivors.begin(),
-                     verdict.survivors.end());
-    short_funnel.Accumulate(verdict.short_delta);
-    long_funnel.Accumulate(verdict.long_delta);
-    quarantine.insert(quarantine.end(), verdict.quarantine.begin(),
-                      verdict.quarantine.end());
-    return;
-  }
-  if (obs_.enabled) {
-    obs_.scan_dirty->Increment();
-  }
-  verdict.valid = false;
-  verdict.survivors.clear();
-  verdict.quarantine.clear();
-  verdict.short_delta = FunnelStats{};
-  verdict.long_delta = FunnelStats{};
-  verdict.events = SeriesScanEvents{};
-  const size_t first_survivor = survivors.size();
-  const size_t first_quarantine = quarantine.size();
-  EvaluateSeries(id, as_of, survivors, verdict.short_delta, verdict.long_delta,
-                 scratch, series_scratch, quarantine, verdict.events);
-  ApplyScanEvents(verdict.events);
-  short_funnel.Accumulate(verdict.short_delta);
-  long_funnel.Accumulate(verdict.long_delta);
-  verdict.survivors.assign(survivors.begin() + static_cast<ptrdiff_t>(first_survivor),
-                           survivors.end());
-  verdict.quarantine.assign(
-      quarantine.begin() + static_cast<ptrdiff_t>(first_quarantine), quarantine.end());
-  verdict.version = version;
-  verdict.as_of = as_of;
-  verdict.valid = true;
-}
-
-void Pipeline::ApplyScanEvents(const SeriesScanEvents& events) const {
-  if (!obs_.enabled) {
-    return;
-  }
-  obs_.series_no_data->Add(events.series_no_data);
-  obs_.series_decode_failures->Add(events.decode_failures);
-  obs_.windows_flagged->Add(events.windows_flagged);
-  obs_.windows_quarantined->Add(events.windows_quarantined);
-  if (events.sanitizer_verdict >= 0) {
-    obs_.sanitizer_verdict[static_cast<size_t>(events.sanitizer_verdict)]->Increment();
-  }
-  obs_.detector_exceptions->Add(events.detector_exceptions);
-  obs_.change_point.in->Add(events.change_point_in);
-  obs_.change_point.out->Add(events.change_point_out);
-  obs_.went_away.in->Add(events.went_away_in);
-  obs_.went_away.out->Add(events.went_away_out);
-  obs_.seasonality.in->Add(events.seasonality_in);
-  obs_.seasonality.out->Add(events.seasonality_out);
-  obs_.threshold.in->Add(events.threshold_in);
-  obs_.threshold.out->Add(events.threshold_out);
-  obs_.long_term.in->Add(events.long_term_in);
-  obs_.long_term.out->Add(events.long_term_out);
-}
-
-void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
-                              std::vector<Regression>& survivors,
-                              FunnelStats& short_funnel, FunnelStats& long_funnel,
-                              std::vector<double>& scratch, TimeSeries& series_scratch,
-                              std::vector<QuarantineRecord>& quarantine,
-                              SeriesScanEvents& events) const {
+  Count(obs_.series_in);
   // Points before the detection windows are irrelevant, so the lookup only
   // needs [as_of - total, inf): when those live in the raw tail this is the
   // PR 1 zero-copy path; otherwise sealed chunks decode into the worker's
@@ -437,7 +319,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
     if (!scan_status.ok()) {
       // Corrupt sealed storage: quarantine the series for this window
       // instead of letting the decode abort the re-run.
-      ++events.decode_failures;
+      Count(obs_.series_decode_failures);
       QuarantineRecord record;
       record.metric = id;
       record.worst = QualityVerdict::kCorrupt;
@@ -447,7 +329,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
       record.last_error = scan_status.message();
       quarantine.push_back(std::move(record));
     } else {
-      ++events.series_no_data;
+      Count(obs_.series_no_data);
     }
     return;
   }
@@ -462,11 +344,11 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
       sanitizer_.Inspect(id.kind, windows, options_.detection.windows);
   const bool quarantined = sanitizer_.ShouldQuarantine(quality.verdict);
   if (quality.observed) {
-    events.sanitizer_verdict = static_cast<int8_t>(quality.verdict);
+    Count(obs_.sanitizer_verdict[static_cast<size_t>(quality.verdict)]);
   }
   if (quality.observed &&
       (quality.verdict != QualityVerdict::kOk || quality.missing > 0 || quality.skew > 0)) {
-    ++events.windows_flagged;
+    Count(obs_.windows_flagged);
     QuarantineRecord record;
     record.metric = id;
     record.worst = quality.verdict;
@@ -480,7 +362,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
     quarantine.push_back(std::move(record));
   }
   if (quarantined) {
-    ++events.windows_quarantined;
+    Count(obs_.windows_quarantined);
     return;
   }
 
@@ -492,7 +374,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
   // worker (ThreadPool would rethrow at join and abort the whole scan).
   try {
     // ---- Short-term path ----
-    ++events.change_point_in;
+    Count(obs_.change_point.in);
     std::optional<ScanCandidate> candidate;
     {
       StageTimer timer(Timed(obs_.change_point.wall_ns));
@@ -500,9 +382,12 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
     }
     if (candidate) {
       ++short_funnel.change_points;
-      ++events.change_point_out;
-      ++events.went_away_in;
-      const size_t points_per_day = PointsPerDay(view.analysis_timestamps);
+      Count(obs_.change_point.out);
+      Count(obs_.went_away.in);
+      // The previous-day window follows the tick the sanitizer inferred, so
+      // a dropped sample cannot shrink it.
+      const size_t points_per_day =
+          quality.tick > 0 ? static_cast<size_t>(kDay / quality.tick) : 0;
       WentAwayVerdict went_away;
       {
         StageTimer timer(Timed(obs_.went_away.wall_ns));
@@ -510,8 +395,8 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
       }
       if (went_away.keep) {
         ++short_funnel.after_went_away;
-        ++events.went_away_out;
-        ++events.seasonality_in;
+        Count(obs_.went_away.out);
+        Count(obs_.seasonality.in);
         SeasonalityVerdict seasonal;
         {
           StageTimer timer(Timed(obs_.seasonality.wall_ns));
@@ -519,8 +404,8 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
         }
         if (!seasonal.seasonal_filtered) {
           ++short_funnel.after_seasonality;
-          ++events.seasonality_out;
-          ++events.threshold_in;
+          Count(obs_.seasonality.out);
+          Count(obs_.threshold.in);
           bool passes;
           {
             StageTimer timer(Timed(obs_.threshold.wall_ns));
@@ -528,7 +413,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
           }
           if (passes) {
             ++short_funnel.after_threshold;
-            ++events.threshold_out;
+            Count(obs_.threshold.out);
             // First (and only) copy of window data on this path: the survivor.
             Regression regression = MaterializeRegression(id, view, *candidate);
             if (root_cause_ != nullptr) {
@@ -542,7 +427,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
 
     // ---- Long-term path ----
     if (options_.detection.enable_long_term) {
-      ++events.long_term_in;
+      Count(obs_.long_term.in);
       std::optional<Regression> long_candidate;
       {
         StageTimer timer(Timed(obs_.long_term.wall_ns));
@@ -556,7 +441,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
           ++long_funnel.after_threshold;
           // `out` counts post-threshold survivors, so stage.fingerprint.in ==
           // stage.threshold.out + stage.long_term.out reconciles exactly.
-          ++events.long_term_out;
+          Count(obs_.long_term.out);
           if (root_cause_ != nullptr) {
             long_candidate->candidate_root_causes = root_cause_->QuickCandidates(*long_candidate);
           }
@@ -565,18 +450,15 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
       }
     }
   } catch (const std::exception& e) {
-    ++events.detector_exceptions;
     QuarantineDetectorException(id, e.what(), quarantine);
   } catch (...) {
-    ++events.detector_exceptions;
     QuarantineDetectorException(id, "unknown exception", quarantine);
   }
 }
 
-// Counted by the caller (SeriesScanEvents::detector_exceptions), so a cached
-// verdict replays the count exactly; this only builds the record.
 void Pipeline::QuarantineDetectorException(const MetricId& id, const char* what,
                                            std::vector<QuarantineRecord>& quarantine) const {
+  Count(obs_.detector_exceptions);
   QuarantineRecord record;
   record.metric = id;
   record.worst = QualityVerdict::kCorrupt;
@@ -683,25 +565,6 @@ ThreadPool* Pipeline::FunnelPool() {
 }
 
 std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as_of) {
-  const uint64_t generation = db_->generation();
-  if (detector_store_ != nullptr && last_run_valid_ && last_run_service_ == service &&
-      last_run_generation_ == generation) {
-    // Nothing was ingested, sealed, or expired since the last run of this
-    // service: every verdict would replay and no new group could open. Skip
-    // the scan and the funnel wholesale; previously reported groups remain
-    // available via groups(). Every series counts as clean (series_in is
-    // untouched — no scan happened).
-    if (obs_.enabled) {
-      obs_.runs->Increment();
-      obs_.run_short_circuits->Increment();
-      obs_.scan_clean->Add(CachedMetrics(service).size());
-      SyncTelemetry();
-      if (self_sink_ != nullptr) {
-        self_sink_->Persist(telemetry_, as_of);
-      }
-    }
-    return {};
-  }
   // Telemetry bookkeeping for this run: wall-clock start plus the stage
   // histograms' accumulated sums, whose deltas become the trace's stage
   // spans. All zero-cost when telemetry is off.
@@ -942,17 +805,10 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
     if (self_sink_ != nullptr) {
       // Self-hosting: persist this run's registry snapshot as ordinary series
       // (DESIGN.md §15). Runs after the scan's readers are done, so the sink
-      // may target the scanned database itself; the resulting generation bump
-      // correctly disarms the short-circuit when it does.
+      // may target the scanned database itself.
       self_sink_->Persist(telemetry_, as_of);
     }
   }
-  // Arm the next run's short-circuit with the generation observed before the
-  // scan (writers never run concurrently with a scan, so it is also the
-  // generation after).
-  last_run_service_ = service;
-  last_run_generation_ = generation;
-  last_run_valid_ = true;
   return reported;
 }
 

@@ -46,8 +46,6 @@
 #include "src/core/change_point_stage.h"
 #include "src/core/code_info.h"
 #include "src/core/cost_shift.h"
-#include "src/core/detector_state.h"
-#include "src/core/funnel_stats.h"
 #include "src/core/long_term.h"
 #include "src/core/pairwise_dedup.h"
 #include "src/core/regression.h"
@@ -65,23 +63,19 @@
 
 namespace fbdetect {
 
-// How the scan stage treats series between re-runs (DESIGN §14).
-enum class ScanMode {
-  // Re-evaluate every series at every run: the byte-identical oracle.
-  kBatch,
-  // Per-series verdict cache behind the DetectorState seam: a series whose
-  // TSDB version is unchanged replays its cached verdict instead of being
-  // re-evaluated, and a run whose service saw no mutation at all is
-  // short-circuited. Dirty series run the exact batch stages, so output is
-  // byte-identical to kBatch whenever every series is dirty at a run
-  // (live-ingest steady state); a clean series' replay across a shifted
-  // as_of is the documented approximation.
-  kGated,
-  // kGated plus incremental per-point state (rolling Welford moments,
-  // online CUSUM, BOCPD run-length posterior) fed by the TSDB append
-  // observer, raising early-warning alerts at ingest time. Alert-only:
-  // RunAt verdicts still come from the exact batch stages.
-  kStreaming,
+// Survivor counts after each Fig. 6 funnel stage (Table 3), kept separately
+// for the short-term and long-term paths.
+struct FunnelStats {
+  uint64_t change_points = 0;
+  uint64_t after_went_away = 0;
+  uint64_t after_seasonality = 0;
+  uint64_t after_threshold = 0;
+  uint64_t after_same_merger = 0;
+  uint64_t after_som_dedup = 0;
+  uint64_t after_cost_shift = 0;
+  uint64_t after_pairwise = 0;
+
+  void Accumulate(const FunnelStats& other);
 };
 
 // Self-observability over the pipeline itself (DESIGN.md §12). Off by
@@ -126,11 +120,6 @@ struct PipelineOptions {
   // once at construction); results are merged in deterministic metric order,
   // so outputs are identical for any value.
   int scan_threads = 1;
-  // Incremental scan mode (see ScanMode). kBatch is the default and the
-  // oracle every other mode is tested against.
-  ScanMode scan_mode = ScanMode::kBatch;
-  // Per-point state tuning, used only when scan_mode == kStreaming.
-  StreamingConfig streaming;
 };
 
 class Pipeline {
@@ -184,15 +173,6 @@ class Pipeline {
   const std::vector<RegressionGroup>& groups() const { return pairwise_.groups(); }
   const PipelineOptions& options() const { return options_; }
 
-  // The per-series detector state store; null when scan_mode == kBatch.
-  // To receive per-point streaming updates (kStreaming early warnings), the
-  // caller wires it into the database during a quiescent phase:
-  //   db.SetAppendObserver(pipeline.detector_store());
-  // Generation gating itself needs no wiring — it is driven by the TSDB's
-  // per-series version counters, not the observer.
-  DetectorStateStore* detector_store() { return detector_store_.get(); }
-  const DetectorStateStore* detector_store() const { return detector_store_.get(); }
-
  private:
   // Pre-resolved instrument handles. All null (and `enabled` false) when
   // telemetry is off, so the hot path pays one predictable branch per site
@@ -235,16 +215,6 @@ class Pipeline {
     Counter* tsdb_list_cache_hits = nullptr;
     Counter* tsdb_list_cache_misses = nullptr;
     Counter* tsdb_list_cache_shard_refreshes = nullptr;
-    // Generation-gated scan accounting (all zero in kBatch mode). Per run:
-    // series_in == scan_dirty + scan_cache_hit (short-circuited runs skip
-    // series_in entirely); scan_clean == scan_cache_hit + series skipped by
-    // run short-circuits.
-    Counter* scan_dirty = nullptr;
-    Counter* scan_clean = nullptr;
-    Counter* scan_cache_hit = nullptr;
-    Counter* run_short_circuits = nullptr;
-    // Deterministic mirror of DetectorStateStore::alerts_raised().
-    Counter* streaming_alerts = nullptr;
     // Runtime mirrors of the durable tier (tsdb.durable.* / tsdb.memory.*).
     // Registered only when the scanned database has the tier enabled, so
     // non-durable pipelines see an unchanged instrument set. All kRuntime:
@@ -290,40 +260,23 @@ class Pipeline {
   void EmitTrace(const std::string& service, const uint64_t* sums_before,
                  uint64_t scan_wall_before, uint64_t run_wall_ns);
 
-  // Runs detection stages 1-3 + threshold for one metric; appends survivors
-  // and counts into the provided funnel accumulators. `scratch` is the
-  // caller's orientation buffer (reused across metrics; untouched for
-  // higher-is-worse kinds); `series_scratch` is the caller's decode buffer
-  // for series whose scan range extends into Gorilla-sealed history
-  // (untouched when the raw tail covers the detection windows — the common
-  // case, which stays zero-copy). Dirty windows append a QuarantineRecord to
-  // `quarantine` (the caller's private vector, merged after the parallel
-  // scan) instead of reaching the detectors; detector exceptions are caught
-  // and quarantined the same way, so one corrupt series can never take down
-  // a re-run. In gated/streaming mode this is a thin wrapper that replays
-  // the cached SeriesVerdict when the series' TSDB version is unchanged and
-  // delegates to EvaluateSeries (filling the cache) when it moved.
-  // Thread-safe: the scan visits each series exactly once per run, so the
-  // per-series verdict slot is accessed exclusively.
+  // Runs window extraction, the sanitizer, detection stages 1-3 + threshold
+  // and the long-term detector for one metric; appends survivors and counts
+  // into the provided funnel accumulators and the registry's scan counters.
+  // `scratch` is the caller's orientation buffer (reused across metrics;
+  // untouched for higher-is-worse kinds); `series_scratch` is the caller's
+  // decode buffer for series whose scan range extends into Gorilla-sealed
+  // history (untouched when the raw tail covers the detection windows — the
+  // common case, which stays zero-copy). Dirty windows append a
+  // QuarantineRecord to `quarantine` (the caller's private vector, merged
+  // after the parallel scan) instead of reaching the detectors; detector
+  // exceptions are caught and quarantined the same way, so one corrupt series
+  // can never take down a re-run. Thread-safe: counters are atomic and every
+  // other output is the caller's.
   void ScanMetric(const MetricId& id, TimePoint as_of, std::vector<Regression>& survivors,
                   FunnelStats& short_funnel, FunnelStats& long_funnel,
                   std::vector<double>& scratch, TimeSeries& series_scratch,
                   std::vector<QuarantineRecord>& quarantine) const;
-
-  // The full batch evaluation (window extraction → sanitizer → detectors),
-  // shared verbatim by every scan mode. Deterministic counter increments are
-  // recorded into `events` (applied by the caller via ApplyScanEvents) so a
-  // cached verdict can replay them exactly.
-  void EvaluateSeries(const MetricId& id, TimePoint as_of,
-                      std::vector<Regression>& survivors, FunnelStats& short_funnel,
-                      FunnelStats& long_funnel, std::vector<double>& scratch,
-                      TimeSeries& series_scratch,
-                      std::vector<QuarantineRecord>& quarantine,
-                      SeriesScanEvents& events) const;
-
-  // Applies one series' recorded counter increments to the registry (no-op
-  // with telemetry off).
-  void ApplyScanEvents(const SeriesScanEvents& events) const;
 
   // Scans all metrics of a service, optionally on several threads; returns
   // survivors in deterministic metric order.
@@ -383,15 +336,6 @@ class Pipeline {
   std::vector<MetricId> cached_ids_;
   uint64_t cached_generation_ = 0;
   bool cache_valid_ = false;
-
-  // Per-series detector states; null in kBatch mode.
-  std::unique_ptr<DetectorStateStore> detector_store_;
-  // Run short-circuit state: the (service, db generation) of the last
-  // completed RunAt. A gated re-run over the same service with an unchanged
-  // generation is skipped wholesale — no data can have changed any verdict.
-  std::string last_run_service_;
-  uint64_t last_run_generation_ = 0;
-  bool last_run_valid_ = false;
 
   FunnelStats short_funnel_;
   FunnelStats long_funnel_;

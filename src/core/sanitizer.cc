@@ -122,6 +122,7 @@ WindowQuality Sanitizer::Inspect(MetricKind kind, const WindowView& view,
   // at ingest — so the minimum is the true tick even in faulted windows.
   const std::span<const TimePoint>& stamps = view.analysis_timestamps;
   const Duration dt = kernels.min_positive_gap(stamps.data(), stamps.size());
+  quality.tick = dt;
 
   if (dt > 0) {
     // Constant per-host clock skew shows up as a grid-phase offset. It is

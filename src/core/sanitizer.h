@@ -65,6 +65,10 @@ struct WindowQuality {
   bool late_start = false;  // Historical coverage below the floor.
   bool early_end = false;   // Series went dark before the window closed.
   Duration skew = 0;        // Grid-phase offset (per-host clock skew).
+  // Inferred sampling interval: the smallest positive gap between adjacent
+  // analysis-window timestamps; 0 when fewer than two are present. The
+  // pipeline derives the went-away previous-day length from it.
+  Duration tick = 0;
 };
 
 // One quarantined (or otherwise dirty) series, accumulated across re-runs.

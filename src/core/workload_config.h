@@ -20,6 +20,16 @@ enum class ThresholdMode {
   kRelative,  // Reported delta / baseline must exceed the threshold.
 };
 
+// The change-point detector behind the short-term path (DESIGN.md §17).
+enum class ChangePointDetector {
+  // The paper's iterative CUSUM+EM split with likelihood-ratio validation
+  // (§5.2.1).
+  kCusumEm,
+  // E-divisive means (Hunter's detector): energy-distance split with a
+  // fixed-seed permutation test.
+  kEDivisive,
+};
+
 struct DetectionConfig {
   std::string name = "custom";
   ThresholdMode threshold_mode = ThresholdMode::kAbsolute;
@@ -31,10 +41,7 @@ struct DetectionConfig {
   double significance_level = 0.01;   // Likelihood-ratio test level.
   size_t min_segment = 4;             // Min points per change-point segment.
   int max_em_iterations = 20;
-  // Registered ChangePointBackend name (src/tsa/changepoint_backend.h).
-  // "cusum_em" is the paper's detector and stays byte-identical to the
-  // historical hard-wired path; alternatives: "e_divisive", "pelt", "bocpd".
-  std::string change_point_backend = "cusum_em";
+  ChangePointDetector change_point_detector = ChangePointDetector::kCusumEm;
 
   // Went-away detector (§5.2.2).
   int sax_buckets = 20;               // N.

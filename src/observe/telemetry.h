@@ -41,18 +41,8 @@ namespace fbdetect {
 // byte-identical across scan_threads) or depends on scheduling/timing.
 enum class CounterStability { kDeterministic, kRuntime };
 
-// Canonical names of the generation-gated / streaming scan counters
-// (DESIGN.md §14), shared between the pipeline's registration and the tests
-// that assert on them. Per gated run: pipeline.scan.series_in ==
-// tsdb.scan.dirty + tsdb.scan.cache_hit; tsdb.scan.clean additionally
-// counts series skipped by whole-run short-circuits.
-inline constexpr const char kCounterScanDirty[] = "tsdb.scan.dirty";
-inline constexpr const char kCounterScanClean[] = "tsdb.scan.clean";
-inline constexpr const char kCounterScanCacheHit[] = "tsdb.scan.cache_hit";
-inline constexpr const char kCounterRunShortCircuits[] =
-    "pipeline.run.short_circuits";
-inline constexpr const char kCounterStreamingAlerts[] =
-    "pipeline.streaming.alerts";
+// Canonical name of the incremental ListMetrics refresh counter (DESIGN.md
+// §9): shards re-enumerated by list-cache misses.
 inline constexpr const char kCounterListCacheShardRefreshes[] =
     "tsdb.scan.list_cache_shard_refreshes";
 

@@ -61,52 +61,4 @@ double WelfordAccumulator::population_variance() const {
   return m2_ / static_cast<double>(count_);
 }
 
-void RollingMoments::Add(int64_t timestamp, double value) {
-  while (!points_.empty() && points_.front().first <= timestamp - window_) {
-    Remove(points_.front().second);
-    points_.pop_front();
-  }
-  points_.emplace_back(timestamp, value);
-  if (!std::isfinite(value)) {
-    ++ignored_non_finite_;
-    return;
-  }
-  ++count_;
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (value - mean_);
-}
-
-void RollingMoments::Remove(double value) {
-  if (!std::isfinite(value)) {
-    --ignored_non_finite_;
-    return;
-  }
-  if (count_ <= 1) {
-    count_ = 0;
-    mean_ = 0.0;
-    m2_ = 0.0;
-    return;
-  }
-  // Reverse Welford: undo the update that added `value`. Eviction order need
-  // not match insertion order for the moments to stay exact in real
-  // arithmetic; in floating point the drift is bounded by the window length,
-  // which stays small (one detection window of points).
-  const double old_mean = (static_cast<double>(count_) * mean_ - value) /
-                          static_cast<double>(count_ - 1);
-  m2_ -= (value - old_mean) * (value - mean_);
-  mean_ = old_mean;
-  --count_;
-  if (m2_ < 0.0) {
-    m2_ = 0.0;  // Floating-point residue on near-constant windows.
-  }
-}
-
-double RollingMoments::sample_variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
 }  // namespace fbdetect

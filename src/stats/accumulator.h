@@ -4,18 +4,10 @@
 // stable update and supports merging (Chan et al.), which the fleet
 // aggregation path uses to combine per-server statistics without keeping all
 // raw samples in memory.
-//
-// RollingMoments maintains the same moments over a sliding time window:
-// every Add evicts points older than (newest - window) with the reverse
-// Welford update, so windowed mean/variance are available in amortized O(1)
-// per point. The streaming detector state (src/core/detector_state.h) keeps
-// one per scanned series.
 #ifndef FBDETECT_SRC_STATS_ACCUMULATOR_H_
 #define FBDETECT_SRC_STATS_ACCUMULATOR_H_
 
 #include <cstdint>
-#include <deque>
-#include <utility>
 
 namespace fbdetect {
 
@@ -49,39 +41,6 @@ class WelfordAccumulator {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Welford moments over a sliding window of the most recent `window` time
-// units. Timestamps are the caller's clock (the TSDB's TimePoint seconds)
-// and must be fed in non-decreasing order; each Add first evicts every
-// stored point older than (timestamp - window). Non-finite values are
-// excluded from the moments (and counted), mirroring WelfordAccumulator.
-class RollingMoments {
- public:
-  explicit RollingMoments(int64_t window) : window_(window) {}
-
-  // Adds one point and evicts everything older than timestamp - window.
-  // Amortized O(1): every point is pushed and popped exactly once.
-  void Add(int64_t timestamp, double value);
-
-  int64_t count() const { return count_; }
-  int64_t ignored_non_finite() const { return ignored_non_finite_; }
-  double mean() const { return mean_; }
-
-  // Unbiased sample variance (n-1); 0.0 if fewer than 2 samples.
-  double sample_variance() const;
-
- private:
-  void Remove(double value);
-
-  int64_t window_;
-  // (timestamp, value) in arrival order; non-finite values are stored (they
-  // occupy window slots and must age out) but excluded from the moments.
-  std::deque<std::pair<int64_t, double>> points_;
-  int64_t count_ = 0;
-  int64_t ignored_non_finite_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
 };
 
 }  // namespace fbdetect

@@ -52,48 +52,4 @@ CusumResult CusumLocate(std::span<const double> values, size_t min_segment) {
   return result;
 }
 
-bool OnlineCusum::Observe(double value) {
-  if (!std::isfinite(value)) {
-    return false;
-  }
-  if (!frozen_) {
-    baseline_.Add(value);
-    if (baseline_.count() >= config_.baseline_points) {
-      mean_ = baseline_.mean();
-      sd_ = std::sqrt(baseline_.sample_variance());
-      // Relative floor so a constant (or near-constant) baseline cannot
-      // yield a zero-width band that any 1-ulp wiggle would cross.
-      const double floor = 1e-9 * std::max(1.0, std::fabs(mean_));
-      if (!(sd_ > floor)) {
-        sd_ = floor;
-      }
-      frozen_ = true;
-    }
-    return false;
-  }
-  const double k = config_.drift_sigma * sd_;
-  const double centered = value - mean_;
-  g_pos_ = std::max(0.0, g_pos_ + centered - k);
-  g_neg_ = std::max(0.0, g_neg_ - centered - k);
-  if (triggered_) {
-    return false;
-  }
-  const double h = config_.threshold_sigma * sd_;
-  if (g_pos_ > h) {
-    triggered_ = true;
-    direction_ = 1;
-  } else if (g_neg_ > h) {
-    triggered_ = true;
-    direction_ = -1;
-  }
-  return triggered_;
-}
-
-void OnlineCusum::Reset() {
-  triggered_ = false;
-  direction_ = 0;
-  g_pos_ = 0.0;
-  g_neg_ = 0.0;
-}
-
 }  // namespace fbdetect

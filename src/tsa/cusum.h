@@ -3,20 +3,12 @@
 // The cumulative-sum statistic S_t = Σ_{i<=t} (x_i - x̄) peaks (in absolute
 // value) at the most likely mean-shift point. CusumLocate returns that point
 // plus the before/after means; the iterative CUSUM+EM detector builds on it.
-//
-// OnlineCusum is the sequential (Page's test) form used by the streaming
-// detector state: it freezes a baseline mean/sd from the first
-// `baseline_points` samples, then maintains the two one-sided statistics
-// g⁺/g⁻ in O(1) per observation and signals when either exceeds h·σ.
 #ifndef FBDETECT_SRC_TSA_CUSUM_H_
 #define FBDETECT_SRC_TSA_CUSUM_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
-
-#include "src/stats/accumulator.h"
 
 namespace fbdetect {
 
@@ -35,58 +27,6 @@ CusumResult CusumLocate(std::span<const double> values, size_t min_segment = 2);
 
 // The raw CUSUM path S_1..S_n (useful for tests and visual harnesses).
 std::vector<double> CusumPath(std::span<const double> values);
-
-// Sequential two-sided CUSUM (Page's test) with a frozen baseline.
-//
-// The first `baseline_points` finite samples estimate the in-control mean
-// and sd with a Welford accumulator; after that the baseline is frozen and
-// every Observe updates
-//   g⁺ = max(0, g⁺ + (x - μ - k·σ))
-//   g⁻ = max(0, g⁻ - (x - μ + k·σ))
-// in O(1). triggered() flips when either statistic exceeds h·σ and stays
-// set until Reset (the streaming scan resets after each emitted candidate).
-// The sd is floored at a relative tolerance of the baseline mean so
-// constant histories cannot produce a zero-width band (the KSigma lesson:
-// a 1-ulp wiggle after a constant baseline must not trigger).
-class OnlineCusum {
- public:
-  struct Config {
-    int64_t baseline_points = 64;  // Samples used to freeze the baseline.
-    double drift_sigma = 0.5;      // k: slack per point, in baseline sds.
-    double threshold_sigma = 6.0;  // h: decision threshold, in baseline sds.
-  };
-
-  OnlineCusum() = default;
-  explicit OnlineCusum(const Config& config) : config_(config) {}
-
-  // Feeds one observation. Non-finite values are ignored. Returns true if
-  // this observation newly triggered the alarm.
-  bool Observe(double value);
-
-  bool baseline_frozen() const { return frozen_; }
-  bool triggered() const { return triggered_; }
-  // Signed direction of the alarm: +1 shift up, -1 shift down, 0 untriggered.
-  int direction() const { return direction_; }
-  double positive_statistic() const { return g_pos_; }
-  double negative_statistic() const { return g_neg_; }
-  double baseline_mean() const { return mean_; }
-  double baseline_sd() const { return sd_; }
-
-  // Clears the alarm and the running statistics but keeps the frozen
-  // baseline (re-estimating it from post-change data would mask the shift).
-  void Reset();
-
- private:
-  Config config_;
-  WelfordAccumulator baseline_;
-  bool frozen_ = false;
-  bool triggered_ = false;
-  int direction_ = 0;
-  double mean_ = 0.0;
-  double sd_ = 0.0;
-  double g_pos_ = 0.0;
-  double g_neg_ = 0.0;
-};
 
 }  // namespace fbdetect
 

@@ -1,6 +1,5 @@
 #include "src/tsa/dp_changepoint.h"
 
-#include <algorithm>
 #include <limits>
 
 namespace fbdetect {
@@ -101,67 +100,6 @@ Segmentation DpSegment(std::span<const double> values, size_t num_changes, size_
 size_t BestSingleSplit(std::span<const double> values, size_t min_segment) {
   const Segmentation seg = DpSegment(values, 1, min_segment);
   return seg.valid ? seg.change_points[0] : 0;
-}
-
-Segmentation PeltSegment(std::span<const double> values, double penalty, size_t min_segment) {
-  Segmentation result;
-  const size_t n = values.size();
-  if (min_segment < 1) {
-    min_segment = 1;
-  }
-  if (n < min_segment) {
-    return result;
-  }
-  if (penalty < 0.0) {
-    penalty = 0.0;
-  }
-  const Prefix prefix(values);
-
-  // F[t] = min cost of segmenting [0, t) including one penalty per change
-  // point; last[t] = the change position achieving it (0 = no change).
-  // Candidates hold the admissible last-change positions; the L2 cost is
-  // additive with K = 0, so a candidate s with F[s] + C(s, t) > F[t] can
-  // never beat splitting at t later and is pruned for good.
-  std::vector<double> f(n + 1, kInfinity);
-  std::vector<size_t> last(n + 1, 0);
-  f[0] = -penalty;  // Cancels the penalty charged for the "first change" at 0.
-  std::vector<size_t> candidates;
-  std::vector<size_t> survivors;
-  candidates.push_back(0);
-  for (size_t t = min_segment; t <= n; ++t) {
-    double best = kInfinity;
-    size_t best_s = 0;
-    for (const size_t s : candidates) {
-      if (t < s + min_segment) {
-        continue;
-      }
-      const double cost = f[s] + prefix.SegmentCost(s, t) + penalty;
-      if (cost < best) {
-        best = cost;
-        best_s = s;
-      }
-    }
-    f[t] = best;
-    last[t] = best_s;
-    // Prune, then admit t as a future last-change position.
-    survivors.clear();
-    for (const size_t s : candidates) {
-      if (t < s + min_segment || f[s] + prefix.SegmentCost(s, t) <= f[t]) {
-        survivors.push_back(s);
-      }
-    }
-    candidates.swap(survivors);
-    candidates.push_back(t);
-  }
-
-  result.valid = true;
-  for (size_t t = n; t > 0 && last[t] > 0; t = last[t]) {
-    result.change_points.push_back(last[t]);
-  }
-  std::reverse(result.change_points.begin(), result.change_points.end());
-  result.total_cost =
-      f[n] - penalty * static_cast<double>(result.change_points.size() + 1) + penalty;
-  return result;
 }
 
 }  // namespace fbdetect

@@ -30,18 +30,6 @@ Segmentation DpSegment(std::span<const double> values, size_t num_changes,
 // of the first post-change element, or 0 when no valid split exists.
 size_t BestSingleSplit(std::span<const double> values, size_t min_segment = 2);
 
-// PELT (Pruned Exact Linear Time, Killick et al. 2012): optimal penalized
-// segmentation with an UNKNOWN number of change points. Minimizes
-//   Σ_segments cost(segment) + penalty * (#change points)
-// under the same L2 (within-segment variance) cost as DpSegment, with the
-// standard pruning rule that discards candidate last-change positions which
-// can never again be optimal — expected near-linear time when change points
-// are sparse, O(n^2) worst case. `total_cost` excludes the penalty term so
-// the value is comparable to DpSegment's. Returns valid=false only when the
-// series is shorter than one minimum segment.
-Segmentation PeltSegment(std::span<const double> values, double penalty,
-                         size_t min_segment = 2);
-
 }  // namespace fbdetect
 
 #endif  // FBDETECT_SRC_TSA_DP_CHANGEPOINT_H_

@@ -285,26 +285,21 @@ bool TimeSeriesDatabase::AppendCounted(Shard& shard, SeriesEntry& entry,
   return false;  // Unreachable.
 }
 
-void TimeSeriesDatabase::NotifyAppendLocked(Shard& shard, const InternedMetricId& id,
-                                            const SeriesEntry& entry,
-                                            size_t tail_before) {
+void TimeSeriesDatabase::LogAppendLocked(Shard& shard, const InternedMetricId& id,
+                                         const SeriesEntry& entry, size_t tail_before) {
+  // Degraded tier: stop buffering — nothing will ever commit the buffer, so
+  // feeding it would grow pending bytes without bound.
+  if (shard.wal == nullptr || !DurableActive()) {
+    return;
+  }
   const TimeSeries& tail = entry.data.tail();
   if (tail.size() <= tail_before) {
     return;  // Nothing accepted (appends go to the tail only).
   }
   const size_t count = tail.size() - tail_before;
-  const auto timestamps =
-      std::span<const TimePoint>(tail.timestamps()).subspan(tail_before, count);
-  const auto values =
-      std::span<const double>(tail.values()).subspan(tail_before, count);
-  if (append_observer_ != nullptr) {
-    append_observer_->OnAppend(id, timestamps, values);
-  }
-  // Degraded tier: stop buffering — nothing will ever commit the buffer, so
-  // feeding it would grow pending bytes without bound.
-  if (shard.wal != nullptr && DurableActive()) {
-    shard.wal->BufferPoints(id, timestamps, values);
-  }
+  shard.wal->BufferPoints(
+      id, std::span<const TimePoint>(tail.timestamps()).subspan(tail_before, count),
+      std::span<const double>(tail.values()).subspan(tail_before, count));
 }
 
 void TimeSeriesDatabase::Write(const InternedMetricId& id, TimePoint timestamp,
@@ -317,7 +312,7 @@ void TimeSeriesDatabase::Write(const InternedMetricId& id, TimePoint timestamp,
     if (AppendCounted(shard, entry, timestamp, value)) {
       ++entry.version;
       shard.generation.fetch_add(1, std::memory_order_relaxed);
-      NotifyAppendLocked(shard, id, entry, tail_before);
+      LogAppendLocked(shard, id, entry, tail_before);
       MaybeGroupCommitLocked(shard);
     }
   }
@@ -338,7 +333,7 @@ void TimeSeriesDatabase::WriteSeries(const MetricId& id, TimeSeries series) {
     if (stored) {
       ++entry.version;
       shard.generation.fetch_add(1, std::memory_order_relaxed);
-      NotifyAppendLocked(shard, interned, entry, tail_before);
+      LogAppendLocked(shard, interned, entry, tail_before);
       MaybeGroupCommitLocked(shard);
     }
   }
@@ -369,7 +364,7 @@ void TimeSeriesDatabase::Apply(WriteBatch& batch) {
       if (stored) {
         ++entry.version;
         changed = true;
-        NotifyAppendLocked(shard, column.id, entry, tail_before);
+        LogAppendLocked(shard, column.id, entry, tail_before);
       }
     }
     if (changed) {
@@ -820,8 +815,7 @@ void TimeSeriesDatabase::EnforceSealedBudget() {
     chunks_evicted_.fetch_add(1, std::memory_order_relaxed);
     evicted_bytes_.fetch_add(freed, std::memory_order_relaxed);
     // No version/generation bump: eviction changes where bytes live, not
-    // what the series contains — readers' caches and the generation-gated
-    // scan must not observe it.
+    // what the series contains — readers' caches must not observe it.
   }
 }
 
@@ -850,13 +844,6 @@ uint64_t TimeSeriesDatabase::generation() const {
     total += shard.generation.load(std::memory_order_relaxed);
   }
   return total;
-}
-
-uint64_t TimeSeriesDatabase::SeriesVersion(const InternedMetricId& id) const {
-  const Shard& shard = shards_[ShardIndex(id)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.series.find(id);
-  return it == shard.series.end() ? 0 : it->second.version;
 }
 
 TimeSeriesDatabase::DurableStats TimeSeriesDatabase::durable_stats() const {

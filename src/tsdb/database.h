@@ -43,21 +43,6 @@ namespace fbdetect {
 
 class TimeSeriesDatabase;
 
-// Observer of accepted appends, the hook the streaming detector state hangs
-// off the write path. Called while the owning shard's mutex is held, once
-// per (series, flush) with the run of points that were actually stored —
-// rejected duplicates/out-of-order points are never reported. The spans
-// point into the series' raw tail and are valid only for the duration of
-// the call. Implementations must be cheap and must not call back into the
-// database (the shard lock is held).
-class AppendObserver {
- public:
-  virtual ~AppendObserver() = default;
-  virtual void OnAppend(const InternedMetricId& id,
-                        std::span<const TimePoint> timestamps,
-                        std::span<const double> values) = 0;
-};
-
 // Durable storage tier (DESIGN.md §15). When `directory` is set, every shard
 // gets a group-commit write-ahead log and a memory-mapped chunk file there;
 // opening the database replays both into a consistent state (symbols first,
@@ -271,13 +256,6 @@ class TimeSeriesDatabase {
   // generation bumped once. Called by WriteBatch::Commit.
   void Apply(WriteBatch& batch);
 
-  // Registers (or clears, with nullptr) the single append observer. Must be
-  // called while no writer is active — same phase discipline as the scan
-  // readers; the pointer is read by writers under their shard lock without
-  // further synchronization.
-  void SetAppendObserver(AppendObserver* observer) { append_observer_ = observer; }
-  AppendObserver* append_observer() const { return append_observer_; }
-
   // Aggregate accept/drop counters across all shards.
   IngestStats ingest_stats() const;
 
@@ -358,12 +336,6 @@ class TimeSeriesDatabase {
   // (sum of per-shard counters); never changed by reads.
   uint64_t generation() const;
 
-  // Per-series mutation counter: bumped on every stored append, seal, and
-  // retention trim of the series; 0 when the series is absent. The
-  // generation-gated scan compares this against the version its cached
-  // verdict was computed at to decide dirty vs clean.
-  uint64_t SeriesVersion(const InternedMetricId& id) const;
-
  private:
   friend class WriteBatch;
 
@@ -420,12 +392,11 @@ class TimeSeriesDatabase {
   // Full decoded view of an entry (cached). Caller holds the shard mutex.
   const TimeSeries* MaterializedLocked(const SeriesEntry& entry) const;
 
-  // Reports the tail suffix [tail_before, tail.size()) — the points a write
-  // call just stored — to the append observer and, with the durable tier on,
-  // buffers the same suffix into the shard's WAL. Caller holds the shard
-  // mutex.
-  void NotifyAppendLocked(Shard& shard, const InternedMetricId& id,
-                          const SeriesEntry& entry, size_t tail_before);
+  // With the durable tier on, buffers the tail suffix [tail_before,
+  // tail.size()) — the points a write call just stored — into the shard's
+  // WAL. Caller holds the shard mutex.
+  void LogAppendLocked(Shard& shard, const InternedMetricId& id,
+                       const SeriesEntry& entry, size_t tail_before);
 
   // --- Durable tier internals ---
 
@@ -468,7 +439,6 @@ class TimeSeriesDatabase {
   size_t shard_mask_ = 0;
   SymbolTable symbols_;
   std::vector<Shard> shards_;
-  AppendObserver* append_observer_ = nullptr;
 
   // Durable tier (members valid only when options_.durable.enabled()).
   std::unique_ptr<WriteAheadLog> symbols_log_;

@@ -131,20 +131,12 @@ TEST(ChangePointStageTest, InsufficientDataRejected) {
   EXPECT_FALSE(stage.Detect(GcpuMetric(), windows).has_value());
 }
 
-TEST(ChangePointStageTest, UnknownBackendNameAborts) {
-  // A misconfigured backend must fail loudly at construction, not silently
-  // skip every scan.
-  DetectionConfig config = TestConfig();
-  config.change_point_backend = "no_such_backend";
-  EXPECT_DEATH(ChangePointStage{config}, "FBD_CHECK failed");
-}
-
 TEST(ChangePointStageTest, DefaultConfigIsExplicitCusumEm) {
   // The default stage must be indistinguishable from one explicitly
-  // configured with "cusum_em" — bit-identical candidate scalars.
+  // configured with kCusumEm — bit-identical candidate scalars.
   const DetectionConfig default_config = TestConfig();
   DetectionConfig explicit_config = TestConfig();
-  explicit_config.change_point_backend = "cusum_em";
+  explicit_config.change_point_detector = ChangePointDetector::kCusumEm;
   const Duration total = default_config.windows.Total();
   const TimePoint step_at = total - Hours(4);
   const TimeSeries series = BuildSeries(total, 0.001, 8, [&](TimePoint t) {
@@ -162,24 +154,26 @@ TEST(ChangePointStageTest, DefaultConfigIsExplicitCusumEm) {
 }
 
 TEST(ChangePointStageTest, AlternativeBackendsDetectStepInAnalysisWindow) {
-  // Every registered backend, not just the default, must drive the stage end
-  // to end on an easy planted step.
+  // Both detectors, not just the default, must drive the stage end to end on
+  // an easy planted step.
   const Duration total = TestConfig().windows.Total();
   const TimePoint step_at = total - Hours(4);
   const TimeSeries series = BuildSeries(total, 0.001, 9, [&](TimePoint t) {
     return t >= step_at ? 0.060 : 0.050;
   });
-  for (const char* backend : {"cusum_em", "e_divisive", "pelt", "bocpd"}) {
+  for (const ChangePointDetector detector :
+       {ChangePointDetector::kCusumEm, ChangePointDetector::kEDivisive}) {
     DetectionConfig config = TestConfig();
-    config.change_point_backend = backend;
+    config.change_point_detector = detector;
     const WindowExtract windows = ExtractWindows(series, total, config.windows);
     ChangePointStage stage(config);
     const auto regression = stage.Detect(GcpuMetric(), windows);
-    ASSERT_TRUE(regression.has_value()) << backend;
+    const int id = static_cast<int>(detector);
+    ASSERT_TRUE(regression.has_value()) << "detector=" << id;
     EXPECT_NEAR(static_cast<double>(regression->change_time), static_cast<double>(step_at),
                 static_cast<double>(Hours(2)))
-        << backend;
-    EXPECT_NEAR(regression->delta, 0.010, 0.004) << backend;
+        << "detector=" << id;
+    EXPECT_NEAR(regression->delta, 0.010, 0.004) << "detector=" << id;
   }
 }
 

@@ -1,12 +1,14 @@
 // Tests for the sharded, interned, Gorilla-backed ingestion path: the
-// SymbolTable, InternedMetricId round trips, WriteBatch semantics, the
-// TieredSeries seal/materialize invariants, SeriesForScan's zero-copy
-// guarantees, and — the load-bearing properties — that ingest thread count
-// and compression tiering do not change database content or pipeline output
-// at all.
+// SymbolTable, InternedMetricId round trips, the incremental ListMetrics
+// cache, WriteBatch semantics, the TieredSeries seal/materialize invariants,
+// SeriesForScan's zero-copy guarantees, and — the load-bearing properties —
+// that ingest thread count and compression tiering do not change database
+// content or pipeline output at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -181,6 +183,55 @@ TEST(ShardedDatabaseTest, ListMetricsCacheInvalidatesOnWrite) {
   db.Expire(100);  // Drops everything.
   EXPECT_TRUE(db.ListMetrics("svc").empty());
   EXPECT_EQ(db.metric_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Incremental ListMetrics cache: a miss refreshes only the shards whose
+// generation moved, observable through scan_stats().
+// ---------------------------------------------------------------------------
+
+TEST(TsdbListCacheTest, MissRefreshesOnlyMovedShards) {
+  TimeSeriesDatabase db;
+  for (int i = 0; i < 64; ++i) {
+    char name[16];
+    std::snprintf(name, sizeof(name), "sub%02d", i);
+    db.Write(MetricId{"svc", MetricKind::kGcpu, name, ""}, 0, 1.0);
+  }
+
+  // Cold miss: every shard's slice is built once.
+  const TimeSeriesDatabase::ScanStats cold_before = db.scan_stats();
+  const std::vector<MetricId> all = db.ListMetrics("svc");
+  EXPECT_EQ(all.size(), 64u);
+  EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
+  const TimeSeriesDatabase::ScanStats cold_after = db.scan_stats();
+  EXPECT_EQ(cold_after.list_cache_misses, cold_before.list_cache_misses + 1);
+  EXPECT_EQ(cold_after.list_cache_shard_refreshes,
+            cold_before.list_cache_shard_refreshes + db.shard_count());
+
+  // Hit: no generation moved, no shard re-enumerated.
+  EXPECT_EQ(db.ListMetrics("svc"), all);
+  const TimeSeriesDatabase::ScanStats hit = db.scan_stats();
+  EXPECT_EQ(hit.list_cache_hits, cold_after.list_cache_hits + 1);
+  EXPECT_EQ(hit.list_cache_shard_refreshes, cold_after.list_cache_shard_refreshes);
+
+  // A point on an existing series moves exactly one shard: the next miss
+  // refreshes one slice, and the merged listing is unchanged.
+  db.Write(all.front(), 1, 2.0);
+  EXPECT_EQ(db.ListMetrics("svc"), all);
+  const TimeSeriesDatabase::ScanStats warm = db.scan_stats();
+  EXPECT_EQ(warm.list_cache_misses, hit.list_cache_misses + 1);
+  EXPECT_EQ(warm.list_cache_shard_refreshes, hit.list_cache_shard_refreshes + 1);
+
+  // A brand-new series also touches one shard, and the merge inserts it at
+  // its canonical position.
+  const MetricId extra{"svc", MetricKind::kGcpu, "aaa-extra", ""};
+  db.Write(extra, 0, 1.0);
+  std::vector<MetricId> expected = all;
+  expected.insert(std::upper_bound(expected.begin(), expected.end(), extra), extra);
+  EXPECT_EQ(db.ListMetrics("svc"), expected);
+  const TimeSeriesDatabase::ScanStats fresh = db.scan_stats();
+  EXPECT_EQ(fresh.list_cache_misses, warm.list_cache_misses + 1);
+  EXPECT_EQ(fresh.list_cache_shard_refreshes, warm.list_cache_shard_refreshes + 1);
 }
 
 // ---------------------------------------------------------------------------

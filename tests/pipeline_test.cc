@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "src/common/check.h"
+#include "src/core/change_point_stage.h"
 #include "src/core/pipeline.h"
+#include "src/core/went_away.h"
 #include "src/core/workload_config.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/scenario.h"
+#include "src/tsdb/database.h"
+#include "src/tsdb/window.h"
 
 namespace fbdetect {
 namespace {
@@ -249,8 +254,8 @@ TEST(PipelineIntegrationTest, ParallelScanMatchesSerial) {
 }
 
 TEST(PipelineIntegrationTest, DefaultBackendMatchesExplicitCusumEmAcrossThreadCounts) {
-  // The backend registry must not perturb the default path: a pipeline left
-  // on the default backend and one explicitly configured with "cusum_em"
+  // The detector choice must not perturb the default path: a pipeline left
+  // on the default detector and one explicitly configured with kCusumEm
   // produce byte-identical reports, at every scan-thread count.
   World world(7);
   CallGraphCodeInfo code_info(&world.service->graph());
@@ -266,7 +271,7 @@ TEST(PipelineIntegrationTest, DefaultBackendMatchesExplicitCusumEmAcrossThreadCo
   for (const int threads : {1, 2, 8}) {
     PipelineOptions options = world.Options();
     options.scan_threads = threads;
-    options.detection.change_point_backend = "cusum_em";
+    options.detection.change_point_detector = ChangePointDetector::kCusumEm;
     Pipeline pipeline(&world.fleet.db(), &world.fleet.change_log(), &code_info, options);
     const std::vector<Regression> reports =
         pipeline.RunPeriod("svc", Days(2), World::kDuration);
@@ -281,6 +286,79 @@ TEST(PipelineIntegrationTest, DefaultBackendMatchesExplicitCusumEmAcrossThreadCo
     EXPECT_EQ(pipeline.short_term_funnel().change_points,
               default_pipeline.short_term_funnel().change_points)
         << "threads=" << threads;
+  }
+}
+
+// A series whose went-away verdict hinges on the length of the "previous
+// day" (§5.2.2): at a 10-minute tick, 16 spikes at 0.999 sit 24h-12h before
+// the analysis window, so the trailing 144-point day has its p90 above the
+// 0.96/0.99 regressed level while the trailing 72 points (half a day) do not.
+// The rest of the history is spread over [0, 0.9), and the step lands
+// exactly at the analysis window start.
+struct PreviousDaySeries {
+  static constexpr Duration kTick = Minutes(10);
+  static constexpr size_t kHistorical = 432;  // 3 days.
+  static constexpr size_t kAnalysis = 36;     // 6 hours.
+  static constexpr TimePoint kAsOf =
+      static_cast<TimePoint>(kHistorical + kAnalysis) * kTick;
+
+  static DetectionConfig Config() {
+    DetectionConfig config;
+    config.windows.historical = Days(3);
+    config.windows.analysis = Hours(6);
+    config.windows.extended = 0;
+    config.enable_long_term = false;
+    return config;
+  }
+
+  // With `drop_analysis_sample` set, analysis sample 1 is missing, which
+  // doubles the first analysis gap.
+  static TimeSeries Build(bool drop_analysis_sample) {
+    TimeSeries series;
+    for (size_t i = 0; i < kHistorical + kAnalysis; ++i) {
+      if (drop_analysis_sample && i == kHistorical + 1) {
+        continue;
+      }
+      double value;
+      if (i >= kHistorical) {
+        value = i % 2 == 0 ? 0.96 : 0.99;
+      } else if (i >= kHistorical - 144 && i < kHistorical - 144 + 16) {
+        value = 0.999;
+      } else {
+        const double golden = 0.6180339887498949;
+        value = 0.9 * std::fmod(static_cast<double>(i) * golden, 1.0);
+      }
+      series.Append(static_cast<TimePoint>(i) * kTick, value);
+    }
+    return series;
+  }
+};
+
+TEST(PipelineIntegrationTest, WentAwayPreviousDayIgnoresADroppedAnalysisSample) {
+  const DetectionConfig config = PreviousDaySeries::Config();
+  const MetricId metric{"svc", MetricKind::kGcpu, "leaf", ""};
+
+  // The series discriminates: a full previous day (144 points) drops the
+  // candidate, half a day (72 points) would keep it.
+  const TimeSeries full = PreviousDaySeries::Build(/*drop_analysis_sample=*/false);
+  const std::optional<Regression> candidate = ChangePointStage(config).Detect(
+      metric, ExtractWindows(full, PreviousDaySeries::kAsOf, config.windows));
+  ASSERT_TRUE(candidate.has_value());
+  const WentAwayDetector went_away(config);
+  EXPECT_FALSE(went_away.Evaluate(*candidate, 144).keep);
+  EXPECT_TRUE(went_away.Evaluate(*candidate, 72).keep);
+
+  // The pipeline must reach the same verdict with and without analysis
+  // sample 1: one dropped sample must not halve the previous day.
+  for (const bool drop : {false, true}) {
+    TimeSeriesDatabase db;
+    db.WriteSeries(metric, PreviousDaySeries::Build(drop));
+    PipelineOptions options;
+    options.detection = config;
+    Pipeline pipeline(&db, nullptr, nullptr, options);
+    EXPECT_TRUE(pipeline.RunAt("svc", PreviousDaySeries::kAsOf).empty()) << "drop=" << drop;
+    EXPECT_EQ(pipeline.short_term_funnel().change_points, 1u) << "drop=" << drop;
+    EXPECT_EQ(pipeline.short_term_funnel().after_went_away, 0u) << "drop=" << drop;
   }
 }
 

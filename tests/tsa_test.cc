@@ -1,14 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/stats/descriptive.h"
-#include "src/tsa/changepoint_backend.h"
 #include "src/tsa/cusum.h"
 #include "src/tsa/dp_changepoint.h"
 #include "src/tsa/e_divisive.h"
@@ -416,67 +413,6 @@ TEST(DpChangePointTest, RespectsMinSegment) {
 }
 
 // ---------------------------------------------------------------------------
-// PELT.
-// ---------------------------------------------------------------------------
-
-TEST(PeltTest, FindsTwoCleanChanges) {
-  std::vector<double> values;
-  for (int i = 0; i < 30; ++i) values.push_back(0.0);
-  for (int i = 0; i < 30; ++i) values.push_back(5.0);
-  for (int i = 0; i < 30; ++i) values.push_back(-3.0);
-  const Segmentation seg = PeltSegment(values, 1.0);
-  ASSERT_TRUE(seg.valid);
-  ASSERT_EQ(seg.change_points.size(), 2u);
-  EXPECT_EQ(seg.change_points[0], 30u);
-  EXPECT_EQ(seg.change_points[1], 60u);
-  EXPECT_NEAR(seg.total_cost, 0.0, 1e-6);
-}
-
-TEST(PeltTest, ConstantSeriesHasNoChanges) {
-  const std::vector<double> values(50, 3.0);
-  const Segmentation seg = PeltSegment(values, 1.0);
-  ASSERT_TRUE(seg.valid);
-  EXPECT_TRUE(seg.change_points.empty());
-}
-
-TEST(PeltTest, LargePenaltySuppressesAllChanges) {
-  Rng rng(21);
-  std::vector<double> values;
-  for (int i = 0; i < 100; ++i) {
-    values.push_back(rng.Normal(i < 50 ? 0.0 : 0.3, 1.0));
-  }
-  const Segmentation seg = PeltSegment(values, 1e9);
-  ASSERT_TRUE(seg.valid);
-  EXPECT_TRUE(seg.change_points.empty());
-}
-
-TEST(PeltTest, PrunedSearchMatchesExhaustiveDp) {
-  // PELT is exact despite pruning: for whatever number of change points it
-  // settles on, its (penalty-free) cost must equal the exhaustive DP optimum
-  // for that same count. Run over several noisy multi-step series.
-  for (const uint64_t seed : {31u, 32u, 33u}) {
-    Rng rng(seed);
-    std::vector<double> values;
-    for (int i = 0; i < 120; ++i) {
-      const double level = (i < 40) ? 0.0 : (i < 80 ? 2.0 : -1.0);
-      values.push_back(rng.Normal(level, 0.5));
-    }
-    const double penalty = 2.0 * 0.25 * std::log(120.0);  // BIC-ish, sigma^2 = 0.25.
-    const Segmentation pelt = PeltSegment(values, penalty);
-    ASSERT_TRUE(pelt.valid) << "seed=" << seed;
-    ASSERT_FALSE(pelt.change_points.empty()) << "seed=" << seed;
-    const Segmentation dp = DpSegment(values, pelt.change_points.size());
-    ASSERT_TRUE(dp.valid) << "seed=" << seed;
-    EXPECT_NEAR(pelt.total_cost, dp.total_cost, 1e-6) << "seed=" << seed;
-    EXPECT_EQ(pelt.change_points, dp.change_points) << "seed=" << seed;
-  }
-}
-
-TEST(PeltTest, TooShortSeriesInvalid) {
-  EXPECT_FALSE(PeltSegment(std::vector<double>{1.0}, 1.0, 2).valid);
-}
-
-// ---------------------------------------------------------------------------
 // E-divisive.
 // ---------------------------------------------------------------------------
 
@@ -539,105 +475,6 @@ TEST(EDivisiveTest, DeterministicAcrossCalls) {
   EXPECT_EQ(first.statistic, second.statistic);
   EXPECT_EQ(first.p_value, second.p_value);
 }
-
-// ---------------------------------------------------------------------------
-// Change-point backend registry.
-// ---------------------------------------------------------------------------
-
-constexpr const char* kBuiltinBackends[] = {"bocpd", "cusum_em", "e_divisive", "pelt"};
-
-TEST(ChangePointBackendTest, RegistryProvidesAllBuiltins) {
-  const std::vector<std::string> names = ChangePointBackendNames();
-  for (const char* builtin : kBuiltinBackends) {
-    EXPECT_NE(std::find(names.begin(), names.end(), builtin), names.end())
-        << "missing builtin: " << builtin;
-    const auto backend = MakeChangePointBackend(builtin);
-    ASSERT_NE(backend, nullptr) << builtin;
-    EXPECT_EQ(backend->name(), builtin);
-  }
-}
-
-TEST(ChangePointBackendTest, UnknownNameReturnsNull) {
-  EXPECT_EQ(MakeChangePointBackend("no_such_backend"), nullptr);
-  EXPECT_EQ(MakeChangePointBackend(""), nullptr);
-}
-
-TEST(ChangePointBackendTest, DuplicateRegistrationRejected) {
-  // Built-in names are taken; re-registering must fail and leave the
-  // original factory in place.
-  const auto factory = +[]() -> std::unique_ptr<ChangePointBackend> { return nullptr; };
-  EXPECT_FALSE(RegisterChangePointBackend("cusum_em", factory));
-  EXPECT_FALSE(RegisterChangePointBackend("", factory));
-  EXPECT_NE(MakeChangePointBackend("cusum_em"), nullptr);
-}
-
-TEST(ChangePointBackendTest, CusumEmBackendMatchesDetectChangePoint) {
-  // The default backend must be a transparent wrapper: bit-identical output
-  // to calling the paper's detector directly (the byte-identical guarantee
-  // behind keeping "cusum_em" the default).
-  Rng rng(51);
-  std::vector<double> values;
-  for (size_t i = 0; i < 160; ++i) {
-    values.push_back(rng.Normal(i < 90 ? 1.0 : 1.4, 0.2));
-  }
-  const auto backend = MakeChangePointBackend("cusum_em");
-  ASSERT_NE(backend, nullptr);
-  const ChangePoint via_backend = backend->Detect(values, ChangePointBackendOptions{});
-  const ChangePoint direct = DetectChangePoint(values, ChangePointConfig{});
-  EXPECT_EQ(via_backend.found, direct.found);
-  EXPECT_EQ(via_backend.index, direct.index);
-  EXPECT_EQ(via_backend.mean_before, direct.mean_before);
-  EXPECT_EQ(via_backend.mean_after, direct.mean_after);
-  EXPECT_EQ(via_backend.delta, direct.delta);
-  EXPECT_EQ(via_backend.p_value, direct.p_value);
-  EXPECT_EQ(via_backend.iterations_used, direct.iterations_used);
-}
-
-class BackendOracleTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(BackendOracleTest, FindsPlantedStep) {
-  Rng rng(52);
-  std::vector<double> values;
-  const size_t planted = 120;
-  for (size_t i = 0; i < 200; ++i) {
-    values.push_back(rng.Normal(i < planted ? 1.0 : 2.0, 0.1));
-  }
-  const auto backend = MakeChangePointBackend(GetParam());
-  ASSERT_NE(backend, nullptr);
-  const ChangePoint result = backend->Detect(values, ChangePointBackendOptions{});
-  ASSERT_TRUE(result.found) << GetParam();
-  EXPECT_NEAR(static_cast<double>(result.index), static_cast<double>(planted), 8.0)
-      << GetParam();
-  EXPECT_GT(result.delta, 0.0) << GetParam();
-  EXPECT_LT(result.p_value, 0.01) << GetParam();
-}
-
-TEST_P(BackendOracleTest, ConstantSeriesNotFound) {
-  const std::vector<double> values(64, 3.0);
-  const auto backend = MakeChangePointBackend(GetParam());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_FALSE(backend->Detect(values, ChangePointBackendOptions{}).found) << GetParam();
-}
-
-TEST_P(BackendOracleTest, DeterministicAcrossCalls) {
-  Rng rng(53);
-  std::vector<double> values;
-  for (size_t i = 0; i < 150; ++i) {
-    values.push_back(rng.Normal(i < 80 ? 0.0 : 0.8, 0.25));
-  }
-  const auto backend = MakeChangePointBackend(GetParam());
-  ASSERT_NE(backend, nullptr);
-  const ChangePoint first = backend->Detect(values, ChangePointBackendOptions{});
-  const ChangePoint second = backend->Detect(values, ChangePointBackendOptions{});
-  EXPECT_EQ(first.found, second.found) << GetParam();
-  EXPECT_EQ(first.index, second.index) << GetParam();
-  EXPECT_EQ(first.mean_before, second.mean_before) << GetParam();
-  EXPECT_EQ(first.mean_after, second.mean_after) << GetParam();
-  EXPECT_EQ(first.delta, second.delta) << GetParam();
-  EXPECT_EQ(first.p_value, second.p_value) << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(Builtins, BackendOracleTest, ::testing::ValuesIn(kBuiltinBackends));
 
 }  // namespace
 }  // namespace fbdetect

@@ -11,10 +11,13 @@
 //                [--threshold F] [--rerun-hours N] [--seed N]
 //                [--threads N] [--json] [--quiet]
 //                [--telemetry-out PATH]
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 #include "src/core/pipeline.h"
 #include "src/fleet/fleet.h"
@@ -61,6 +64,23 @@ void PrintUsage(const char* argv0) {
       argv0);
 }
 
+// Numeric flag values must parse in full: "abc" or "12x" is reported as
+// "bad value for FLAG" instead of silently reading as 0. A null `value` (the
+// flag was last on the command line) was already reported by the caller.
+template <typename T>
+bool ParseFlag(const char* flag, const char* value, T* out) {
+  if (value == nullptr) {
+    return false;
+  }
+  const char* end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, *out);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "bad value for %s: %s\n", flag, value);
+    return false;
+  }
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -79,45 +99,37 @@ bool ParseArgs(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--quiet") {
       options.quiet = true;
     } else if (arg == "--days") {
-      const char* v = next_value("--days");
-      if (v == nullptr) return false;
-      options.days = std::atoi(v);
+      if (!ParseFlag("--days", next_value("--days"), &options.days)) return false;
     } else if (arg == "--subroutines") {
-      const char* v = next_value("--subroutines");
-      if (v == nullptr) return false;
-      options.subroutines = std::atoi(v);
+      if (!ParseFlag("--subroutines", next_value("--subroutines"), &options.subroutines)) {
+        return false;
+      }
     } else if (arg == "--servers") {
-      const char* v = next_value("--servers");
-      if (v == nullptr) return false;
-      options.servers = std::atoi(v);
+      if (!ParseFlag("--servers", next_value("--servers"), &options.servers)) return false;
     } else if (arg == "--regressions") {
-      const char* v = next_value("--regressions");
-      if (v == nullptr) return false;
-      options.regressions = std::atoi(v);
+      if (!ParseFlag("--regressions", next_value("--regressions"), &options.regressions)) {
+        return false;
+      }
     } else if (arg == "--cost-shifts") {
-      const char* v = next_value("--cost-shifts");
-      if (v == nullptr) return false;
-      options.cost_shifts = std::atoi(v);
+      if (!ParseFlag("--cost-shifts", next_value("--cost-shifts"), &options.cost_shifts)) {
+        return false;
+      }
     } else if (arg == "--transients") {
-      const char* v = next_value("--transients");
-      if (v == nullptr) return false;
-      options.transients = std::atoi(v);
+      if (!ParseFlag("--transients", next_value("--transients"), &options.transients)) {
+        return false;
+      }
     } else if (arg == "--threshold") {
-      const char* v = next_value("--threshold");
-      if (v == nullptr) return false;
-      options.threshold = std::atof(v);
+      if (!ParseFlag("--threshold", next_value("--threshold"), &options.threshold)) {
+        return false;
+      }
     } else if (arg == "--rerun-hours") {
-      const char* v = next_value("--rerun-hours");
-      if (v == nullptr) return false;
-      options.rerun_hours = std::atoi(v);
+      if (!ParseFlag("--rerun-hours", next_value("--rerun-hours"), &options.rerun_hours)) {
+        return false;
+      }
     } else if (arg == "--seed") {
-      const char* v = next_value("--seed");
-      if (v == nullptr) return false;
-      options.seed = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseFlag("--seed", next_value("--seed"), &options.seed)) return false;
     } else if (arg == "--threads") {
-      const char* v = next_value("--threads");
-      if (v == nullptr) return false;
-      options.threads = std::atoi(v);
+      if (!ParseFlag("--threads", next_value("--threads"), &options.threads)) return false;
     } else if (arg == "--telemetry-out") {
       const char* v = next_value("--telemetry-out");
       if (v == nullptr) return false;
