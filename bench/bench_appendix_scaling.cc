@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   // The bisection grid is embarrassingly parallel across (sigma^2, n) cells.
   // Each cell gets its own seeded Rng so the per-cell results are
   // byte-identical for any thread count; the per-core-count curve lands in
-  // BENCH_simd.json.
+  // BENCH_scaling.json.
   if (threads_sweep) {
     PrintHeader("Appendix A.2 threads sweep — bisection grid on a ThreadPool");
     struct Cell {
@@ -109,8 +109,8 @@ int main(int argc, char** argv) {
     }
     char extra[64];
     std::snprintf(extra, sizeof(extra), "{\"grid_cells\": %zu, \"curve\": ", cells.size());
-    UpdateBenchSimdJson("appendix_sweep",
-                        extra + ThreadsCurveJson(threads_list, sweep_ms) + "}");
+    UpdateBenchScalingJson("appendix_sweep",
+                           extra + ThreadsCurveJson(threads_list, sweep_ms) + "}");
     return 0;
   }
 

@@ -643,7 +643,7 @@ int main(int argc, char** argv) {
   std::printf("hardware cores: %u\n", hw_cores);
 
   // --- Threads sweep: the multicore rig (EXPERIMENTS.md) -----------------
-  // Records the funnel's per-core-count curve into BENCH_simd.json and
+  // Records the funnel's per-core-count curve into BENCH_scaling.json and
   // returns; the regular sections below are skipped so the sweep can run on
   // a machine reserved for scaling measurements.
   if (threads_sweep) {
@@ -678,8 +678,8 @@ int main(int argc, char** argv) {
     char extra[128];
     std::snprintf(extra, sizeof(extra), "{\"survivors\": %zu, \"batches\": %zu, \"curve\": ",
                   kSurvivors, kBatches);
-    UpdateBenchSimdJson("funnel_sweep",
-                        extra + ThreadsCurveJson(threads_list, sweep_ms) + "}");
+    UpdateBenchScalingJson("funnel_sweep",
+                           extra + ThreadsCurveJson(threads_list, sweep_ms) + "}");
     // On real multicore hardware parallelism must be a measured win at 8
     // threads; a single-core host (or an oversubscribed smoke run) cannot
     // measure scaling, only correctness.

@@ -602,7 +602,7 @@ int main(int argc, char** argv) {
   std::printf("hardware cores: %u\n", hw_cores);
 
   // --- Threads sweep: the multicore rig (EXPERIMENTS.md) -----------------
-  // End-to-end RunPeriod per-core-count curve into BENCH_simd.json; the
+  // End-to-end RunPeriod per-core-count curve into BENCH_scaling.json; the
   // regular sections are skipped.
   if (threads_sweep) {
     BenchWorld sweep_world(smoke);
@@ -635,8 +635,8 @@ int main(int argc, char** argv) {
     char extra[128];
     std::snprintf(extra, sizeof(extra), "{\"series_scans\": %zu, \"curve\": ",
                   num_ids * reruns);
-    UpdateBenchSimdJson("pipeline_sweep",
-                        extra + ThreadsCurveJson(threads_list, sweep_ms) + "}");
+    UpdateBenchScalingJson("pipeline_sweep",
+                           extra + ThreadsCurveJson(threads_list, sweep_ms) + "}");
     return 0;
   }
 

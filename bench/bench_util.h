@@ -5,7 +5,6 @@
 #define FBDETECT_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <span>
 #include <string>
@@ -13,28 +12,17 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/simd.h"
 #include "src/stats/descriptive.h"
 
 namespace fbdetect {
 
 // Hardware/build metadata as a single-line JSON object. Every recorded
-// number depends on the core count, the dispatched SIMD table, and the
-// compiler, so results from different machines are only comparable when
-// these fields match.
+// number depends on the core count and the compiler, so results from
+// different machines are only comparable when these fields match.
 inline std::string HardwareJsonValue() {
-  const char* disable_env = std::getenv("FBD_DISABLE_SIMD");
-  const bool simd_disabled =
-      disable_env != nullptr && disable_env[0] != '\0' &&
-      !(disable_env[0] == '0' && disable_env[1] == '\0');
   char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "{\"cores\": %u, \"simd_active\": \"%s\", \"simd_best\": \"%s\", "
-                "\"simd_disabled_by_env\": %s, \"compiler\": \"%s\"}",
+  std::snprintf(buffer, sizeof(buffer), "{\"cores\": %u, \"compiler\": \"%s\"}",
                 std::thread::hardware_concurrency(),
-                simd::IsaName(simd::ActiveIsa()),
-                simd::IsaName(simd::BestAvailableIsa()),
-                simd_disabled ? "true" : "false",
 #if defined(__clang__)
                 "clang " __clang_version__
 #else
@@ -50,14 +38,13 @@ inline void WriteHardwareJson(std::FILE* json, const char* indent = "  ") {
   std::fprintf(json, "%s\"hardware\": %s", indent, HardwareJsonValue().c_str());
 }
 
-// BENCH_simd.json collects the SIMD/multicore rig's results across several
-// binaries: the kernel micro-bench owns "kernels", and each --threads-sweep
-// bench owns its own section. The file keeps exactly one top-level member
-// per line ('  "name": <single-line value>'), which lets this
-// read-modify-write helper re-emit the other binaries' sections verbatim.
-// "hardware" is refreshed on every update.
-inline void UpdateBenchSimdJson(const std::string& section, const std::string& value) {
-  const char* path = "BENCH_simd.json";
+// BENCH_scaling.json collects the multicore rig's results across several
+// binaries: each --threads-sweep bench owns its own section. The file keeps
+// exactly one top-level member per line ('  "name": <single-line value>'),
+// which lets this read-modify-write helper re-emit the other binaries'
+// sections verbatim. "hardware" is refreshed on every update.
+inline void UpdateBenchScalingJson(const std::string& section, const std::string& value) {
+  const char* path = "BENCH_scaling.json";
   std::vector<std::pair<std::string, std::string>> sections;
   sections.emplace_back("hardware", HardwareJsonValue());
   {
@@ -92,11 +79,11 @@ inline void UpdateBenchSimdJson(const std::string& section, const std::string& v
         << (i + 1 < sections.size() ? "," : "") << "\n";
   }
   out << "}\n";
-  std::printf("\nupdated BENCH_simd.json section \"%s\"\n", section.c_str());
+  std::printf("\nupdated BENCH_scaling.json section \"%s\"\n", section.c_str());
 }
 
 // Formats a --threads-sweep curve as a single-line JSON array for
-// UpdateBenchSimdJson: per-thread-count wall time plus speedup vs 1 thread.
+// UpdateBenchScalingJson: per-thread-count wall time plus speedup vs 1 thread.
 inline std::string ThreadsCurveJson(const std::vector<int>& threads,
                                     const std::vector<double>& ms) {
   std::string curve = "[";

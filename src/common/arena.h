@@ -1,11 +1,11 @@
 // A bump allocator for funnel and decode scratch.
 //
-// The parallel funnel allocates short-lived scratch (decode buffers, BMU
-// distance rows, aligned-pair gathers) on every task; with 8 workers those
-// allocations contend on the global malloc arena and fragment it. This arena
-// hands out memory by bumping a pointer through geometrically-growing blocks
-// and frees nothing until a scope rewinds — allocation is ~4 instructions
-// and thread-private.
+// The parallel funnel allocates short-lived scratch (decode buffers,
+// aligned-pair gathers) on every task; with 8 workers those allocations
+// contend on the global malloc arena and fragment it. This arena hands out
+// memory by bumping a pointer through geometrically-growing blocks and frees
+// nothing until a scope rewinds — allocation is ~4 instructions and
+// thread-private.
 //
 // Lifetime rules (see DESIGN.md §13):
 // * One arena per thread (Arena::ThreadLocal()), or one owned per worker.
@@ -37,7 +37,7 @@ class Arena {
   // decodes into ~23 KiB of timestamps + values, so the first block already
   // fits several series.
   static constexpr size_t kMinBlockBytes = 64 * 1024;
-  static constexpr size_t kAlignment = 64;  // Cache line / AVX-512 friendly.
+  static constexpr size_t kAlignment = 64;  // One cache line.
 
   Arena() = default;
   Arena(const Arena&) = delete;

@@ -22,10 +22,10 @@ double AlignedPearson(const Regression& a, const Regression& b) {
   }
   // One two-pointer merge over the sorted timestamp arrays gathers the
   // aligned pairs into arena scratch (ascending a-index — the order the
-  // historical implementation materialized them), then the SIMD-kerneled
-  // PearsonCorrelation runs over the contiguous pairs. Bit-exact with
-  // PearsonCorrelation(xs, ys) on the materialized arrays by construction,
-  // without a per-pair hash map or heap-allocated xs/ys vectors.
+  // historical implementation materialized them), then PearsonCorrelation
+  // runs over the contiguous pairs. Bit-exact with PearsonCorrelation(xs, ys)
+  // on the materialized arrays by construction, without a per-pair hash map
+  // or heap-allocated xs/ys vectors.
   const size_t an = a.analysis.size();
   const size_t bn = b.analysis.size();
   ArenaScope scope(Arena::ThreadLocal());

@@ -3,9 +3,40 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/simd.h"
-
 namespace fbdetect {
+namespace {
+
+// Counts values that are not finite, and values that are finite and
+// strictly negative (-0.0 is not negative).
+void ClassifyValues(const double* values, size_t n, uint64_t* non_finite,
+                    uint64_t* negative) {
+  uint64_t nf = 0;
+  uint64_t neg = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(values[i])) {
+      ++nf;
+    } else if (values[i] < 0.0) {
+      ++neg;
+    }
+  }
+  *non_finite = nf;
+  *negative = neg;
+}
+
+// Smallest strictly positive gap timestamps[i] - timestamps[i-1], or 0 when
+// none exists (n < 2 or no positive gap).
+int64_t MinPositiveGap(const int64_t* timestamps, size_t n) {
+  int64_t dt = 0;
+  for (size_t i = 1; i < n; ++i) {
+    const int64_t gap = timestamps[i] - timestamps[i - 1];
+    if (gap > 0 && (dt == 0 || gap < dt)) {
+      dt = gap;
+    }
+  }
+  return dt;
+}
+
+}  // namespace
 
 const char* QualityVerdictName(QualityVerdict verdict) {
   switch (verdict) {
@@ -103,14 +134,13 @@ WindowQuality Sanitizer::Inspect(MetricKind kind, const WindowView& view,
   // --- Value corruption: NaN/Inf, and counter-reset negatives for kinds
   // that are non-negative by definition (everything but free-form
   // application metrics).
-  // The kernel counts non-finite values and finite negatives in one sweep;
-  // the negative count only matters (and is only applied) for kinds that are
+  // One sweep counts non-finite values and finite negatives; the negative
+  // count only matters (and is only applied) for kinds that are
   // non-negative by definition.
   const bool non_negative_kind = kind != MetricKind::kApplication;
-  const simd::Kernels& kernels = simd::Active();
   uint64_t non_finite = 0;
   uint64_t negative = 0;
-  kernels.classify_values(view.full.data(), view.full.size(), &non_finite, &negative);
+  ClassifyValues(view.full.data(), view.full.size(), &non_finite, &negative);
   quality.non_finite = static_cast<uint32_t>(non_finite);
   if (non_negative_kind) {
     quality.negative = static_cast<uint32_t>(negative);
@@ -121,7 +151,7 @@ WindowQuality Sanitizer::Inspect(MetricKind kind, const WindowView& view,
   // gaps (drops) — duplicates and out-of-order points were already rejected
   // at ingest — so the minimum is the true tick even in faulted windows.
   const std::span<const TimePoint>& stamps = view.analysis_timestamps;
-  const Duration dt = kernels.min_positive_gap(stamps.data(), stamps.size());
+  const Duration dt = MinPositiveGap(stamps.data(), stamps.size());
   quality.tick = dt;
 
   if (dt > 0) {

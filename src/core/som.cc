@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/common/random.h"
-#include "src/common/simd.h"
 
 namespace fbdetect {
 namespace {
@@ -46,21 +44,21 @@ SelfOrganizingMap::SelfOrganizingMap(size_t dimensions, int grid, uint64_t seed)
 int SelfOrganizingMap::BestMatchingUnit(std::span<const double> item) const {
   FBD_CHECK(item.size() == dimensions_);
   const size_t cells = cell_count();
-  // The distance sweep over the flat weight buffer is the SOM hot loop; the
-  // simd.h kernel computes all cell distances with each cell's accumulation
-  // kept in the historical serial dimension order (bit-exact with the
-  // nested-vector implementation on every instruction set). The argmin stays
-  // serial: strict '<' keeps the first minimum, preserving the historical
-  // tie-break and NaN semantics.
-  ArenaScope scope(Arena::ThreadLocal());
-  const std::span<double> d2 = scope.MakeUninitializedSpan<double>(cells);
-  simd::Active().squared_distances(weights_.data(), cells, dimensions_, item.data(),
-                                   d2.data());
+  // The distance sweep over the flat weight buffer is the SOM hot loop. Each
+  // cell accumulates in ascending dimension order (bit-exact with the
+  // historical nested-vector implementation), and strict '<' keeps the first
+  // minimum, preserving the historical tie-break and NaN semantics.
   int best = 0;
-  double best_d2 = d2[0];
-  for (size_t c = 1; c < cells; ++c) {
-    if (d2[c] < best_d2) {
-      best_d2 = d2[c];
+  double best_d2 = 0.0;
+  for (size_t c = 0; c < cells; ++c) {
+    const double* row = weights_.data() + c * dimensions_;
+    double d2 = 0.0;
+    for (size_t d = 0; d < dimensions_; ++d) {
+      const double diff = row[d] - item[d];
+      d2 += diff * diff;
+    }
+    if (c == 0 || d2 < best_d2) {
+      best_d2 = d2;
       best = static_cast<int>(c);
     }
   }

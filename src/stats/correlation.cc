@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/simd.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/fourier.h"
 
@@ -15,6 +14,41 @@ namespace {
 // buffers, two transforms over >= 2n padded points).
 constexpr size_t kFftAcfMinSize = 64;
 
+// Pearson's sums and centered moments accumulate into 4 lanes (element i
+// goes to lane i % 4), combined as (l0 + l1) + (l2 + l3). This order fixes
+// the bits of every Pearson r, and so of pairwise-dedup and root-cause
+// decisions: a serial sum rounds differently and would change reports.
+void SumPair(const double* x, const double* y, size_t n, double* sum_x, double* sum_y) {
+  double ax[4] = {0.0, 0.0, 0.0, 0.0};
+  double ay[4] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t i = 0; i < n; ++i) {
+    ax[i % 4] += x[i];
+    ay[i % 4] += y[i];
+  }
+  *sum_x = (ax[0] + ax[1]) + (ax[2] + ax[3]);
+  *sum_y = (ay[0] + ay[1]) + (ay[2] + ay[3]);
+}
+
+// sxy = sum (x-mx)(y-my), sxx = sum (x-mx)^2, syy = sum (y-my)^2, striped
+// like SumPair.
+void CenteredMoments(const double* x, const double* y, size_t n, double mean_x,
+                     double mean_y, double* sxy, double* sxx, double* syy) {
+  double axy[4] = {0.0, 0.0, 0.0, 0.0};
+  double axx[4] = {0.0, 0.0, 0.0, 0.0};
+  double ayy[4] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t i = 0; i < n; ++i) {
+    const double dx = x[i] - mean_x;
+    const double dy = y[i] - mean_y;
+    const size_t lane = i % 4;
+    axy[lane] += dx * dy;
+    axx[lane] += dx * dx;
+    ayy[lane] += dy * dy;
+  }
+  *sxy = (axy[0] + axy[1]) + (axy[2] + axy[3]);
+  *sxx = (axx[0] + axx[1]) + (axx[2] + axx[3]);
+  *syy = (ayy[0] + ayy[1]) + (ayy[2] + ayy[3]);
+}
+
 }  // namespace
 
 double PearsonCorrelation(std::span<const double> x, std::span<const double> y) {
@@ -22,22 +56,17 @@ double PearsonCorrelation(std::span<const double> x, std::span<const double> y) 
   if (n < 2) {
     return 0.0;
   }
-  // The sums and centered moments go through the simd.h kernels, whose
-  // lane-striped reduction order is identical across the scalar/AVX2/NEON
-  // implementations — so this function returns the same bits on every
-  // instruction set (the SIMD determinism contract, DESIGN.md §13).
   // AlignedPearson routes through here too, which keeps the pairwise-dedup
   // fast path bit-exact with its materialize-then-correlate oracle.
-  const simd::Kernels& kernels = simd::Active();
   double sum_x = 0.0;
   double sum_y = 0.0;
-  kernels.sum_pair(x.data(), y.data(), n, &sum_x, &sum_y);
+  SumPair(x.data(), y.data(), n, &sum_x, &sum_y);
   const double mean_x = sum_x / static_cast<double>(n);
   const double mean_y = sum_y / static_cast<double>(n);
   double sxy = 0.0;
   double sxx = 0.0;
   double syy = 0.0;
-  kernels.centered_moments(x.data(), y.data(), n, mean_x, mean_y, &sxy, &sxx, &syy);
+  CenteredMoments(x.data(), y.data(), n, mean_x, mean_y, &sxy, &sxx, &syy);
   if (sxx <= 0.0 || syy <= 0.0) {
     return 0.0;
   }

@@ -7,7 +7,6 @@
 
 #include "src/common/arena.h"
 #include "src/common/check.h"
-#include "src/common/simd.h"
 
 namespace fbdetect {
 namespace {
@@ -16,6 +15,12 @@ uint64_t DoubleToBits(double value) {
   uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
   return bits;
+}
+
+double BitsToDouble(uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
 }
 
 // ZigZag encoding maps signed deltas to unsigned for variable-width storage.
@@ -150,12 +155,34 @@ struct ParsedChunk {
   uint64_t first_value_bits = 0;
 };
 
+// Inclusive prefix sum with wrap-around semantics: out[i] = seed + in[0] +
+// ... + in[i]. Unsigned internally: corrupt Gorilla streams can overflow a
+// signed running sum, which would be UB; two's-complement wrap matches the
+// decoder's documented overflow-safe semantics.
+void PrefixSumI64(const int64_t* in, size_t n, int64_t seed, int64_t* out) {
+  uint64_t acc = static_cast<uint64_t>(seed);
+  for (size_t i = 0; i < n; ++i) {
+    acc += static_cast<uint64_t>(in[i]);
+    out[i] = static_cast<int64_t>(acc);
+  }
+}
+
+// Inclusive prefix XOR re-interpreted as doubles: out[i] is the double whose
+// bits are seed ^ in[0] ^ ... ^ in[i].
+void PrefixXorToDoubles(const uint64_t* in, size_t n, uint64_t seed, double* out) {
+  uint64_t acc = seed;
+  for (size_t i = 0; i < n; ++i) {
+    acc ^= in[i];
+    out[i] = BitsToDouble(acc);
+  }
+}
+
 // Phase 1: parses control and field bits for up to `count` points into flat
 // per-point arrays — dods[i] (timestamp delta-of-delta) and xors[i] (value
 // XOR against the previous value), with index 0 zeroed for the header point.
 // Stops at the first malformed or truncated field; `decoded` then names the
 // valid prefix. Phase 2 turns these arrays into timestamps and values with
-// the SIMD prefix kernels.
+// the prefix scans below.
 ParsedChunk ParseChunk(const uint8_t* bytes, size_t size_bytes, size_t bit_count,
                        size_t count, int64_t* dods, uint64_t* xors) {
   ParsedChunk parsed;
@@ -423,7 +450,7 @@ TimeSeries CompressedTimeSeries::Decode() const {
 //
 // Phase 1 (ParseChunk) walks the bit stream once with word-sized reads and
 // leaves flat dod/xor arrays in arena scratch. Phase 2 reconstructs the
-// points with the SIMD prefix kernels: timestamps are two chained prefix
+// points with plain prefix scans: timestamps are two chained prefix
 // sums (delta-of-deltas -> deltas -> stamps; wrap-around arithmetic so
 // corrupt streams cannot hit signed overflow), values are one prefix XOR.
 // The strictly-increasing prefix is bulk-appended to `out`; `error` (if any)
@@ -453,10 +480,9 @@ Status DecodeGorillaStream(const uint8_t* bytes, size_t size_bytes, size_t bit_c
   const std::span<int64_t> deltas = scope.MakeUninitializedSpan<int64_t>(n);
   const std::span<TimePoint> stamps = scope.MakeUninitializedSpan<TimePoint>(n);
   const std::span<double> values = scope.MakeUninitializedSpan<double>(n);
-  const simd::Kernels& kernels = simd::Active();
-  kernels.prefix_sum_i64(dods.data(), n, 0, deltas.data());
-  kernels.prefix_sum_i64(deltas.data(), n, parsed.first_timestamp, stamps.data());
-  kernels.prefix_xor_to_doubles(xors.data(), n, parsed.first_value_bits, values.data());
+  PrefixSumI64(dods.data(), n, 0, deltas.data());
+  PrefixSumI64(deltas.data(), n, parsed.first_timestamp, stamps.data());
+  PrefixXorToDoubles(xors.data(), n, parsed.first_value_bits, values.data());
 
   if (!out.empty() && stamps[0] <= out.end_time()) {
     FBD_CHECK(checked);

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
+#include "src/common/arena.h"
 #include "src/common/random.h"
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
@@ -252,6 +257,151 @@ TEST(ThreadPoolTest, WorkerlessPoolHasSameExceptionContract) {
                                 }),
                std::runtime_error);
   EXPECT_EQ(completed, 7);
+}
+
+// --- Arena ------------------------------------------------------------------
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(ArenaTest, AllocationsAreAligned) {
+  Arena arena;
+  for (size_t bytes : {1, 3, 63, 64, 65, 1000}) {
+    void* p = arena.AllocateBytes(bytes);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % Arena::kAlignment, 0u)
+        << "allocation of " << bytes << " bytes is misaligned";
+  }
+}
+
+TEST(ArenaTest, MakeSpanZeroInitializesAndUninitializedSpanIsDistinct) {
+  Arena arena;
+  const std::span<double> zeroed = arena.MakeSpan<double>(257);
+  for (double v : zeroed) {
+    EXPECT_EQ(Bits(v), 0u);
+  }
+  const std::span<int64_t> raw = arena.MakeUninitializedSpan<int64_t>(17);
+  EXPECT_EQ(raw.size(), 17u);
+  EXPECT_NE(static_cast<void*>(raw.data()), static_cast<void*>(zeroed.data()));
+}
+
+TEST(ArenaTest, ScopeRewindReusesMemory) {
+  Arena arena;
+  void* first = nullptr;
+  {
+    ArenaScope scope(arena);
+    first = scope.MakeUninitializedSpan<double>(100).data();
+  }
+  {
+    ArenaScope scope(arena);
+    // After the rewind the same storage is handed out again — the steady
+    // state of the scan loop is zero mallocs.
+    EXPECT_EQ(scope.MakeUninitializedSpan<double>(100).data(), first);
+  }
+}
+
+TEST(ArenaTest, ScopesNestLikeStackFrames) {
+  Arena arena;
+  ArenaScope outer(arena);
+  const std::span<int64_t> outer_span = outer.MakeSpan<int64_t>(8);
+  outer_span[0] = 42;
+  const size_t before = arena.reserved_bytes();
+  {
+    ArenaScope inner(arena);
+    const std::span<int64_t> inner_span = inner.MakeSpan<int64_t>(1 << 20);
+    inner_span[0] = 7;  // Large enough to force extra blocks.
+    EXPECT_GT(arena.reserved_bytes(), before);
+  }
+  // Inner blocks are released; the outer allocation is untouched.
+  EXPECT_EQ(arena.reserved_bytes(), before);
+  EXPECT_EQ(outer_span[0], 42);
+}
+
+TEST(ArenaTest, ThreadLocalArenasAreDistinctPerThread) {
+  Arena* main_arena = &Arena::ThreadLocal();
+  Arena* worker_arena = nullptr;
+  ThreadPool pool(1);
+  pool.ParallelFor(2, [&](size_t task) {
+    if (task == 1) {
+      // Task 1 runs wherever; both tasks claiming scratch concurrently must
+      // not alias the main thread's arena state.
+      ArenaScope scope(Arena::ThreadLocal());
+      scope.MakeSpan<double>(64);
+    } else {
+      worker_arena = &Arena::ThreadLocal();
+    }
+  });
+  EXPECT_NE(worker_arena, nullptr);
+  (void)main_arena;
+}
+
+// --- ThreadPool granularity floor -------------------------------------------
+
+TEST(ThreadPoolGranularityTest, ResultsIdenticalAcrossGrainAndPoolSize) {
+  // The regression this guards: ParallelIndexFor's min_items_per_lane floor
+  // must never change results, only whether the pool is woken. Sweep n around
+  // the threshold for serial, small-pool, and large-pool execution.
+  const size_t kGrain = 8;
+  for (size_t n : {0ul, 1ul, 7ul, 8ul, 15ul, 16ul, 17ul, 64ul, 129ul}) {
+    std::vector<uint64_t> expected(n);
+    for (size_t i = 0; i < n; ++i) {
+      expected[i] = i * i + 1;
+    }
+    for (size_t workers : {0ul, 1ul, 3ul, 7ul}) {
+      ThreadPool pool(workers);
+      std::vector<uint64_t> got(n, 0);
+      ParallelIndexFor(
+          n, &pool, [&](size_t i) { got[i] = i * i + 1; }, kGrain);
+      EXPECT_EQ(got, expected) << "n=" << n << " workers=" << workers;
+    }
+  }
+}
+
+TEST(ThreadPoolGranularityTest, SmallBatchesStayOnCallingThread) {
+  // Below the floor the pool must not be dispatched at all: every index runs
+  // on the calling thread (observable via thread-local identity).
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(7);
+  ParallelIndexFor(
+      ran_on.size(), &pool, [&](size_t i) { ran_on[i] = std::this_thread::get_id(); },
+      /*min_items_per_lane=*/8);
+  for (size_t i = 0; i < ran_on.size(); ++i) {
+    EXPECT_EQ(ran_on[i], caller) << "index " << i << " left the calling thread";
+  }
+  EXPECT_EQ(pool.stats().batches, 0u);
+}
+
+TEST(ThreadPoolGranularityTest, LargeBatchesUseThePool) {
+  ThreadPool pool(4);
+  std::atomic<size_t> off_thread{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  ParallelIndexFor(
+      1024, &pool,
+      [&](size_t) {
+        if (std::this_thread::get_id() != caller) {
+          off_thread.fetch_add(1, std::memory_order_relaxed);
+        }
+      },
+      /*min_items_per_lane=*/8);
+  EXPECT_GT(pool.stats().batches, 0u);
+}
+
+TEST(ThreadPoolGranularityTest, ExceptionsStillPropagateThroughGrainedPath) {
+  ThreadPool pool(2);
+  EXPECT_THROW(
+      ParallelIndexFor(
+          256, &pool,
+          [&](size_t i) {
+            if (i == 200) {
+              throw std::runtime_error("boom");
+            }
+          },
+          /*min_items_per_lane=*/4),
+      std::runtime_error);
+  // The pool must remain usable after an exception drains.
+  std::atomic<size_t> count{0};
+  ParallelIndexFor(
+      64, &pool, [&](size_t) { count.fetch_add(1, std::memory_order_relaxed); }, 1);
+  EXPECT_EQ(count.load(), 64u);
 }
 
 }  // namespace

@@ -543,6 +543,26 @@ TEST(SanitizerTest, NegativesCorruptNonNegativeKindsOnly) {
   EXPECT_EQ(app.negative, 0u);
 }
 
+TEST(SanitizerTest, NegativeZeroIsNotCountedNegative) {
+  // IEEE -0.0 is not < 0: among alternating -0.0 and 0.0 only the -1.0 counts.
+  const auto zeros = [](double odd_one_out) {
+    return GridSeries(
+        Minutes(30), Hours(2),
+        [odd_one_out](TimePoint t) {
+          return t == Hours(1) ? odd_one_out : (t / kStep) % 2 != 0 ? -0.0 : 0.0;
+        },
+        [](TimePoint) { return true; });
+  };
+  const WindowQuality one = InspectSeries(zeros(-1.0), Hours(2));
+  EXPECT_EQ(one.verdict, QualityVerdict::kCorrupt);
+  EXPECT_EQ(one.non_finite, 0u);
+  EXPECT_EQ(one.negative, 1u);
+  const WindowQuality none = InspectSeries(zeros(-0.0), Hours(2));
+  EXPECT_EQ(none.verdict, QualityVerdict::kOk);
+  EXPECT_EQ(none.non_finite, 0u);
+  EXPECT_EQ(none.negative, 0u);
+}
+
 TEST(SanitizerTest, GapsBeyondBudgetAreGappyAndBelowBudgetAreCounted) {
   // Drop every third historical point: 20 of 90 expected samples missing,
   // under the default 25% budget -> flagged, not quarantined.
@@ -577,6 +597,15 @@ TEST(SanitizerTest, EarlyEndIsFlapping) {
   // Series goes dark 10 minutes before as_of (> 2 ticks of slack).
   const TimeSeries series = CleanGrid(Minutes(30), Minutes(110));
   const WindowQuality quality = InspectSeries(series, Hours(2));
+  EXPECT_EQ(quality.verdict, QualityVerdict::kFlapping);
+  EXPECT_TRUE(quality.early_end);
+}
+
+TEST(SanitizerTest, SingleAnalysisSampleHasNoTick) {
+  // Dark after one analysis sample: no positive stamp gap, so no tick.
+  const TimeSeries series = CleanGrid(Minutes(30), Minutes(91));
+  const WindowQuality quality = InspectSeries(series, Hours(2));
+  EXPECT_EQ(quality.tick, 0);
   EXPECT_EQ(quality.verdict, QualityVerdict::kFlapping);
   EXPECT_TRUE(quality.early_end);
 }

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/stats/accumulator.h"
 #include "src/stats/correlation.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/distributions.h"
@@ -85,84 +86,6 @@ TEST(DescriptiveTest, HasNonFinite) {
   EXPECT_FALSE(HasNonFinite(std::vector<double>{1.0, 2.0}));
   EXPECT_TRUE(HasNonFinite(std::vector<double>{1.0, std::nan("")}));
   EXPECT_TRUE(HasNonFinite(std::vector<double>{1.0, INFINITY}));
-}
-
-// ---------------------------------------------------------------------------
-// Welford accumulator.
-// ---------------------------------------------------------------------------
-
-TEST(AccumulatorTest, MatchesBatchStatistics) {
-  Rng rng(1);
-  std::vector<double> values;
-  WelfordAccumulator acc;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.Normal(3.0, 2.0);
-    values.push_back(v);
-    acc.Add(v);
-  }
-  EXPECT_NEAR(acc.mean(), Mean(values), 1e-9);
-  EXPECT_NEAR(acc.sample_variance(), SampleVariance(values), 1e-9);
-  EXPECT_DOUBLE_EQ(acc.min(), Min(values));
-  EXPECT_DOUBLE_EQ(acc.max(), Max(values));
-}
-
-// Property: merging split accumulators equals one accumulator over all data,
-// regardless of split point.
-class AccumulatorMergeTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(AccumulatorMergeTest, MergeEqualsWhole) {
-  const int split = GetParam();
-  Rng rng(42);
-  std::vector<double> values;
-  for (int i = 0; i < 200; ++i) {
-    values.push_back(rng.Normal(0.0, 5.0));
-  }
-  WelfordAccumulator whole;
-  WelfordAccumulator left;
-  WelfordAccumulator right;
-  for (int i = 0; i < 200; ++i) {
-    whole.Add(values[static_cast<size_t>(i)]);
-    (i < split ? left : right).Add(values[static_cast<size_t>(i)]);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.sample_variance(), whole.sample_variance(), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Splits, AccumulatorMergeTest,
-                         ::testing::Values(0, 1, 50, 100, 150, 199, 200));
-
-TEST(AccumulatorTest, NonFiniteInputsAreIgnoredAndTallied) {
-  WelfordAccumulator acc;
-  acc.Add(1.0);
-  acc.Add(std::numeric_limits<double>::quiet_NaN());
-  acc.Add(3.0);
-  acc.Add(std::numeric_limits<double>::infinity());
-  acc.Add(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(acc.count(), 2);
-  EXPECT_EQ(acc.ignored_non_finite(), 3);
-  EXPECT_DOUBLE_EQ(acc.mean(), 2.0);
-  EXPECT_TRUE(std::isfinite(acc.sample_variance()));
-}
-
-TEST(AccumulatorTest, MergePreservesIgnoredTally) {
-  WelfordAccumulator left;
-  left.Add(std::numeric_limits<double>::quiet_NaN());
-  WelfordAccumulator right;
-  right.Add(5.0);
-  right.Add(std::numeric_limits<double>::infinity());
-  left.Merge(right);
-  EXPECT_EQ(left.count(), 1);
-  EXPECT_EQ(left.ignored_non_finite(), 2);
-  EXPECT_DOUBLE_EQ(left.mean(), 5.0);
-  // Merging into a populated accumulator keeps both tallies too.
-  WelfordAccumulator other;
-  other.Add(7.0);
-  other.Add(std::numeric_limits<double>::quiet_NaN());
-  left.Merge(other);
-  EXPECT_EQ(left.count(), 2);
-  EXPECT_EQ(left.ignored_non_finite(), 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -443,6 +366,20 @@ TEST(CorrelationTest, PearsonPerfectPositive) {
   EXPECT_NEAR(PearsonCorrelation(x, y), 1.0, 1e-12);
 }
 
+TEST(CorrelationTest, PearsonAcceptsAliasedSpans) {
+  // x and y may view one buffer; the bits match those over a separate copy.
+  Rng rng(102);
+  std::vector<double> x(33);
+  for (double& v : x) {
+    v = rng.Uniform(-100.0, 100.0);
+  }
+  const std::vector<double> copy = x;
+  const double aliased = PearsonCorrelation(x, x);
+  EXPECT_EQ(std::bit_cast<uint64_t>(aliased),
+            std::bit_cast<uint64_t>(PearsonCorrelation(x, copy)));
+  EXPECT_NEAR(aliased, 1.0, 1e-12);
+}
+
 TEST(CorrelationTest, PearsonPerfectNegative) {
   const std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
   const std::vector<double> y = {8.0, 6.0, 4.0, 2.0};
@@ -461,6 +398,59 @@ TEST(CorrelationTest, PearsonWithNonFiniteInputIsZeroNotNan) {
   EXPECT_EQ(PearsonCorrelation(x, y), 0.0);
   const std::vector<double> inf = {1.0, std::numeric_limits<double>::infinity(), 3.0};
   EXPECT_EQ(PearsonCorrelation(inf, y), 0.0);
+}
+
+// Reference Pearson with every sum and centered moment accumulated into
+// lane i % lanes, lanes combined as (l0 + l1) + (l2 + l3). lanes == 1 is a
+// plain serial sum.
+double LanePearson(const std::vector<double>& x, const std::vector<double>& y,
+                   size_t lanes) {
+  const auto combine = [](const double(&l)[4]) { return (l[0] + l[1]) + (l[2] + l[3]); };
+  const size_t n = x.size();
+  double sx[4] = {};
+  double sy[4] = {};
+  for (size_t i = 0; i < n; ++i) {
+    sx[i % lanes] += x[i];
+    sy[i % lanes] += y[i];
+  }
+  const double mx = combine(sx) / static_cast<double>(n);
+  const double my = combine(sy) / static_cast<double>(n);
+  double sxy[4] = {};
+  double sxx[4] = {};
+  double syy[4] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const double dx = x[i] - mx;
+    const double dy = y[i] - my;
+    sxy[i % lanes] += dx * dy;
+    sxx[i % lanes] += dx * dx;
+    syy[i % lanes] += dy * dy;
+  }
+  return combine(sxy) / std::sqrt(combine(sxx) * combine(syy));
+}
+
+TEST(CorrelationTest, PearsonPinsFourLaneStripedReductionOrder) {
+  // 1e16 and -1e16 share lane 0, so the striped sum of x is 6. A serial sum
+  // loses the 1.0s added next to 1e16 and gets 3, which moves the bits of r.
+  const std::vector<double> x = {1e16, 1.0, 1.0, 1.0, -1e16, 1.0, 1.0, 1.0};
+  const std::vector<double> y = {1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, -4.0};
+  const double striped = LanePearson(x, y, 4);
+  ASSERT_NE(std::bit_cast<uint64_t>(striped), std::bit_cast<uint64_t>(LanePearson(x, y, 1)));
+  EXPECT_EQ(std::bit_cast<uint64_t>(PearsonCorrelation(x, y)),
+            std::bit_cast<uint64_t>(striped));
+
+  // Lengths that leave every possible partial last stripe.
+  Rng rng(11);
+  for (size_t n : {2, 3, 4, 5, 6, 7, 13, 100}) {
+    std::vector<double> a(n);
+    std::vector<double> b(n);
+    for (size_t i = 0; i < n; ++i) {
+      a[i] = rng.Uniform(-100.0, 100.0);
+      b[i] = rng.Uniform(-100.0, 100.0);
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(PearsonCorrelation(a, b)),
+              std::bit_cast<uint64_t>(LanePearson(a, b, 4)))
+        << "n=" << n;
+  }
 }
 
 TEST(CorrelationTest, AutocorrelationOfSinePeaksAtPeriod) {

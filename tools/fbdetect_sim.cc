@@ -11,19 +11,17 @@
 //                [--threshold F] [--rerun-hours N] [--seed N]
 //                [--threads N] [--json] [--quiet]
 //                [--telemetry-out PATH]
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <system_error>
 
 #include "src/core/pipeline.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/scenario.h"
 #include "src/observe/telemetry_export.h"
 #include "src/report/report.h"
+#include "tools/parse_flag.h"
 
 namespace fbdetect {
 namespace {
@@ -62,23 +60,6 @@ void PrintUsage(const char* argv0) {
       "  --telemetry-out PATH  enable the telemetry registry and write its\n"
       "                        JSON export to PATH after the run\n",
       argv0);
-}
-
-// Numeric flag values must parse in full: "abc" or "12x" is reported as
-// "bad value for FLAG" instead of silently reading as 0. A null `value` (the
-// flag was last on the command line) was already reported by the caller.
-template <typename T>
-bool ParseFlag(const char* flag, const char* value, T* out) {
-  if (value == nullptr) {
-    return false;
-  }
-  const char* end = value + std::strlen(value);
-  const auto [ptr, ec] = std::from_chars(value, end, *out);
-  if (ec != std::errc() || ptr != end) {
-    std::fprintf(stderr, "bad value for %s: %s\n", flag, value);
-    return false;
-  }
-  return true;
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions& options) {

@@ -78,9 +78,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "src/common/random.h"
+#include "tools/parse_flag.h"
 
 namespace {
 
@@ -117,8 +117,16 @@ std::vector<uint8_t> SeedChunk(fbdetect::Rng& rng, size_t points, size_t& bit_co
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double seconds = argc > 1 ? std::atof(argv[1]) : 10.0;
-  const uint64_t seed = argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 1;
+  double seconds = 10.0;
+  uint64_t seed = 1;
+  if ((argc > 1 && !fbdetect::ParseFlag("seconds", argv[1], &seconds)) ||
+      (argc > 2 && !fbdetect::ParseFlag("seed", argv[2], &seed))) {
+    return 1;
+  }
+  if (!std::isfinite(seconds) || seconds <= 0.0) {
+    std::fprintf(stderr, "bad value for seconds: %s\n", argv[1]);
+    return 1;
+  }
   fbdetect::Rng rng(seed);
 
   const auto deadline =
@@ -170,6 +178,10 @@ int main(int argc, char** argv) {
           break;
       }
     }
+  }
+  if (iterations == 0) {
+    std::fprintf(stderr, "fuzz_gorilla: no input ran in %g s\n", seconds);
+    return 1;
   }
   std::printf("fuzz_gorilla: %llu inputs, %llu decoded ok, %llu data-loss, 0 crashes\n",
               static_cast<unsigned long long>(iterations),

@@ -120,10 +120,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 #else  // Standalone smoke harness.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "src/common/random.h"
+#include "tools/parse_flag.h"
 
 namespace {
 
@@ -170,8 +171,16 @@ std::string SeedText(fbdetect::Rng& rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double seconds = argc > 1 ? std::atof(argv[1]) : 10.0;
-  const uint64_t seed = argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 1;
+  double seconds = 10.0;
+  uint64_t seed = 1;
+  if ((argc > 1 && !fbdetect::ParseFlag("seconds", argv[1], &seconds)) ||
+      (argc > 2 && !fbdetect::ParseFlag("seed", argv[2], &seed))) {
+    return 1;
+  }
+  if (!std::isfinite(seconds) || seconds <= 0.0) {
+    std::fprintf(stderr, "bad value for seconds: %s\n", argv[1]);
+    return 1;
+  }
   fbdetect::Rng rng(seed);
 
   const auto deadline =
@@ -220,6 +229,10 @@ int main(int argc, char** argv) {
       }
       FuzzOne(input.data(), input.size());
     }
+  }
+  if (iterations == 0) {
+    std::fprintf(stderr, "fuzz_wire: no input ran in %g s\n", seconds);
+    return 1;
   }
   std::printf("fuzz_wire: %llu inputs, 0 crashes\n",
               static_cast<unsigned long long>(iterations));
