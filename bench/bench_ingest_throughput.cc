@@ -1,18 +1,16 @@
 // Ingestion-path throughput harness for the interned, sharded, tiered
-// storage rework. Writes BENCH_ingest.json.
+// storage. Writes BENCH_ingest.json.
 //
 // Three measurements:
 //   1. Micro ingest, single thread: the same (series x points) workload,
 //      interleaved by time step the way the fleet emits it, pushed through
-//      (a) the pre-change database reconstructed from the seed commit —
-//          string-keyed unordered_map, one hash of three heap strings per
-//          Write, generation bump per point;
-//      (b) today's database via the string-keyed point-at-a-time path;
-//      (c) today's database via pre-interned ids, point-at-a-time;
-//      (d) pre-interned ids + WriteBatch, shard_count = 1;
-//      (e) pre-interned ids + WriteBatch, shard_count = 16 (the production
-//          configuration) — the acceptance comparison is (e) vs (a);
-//      (f) as (e) but with periodic SealBefore, i.e. the tiered store paying
+//      (a) the string-keyed point-at-a-time path, building a MetricId per
+//          point;
+//      (b) pre-interned ids, point-at-a-time;
+//      (c) pre-interned ids + WriteBatch, shard_count = 1;
+//      (d) pre-interned ids + WriteBatch, shard_count = 16 (the production
+//          configuration);
+//      (e) as (d) but with periodic SealBefore, i.e. the tiered store paying
 //          its compression cost inline with ingestion.
 //   2. Multi-thread scaling: one WriteBatch per worker over disjoint series
 //      sets into one shared sharded database, at 1/2/4/8 threads.
@@ -28,7 +26,6 @@
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -36,7 +33,6 @@
 #include "src/common/random.h"
 #include "src/tsdb/database.h"
 #include "src/tsdb/metric_id.h"
-#include "src/tsdb/timeseries.h"
 
 namespace fbdetect {
 namespace {
@@ -45,32 +41,6 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
       .count();
 }
-
-namespace legacy {
-
-// The seed commit's TimeSeriesDatabase write path: a single unordered_map
-// keyed by the full string MetricId, no batching, generation bump per point.
-class Database {
- public:
-  void Write(const MetricId& id, TimePoint timestamp, double value) {
-    series_[id].Append(timestamp, value);
-    ++generation_;
-  }
-
-  size_t total_points() const {
-    size_t total = 0;
-    for (const auto& [id, series] : series_) {
-      total += series.size();
-    }
-    return total;
-  }
-
- private:
-  std::unordered_map<MetricId, TimeSeries, MetricIdHash> series_;
-  uint64_t generation_ = 0;
-};
-
-}  // namespace legacy
 
 struct Workload {
   std::vector<MetricId> ids;
@@ -165,7 +135,7 @@ int main(int argc, char** argv) {
 
   // Fleet emission order: each service's metrics are written tick by tick
   // (one ingest worker owns one service), time-interleaved within a service.
-  auto pointwise = [&](auto& db, const auto& keys) {
+  auto pointwise = [&](TimeSeriesDatabase& db, const std::vector<InternedMetricId>& keys) {
     for (size_t s = 0; s < num_services; ++s) {
       const size_t first = s * metrics_per_service;
       for (size_t p = 0; p < workload.num_points; ++p) {
@@ -177,11 +147,10 @@ int main(int argc, char** argv) {
     }
   };
 
-  // The seed emit path built a fresh MetricId per point — copying the service
-  // and entity strings every Write (see the seed's EmitProcessCpu /
-  // WriteGcpuBucket) — then hashed those strings in the database. This is the
-  // string-keyed point-at-a-time baseline the interned handles replace.
-  auto pointwise_constructing = [&](auto& db) {
+  // The string-keyed baseline: a fresh MetricId per point, copying the
+  // service and entity strings on every Write, which the database then
+  // hashes. This is the cost the interned handles remove.
+  auto pointwise_constructing = [&](TimeSeriesDatabase& db) {
     for (size_t s = 0; s < num_services; ++s) {
       const size_t first = s * metrics_per_service;
       for (size_t p = 0; p < workload.num_points; ++p) {
@@ -199,13 +168,6 @@ int main(int argc, char** argv) {
   };
 
   const int reps = smoke ? 1 : 3;
-
-  const MicroResult legacy_result = BestOf(reps, [&] {
-    legacy::Database db;
-    const MicroResult result = TimeIngest(workload, [&] { pointwise_constructing(db); });
-    FBD_CHECK(db.total_points() == workload.total_points());
-    return result;
-  });
 
   const MicroResult string_result = BestOf(reps, [&] {
     TimeSeriesDatabase db;
@@ -272,12 +234,9 @@ int main(int argc, char** argv) {
   // compression cost lands inside the timed region.
   const MicroResult tiered_result = batched_variant(16, workload.num_points / 4);
 
-  const double speedup = sharded_batched_result.mpps / legacy_result.mpps;
-  std::printf("    %-38s %8.1f ms  %6.2f Mpts/s\n", "legacy db, seed emit (id per point):",
-              legacy_result.ms, legacy_result.mpps);
-  std::printf("    %-38s %8.1f ms  %6.2f Mpts/s\n", "new db, seed emit (id per point):",
+  std::printf("    %-38s %8.1f ms  %6.2f Mpts/s\n", "string keys, id per point:",
               string_result.ms, string_result.mpps);
-  std::printf("    %-38s %8.1f ms  %6.2f Mpts/s\n", "new db, interned, point-at-a-time:",
+  std::printf("    %-38s %8.1f ms  %6.2f Mpts/s\n", "interned, point-at-a-time:",
               interned_result.ms, interned_result.mpps);
   std::printf("    %-38s %8.1f ms  %6.2f Mpts/s\n", "interned + batch, 1 shard:",
               unsharded_batched_result.ms, unsharded_batched_result.mpps);
@@ -285,7 +244,6 @@ int main(int argc, char** argv) {
               sharded_batched_result.ms, sharded_batched_result.mpps);
   std::printf("    %-38s %8.1f ms  %6.2f Mpts/s\n", "interned + batch + inline sealing:",
               tiered_result.ms, tiered_result.mpps);
-  std::printf("    speedup (interned+batch+shards vs legacy): %.2fx\n", speedup);
 
   // --- 2. Multi-thread scaling ------------------------------------------
   std::printf("\n[2] parallel ingest, one batch per worker, shared sharded db\n");
@@ -381,15 +339,13 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"micro_ingest\": {\n");
   std::fprintf(json, "    \"series\": %zu, \"points_per_series\": %zu,\n", workload.ids.size(),
                workload.num_points);
-  std::fprintf(json, "    \"legacy_string_pointwise_mpps\": %.3f,\n", legacy_result.mpps);
   std::fprintf(json, "    \"string_pointwise_mpps\": %.3f,\n", string_result.mpps);
   std::fprintf(json, "    \"interned_pointwise_mpps\": %.3f,\n", interned_result.mpps);
   std::fprintf(json, "    \"interned_batched_1shard_mpps\": %.3f,\n",
                unsharded_batched_result.mpps);
   std::fprintf(json, "    \"interned_batched_16shard_mpps\": %.3f,\n",
                sharded_batched_result.mpps);
-  std::fprintf(json, "    \"interned_batched_sealing_mpps\": %.3f,\n", tiered_result.mpps);
-  std::fprintf(json, "    \"speedup_vs_legacy\": %.2f\n", speedup);
+  std::fprintf(json, "    \"interned_batched_sealing_mpps\": %.3f\n", tiered_result.mpps);
   std::fprintf(json, "  },\n");
   std::fprintf(json, "  \"thread_scaling\": [\n");
   for (size_t i = 0; i < scaling.size(); ++i) {

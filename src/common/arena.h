@@ -19,6 +19,7 @@
 #ifndef FBDETECT_SRC_COMMON_ARENA_H_
 #define FBDETECT_SRC_COMMON_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -106,7 +107,10 @@ class Arena {
     FBD_DCHECK(mark.block_count <= blocks_.size());
     // Blocks grown since the mark are dropped; the geometric growth schedule
     // means the next scope that needs that much lands in one fresh block.
-    while (blocks_.size() > mark.block_count) {
+    // The first block stays even when the mark predates it (such a mark has
+    // used == 0), so a scope per call on an empty arena does not allocate,
+    // zero and free a block on every call.
+    while (blocks_.size() > std::max<size_t>(mark.block_count, 1)) {
       reserved_ -= blocks_.back().size;
       blocks_.pop_back();
     }

@@ -24,13 +24,6 @@ void FunnelStats::Accumulate(const FunnelStats& other) {
 
 namespace {
 
-Duration MergerTolerance(const PipelineOptions& options) {
-  if (options.same_regression_tolerance > 0) {
-    return options.same_regression_tolerance;
-  }
-  return options.detection.windows.analysis;
-}
-
 // Bumps a deterministic scan counter; handles are null when telemetry is off.
 void Count(Counter* counter) {
   if (counter != nullptr) {
@@ -52,22 +45,6 @@ bool CanonicalSurvivorOrder(const Regression& a, const Regression& b) {
   return a.long_term < b.long_term;
 }
 
-// Fig. 6 stage order for the per-run trace: scan sub-stages first (children
-// of the "scan" span), then the funnel stages (children of the root). Must
-// match StageWallHistograms below, index for index.
-constexpr size_t kTraceStages = 11;
-constexpr size_t kScanTraceStages = 5;  // First N entries are scan children.
-constexpr const char* kTraceStageNames[kTraceStages] = {
-    "change_point", "went_away",     "seasonality", "threshold",
-    "long_term",    "fingerprint",   "same_regression_merger",
-    "som_dedup",    "cost_shift",    "pairwise_dedup",
-    "root_cause",
-};
-
-uint64_t HistogramSum(const Histogram* histogram) {
-  return histogram != nullptr ? histogram->sum() : 0;
-}
-
 }  // namespace
 
 Pipeline::Pipeline(const TimeSeriesDatabase* db, const ChangeLog* change_log,
@@ -79,7 +56,7 @@ Pipeline::Pipeline(const TimeSeriesDatabase* db, const ChangeLog* change_log,
       went_away_(options_.detection),
       seasonality_(options_.detection),
       long_term_(options_.detection),
-      merger_(MergerTolerance(options_)),
+      merger_(options_.detection.windows.analysis),
       sanitizer_(options_.sanitizer),
       som_dedup_(options_.som_dedup),
       cost_shift_(db, options_.cost_shift),
@@ -229,72 +206,6 @@ void Pipeline::SyncTelemetry() {
     obs_.memory_resident_sealed_bytes->Set(memory.resident_sealed_bytes);
     obs_.memory_mapped_sealed_bytes->Set(memory.mapped_sealed_bytes);
     obs_.memory_materialized_bytes->Set(memory.materialized_bytes);
-  }
-}
-
-void Pipeline::StageWallSums(uint64_t* sums) const {
-  const Histogram* walls[kTraceStages] = {
-      obs_.change_point.wall_ns, obs_.went_away.wall_ns, obs_.seasonality.wall_ns,
-      obs_.threshold.wall_ns,    obs_.long_term.wall_ns, obs_.fingerprint.wall_ns,
-      obs_.same_merger.wall_ns,  obs_.som_dedup.wall_ns, obs_.cost_shift.wall_ns,
-      obs_.pairwise.wall_ns,     obs_.root_cause.wall_ns};
-  for (size_t s = 0; s < kTraceStages; ++s) {
-    sums[s] = HistogramSum(walls[s]);
-  }
-}
-
-void Pipeline::EmitTrace(const std::string& service, const uint64_t* sums_before,
-                         uint64_t scan_wall_before, uint64_t run_wall_ns) {
-  if (options_.telemetry.max_traces == 0) {
-    return;
-  }
-  uint64_t sums_after[kTraceStages];
-  StageWallSums(sums_after);
-  const uint64_t scan_wall_ns = HistogramSum(obs_.scan_wall_ns) - scan_wall_before;
-
-  Trace trace;
-  trace.trace_id = run_counter_;
-  trace.endpoint = service;
-  // Root: the whole re-run; self cost is the wall time not attributed to any
-  // stage (orchestration, merging, sorting).
-  Span root;
-  root.id = 0;
-  root.parent = kNoSpan;
-  root.subroutine = "pipeline.run";
-  // Scan: parent of the per-series sub-stages. Its self cost is the scan's
-  // own wall time; children carry per-stage wall accumulated ACROSS workers,
-  // so with scan_threads > 1 the children may sum to more than the parent
-  // (concurrent spans, which the trace substrate models via async_).
-  Span scan;
-  scan.id = 1;
-  scan.parent = 0;
-  scan.subroutine = "pipeline.scan";
-  scan.self_cost = static_cast<double>(scan_wall_ns) / 1e6;
-  trace.spans.push_back(root);
-  trace.spans.push_back(scan);
-  uint64_t stage_total_ns = 0;
-  for (size_t s = 0; s < kTraceStages; ++s) {
-    const bool scan_child = s < kScanTraceStages;
-    Span span;
-    span.id = static_cast<SpanId>(trace.spans.size());
-    span.parent = scan_child ? 1 : 0;
-    span.thread = 0;
-    span.subroutine = std::string("pipeline.stage.") + kTraceStageNames[s];
-    span.self_cost = static_cast<double>(sums_after[s] - sums_before[s]) / 1e6;
-    span.async_ = scan_child && options_.scan_threads > 1;
-    if (!scan_child) {
-      stage_total_ns += sums_after[s] - sums_before[s];
-    }
-    trace.spans.push_back(std::move(span));
-  }
-  const uint64_t attributed_ns = scan_wall_ns + stage_total_ns;
-  trace.spans[0].self_cost =
-      run_wall_ns > attributed_ns
-          ? static_cast<double>(run_wall_ns - attributed_ns) / 1e6
-          : 0.0;
-  run_traces_.push_back(std::move(trace));
-  while (run_traces_.size() > options_.telemetry.max_traces) {
-    run_traces_.erase(run_traces_.begin());
   }
 }
 
@@ -565,16 +476,10 @@ ThreadPool* Pipeline::FunnelPool() {
 }
 
 std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as_of) {
-  // Telemetry bookkeeping for this run: wall-clock start plus the stage
-  // histograms' accumulated sums, whose deltas become the trace's stage
-  // spans. All zero-cost when telemetry is off.
+  // Wall-clock start of this run; zero-cost when telemetry is off.
   const uint64_t run_start_wall = obs_.enabled ? StageTimer::WallNowNanos() : 0;
-  uint64_t stage_sums_before[kTraceStages] = {};
-  uint64_t scan_wall_before = 0;
   if (obs_.enabled) {
     obs_.runs->Increment();
-    StageWallSums(stage_sums_before);
-    scan_wall_before = HistogramSum(obs_.scan_wall_ns);
   }
 
   std::vector<Regression> survivors;
@@ -798,10 +703,7 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
   if (obs_.enabled) {
     obs_.reported->Add(reported.size());
     SyncTelemetry();
-    const uint64_t run_wall_ns = StageTimer::WallNowNanos() - run_start_wall;
-    obs_.run_wall_ns->Record(run_wall_ns);
-    ++run_counter_;
-    EmitTrace(service, stage_sums_before, scan_wall_before, run_wall_ns);
+    obs_.run_wall_ns->Record(StageTimer::WallNowNanos() - run_start_wall);
     if (self_sink_ != nullptr) {
       // Self-hosting: persist this run's registry snapshot as ordinary series
       // (DESIGN.md §15). Runs after the scan's readers are done, so the sink

@@ -42,7 +42,6 @@
 #include "src/common/thread_pool.h"
 #include "src/observe/telemetry.h"
 #include "src/observe/telemetry_sink.h"
-#include "src/tracing/trace.h"
 #include "src/core/change_point_stage.h"
 #include "src/core/code_info.h"
 #include "src/core/cost_shift.h"
@@ -82,12 +81,9 @@ struct FunnelStats {
 // default: with enabled = false the hot path pays one predictable branch per
 // instrumented site and no clock reads. When enabled, every stage records
 // candidate-in/out attrition counters (deterministic: byte-identical for any
-// scan_threads), wall/CPU latency histograms (runtime), and one Trace per
-// re-run whose child spans follow Fig. 6 stage order.
+// scan_threads) and wall/CPU latency histograms (runtime).
 struct TelemetryOptions {
   bool enabled = false;
-  // Per-run traces retained (oldest dropped first); 0 disables tracing.
-  size_t max_traces = 64;
   // Self-hosting (DESIGN.md §15): when set (and telemetry is enabled), every
   // RunAt ends by persisting a registry snapshot into this database as
   // ordinary series under `self_host_service` — counters as kApplication
@@ -108,9 +104,6 @@ struct PipelineOptions {
   SomDedupConfig som_dedup;
   PairwiseRule pairwise_rule;
   RootCauseConfig root_cause;
-  // Change-point-time tolerance for SameRegressionMerger; 0 = one analysis
-  // window.
-  Duration same_regression_tolerance = 0;
   // Data-quality gate in front of the detectors; dirty windows are
   // quarantined (see src/core/sanitizer.h) instead of scanned.
   SanitizerConfig sanitizer;
@@ -153,12 +146,6 @@ class Pipeline {
   // + stage.long_term.out.
   const TelemetryRegistry& telemetry() const { return telemetry_; }
   TelemetryRegistry& telemetry() { return telemetry_; }
-
-  // One trace per RunAt (newest last, capped at TelemetryOptions::max_traces):
-  // a root span with the Fig. 6 stages as children — the scan sub-stages under
-  // a "scan" span, the funnel stages under the root. Span self costs are
-  // milliseconds of accumulated stage wall time for that run.
-  const std::vector<Trace>& run_traces() const { return run_traces_; }
 
   // The cost-shift stage, exposed so callers can register custom
   // CostDomainDetectors (also the seam robustness tests use to inject
@@ -251,15 +238,6 @@ class Pipeline {
   // one snapshot covers the whole system. Called once per RunAt.
   void SyncTelemetry();
 
-  // Fills `sums` (one slot per Fig. 6 trace stage, fixed order defined in the
-  // .cc) with the current accumulated wall-time sums of the stage histograms.
-  void StageWallSums(uint64_t* sums) const;
-
-  // Appends the per-run trace (stage spans from histogram-sum deltas taken at
-  // run start) and enforces the max_traces cap.
-  void EmitTrace(const std::string& service, const uint64_t* sums_before,
-                 uint64_t scan_wall_before, uint64_t run_wall_ns);
-
   // Runs window extraction, the sanitizer, detection stages 1-3 + threshold
   // and the long-term detector for one metric; appends survivors and counts
   // into the provided funnel accumulators and the registry's scan counters.
@@ -344,8 +322,6 @@ class Pipeline {
   // pre-resolved handles so the hot path never does a name lookup.
   TelemetryRegistry telemetry_;
   Instruments obs_;
-  std::vector<Trace> run_traces_;
-  int64_t run_counter_ = 0;
   // Self-hosting sink; null unless TelemetryOptions::self_host_db is set.
   std::unique_ptr<TelemetrySink> self_sink_;
 

@@ -290,6 +290,8 @@ TEST(ArenaTest, ScopeRewindReusesMemory) {
     ArenaScope scope(arena);
     first = scope.MakeUninitializedSpan<double>(100).data();
   }
+  // A scope opened on the empty arena keeps the first block it created.
+  EXPECT_EQ(arena.reserved_bytes(), Arena::kMinBlockBytes);
   {
     ArenaScope scope(arena);
     // After the rewind the same storage is handed out again — the steady

@@ -1,15 +1,13 @@
 // End-to-end acceptance tests for the pipeline's self-observability layer
 // (DESIGN.md §12): deterministic counters must be byte-identical for any
 // scan_threads value, per-stage attrition counters must reconcile exactly
-// with the funnel, survivors, and quarantine totals, and each re-run must
-// emit a well-formed trace whose spans cover every Fig. 6 stage. Plus unit
-// tests for the registry, histogram, StageTimer, and export formats.
+// with the funnel, survivors, and quarantine totals. Plus unit tests for the
+// registry, histogram, StageTimer, and export formats.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +19,6 @@
 #include "src/observe/telemetry.h"
 #include "src/observe/telemetry_export.h"
 #include "src/report/report.h"
-#include "src/tracing/trace.h"
 #include "src/tsdb/database.h"
 
 namespace fbdetect {
@@ -317,50 +314,6 @@ TEST(ObservabilityPathTest, AttritionCountersReconcileExactly) {
                 value("pipeline.scan.series_decode_failures"));
 }
 
-TEST(ObservabilityPathTest, TracesCoverEveryFunnelStage) {
-  const ObservedRun run = RunObserved(2, /*with_faults=*/false);
-  const std::vector<Trace>& traces = run.pipeline->run_traces();
-  ASSERT_FALSE(traces.empty());
-  EXPECT_EQ(traces.size(), CounterValue(run.pipeline->telemetry(), "pipeline.runs"));
-
-  const char* kExpectedStages[] = {
-      "pipeline.stage.change_point", "pipeline.stage.went_away",
-      "pipeline.stage.seasonality",  "pipeline.stage.threshold",
-      "pipeline.stage.long_term",    "pipeline.stage.fingerprint",
-      "pipeline.stage.same_regression_merger", "pipeline.stage.som_dedup",
-      "pipeline.stage.cost_shift",   "pipeline.stage.pairwise_dedup",
-      "pipeline.stage.root_cause"};
-  for (const Trace& trace : traces) {
-    EXPECT_TRUE(trace.IsWellFormed());
-    EXPECT_EQ(trace.endpoint, "svc");
-    ASSERT_GE(trace.spans.size(), 2u);
-    EXPECT_EQ(trace.spans[0].subroutine, "pipeline.run");
-    EXPECT_EQ(trace.spans[1].subroutine, "pipeline.scan");
-    EXPECT_EQ(trace.spans[1].parent, 0);
-    std::set<std::string> names;
-    for (const Span& span : trace.spans) {
-      names.insert(span.subroutine);
-      EXPECT_GE(span.self_cost, 0.0);
-    }
-    for (const char* stage : kExpectedStages) {
-      EXPECT_TRUE(names.contains(stage)) << "missing stage span: " << stage;
-    }
-    // Scan sub-stages hang off the scan span; funnel stages off the root.
-    for (const Span& span : trace.spans) {
-      if (span.subroutine == "pipeline.stage.change_point" ||
-          span.subroutine == "pipeline.stage.long_term") {
-        EXPECT_EQ(span.parent, 1);
-      }
-      if (span.subroutine == "pipeline.stage.pairwise_dedup") {
-        EXPECT_EQ(span.parent, 0);
-      }
-    }
-  }
-
-  // The trace buffer respects its cap.
-  EXPECT_LE(traces.size(), run.pipeline->options().telemetry.max_traces);
-}
-
 TEST(ObservabilityPathTest, TelemetryIsOffByDefaultAndCostsNothing) {
   FaultInjector injector(FaultInjectorConfig::AllKinds(0.02, /*seed=*/11));
   const auto fleet = BuildObservedFleet(nullptr);
@@ -369,10 +322,9 @@ TEST(ObservabilityPathTest, TelemetryIsOffByDefaultAndCostsNothing) {
   Pipeline pipeline(&fleet->db(), nullptr, nullptr, options);
   EXPECT_FALSE(pipeline.telemetry().enabled());
   const std::vector<Regression> reports = pipeline.RunPeriod("svc", kRunBegin, kDataEnd);
-  // No instruments registered, no traces recorded, no export content.
+  // No instruments registered, no export content.
   EXPECT_EQ(pipeline.telemetry().counter_count(), 0u);
   EXPECT_EQ(pipeline.telemetry().histogram_count(), 0u);
-  EXPECT_TRUE(pipeline.run_traces().empty());
   const std::string json = RenderTelemetryJson(pipeline.telemetry(), /*include_runtime=*/true);
   EXPECT_EQ(json.find("pipeline."), std::string::npos) << json;
 }
