@@ -248,10 +248,10 @@ int main(int argc, char** argv) {
   }
   const double series_scans = static_cast<double>(num_ids * reruns);
 
-  // --- 3. Telemetry overhead: RunPeriod with the registry off vs on -----
+  // --- 3. Telemetry overhead: RunPeriod with the stage clocks off vs on --
   // Alternating min-of-3 pairs so slow-machine drift hits both sides alike.
   // The off-by-default contract: with telemetry disabled the hot path does
-  // zero clock reads and zero atomic writes, and with it enabled the cost
+  // zero clock reads, and with it enabled the cost
   // stays within the noise floor (< 5%, asserted in smoke mode where CI
   // runs this harness; shared runners routinely jitter a min-of-3 pair by
   // a couple percent, so the bar leaves headroom over the real <1% cost).
@@ -269,7 +269,8 @@ int main(int argc, char** argv) {
       double& best = enabled ? telemetry_on_ms : telemetry_off_ms;
       best = std::min(best, ms);
       if (enabled && rep == 2 && !telemetry_out.empty()) {
-        FBD_CHECK(WriteTelemetryFile(pipeline.telemetry(), telemetry_out));
+        FBD_CHECK(WriteTelemetryFile({&world.fleet.db().telemetry(), &pipeline.telemetry()},
+                                     telemetry_out));
         std::printf("    wrote %s\n", telemetry_out.c_str());
       }
     }

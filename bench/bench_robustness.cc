@@ -13,8 +13,8 @@
 //   - ingest and detection wall time (graceful degradation must not be paid
 //     for on the clean path)
 // Writes BENCH_robustness.json. `--smoke` shrinks the world for CI;
-// `--telemetry-out <path>` enables the pipeline's telemetry registry and
-// dumps its JSON export (last rate wins).
+// `--telemetry-out <path>` turns on the pipeline's stage clocks and dumps the
+// database's and pipeline's telemetry as JSON (last rate wins).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -205,7 +205,7 @@ RateResult RunAtRate(double rate, bool smoke, uint64_t seed,
   if (!telemetry_out.empty()) {
     // Each rate overwrites the file; the artifact holds the last (highest)
     // rate's attrition and quarantine counters.
-    FBD_CHECK(WriteTelemetryFile(pipeline.telemetry(), telemetry_out));
+    FBD_CHECK(WriteTelemetryFile({&fleet.db().telemetry(), &pipeline.telemetry()}, telemetry_out));
   }
   return result;
 }

@@ -98,8 +98,9 @@ int main(int argc, char** argv) {
                                  /*long_term_enabled=*/false)
                        .c_str());
   if (!telemetry_out.empty()) {
-    std::printf("\n%s", RenderTelemetry(pipeline.telemetry()).c_str());
-    if (WriteTelemetryFile(pipeline.telemetry(), telemetry_out)) {
+    const TelemetryRegistries registries = {&fleet.db().telemetry(), &pipeline.telemetry()};
+    std::printf("\n%s", RenderTelemetry(registries).c_str());
+    if (WriteTelemetryFile(registries, telemetry_out)) {
       std::printf("\nWrote telemetry to %s\n", telemetry_out.c_str());
     }
   }

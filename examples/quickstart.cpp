@@ -60,12 +60,13 @@ int main(int argc, char** argv) {
   for (const Regression& report : reports) {
     std::printf("  %s\n", report.Summary().c_str());
   }
-  const FunnelStats& funnel = pipeline.short_term_funnel();
+  const FunnelStats funnel = pipeline.short_term_funnel();
   std::printf("Funnel: %llu change points -> %llu after went-away -> %llu reported\n",
               static_cast<unsigned long long>(funnel.change_points),
               static_cast<unsigned long long>(funnel.after_went_away),
               static_cast<unsigned long long>(funnel.after_pairwise));
-  if (!telemetry_out.empty() && WriteTelemetryFile(pipeline.telemetry(), telemetry_out)) {
+  if (!telemetry_out.empty() &&
+      WriteTelemetryFile({&db.telemetry(), &pipeline.telemetry()}, telemetry_out)) {
     std::printf("Wrote telemetry to %s\n", telemetry_out.c_str());
   }
   return 0;

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const FunnelStats& funnel = pipeline.short_term_funnel();
+  const FunnelStats funnel = pipeline.short_term_funnel();
   std::printf("\nShort-term funnel: %llu change points -> %llu went-away -> %llu seasonality"
               " -> %llu threshold -> %llu merged/deduped/reported\n",
               static_cast<unsigned long long>(funnel.change_points),
@@ -92,7 +92,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(funnel.after_seasonality),
               static_cast<unsigned long long>(funnel.after_threshold),
               static_cast<unsigned long long>(funnel.after_pairwise));
-  if (!telemetry_out.empty() && WriteTelemetryFile(pipeline.telemetry(), telemetry_out)) {
+  if (!telemetry_out.empty() &&
+      WriteTelemetryFile({&fleet.db().telemetry(), &pipeline.telemetry()}, telemetry_out)) {
     std::printf("Wrote telemetry to %s\n", telemetry_out.c_str());
   }
   return 0;

@@ -1,25 +1,8 @@
 #include "src/common/thread_pool.h"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
 
 namespace fbdetect {
-
-namespace {
-
-uint64_t NowNanos() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
-
-}  // namespace
-
-ThreadPool::Stats ThreadPool::stats() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return stats_;
-}
 
 ThreadPool::ThreadPool(size_t num_threads) {
   workers_.reserve(num_threads);
@@ -94,7 +77,6 @@ void ThreadPool::ParallelFor(size_t num_tasks, const std::function<void(size_t)>
   if (num_tasks == 0) {
     return;
   }
-  const uint64_t batch_start = NowNanos();
   if (workers_.empty() || num_tasks == 1) {
     // Same exception contract as the threaded path: the first throw is
     // captured, every other index still runs, and the exception surfaces at
@@ -108,13 +90,6 @@ void ThreadPool::ParallelFor(size_t num_tasks, const std::function<void(size_t)>
           exception = std::current_exception();
         }
       }
-    }
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      ++stats_.batches;
-      stats_.tasks += num_tasks;
-      stats_.max_batch_tasks = std::max<uint64_t>(stats_.max_batch_tasks, num_tasks);
-      stats_.wall_ns += NowNanos() - batch_start;
     }
     if (exception != nullptr) {
       std::rethrow_exception(exception);
@@ -141,10 +116,6 @@ void ThreadPool::ParallelFor(size_t num_tasks, const std::function<void(size_t)>
     // the batch must be unpublished before then; stragglers that still hold
     // the shared_ptr see an exhausted counter and never touch `task`.
     batch_ = nullptr;
-    ++stats_.batches;
-    stats_.tasks += num_tasks;
-    stats_.max_batch_tasks = std::max<uint64_t>(stats_.max_batch_tasks, num_tasks);
-    stats_.wall_ns += NowNanos() - batch_start;
   }
   {
     std::unique_lock<std::mutex> lock(batch->exception_mutex);

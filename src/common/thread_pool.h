@@ -49,19 +49,6 @@ class ThreadPool {
 
   size_t size() const { return workers_.size(); }
 
-  // Lifetime usage statistics, for the observability layer. Maintained with
-  // per-batch (not per-task) bookkeeping, so the accounting cost is two
-  // clock reads per ParallelFor call. Values depend on batch shapes and
-  // scheduling, so consumers must export them as runtime (non-deterministic)
-  // telemetry.
-  struct Stats {
-    uint64_t batches = 0;          // ParallelFor calls (serial path included).
-    uint64_t tasks = 0;            // Total task indices executed.
-    uint64_t max_batch_tasks = 0;  // Deepest queue handed to one batch.
-    uint64_t wall_ns = 0;          // Wall time spent inside ParallelFor.
-  };
-  Stats stats() const;
-
   // Runs task(0) .. task(num_tasks - 1) across the pool workers and the
   // calling thread; returns once all have completed. Task indices are handed
   // out dynamically, so callers that need determinism must make each task's
@@ -92,13 +79,12 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_cv_;  // Signals workers: new batch or stop.
   std::condition_variable done_cv_;  // Signals ParallelFor: batch finished.
   std::shared_ptr<Batch> batch_;     // Null = no batch in flight.
   uint64_t batch_serial_ = 0;        // Bumped per batch so workers detect new work.
   bool stop_ = false;
-  Stats stats_;  // Guarded by mutex_.
 };
 
 // Convenience for the funnel's slot-indexed stages: runs fn(0) .. fn(n - 1)

@@ -11,25 +11,7 @@
 
 namespace fbdetect {
 
-void FunnelStats::Accumulate(const FunnelStats& other) {
-  change_points += other.change_points;
-  after_went_away += other.after_went_away;
-  after_seasonality += other.after_seasonality;
-  after_threshold += other.after_threshold;
-  after_same_merger += other.after_same_merger;
-  after_som_dedup += other.after_som_dedup;
-  after_cost_shift += other.after_cost_shift;
-  after_pairwise += other.after_pairwise;
-}
-
 namespace {
-
-// Bumps a deterministic scan counter; handles are null when telemetry is off.
-void Count(Counter* counter) {
-  if (counter != nullptr) {
-    counter->Increment();
-  }
-}
 
 // Canonical survivor order: MetricId's field-wise ordering, short-term before
 // long-term within a metric. (metric, long_term) is unique — each path emits
@@ -71,30 +53,23 @@ Pipeline::Pipeline(const TimeSeriesDatabase* db, const ChangeLog* change_log,
     rc.lookback = options_.detection.root_cause_lookback;
     root_cause_ = std::make_unique<RootCauseAnalyzer>(change_log_, code_info, rc);
   }
-  telemetry_.set_enabled(options_.telemetry.enabled);
-  if (options_.telemetry.enabled) {
-    RegisterInstruments();
-    if (options_.telemetry.self_host_db != nullptr) {
-      self_sink_ = std::make_unique<TelemetrySink>(
-          options_.telemetry.self_host_db, options_.telemetry.self_host_service);
-    }
-  }
+  RegisterInstruments();
 }
 
 void Pipeline::RegisterInstruments() {
-  obs_.enabled = true;
+  const bool clocks = options_.telemetry.enabled;
   auto counter = [this](const char* name) { return telemetry_.GetCounter(name); };
-  auto runtime = [this](const char* name) {
-    return telemetry_.GetCounter(name, CounterStability::kRuntime);
+  auto histogram = [this, clocks](const std::string& name) {
+    return clocks ? telemetry_.GetHistogram(name) : nullptr;
   };
-  auto stage = [this](const char* name, bool orchestrator_cpu) {
+  auto stage = [this, &histogram](const char* name, bool orchestrator_cpu) {
     StageInstruments instruments;
     const std::string base = std::string("pipeline.stage.") + name;
     instruments.in = telemetry_.GetCounter(base + ".in");
     instruments.out = telemetry_.GetCounter(base + ".out");
-    instruments.wall_ns = telemetry_.GetHistogram(base + ".wall_ns");
+    instruments.wall_ns = histogram(base + ".wall_ns");
     if (orchestrator_cpu) {
-      instruments.cpu_ns = telemetry_.GetHistogram(base + ".cpu_ns");
+      instruments.cpu_ns = histogram(base + ".cpu_ns");
     }
     return instruments;
   };
@@ -112,6 +87,7 @@ void Pipeline::RegisterInstruments() {
   obs_.detector_exceptions = counter("pipeline.scan.detector_exceptions");
   obs_.funnel_exceptions = counter("pipeline.funnel.exceptions");
   obs_.reported = counter("pipeline.reported");
+  obs_.long_term_detected = counter("pipeline.stage.long_term.detected");
 
   // Scan sub-stages run on pool workers: wall only (a per-thread CPU read is
   // a syscall, too hot for per-series sites). Funnel stages run on the
@@ -128,85 +104,14 @@ void Pipeline::RegisterInstruments() {
   obs_.pairwise = stage("pairwise_dedup", true);
   obs_.root_cause = stage("root_cause", true);
 
-  obs_.scan_wall_ns = telemetry_.GetHistogram("pipeline.scan.wall_ns");
-  obs_.run_wall_ns = telemetry_.GetHistogram("pipeline.run.wall_ns");
+  obs_.same_merger.out_long_term =
+      counter("pipeline.stage.same_regression_merger.out_long_term");
+  obs_.som_dedup.out_long_term = counter("pipeline.stage.som_dedup.out_long_term");
+  obs_.cost_shift.out_long_term = counter("pipeline.stage.cost_shift.out_long_term");
+  obs_.pairwise.out_long_term = counter("pipeline.stage.pairwise_dedup.out_long_term");
 
-  obs_.pool_batches = runtime("pool.batches");
-  obs_.pool_tasks = runtime("pool.tasks");
-  obs_.pool_max_batch_tasks = runtime("pool.max_batch_tasks");
-  obs_.pool_wall_ns = runtime("pool.wall_ns");
-
-  obs_.tsdb_tail_hits = counter("tsdb.scan.tail_hits");
-  obs_.tsdb_sealed_decodes = counter("tsdb.scan.sealed_decodes");
-  obs_.tsdb_decode_failures = counter("tsdb.scan.decode_failures");
-  obs_.tsdb_misses = counter("tsdb.scan.misses");
-  obs_.tsdb_list_cache_hits = counter("tsdb.scan.list_cache_hits");
-  obs_.tsdb_list_cache_misses = counter("tsdb.scan.list_cache_misses");
-  obs_.tsdb_list_cache_shard_refreshes = counter(kCounterListCacheShardRefreshes);
-
-  // Durable-tier mirrors only exist when the scanned database has the tier
-  // on, so pipelines over RAM-only databases keep an unchanged instrument
-  // set. All kRuntime: values depend on commit batching, memory budgets, and
-  // crash/recovery history, none of which are part of the deterministic
-  // contract.
-  if (db_->durable_stats().enabled) {
-    obs_.durable = true;
-    obs_.durable_group_commits = runtime("tsdb.durable.group_commits");
-    obs_.durable_checkpoint_rewrites = runtime("tsdb.durable.checkpoint_rewrites");
-    obs_.durable_log_bytes = runtime("tsdb.durable.log_bytes");
-    obs_.durable_chunk_file_bytes = runtime("tsdb.durable.chunk_file_bytes");
-    obs_.durable_chunks_persisted = runtime("tsdb.durable.chunks_persisted");
-    obs_.durable_chunks_evicted = runtime("tsdb.durable.chunks_evicted");
-    obs_.durable_evicted_bytes = runtime("tsdb.durable.evicted_bytes");
-    obs_.durable_mapped_readback_decodes =
-        runtime("tsdb.durable.mapped_readback_decodes");
-    obs_.durable_recoveries = runtime("tsdb.durable.recoveries");
-    obs_.durable_recovered_points = runtime("tsdb.durable.recovered_points");
-    obs_.durable_materialized_evictions =
-        runtime("tsdb.durable.materialized_evictions");
-    obs_.durable_io_errors = runtime("tsdb.durable.io_errors");
-    obs_.durable_degraded = runtime("tsdb.durable.degraded");
-    obs_.memory_resident_sealed_bytes =
-        runtime("tsdb.memory.resident_sealed_bytes");
-    obs_.memory_mapped_sealed_bytes = runtime("tsdb.memory.mapped_sealed_bytes");
-    obs_.memory_materialized_bytes = runtime("tsdb.memory.materialized_bytes");
-  }
-}
-
-void Pipeline::SyncTelemetry() {
-  const TimeSeriesDatabase::ScanStats scan = db_->scan_stats();
-  obs_.tsdb_tail_hits->Set(scan.tail_hits);
-  obs_.tsdb_sealed_decodes->Set(scan.sealed_decodes);
-  obs_.tsdb_decode_failures->Set(scan.decode_failures);
-  obs_.tsdb_misses->Set(scan.misses);
-  obs_.tsdb_list_cache_hits->Set(scan.list_cache_hits);
-  obs_.tsdb_list_cache_misses->Set(scan.list_cache_misses);
-  obs_.tsdb_list_cache_shard_refreshes->Set(scan.list_cache_shard_refreshes);
-  const ThreadPool::Stats pool = pool_.stats();
-  obs_.pool_batches->Set(pool.batches);
-  obs_.pool_tasks->Set(pool.tasks);
-  obs_.pool_max_batch_tasks->Set(pool.max_batch_tasks);
-  obs_.pool_wall_ns->Set(pool.wall_ns);
-  if (obs_.durable) {
-    const TimeSeriesDatabase::DurableStats durable = db_->durable_stats();
-    obs_.durable_group_commits->Set(durable.group_commits);
-    obs_.durable_checkpoint_rewrites->Set(durable.checkpoint_rewrites);
-    obs_.durable_log_bytes->Set(durable.log_bytes);
-    obs_.durable_chunk_file_bytes->Set(durable.chunk_file_bytes);
-    obs_.durable_chunks_persisted->Set(durable.chunks_persisted);
-    obs_.durable_chunks_evicted->Set(durable.chunks_evicted);
-    obs_.durable_evicted_bytes->Set(durable.evicted_bytes);
-    obs_.durable_mapped_readback_decodes->Set(durable.mapped_readback_decodes);
-    obs_.durable_recoveries->Set(durable.recoveries);
-    obs_.durable_recovered_points->Set(durable.recovered_points);
-    obs_.durable_materialized_evictions->Set(durable.materialized_evictions);
-    obs_.durable_io_errors->Set(durable.io_errors);
-    obs_.durable_degraded->Set(durable.degraded ? 1 : 0);
-    const TimeSeriesDatabase::MemoryStats memory = db_->memory_stats();
-    obs_.memory_resident_sealed_bytes->Set(memory.resident_sealed_bytes);
-    obs_.memory_mapped_sealed_bytes->Set(memory.mapped_sealed_bytes);
-    obs_.memory_materialized_bytes->Set(memory.materialized_bytes);
-  }
+  obs_.scan_wall_ns = histogram("pipeline.scan.wall_ns");
+  obs_.run_wall_ns = histogram("pipeline.run.wall_ns");
 }
 
 void Pipeline::set_stack_overlap(StackOverlapFn overlap) {
@@ -214,11 +119,10 @@ void Pipeline::set_stack_overlap(StackOverlapFn overlap) {
 }
 
 void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
-                          std::vector<Regression>& survivors, FunnelStats& short_funnel,
-                          FunnelStats& long_funnel, std::vector<double>& scratch,
+                          std::vector<Regression>& survivors, std::vector<double>& scratch,
                           TimeSeries& series_scratch,
                           std::vector<QuarantineRecord>& quarantine) const {
-  Count(obs_.series_in);
+  obs_.series_in->Increment();
   // Points before the detection windows are irrelevant, so the lookup only
   // needs [as_of - total, inf): when those live in the raw tail this is the
   // PR 1 zero-copy path; otherwise sealed chunks decode into the worker's
@@ -230,7 +134,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
     if (!scan_status.ok()) {
       // Corrupt sealed storage: quarantine the series for this window
       // instead of letting the decode abort the re-run.
-      Count(obs_.series_decode_failures);
+      obs_.series_decode_failures->Increment();
       QuarantineRecord record;
       record.metric = id;
       record.worst = QualityVerdict::kCorrupt;
@@ -240,7 +144,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
       record.last_error = scan_status.message();
       quarantine.push_back(std::move(record));
     } else {
-      Count(obs_.series_no_data);
+      obs_.series_no_data->Increment();
     }
     return;
   }
@@ -255,11 +159,11 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
       sanitizer_.Inspect(id.kind, windows, options_.detection.windows);
   const bool quarantined = sanitizer_.ShouldQuarantine(quality.verdict);
   if (quality.observed) {
-    Count(obs_.sanitizer_verdict[static_cast<size_t>(quality.verdict)]);
+    obs_.sanitizer_verdict[static_cast<size_t>(quality.verdict)]->Increment();
   }
   if (quality.observed &&
       (quality.verdict != QualityVerdict::kOk || quality.missing > 0 || quality.skew > 0)) {
-    Count(obs_.windows_flagged);
+    obs_.windows_flagged->Increment();
     QuarantineRecord record;
     record.metric = id;
     record.worst = quality.verdict;
@@ -273,7 +177,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
     quarantine.push_back(std::move(record));
   }
   if (quarantined) {
-    Count(obs_.windows_quarantined);
+    obs_.windows_quarantined->Increment();
     return;
   }
 
@@ -285,46 +189,42 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
   // worker (ThreadPool would rethrow at join and abort the whole scan).
   try {
     // ---- Short-term path ----
-    Count(obs_.change_point.in);
+    obs_.change_point.in->Increment();
     std::optional<ScanCandidate> candidate;
     {
-      StageTimer timer(Timed(obs_.change_point.wall_ns));
+      StageTimer timer(obs_.change_point.wall_ns);
       candidate = change_point_stage_.DetectCandidate(view);
     }
     if (candidate) {
-      ++short_funnel.change_points;
-      Count(obs_.change_point.out);
-      Count(obs_.went_away.in);
+      obs_.change_point.out->Increment();
+      obs_.went_away.in->Increment();
       // The previous-day window follows the tick the sanitizer inferred, so
       // a dropped sample cannot shrink it.
       const size_t points_per_day =
           quality.tick > 0 ? static_cast<size_t>(kDay / quality.tick) : 0;
       WentAwayVerdict went_away;
       {
-        StageTimer timer(Timed(obs_.went_away.wall_ns));
+        StageTimer timer(obs_.went_away.wall_ns);
         went_away = went_away_.Evaluate(view, *candidate, points_per_day);
       }
       if (went_away.keep) {
-        ++short_funnel.after_went_away;
-        Count(obs_.went_away.out);
-        Count(obs_.seasonality.in);
+        obs_.went_away.out->Increment();
+        obs_.seasonality.in->Increment();
         SeasonalityVerdict seasonal;
         {
-          StageTimer timer(Timed(obs_.seasonality.wall_ns));
+          StageTimer timer(obs_.seasonality.wall_ns);
           seasonal = seasonality_.Evaluate(view, *candidate);
         }
         if (!seasonal.seasonal_filtered) {
-          ++short_funnel.after_seasonality;
-          Count(obs_.seasonality.out);
-          Count(obs_.threshold.in);
+          obs_.seasonality.out->Increment();
+          obs_.threshold.in->Increment();
           bool passes;
           {
-            StageTimer timer(Timed(obs_.threshold.wall_ns));
+            StageTimer timer(obs_.threshold.wall_ns);
             passes = PassesThreshold(*candidate, options_.detection);
           }
           if (passes) {
-            ++short_funnel.after_threshold;
-            Count(obs_.threshold.out);
+            obs_.threshold.out->Increment();
             // First (and only) copy of window data on this path: the survivor.
             Regression regression = MaterializeRegression(id, view, *candidate);
             if (root_cause_ != nullptr) {
@@ -338,21 +238,20 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
 
     // ---- Long-term path ----
     if (options_.detection.enable_long_term) {
-      Count(obs_.long_term.in);
+      obs_.long_term.in->Increment();
       std::optional<Regression> long_candidate;
       {
-        StageTimer timer(Timed(obs_.long_term.wall_ns));
+        StageTimer timer(obs_.long_term.wall_ns);
         long_candidate = long_term_.Detect(id, view);
       }
       if (long_candidate) {
-        ++long_funnel.change_points;
+        obs_.long_term_detected->Increment();
         // The long-term detector applies the threshold internally; recheck for
         // the funnel row (Table 3 shows ~1/1.03 here).
         if (PassesThreshold(*long_candidate, options_.detection)) {
-          ++long_funnel.after_threshold;
           // `out` counts post-threshold survivors, so stage.fingerprint.in ==
           // stage.threshold.out + stage.long_term.out reconciles exactly.
-          Count(obs_.long_term.out);
+          obs_.long_term.out->Increment();
           if (root_cause_ != nullptr) {
             long_candidate->candidate_root_causes = root_cause_->QuickCandidates(*long_candidate);
           }
@@ -369,7 +268,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
 
 void Pipeline::QuarantineDetectorException(const MetricId& id, const char* what,
                                            std::vector<QuarantineRecord>& quarantine) const {
-  Count(obs_.detector_exceptions);
+  obs_.detector_exceptions->Increment();
   QuarantineRecord record;
   record.metric = id;
   record.worst = QualityVerdict::kCorrupt;
@@ -398,30 +297,26 @@ std::vector<Regression> Pipeline::ScanAllMetrics(const std::string& service, Tim
     std::vector<Regression> survivors;
     std::vector<QuarantineRecord> quarantine;
     for (const MetricId& id : ids) {
-      ScanMetric(id, as_of, survivors, short_funnel_, long_funnel_, worker_scratch_[0],
-                 worker_series_scratch_[0], quarantine);
+      ScanMetric(id, as_of, survivors, worker_scratch_[0], worker_series_scratch_[0],
+                 quarantine);
     }
     MergeQuarantine(quarantine);
     return survivors;
   }
-  // Static partition by stride; each worker keeps private survivors, funnel
-  // counters, and quarantine records, merged afterwards in canonical order
-  // (record merging is commutative) for determinism.
+  // Static partition by stride; each worker keeps private survivors and
+  // quarantine records, merged afterwards in canonical order (record merging
+  // is commutative) for determinism.
   const size_t num_workers = std::min<size_t>(static_cast<size_t>(threads), ids.size());
   std::vector<std::vector<Regression>> worker_survivors(num_workers);
-  std::vector<FunnelStats> worker_short(num_workers);
-  std::vector<FunnelStats> worker_long(num_workers);
   std::vector<std::vector<QuarantineRecord>> worker_quarantine(num_workers);
   pool_.ParallelFor(num_workers, [&](size_t w) {
     for (size_t i = w; i < ids.size(); i += num_workers) {
-      ScanMetric(ids[i], as_of, worker_survivors[w], worker_short[w], worker_long[w],
-                 worker_scratch_[w], worker_series_scratch_[w], worker_quarantine[w]);
+      ScanMetric(ids[i], as_of, worker_survivors[w], worker_scratch_[w],
+                 worker_series_scratch_[w], worker_quarantine[w]);
     }
   });
   std::vector<Regression> survivors;
   for (size_t w = 0; w < num_workers; ++w) {
-    short_funnel_.Accumulate(worker_short[w]);
-    long_funnel_.Accumulate(worker_long[w]);
     MergeQuarantine(worker_quarantine[w]);
     survivors.insert(survivors.end(), std::make_move_iterator(worker_survivors[w].begin()),
                      std::make_move_iterator(worker_survivors[w].end()));
@@ -440,9 +335,7 @@ void Pipeline::MergeQuarantine(std::vector<QuarantineRecord>& records) {
 }
 
 void Pipeline::RecordException(const MetricId& metric, std::string message) {
-  if (obs_.enabled) {
-    obs_.funnel_exceptions->Increment();
-  }
+  obs_.funnel_exceptions->Increment();
   QuarantineRecord& record = quarantine_[metric];
   record.metric = metric;
   record.worst = std::max(record.worst, QualityVerdict::kCorrupt);
@@ -475,28 +368,48 @@ ThreadPool* Pipeline::FunnelPool() {
   return options_.scan_threads > 1 ? &pool_ : nullptr;
 }
 
-std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as_of) {
-  // Wall-clock start of this run; zero-cost when telemetry is off.
-  const uint64_t run_start_wall = obs_.enabled ? StageTimer::WallNowNanos() : 0;
-  if (obs_.enabled) {
-    obs_.runs->Increment();
+FunnelStats Pipeline::Funnel(bool long_term) const {
+  // After both paths meet, each stage counts them together and
+  // `out_long_term` splits off the long-term share.
+  const auto path_share = [long_term](const StageInstruments& stage) {
+    const uint64_t long_share = stage.out_long_term->value();
+    return long_term ? long_share : stage.out->value() - long_share;
+  };
+  FunnelStats funnel;
+  if (long_term) {
+    funnel.change_points = obs_.long_term_detected->value();
+    funnel.after_threshold = obs_.long_term.out->value();
+  } else {
+    funnel.change_points = obs_.change_point.out->value();
+    funnel.after_went_away = obs_.went_away.out->value();
+    funnel.after_seasonality = obs_.seasonality.out->value();
+    funnel.after_threshold = obs_.threshold.out->value();
   }
+  funnel.after_same_merger = path_share(obs_.same_merger);
+  funnel.after_som_dedup = path_share(obs_.som_dedup);
+  funnel.after_cost_shift =
+      options_.enable_cost_shift ? path_share(obs_.cost_shift) : funnel.after_som_dedup;
+  funnel.after_pairwise = path_share(obs_.pairwise);
+  return funnel;
+}
+
+std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as_of) {
+  StageTimer run_timer(obs_.run_wall_ns);
+  obs_.runs->Increment();
 
   std::vector<Regression> survivors;
   {
-    StageTimer timer(Timed(obs_.scan_wall_ns));
+    StageTimer timer(obs_.scan_wall_ns);
     survivors = ScanAllMetrics(service, as_of);
   }
 
-  auto count_candidate_paths = [](const std::vector<FunnelCandidate>& candidates,
-                                  uint64_t& short_count, uint64_t& long_count) {
-    for (const FunnelCandidate& candidate : candidates) {
-      if (candidate.regression.long_term) {
-        ++long_count;
-      } else {
-        ++short_count;
-      }
-    }
+  // Counts a funnel stage's survivors, and the long-term share of them.
+  auto count_out = [](const StageInstruments& stage,
+                      const std::vector<FunnelCandidate>& candidates) {
+    stage.out->Add(candidates.size());
+    stage.out_long_term->Add(static_cast<uint64_t>(
+        std::count_if(candidates.begin(), candidates.end(),
+                      [](const FunnelCandidate& c) { return c.regression.long_term; })));
   };
 
   // Stage: fingerprints — the text/shape artifacts every later stage reuses,
@@ -504,14 +417,12 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
   const FingerprintConfig fp_config{options_.som_dedup.fourier_coefficients,
                                     options_.som_dedup.root_cause_bitmap_dims,
                                     /*som_features=*/true};
-  if (obs_.enabled) {
-    obs_.fingerprint.in->Add(survivors.size());
-  }
+  obs_.fingerprint.in->Add(survivors.size());
   std::vector<FunnelCandidate> candidates(survivors.size());
   std::vector<uint8_t> fingerprint_failed(survivors.size(), 0);
   std::vector<std::string> fingerprint_errors(survivors.size());
   {
-    StageTimer timer(Timed(obs_.fingerprint.wall_ns), Timed(obs_.fingerprint.cpu_ns));
+    StageTimer timer(obs_.fingerprint.wall_ns, obs_.fingerprint.cpu_ns);
     ParallelIndexFor(survivors.size(), FunnelPool(), [&](size_t i) {
       try {
         candidates[i].fingerprint = ComputeFingerprint(survivors[i], fp_config);
@@ -541,22 +452,17 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
     candidates = std::move(kept);
   }
   survivors.clear();
-  if (obs_.enabled) {
-    obs_.fingerprint.out->Add(candidates.size());
-    obs_.same_merger.in->Add(candidates.size());
-  }
+  obs_.fingerprint.out->Add(candidates.size());
+  obs_.same_merger.in->Add(candidates.size());
 
   // Stage: SameRegressionMerger (stateful and order-dependent: serial).
   std::vector<FunnelCandidate> fresh;
   {
-    StageTimer timer(Timed(obs_.same_merger.wall_ns), Timed(obs_.same_merger.cpu_ns));
+    StageTimer timer(obs_.same_merger.wall_ns, obs_.same_merger.cpu_ns);
     fresh = merger_.Filter(std::move(candidates));
   }
-  if (obs_.enabled) {
-    obs_.same_merger.out->Add(fresh.size());
-    obs_.som_dedup.in->Add(fresh.size());
-  }
-  count_candidate_paths(fresh, short_funnel_.after_same_merger, long_funnel_.after_same_merger);
+  count_out(obs_.same_merger, fresh);
+  obs_.som_dedup.in->Add(fresh.size());
 
   // Stage: SOMDedup — clusters metrics of the SAME type within this run's
   // analysis window (§5.5.1); cross-type merging is PairwiseDedup's job.
@@ -565,7 +471,7 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
   // way results land in kind-ascending slots, independent of scheduling.
   std::vector<FunnelCandidate> representatives;
   {
-    StageTimer timer(Timed(obs_.som_dedup.wall_ns), Timed(obs_.som_dedup.cpu_ns));
+    StageTimer timer(obs_.som_dedup.wall_ns, obs_.som_dedup.cpu_ns);
     std::map<MetricKind, std::vector<FunnelCandidate>> by_kind;
     for (FunnelCandidate& candidate : fresh) {
       by_kind[candidate.regression.metric.kind].push_back(std::move(candidate));
@@ -590,20 +496,14 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
       }
     }
   }
-  count_candidate_paths(representatives, short_funnel_.after_som_dedup,
-                        long_funnel_.after_som_dedup);
-  if (obs_.enabled) {
-    obs_.som_dedup.out->Add(representatives.size());
-  }
+  count_out(obs_.som_dedup, representatives);
 
   // Stage: cost-shift filtering — verdicts in parallel into per-index slots,
   // then a serial in-order sweep keeps the survivors.
   std::vector<FunnelCandidate> shift_free;
   if (options_.enable_cost_shift) {
-    if (obs_.enabled) {
-      obs_.cost_shift.in->Add(representatives.size());
-    }
-    StageTimer timer(Timed(obs_.cost_shift.wall_ns), Timed(obs_.cost_shift.cpu_ns));
+    obs_.cost_shift.in->Add(representatives.size());
+    StageTimer timer(obs_.cost_shift.wall_ns, obs_.cost_shift.cpu_ns);
     std::vector<uint8_t> is_shift(representatives.size(), 0);
     std::vector<uint8_t> shift_failed(representatives.size(), 0);
     std::vector<std::string> shift_errors(representatives.size());
@@ -631,36 +531,25 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
         shift_free.push_back(std::move(representatives[i]));
       }
     }
-    if (obs_.enabled) {
-      obs_.cost_shift.out->Add(shift_free.size());
-    }
+    count_out(obs_.cost_shift, shift_free);
   } else {
     shift_free = std::move(representatives);
   }
-  count_candidate_paths(shift_free, short_funnel_.after_cost_shift,
-                        long_funnel_.after_cost_shift);
 
   // Stage: PairwiseDedup (per-candidate group scoring fans over the pool).
-  if (obs_.enabled) {
-    obs_.pairwise.in->Add(shift_free.size());
-  }
+  obs_.pairwise.in->Add(shift_free.size());
   std::vector<int> new_groups;
   {
-    StageTimer timer(Timed(obs_.pairwise.wall_ns), Timed(obs_.pairwise.cpu_ns));
+    StageTimer timer(obs_.pairwise.wall_ns, obs_.pairwise.cpu_ns);
     new_groups = pairwise_.Ingest(std::move(shift_free), FunnelPool());
-  }
-  if (obs_.enabled) {
-    obs_.pairwise.out->Add(new_groups.size());
   }
 
   // Stage: root-cause analysis on the new groups' representatives, analyzed
   // IN PLACE inside their groups (distinct groups, so the parallel writes
   // never alias) and copied once into the report.
   if (root_cause_ != nullptr) {
-    if (obs_.enabled) {
-      obs_.root_cause.in->Add(new_groups.size());
-    }
-    StageTimer timer(Timed(obs_.root_cause.wall_ns), Timed(obs_.root_cause.cpu_ns));
+    obs_.root_cause.in->Add(new_groups.size());
+    StageTimer timer(obs_.root_cause.wall_ns, obs_.root_cause.cpu_ns);
     std::vector<uint8_t> analyze_failed(new_groups.size(), 0);
     std::vector<std::string> analyze_errors(new_groups.size());
     ParallelIndexFor(new_groups.size(), FunnelPool(), [&](size_t i) {
@@ -683,34 +572,18 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
         ++analyzed;
       }
     }
-    if (obs_.enabled) {
-      obs_.root_cause.out->Add(analyzed);
-    }
+    obs_.root_cause.out->Add(analyzed);
   }
   std::vector<Regression> reported;
   reported.reserve(new_groups.size());
   for (int group_id : new_groups) {
     reported.push_back(pairwise_.GroupRepresentative(group_id));
   }
-  for (const Regression& regression : reported) {
-    if (regression.long_term) {
-      ++long_funnel_.after_pairwise;
-    } else {
-      ++short_funnel_.after_pairwise;
-    }
-  }
-
-  if (obs_.enabled) {
-    obs_.reported->Add(reported.size());
-    SyncTelemetry();
-    obs_.run_wall_ns->Record(StageTimer::WallNowNanos() - run_start_wall);
-    if (self_sink_ != nullptr) {
-      // Self-hosting: persist this run's registry snapshot as ordinary series
-      // (DESIGN.md §15). Runs after the scan's readers are done, so the sink
-      // may target the scanned database itself.
-      self_sink_->Persist(telemetry_, as_of);
-    }
-  }
+  obs_.pairwise.out->Add(reported.size());
+  obs_.pairwise.out_long_term->Add(static_cast<uint64_t>(
+      std::count_if(reported.begin(), reported.end(),
+                    [](const Regression& r) { return r.long_term; })));
+  obs_.reported->Add(reported.size());
   return reported;
 }
 

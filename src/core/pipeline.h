@@ -15,8 +15,8 @@
 // through the filter stages as scalars and are materialized into Regression
 // objects only when they survive the threshold. Scans are fanned out over a
 // persistent ThreadPool with a deterministic stride partition; per-worker
-// survivors and funnel counters are merged in canonical (MetricId, path)
-// order, so the output is byte-identical for any scan_threads value.
+// survivors are merged in canonical (MetricId, path) order, so the output is
+// byte-identical for any scan_threads value.
 //
 // Funnel path (PR 3): survivors are fingerprinted once (RegressionFingerprint
 // — metric string, token vector, hashed grams, SOM shape features) right
@@ -29,7 +29,8 @@
 // are byte-identical for any scan_threads value.
 //
 // FunnelStats mirror Table 3: the count of surviving anomalies after each
-// stage, kept separately for the short-term and long-term paths.
+// stage, for the short-term and long-term paths, read off the pipeline's
+// stage counters.
 #ifndef FBDETECT_SRC_CORE_PIPELINE_H_
 #define FBDETECT_SRC_CORE_PIPELINE_H_
 
@@ -41,7 +42,6 @@
 
 #include "src/common/thread_pool.h"
 #include "src/observe/telemetry.h"
-#include "src/observe/telemetry_sink.h"
 #include "src/core/change_point_stage.h"
 #include "src/core/code_info.h"
 #include "src/core/cost_shift.h"
@@ -62,8 +62,8 @@
 
 namespace fbdetect {
 
-// Survivor counts after each Fig. 6 funnel stage (Table 3), kept separately
-// for the short-term and long-term paths.
+// Survivor counts after each Fig. 6 funnel stage (Table 3), for one of the
+// short-term and long-term paths.
 struct FunnelStats {
   uint64_t change_points = 0;
   uint64_t after_went_away = 0;
@@ -73,27 +73,14 @@ struct FunnelStats {
   uint64_t after_som_dedup = 0;
   uint64_t after_cost_shift = 0;
   uint64_t after_pairwise = 0;
-
-  void Accumulate(const FunnelStats& other);
 };
 
-// Self-observability over the pipeline itself (DESIGN.md §12). Off by
-// default: with enabled = false the hot path pays one predictable branch per
-// instrumented site and no clock reads. When enabled, every stage records
-// candidate-in/out attrition counters (deterministic: byte-identical for any
-// scan_threads) and wall/CPU latency histograms (runtime).
+// Self-observability over the pipeline itself (DESIGN.md §12). Every stage
+// always counts candidates in and out (deterministic: byte-identical for any
+// scan_threads). `enabled` adds the stage clocks: wall/CPU latency
+// histograms (runtime). Off by default, so the hot path reads no clock.
 struct TelemetryOptions {
   bool enabled = false;
-  // Self-hosting (DESIGN.md §15): when set (and telemetry is enabled), every
-  // RunAt ends by persisting a registry snapshot into this database as
-  // ordinary series under `self_host_service` — counters as kApplication
-  // levels, histogram per-interval means as kLatency series — so the
-  // pipeline's own attrition/latency metrics are scanned for regressions by
-  // the standard detection stack. May point at the scanned database itself
-  // (the write happens after the run's readers are done). Must outlive the
-  // pipeline.
-  TimeSeriesDatabase* self_host_db = nullptr;
-  std::string self_host_service = "fbdetect.self";
 };
 
 struct PipelineOptions {
@@ -136,14 +123,16 @@ class Pipeline {
   // regressions across runs.
   std::vector<Regression> RunPeriod(const std::string& service, TimePoint begin, TimePoint end);
 
-  const FunnelStats& short_term_funnel() const { return short_funnel_; }
-  const FunnelStats& long_term_funnel() const { return long_funnel_; }
+  // Table 3 rows accumulated over every run so far.
+  FunnelStats short_term_funnel() const { return Funnel(/*long_term=*/false); }
+  FunnelStats long_term_funnel() const { return Funnel(/*long_term=*/true); }
 
-  // Self-observability registry (empty when TelemetryOptions::enabled is
-  // false). Deterministic counters reconcile exactly with the funnel: e.g.
-  // scan.series_in == series_no_data + decode_failures + windows_quarantined
-  // + stage.change_point.in, and stage.fingerprint.in == stage.threshold.out
-  // + stage.long_term.out.
+  // The pipeline's pipeline.* instruments (the database keeps its own tsdb.*
+  // ones; exports render both). Deterministic counters reconcile exactly
+  // with the funnel: e.g. scan.series_in == series_no_data + decode_failures
+  // + windows_quarantined + stage.change_point.in, and stage.fingerprint.in
+  // == stage.threshold.out + stage.long_term.out. Histograms are registered
+  // only when TelemetryOptions::enabled.
   const TelemetryRegistry& telemetry() const { return telemetry_; }
   TelemetryRegistry& telemetry() { return telemetry_; }
 
@@ -161,19 +150,20 @@ class Pipeline {
   const PipelineOptions& options() const { return options_; }
 
  private:
-  // Pre-resolved instrument handles. All null (and `enabled` false) when
-  // telemetry is off, so the hot path pays one predictable branch per site
-  // and never touches the registry, an atomic, or a clock. Counters tagged
-  // deterministic count pipeline events only; histograms and pool mirrors are
-  // runtime-dependent and excluded from the deterministic export.
+  // Pre-resolved instrument handles, so the hot path never does a name
+  // lookup. Counters count pipeline events only and are always registered;
+  // histograms are null unless TelemetryOptions::enabled, and a StageTimer
+  // built from a null histogram reads no clock.
   struct StageInstruments {
     Counter* in = nullptr;
     Counter* out = nullptr;
+    // Long-term share of `out`, on the funnel stages after both paths meet
+    // (Table 3's second column); null elsewhere.
+    Counter* out_long_term = nullptr;
     Histogram* wall_ns = nullptr;
     Histogram* cpu_ns = nullptr;  // Orchestrating thread only; null on scan stages.
   };
   struct Instruments {
-    bool enabled = false;
     Counter* runs = nullptr;
     Counter* series_in = nullptr;
     Counter* series_no_data = nullptr;
@@ -184,63 +174,24 @@ class Pipeline {
     Counter* detector_exceptions = nullptr;
     Counter* funnel_exceptions = nullptr;
     Counter* reported = nullptr;
+    // Long-term detections before the threshold recheck (Table 3's first
+    // long-term row); stage.long_term.out counts the recheck's survivors.
+    Counter* long_term_detected = nullptr;
     StageInstruments change_point, went_away, seasonality, threshold, long_term,
         fingerprint, same_merger, som_dedup, cost_shift, pairwise, root_cause;
     Histogram* scan_wall_ns = nullptr;  // Whole ScanAllMetrics, per run.
     Histogram* run_wall_ns = nullptr;   // Whole RunAt, per run.
-    // Runtime mirrors, Set() from the pool/TSDB sources at SyncTelemetry.
-    Counter* pool_batches = nullptr;
-    Counter* pool_tasks = nullptr;
-    Counter* pool_max_batch_tasks = nullptr;
-    Counter* pool_wall_ns = nullptr;
-    // Deterministic mirrors of the database's tier accounting (one lookup per
-    // series per re-run regardless of scan_threads).
-    Counter* tsdb_tail_hits = nullptr;
-    Counter* tsdb_sealed_decodes = nullptr;
-    Counter* tsdb_decode_failures = nullptr;
-    Counter* tsdb_misses = nullptr;
-    Counter* tsdb_list_cache_hits = nullptr;
-    Counter* tsdb_list_cache_misses = nullptr;
-    Counter* tsdb_list_cache_shard_refreshes = nullptr;
-    // Runtime mirrors of the durable tier (tsdb.durable.* / tsdb.memory.*).
-    // Registered only when the scanned database has the tier enabled, so
-    // non-durable pipelines see an unchanged instrument set. All kRuntime:
-    // their values depend on budgets, commit batching, and crash history.
-    bool durable = false;
-    Counter* durable_group_commits = nullptr;
-    Counter* durable_checkpoint_rewrites = nullptr;
-    Counter* durable_log_bytes = nullptr;
-    Counter* durable_chunk_file_bytes = nullptr;
-    Counter* durable_chunks_persisted = nullptr;
-    Counter* durable_chunks_evicted = nullptr;
-    Counter* durable_evicted_bytes = nullptr;
-    Counter* durable_mapped_readback_decodes = nullptr;
-    Counter* durable_recoveries = nullptr;
-    Counter* durable_recovered_points = nullptr;
-    Counter* durable_materialized_evictions = nullptr;
-    Counter* durable_io_errors = nullptr;
-    Counter* durable_degraded = nullptr;  // 0/1 gauge.
-    Counter* memory_resident_sealed_bytes = nullptr;
-    Counter* memory_mapped_sealed_bytes = nullptr;
-    Counter* memory_materialized_bytes = nullptr;
   };
 
   // Registers every instrument with the registry and fills `obs_`.
   void RegisterInstruments();
 
-  // Null when telemetry is off: a StageTimer built from it never reads a
-  // clock, which is the disabled-cost contract.
-  Histogram* Timed(Histogram* histogram) const {
-    return obs_.enabled ? histogram : nullptr;
-  }
-
-  // Mirrors the pool's and database's internal counters into the registry so
-  // one snapshot covers the whole system. Called once per RunAt.
-  void SyncTelemetry();
+  // One path's Table 3 rows, derived from the stage counters.
+  FunnelStats Funnel(bool long_term) const;
 
   // Runs window extraction, the sanitizer, detection stages 1-3 + threshold
   // and the long-term detector for one metric; appends survivors and counts
-  // into the provided funnel accumulators and the registry's scan counters.
+  // into the registry's scan counters.
   // `scratch` is the caller's orientation buffer (reused across metrics;
   // untouched for higher-is-worse kinds); `series_scratch` is the caller's
   // decode buffer for series whose scan range extends into Gorilla-sealed
@@ -252,7 +203,6 @@ class Pipeline {
   // can never take down a re-run. Thread-safe: counters are atomic and every
   // other output is the caller's.
   void ScanMetric(const MetricId& id, TimePoint as_of, std::vector<Regression>& survivors,
-                  FunnelStats& short_funnel, FunnelStats& long_funnel,
                   std::vector<double>& scratch, TimeSeries& series_scratch,
                   std::vector<QuarantineRecord>& quarantine) const;
 
@@ -315,15 +265,10 @@ class Pipeline {
   uint64_t cached_generation_ = 0;
   bool cache_valid_ = false;
 
-  FunnelStats short_funnel_;
-  FunnelStats long_funnel_;
-
   // Self-observability state. The registry owns the instruments; obs_ holds
   // pre-resolved handles so the hot path never does a name lookup.
   TelemetryRegistry telemetry_;
   Instruments obs_;
-  // Self-hosting sink; null unless TelemetryOptions::self_host_db is set.
-  std::unique_ptr<TelemetrySink> self_sink_;
 
   // Accumulated dirty-series accounting across re-runs; std::map keeps
   // canonical MetricId order for the report snapshot.

@@ -4,8 +4,8 @@
 #include <bit>
 #include <chrono>
 #include <functional>
+#include <iterator>
 #include <mutex>
-#include <new>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <time.h>
@@ -106,18 +106,29 @@ std::vector<HistogramSnapshot> TelemetryRegistry::SnapshotHistograms() const {
   return out;
 }
 
-void TelemetryRegistry::Reset() {
-  for (Stripe& stripe : stripes_) {
-    std::unique_lock lock(stripe.mutex);
-    for (NamedCounter& named : stripe.counters) {
-      named.counter.Set(0);
-    }
-    for (NamedHistogram& named : stripe.histograms) {
-      // Histograms have no Reset on the hot-path type; rebuild in place.
-      named.histogram.~Histogram();
-      new (&named.histogram) Histogram();
-    }
+std::vector<CounterSnapshot> SnapshotCounters(TelemetryRegistries registries) {
+  std::vector<CounterSnapshot> out;
+  for (const TelemetryRegistry* registry : registries) {
+    std::vector<CounterSnapshot> part = registry->SnapshotCounters();
+    out.insert(out.end(), std::make_move_iterator(part.begin()),
+               std::make_move_iterator(part.end()));
   }
+  std::sort(out.begin(), out.end(),
+            [](const CounterSnapshot& a, const CounterSnapshot& b) { return a.name < b.name; });
+  return out;
+}
+
+std::vector<HistogramSnapshot> SnapshotHistograms(TelemetryRegistries registries) {
+  std::vector<HistogramSnapshot> out;
+  for (const TelemetryRegistry* registry : registries) {
+    std::vector<HistogramSnapshot> part = registry->SnapshotHistograms();
+    out.insert(out.end(), std::make_move_iterator(part.begin()),
+               std::make_move_iterator(part.end()));
+  }
+  std::sort(out.begin(), out.end(), [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
+    return a.name < b.name;
+  });
+  return out;
 }
 
 size_t TelemetryRegistry::counter_count() const {

@@ -1,4 +1,4 @@
-// Self-observability substrate for the detection pipeline (DESIGN.md §12).
+// Self-observability substrate (DESIGN.md §12).
 //
 // FBDetect's value proposition is funnel attrition (§5 / Fig. 6 of the
 // paper): raw change points are cut by 3-4 orders of magnitude before a
@@ -7,19 +7,24 @@
 // per-stage candidate-in/out counts, log-bucketed histograms for stage
 // latencies, and RAII StageTimers recording wall and per-thread CPU time.
 //
+// Each event is counted once, by the component that sees it: the database
+// owns a registry for its tsdb.* instruments, the pipeline one for its
+// pipeline.* instruments (the service adds service.* there), and exports
+// render several registries as one document.
+//
 // Design constraints (all load-bearing for the pipeline):
 //  * Determinism. Counters tagged kDeterministic count EVENTS (a series
 //    scanned, a candidate surviving a stage), never scheduling artifacts, so
 //    their values are byte-identical for any scan_threads. Counters tagged
-//    kRuntime (pool batches, wall-clock sums) and all histograms are
+//    kRuntime (commit batching, byte totals) and all histograms are
 //    excluded from the deterministic export.
 //  * Allocation-light hot path. Handles (Counter*/Histogram*) are registered
 //    once up front; recording is a relaxed atomic add with zero allocation
 //    and zero locking. Registration itself is lock-striped by name hash so
 //    concurrent registries of independent subsystems never contend.
-//  * Near-zero cost when off. Every pipeline call site guards recording
-//    behind one predictable branch (a cached bool); StageTimer reads no
-//    clock when handed null histograms.
+//  * Clocks only on request. Counters always count; StageTimer reads no
+//    clock when handed null histograms, which is how callers switch stage
+//    timing off.
 #ifndef FBDETECT_SRC_OBSERVE_TELEMETRY_H_
 #define FBDETECT_SRC_OBSERVE_TELEMETRY_H_
 
@@ -28,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -41,14 +47,9 @@ namespace fbdetect {
 // byte-identical across scan_threads) or depends on scheduling/timing.
 enum class CounterStability { kDeterministic, kRuntime };
 
-// Canonical name of the incremental ListMetrics refresh counter (DESIGN.md
-// §9): shards re-enumerated by list-cache misses.
-inline constexpr const char kCounterListCacheShardRefreshes[] =
-    "tsdb.scan.list_cache_shard_refreshes";
-
-// A monotonic event counter. Add is wait-free (relaxed fetch_add); Set exists
-// only for export-time mirroring of externally maintained stats (TSDB shard
-// counters, pool stats) into the registry.
+// A monotonic event counter. Add is wait-free (relaxed fetch_add). Set is
+// for totals the owning component derives itself (e.g. the database's
+// per-file WAL byte counts); nothing else may Set another component's value.
 class Counter {
  public:
   void Add(uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
@@ -109,13 +110,9 @@ struct HistogramSnapshot {
 // that never relocate).
 class TelemetryRegistry {
  public:
-  explicit TelemetryRegistry(bool enabled = false) : enabled_(enabled) {}
+  TelemetryRegistry() = default;
   TelemetryRegistry(const TelemetryRegistry&) = delete;
   TelemetryRegistry& operator=(const TelemetryRegistry&) = delete;
-
-  // The global on/off gate callers cache and branch on before recording.
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
 
   // Returns the instrument registered under `name`, creating it on first
   // use. The stability tag is fixed by the first registration.
@@ -126,9 +123,6 @@ class TelemetryRegistry {
   // Name-sorted snapshots (deterministic iteration order for export).
   std::vector<CounterSnapshot> SnapshotCounters() const;
   std::vector<HistogramSnapshot> SnapshotHistograms() const;
-
-  // Zeroes every instrument (names and handles stay registered).
-  void Reset();
 
   size_t counter_count() const;
   size_t histogram_count() const;
@@ -155,9 +149,16 @@ class TelemetryRegistry {
 
   Stripe& StripeFor(std::string_view name);
 
-  std::atomic<bool> enabled_;
   std::array<Stripe, kNumStripes> stripes_;
 };
+
+// The registries one export renders as a single document, e.g. a database's
+// and its pipeline's. Instrument names must not repeat across them.
+using TelemetryRegistries = std::initializer_list<const TelemetryRegistry*>;
+
+// Name-sorted snapshots across several registries.
+std::vector<CounterSnapshot> SnapshotCounters(TelemetryRegistries registries);
+std::vector<HistogramSnapshot> SnapshotHistograms(TelemetryRegistries registries);
 
 // RAII stage timer: records elapsed wall time (and, where the platform
 // supports per-thread CPU clocks, CPU time) in nanoseconds into the given

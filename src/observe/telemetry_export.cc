@@ -37,8 +37,8 @@ std::string PrometheusName(const std::string& name) {
 
 }  // namespace
 
-std::string RenderTelemetryJson(const TelemetryRegistry& registry, bool include_runtime) {
-  const std::vector<CounterSnapshot> counters = registry.SnapshotCounters();
+std::string RenderTelemetryJson(TelemetryRegistries registries, bool include_runtime) {
+  const std::vector<CounterSnapshot> counters = SnapshotCounters(registries);
   std::string out = "{\n  \"counters\": {";
   bool first = true;
   for (const CounterSnapshot& counter : counters) {
@@ -67,7 +67,7 @@ std::string RenderTelemetryJson(const TelemetryRegistry& registry, bool include_
     }
     out += first ? "}" : "\n  }";
     out += ",\n  \"histograms\": [";
-    const std::vector<HistogramSnapshot> histograms = registry.SnapshotHistograms();
+    const std::vector<HistogramSnapshot> histograms = SnapshotHistograms(registries);
     for (size_t h = 0; h < histograms.size(); ++h) {
       const HistogramSnapshot& histogram = histograms[h];
       out += h == 0 ? "\n    {" : ",\n    {";
@@ -102,16 +102,16 @@ std::string RenderTelemetryJson(const TelemetryRegistry& registry, bool include_
   return out;
 }
 
-std::string RenderTelemetryPrometheus(const TelemetryRegistry& registry) {
+std::string RenderTelemetryPrometheus(TelemetryRegistries registries) {
   std::string out;
-  for (const CounterSnapshot& counter : registry.SnapshotCounters()) {
+  for (const CounterSnapshot& counter : SnapshotCounters(registries)) {
     const std::string name = PrometheusName(counter.name);
     out += "# TYPE " + name + " counter\n";
     out += name + " ";
     AppendU64(out, counter.value);
     out += '\n';
   }
-  for (const HistogramSnapshot& histogram : registry.SnapshotHistograms()) {
+  for (const HistogramSnapshot& histogram : SnapshotHistograms(registries)) {
     const std::string name = PrometheusName(histogram.name);
     out += "# TYPE " + name + " histogram\n";
     uint64_t cumulative = 0;
@@ -139,12 +139,12 @@ std::string RenderTelemetryPrometheus(const TelemetryRegistry& registry) {
   return out;
 }
 
-bool WriteTelemetryFile(const TelemetryRegistry& registry, const std::string& path) {
+bool WriteTelemetryFile(TelemetryRegistries registries, const std::string& path) {
   FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
     return false;
   }
-  const std::string json = RenderTelemetryJson(registry, /*include_runtime=*/true);
+  const std::string json = RenderTelemetryJson(registries, /*include_runtime=*/true);
   const bool ok = std::fwrite(json.data(), 1, json.size(), file) == json.size();
   return std::fclose(file) == 0 && ok;
 }

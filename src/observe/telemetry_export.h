@@ -1,6 +1,8 @@
-// Export formats for a TelemetryRegistry snapshot.
+// Export formats for TelemetryRegistry snapshots.
 //
-// Two renderers over the same name-sorted snapshot:
+// Every export takes the registries to render — typically the database's
+// (tsdb.*) and the pipeline's (pipeline.*, service.*) — and merges them into
+// one name-sorted document. Two renderers over the same snapshot:
 //  * JSON — deterministic by construction (sorted names, integer values,
 //    fixed field order). With include_runtime = false only kDeterministic
 //    counters are emitted, which is the form the observability tests
@@ -21,17 +23,17 @@ namespace fbdetect {
 // "histograms": [...]}. The last two sections appear only when
 // include_runtime is true; the "counters" section alone is byte-identical
 // across scan_threads for a deterministic pipeline.
-std::string RenderTelemetryJson(const TelemetryRegistry& registry, bool include_runtime);
+std::string RenderTelemetryJson(TelemetryRegistries registries, bool include_runtime);
 
 // Prometheus text exposition format (everything, timings included). Metric
 // names are prefixed with `fbd_` and non-alphanumeric characters in
 // registered names map to '_'.
-std::string RenderTelemetryPrometheus(const TelemetryRegistry& registry);
+std::string RenderTelemetryPrometheus(TelemetryRegistries registries);
 
-// Writes RenderTelemetryJson(registry, /*include_runtime=*/true) to `path`.
+// Writes RenderTelemetryJson(registries, /*include_runtime=*/true) to `path`.
 // Returns false (and writes nothing) when the file cannot be opened. Backs
 // the --telemetry-out flag on the benches, examples, and tools.
-bool WriteTelemetryFile(const TelemetryRegistry& registry, const std::string& path);
+bool WriteTelemetryFile(TelemetryRegistries registries, const std::string& path);
 
 }  // namespace fbdetect
 

@@ -216,9 +216,9 @@ std::string RenderQuarantine(const QuarantineReport& report, size_t max_rows) {
   return out;
 }
 
-std::string RenderTelemetry(const TelemetryRegistry& registry) {
+std::string RenderTelemetry(TelemetryRegistries registries) {
   std::string out = "telemetry:\n";
-  const std::vector<CounterSnapshot> counters = registry.SnapshotCounters();
+  const std::vector<CounterSnapshot> counters = SnapshotCounters(registries);
   for (const CounterSnapshot& counter : counters) {
     if (counter.stability == CounterStability::kDeterministic) {
       out += Printf("  %-44s %12llu\n", counter.name.c_str(),
@@ -231,7 +231,7 @@ std::string RenderTelemetry(const TelemetryRegistry& registry) {
                     static_cast<unsigned long long>(counter.value));
     }
   }
-  for (const HistogramSnapshot& histogram : registry.SnapshotHistograms()) {
+  for (const HistogramSnapshot& histogram : SnapshotHistograms(registries)) {
     const double mean = histogram.count > 0
                             ? static_cast<double>(histogram.sum) /
                                   static_cast<double>(histogram.count)

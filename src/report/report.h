@@ -39,10 +39,11 @@ std::string RenderFunnel(const FunnelStats& short_term, const FunnelStats& long_
 // a truncation line reports how many rows were omitted.
 std::string RenderQuarantine(const QuarantineReport& report, size_t max_rows = 50);
 
-// Human-readable summary of the pipeline's self-observability registry
-// (DESIGN.md §12): the deterministic attrition counters first, then runtime
-// counters and histogram means. Empty registry renders the header only.
-std::string RenderTelemetry(const TelemetryRegistry& registry);
+// Human-readable summary of self-observability registries (DESIGN.md §12),
+// typically the database's and the pipeline's: the deterministic counters
+// first, then runtime counters and histogram means. Empty registries render
+// the header only.
+std::string RenderTelemetry(TelemetryRegistries registries);
 
 // Escapes a string for embedding in JSON (quotes, backslashes, control
 // characters). Exposed for tests.

@@ -30,13 +30,6 @@ constexpr uint64_t kDrainTag = 2;
 
 uint64_t NowNanos() { return StageTimer::WallNowNanos(); }
 
-void Bump(std::atomic<uint64_t>& counter, Counter* mirror, uint64_t n = 1) {
-  counter.fetch_add(n, std::memory_order_relaxed);
-  if (mirror != nullptr) {
-    mirror->Add(n);
-  }
-}
-
 std::span<const uint8_t> BodySpan(const std::string& body) {
   return {reinterpret_cast<const uint8_t*>(body.data()), body.size()};
 }
@@ -84,16 +77,21 @@ ServiceServer::ServiceServer(TimeSeriesDatabase* db, Pipeline* pipeline,
   const auto runtime = [&registry](std::string_view name) {
     return registry.GetCounter(name, CounterStability::kRuntime);
   };
-  tm_offered_ = runtime("service.offered_requests");
-  tm_admitted_points_ = runtime("service.admitted_points");
-  tm_shed_admission_ = runtime("service.shed_admission");
-  tm_shed_backpressure_ = runtime("service.shed_backpressure");
-  tm_shed_drain_ = runtime("service.shed_drain");
-  tm_malformed_ = runtime("service.malformed_requests");
-  tm_evicted_ = runtime("service.evicted_slow_clients");
-  tm_commits_ = runtime("service.commits");
-  tm_queue_points_ = runtime("service.queued_points");
-  tm_ingest_latency_ns_ = registry.GetHistogram("service.ingest_latency_ns");
+  counters_ = Counters{
+      .offered_requests = runtime("service.offered_requests"),
+      .admitted_requests = runtime("service.admitted_requests"),
+      .admitted_points = runtime("service.admitted_points"),
+      .acked_points = runtime("service.acked_points"),
+      .shed_admission = runtime("service.shed_admission"),
+      .shed_backpressure = runtime("service.shed_backpressure"),
+      .shed_drain = runtime("service.shed_drain"),
+      .malformed = runtime("service.malformed_requests"),
+      .evicted_slow_clients = runtime("service.evicted_slow_clients"),
+      .commits = runtime("service.commits"),
+      .seals = runtime("service.seals"),
+      .queued_points = runtime("service.queued_points"),
+  };
+  ingest_latency_ns_ = registry.GetHistogram("service.ingest_latency_ns");
 }
 
 ServiceServer::~ServiceServer() {
@@ -214,9 +212,7 @@ bool ServiceServer::Run() {
     DrainCompletions();
     const uint64_t after = NowNanos();
     SweepTimeouts(after);
-    if (tm_queue_points_ != nullptr) {
-      tm_queue_points_->Set(parse_queue_.cost() + ingest_queue_.cost());
-    }
+    counters_.queued_points->Set(parse_queue_.cost() + ingest_queue_.cost());
     if (draining_.load(std::memory_order_relaxed)) {
       AdvanceDrain(after);
       if (workers_joined_) {
@@ -344,7 +340,7 @@ void ServiceServer::ConnectionReadable(Connection& conn, uint64_t now_ns) {
     }
     const HttpParser::Result result = conn.parser.Feed(buf, static_cast<size_t>(n));
     if (result == HttpParser::Result::kError) {
-      Bump(malformed_, tm_malformed_);
+      counters_.malformed->Increment();
       conn.close_after_write = true;
       SendResponse(conn, conn.parser.error_status(), "text/plain",
                    conn.parser.error_reason());
@@ -393,7 +389,7 @@ void ServiceServer::ConnectionWritable(Connection& conn) {
   // A pipelined next request may already be buffered.
   const HttpParser::Result result = conn.parser.Continue();
   if (result == HttpParser::Result::kError) {
-    Bump(malformed_, tm_malformed_);
+    counters_.malformed->Increment();
     conn.close_after_write = true;
     SendResponse(conn, conn.parser.error_status(), "text/plain",
                  conn.parser.error_reason());
@@ -467,7 +463,7 @@ void ServiceServer::HandleIngest(Connection& conn, const HttpRequest& request,
   if (binary) {
     const Status peek = PeekWirePoints(BodySpan(request.body), &points);
     if (!peek.ok()) {
-      Bump(malformed_, tm_malformed_);
+      counters_.malformed->Increment();
       SendResponse(conn, 400, "text/plain", peek.message());
       return;
     }
@@ -477,29 +473,29 @@ void ServiceServer::HandleIngest(Connection& conn, const HttpRequest& request,
 
   // Shed taxonomy, in decision order — every well-formed request lands in
   // exactly one of {admitted, shed_drain, shed_backpressure, shed_admission}.
-  Bump(offered_, tm_offered_);
+  counters_.offered_requests->Increment();
   if (draining_.load(std::memory_order_relaxed)) {
-    Bump(shed_drain_, tm_shed_drain_);
+    counters_.shed_drain->Increment();
     SendResponse(conn, 503, "application/json", "{\"shed\":\"drain\"}",
                  {"Retry-After: 1"});
     return;
   }
   UpdateWatermark();
   if (backpressure_) {
-    Bump(shed_backpressure_, tm_shed_backpressure_);
+    counters_.shed_backpressure->Increment();
     SendResponse(conn, 503, "application/json", "{\"shed\":\"backpressure\"}",
                  {"Retry-After: 1"});
     return;
   }
   if (!bucket_.Admit(points, now_ns)) {
-    Bump(shed_admission_, tm_shed_admission_);
+    counters_.shed_admission->Increment();
     SendResponse(conn, 429, "application/json", "{\"shed\":\"admission\"}",
                  {"Retry-After: 1"});
     return;
   }
   if (points == 0) {
     // An empty batch admits trivially: nothing to queue or commit.
-    admitted_requests_.fetch_add(1, std::memory_order_relaxed);
+    counters_.admitted_requests->Increment();
     SendResponse(conn, 200, "application/json", "{\"status\":\"ok\",\"points\":0}");
     return;
   }
@@ -515,13 +511,13 @@ void ServiceServer::HandleIngest(Connection& conn, const HttpRequest& request,
     parse_submitted_.fetch_sub(1, std::memory_order_relaxed);
     bucket_.Refund(points);
     backpressure_ = true;  // The queue is at capacity: flip hysteresis now.
-    Bump(shed_backpressure_, tm_shed_backpressure_);
+    counters_.shed_backpressure->Increment();
     SendResponse(conn, 503, "application/json", "{\"shed\":\"backpressure\"}",
                  {"Retry-After: 1"});
     return;
   }
-  admitted_requests_.fetch_add(1, std::memory_order_relaxed);
-  Bump(admitted_points_, tm_admitted_points_, points);
+  counters_.admitted_requests->Increment();
+  counters_.admitted_points->Add(points);
   conn.awaiting_completion = true;
 }
 
@@ -542,12 +538,13 @@ bool ServiceServer::HandleImmediate(Connection& conn, const HttpRequest& request
     }
     if (path == "/metrics") {
       SendResponse(conn, 200, "text/plain; version=0.0.4",
-                   RenderTelemetryPrometheus(pipeline_->telemetry()));
+                   RenderTelemetryPrometheus({&db_->telemetry(), &pipeline_->telemetry()}));
       return true;
     }
     if (path == "/telemetry") {
       SendResponse(conn, 200, "application/json",
-                   RenderTelemetryJson(pipeline_->telemetry(), /*include_runtime=*/true));
+                   RenderTelemetryJson({&db_->telemetry(), &pipeline_->telemetry()},
+                                       /*include_runtime=*/true));
       return true;
     }
   }
@@ -618,7 +615,7 @@ void ServiceServer::SweepTimeouts(uint64_t now_ns) {
   for (const uint64_t serial : doomed) {
     const auto it = connections_.find(serial);
     if (it != connections_.end()) {
-      Bump(evicted_slow_, tm_evicted_);
+      counters_.evicted_slow_clients->Increment();
       CloseConnection(*it->second);
     }
   }
@@ -691,7 +688,7 @@ void ServiceServer::ParseWorker() {
       // Admitted but undecodable: the points never reach the database and
       // the client learns exactly why (still counted admitted — admission
       // priced the peek, not the decode).
-      Bump(malformed_, tm_malformed_);
+      counters_.malformed->Increment();
       PostCompletion({job.conn_serial, 400, "text/plain", parsed.message()});
       parse_done_.fetch_add(1, std::memory_order_release);
       continue;
@@ -725,16 +722,16 @@ void ServiceServer::IngestWorker() {
       std::lock_guard<std::mutex> lock(db_phase_mutex_);
       batch.Commit();
     }
-    Bump(commits_, tm_commits_);
+    counters_.commits->Increment();
     // Ack-after-commit: the 200 exists only once the points are applied, so
     // a drain that waits for acked work to finish can checkpoint losslessly.
     const uint64_t now = NowNanos();
     uint64_t flushed_points = 0;
     for (const PendingAck& ack : pending) {
-      acked_points_.fetch_add(ack.points, std::memory_order_relaxed);
+      counters_.acked_points->Add(ack.points);
       flushed_points += ack.points;
-      if (tm_ingest_latency_ns_ != nullptr && now > ack.received_ns) {
-        tm_ingest_latency_ns_->Record(now - ack.received_ns);
+      if (now > ack.received_ns) {
+        ingest_latency_ns_->Record(now - ack.received_ns);
       }
       PostCompletion({ack.conn_serial, 200, "application/json",
                       "{\"status\":\"ok\",\"points\":" + std::to_string(ack.points) + "}"});
@@ -804,7 +801,7 @@ void ServiceServer::ControlWorker() {
           db_->SealBefore(job.boundary);
           db_->SyncDurable();
         }
-        seals_.fetch_add(1, std::memory_order_relaxed);
+        counters_.seals->Increment();
         if (job.conn_serial != 0) {
           PostCompletion({job.conn_serial, 200, "application/json",
                           "{\"sealed_before\":" + std::to_string(job.boundary) + "}"});
@@ -838,7 +835,7 @@ void ServiceServer::ControlWorker() {
           db_->SealBefore(job.boundary);
           db_->SyncDurable();
         }
-        seals_.fetch_add(1, std::memory_order_relaxed);
+        counters_.seals->Increment();
         checkpoint_done_.store(true, std::memory_order_release);
         break;
       }
@@ -850,18 +847,19 @@ void ServiceServer::ControlWorker() {
 // --- Introspection ---
 
 ServiceServer::Stats ServiceServer::stats() const {
+  const Counters& c = counters_;
   Stats s;
-  s.offered_requests = offered_.load(std::memory_order_relaxed);
-  s.admitted_requests = admitted_requests_.load(std::memory_order_relaxed);
-  s.admitted_points = admitted_points_.load(std::memory_order_relaxed);
-  s.acked_points = acked_points_.load(std::memory_order_relaxed);
-  s.shed_admission = shed_admission_.load(std::memory_order_relaxed);
-  s.shed_backpressure = shed_backpressure_.load(std::memory_order_relaxed);
-  s.shed_drain = shed_drain_.load(std::memory_order_relaxed);
-  s.malformed = malformed_.load(std::memory_order_relaxed);
-  s.evicted_slow_clients = evicted_slow_.load(std::memory_order_relaxed);
-  s.commits = commits_.load(std::memory_order_relaxed);
-  s.seals = seals_.load(std::memory_order_relaxed);
+  s.offered_requests = c.offered_requests->value();
+  s.admitted_requests = c.admitted_requests->value();
+  s.admitted_points = c.admitted_points->value();
+  s.acked_points = c.acked_points->value();
+  s.shed_admission = c.shed_admission->value();
+  s.shed_backpressure = c.shed_backpressure->value();
+  s.shed_drain = c.shed_drain->value();
+  s.malformed = c.malformed->value();
+  s.evicted_slow_clients = c.evicted_slow_clients->value();
+  s.commits = c.commits->value();
+  s.seals = c.seals->value();
   s.parse_queue_peak_points = parse_queue_.max_cost_observed();
   s.ingest_queue_peak_points = ingest_queue_.max_cost_observed();
   return s;
@@ -873,8 +871,7 @@ std::string ServiceServer::HealthJson() const {
   out += "\",\"degraded\":";
   out += db_->durable_degraded() ? "true" : "false";
   out += ",\"connections\":" + std::to_string(connections_.size());
-  out += ",\"acked_points\":" +
-         std::to_string(acked_points_.load(std::memory_order_relaxed));
+  out += ",\"acked_points\":" + std::to_string(counters_.acked_points->value());
   out += "}";
   return out;
 }

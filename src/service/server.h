@@ -111,7 +111,8 @@ class ServiceServer {
 
   uint16_t port() const { return port_; }
 
-  // Deterministic shed/admission accounting, readable while running.
+  // Deterministic shed/admission accounting, readable while running: a
+  // snapshot of the service.* counters plus the queues' high-water marks.
   struct Stats {
     uint64_t offered_requests = 0;    // Well-formed ingest requests seen.
     uint64_t admitted_requests = 0;
@@ -244,22 +245,23 @@ class ServiceServer {
   std::atomic<TimePoint> max_ingested_ts_{0};
   std::atomic<uint64_t> points_since_seal_{0};
 
-  // Stats counters (relaxed; Stats() snapshots).
-  std::atomic<uint64_t> offered_{0}, admitted_requests_{0}, admitted_points_{0},
-      acked_points_{0}, shed_admission_{0}, shed_backpressure_{0}, shed_drain_{0},
-      malformed_{0}, evicted_slow_{0}, commits_{0}, seals_{0};
-
-  // Telemetry mirrors (service.*), registered in the pipeline's registry.
-  Counter* tm_offered_ = nullptr;
-  Counter* tm_admitted_points_ = nullptr;
-  Counter* tm_shed_admission_ = nullptr;
-  Counter* tm_shed_backpressure_ = nullptr;
-  Counter* tm_shed_drain_ = nullptr;
-  Counter* tm_malformed_ = nullptr;
-  Counter* tm_evicted_ = nullptr;
-  Counter* tm_commits_ = nullptr;
-  Counter* tm_queue_points_ = nullptr;
-  Histogram* tm_ingest_latency_ns_ = nullptr;
+  // Accounting (service.*, kRuntime), registered in the pipeline's registry.
+  // The only store: stats(), /stats and /telemetry all read these.
+  struct Counters {
+    Counter* offered_requests = nullptr;
+    Counter* admitted_requests = nullptr;
+    Counter* admitted_points = nullptr;
+    Counter* acked_points = nullptr;
+    Counter* shed_admission = nullptr;
+    Counter* shed_backpressure = nullptr;
+    Counter* shed_drain = nullptr;
+    Counter* malformed = nullptr;
+    Counter* evicted_slow_clients = nullptr;
+    Counter* commits = nullptr;
+    Counter* seals = nullptr;
+    Counter* queued_points = nullptr;  // Gauge, Set by the event loop.
+  } counters_;
+  Histogram* ingest_latency_ns_ = nullptr;
 };
 
 }  // namespace fbdetect

@@ -76,8 +76,39 @@ TimeSeriesDatabase::TimeSeriesDatabase(const TsdbOptions& options)
     : options_(options),
       shards_(RoundUpPow2(std::max<size_t>(1, options.shard_count))) {
   shard_mask_ = shards_.size() - 1;
+  scan_counters_ = ScanCounters{
+      .tail_hits = telemetry_.GetCounter("tsdb.scan.tail_hits"),
+      .sealed_decodes = telemetry_.GetCounter("tsdb.scan.sealed_decodes"),
+      .decode_failures = telemetry_.GetCounter("tsdb.scan.decode_failures"),
+      .misses = telemetry_.GetCounter("tsdb.scan.misses"),
+      .list_cache_hits = telemetry_.GetCounter("tsdb.scan.list_cache_hits"),
+      .list_cache_misses = telemetry_.GetCounter("tsdb.scan.list_cache_misses"),
+      .list_cache_shard_refreshes = telemetry_.GetCounter("tsdb.scan.list_cache_shard_refreshes"),
+  };
   if (options_.durable.enabled()) {
+    const auto runtime = [this](const char* name) {
+      return telemetry_.GetCounter(name, CounterStability::kRuntime);
+    };
+    durable_counters_ = DurableCounters{
+        .io_errors = runtime("tsdb.durable.io_errors"),
+        .chunks_evicted = runtime("tsdb.durable.chunks_evicted"),
+        .evicted_bytes = runtime("tsdb.durable.evicted_bytes"),
+        .mapped_readback_decodes = runtime("tsdb.durable.mapped_readback_decodes"),
+        .materialized_evictions = runtime("tsdb.durable.materialized_evictions"),
+        .recoveries = runtime("tsdb.durable.recoveries"),
+        .recovered_points = runtime("tsdb.durable.recovered_points"),
+        .group_commits = runtime("tsdb.durable.group_commits"),
+        .checkpoint_rewrites = runtime("tsdb.durable.checkpoint_rewrites"),
+        .log_bytes = runtime("tsdb.durable.log_bytes"),
+        .chunk_file_bytes = runtime("tsdb.durable.chunk_file_bytes"),
+        .chunks_persisted = runtime("tsdb.durable.chunks_persisted"),
+        .degraded = runtime("tsdb.durable.degraded"),
+        .resident_sealed_bytes = runtime("tsdb.memory.resident_sealed_bytes"),
+        .mapped_sealed_bytes = runtime("tsdb.memory.mapped_sealed_bytes"),
+        .materialized_bytes = runtime("tsdb.memory.materialized_bytes"),
+    };
     OpenDurable();
+    PublishDurableTotals(/*memory=*/true);
   }
 }
 
@@ -87,7 +118,7 @@ bool TimeSeriesDatabase::HandleDurableError(const Status& status) {
   if (status.ok()) {
     return true;
   }
-  durable_io_errors_.fetch_add(1, std::memory_order_relaxed);
+  durable_counters_.io_errors->Increment();
   if (!durable_degraded_.exchange(true, std::memory_order_relaxed)) {
     std::fprintf(stderr,
                  "durable tier degraded to memory-only after I/O failure: %s\n",
@@ -180,13 +211,13 @@ void TimeSeriesDatabase::OpenDurable() {
     }
     const WriteAheadLog::Stats& wal_stats = shard.wal->stats();
     const ChunkStore::Stats& chunk_stats = shard.chunk_store->stats();
-    recovered_points_ += wal_stats.replayed_points;
+    durable_counters_.recovered_points->Add(wal_stats.replayed_points);
     recovered_chunks_ += chunk_stats.restored_chunks;
     recovered_truncated_bytes_ += wal_stats.truncated_bytes + chunk_stats.truncated_bytes;
     recovered_any = recovered_any || wal_stats.replayed_points > 0 ||
                     chunk_stats.restored_chunks > 0;
   }
-  recoveries_ = recovered_any ? 1 : 0;
+  durable_counters_.recoveries->Add(recovered_any ? 1 : 0);
 }
 
 void TimeSeriesDatabase::CommitSymbols() {
@@ -204,14 +235,15 @@ void TimeSeriesDatabase::CommitSymbols() {
   }
 }
 
-void TimeSeriesDatabase::MaybeGroupCommitLocked(Shard& shard) {
+bool TimeSeriesDatabase::MaybeGroupCommitLocked(Shard& shard) {
   if (shard.wal == nullptr || !DurableActive() ||
       shard.wal->pending_bytes() < options_.durable.group_commit_bytes) {
-    return;
+    return false;
   }
   // Symbols must reach disk before any record that references them.
   CommitSymbols();
   HandleDurableError(shard.wal->Commit());
+  return true;
 }
 
 void TimeSeriesDatabase::SyncDurable() {
@@ -227,6 +259,28 @@ void TimeSeriesDatabase::SyncDurable() {
     if (shard.wal != nullptr && shard.wal->pending_bytes() > 0) {
       HandleDurableError(shard.wal->Commit());
     }
+  }
+  PublishDurableTotals(/*memory=*/false);
+}
+
+void TimeSeriesDatabase::PublishDurableTotals(bool memory) {
+  const DurableCounters& c = durable_counters_;
+  if (c.group_commits == nullptr) {
+    return;
+  }
+  std::lock_guard<std::mutex> lock(publish_mutex_);
+  const DurableStats durable = durable_stats();
+  c.group_commits->Set(durable.group_commits);
+  c.checkpoint_rewrites->Set(durable.checkpoint_rewrites);
+  c.log_bytes->Set(durable.log_bytes);
+  c.chunk_file_bytes->Set(durable.chunk_file_bytes);
+  c.chunks_persisted->Set(durable.chunks_persisted);
+  c.degraded->Set(durable.degraded ? 1 : 0);
+  if (memory) {
+    const MemoryStats resident = memory_stats();
+    c.resident_sealed_bytes->Set(resident.resident_sealed_bytes);
+    c.mapped_sealed_bytes->Set(resident.mapped_sealed_bytes);
+    c.materialized_bytes->Set(resident.materialized_bytes);
   }
 }
 
@@ -305,6 +359,7 @@ void TimeSeriesDatabase::LogAppendLocked(Shard& shard, const InternedMetricId& i
 void TimeSeriesDatabase::Write(const InternedMetricId& id, TimePoint timestamp,
                                double value) {
   Shard& shard = shards_[ShardIndex(id)];
+  bool committed = false;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     SeriesEntry& entry = EntryLocked(shard, id);
@@ -313,8 +368,11 @@ void TimeSeriesDatabase::Write(const InternedMetricId& id, TimePoint timestamp,
       ++entry.version;
       shard.generation.fetch_add(1, std::memory_order_relaxed);
       LogAppendLocked(shard, id, entry, tail_before);
-      MaybeGroupCommitLocked(shard);
+      committed = MaybeGroupCommitLocked(shard);
     }
+  }
+  if (committed) {
+    PublishDurableTotals(/*memory=*/false);
   }
   MaybeEvictMaterialized();
 }
@@ -322,6 +380,7 @@ void TimeSeriesDatabase::Write(const InternedMetricId& id, TimePoint timestamp,
 void TimeSeriesDatabase::WriteSeries(const MetricId& id, TimeSeries series) {
   const InternedMetricId interned = Intern(id);
   Shard& shard = shards_[ShardIndex(interned)];
+  bool committed = false;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     SeriesEntry& entry = EntryLocked(shard, interned);
@@ -334,14 +393,18 @@ void TimeSeriesDatabase::WriteSeries(const MetricId& id, TimeSeries series) {
       ++entry.version;
       shard.generation.fetch_add(1, std::memory_order_relaxed);
       LogAppendLocked(shard, interned, entry, tail_before);
-      MaybeGroupCommitLocked(shard);
+      committed = MaybeGroupCommitLocked(shard);
     }
+  }
+  if (committed) {
+    PublishDurableTotals(/*memory=*/false);
   }
   MaybeEvictMaterialized();
 }
 
 void TimeSeriesDatabase::Apply(WriteBatch& batch) {
   FBD_CHECK(batch.db_ == this);
+  bool committed = false;
   for (size_t shard_index = 0; shard_index < batch.per_shard_.size(); ++shard_index) {
     const std::vector<uint32_t>& column_indices = batch.per_shard_[shard_index];
     if (column_indices.empty()) {
@@ -370,7 +433,10 @@ void TimeSeriesDatabase::Apply(WriteBatch& batch) {
     if (changed) {
       shard.generation.fetch_add(1, std::memory_order_relaxed);
     }
-    MaybeGroupCommitLocked(shard);
+    committed |= MaybeGroupCommitLocked(shard);
+  }
+  if (committed) {
+    PublishDurableTotals(/*memory=*/false);
   }
   MaybeEvictMaterialized();
 }
@@ -420,8 +486,8 @@ const TimeSeries* TimeSeriesDatabase::MaterializedLocked(const SeriesEntry& entr
     entry.materialized->Clear();
     size_t mapped = 0;
     entry.data.MaterializeAll(*entry.materialized, &mapped);
-    if (mapped > 0) {
-      mapped_readback_decodes_.fetch_add(mapped, std::memory_order_relaxed);
+    if (mapped > 0) {  // Mapped chunks exist only with the durable tier on.
+      durable_counters_.mapped_readback_decodes->Add(mapped);
     }
     materialized_bytes_.fetch_add(MaterializedBytes(*entry.materialized),
                                   std::memory_order_relaxed);
@@ -482,45 +548,45 @@ const TimeSeries* TimeSeriesDatabase::SeriesForScan(const InternedMetricId& id,
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.series.find(id);
   if (it == shard.series.end()) {
-    scan_misses_.fetch_add(1, std::memory_order_relaxed);
+    scan_counters_.misses->Increment();
     return nullptr;
   }
   const TieredSeries& data = it->second.data;
   if (data.TailCovers(begin)) {
-    scan_tail_hits_.fetch_add(1, std::memory_order_relaxed);
+    scan_counters_.tail_hits->Increment();
     return &data.tail();  // Zero-copy hot path: the scan range is all raw.
   }
-  scan_sealed_decodes_.fetch_add(1, std::memory_order_relaxed);
+  scan_counters_.sealed_decodes->Increment();
   scratch.Clear();
   size_t mapped = 0;
   if (status == nullptr) {
     data.MaterializeFrom(begin, scratch, &mapped);  // Aborts on corrupt history.
     if (mapped > 0) {
-      mapped_readback_decodes_.fetch_add(mapped, std::memory_order_relaxed);
+      durable_counters_.mapped_readback_decodes->Add(mapped);
     }
     return &scratch;
   }
   *status = data.TryMaterializeFrom(begin, scratch, &mapped);
   if (mapped > 0) {
-    mapped_readback_decodes_.fetch_add(mapped, std::memory_order_relaxed);
+    durable_counters_.mapped_readback_decodes->Add(mapped);
   }
   if (!status->ok()) {
-    scan_decode_failures_.fetch_add(1, std::memory_order_relaxed);
+    scan_counters_.decode_failures->Increment();
     return nullptr;
   }
   return &scratch;
 }
 
 TimeSeriesDatabase::ScanStats TimeSeriesDatabase::scan_stats() const {
+  const ScanCounters& c = scan_counters_;
   ScanStats stats;
-  stats.tail_hits = scan_tail_hits_.load(std::memory_order_relaxed);
-  stats.sealed_decodes = scan_sealed_decodes_.load(std::memory_order_relaxed);
-  stats.decode_failures = scan_decode_failures_.load(std::memory_order_relaxed);
-  stats.misses = scan_misses_.load(std::memory_order_relaxed);
-  stats.list_cache_hits = list_cache_hits_.load(std::memory_order_relaxed);
-  stats.list_cache_misses = list_cache_misses_.load(std::memory_order_relaxed);
-  stats.list_cache_shard_refreshes =
-      list_cache_shard_refreshes_.load(std::memory_order_relaxed);
+  stats.tail_hits = c.tail_hits->value();
+  stats.sealed_decodes = c.sealed_decodes->value();
+  stats.decode_failures = c.decode_failures->value();
+  stats.misses = c.misses->value();
+  stats.list_cache_hits = c.list_cache_hits->value();
+  stats.list_cache_misses = c.list_cache_misses->value();
+  stats.list_cache_shard_refreshes = c.list_cache_shard_refreshes->value();
   return stats;
 }
 
@@ -532,10 +598,10 @@ std::vector<MetricId> TimeSeriesDatabase::ListMetrics(const std::string& service
     generations[i] = shards_[i].generation.load(std::memory_order_relaxed);
   }
   if (cached.shard_generations == generations) {
-    list_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    scan_counters_.list_cache_hits->Increment();
     return cached.ids;
   }
-  list_cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  scan_counters_.list_cache_misses->Increment();
   const bool cold = cached.shard_generations.size() != shards_.size();
   if (cold) {
     cached.shard_generations.assign(shards_.size(), 0);
@@ -551,7 +617,7 @@ std::vector<MetricId> TimeSeriesDatabase::ListMetrics(const std::string& service
     if (!cold && cached.shard_generations[i] == generations[i]) {
       continue;
     }
-    list_cache_shard_refreshes_.fetch_add(1, std::memory_order_relaxed);
+    scan_counters_.list_cache_shard_refreshes->Increment();
     std::vector<MetricId>& slice = cached.per_shard[i];
     slice.clear();
     if (service_symbol) {
@@ -719,6 +785,7 @@ void TimeSeriesDatabase::SealBefore(TimePoint boundary) {
     EnforceSealedBudget();
   }
   MaybeEvictMaterialized();
+  PublishDurableTotals(/*memory=*/true);
 }
 
 void TimeSeriesDatabase::Expire(TimePoint cutoff) {
@@ -755,6 +822,7 @@ void TimeSeriesDatabase::Expire(TimePoint cutoff) {
     have_drop_cutoff_ = true;
   }
   MaybeEvictMaterialized();
+  PublishDurableTotals(/*memory=*/true);
 }
 
 void TimeSeriesDatabase::EnforceSealedBudget() {
@@ -812,8 +880,8 @@ void TimeSeriesDatabase::EnforceSealedBudget() {
     }
     const size_t freed = it->second.data.EvictChunk(candidate.index);
     resident -= freed;
-    chunks_evicted_.fetch_add(1, std::memory_order_relaxed);
-    evicted_bytes_.fetch_add(freed, std::memory_order_relaxed);
+    durable_counters_.chunks_evicted->Increment();
+    durable_counters_.evicted_bytes->Add(freed);
     // No version/generation bump: eviction changes where bytes live, not
     // what the series contains — readers' caches must not observe it.
   }
@@ -835,7 +903,10 @@ void TimeSeriesDatabase::MaybeEvictMaterialized() {
     }
   }
   materialized_bytes_.store(0, std::memory_order_relaxed);
-  materialized_evictions_.fetch_add(1, std::memory_order_relaxed);
+  if (durable_counters_.materialized_evictions != nullptr) {
+    durable_counters_.materialized_evictions->Increment();
+    durable_counters_.materialized_bytes->Set(0);
+  }
 }
 
 uint64_t TimeSeriesDatabase::generation() const {
@@ -852,7 +923,8 @@ TimeSeriesDatabase::DurableStats TimeSeriesDatabase::durable_stats() const {
   if (!stats.enabled) {
     return stats;
   }
-  stats.io_errors = durable_io_errors_.load(std::memory_order_relaxed);
+  const DurableCounters& c = durable_counters_;
+  stats.io_errors = c.io_errors->value();
   stats.degraded = durable_degraded_.load(std::memory_order_relaxed);
   // Null checks: a degraded open may have left later shards (or even the
   // symbols log) unopened.
@@ -878,17 +950,14 @@ TimeSeriesDatabase::DurableStats TimeSeriesDatabase::durable_stats() const {
       stats.chunks_persisted += chunks.appends;
     }
   }
-  stats.chunks_evicted = chunks_evicted_.load(std::memory_order_relaxed);
-  stats.evicted_bytes = evicted_bytes_.load(std::memory_order_relaxed);
-  stats.mapped_readback_decodes =
-      mapped_readback_decodes_.load(std::memory_order_relaxed);
-  stats.materialized_evictions =
-      materialized_evictions_.load(std::memory_order_relaxed);
-  stats.recoveries = recoveries_.load(std::memory_order_relaxed);
-  stats.recovered_points = recovered_points_.load(std::memory_order_relaxed);
-  stats.recovered_chunks = recovered_chunks_.load(std::memory_order_relaxed);
-  stats.recovered_truncated_bytes =
-      recovered_truncated_bytes_.load(std::memory_order_relaxed);
+  stats.chunks_evicted = c.chunks_evicted->value();
+  stats.evicted_bytes = c.evicted_bytes->value();
+  stats.mapped_readback_decodes = c.mapped_readback_decodes->value();
+  stats.materialized_evictions = c.materialized_evictions->value();
+  stats.recoveries = c.recoveries->value();
+  stats.recovered_points = c.recovered_points->value();
+  stats.recovered_chunks = recovered_chunks_;
+  stats.recovered_truncated_bytes = recovered_truncated_bytes_;
   // Write-phase fields; reading them from the stats (read) phase is safe
   // because no writer is concurrent by the phase discipline.
   stats.last_seal_boundary = last_seal_boundary_;

@@ -32,6 +32,7 @@
 
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
+#include "src/observe/telemetry.h"
 #include "src/tsdb/chunk_store.h"
 #include "src/tsdb/metric_id.h"
 #include "src/tsdb/symbol_table.h"
@@ -151,7 +152,8 @@ class TimeSeriesDatabase {
 
   // Durable-tier observability. All counters are runtime telemetry (they
   // depend on budgets, commit batching, and crash history, not on detection
-  // inputs); the pipeline mirrors them with kRuntime stability.
+  // inputs); the registry carries them as tsdb.durable.* with kRuntime
+  // stability.
   struct DurableStats {
     bool enabled = false;
     uint64_t group_commits = 0;         // WAL frames written (all shards).
@@ -194,7 +196,7 @@ class TimeSeriesDatabase {
   // accounting is always on. All values count events the reader issued, not
   // scheduling artifacts — the pipeline's per-series scan issues exactly one
   // SeriesForScan per series per re-run regardless of scan_threads, so these
-  // are deterministic telemetry.
+  // are deterministic telemetry (tsdb.scan.* in the registry).
   struct ScanStats {
     uint64_t tail_hits = 0;        // SeriesForScan served zero-copy from the tail.
     uint64_t sealed_decodes = 0;   // SeriesForScan decoded sealed chunks.
@@ -329,6 +331,14 @@ class TimeSeriesDatabase {
   // runs on destruction, so a clean close loses nothing.
   void SyncDurable();
 
+  // The database's own instruments (DESIGN.md §12): tsdb.scan.* always, and
+  // tsdb.durable.* / tsdb.memory.* when the durable tier is on. Events are
+  // counted where they happen; totals derived from per-file WAL/chunk stats
+  // and per-series sizes are Set at the end of the write-phase call that
+  // changed them (Write/Apply when they group-commit, SealBefore, Expire,
+  // SyncDurable, recovery), so reading the registry never takes a shard lock.
+  const TelemetryRegistry& telemetry() const { return telemetry_; }
+
   // Bumped on every mutation (Write/Apply/WriteSeries/SealBefore/Expire).
   // Readers that cache derived data — e.g. the pipeline's sorted per-service
   // metric list — or that hold zero-copy spans into series storage compare
@@ -424,8 +434,14 @@ class TimeSeriesDatabase {
   void CommitSymbols();
 
   // Group-commits the shard's WAL when the pending buffer crossed the
-  // group-commit threshold. Caller holds the shard mutex.
-  void MaybeGroupCommitLocked(Shard& shard);
+  // group-commit threshold; returns whether it tried. Caller holds the shard
+  // mutex.
+  bool MaybeGroupCommitLocked(Shard& shard);
+
+  // Sets the tsdb.durable.* totals from the per-file stats and, with
+  // `memory`, the tsdb.memory.* gauges (a pass over every series). No-op
+  // without the durable tier. Write phase only, with no shard lock held.
+  void PublishDurableTotals(bool memory);
 
   // Evicts fully durable sealed chunks, oldest first across all shards,
   // until resident sealed bytes fit the budget. Write phase only.
@@ -447,29 +463,51 @@ class TimeSeriesDatabase {
   TimePoint last_seal_boundary_ = 0;   // Write phase only.
   TimePoint last_drop_cutoff_ = 0;     // Write phase only.
   bool have_drop_cutoff_ = false;
-  std::atomic<uint64_t> durable_io_errors_{0};
   std::atomic<bool> durable_degraded_{false};
-  std::atomic<uint64_t> chunks_evicted_{0};
-  std::atomic<uint64_t> evicted_bytes_{0};
-  std::atomic<uint64_t> recovered_points_{0};
-  std::atomic<uint64_t> recovered_chunks_{0};
-  std::atomic<uint64_t> recovered_truncated_bytes_{0};
-  std::atomic<uint64_t> recoveries_{0};
-  mutable std::atomic<uint64_t> mapped_readback_decodes_{0};
+  uint64_t recovered_chunks_ = 0;           // Set once by OpenDurable.
+  uint64_t recovered_truncated_bytes_ = 0;  // Set once by OpenDurable.
   mutable std::atomic<uint64_t> materialized_bytes_{0};
-  std::atomic<uint64_t> materialized_evictions_{0};
 
   mutable std::mutex list_cache_mutex_;
   mutable std::unordered_map<std::string, ListCacheEntry> list_cache_;
 
-  // ScanStats internals (read-path counters on const methods).
-  mutable std::atomic<uint64_t> scan_tail_hits_{0};
-  mutable std::atomic<uint64_t> scan_sealed_decodes_{0};
-  mutable std::atomic<uint64_t> scan_decode_failures_{0};
-  mutable std::atomic<uint64_t> scan_misses_{0};
-  mutable std::atomic<uint64_t> list_cache_hits_{0};
-  mutable std::atomic<uint64_t> list_cache_misses_{0};
-  mutable std::atomic<uint64_t> list_cache_shard_refreshes_{0};
+  TelemetryRegistry telemetry_;
+  // Read path (tsdb.scan.*, deterministic). Bumped from const methods.
+  struct ScanCounters {
+    Counter* tail_hits = nullptr;
+    Counter* sealed_decodes = nullptr;
+    Counter* decode_failures = nullptr;
+    Counter* misses = nullptr;
+    Counter* list_cache_hits = nullptr;
+    Counter* list_cache_misses = nullptr;
+    // Shards actually re-enumerated by list-cache misses (DESIGN.md §9).
+    Counter* list_cache_shard_refreshes = nullptr;
+  } scan_counters_;
+  // Durable tier (tsdb.durable.* / tsdb.memory.*, kRuntime); all null when
+  // the tier is off.
+  struct DurableCounters {
+    // Events, counted where they happen.
+    Counter* io_errors = nullptr;
+    Counter* chunks_evicted = nullptr;
+    Counter* evicted_bytes = nullptr;
+    Counter* mapped_readback_decodes = nullptr;
+    Counter* materialized_evictions = nullptr;
+    Counter* recoveries = nullptr;
+    Counter* recovered_points = nullptr;
+    // Totals Set by PublishDurableTotals.
+    Counter* group_commits = nullptr;
+    Counter* checkpoint_rewrites = nullptr;
+    Counter* log_bytes = nullptr;
+    Counter* chunk_file_bytes = nullptr;
+    Counter* chunks_persisted = nullptr;
+    Counter* degraded = nullptr;  // 0/1 gauge.
+    Counter* resident_sealed_bytes = nullptr;
+    Counter* mapped_sealed_bytes = nullptr;
+    Counter* materialized_bytes = nullptr;
+  } durable_counters_;
+  // Serializes concurrent writers' PublishDurableTotals so the last one to
+  // run leaves the freshest totals.
+  std::mutex publish_mutex_;
 };
 
 }  // namespace fbdetect

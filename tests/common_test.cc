@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -369,22 +370,31 @@ TEST(ThreadPoolGranularityTest, SmallBatchesStayOnCallingThread) {
   for (size_t i = 0; i < ran_on.size(); ++i) {
     EXPECT_EQ(ran_on[i], caller) << "index " << i << " left the calling thread";
   }
-  EXPECT_EQ(pool.stats().batches, 0u);
 }
 
 TEST(ThreadPoolGranularityTest, LargeBatchesUseThePool) {
+  // Above the floor the batch fans out: the calling thread's first index
+  // waits until a worker has run one, which the serial path never would.
   ThreadPool pool(4);
   std::atomic<size_t> off_thread{0};
+  bool caller_waited = false;
   const std::thread::id caller = std::this_thread::get_id();
   ParallelIndexFor(
       1024, &pool,
       [&](size_t) {
         if (std::this_thread::get_id() != caller) {
           off_thread.fetch_add(1, std::memory_order_relaxed);
+        } else if (!caller_waited) {
+          caller_waited = true;
+          const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+          while (off_thread.load(std::memory_order_relaxed) == 0 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
         }
       },
       /*min_items_per_lane=*/8);
-  EXPECT_GT(pool.stats().batches, 0u);
+  EXPECT_GT(off_thread.load(), 0u);
 }
 
 TEST(ThreadPoolGranularityTest, ExceptionsStillPropagateThroughGrainedPath) {

@@ -4,9 +4,8 @@
 // eviction must serve readback from the memory-mapped chunk file, detection
 // output must be byte-identical with the tier off, on, and under an eviction
 // budget at scan_threads 1/2/8, a SIGKILL'd writer must recover to a state
-// whose detection output matches an uninterrupted run, and the self-hosted
-// telemetry loop must persist registry snapshots as ordinary scannable
-// series.
+// whose detection output matches an uninterrupted run, and the database's
+// own tsdb.durable.* / tsdb.memory.* instruments must track the tier.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -35,7 +34,6 @@
 #include "src/fleet/service.h"
 #include "src/observe/telemetry.h"
 #include "src/observe/telemetry_export.h"
-#include "src/observe/telemetry_sink.h"
 #include "src/report/report.h"
 #include "src/tsdb/chunk_store.h"
 #include "src/tsdb/database.h"
@@ -1061,113 +1059,17 @@ TEST(DurableCrashRecoveryTest, KillAndReopenMatchesUninterruptedRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Self-hosted telemetry: registry snapshots persist as ordinary series, and
-// a seeded regression in the pipeline's own latency series is caught by the
-// standard scan.
+// Durable-tier telemetry: the database owns its tsdb.* instruments.
 // ---------------------------------------------------------------------------
 
-TEST(TelemetrySinkTest, CountersAndHistogramDeltasRoundTrip) {
-  TimeSeriesDatabase db;
-  TelemetrySink sink(&db, "fbdetect.self");
-  TelemetryRegistry registry(/*enabled=*/true);
-  Counter* runs = registry.GetCounter("pipeline.runs");
-  Histogram* wall = registry.GetHistogram("pipeline.run.wall_ns");
-
-  runs->Increment();
-  wall->Record(100);
-  EXPECT_EQ(sink.Persist(registry, 60), 2u);
-  runs->Increment();
-  EXPECT_EQ(sink.Persist(registry, 120), 1u);  // No recordings: latency gap.
-  wall->Record(200);
-  wall->Record(400);
-  EXPECT_EQ(sink.Persist(registry, 180), 2u);
-
-  // Counters persist as absolute levels every interval.
-  const TimeSeries* counter_series =
-      db.Find(MetricId{"fbdetect.self", MetricKind::kApplication, "pipeline.runs", ""});
-  ASSERT_NE(counter_series, nullptr);
-  EXPECT_EQ(counter_series->timestamps(), (std::vector<TimePoint>{60, 120, 180}));
-  EXPECT_EQ(counter_series->values(), (std::vector<double>{1.0, 2.0, 2.0}));
-
-  // Histograms persist per-interval delta means; empty intervals are gaps.
-  const TimeSeries* latency_series = db.Find(
-      MetricId{"fbdetect.self", MetricKind::kLatency, "pipeline.run.wall_ns.mean", ""});
-  ASSERT_NE(latency_series, nullptr);
-  EXPECT_EQ(latency_series->timestamps(), (std::vector<TimePoint>{60, 180}));
-  EXPECT_EQ(latency_series->values(), (std::vector<double>{100.0, 300.0}));
-}
-
-TEST(TelemetrySinkTest, SeededLatencyRegressionIsCaughtByStandardScan) {
-  TimeSeriesDatabase db;
-  TelemetrySink sink(&db, "fbdetect.self");
-  TelemetryRegistry registry(/*enabled=*/true);
-  Histogram* scan_wall = registry.GetHistogram("pipeline.scan.wall_ns");
-
-  // Two days of 10-minute snapshots; scan latency steps up 20% at 36h — the
-  // kind of self-regression the loop exists to catch.
-  int tick = 0;
-  for (TimePoint t = kTick; t <= Days(2); t += kTick, ++tick) {
-    const uint64_t base = t < Hours(36) ? 10000 : 12000;
-    for (int sample = 0; sample < 3; ++sample) {
-      scan_wall->Record(base + static_cast<uint64_t>((tick * 3 + sample) % 7) * 20);
-    }
-    sink.Persist(registry, t);
-  }
-
-  Pipeline pipeline(&db, nullptr, nullptr, DetectOptions(/*scan_threads=*/2));
-  const std::vector<Regression> reports = pipeline.RunPeriod("fbdetect.self", kFirstRun, Days(2));
-  bool caught = false;
-  for (const Regression& report : reports) {
-    if (report.metric.kind == MetricKind::kLatency &&
-        report.metric.entity == "pipeline.scan.wall_ns.mean" &&
-        std::llabs(report.change_time - Hours(36)) <= Hours(1)) {
-      caught = true;
+uint64_t CounterValue(const TelemetryRegistry& registry, const std::string& name) {
+  for (const CounterSnapshot& counter : registry.SnapshotCounters()) {
+    if (counter.name == name) {
+      return counter.value;
     }
   }
-  EXPECT_TRUE(caught) << "self-hosted latency regression not detected:\n"
-                      << Serialize(reports);
-}
-
-TEST(PipelineSelfHostTest, RunAtPersistsRegistrySnapshots) {
-  FleetSimulator fleet;
-  fleet.AddService(TierServiceConfig());
-  fleet.Run(-kTick, kFirstRun);
-
-  TimeSeriesDatabase self;
-  PipelineOptions options = DetectOptions(/*scan_threads=*/1);
-  options.telemetry.enabled = true;
-  options.telemetry.self_host_db = &self;
-  Pipeline pipeline(&fleet.db(), nullptr, nullptr, options);
-
-  pipeline.RunAt("svc", kFirstRun);
-  fleet.Run(kFirstRun, kFirstRun + kRunStep);
-  pipeline.RunAt("svc", kFirstRun + kRunStep);
-
-  const std::vector<MetricId> ids = self.ListMetrics("fbdetect.self");
-  ASSERT_FALSE(ids.empty());
-  const TimeSeries* runs =
-      self.Find(MetricId{"fbdetect.self", MetricKind::kApplication, "pipeline.runs", ""});
-  ASSERT_NE(runs, nullptr);
-  EXPECT_EQ(runs->timestamps(), (std::vector<TimePoint>{kFirstRun, kFirstRun + kRunStep}));
-  EXPECT_EQ(runs->values(), (std::vector<double>{1.0, 2.0}));
-}
-
-TEST(PipelineSelfHostTest, SinkMayTargetTheScannedDatabaseItself) {
-  FleetSimulator fleet;
-  fleet.AddService(TierServiceConfig());
-  fleet.Run(-kTick, kFirstRun);
-
-  PipelineOptions options = DetectOptions(/*scan_threads=*/1);
-  options.telemetry.enabled = true;
-  options.telemetry.self_host_db = &fleet.db();
-  Pipeline pipeline(&fleet.db(), nullptr, nullptr, options);
-
-  pipeline.RunAt("svc", kFirstRun);
-  fleet.Run(kFirstRun, kFirstRun + kRunStep);
-  pipeline.RunAt("svc", kFirstRun + kRunStep);
-  EXPECT_FALSE(fleet.db().ListMetrics("fbdetect.self").empty());
-  // And the self series are scannable by the standard pipeline, same DB.
-  pipeline.RunAt("fbdetect.self", kFirstRun + kRunStep);
+  ADD_FAILURE() << "counter not registered: " << name;
+  return 0;
 }
 
 TEST(DurableTelemetryTest, RuntimeExportCarriesDiskTierGauges) {
@@ -1183,7 +1085,8 @@ TEST(DurableTelemetryTest, RuntimeExportCarriesDiskTierGauges) {
   Pipeline pipeline(&fleet.db(), nullptr, nullptr, options);
   pipeline.RunAt("svc", kFirstRun);
 
-  const std::string runtime_json = RenderTelemetryJson(pipeline.telemetry(), true);
+  const TelemetryRegistries registries = {&fleet.db().telemetry(), &pipeline.telemetry()};
+  const std::string runtime_json = RenderTelemetryJson(registries, true);
   for (const char* gauge :
        {"tsdb.durable.group_commits", "tsdb.durable.chunk_file_bytes",
         "tsdb.durable.chunks_persisted", "tsdb.durable.recoveries",
@@ -1191,17 +1094,29 @@ TEST(DurableTelemetryTest, RuntimeExportCarriesDiskTierGauges) {
     EXPECT_NE(runtime_json.find(gauge), std::string::npos) << gauge;
   }
   // The deterministic export is unchanged by the tier.
-  const std::string deterministic_json = RenderTelemetryJson(pipeline.telemetry(), false);
+  const std::string deterministic_json = RenderTelemetryJson(registries, false);
   EXPECT_EQ(deterministic_json.find("tsdb.durable."), std::string::npos);
   EXPECT_EQ(deterministic_json.find("tsdb.memory."), std::string::npos);
 
-  // A RAM-only pipeline registers no durable mirrors at all.
+  // The totals are current as of the last write-phase call; the run only
+  // read, so they equal the files' own stats.
+  const TimeSeriesDatabase::DurableStats durable = fleet.db().durable_stats();
+  EXPECT_EQ(CounterValue(fleet.db().telemetry(), "tsdb.durable.group_commits"),
+            durable.group_commits);
+  EXPECT_EQ(CounterValue(fleet.db().telemetry(), "tsdb.durable.chunks_persisted"),
+            durable.chunks_persisted);
+  EXPECT_EQ(CounterValue(fleet.db().telemetry(), "tsdb.memory.resident_sealed_bytes"),
+            fleet.db().memory_stats().resident_sealed_bytes);
+
+  // A RAM-only database registers no durable instruments at all.
   TimeSeriesDatabase ram;
   ram.Write(MetricId{"svc", MetricKind::kGcpu, "a", ""}, 0, 1.0);
   Pipeline ram_pipeline(&ram, nullptr, nullptr, options);
   ram_pipeline.RunAt("svc", kFirstRun);
-  const std::string ram_json = RenderTelemetryJson(ram_pipeline.telemetry(), true);
+  const std::string ram_json =
+      RenderTelemetryJson({&ram.telemetry(), &ram_pipeline.telemetry()}, true);
   EXPECT_EQ(ram_json.find("tsdb.durable."), std::string::npos);
+  EXPECT_EQ(ram_json.find("tsdb.memory."), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -1292,10 +1207,10 @@ TEST(DurableDegradationTest, StickyWriteFailureDegradesToMemoryWithoutAbort) {
   EXPECT_TRUE(caught) << "regression lost to durable degradation:\n"
                       << Serialize(reports);
 
-  // The pipeline's runtime telemetry mirrors the degradation, so /metrics
+  // The database's runtime telemetry carries the degradation, so /metrics
   // surfaces it fleet-wide.
-  EXPECT_GT(pipeline.telemetry().GetCounter("tsdb.durable.io_errors")->value(), 0u);
-  EXPECT_EQ(pipeline.telemetry().GetCounter("tsdb.durable.degraded")->value(), 1u);
+  EXPECT_GT(CounterValue(db.telemetry(), "tsdb.durable.io_errors"), 0u);
+  EXPECT_EQ(CounterValue(db.telemetry(), "tsdb.durable.degraded"), 1u);
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ TEST(TelemetryHistogramTest, BucketsAreLogSpaced) {
 }
 
 TEST(TelemetryRegistryTest, HandlesAreStableAndSnapshotsAreNameSorted) {
-  TelemetryRegistry registry(/*enabled=*/true);
+  TelemetryRegistry registry;
   Counter* b = registry.GetCounter("b.count");
   Counter* a = registry.GetCounter("a.count", CounterStability::kRuntime);
   Histogram* h = registry.GetHistogram("z.wall_ns");
@@ -75,15 +75,10 @@ TEST(TelemetryRegistryTest, HandlesAreStableAndSnapshotsAreNameSorted) {
   ASSERT_EQ(histograms.size(), 1u);
   EXPECT_EQ(histograms[0].name, "z.wall_ns");
   EXPECT_EQ(histograms[0].count, 1u);
-
-  registry.Reset();
-  EXPECT_EQ(b->value(), 0u);
-  EXPECT_EQ(h->count(), 0u);
-  EXPECT_EQ(registry.counter_count(), 2u);  // Names survive a reset.
 }
 
 TEST(TelemetryRegistryTest, ConcurrentRegistrationIsSafeAndConverges) {
-  TelemetryRegistry registry(/*enabled=*/true);
+  TelemetryRegistry registry;
   constexpr int kThreads = 8;
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
@@ -126,24 +121,57 @@ TEST(StageTimerTest, RecordsIntoHistogramsAndNullIsFree) {
 }
 
 TEST(TelemetryExportTest, JsonSeparatesDeterministicFromRuntime) {
-  TelemetryRegistry registry(/*enabled=*/true);
+  TelemetryRegistry registry;
   registry.GetCounter("stage.in")->Add(7);
   registry.GetCounter("pool.batches", CounterStability::kRuntime)->Add(3);
   registry.GetHistogram("stage.wall_ns")->Record(1000);
 
-  const std::string deterministic = RenderTelemetryJson(registry, /*include_runtime=*/false);
+  const std::string deterministic = RenderTelemetryJson({&registry}, /*include_runtime=*/false);
   EXPECT_NE(deterministic.find("\"stage.in\": 7"), std::string::npos) << deterministic;
   EXPECT_EQ(deterministic.find("pool.batches"), std::string::npos) << deterministic;
   EXPECT_EQ(deterministic.find("histograms"), std::string::npos) << deterministic;
 
-  const std::string full = RenderTelemetryJson(registry, /*include_runtime=*/true);
+  const std::string full = RenderTelemetryJson({&registry}, /*include_runtime=*/true);
   EXPECT_NE(full.find("\"pool.batches\": 3"), std::string::npos) << full;
   EXPECT_NE(full.find("\"stage.wall_ns\""), std::string::npos) << full;
 
-  const std::string prometheus = RenderTelemetryPrometheus(registry);
+  const std::string prometheus = RenderTelemetryPrometheus({&registry});
   EXPECT_NE(prometheus.find("fbd_stage_in 7"), std::string::npos) << prometheus;
   EXPECT_NE(prometheus.find("fbd_stage_wall_ns_count 1"), std::string::npos) << prometheus;
   EXPECT_NE(prometheus.find("le=\"+Inf\""), std::string::npos) << prometheus;
+}
+
+TEST(TelemetryExportTest, RegistriesRenderAsOneNameSortedDocument) {
+  TelemetryRegistry database;
+  TelemetryRegistry pipeline;
+  database.GetCounter("tsdb.scan.tail_hits")->Add(5);
+  database.GetCounter("tsdb.durable.log_bytes", CounterStability::kRuntime)->Add(9);
+  pipeline.GetCounter("pipeline.runs")->Add(2);
+  pipeline.GetCounter("service.commits", CounterStability::kRuntime)->Add(4);
+  pipeline.GetHistogram("pipeline.run.wall_ns")->Record(10);
+  database.GetHistogram("a.first")->Record(1);
+
+  // One "counters", one "runtime_counters" and one "histograms" section, with
+  // names sorted across both registries.
+  EXPECT_EQ(RenderTelemetryJson({&database, &pipeline}, /*include_runtime=*/true),
+            "{\n"
+            "  \"counters\": {\n"
+            "    \"pipeline.runs\": 2,\n"
+            "    \"tsdb.scan.tail_hits\": 5\n"
+            "  },\n"
+            "  \"runtime_counters\": {\n"
+            "    \"service.commits\": 4,\n"
+            "    \"tsdb.durable.log_bytes\": 9\n"
+            "  },\n"
+            "  \"histograms\": [\n"
+            "    {\"name\": \"a.first\", \"count\": 1, \"sum\": 1, \"buckets\": [[1, 1]]},\n"
+            "    {\"name\": \"pipeline.run.wall_ns\", \"count\": 1, \"sum\": 10, "
+            "\"buckets\": [[15, 1]]}\n"
+            "  ]\n"
+            "}\n");
+  const std::string prometheus = RenderTelemetryPrometheus({&database, &pipeline});
+  EXPECT_LT(prometheus.find("fbd_pipeline_runs 2"), prometheus.find("fbd_tsdb_scan_tail_hits 5"));
+  EXPECT_NE(prometheus.find("fbd_service_commits 4"), std::string::npos) << prometheus;
 }
 
 // ---------------------------------------------------------------------------
@@ -183,9 +211,10 @@ PipelineOptions ObservedOptions(int scan_threads) {
   return options;
 }
 
-// A fresh fleet per call (the TSDB's tier counters are cumulative, so
-// sharing one database across pipelines would skew the mirrors): ingest is
-// deterministic, so every fleet built here holds byte-identical data. Two
+// A fresh fleet per call (the TSDB's tsdb.scan.* counters are cumulative, so
+// sharing one database across pipelines would add their scans together):
+// ingest is deterministic, so every fleet built here holds byte-identical
+// data. Two
 // step regressions make the funnel non-trivial; a 2% fault rate populates
 // the sanitizer/quarantine counters.
 std::unique_ptr<FleetSimulator> BuildObservedFleet(FaultInjector* injector) {
@@ -232,6 +261,12 @@ ObservedRun RunObserved(int scan_threads, bool with_faults) {
   return run;
 }
 
+// The database's and the pipeline's instruments, as every export renders them.
+std::string DeterministicJson(const ObservedRun& run) {
+  return RenderTelemetryJson({&run.fleet->db().telemetry(), &run.pipeline->telemetry()},
+                             /*include_runtime=*/false);
+}
+
 uint64_t CounterValue(const TelemetryRegistry& registry, const std::string& name) {
   for (const CounterSnapshot& counter : registry.SnapshotCounters()) {
     if (counter.name == name) {
@@ -244,16 +279,14 @@ uint64_t CounterValue(const TelemetryRegistry& registry, const std::string& name
 
 TEST(ObservabilityPathTest, DeterministicCountersAreByteIdenticalAcrossScanThreads) {
   const ObservedRun baseline = RunObserved(1, /*with_faults=*/true);
-  const std::string expected =
-      RenderTelemetryJson(baseline.pipeline->telemetry(), /*include_runtime=*/false);
+  const std::string expected = DeterministicJson(baseline);
   // Non-vacuous: the funnel actually produced reports and scanned series.
   EXPECT_FALSE(baseline.reports.empty());
   EXPECT_GT(CounterValue(baseline.pipeline->telemetry(), "pipeline.scan.series_in"), 0u);
+  EXPECT_GT(CounterValue(baseline.fleet->db().telemetry(), "tsdb.scan.tail_hits"), 0u);
   for (const int threads : {2, 8}) {
     const ObservedRun repeat = RunObserved(threads, /*with_faults=*/true);
-    EXPECT_EQ(RenderTelemetryJson(repeat.pipeline->telemetry(), /*include_runtime=*/false),
-              expected)
-        << "scan_threads=" << threads;
+    EXPECT_EQ(DeterministicJson(repeat), expected) << "scan_threads=" << threads;
   }
 }
 
@@ -289,12 +322,30 @@ TEST(ObservabilityPathTest, AttritionCountersReconcileExactly) {
   EXPECT_EQ(value("pipeline.stage.pairwise_dedup.out"), value("pipeline.reported"));
   EXPECT_EQ(value("pipeline.reported"), static_cast<uint64_t>(run.reports.size()));
 
-  // Telemetry agrees with the pre-existing FunnelStats rows.
-  const FunnelStats& short_funnel = run.pipeline->short_term_funnel();
+  // The FunnelStats rows are the stage counters, split by path after the
+  // paths meet.
+  const FunnelStats short_funnel = run.pipeline->short_term_funnel();
+  const FunnelStats long_funnel = run.pipeline->long_term_funnel();
   EXPECT_EQ(value("pipeline.stage.change_point.out"), short_funnel.change_points);
   EXPECT_EQ(value("pipeline.stage.went_away.out"), short_funnel.after_went_away);
   EXPECT_EQ(value("pipeline.stage.seasonality.out"), short_funnel.after_seasonality);
   EXPECT_EQ(value("pipeline.stage.threshold.out"), short_funnel.after_threshold);
+  EXPECT_EQ(value("pipeline.stage.long_term.detected"), long_funnel.change_points);
+  EXPECT_EQ(value("pipeline.stage.long_term.out"), long_funnel.after_threshold);
+  EXPECT_GE(long_funnel.change_points, long_funnel.after_threshold);
+  EXPECT_EQ(value("pipeline.stage.same_regression_merger.out"),
+            short_funnel.after_same_merger + long_funnel.after_same_merger);
+  EXPECT_EQ(value("pipeline.stage.som_dedup.out"),
+            short_funnel.after_som_dedup + long_funnel.after_som_dedup);
+  EXPECT_EQ(value("pipeline.stage.cost_shift.out"),
+            short_funnel.after_cost_shift + long_funnel.after_cost_shift);
+  EXPECT_EQ(value("pipeline.stage.pairwise_dedup.out"),
+            short_funnel.after_pairwise + long_funnel.after_pairwise);
+  size_t long_reports = 0;
+  for (const Regression& report : run.reports) {
+    long_reports += report.long_term ? 1 : 0;
+  }
+  EXPECT_EQ(long_funnel.after_pairwise, long_reports);
 
   // Quarantine totals reconcile with the report: every quarantined window in
   // the report came from the sanitizer gate, a decode failure, or an
@@ -314,19 +365,24 @@ TEST(ObservabilityPathTest, AttritionCountersReconcileExactly) {
                 value("pipeline.scan.series_decode_failures"));
 }
 
+// Stage timing is off by default and then reads no clock: no histogram is
+// registered. The counters count either way, to the same values.
 TEST(ObservabilityPathTest, TelemetryIsOffByDefaultAndCostsNothing) {
-  FaultInjector injector(FaultInjectorConfig::AllKinds(0.02, /*seed=*/11));
-  const auto fleet = BuildObservedFleet(nullptr);
+  EXPECT_FALSE(PipelineOptions{}.telemetry.enabled);
+  ObservedRun run;
+  run.fleet = BuildObservedFleet(nullptr);
   PipelineOptions options = ObservedOptions(2);
-  options.telemetry.enabled = false;  // The default; spelled out for clarity.
-  Pipeline pipeline(&fleet->db(), nullptr, nullptr, options);
-  EXPECT_FALSE(pipeline.telemetry().enabled());
-  const std::vector<Regression> reports = pipeline.RunPeriod("svc", kRunBegin, kDataEnd);
-  // No instruments registered, no export content.
-  EXPECT_EQ(pipeline.telemetry().counter_count(), 0u);
-  EXPECT_EQ(pipeline.telemetry().histogram_count(), 0u);
-  const std::string json = RenderTelemetryJson(pipeline.telemetry(), /*include_runtime=*/true);
-  EXPECT_EQ(json.find("pipeline."), std::string::npos) << json;
+  options.telemetry.enabled = false;
+  run.pipeline = std::make_unique<Pipeline>(&run.fleet->db(), nullptr, nullptr, options);
+  run.reports = run.pipeline->RunPeriod("svc", kRunBegin, kDataEnd);
+  EXPECT_EQ(run.pipeline->telemetry().histogram_count(), 0u);
+  const std::string json =
+      RenderTelemetryJson({&run.pipeline->telemetry()}, /*include_runtime=*/true);
+  EXPECT_EQ(json.find("wall_ns"), std::string::npos) << json;
+
+  const ObservedRun timed = RunObserved(2, /*with_faults=*/false);
+  EXPECT_GT(timed.pipeline->telemetry().histogram_count(), 0u);
+  EXPECT_EQ(DeterministicJson(run), DeterministicJson(timed));
 }
 
 TEST(ObservabilityPathTest, DetectionResultsAreIdenticalWithTelemetryOnAndOff) {
@@ -347,10 +403,11 @@ TEST(ObservabilityPathTest, DetectionResultsAreIdenticalWithTelemetryOnAndOff) {
 
 TEST(ObservabilityPathTest, RenderTelemetryListsCountersAndHistograms) {
   const ObservedRun run = RunObserved(1, /*with_faults=*/false);
-  const std::string rendered = RenderTelemetry(run.pipeline->telemetry());
+  const std::string rendered =
+      RenderTelemetry({&run.fleet->db().telemetry(), &run.pipeline->telemetry()});
   EXPECT_NE(rendered.find("telemetry:"), std::string::npos);
   EXPECT_NE(rendered.find("pipeline.scan.series_in"), std::string::npos);
-  EXPECT_NE(rendered.find("pool.batches"), std::string::npos);
+  EXPECT_NE(rendered.find("tsdb.scan.tail_hits"), std::string::npos);
   EXPECT_NE(rendered.find("pipeline.run.wall_ns"), std::string::npos);
 }
 

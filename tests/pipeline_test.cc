@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 
 #include "src/common/check.h"
 #include "src/core/change_point_stage.h"
@@ -13,6 +15,7 @@
 #include "src/core/workload_config.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/scenario.h"
+#include "src/observe/telemetry.h"
 #include "src/tsdb/database.h"
 #include "src/tsdb/window.h"
 
@@ -163,6 +166,38 @@ TEST(PipelineIntegrationTest, FunnelMonotonicallyDecreases) {
   EXPECT_LE(funnel.after_som_dedup, funnel.after_same_merger);
   EXPECT_LE(funnel.after_cost_shift, funnel.after_som_dedup);
   EXPECT_LE(funnel.after_pairwise, funnel.after_cost_shift);
+}
+
+uint64_t CounterValue(const Pipeline& pipeline, const std::string& name) {
+  for (const CounterSnapshot& counter : pipeline.telemetry().SnapshotCounters()) {
+    if (counter.name == name) {
+      return counter.value;
+    }
+  }
+  ADD_FAILURE() << "counter not registered: " << name;
+  return 0;
+}
+
+// AdServing's preset turns the cost-shift stage off (Table 3): each path's
+// cost-shift row then repeats its SOMDedup row, and the stage counts nothing.
+TEST(PipelineIntegrationTest, CostShiftOffFunnelRepeatsSomDedupRow) {
+  World world(2);
+  CallGraphCodeInfo code_info(&world.service->graph());
+  PipelineOptions options = world.Options();
+  options.enable_cost_shift = false;
+  Pipeline pipeline(&world.fleet.db(), &world.fleet.change_log(), &code_info, options);
+  pipeline.RunPeriod("svc", Days(2), World::kDuration);
+
+  const FunnelStats short_funnel = pipeline.short_term_funnel();
+  const FunnelStats long_funnel = pipeline.long_term_funnel();
+  EXPECT_GT(short_funnel.after_som_dedup, 0u);
+  EXPECT_GT(long_funnel.after_som_dedup, 0u);
+  EXPECT_EQ(short_funnel.after_cost_shift, short_funnel.after_som_dedup);
+  EXPECT_EQ(long_funnel.after_cost_shift, long_funnel.after_som_dedup);
+  EXPECT_EQ(CounterValue(pipeline, "pipeline.stage.cost_shift.in"), 0u);
+  EXPECT_EQ(CounterValue(pipeline, "pipeline.stage.cost_shift.out"), 0u);
+  EXPECT_EQ(CounterValue(pipeline, "pipeline.stage.pairwise_dedup.in"),
+            CounterValue(pipeline, "pipeline.stage.som_dedup.out"));
 }
 
 TEST(PipelineIntegrationTest, WentAwayFiltersTransients) {

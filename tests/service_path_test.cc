@@ -1156,5 +1156,53 @@ TEST(ServiceServerTest, SealEndpointCheckpointsDurableTier) {
   EXPECT_EQ(series->size(), acked);
 }
 
+// The database sets its durable totals itself at the end of each write-phase
+// call, so an ingest-only service (no /run) still reports them.
+TEST(ServiceServerTest, DurableTotalsAreCurrentWithoutRun) {
+  const ScopedDir dir("totals");
+  TsdbOptions tsdb;
+  tsdb.durable.directory = dir.path;
+  tsdb.durable.fsync = false;
+  tsdb.durable.group_commit_bytes = 256;  // Ingest crosses it many times.
+
+  ServerHarness harness(tsdb, ServicePipelineOptions(), ServiceOptions{});
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.port()).ok());
+  HttpResponse response;
+  for (int i = 0; i < 32; ++i) {
+    std::string body;
+    for (int s = 0; s < 4; ++s) {
+      body += "svc|gcpu|s" + std::to_string(s) + "||" + std::to_string(600 + 60 * i) + "|" +
+              std::to_string(1.0 + 0.01 * i) + "\n";
+    }
+    ASSERT_TRUE(PostIngest(client, body, false, &response).ok());
+    ASSERT_EQ(response.status, 200);
+  }
+  ASSERT_TRUE(client.Post("/seal", "", "", &response).ok());
+  ASSERT_EQ(response.status, 200);
+  ASSERT_TRUE(client.Get("/telemetry", &response).ok());
+  ASSERT_EQ(response.status, 200);
+  const std::string telemetry = response.body;
+  harness.StopHard();
+
+  const auto counter = [&telemetry](const std::string& name) -> uint64_t {
+    const std::string key = "\"" + name + "\": ";
+    const size_t at = telemetry.find(key);
+    if (at == std::string::npos) {
+      ADD_FAILURE() << name << " missing from /telemetry:\n" << telemetry;
+      return 0;
+    }
+    return std::strtoull(telemetry.c_str() + at + key.size(), nullptr, 10);
+  };
+  const TimeSeriesDatabase::DurableStats durable = harness.db->durable_stats();
+  EXPECT_GT(durable.group_commits, durable.checkpoint_rewrites);  // Write-path commits.
+  EXPECT_GT(durable.checkpoint_rewrites, 0u);
+  EXPECT_GT(durable.chunks_persisted, 0u);
+  EXPECT_EQ(counter("tsdb.durable.group_commits"), durable.group_commits);
+  EXPECT_EQ(counter("tsdb.durable.checkpoint_rewrites"), durable.checkpoint_rewrites);
+  EXPECT_EQ(counter("tsdb.durable.chunks_persisted"), durable.chunks_persisted);
+  EXPECT_EQ(counter("service.seals"), 1u);
+}
+
 }  // namespace
 }  // namespace fbdetect

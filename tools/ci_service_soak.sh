@@ -6,7 +6,8 @@
 #   3. scrape /metrics + /stats into artifact files,
 #   4. SIGTERM mid-load and assert a clean drain (exit 0),
 #   5. restart, SIGKILL, reopen, and assert the durable tier recovered
-#      every point acked before the kill.
+#      every point acked before the kill,
+#   6. reject out-of-range flag values with exit 1.
 #
 # Usage: ci_service_soak.sh <build-dir> [artifact-dir]
 set -u
@@ -102,6 +103,16 @@ curl -sf "${BASE}/healthz" | grep -q '"status":"ok"' || fail "unhealthy after SI
 curl -sf "${BASE}/stats" > "${ART_DIR}/stats_reopen.json" || fail "/stats after reopen failed"
 kill -TERM "${SERVE_PID}"
 wait "${SERVE_PID}" || fail "final drain failed"
+
+# ---- Phase 3: numeric flags parse into their option's own type -----------
+for bad in "--port 70000" "--admit-pps -1"; do
+  # shellcheck disable=SC2086 # word-split "flag value" on purpose
+  "${SERVE}" ${bad} > "${ART_DIR}/bad_flag.log" 2>&1
+  STATUS=$?
+  [ "${STATUS}" -eq 1 ] || fail "fbdetect_serve ${bad} exited ${STATUS}, want 1"
+  grep -q "bad value for ${bad% *}" "${ART_DIR}/bad_flag.log" || fail "no error for ${bad}"
+done
+echo "soak: bad flag values rejected"
 
 rm -rf "${DATA_DIR}"
 echo "soak: PASS"

@@ -18,6 +18,7 @@
 #include "src/core/pipeline.h"
 #include "src/service/server.h"
 #include "src/tsdb/database.h"
+#include "tools/parse_flag.h"
 
 namespace {
 
@@ -29,14 +30,22 @@ void HandleSignal(int) {
   }
 }
 
-uint64_t FlagU64(const char* value, const char* flag) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
+// Parses a whole flag value into its option's own type (so an out-of-range
+// or negative value is rejected, not wrapped) or exits 1.
+template <typename T>
+void ParseOrExit(const char* flag, const char* value, T* out) {
+  if (!fbdetect::ParseFlag(flag, value, out)) {
+    std::exit(1);
+  }
+}
+
+// Thread counts must also be at least 1.
+void ParseThreadsOrExit(const char* flag, const char* value, int* out) {
+  ParseOrExit(flag, value, out);
+  if (*out < 1) {
     std::fprintf(stderr, "bad value for %s: %s\n", flag, value);
     std::exit(1);
   }
-  return static_cast<uint64_t>(parsed);
 }
 
 void Usage(const char* argv0) {
@@ -70,29 +79,29 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--host") == 0) {
       service.host = next();
     } else if (std::strcmp(arg, "--port") == 0) {
-      service.port = static_cast<uint16_t>(FlagU64(next(), "--port"));
+      ParseOrExit(arg, next(), &service.port);
     } else if (std::strcmp(arg, "--data-dir") == 0) {
       data_dir = next();
     } else if (std::strcmp(arg, "--admit-pps") == 0) {
-      service.admit_points_per_sec = FlagU64(next(), "--admit-pps");
+      ParseOrExit(arg, next(), &service.admit_points_per_sec);
     } else if (std::strcmp(arg, "--admit-burst") == 0) {
-      service.admit_burst_points = FlagU64(next(), "--admit-burst");
+      ParseOrExit(arg, next(), &service.admit_burst_points);
     } else if (std::strcmp(arg, "--parse-threads") == 0) {
-      service.parse_threads = static_cast<int>(FlagU64(next(), "--parse-threads"));
+      ParseThreadsOrExit(arg, next(), &service.parse_threads);
     } else if (std::strcmp(arg, "--scan-threads") == 0) {
-      pipeline_options.scan_threads = static_cast<int>(FlagU64(next(), "--scan-threads"));
+      ParseThreadsOrExit(arg, next(), &pipeline_options.scan_threads);
     } else if (std::strcmp(arg, "--flush-points") == 0) {
-      service.flush_points = FlagU64(next(), "--flush-points");
+      ParseOrExit(arg, next(), &service.flush_points);
     } else if (std::strcmp(arg, "--seal-every") == 0) {
-      service.seal_every_points = FlagU64(next(), "--seal-every");
+      ParseOrExit(arg, next(), &service.seal_every_points);
     } else if (std::strcmp(arg, "--high-watermark") == 0) {
-      service.parse_high_watermark_points = FlagU64(next(), "--high-watermark");
+      ParseOrExit(arg, next(), &service.parse_high_watermark_points);
     } else if (std::strcmp(arg, "--low-watermark") == 0) {
-      service.parse_low_watermark_points = FlagU64(next(), "--low-watermark");
+      ParseOrExit(arg, next(), &service.parse_low_watermark_points);
     } else if (std::strcmp(arg, "--request-timeout-ms") == 0) {
-      service.request_timeout_ms = FlagU64(next(), "--request-timeout-ms");
+      ParseOrExit(arg, next(), &service.request_timeout_ms);
     } else if (std::strcmp(arg, "--drain-deadline-ms") == 0) {
-      service.drain_deadline_ms = FlagU64(next(), "--drain-deadline-ms");
+      ParseOrExit(arg, next(), &service.drain_deadline_ms);
     } else {
       Usage(argv[0]);
       return std::strcmp(arg, "--help") == 0 ? 0 : 1;

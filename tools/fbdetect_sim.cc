@@ -57,7 +57,7 @@ void PrintUsage(const char* argv0) {
       "  --threads N       parallel scan threads (default 1)\n"
       "  --json            print reports as JSON lines instead of tickets\n"
       "  --quiet           suppress tickets; print only the scorecard\n"
-      "  --telemetry-out PATH  enable the telemetry registry and write its\n"
+      "  --telemetry-out PATH  time the pipeline stages and write the telemetry\n"
       "                        JSON export to PATH after the run\n",
       argv0);
 }
@@ -203,7 +203,7 @@ int Run(const CliOptions& cli) {
   std::printf("scorecard: %zu reports; %zu/%zu injected regressions caught\n", reports.size(),
               caught, injected);
   if (!cli.telemetry_out.empty()) {
-    if (!WriteTelemetryFile(pipeline.telemetry(), cli.telemetry_out)) {
+    if (!WriteTelemetryFile({&fleet.db().telemetry(), &pipeline.telemetry()}, cli.telemetry_out)) {
       std::fprintf(stderr, "failed to write %s\n", cli.telemetry_out.c_str());
       return 1;
     }
