@@ -6,9 +6,8 @@
 //      1/2/4/8; outputs are checked identical across thread counts.
 //   2. PairwiseDedup ingest cost vs the number G of regressions already
 //      ingested (G in {64, 256, 1024}). The seeds share the "svc" token and
-//      a step shape, so they merge into one group of G members and the
-//      token index prunes nothing; probe cost grows with G through the
-//      per-member scoring.
+//      a step shape, so they merge into one group of G members; probe cost
+//      grows with G through the per-member scoring.
 //
 // `--threads-sweep` instead records the section-1 curve into
 // BENCH_scaling.json.
@@ -197,7 +196,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  PrintHeader(std::string("Funnel throughput: fingerprints, flat SOM, indexed pairwise") +
+  PrintHeader(std::string("Funnel throughput: fingerprints, flat SOM, pairwise") +
               (smoke ? " [smoke]" : "") + (threads_sweep ? " [threads-sweep]" : ""));
   const unsigned hw_cores = std::thread::hardware_concurrency();
   std::printf("hardware cores: %u\n", hw_cores);

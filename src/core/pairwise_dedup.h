@@ -17,19 +17,10 @@
 // serial scan order).
 //
 // Ingest internals (PR 3): instead of re-tokenizing every member string per
-// pair, each group keeps a summary (per-member hashed token vectors, gCPU
-// flag) and a token-hash inverted index prunes the candidate group set
-// before scoring:
-//  * a group is scored iff it shares at least one metric token with the
-//    candidate, or (when the overlap feature is active and the candidate is
-//    gCPU) contains a gCPU member — any other group has text == 0 and
-//    stack_overlap == 0 and provably fails the merge rule;
-//  * the pruning is only applied when min_text > 0 AND min_stack_overlap
-//    > 0; with either threshold non-exclusionary every group is scored, so
-//    results always equal the full scan;
-//  * surviving groups are scored in parallel into per-group slots and the
-//    argmax merge is applied serially in ascending group id — byte-identical
-//    to the historical all-pairs loop for any pool size.
+// pair, each group keeps its members' hashed token vectors. Every existing
+// group is scored against each candidate in parallel into per-group slots,
+// and the argmax merge is applied serially in ascending group id —
+// byte-identical to the historical all-pairs loop for any pool size.
 // Pearson alignment walks the two sorted timestamp arrays with two pointers
 // (no per-pair hash map) and is bit-exact with PearsonCorrelation over the
 // materialized aligned values.
@@ -38,7 +29,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -98,8 +88,8 @@ class PairwiseDedup {
   // Merges each new candidate into the best matching existing group or
   // opens a new group. Returns the indices of groups that are NEW (their
   // representative should proceed to root-cause analysis). `pool` (optional)
-  // parallelizes the scoring of one candidate against its surviving
-  // candidate groups; results are byte-identical for any pool size.
+  // parallelizes the scoring of one candidate against the existing groups;
+  // results are byte-identical for any pool size.
   // Checks the analysis_timestamps invariant on every candidate.
   std::vector<int> Ingest(std::vector<FunnelCandidate> candidates, ThreadPool* pool = nullptr);
 
@@ -114,46 +104,26 @@ class PairwiseDedup {
 
   // Scores one candidate pair (exposed for tests). Recomputes the text
   // features from the metric strings; Ingest uses the cached fingerprints
-  // and group summaries instead.
+  // and member token vectors instead.
   PairwiseScores Score(const Regression& candidate, const RegressionGroup& group) const;
 
  private:
-  struct GroupSummary {
-    // Hashed token vector per member, parallel to RegressionGroup::members.
-    std::vector<TokenVector> member_tokens;
-    bool has_gcpu = false;
-  };
-
-  // Fills candidate_groups_ (ascending group ids) with the groups that could
-  // pass the merge rule against `candidate`; all groups when pruning is not
-  // conservative for the configured rule.
-  void CollectCandidateGroups(const FunnelCandidate& candidate);
-  // Scores `candidate` against every collected group into aggregates_ /
-  // eligible_ slots, optionally in parallel.
+  // Scores `candidate` against every group into the aggregates_ / eligible_
+  // slots, optionally in parallel.
   void ScoreCandidate(const FunnelCandidate& candidate, ThreadPool* pool);
-  void IndexTokens(const TokenVector& tokens, int group_id);
   void AppendMember(int group_id, FunnelCandidate candidate);
   int OpenGroup(FunnelCandidate candidate);
 
   PairwiseRule rule_;
   StackOverlapFn overlap_;
   std::vector<RegressionGroup> groups_;
-  std::vector<GroupSummary> summaries_;  // Parallel to groups_.
+  // Hashed token vector per member, parallel to groups_[g].members.
+  std::vector<std::vector<TokenVector>> member_tokens_;
 
-  // Inverted index: token hash -> ids of groups with a member containing the
-  // token. Lists may hold a group more than once (members added at different
-  // times); the mark array deduplicates at query time.
-  std::unordered_map<uint64_t, std::vector<int>> token_index_;
-  // Groups containing at least one gCPU member, ascending; candidates for
-  // the stack-overlap clause.
-  std::vector<int> gcpu_groups_;
-
-  // Per-candidate scratch (capacity reused across candidates and runs).
-  std::vector<uint32_t> group_mark_;  // Parallel to groups_.
-  uint32_t mark_stamp_ = 0;
-  std::vector<int> candidate_groups_;
-  std::vector<double> aggregates_;  // Parallel to candidate_groups_.
-  std::vector<uint8_t> eligible_;   // Parallel to candidate_groups_.
+  // Per-candidate scratch, parallel to groups_ (capacity reused across
+  // candidates and runs).
+  std::vector<double> aggregates_;
+  std::vector<uint8_t> eligible_;
 };
 
 }  // namespace fbdetect

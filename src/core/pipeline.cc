@@ -17,7 +17,7 @@ namespace {
 // long-term within a metric. (metric, long_term) is unique — each path emits
 // at most one candidate per metric — so the order is total and the sort is
 // deterministic. The serial scan emits survivors in exactly this order
-// (CachedMetrics is sorted with the same comparator; the short-term push
+// (ListMetrics is sorted with the same comparator; the short-term push
 // precedes the long-term push in ScanMetric), which is what makes threaded
 // and single-threaded runs byte-identical.
 bool CanonicalSurvivorOrder(const Regression& a, const Regression& b) {
@@ -39,7 +39,6 @@ Pipeline::Pipeline(const TimeSeriesDatabase* db, const ChangeLog* change_log,
       seasonality_(options_.detection),
       long_term_(options_.detection),
       merger_(options_.detection.windows.analysis),
-      sanitizer_(options_.sanitizer),
       som_dedup_(options_.som_dedup),
       cost_shift_(db, options_.cost_shift),
       pairwise_(options_.pairwise_rule),
@@ -155,9 +154,8 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
   // Data-quality gate: classify the window before any detector touches it.
   // A quarantined window is skipped for this re-run only — the series stays
   // in the database and is re-inspected at the next re-run.
-  const WindowQuality quality =
-      sanitizer_.Inspect(id.kind, windows, options_.detection.windows);
-  const bool quarantined = sanitizer_.ShouldQuarantine(quality.verdict);
+  const WindowQuality quality = InspectWindow(id.kind, windows, options_.detection.windows);
+  const bool quarantined = ShouldQuarantine(quality.verdict);
   if (quality.observed) {
     obs_.sanitizer_verdict[static_cast<size_t>(quality.verdict)]->Increment();
   }
@@ -279,19 +277,8 @@ void Pipeline::QuarantineDetectorException(const MetricId& id, const char* what,
   quarantine.push_back(std::move(record));
 }
 
-const std::vector<MetricId>& Pipeline::CachedMetrics(const std::string& service) {
-  const uint64_t generation = db_->generation();
-  if (!cache_valid_ || cached_service_ != service || cached_generation_ != generation) {
-    cached_ids_ = db_->ListMetrics(service);
-    cached_service_ = service;
-    cached_generation_ = generation;
-    cache_valid_ = true;
-  }
-  return cached_ids_;
-}
-
 std::vector<Regression> Pipeline::ScanAllMetrics(const std::string& service, TimePoint as_of) {
-  const std::vector<MetricId>& ids = CachedMetrics(service);
+  const std::vector<MetricId> ids = db_->ListMetrics(service);
   const int threads = std::max(1, options_.scan_threads);
   if (threads == 1 || ids.size() < 2) {
     std::vector<Regression> survivors;

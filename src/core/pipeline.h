@@ -91,9 +91,6 @@ struct PipelineOptions {
   SomDedupConfig som_dedup;
   PairwiseRule pairwise_rule;
   RootCauseConfig root_cause;
-  // Data-quality gate in front of the detectors; dirty windows are
-  // quarantined (see src/core/sanitizer.h) instead of scanned.
-  SanitizerConfig sanitizer;
   // Per-series detection (stages 1-3 + threshold) is embarrassingly
   // parallel; production FBDetect fans it out across a serverless platform
   // (§5.1). >1 scans series on that many threads (a persistent pool, spawned
@@ -210,11 +207,6 @@ class Pipeline {
   // survivors in deterministic metric order.
   std::vector<Regression> ScanAllMetrics(const std::string& service, TimePoint as_of);
 
-  // The service's metric list, sorted canonically. Cached across re-runs and
-  // invalidated by the database's generation counter, so steady-state scans
-  // skip the per-run enumerate-and-sort.
-  const std::vector<MetricId>& CachedMetrics(const std::string& service);
-
   // The pool the funnel stages fan out on; null (serial) when scan_threads
   // <= 1. Funnel stages call this between ParallelIndexFor batches only —
   // never from inside one (the pool is not reentrant).
@@ -245,7 +237,6 @@ class Pipeline {
   SeasonalityStage seasonality_;
   LongTermDetector long_term_;
   SameRegressionMerger merger_;
-  Sanitizer sanitizer_;
   SomDedup som_dedup_;
   CostShiftDetector cost_shift_;
   PairwiseDedup pairwise_;
@@ -258,12 +249,6 @@ class Pipeline {
   std::vector<std::vector<double>> worker_scratch_;
   // Per-worker decode buffers for scans that reach into sealed history.
   std::vector<TimeSeries> worker_series_scratch_;
-
-  // CachedMetrics state.
-  std::string cached_service_;
-  std::vector<MetricId> cached_ids_;
-  uint64_t cached_generation_ = 0;
-  bool cache_valid_ = false;
 
   // Self-observability state. The registry owns the instruments; obs_ holds
   // pre-resolved handles so the hot path never does a name lookup.

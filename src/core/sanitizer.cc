@@ -6,6 +6,13 @@
 namespace fbdetect {
 namespace {
 
+// A window is kGappy when missing > kMaxGapFraction * expected samples.
+constexpr double kMaxGapFraction = 0.25;
+// A window is kFlapping when the historical window holds less than this
+// fraction of its expected samples (series appeared late / was dark), or
+// when the series goes dark before the analysis window ends.
+constexpr double kMinHistoricalCoverage = 0.5;
+
 // Counts values that are not finite, and values that are finite and
 // strictly negative (-0.0 is not negative).
 void ClassifyValues(const double* values, size_t n, uint64_t* non_finite,
@@ -123,8 +130,7 @@ size_t QuarantineReport::CountAtLeast(QualityVerdict verdict) const {
   return count;
 }
 
-WindowQuality Sanitizer::Inspect(MetricKind kind, const WindowView& view,
-                                 const WindowSpec& spec) const {
+WindowQuality InspectWindow(MetricKind kind, const WindowView& view, const WindowSpec& spec) {
   WindowQuality quality;
   if (view.full.empty()) {
     return quality;  // Absent in this window; nothing to classify.
@@ -172,14 +178,14 @@ WindowQuality Sanitizer::Inspect(MetricKind kind, const WindowView& view,
     }
     quality.late_start =
         static_cast<double>(view.historical.size()) <
-        config_.min_historical_coverage * static_cast<double>(expected_historical);
+        kMinHistoricalCoverage * static_cast<double>(expected_historical);
     // Dark at the close: the newest sample should be within ~one tick of
     // as_of; two ticks of slack tolerates boundary jitter from skew.
     quality.early_end =
         stamps.empty() || (view.as_of - stamps.back()) > 2 * dt;
 
     const double gap_budget =
-        config_.max_gap_fraction * static_cast<double>(expected_total);
+        kMaxGapFraction * static_cast<double>(expected_total);
     const bool gappy = static_cast<double>(quality.missing) > gap_budget;
     if (quality.non_finite > 0 || quality.negative > 0) {
       quality.verdict = QualityVerdict::kCorrupt;
@@ -199,23 +205,6 @@ WindowQuality Sanitizer::Inspect(MetricKind kind, const WindowView& view,
     }
   }
   return quality;
-}
-
-bool Sanitizer::ShouldQuarantine(QualityVerdict verdict) const {
-  if (!config_.enabled) {
-    return false;
-  }
-  switch (verdict) {
-    case QualityVerdict::kOk:
-      return false;
-    case QualityVerdict::kGappy:
-      return config_.quarantine_gappy;
-    case QualityVerdict::kFlapping:
-      return config_.quarantine_flapping;
-    case QualityVerdict::kCorrupt:
-      return config_.quarantine_corrupt;
-  }
-  return false;
 }
 
 }  // namespace fbdetect

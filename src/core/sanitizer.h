@@ -5,7 +5,7 @@
 // neither abort on such series nor false-alarm on artifacts that look like
 // step changes (a half-dark window reads as a level shift).
 //
-// The Sanitizer classifies each detection window against a small quality
+// The sanitizer classifies each detection window against a small quality
 // taxonomy BEFORE the detectors see it. Windows that fail are quarantined:
 // the series is skipped for that re-run and accounted in a structured
 // QuarantineReport instead of flowing into the funnel. Clean series are
@@ -35,25 +35,8 @@ enum class QualityVerdict : int {
 
 const char* QualityVerdictName(QualityVerdict verdict);
 
-struct SanitizerConfig {
-  bool enabled = true;
-  // A window is kGappy when missing > max_gap_fraction * expected samples.
-  double max_gap_fraction = 0.25;
-  // A window is kFlapping when the historical window holds less than this
-  // fraction of its expected samples (series appeared late / was dark), or
-  // when the series goes dark before the analysis window ends.
-  double min_historical_coverage = 0.5;
-  // Which verdicts cause the window to be skipped (quarantined) rather than
-  // handed to the detectors. Corrupt windows should essentially always be
-  // quarantined; gappy/flapping quarantine trades recall on churning hosts
-  // for precision.
-  bool quarantine_corrupt = true;
-  bool quarantine_gappy = true;
-  bool quarantine_flapping = true;
-};
-
-// What Inspect found in one window. Counts are over the full window span
-// (historical + analysis + extended).
+// What InspectWindow found in one window. Counts are over the full window
+// span (historical + analysis + extended).
 struct WindowQuality {
   // False when the window held no points at all — nothing to classify and
   // nothing to record (absent series are not dirty series).
@@ -110,24 +93,14 @@ struct QuarantineReport {
   size_t CountAtLeast(QualityVerdict verdict) const;
 };
 
-class Sanitizer {
- public:
-  explicit Sanitizer(SanitizerConfig config) : config_(config) {}
+// Read-only inspection of one extracted window. `kind` decides whether
+// negative values count as corruption (all kinds except the free-form
+// kApplication are non-negative by definition).
+WindowQuality InspectWindow(MetricKind kind, const WindowView& view, const WindowSpec& spec);
 
-  // Read-only inspection of one extracted window. `kind` decides whether
-  // negative values count as corruption (all kinds except the free-form
-  // kApplication are non-negative by definition).
-  WindowQuality Inspect(MetricKind kind, const WindowView& view,
-                        const WindowSpec& spec) const;
-
-  // Whether a window with this verdict is withheld from the detectors.
-  bool ShouldQuarantine(QualityVerdict verdict) const;
-
-  const SanitizerConfig& config() const { return config_; }
-
- private:
-  SanitizerConfig config_;
-};
+// Whether a window with this verdict is withheld from the detectors: every
+// verdict but kOk is.
+inline bool ShouldQuarantine(QualityVerdict verdict) { return verdict != QualityVerdict::kOk; }
 
 }  // namespace fbdetect
 

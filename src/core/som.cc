@@ -113,94 +113,20 @@ void SelfOrganizingMap::TrainOnline(const void* items, size_t num_items, RowFn r
   }
 }
 
-void SelfOrganizingMap::TrainBatch(const void* items, size_t num_items, RowFn row,
-                                   const SomTrainConfig& config, ThreadPool* pool) {
-  InitCellsFromItems(items, num_items, row, config.seed);
-  const int epochs = std::max(1, config.epochs);
-  const double initial_radius = std::max(1.0, static_cast<double>(grid_) / 2.0);
-  const size_t cells = cell_count();
-  std::vector<int> bmu(num_items);
-  // Per-cell accumulator rows (numerator vectors); written by one task each.
-  FlatMatrix numerators;
-  for (int epoch = 0; epoch < epochs; ++epoch) {
-    const double progress = static_cast<double>(epoch) / static_cast<double>(epochs);
-    const double lr = config.initial_learning_rate +
-                      (config.final_learning_rate - config.initial_learning_rate) * progress;
-    const double radius = std::max(0.5, initial_radius * (1.0 - progress));
-    const double radius2 = radius * radius;
-    // Phase 1: all BMU searches against the epoch-start weights, in parallel
-    // into per-item slots. A single BMU search is ~a microsecond, so small
-    // cohorts stay on the calling thread (granularity floor) instead of
-    // paying a pool wake per epoch.
-    ParallelIndexFor(
-        num_items, pool,
-        [&](size_t index) { bmu[index] = BestMatchingUnit(row(items, index)); },
-        kMinBmuSearchesPerLane);
-    // Phase 2: per-cell reduction. Each cell sums its neighborhood-weighted
-    // items in ascending item order — the result depends only on the bmu
-    // slots, never on task scheduling.
-    numerators.Resize(cells, dimensions_);
-    // Each cell's reduction walks every item, so the per-cell work scales
-    // with the cohort: only tiny cohorts (where a 3x3..5x5 grid's total work
-    // is a few microseconds) fall back to the serial path.
-    const size_t min_cells_per_lane = num_items >= 64 ? 1 : 8;
-    ParallelIndexFor(
-        cells, pool,
-        [&](size_t cell_index) {
-      const int cell_row = static_cast<int>(cell_index) / grid_;
-      const int cell_col = static_cast<int>(cell_index) % grid_;
-      const std::span<double> numerator = numerators.mutable_row(cell_index);
-      double denominator = 0.0;
-      for (size_t index = 0; index < num_items; ++index) {
-        const int bmu_row = bmu[index] / grid_;
-        const int bmu_col = bmu[index] % grid_;
-        const double dr = static_cast<double>(cell_row - bmu_row);
-        const double dc = static_cast<double>(cell_col - bmu_col);
-        const double grid_d2 = dr * dr + dc * dc;
-        if (grid_d2 > radius2) {
-          continue;
-        }
-        const double influence = std::exp(-grid_d2 / (2.0 * radius2));
-        denominator += influence;
-        const std::span<const double> item = row(items, index);
-        for (size_t i = 0; i < dimensions_; ++i) {
-          numerator[i] += influence * item[i];
-        }
-      }
-      if (denominator > 0.0) {
-        const std::span<double> cell = Cell(cell_index);
-        for (size_t i = 0; i < dimensions_; ++i) {
-          cell[i] += lr * (numerator[i] / denominator - cell[i]);
-        }
-      }
-        },
-        min_cells_per_lane);
-  }
-}
-
 void SelfOrganizingMap::Train(const std::vector<std::vector<double>>& items,
-                              const SomTrainConfig& config, ThreadPool* pool) {
+                              const SomTrainConfig& config) {
   if (items.empty()) {
     return;
   }
-  if (config.batch) {
-    TrainBatch(&items, items.size(), &NestedRow, config, pool);
-  } else {
-    TrainOnline(&items, items.size(), &NestedRow, config);
-  }
+  TrainOnline(&items, items.size(), &NestedRow, config);
 }
 
-void SelfOrganizingMap::Train(const FlatMatrix& items, const SomTrainConfig& config,
-                              ThreadPool* pool) {
+void SelfOrganizingMap::Train(const FlatMatrix& items, const SomTrainConfig& config) {
   if (items.rows == 0) {
     return;
   }
   FBD_CHECK(items.cols == dimensions_);
-  if (config.batch) {
-    TrainBatch(&items, items.rows, &FlatRow, config, pool);
-  } else {
-    TrainOnline(&items, items.rows, &FlatRow, config);
-  }
+  TrainOnline(&items, items.rows, &FlatRow, config);
 }
 
 std::vector<int> SelfOrganizingMap::Assign(const std::vector<std::vector<double>>& items) const {

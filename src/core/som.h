@@ -9,15 +9,10 @@
 // Storage (PR 3): weights live in one flat contiguous buffer (grid*grid rows
 // x dimensions columns, row-major) instead of a vector-of-vectors — BMU
 // search is a linear sweep over one allocation. Items can likewise be passed
-// as a FlatMatrix. Two training modes:
-// * Online (default): the classic sequential Kohonen updates, bit-exact with
-//   the historical nested-vector implementation (each item's update depends
-//   on all previous updates, so it is inherently serial).
-// * Batch (SomTrainConfig::batch): per epoch, all BMU searches run in
-//   parallel on a ThreadPool into per-item slots, then cell updates are
-//   reduced per cell in deterministic item order — byte-identical results
-//   for any thread count.
-// BestMatchingUnit / Assign are pure and parallelize in both modes.
+// as a FlatMatrix. Training is the classic sequential online Kohonen update,
+// bit-exact with the historical nested-vector implementation (each item's
+// update depends on all previous updates, so it is inherently serial).
+// BestMatchingUnit / Assign are pure, and Assign parallelizes.
 #ifndef FBDETECT_SRC_CORE_SOM_H_
 #define FBDETECT_SRC_CORE_SOM_H_
 
@@ -54,11 +49,6 @@ struct SomTrainConfig {
   double initial_learning_rate = 0.5;
   double final_learning_rate = 0.02;
   uint64_t seed = 7;
-  // Batch-mode training: deterministic parallel BMU search + per-cell
-  // reduction instead of sequential online updates. Changes the (equally
-  // valid) converged map, so the pipeline keeps it off to stay byte-
-  // identical with the online path; benches and tests exercise it.
-  bool batch = false;
 };
 
 class SelfOrganizingMap {
@@ -66,12 +56,10 @@ class SelfOrganizingMap {
   // grid x grid cells, each a weight vector of `dimensions`.
   SelfOrganizingMap(size_t dimensions, int grid, uint64_t seed);
 
-  // Trains on the items. `pool` (optional) is used by batch mode and is
-  // ignored by online mode; both are deterministic for any pool size.
-  // The nested-vector overload copies nothing — rows are viewed in place.
-  void Train(const std::vector<std::vector<double>>& items, const SomTrainConfig& config,
-             ThreadPool* pool = nullptr);
-  void Train(const FlatMatrix& items, const SomTrainConfig& config, ThreadPool* pool = nullptr);
+  // Trains on the items. The nested-vector overload copies nothing — rows
+  // are viewed in place.
+  void Train(const std::vector<std::vector<double>>& items, const SomTrainConfig& config);
+  void Train(const FlatMatrix& items, const SomTrainConfig& config);
 
   // Index (row * grid + col) of the cell closest to `item`.
   int BestMatchingUnit(std::span<const double> item) const;
@@ -95,8 +83,6 @@ class SelfOrganizingMap {
   using RowFn = std::span<const double> (*)(const void* items, size_t index);
 
   void TrainOnline(const void* items, size_t num_items, RowFn row, const SomTrainConfig& config);
-  void TrainBatch(const void* items, size_t num_items, RowFn row, const SomTrainConfig& config,
-                  ThreadPool* pool);
   void InitCellsFromItems(const void* items, size_t num_items, RowFn row, uint64_t seed);
 
   std::span<double> Cell(size_t c) { return {weights_.data() + c * dimensions_, dimensions_}; }

@@ -110,7 +110,7 @@ std::vector<FunnelCandidate> SomDedup::Deduplicate(std::vector<FunnelCandidate> 
 
   const int grid = SomGridSize(candidates.size());
   SelfOrganizingMap som(features.cols, grid, config_.training.seed);
-  som.Train(features, config_.training, pool);
+  som.Train(features, config_.training);
   std::vector<int> assignment(candidates.size());
   som.Assign(features, assignment, pool);
 

@@ -83,7 +83,6 @@ TimeSeriesDatabase::TimeSeriesDatabase(const TsdbOptions& options)
       .misses = telemetry_.GetCounter("tsdb.scan.misses"),
       .list_cache_hits = telemetry_.GetCounter("tsdb.scan.list_cache_hits"),
       .list_cache_misses = telemetry_.GetCounter("tsdb.scan.list_cache_misses"),
-      .list_cache_shard_refreshes = telemetry_.GetCounter("tsdb.scan.list_cache_shard_refreshes"),
   };
   if (options_.durable.enabled()) {
     const auto runtime = [this](const char* name) {
@@ -586,75 +585,41 @@ TimeSeriesDatabase::ScanStats TimeSeriesDatabase::scan_stats() const {
   stats.misses = c.misses->value();
   stats.list_cache_hits = c.list_cache_hits->value();
   stats.list_cache_misses = c.list_cache_misses->value();
-  stats.list_cache_shard_refreshes = c.list_cache_shard_refreshes->value();
   return stats;
 }
 
 std::vector<MetricId> TimeSeriesDatabase::ListMetrics(const std::string& service) const {
-  std::lock_guard<std::mutex> cache_lock(list_cache_mutex_);
-  ListCacheEntry& cached = list_cache_[service];
-  std::vector<uint64_t> generations(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    generations[i] = shards_[i].generation.load(std::memory_order_relaxed);
+  const auto service_symbol =
+      service.empty() ? std::optional<uint32_t>(SymbolTable::kEmptySymbol)
+                      : symbols_.Find(service);
+  if (!service_symbol) {
+    // No series can carry a name the symbol table never saw. Answering
+    // without a cache entry keeps lookups of arbitrary names (e.g. /run on
+    // an unknown service) from growing the cache.
+    return {};
   }
-  if (cached.shard_generations == generations) {
+  std::lock_guard<std::mutex> cache_lock(list_cache_mutex_);
+  const uint64_t current = generation();
+  const auto [it, inserted] = list_cache_.try_emplace(service);
+  ListCacheEntry& cached = it->second;
+  if (!inserted && cached.generation == current) {
     scan_counters_.list_cache_hits->Increment();
     return cached.ids;
   }
   scan_counters_.list_cache_misses->Increment();
-  const bool cold = cached.shard_generations.size() != shards_.size();
-  if (cold) {
-    cached.shard_generations.assign(shards_.size(), 0);
-    cached.per_shard.assign(shards_.size(), {});
-  }
-  const auto service_symbol =
-      service.empty() ? std::optional<uint32_t>(SymbolTable::kEmptySymbol)
-                      : symbols_.Find(service);
-  // Re-enumerate only shards whose generation moved since their slice was
-  // built (all of them when cold); each slice is sorted on its own so the
-  // merge below never re-sorts unchanged shards' ids.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!cold && cached.shard_generations[i] == generations[i]) {
-      continue;
-    }
-    scan_counters_.list_cache_shard_refreshes->Increment();
-    std::vector<MetricId>& slice = cached.per_shard[i];
-    slice.clear();
-    if (service_symbol) {
-      const Shard& shard = shards_[i];
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      for (const auto& [id, unused] : shard.series) {
-        if (service.empty() || id.service == *service_symbol) {
-          slice.push_back(Resolve(id));
-        }
-      }
-      // Deterministic canonical order for reproducible pipeline runs;
-      // MetricId's field-wise operator< avoids ToString() allocations.
-      std::sort(slice.begin(), slice.end());
-    }
-  }
-  // K-way merge of the sorted per-shard slices (shard count is small, so a
-  // linear min-scan per output element is fine and allocation-free).
   cached.ids.clear();
-  std::vector<size_t> cursor(shards_.size(), 0);
-  for (;;) {
-    size_t best = shards_.size();
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (cursor[i] >= cached.per_shard[i].size()) {
-        continue;
-      }
-      if (best == shards_.size() ||
-          cached.per_shard[i][cursor[i]] < cached.per_shard[best][cursor[best]]) {
-        best = i;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    for (const auto& [id, unused] : shard.series) {
+      if (service.empty() || id.service == *service_symbol) {
+        cached.ids.push_back(Resolve(id));
       }
     }
-    if (best == shards_.size()) {
-      break;
-    }
-    cached.ids.push_back(cached.per_shard[best][cursor[best]]);
-    ++cursor[best];
   }
-  cached.shard_generations = std::move(generations);
+  // Deterministic canonical order for reproducible pipeline runs;
+  // MetricId's field-wise operator< avoids ToString() allocations.
+  std::sort(cached.ids.begin(), cached.ids.end());
+  cached.generation = current;
   return cached.ids;
 }
 

@@ -202,12 +202,8 @@ class TimeSeriesDatabase {
     uint64_t sealed_decodes = 0;   // SeriesForScan decoded sealed chunks.
     uint64_t decode_failures = 0;  // Recoverable sealed-chunk decode errors.
     uint64_t misses = 0;           // SeriesForScan on an absent series.
-    uint64_t list_cache_hits = 0;  // ListMetrics served from the cache.
-    uint64_t list_cache_misses = 0;  // ListMetrics re-enumerated >= 1 shard.
-    // Shards actually re-enumerated by ListMetrics misses. A miss after one
-    // shard moved refreshes 1 shard, not shard_count — this is what makes
-    // the incremental cache observable (and testable).
-    uint64_t list_cache_shard_refreshes = 0;
+    uint64_t list_cache_hits = 0;    // ListMetrics served from the cache.
+    uint64_t list_cache_misses = 0;  // ListMetrics re-enumerated every shard.
   };
   ScanStats scan_stats() const;
 
@@ -299,8 +295,10 @@ class TimeSeriesDatabase {
                                   TimeSeries& scratch, Status* status = nullptr) const;
 
   // All metric IDs in canonical order, optionally filtered by service
-  // (empty = all). Cached per service behind the per-shard generation
-  // counters, so repeated calls between mutations are O(copy).
+  // (empty = all). Cached per service and rebuilt whole when generation()
+  // moved, so repeated calls between mutations are O(copy). A service name
+  // the symbol table does not know returns an empty list without touching
+  // the cache or its counters.
   std::vector<MetricId> ListMetrics(const std::string& service = {}) const;
 
   // All metric IDs of a given kind within a service.
@@ -340,8 +338,8 @@ class TimeSeriesDatabase {
   const TelemetryRegistry& telemetry() const { return telemetry_; }
 
   // Bumped on every mutation (Write/Apply/WriteSeries/SealBefore/Expire).
-  // Readers that cache derived data — e.g. the pipeline's sorted per-service
-  // metric list — or that hold zero-copy spans into series storage compare
+  // Readers that cache derived data — e.g. ListMetrics' sorted per-service
+  // lists — or that hold zero-copy spans into series storage compare
   // generations to decide whether their view is still valid. Monotonic
   // (sum of per-shard counters); never changed by reads.
   uint64_t generation() const;
@@ -375,14 +373,11 @@ class TimeSeriesDatabase {
     std::unique_ptr<ChunkStore> chunk_store;
   };
 
-  // Per-service ListMetrics cache. Each shard's matching ids are kept as a
-  // separately sorted slice stamped with the generation it was built at;
-  // a mutation to one shard re-enumerates only that shard, then the slices
-  // are k-way merged (already sorted, so no re-sort of the full set).
+  // Per-service ListMetrics cache entry: the sorted ids and the generation()
+  // they were built at.
   struct ListCacheEntry {
-    std::vector<uint64_t> shard_generations;
-    std::vector<std::vector<MetricId>> per_shard;
-    std::vector<MetricId> ids;  // Merge of per_shard, canonical order.
+    uint64_t generation = 0;
+    std::vector<MetricId> ids;  // Canonical order.
   };
 
   size_t ShardIndex(const InternedMetricId& id) const {
@@ -480,8 +475,6 @@ class TimeSeriesDatabase {
     Counter* misses = nullptr;
     Counter* list_cache_hits = nullptr;
     Counter* list_cache_misses = nullptr;
-    // Shards actually re-enumerated by list-cache misses (DESIGN.md §9).
-    Counter* list_cache_shard_refreshes = nullptr;
   } scan_counters_;
   // Durable tier (tsdb.durable.* / tsdb.memory.*, kRuntime); all null when
   // the tier is off.

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <span>
 
-#include "src/common/arena.h"
 #include "src/common/check.h"
 
 namespace fbdetect {
@@ -449,7 +448,7 @@ TimeSeries CompressedTimeSeries::Decode() const {
 // CompressedChunkView (the latter over memory-mapped chunk-file payloads).
 //
 // Phase 1 (ParseChunk) walks the bit stream once with word-sized reads and
-// leaves flat dod/xor arrays in arena scratch. Phase 2 reconstructs the
+// leaves flat dod/xor arrays in per-thread scratch. Phase 2 reconstructs the
 // points with plain prefix scans: timestamps are two chained prefix
 // sums (delta-of-deltas -> deltas -> stamps; wrap-around arithmetic so
 // corrupt streams cannot hit signed overflow), values are one prefix XOR.
@@ -464,9 +463,20 @@ Status DecodeGorillaStream(const uint8_t* bytes, size_t size_bytes, size_t bit_c
   if (count == 0) {
     return Status::Ok();
   }
-  ArenaScope scope(Arena::ThreadLocal());
-  const std::span<int64_t> dods = scope.MakeUninitializedSpan<int64_t>(count);
-  const std::span<uint64_t> xors = scope.MakeUninitializedSpan<uint64_t>(count);
+  // Per-thread scratch that only grows, so steady-state decodes allocate
+  // nothing; each array is fully written before it is read.
+  thread_local std::vector<int64_t> dods;
+  thread_local std::vector<uint64_t> xors;
+  thread_local std::vector<int64_t> deltas;
+  thread_local std::vector<TimePoint> stamps;
+  thread_local std::vector<double> values;
+  if (dods.size() < count) {
+    dods.resize(count);
+    xors.resize(count);
+    deltas.resize(count);
+    stamps.resize(count);
+    values.resize(count);
+  }
   const ParsedChunk parsed =
       ParseChunk(bytes, size_bytes, bit_count, count, dods.data(), xors.data());
   if (!checked) {
@@ -477,9 +487,6 @@ Status DecodeGorillaStream(const uint8_t* bytes, size_t size_bytes, size_t bit_c
     return Status::DataLoss(parsed.error);
   }
   const size_t n = parsed.decoded;
-  const std::span<int64_t> deltas = scope.MakeUninitializedSpan<int64_t>(n);
-  const std::span<TimePoint> stamps = scope.MakeUninitializedSpan<TimePoint>(n);
-  const std::span<double> values = scope.MakeUninitializedSpan<double>(n);
   PrefixSumI64(dods.data(), n, 0, deltas.data());
   PrefixSumI64(deltas.data(), n, parsed.first_timestamp, stamps.data());
   PrefixXorToDoubles(xors.data(), n, parsed.first_value_bits, values.data());
@@ -495,7 +502,8 @@ Status DecodeGorillaStream(const uint8_t* bytes, size_t size_bytes, size_t bit_c
       break;
     }
   }
-  out.AppendRun(stamps.first(valid), values.first(valid));
+  out.AppendRun(std::span<const TimePoint>(stamps).first(valid),
+                std::span<const double>(values).first(valid));
   if (valid < n) {
     FBD_CHECK(checked);
     return Status::DataLoss("non-increasing decoded timestamp");

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -10,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/random.h"
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
@@ -258,82 +256,6 @@ TEST(ThreadPoolTest, WorkerlessPoolHasSameExceptionContract) {
                                 }),
                std::runtime_error);
   EXPECT_EQ(completed, 7);
-}
-
-// --- Arena ------------------------------------------------------------------
-
-uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
-
-TEST(ArenaTest, AllocationsAreAligned) {
-  Arena arena;
-  for (size_t bytes : {1, 3, 63, 64, 65, 1000}) {
-    void* p = arena.AllocateBytes(bytes);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % Arena::kAlignment, 0u)
-        << "allocation of " << bytes << " bytes is misaligned";
-  }
-}
-
-TEST(ArenaTest, MakeSpanZeroInitializesAndUninitializedSpanIsDistinct) {
-  Arena arena;
-  const std::span<double> zeroed = arena.MakeSpan<double>(257);
-  for (double v : zeroed) {
-    EXPECT_EQ(Bits(v), 0u);
-  }
-  const std::span<int64_t> raw = arena.MakeUninitializedSpan<int64_t>(17);
-  EXPECT_EQ(raw.size(), 17u);
-  EXPECT_NE(static_cast<void*>(raw.data()), static_cast<void*>(zeroed.data()));
-}
-
-TEST(ArenaTest, ScopeRewindReusesMemory) {
-  Arena arena;
-  void* first = nullptr;
-  {
-    ArenaScope scope(arena);
-    first = scope.MakeUninitializedSpan<double>(100).data();
-  }
-  // A scope opened on the empty arena keeps the first block it created.
-  EXPECT_EQ(arena.reserved_bytes(), Arena::kMinBlockBytes);
-  {
-    ArenaScope scope(arena);
-    // After the rewind the same storage is handed out again — the steady
-    // state of the scan loop is zero mallocs.
-    EXPECT_EQ(scope.MakeUninitializedSpan<double>(100).data(), first);
-  }
-}
-
-TEST(ArenaTest, ScopesNestLikeStackFrames) {
-  Arena arena;
-  ArenaScope outer(arena);
-  const std::span<int64_t> outer_span = outer.MakeSpan<int64_t>(8);
-  outer_span[0] = 42;
-  const size_t before = arena.reserved_bytes();
-  {
-    ArenaScope inner(arena);
-    const std::span<int64_t> inner_span = inner.MakeSpan<int64_t>(1 << 20);
-    inner_span[0] = 7;  // Large enough to force extra blocks.
-    EXPECT_GT(arena.reserved_bytes(), before);
-  }
-  // Inner blocks are released; the outer allocation is untouched.
-  EXPECT_EQ(arena.reserved_bytes(), before);
-  EXPECT_EQ(outer_span[0], 42);
-}
-
-TEST(ArenaTest, ThreadLocalArenasAreDistinctPerThread) {
-  Arena* main_arena = &Arena::ThreadLocal();
-  Arena* worker_arena = nullptr;
-  ThreadPool pool(1);
-  pool.ParallelFor(2, [&](size_t task) {
-    if (task == 1) {
-      // Task 1 runs wherever; both tasks claiming scratch concurrently must
-      // not alias the main thread's arena state.
-      ArenaScope scope(Arena::ThreadLocal());
-      scope.MakeSpan<double>(64);
-    } else {
-      worker_arena = &Arena::ThreadLocal();
-    }
-  });
-  EXPECT_NE(worker_arena, nullptr);
-  (void)main_arena;
 }
 
 // --- ThreadPool granularity floor -------------------------------------------

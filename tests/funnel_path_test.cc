@@ -1,5 +1,5 @@
 // Oracle tests for the PR 3 funnel internals: hashed text features, the
-// two-pointer AlignedPearson, the flat-buffer SOM, the inverted-index
+// two-pointer AlignedPearson, the flat-buffer SOM, the slot-scored
 // PairwiseDedup, and end-to-end funnel determinism across scan_threads.
 //
 // The `legacy` namespace holds verbatim reconstructions of the pre-change
@@ -524,56 +524,46 @@ TEST(FlatSomTest, FlatAndNestedContainersTrainIdentically) {
     std::copy(items[r].begin(), items[r].end(), flat.mutable_row(r).begin());
   }
 
-  for (const bool batch : {false, true}) {
-    SomTrainConfig config;
-    config.batch = batch;
-    SelfOrganizingMap from_nested(kDims, 3, 42);
-    SelfOrganizingMap from_flat(kDims, 3, 42);
-    from_nested.Train(items, config);
-    from_flat.Train(flat, config);
-    ASSERT_EQ(from_nested.weights().size(), from_flat.weights().size());
-    for (size_t i = 0; i < from_nested.weights().size(); ++i) {
-      EXPECT_EQ(from_nested.weights()[i], from_flat.weights()[i]) << "batch=" << batch;
-    }
+  const SomTrainConfig config;
+  SelfOrganizingMap from_nested(kDims, 3, 42);
+  SelfOrganizingMap from_flat(kDims, 3, 42);
+  from_nested.Train(items, config);
+  from_flat.Train(flat, config);
+  ASSERT_EQ(from_nested.weights().size(), from_flat.weights().size());
+  for (size_t i = 0; i < from_nested.weights().size(); ++i) {
+    EXPECT_EQ(from_nested.weights()[i], from_flat.weights()[i]);
   }
-}
 
-TEST(FlatSomTest, BatchTrainingIdenticalForAnyPoolSize) {
-  constexpr size_t kDims = 6;
-  const std::vector<std::vector<double>> items = RandomItems(50, kDims, 23);
-  FlatMatrix flat;
-  flat.Resize(items.size(), kDims);
-  for (size_t r = 0; r < items.size(); ++r) {
-    std::copy(items[r].begin(), items[r].end(), flat.mutable_row(r).begin());
-  }
-  SomTrainConfig config;
-  config.batch = true;
-
-  SelfOrganizingMap serial(kDims, 3, 7);
-  serial.Train(flat, config, nullptr);
-  std::vector<int> serial_assign(flat.rows);
-  serial.Assign(flat, serial_assign, nullptr);
-
+  // Assign fans the BMU searches over the pool into per-item slots: the
+  // same cells for any pool size, and the same as the nested overload.
+  const std::vector<int> expected = from_nested.Assign(items);
+  std::vector<int> serial(flat.rows);
+  from_flat.Assign(flat, serial, nullptr);
+  EXPECT_EQ(serial, expected);
   for (const size_t workers : {size_t{1}, size_t{7}}) {
     ThreadPool pool(workers);
-    SelfOrganizingMap parallel(kDims, 3, 7);
-    parallel.Train(flat, config, &pool);
-    ASSERT_EQ(parallel.weights().size(), serial.weights().size());
-    for (size_t i = 0; i < serial.weights().size(); ++i) {
-      EXPECT_EQ(parallel.weights()[i], serial.weights()[i]) << "workers=" << workers;
-    }
-    std::vector<int> parallel_assign(flat.rows);
-    parallel.Assign(flat, parallel_assign, &pool);
-    EXPECT_EQ(parallel_assign, serial_assign) << "workers=" << workers;
+    std::vector<int> parallel(flat.rows);
+    from_flat.Assign(flat, parallel, &pool);
+    EXPECT_EQ(parallel, expected) << "workers=" << workers;
   }
 }
 
 // ---------------------------------------------------------------------------
-// PairwiseDedup: indexed ingest vs the all-pairs oracle.
+// PairwiseDedup: slot-scored ingest vs the all-pairs oracle.
 // ---------------------------------------------------------------------------
 
-// Three batches mixing correlated shapes, related names, unrelated names, and
-// a non-gCPU metric kind.
+// The regression of PairwiseWorkload whose metric string shares no token with
+// any other (another service, another kind), shaped like the TaoClient group.
+Regression ForeignLatencyRegression() {
+  Regression foreign = MakeRegression("checkout", 0.01, 0.05,
+                                      StepShape(0.05, 0.01, 48, 500, 0.0001));
+  foreign.metric.service = "billing";
+  foreign.metric.kind = MetricKind::kLatency;
+  return foreign;
+}
+
+// Three batches mixing correlated shapes, related names, unrelated names, a
+// non-gCPU metric kind, and a regression that shares no token with the rest.
 std::vector<std::vector<Regression>> PairwiseWorkload() {
   std::vector<std::vector<Regression>> batches(3);
   batches[0].push_back(MakeRegression("TaoClient_fetch_user", 0.01, 0.05,
@@ -585,6 +575,7 @@ std::vector<std::vector<Regression>> PairwiseWorkload() {
   endpoint.metric.kind = MetricKind::kEndpointCost;
   batches[0].push_back(endpoint);
 
+  batches[1].push_back(ForeignLatencyRegression());
   batches[1].push_back(MakeRegression("TaoClient_fetch_user_by_id", 0.01, 0.05,
                                       StepShape(0.05, 0.01, 48, 500, 0.0001)));
   batches[1].push_back(MakeRegression("alpha_module_run", 0.01, 0.05,
@@ -643,8 +634,17 @@ void RunPairwiseOracleComparison(const PairwiseRule& rule, StackOverlapFn overla
   ExpectSameGroups(oracle.groups(), parallel.groups(), label + " parallel");
 }
 
-TEST(PairwiseIngestTest, TokenIndexPruningMatchesAllPairsOracle) {
+TEST(PairwiseIngestTest, DefaultRuleMatchesAllPairsOracle) {
   RunPairwiseOracleComparison(PairwiseRule{}, nullptr, "default rule, no overlap");
+
+  // The foreign regression correlates with the TaoClient group but shares no
+  // token with it: text == 0, so the default rule scores it and rejects it.
+  PairwiseDedup dedup;
+  dedup.Ingest(PairwiseWorkload()[0]);
+  const PairwiseScores scores = dedup.Score(ForeignLatencyRegression(), dedup.groups()[0]);
+  EXPECT_EQ(scores.text, 0.0);
+  EXPECT_GE(scores.pearson, PairwiseRule{}.min_pearson);
+  EXPECT_FALSE(PairwiseRule{}.ShouldMerge(scores));
 }
 
 TEST(PairwiseIngestTest, GcpuOverlapClauseMatchesAllPairsOracle) {
@@ -660,9 +660,9 @@ TEST(PairwiseIngestTest, GcpuOverlapClauseMatchesAllPairsOracle) {
   RunPairwiseOracleComparison(rule, overlap, "overlap clause");
 }
 
-TEST(PairwiseIngestTest, NonExclusionaryRuleDisablesPruningAndMatchesOracle) {
-  // min_text = 0 means Pearson alone can merge, so the index must not prune:
-  // groups sharing no token with the candidate still get scored.
+TEST(PairwiseIngestTest, PearsonOnlyRuleMatchesAllPairsOracle) {
+  // min_text = 0 means Pearson alone can merge, so groups sharing no token
+  // with the candidate (the foreign regression) can win the argmax.
   PairwiseRule rule;
   rule.min_text = 0.0;
   RunPairwiseOracleComparison(rule, nullptr, "non-exclusionary rule");

@@ -1,6 +1,6 @@
 // Tests for the sharded, interned, Gorilla-backed ingestion path: the
-// SymbolTable, InternedMetricId round trips, the incremental ListMetrics
-// cache, WriteBatch semantics, the TieredSeries seal/materialize invariants,
+// SymbolTable, InternedMetricId round trips, the ListMetrics cache,
+// WriteBatch semantics, the TieredSeries seal/materialize invariants,
 // SeriesForScan's zero-copy guarantees, and — the load-bearing properties —
 // that ingest thread count and compression tiering do not change database
 // content or pipeline output at all.
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -186,11 +187,11 @@ TEST(ShardedDatabaseTest, ListMetricsCacheInvalidatesOnWrite) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental ListMetrics cache: a miss refreshes only the shards whose
-// generation moved, observable through scan_stats().
+// ListMetrics cache: one sorted list per service, rebuilt whole when the
+// database generation moved, observable through scan_stats().
 // ---------------------------------------------------------------------------
 
-TEST(TsdbListCacheTest, MissRefreshesOnlyMovedShards) {
+TEST(TsdbListCacheTest, HitsUntilAWriteThenRebuilds) {
   TimeSeriesDatabase db;
   for (int i = 0; i < 64; ++i) {
     char name[16];
@@ -198,32 +199,28 @@ TEST(TsdbListCacheTest, MissRefreshesOnlyMovedShards) {
     db.Write(MetricId{"svc", MetricKind::kGcpu, name, ""}, 0, 1.0);
   }
 
-  // Cold miss: every shard's slice is built once.
+  // Cold miss: the list is built once.
   const TimeSeriesDatabase::ScanStats cold_before = db.scan_stats();
   const std::vector<MetricId> all = db.ListMetrics("svc");
   EXPECT_EQ(all.size(), 64u);
   EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
   const TimeSeriesDatabase::ScanStats cold_after = db.scan_stats();
   EXPECT_EQ(cold_after.list_cache_misses, cold_before.list_cache_misses + 1);
-  EXPECT_EQ(cold_after.list_cache_shard_refreshes,
-            cold_before.list_cache_shard_refreshes + db.shard_count());
 
-  // Hit: no generation moved, no shard re-enumerated.
+  // Hit: no generation moved.
   EXPECT_EQ(db.ListMetrics("svc"), all);
   const TimeSeriesDatabase::ScanStats hit = db.scan_stats();
   EXPECT_EQ(hit.list_cache_hits, cold_after.list_cache_hits + 1);
-  EXPECT_EQ(hit.list_cache_shard_refreshes, cold_after.list_cache_shard_refreshes);
+  EXPECT_EQ(hit.list_cache_misses, cold_after.list_cache_misses);
 
-  // A point on an existing series moves exactly one shard: the next miss
-  // refreshes one slice, and the merged listing is unchanged.
+  // A point on an existing series moves the generation: the next call
+  // misses, and the rebuilt listing is unchanged.
   db.Write(all.front(), 1, 2.0);
   EXPECT_EQ(db.ListMetrics("svc"), all);
   const TimeSeriesDatabase::ScanStats warm = db.scan_stats();
   EXPECT_EQ(warm.list_cache_misses, hit.list_cache_misses + 1);
-  EXPECT_EQ(warm.list_cache_shard_refreshes, hit.list_cache_shard_refreshes + 1);
 
-  // A brand-new series also touches one shard, and the merge inserts it at
-  // its canonical position.
+  // A brand-new series lands at its canonical position.
   const MetricId extra{"svc", MetricKind::kGcpu, "aaa-extra", ""};
   db.Write(extra, 0, 1.0);
   std::vector<MetricId> expected = all;
@@ -231,7 +228,28 @@ TEST(TsdbListCacheTest, MissRefreshesOnlyMovedShards) {
   EXPECT_EQ(db.ListMetrics("svc"), expected);
   const TimeSeriesDatabase::ScanStats fresh = db.scan_stats();
   EXPECT_EQ(fresh.list_cache_misses, warm.list_cache_misses + 1);
-  EXPECT_EQ(fresh.list_cache_shard_refreshes, warm.list_cache_shard_refreshes + 1);
+}
+
+TEST(TsdbListCacheTest, UnknownServiceNamesLeaveTheCacheUntouched) {
+  TimeSeriesDatabase db;
+  db.Write(MetricId{"svc", MetricKind::kGcpu, "sub00", ""}, 0, 1.0);
+  ASSERT_EQ(db.ListMetrics("svc").size(), 1u);
+
+  // Names the symbol table never saw (e.g. /run on an unknown service) get
+  // an empty list and no cache entry, so they cannot grow the cache.
+  const TimeSeriesDatabase::ScanStats before = db.scan_stats();
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_TRUE(db.ListMetrics("absent_" + std::to_string(i)).empty());
+  }
+  const TimeSeriesDatabase::ScanStats after = db.scan_stats();
+  EXPECT_EQ(after.list_cache_hits, before.list_cache_hits);
+  EXPECT_EQ(after.list_cache_misses, before.list_cache_misses);
+
+  // A known symbol that names no service is cached like any service.
+  EXPECT_TRUE(db.ListMetrics("sub00").empty());
+  EXPECT_EQ(db.scan_stats().list_cache_misses, after.list_cache_misses + 1);
+  EXPECT_TRUE(db.ListMetrics("sub00").empty());
+  EXPECT_EQ(db.scan_stats().list_cache_hits, after.list_cache_hits + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -497,11 +497,9 @@ TimeSeries CleanGrid(TimePoint begin, TimePoint end) {
 }
 
 WindowQuality InspectSeries(const TimeSeries& series, TimePoint as_of,
-                            const SanitizerConfig& config = {},
                             MetricKind kind = MetricKind::kGcpu) {
-  const Sanitizer sanitizer(config);
   const WindowView view = ExtractWindowView(series, as_of, UnitSpec());
-  return sanitizer.Inspect(kind, view, UnitSpec());
+  return InspectWindow(kind, view, UnitSpec());
 }
 
 TEST(SanitizerTest, CleanWindowIsOkWithNoArtifacts) {
@@ -527,18 +525,18 @@ TEST(SanitizerTest, NonFiniteValuesAreCorrupt) {
   const WindowQuality quality = InspectSeries(series, Hours(2));
   EXPECT_EQ(quality.verdict, QualityVerdict::kCorrupt);
   EXPECT_EQ(quality.non_finite, 1u);
-  EXPECT_TRUE(Sanitizer(SanitizerConfig{}).ShouldQuarantine(quality.verdict));
+  EXPECT_TRUE(ShouldQuarantine(quality.verdict));
 }
 
 TEST(SanitizerTest, NegativesCorruptNonNegativeKindsOnly) {
   const TimeSeries series = GridSeries(
       Minutes(30), Hours(2), [](TimePoint t) { return t == Hours(1) ? -3.0 : 1.0; },
       [](TimePoint) { return true; });
-  const WindowQuality gcpu = InspectSeries(series, Hours(2), {}, MetricKind::kGcpu);
+  const WindowQuality gcpu = InspectSeries(series, Hours(2), MetricKind::kGcpu);
   EXPECT_EQ(gcpu.verdict, QualityVerdict::kCorrupt);
   EXPECT_EQ(gcpu.negative, 1u);
   // Free-form application metrics may legitimately go negative.
-  const WindowQuality app = InspectSeries(series, Hours(2), {}, MetricKind::kApplication);
+  const WindowQuality app = InspectSeries(series, Hours(2), MetricKind::kApplication);
   EXPECT_EQ(app.verdict, QualityVerdict::kOk);
   EXPECT_EQ(app.negative, 0u);
 }
@@ -572,7 +570,7 @@ TEST(SanitizerTest, GapsBeyondBudgetAreGappyAndBelowBudgetAreCounted) {
   const WindowQuality ok = InspectSeries(tolerated, Hours(2));
   EXPECT_EQ(ok.verdict, QualityVerdict::kOk);
   EXPECT_EQ(ok.missing, 20u);
-  EXPECT_FALSE(Sanitizer(SanitizerConfig{}).ShouldQuarantine(ok.verdict));
+  EXPECT_FALSE(ShouldQuarantine(ok.verdict));
 
   // Drop half of the historical window: 30 missing > 22.5 budget -> gappy.
   const TimeSeries gappy = GridSeries(
@@ -581,7 +579,7 @@ TEST(SanitizerTest, GapsBeyondBudgetAreGappyAndBelowBudgetAreCounted) {
   const WindowQuality bad = InspectSeries(gappy, Hours(2));
   EXPECT_EQ(bad.verdict, QualityVerdict::kGappy);
   EXPECT_EQ(bad.missing, 30u);
-  EXPECT_TRUE(Sanitizer(SanitizerConfig{}).ShouldQuarantine(bad.verdict));
+  EXPECT_TRUE(ShouldQuarantine(bad.verdict));
 }
 
 TEST(SanitizerTest, LateStartIsFlapping) {
@@ -628,18 +626,11 @@ TEST(SanitizerTest, EmptyWindowIsNotObserved) {
   EXPECT_EQ(quality.verdict, QualityVerdict::kOk);
 }
 
-TEST(SanitizerTest, QuarantinePolicyRespectsConfig) {
-  SanitizerConfig config;
-  config.quarantine_gappy = false;
-  const Sanitizer selective(config);
-  EXPECT_FALSE(selective.ShouldQuarantine(QualityVerdict::kOk));
-  EXPECT_FALSE(selective.ShouldQuarantine(QualityVerdict::kGappy));
-  EXPECT_TRUE(selective.ShouldQuarantine(QualityVerdict::kFlapping));
-  EXPECT_TRUE(selective.ShouldQuarantine(QualityVerdict::kCorrupt));
-
-  SanitizerConfig disabled;
-  disabled.enabled = false;
-  EXPECT_FALSE(Sanitizer(disabled).ShouldQuarantine(QualityVerdict::kCorrupt));
+TEST(SanitizerTest, QuarantinePolicyWithholdsEveryNonOkVerdict) {
+  EXPECT_FALSE(ShouldQuarantine(QualityVerdict::kOk));
+  EXPECT_TRUE(ShouldQuarantine(QualityVerdict::kGappy));
+  EXPECT_TRUE(ShouldQuarantine(QualityVerdict::kFlapping));
+  EXPECT_TRUE(ShouldQuarantine(QualityVerdict::kCorrupt));
 }
 
 }  // namespace
