@@ -5,8 +5,7 @@
 //   1. Resident memory at scale: the same fleet-shaped workload sealed into
 //      (a) the RAM-only tiered store and (b) the durable tier under a small
 //      resident-sealed budget, at 10k and 100k series. Reports heap-resident
-//      bytes (raw tails + resident sealed chunks + materialized caches) for
-//      both. The acceptance bar is >= 2x reduction with tail_hits unchanged:
+//      bytes (raw tails + resident sealed chunks) for both. The acceptance bar is >= 2x reduction with tail_hits unchanged:
 //      eviction must never degrade the zero-copy tail fast path.
 //   2. Cold readback: full-history scans against the evicted database, every
 //      sealed chunk decoded straight from the memory-mapped chunk file
@@ -113,12 +112,12 @@ void Ingest(TimeSeriesDatabase& db, const std::vector<MetricId>& ids, size_t num
 }
 
 // Heap-resident bytes attributable to series storage: mutable raw tails plus
-// sealed chunks still on the heap plus Find()'s materialized caches. Mapped
-// sealed bytes are excluded on purpose — they live in the chunk file and cost
-// page cache, which the kernel reclaims under pressure, not heap.
+// sealed chunks still on the heap. Mapped sealed bytes are excluded on
+// purpose — they live in the chunk file and cost page cache, which the
+// kernel reclaims under pressure, not heap.
 size_t ResidentBytes(const TimeSeriesDatabase& db) {
   const auto m = db.memory_stats();
-  return m.raw_points * 16 + m.resident_sealed_bytes + m.materialized_bytes;
+  return m.raw_points * 16 + m.resident_sealed_bytes;
 }
 
 struct ScaleResult {
@@ -147,10 +146,11 @@ ScaleResult RunScale(size_t num_series, size_t num_points, size_t tail_points) {
   const auto scan_tails = [&](TimeSeriesDatabase& db) {
     const uint64_t before = db.scan_stats().tail_hits;
     TimeSeries scratch;
+    Status status;
     size_t total = 0;
     for (const MetricId& id : ids) {
       scratch.Clear();
-      const TimeSeries* series = db.SeriesForScan(id, seal_boundary, scratch);
+      const TimeSeries* series = db.SeriesForScan(id, seal_boundary, scratch, &status);
       FBD_CHECK(series != nullptr);
       total += series->size();
     }
@@ -190,11 +190,12 @@ ScaleResult RunScale(size_t num_series, size_t num_points, size_t tail_points) {
   {
     const uint64_t decodes_before = durable.durable_stats().mapped_readback_decodes;
     TimeSeries scratch;
+    Status status;
     size_t total = 0;
     const auto start = std::chrono::steady_clock::now();
     for (const MetricId& id : ids) {
       scratch.Clear();
-      const TimeSeries* series = durable.SeriesForScan(id, 0, scratch);
+      const TimeSeries* series = durable.SeriesForScan(id, 0, scratch, &status);
       FBD_CHECK(series != nullptr);
       total += series->size();
     }

@@ -9,6 +9,7 @@
 // The bench constructs each scenario and prints the verdict of the relevant
 // FBDetect stage next to the paper's expectation.
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,7 +78,7 @@ void ScenarioB() {
 
   // Stage 1: the change-point stage DOES flag method_a (as the paper says,
   // the rise looks like an obvious regression).
-  const TimeSeries* a_series = db.Find({"svc", MetricKind::kGcpu, "method_a", ""});
+  const std::optional<TimeSeries> a_series = db.Find({"svc", MetricKind::kGcpu, "method_a", ""});
   const WindowExtract windows = ExtractWindows(*a_series, total, config.windows);
   ChangePointStage stage(config);
   const auto candidate = stage.Detect({"svc", MetricKind::kGcpu, "method_a", ""}, windows);

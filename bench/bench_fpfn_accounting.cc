@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "src/core/pipeline.h"
@@ -134,10 +135,10 @@ void Run(uint64_t seed) {
       continue;
     }
     ++injected;
-    const TimeSeries* series = fleet.db().Find(
+    const std::optional<TimeSeries> series = fleet.db().Find(
         {options.service_name, MetricKind::kGcpu, event.subroutine, ""});
     double expected_delta = 0.0;
-    if (series != nullptr) {
+    if (series.has_value()) {
       const std::vector<double> before = series->ValuesBetween(0, event.start);
       if (!before.empty()) {
         expected_delta = Mean(before) * event.magnitude;

@@ -35,6 +35,11 @@ DomainWindow MeasureDomain(const TimeSeriesDatabase& db, const CostDomain& domai
   }
   const TimePoint pre_begin = change - post_span;
 
+  // Members are read the way the scan reads a series: the raw tail in place
+  // when it covers [pre_begin, inf), else the overlapping sealed chunks
+  // decoded into this scratch. Evaluate runs on funnel-pool workers, so the
+  // scratch is per thread; each member is summed before the next is read.
+  thread_local TimeSeries scratch;
   double before_sum = 0.0;
   double after_sum = 0.0;
   size_t before_points = 0;
@@ -42,9 +47,10 @@ DomainWindow MeasureDomain(const TimeSeriesDatabase& db, const CostDomain& domai
   bool all_existed_before = true;
   bool any_series = false;
   for (const MetricId& member : domain.members) {
-    const TimeSeries* series = db.Find(member);
+    Status status;
+    const TimeSeries* series = db.SeriesForScan(member, pre_begin, scratch, &status);
     if (series == nullptr) {
-      continue;
+      continue;  // Absent, or sealed history that failed to decode.
     }
     any_series = true;
     // Zero-copy: sum directly over spans into the series storage instead of

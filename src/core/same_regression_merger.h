@@ -30,8 +30,6 @@ class SameRegressionMerger {
   // Funnel form: keys on the candidates' cached metric strings.
   std::vector<FunnelCandidate> Filter(std::vector<FunnelCandidate> candidates);
 
-  size_t seen_count() const { return seen_.size(); }
-
  private:
   Duration tolerance_;
   // metric-id string -> change times already reported for that metric.

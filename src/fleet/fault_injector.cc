@@ -134,11 +134,6 @@ uint64_t FaultLedger::total() const {
   return total;
 }
 
-bool FaultLedger::SeriesHasFault(const MetricId& metric) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counts_.contains(metric);
-}
-
 std::vector<MetricId> FaultLedger::FaultedSeries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<MetricId> series;

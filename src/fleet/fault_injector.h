@@ -89,7 +89,6 @@ class FaultLedger {
   uint64_t Count(const MetricId& metric, FaultKind kind) const;
   uint64_t TotalByKind(FaultKind kind) const;
   uint64_t total() const;
-  bool SeriesHasFault(const MetricId& metric) const;
   // Series with at least one recorded fault, in canonical MetricId order.
   std::vector<MetricId> FaultedSeries() const;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/check.h"
-#include "src/common/logging.h"
 
 namespace fbdetect {
 namespace {

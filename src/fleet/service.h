@@ -113,7 +113,6 @@ class ServiceSimulator {
 
   const ServiceConfig& config() const { return config_; }
   const CallGraph& graph() const { return graph_; }
-  CallGraph& mutable_graph() { return graph_; }
   const std::vector<InjectedEvent>& events() const { return events_; }
 
   // Current gCPU expectation of a subroutine (reach probability), for tests

@@ -1,7 +1,5 @@
 #include "src/profiling/profile.h"
 
-#include <algorithm>
-
 namespace fbdetect {
 
 void ProfileAggregate::AddSample(const std::vector<NodeId>& stack) {
@@ -32,16 +30,6 @@ double ProfileAggregate::Gcpu(NodeId id) const {
     return 0.0;
   }
   return static_cast<double>(CountOf(id)) / static_cast<double>(total_samples_);
-}
-
-std::vector<NodeId> ProfileAggregate::SeenNodes() const {
-  std::vector<NodeId> nodes;
-  nodes.reserve(containing_samples_.size());
-  for (const auto& [id, unused] : containing_samples_) {
-    nodes.push_back(id);
-  }
-  std::sort(nodes.begin(), nodes.end());
-  return nodes;
 }
 
 double ProfileAggregate::SampleOverlap(NodeId a, NodeId b) const {

@@ -31,9 +31,6 @@ class ProfileAggregate {
   // gCPU of the node: CountOf / total_samples; 0 when no samples.
   double Gcpu(NodeId id) const;
 
-  // All nodes that appeared in at least one sample.
-  std::vector<NodeId> SeenNodes() const;
-
   // Fraction of samples containing BOTH a and b relative to samples
   // containing EITHER (Jaccard overlap of their sample sets) — the
   // stack-trace-overlap similarity.

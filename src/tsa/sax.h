@@ -50,8 +50,6 @@ class SaxEncoder {
   // Lower bound of the bucket for `letter`.
   double BucketLowerBound(char letter) const;
 
-  double range_min() const { return range_min_; }
-  double range_max() const { return range_max_; }
   int num_buckets() const { return config_.num_buckets; }
 
   // Fraction of `encoded` whose letters are NOT valid for this encoder's

@@ -78,8 +78,6 @@ class ChunkStore : public ChunkPayloadSource {
   // tail so new records append to a clean prefix.
   Status Open(const std::string& path, const RestoreFn& restore, bool fsync);
 
-  bool is_open() const { return fd_ >= 0; }
-
   // Appends one chunk record; on success fills `payload_offset` with the
   // durable location of the payload (for later Payload() readback). Not
   // synced — callers batch appends and call Sync() once per seal.

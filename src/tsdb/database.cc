@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "src/common/check.h"
 
@@ -19,9 +20,6 @@ size_t RoundUpPow2(size_t value) {
   }
   return pow2;
 }
-
-// Heap cost of a materialized TimeSeries (parallel timestamp/value vectors).
-size_t MaterializedBytes(const TimeSeries& series) { return series.size() * 16; }
 
 }  // namespace
 
@@ -93,7 +91,6 @@ TimeSeriesDatabase::TimeSeriesDatabase(const TsdbOptions& options)
         .chunks_evicted = runtime("tsdb.durable.chunks_evicted"),
         .evicted_bytes = runtime("tsdb.durable.evicted_bytes"),
         .mapped_readback_decodes = runtime("tsdb.durable.mapped_readback_decodes"),
-        .materialized_evictions = runtime("tsdb.durable.materialized_evictions"),
         .recoveries = runtime("tsdb.durable.recoveries"),
         .recovered_points = runtime("tsdb.durable.recovered_points"),
         .group_commits = runtime("tsdb.durable.group_commits"),
@@ -104,7 +101,6 @@ TimeSeriesDatabase::TimeSeriesDatabase(const TsdbOptions& options)
         .degraded = runtime("tsdb.durable.degraded"),
         .resident_sealed_bytes = runtime("tsdb.memory.resident_sealed_bytes"),
         .mapped_sealed_bytes = runtime("tsdb.memory.mapped_sealed_bytes"),
-        .materialized_bytes = runtime("tsdb.memory.materialized_bytes"),
     };
     OpenDurable();
     PublishDurableTotals(/*memory=*/true);
@@ -279,7 +275,6 @@ void TimeSeriesDatabase::PublishDurableTotals(bool memory) {
     const MemoryStats resident = memory_stats();
     c.resident_sealed_bytes->Set(resident.resident_sealed_bytes);
     c.mapped_sealed_bytes->Set(resident.mapped_sealed_bytes);
-    c.materialized_bytes->Set(resident.materialized_bytes);
   }
 }
 
@@ -364,7 +359,6 @@ void TimeSeriesDatabase::Write(const InternedMetricId& id, TimePoint timestamp,
     SeriesEntry& entry = EntryLocked(shard, id);
     const size_t tail_before = entry.data.tail().size();
     if (AppendCounted(shard, entry, timestamp, value)) {
-      ++entry.version;
       shard.generation.fetch_add(1, std::memory_order_relaxed);
       LogAppendLocked(shard, id, entry, tail_before);
       committed = MaybeGroupCommitLocked(shard);
@@ -373,7 +367,6 @@ void TimeSeriesDatabase::Write(const InternedMetricId& id, TimePoint timestamp,
   if (committed) {
     PublishDurableTotals(/*memory=*/false);
   }
-  MaybeEvictMaterialized();
 }
 
 void TimeSeriesDatabase::WriteSeries(const MetricId& id, TimeSeries series) {
@@ -389,7 +382,6 @@ void TimeSeriesDatabase::WriteSeries(const MetricId& id, TimeSeries series) {
       stored |= AppendCounted(shard, entry, series.timestamps()[i], series.values()[i]);
     }
     if (stored) {
-      ++entry.version;
       shard.generation.fetch_add(1, std::memory_order_relaxed);
       LogAppendLocked(shard, interned, entry, tail_before);
       committed = MaybeGroupCommitLocked(shard);
@@ -398,7 +390,6 @@ void TimeSeriesDatabase::WriteSeries(const MetricId& id, TimeSeries series) {
   if (committed) {
     PublishDurableTotals(/*memory=*/false);
   }
-  MaybeEvictMaterialized();
 }
 
 void TimeSeriesDatabase::Apply(WriteBatch& batch) {
@@ -424,7 +415,6 @@ void TimeSeriesDatabase::Apply(WriteBatch& batch) {
         stored |= AppendCounted(shard, entry, column.timestamps[i], column.values[i]);
       }
       if (stored) {
-        ++entry.version;
         changed = true;
         LogAppendLocked(shard, column.id, entry, tail_before);
       }
@@ -437,7 +427,6 @@ void TimeSeriesDatabase::Apply(WriteBatch& batch) {
   if (committed) {
     PublishDurableTotals(/*memory=*/false);
   }
-  MaybeEvictMaterialized();
 }
 
 TimeSeriesDatabase::IngestStats TimeSeriesDatabase::ingest_stats() const {
@@ -475,42 +464,28 @@ void TimeSeriesDatabase::ForEachIngestReject(
   }
 }
 
-const TimeSeries* TimeSeriesDatabase::MaterializedLocked(const SeriesEntry& entry) const {
-  if (!entry.materialized) {
-    entry.materialized = std::make_unique<TimeSeries>();
-  }
-  if (entry.materialized_version != entry.version) {
-    materialized_bytes_.fetch_sub(MaterializedBytes(*entry.materialized),
-                                  std::memory_order_relaxed);
-    entry.materialized->Clear();
-    size_t mapped = 0;
-    entry.data.MaterializeAll(*entry.materialized, &mapped);
-    if (mapped > 0) {  // Mapped chunks exist only with the durable tier on.
-      durable_counters_.mapped_readback_decodes->Add(mapped);
-    }
-    materialized_bytes_.fetch_add(MaterializedBytes(*entry.materialized),
-                                  std::memory_order_relaxed);
-    entry.materialized_version = entry.version;
-  }
-  return entry.materialized.get();
-}
-
-const TimeSeries* TimeSeriesDatabase::Find(const MetricId& id) const {
+std::optional<TimeSeries> TimeSeriesDatabase::Find(const MetricId& id) const {
   const auto interned = TryIntern(id);
-  return interned ? Find(*interned) : nullptr;
-}
-
-const TimeSeries* TimeSeriesDatabase::Find(const InternedMetricId& id) const {
-  const Shard& shard = shards_[ShardIndex(id)];
+  if (!interned) {
+    return std::nullopt;
+  }
+  const Shard& shard = shards_[ShardIndex(*interned)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.series.find(id);
+  const auto it = shard.series.find(*interned);
   if (it == shard.series.end()) {
-    return nullptr;
+    return std::nullopt;
   }
-  if (it->second.data.chunk_count() == 0) {
-    return &it->second.data.tail();  // Zero-copy: no sealed history.
+  TimeSeries series;
+  size_t mapped = 0;
+  const Status status = it->second.data.TryMaterializeFrom(
+      std::numeric_limits<TimePoint>::min(), series, &mapped);
+  if (mapped > 0) {  // Mapped chunks exist only with the durable tier on.
+    durable_counters_.mapped_readback_decodes->Add(mapped);
   }
-  return MaterializedLocked(it->second);
+  if (!status.ok()) {
+    return std::nullopt;
+  }
+  return series;
 }
 
 bool TimeSeriesDatabase::Contains(const MetricId& id) const {
@@ -529,9 +504,10 @@ const TimeSeries* TimeSeriesDatabase::SeriesForScan(const MetricId& id, TimePoin
                                                     Status* status) const {
   const auto interned = TryIntern(id);
   if (!interned) {
-    if (status != nullptr) {
-      *status = Status::Ok();  // Absent, not corrupt.
-    }
+    // Never-interned names: absent, not corrupt, and a miss like any other
+    // absent series, so the count does not depend on what else was interned.
+    *status = Status::Ok();
+    scan_counters_.misses->Increment();
     return nullptr;
   }
   return SeriesForScan(*interned, begin, scratch, status);
@@ -540,9 +516,7 @@ const TimeSeries* TimeSeriesDatabase::SeriesForScan(const MetricId& id, TimePoin
 const TimeSeries* TimeSeriesDatabase::SeriesForScan(const InternedMetricId& id,
                                                     TimePoint begin, TimeSeries& scratch,
                                                     Status* status) const {
-  if (status != nullptr) {
-    *status = Status::Ok();
-  }
+  *status = Status::Ok();
   const Shard& shard = shards_[ShardIndex(id)];
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.series.find(id);
@@ -558,13 +532,6 @@ const TimeSeries* TimeSeriesDatabase::SeriesForScan(const InternedMetricId& id,
   scan_counters_.sealed_decodes->Increment();
   scratch.Clear();
   size_t mapped = 0;
-  if (status == nullptr) {
-    data.MaterializeFrom(begin, scratch, &mapped);  // Aborts on corrupt history.
-    if (mapped > 0) {
-      durable_counters_.mapped_readback_decodes->Add(mapped);
-    }
-    return &scratch;
-  }
   *status = data.TryMaterializeFrom(begin, scratch, &mapped);
   if (mapped > 0) {
     durable_counters_.mapped_readback_decodes->Add(mapped);
@@ -666,7 +633,6 @@ TimeSeriesDatabase::MemoryStats TimeSeriesDatabase::memory_stats() const {
     }
   }
   stats.mapped_sealed_bytes = stats.sealed_bytes - stats.resident_sealed_bytes;
-  stats.materialized_bytes = materialized_bytes_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -682,7 +648,6 @@ void TimeSeriesDatabase::SealBefore(TimePoint boundary) {
       const size_t sealed_before = entry.data.sealed_points();
       entry.data.SealBefore(boundary);
       if (entry.data.sealed_points() != sealed_before) {
-        ++entry.version;
         changed = true;
       }
     }
@@ -749,7 +714,6 @@ void TimeSeriesDatabase::SealBefore(TimePoint boundary) {
     // guaranteed for chunks persisted before the failure.
     EnforceSealedBudget();
   }
-  MaybeEvictMaterialized();
   PublishDurableTotals(/*memory=*/true);
 }
 
@@ -758,12 +722,7 @@ void TimeSeriesDatabase::Expire(TimePoint cutoff) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     for (auto it = shard.series.begin(); it != shard.series.end();) {
       it->second.data.DropBefore(cutoff);
-      ++it->second.version;
       if (it->second.data.empty()) {
-        if (it->second.materialized) {
-          materialized_bytes_.fetch_sub(MaterializedBytes(*it->second.materialized),
-                                        std::memory_order_relaxed);
-        }
         it = shard.series.erase(it);
       } else {
         ++it;
@@ -786,7 +745,6 @@ void TimeSeriesDatabase::Expire(TimePoint cutoff) {
     last_drop_cutoff_ = std::max(last_drop_cutoff_, cutoff);
     have_drop_cutoff_ = true;
   }
-  MaybeEvictMaterialized();
   PublishDurableTotals(/*memory=*/true);
 }
 
@@ -847,30 +805,8 @@ void TimeSeriesDatabase::EnforceSealedBudget() {
     resident -= freed;
     durable_counters_.chunks_evicted->Increment();
     durable_counters_.evicted_bytes->Add(freed);
-    // No version/generation bump: eviction changes where bytes live, not
-    // what the series contains — readers' caches must not observe it.
-  }
-}
-
-void TimeSeriesDatabase::MaybeEvictMaterialized() {
-  const size_t budget = options_.materialized_budget_bytes;
-  if (budget == 0 || materialized_bytes_.load(std::memory_order_relaxed) <= budget) {
-    return;
-  }
-  // Drop-all policy: sweeps are rare (write-phase boundary, over budget) and
-  // the caches rebuild lazily on the next Find, so precision isn't worth
-  // tracking per-entry recency.
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto& [unused, entry] : shard.series) {
-      entry.materialized.reset();
-      entry.materialized_version = 0;
-    }
-  }
-  materialized_bytes_.store(0, std::memory_order_relaxed);
-  if (durable_counters_.materialized_evictions != nullptr) {
-    durable_counters_.materialized_evictions->Increment();
-    durable_counters_.materialized_bytes->Set(0);
+    // No generation bump: eviction changes where bytes live, not what the
+    // series contains — readers' caches must not observe it.
   }
 }
 
@@ -918,7 +854,6 @@ TimeSeriesDatabase::DurableStats TimeSeriesDatabase::durable_stats() const {
   stats.chunks_evicted = c.chunks_evicted->value();
   stats.evicted_bytes = c.evicted_bytes->value();
   stats.mapped_readback_decodes = c.mapped_readback_decodes->value();
-  stats.materialized_evictions = c.materialized_evictions->value();
   stats.recoveries = c.recoveries->value();
   stats.recovered_points = c.recovered_points->value();
   stats.recovered_chunks = recovered_chunks_;

@@ -11,9 +11,14 @@
 // sealed history plus a raw mutable tail that preserves the zero-copy
 // ScanView contract for the detection windows.
 //
+// Stored points are read one way: TieredSeries::TryMaterializeFrom, which
+// decodes sealed chunks recoverably and caches nothing. SeriesForScan serves
+// the scan and cost shift through it (or returns the raw tail zero-copy);
+// Find returns an owned copy of a whole series for tests and benches.
+//
 // Thread-safety: concurrent writers are safe (per-shard mutexes; the symbol
 // table has its own lock). Readers that hold raw pointers or spans into
-// series storage (Find, SeriesForScan, ScanView) must not run concurrently
+// series storage (SeriesForScan, ScanView) must not run concurrently
 // with writers — same single-writer-or-many-readers phase discipline as
 // PR 1, now enforced per scan phase rather than per call.
 #ifndef FBDETECT_SRC_TSDB_DATABASE_H_
@@ -73,11 +78,6 @@ struct TsdbOptions {
   size_t shard_count = 16;
   // Target points per sealed Gorilla chunk.
   size_t seal_chunk_points = 1024;
-  // Heap budget for Find()'s lazily materialized full-series caches on sealed
-  // entries. When the accounted bytes exceed the budget at a write-phase
-  // boundary, all materialized caches are dropped (they are rebuilt on the
-  // next Find). 0 = unbounded. See Find() for the pointer-validity contract.
-  size_t materialized_budget_bytes = 0;
   DurableOptions durable;
 };
 
@@ -144,8 +144,6 @@ class TimeSeriesDatabase {
     // evicted to the memory-mapped chunk file (page cache, not heap).
     size_t resident_sealed_bytes = 0;
     size_t mapped_sealed_bytes = 0;
-    // Heap bytes held by Find()'s materialized full-series caches.
-    size_t materialized_bytes = 0;
     // What the sealed points would occupy as raw (timestamp, value) pairs.
     size_t sealed_raw_bytes() const { return sealed_points * 16; }
   };
@@ -165,7 +163,6 @@ class TimeSeriesDatabase {
     uint64_t chunks_evicted = 0;        // Sealed chunks evicted from heap.
     uint64_t evicted_bytes = 0;         // Heap bytes freed by eviction.
     uint64_t mapped_readback_decodes = 0;  // Non-resident chunk decodes.
-    uint64_t materialized_evictions = 0;   // Find()-cache budget sweeps.
     // Recovery: what the constructor's replay found.
     uint64_t recoveries = 0;            // 1 if this open replayed prior state.
     uint64_t recovered_points = 0;      // Points replayed from WALs.
@@ -191,17 +188,19 @@ class TimeSeriesDatabase {
     return durable_degraded_.load(std::memory_order_relaxed);
   }
 
-  // Read-path observability: how scans are actually served by the tiered
-  // storage. One relaxed atomic increment per lookup (not per point), so the
-  // accounting is always on. All values count events the reader issued, not
-  // scheduling artifacts — the pipeline's per-series scan issues exactly one
-  // SeriesForScan per series per re-run regardless of scan_threads, so these
-  // are deterministic telemetry (tsdb.scan.* in the registry).
+  // Read-path observability: how SeriesForScan calls are actually served by
+  // the tiered storage. One relaxed atomic increment per lookup (not per
+  // point), so the accounting is always on. All values count events the
+  // readers issued, not scheduling artifacts — the pipeline's per-series scan
+  // issues exactly one SeriesForScan per series per re-run, and cost shift
+  // one per member of each domain it measures, regardless of scan_threads —
+  // so these are deterministic telemetry (tsdb.scan.* in the registry). Find
+  // counts nothing here.
   struct ScanStats {
     uint64_t tail_hits = 0;        // SeriesForScan served zero-copy from the tail.
     uint64_t sealed_decodes = 0;   // SeriesForScan decoded sealed chunks.
     uint64_t decode_failures = 0;  // Recoverable sealed-chunk decode errors.
-    uint64_t misses = 0;           // SeriesForScan on an absent series.
+    uint64_t misses = 0;           // SeriesForScan on an absent series (interned or not).
     uint64_t list_cache_hits = 0;    // ListMetrics served from the cache.
     uint64_t list_cache_misses = 0;  // ListMetrics re-enumerated every shard.
   };
@@ -265,17 +264,11 @@ class TimeSeriesDatabase {
 
   // --- Lookup ---
 
-  // nullptr when absent. For a series with sealed history this returns a
-  // lazily materialized (decoded) full series, rebuilt only after mutations;
-  // for a tail-only series it returns the tail storage directly (zero-copy).
-  // Pointer validity: until the metric is erased by Expire, and — for sealed
-  // entries when materialized_budget_bytes is set — until the next
-  // write-phase boundary (Write/Apply/SealBefore/Expire), which may sweep
-  // over-budget materialized caches. Sweeps never run concurrently with
-  // readers (phase discipline), so a pointer obtained in a read phase stays
-  // valid for that phase.
-  const TimeSeries* Find(const MetricId& id) const;
-  const TimeSeries* Find(const InternedMetricId& id) const;
+  // An owned copy of the whole series (sealed history decoded, then the
+  // tail); empty when the series is absent or its sealed history fails to
+  // decode. Nothing is cached. Mapped-chunk readbacks are counted
+  // (tsdb.durable.mapped_readback_decodes); tsdb.scan.* is not touched.
+  std::optional<TimeSeries> Find(const MetricId& id) const;
 
   bool Contains(const MetricId& id) const;
   bool Contains(const InternedMetricId& id) const;
@@ -284,15 +277,14 @@ class TimeSeriesDatabase {
   // range, returns the tail directly — zero-copy, identical to the PR 1 fast
   // path. Otherwise decodes the overlapping sealed chunks into `scratch`
   // (clearing it first; chunk-granular, so the result may extend earlier
-  // than `begin`) and returns &scratch.
-  // A corrupt sealed chunk aborts (FBD_CHECK) in the two-argument forms —
-  // this process encoded the chunk, so corruption is a programmer error.
-  // Passing `status` opts into the recoverable path for untrusted storage:
-  // decode failure sets *status and returns nullptr instead of aborting.
+  // than `begin`) and returns &scratch. Returns nullptr with *status Ok when
+  // the series is absent (a miss, whether or not its names were ever
+  // interned), and nullptr with *status kDataLoss when its sealed history
+  // fails to decode.
   const TimeSeries* SeriesForScan(const MetricId& id, TimePoint begin,
-                                  TimeSeries& scratch, Status* status = nullptr) const;
+                                  TimeSeries& scratch, Status* status) const;
   const TimeSeries* SeriesForScan(const InternedMetricId& id, TimePoint begin,
-                                  TimeSeries& scratch, Status* status = nullptr) const;
+                                  TimeSeries& scratch, Status* status) const;
 
   // All metric IDs in canonical order, optionally filtered by service
   // (empty = all). Cached per service and rebuilt whole when generation()
@@ -350,15 +342,9 @@ class TimeSeriesDatabase {
   struct SeriesEntry {
     explicit SeriesEntry(size_t seal_chunk_points) : data(seal_chunk_points) {}
     TieredSeries data;
-    // Bumped on every mutation of `data`; invalidates `materialized`.
-    uint64_t version = 1;
     // Points rejected by TryAppend for this series (dirty telemetry).
     uint64_t rejected_duplicate = 0;
     uint64_t rejected_out_of_order = 0;
-    // Lazily decoded full series for Find() on sealed entries. Guarded by
-    // the owning shard's mutex.
-    mutable std::unique_ptr<TimeSeries> materialized;
-    mutable uint64_t materialized_version = 0;
   };
 
   struct Shard {
@@ -393,9 +379,6 @@ class TimeSeriesDatabase {
   // Caller holds the shard mutex. Returns true iff the point was stored.
   static bool AppendCounted(Shard& shard, SeriesEntry& entry, TimePoint timestamp,
                             double value);
-
-  // Full decoded view of an entry (cached). Caller holds the shard mutex.
-  const TimeSeries* MaterializedLocked(const SeriesEntry& entry) const;
 
   // With the durable tier on, buffers the tail suffix [tail_before,
   // tail.size()) — the points a write call just stored — into the shard's
@@ -442,10 +425,6 @@ class TimeSeriesDatabase {
   // until resident sealed bytes fit the budget. Write phase only.
   void EnforceSealedBudget();
 
-  // Drops all materialized Find() caches when their accounted bytes exceed
-  // the budget. Write phase only.
-  void MaybeEvictMaterialized();
-
   TsdbOptions options_;
   size_t shard_mask_ = 0;
   SymbolTable symbols_;
@@ -461,7 +440,6 @@ class TimeSeriesDatabase {
   std::atomic<bool> durable_degraded_{false};
   uint64_t recovered_chunks_ = 0;           // Set once by OpenDurable.
   uint64_t recovered_truncated_bytes_ = 0;  // Set once by OpenDurable.
-  mutable std::atomic<uint64_t> materialized_bytes_{0};
 
   mutable std::mutex list_cache_mutex_;
   mutable std::unordered_map<std::string, ListCacheEntry> list_cache_;
@@ -484,7 +462,6 @@ class TimeSeriesDatabase {
     Counter* chunks_evicted = nullptr;
     Counter* evicted_bytes = nullptr;
     Counter* mapped_readback_decodes = nullptr;
-    Counter* materialized_evictions = nullptr;
     Counter* recoveries = nullptr;
     Counter* recovered_points = nullptr;
     // Totals Set by PublishDurableTotals.
@@ -496,7 +473,6 @@ class TimeSeriesDatabase {
     Counter* degraded = nullptr;  // 0/1 gauge.
     Counter* resident_sealed_bytes = nullptr;
     Counter* mapped_sealed_bytes = nullptr;
-    Counter* materialized_bytes = nullptr;
   } durable_counters_;
   // Serializes concurrent writers' PublishDurableTotals so the last one to
   // run leaves the freshest totals.

@@ -33,9 +33,9 @@ int64_t UnZigZag(uint64_t value) {
 
 // Word-at-a-time cursor over a bit stream: instead of extracting one bit per
 // iteration (the historical decoder's dominant cost), each read loads a
-// 64-bit window around the cursor and shifts the field out. All reads are
-// bounds-checked against bit_count; callers choose whether a failed read is
-// a Status (TryDecodeInto) or an abort (DecodeInto).
+// 64-bit window around the cursor and shifts the field out. `bit_count` is
+// clamped to the bytes, and every checked read is bounds-checked against it;
+// a failed read becomes a kDataLoss status in DecodeGorillaStream.
 class FastBitReader {
  public:
   FastBitReader(const uint8_t* data, size_t size_bytes, size_t bit_count)
@@ -146,7 +146,7 @@ class FastBitReader {
   size_t position_ = 0;
 };
 
-// Phase-1 result of the two-phase batch decode (see DecodeCore below).
+// Phase-1 result of the two-phase batch decode (see DecodeGorillaStream).
 struct ParsedChunk {
   size_t decoded = 0;           // Fully parsed points (header included).
   const char* error = nullptr;  // Null when all `count` points parsed.
@@ -343,37 +343,12 @@ void BitWriter::WriteBits(uint64_t value, int bits) {
   }
 }
 
-BitReader::BitReader(const std::vector<uint8_t>& bytes, size_t bit_count)
-    : bytes_(&bytes), bit_count_(bit_count) {
-  // A stream that claims more bits than its backing bytes is corrupt; abort
-  // here rather than index out of bounds in ReadBit.
-  FBD_CHECK(bit_count_ <= bytes.size() * 8);
-}
-
-bool BitReader::ReadBit() {
-  FBD_CHECK(position_ < bit_count_);
-  const bool bit =
-      ((*bytes_)[position_ / 8] & static_cast<uint8_t>(0x80u >> (position_ % 8))) != 0;
-  ++position_;
-  return bit;
-}
-
-uint64_t BitReader::ReadBits(int bits) {
-  FBD_DCHECK(bits >= 0 && bits <= 64);
-  uint64_t value = 0;
-  for (int i = 0; i < bits; ++i) {
-    value = (value << 1) | (ReadBit() ? 1 : 0);
-  }
-  return value;
-}
-
 void CompressedTimeSeries::Append(TimePoint timestamp, double value) {
   FBD_CHECK(count_ == 0 || timestamp > last_timestamp_);
   const uint64_t value_bits = DoubleToBits(value);
 
   if (count_ == 0) {
     // Header: absolute first timestamp (64 bits) + raw first value (64 bits).
-    first_timestamp_ = timestamp;
     stream_.WriteBits(static_cast<uint64_t>(timestamp), 64);
     stream_.WriteBits(value_bits, 64);
     last_timestamp_ = timestamp;
@@ -438,11 +413,7 @@ void CompressedTimeSeries::Append(TimePoint timestamp, double value) {
   ++count_;
 }
 
-TimeSeries CompressedTimeSeries::Decode() const {
-  TimeSeries series;
-  DecodeInto(series);
-  return series;
-}
+namespace {
 
 // Two-phase batch decode shared by CompressedTimeSeries and
 // CompressedChunkView (the latter over memory-mapped chunk-file payloads).
@@ -452,14 +423,15 @@ TimeSeries CompressedTimeSeries::Decode() const {
 // points with plain prefix scans: timestamps are two chained prefix
 // sums (delta-of-deltas -> deltas -> stamps; wrap-around arithmetic so
 // corrupt streams cannot hit signed overflow), values are one prefix XOR.
-// The strictly-increasing prefix is bulk-appended to `out`; `error` (if any)
-// describes why the decode stopped short.
+// The strictly-increasing prefix is bulk-appended to `out`; any bounds,
+// shape or ordering failure is a kDataLoss status saying why the decode
+// stopped short.
 //
 // Matches the historical point-at-a-time decoder exactly: same points
 // appended (the valid prefix), same error precedence (a non-increasing
 // timestamp reports before a later parse failure).
 Status DecodeGorillaStream(const uint8_t* bytes, size_t size_bytes, size_t bit_count,
-                           size_t count, TimeSeries& out, bool checked) {
+                           size_t count, TimeSeries& out) {
   if (count == 0) {
     return Status::Ok();
   }
@@ -479,10 +451,6 @@ Status DecodeGorillaStream(const uint8_t* bytes, size_t size_bytes, size_t bit_c
   }
   const ParsedChunk parsed =
       ParseChunk(bytes, size_bytes, bit_count, count, dods.data(), xors.data());
-  if (!checked) {
-    // The abort-on-corruption contract of DecodeInto/Decode.
-    FBD_CHECK(parsed.error == nullptr);
-  }
   if (parsed.decoded == 0) {
     return Status::DataLoss(parsed.error);
   }
@@ -492,7 +460,6 @@ Status DecodeGorillaStream(const uint8_t* bytes, size_t size_bytes, size_t bit_c
   PrefixXorToDoubles(xors.data(), n, parsed.first_value_bits, values.data());
 
   if (!out.empty() && stamps[0] <= out.end_time()) {
-    FBD_CHECK(checked);
     return Status::DataLoss("chunk does not start after preceding points");
   }
   size_t valid = n;
@@ -505,7 +472,6 @@ Status DecodeGorillaStream(const uint8_t* bytes, size_t size_bytes, size_t bit_c
   out.AppendRun(std::span<const TimePoint>(stamps).first(valid),
                 std::span<const double>(values).first(valid));
   if (valid < n) {
-    FBD_CHECK(checked);
     return Status::DataLoss("non-increasing decoded timestamp");
   }
   if (parsed.error != nullptr) {
@@ -514,29 +480,15 @@ Status DecodeGorillaStream(const uint8_t* bytes, size_t size_bytes, size_t bit_c
   return Status::Ok();
 }
 
-Status CompressedTimeSeries::DecodeCore(TimeSeries& out, bool checked) const {
-  return DecodeGorillaStream(stream_.bytes().data(), stream_.bytes().size(),
-                             stream_.bit_count(), count_, out, checked);
-}
-
-void CompressedTimeSeries::DecodeInto(TimeSeries& out) const {
-  const Status status = DecodeCore(out, /*checked=*/false);
-  FBD_CHECK(status.ok());
-}
+}  // namespace
 
 Status CompressedTimeSeries::TryDecodeInto(TimeSeries& out) const {
-  return DecodeCore(out, /*checked=*/true);
-}
-
-void CompressedChunkView::DecodeInto(TimeSeries& out) const {
-  const Status status =
-      DecodeGorillaStream(data_, size_bytes_, bit_count_, count_, out, /*checked=*/false);
-  FBD_CHECK(status.ok());
+  return DecodeGorillaStream(stream_.bytes().data(), stream_.bytes().size(),
+                             stream_.bit_count(), count_, out);
 }
 
 Status CompressedChunkView::TryDecodeInto(TimeSeries& out) const {
-  return DecodeGorillaStream(data_, size_bytes_, bit_count_, count_, out,
-                             /*checked=*/true);
+  return DecodeGorillaStream(data_, size_bytes_, bit_count_, count_, out);
 }
 
 CompressedTimeSeries CompressedTimeSeries::FromRaw(std::vector<uint8_t> bytes,

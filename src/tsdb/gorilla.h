@@ -7,9 +7,11 @@
 // (~800k series at 10-minute resolution over 10+ day windows) this is the
 // difference between fitting in memory and not.
 //
-// CompressedTimeSeries is an append-only encoder plus a decoder that
-// materializes a TimeSeries; the round trip is exact (bit-level) for both
-// timestamps and IEEE-754 doubles.
+// CompressedTimeSeries is an append-only encoder; it and CompressedChunkView
+// (a chunk payload in storage the view does not own) decode through one
+// recoverable decoder that appends to a TimeSeries. The round trip is exact
+// (bit-level) for both timestamps and IEEE-754 doubles, and a corrupt stream
+// is a kDataLoss status, never an abort.
 #ifndef FBDETECT_SRC_TSDB_GORILLA_H_
 #define FBDETECT_SRC_TSDB_GORILLA_H_
 
@@ -42,22 +44,6 @@ class BitWriter {
   size_t bit_count_ = 0;
 };
 
-class BitReader {
- public:
-  // `bit_count` must fit in `bytes` — checked, so a truncated or corrupted
-  // stream fails loudly instead of reading out of bounds.
-  BitReader(const std::vector<uint8_t>& bytes, size_t bit_count);
-
-  bool ReadBit();
-  uint64_t ReadBits(int bits);
-  bool AtEnd() const { return position_ >= bit_count_; }
-
- private:
-  const std::vector<uint8_t>* bytes_;
-  size_t bit_count_;
-  size_t position_ = 0;
-};
-
 // Zero-copy view of an encoded Gorilla stream that lives in storage the view
 // does not own — in practice a chunk payload inside a memory-mapped chunk
 // file (src/tsdb/chunk_store.h). Decodes through the same two-phase
@@ -65,7 +51,8 @@ class BitReader {
 // mapped bytes in place (page-cache-served, no copy into a vector). The view
 // is only valid while the underlying bytes are; chunk-file mappings are
 // never unmapped before database destruction, which is what makes handing
-// these spans to the scan path safe.
+// these spans to the scan path safe. A `bit_count` larger than the bytes is
+// clamped to them, so an overstated count reads as a truncated stream.
 class CompressedChunkView {
  public:
   CompressedChunkView(const uint8_t* data, size_t size_bytes, size_t bit_count,
@@ -75,11 +62,7 @@ class CompressedChunkView {
   size_t size() const { return count_; }
 
   // Appends all points to `out` (which must end before this chunk's first
-  // timestamp). Same contracts as the CompressedTimeSeries forms: DecodeInto
-  // aborts on corruption; TryDecodeInto returns kDataLoss with `out` holding
-  // the valid prefix. Mapped storage survived a crash/recovery cycle, so the
-  // durable read path always uses the Try form.
-  void DecodeInto(TimeSeries& out) const;
+  // timestamp). Same contract as CompressedTimeSeries::TryDecodeInto.
   Status TryDecodeInto(TimeSeries& out) const;
 
  private:
@@ -104,37 +87,23 @@ class CompressedTimeSeries {
   const std::vector<uint8_t>& bytes() const { return stream_.bytes(); }
   size_t bit_count() const { return stream_.bit_count(); }
 
-  TimePoint first_timestamp() const { return first_timestamp_; }
-  TimePoint last_timestamp() const { return last_timestamp_; }
-
-  // Decodes the full series. Exact round trip.
-  TimeSeries Decode() const;
-
-  // Appends all points to `out` (which must end before first_timestamp()).
-  // The scratch-reuse form of Decode() for the tiered scan path. Decoding a
-  // truncated stream aborts via FBD_CHECK rather than reading past the end.
-  void DecodeInto(TimeSeries& out) const;
-
-  // Recoverable decode for untrusted streams (deserialized storage, fuzzing,
-  // fault injection): every bit read is bounds-checked, XOR block shapes are
+  // Appends all points to `out` (which must end before the first point).
+  // Exact round trip. Every bit read is bounds-checked, XOR block shapes are
   // validated, timestamp arithmetic is overflow-safe, and decoded timestamps
-  // must be strictly increasing. Returns kDataLoss (with `out` possibly
-  // holding a valid prefix) instead of aborting or reading out of bounds.
+  // must be strictly increasing; a stream that breaks any of these returns
+  // kDataLoss (with `out` holding the valid prefix) instead of aborting or
+  // reading out of bounds. Chunks this process encoded and chunks from
+  // storage or fuzzing take the same path.
   Status TryDecodeInto(TimeSeries& out) const;
 
   // Reconstructs a chunk from raw stream parts, e.g. deserialized storage.
-  // Checks that `bit_count` fits in `bytes`; a stream that still understates
-  // the data for `count` points fails loudly at Decode time.
+  // Checks (fatally) that `bit_count` fits in `bytes`; a stream that still
+  // understates the data for `count` points is a kDataLoss at decode time.
   static CompressedTimeSeries FromRaw(std::vector<uint8_t> bytes, size_t bit_count,
                                       size_t count);
 
  private:
-  // Two-phase batch decode backing both DecodeInto (checked = false: any
-  // corruption aborts) and TryDecodeInto (checked = true: corruption is a
-  // kDataLoss status and `out` keeps the valid prefix).
-  Status DecodeCore(TimeSeries& out, bool checked) const;
   size_t count_ = 0;
-  TimePoint first_timestamp_ = 0;
   TimePoint last_timestamp_ = 0;
   Duration last_delta_ = 0;
   uint64_t last_value_bits_ = 0;

@@ -1,7 +1,6 @@
 #include "src/tsdb/tiered_series.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "src/common/check.h"
@@ -70,21 +69,6 @@ void TieredSeries::SealBefore(TimePoint boundary) {
   }
   sealed_points_ += split;
   tail_.DropBefore(boundary);
-}
-
-void TieredSeries::MaterializeAll(TimeSeries& out, size_t* mapped_decodes) const {
-  const Status status = TryMaterializeAll(out, mapped_decodes);
-  FBD_CHECK(status.ok());
-}
-
-void TieredSeries::MaterializeFrom(TimePoint begin, TimeSeries& out,
-                                   size_t* mapped_decodes) const {
-  const Status status = TryMaterializeFrom(begin, out, mapped_decodes);
-  FBD_CHECK(status.ok());
-}
-
-Status TieredSeries::TryMaterializeAll(TimeSeries& out, size_t* mapped_decodes) const {
-  return TryMaterializeFrom(std::numeric_limits<TimePoint>::min(), out, mapped_decodes);
 }
 
 Status TieredSeries::DecodeChunkInto(const Chunk& chunk, TimeSeries& out,

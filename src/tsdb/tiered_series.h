@@ -102,24 +102,15 @@ class TieredSeries {
   // Seals tail points strictly older than `boundary` into compressed chunks.
   void SealBefore(TimePoint boundary);
 
-  // Appends every stored point in order into `out` (which the caller has
-  // Clear()ed or whose last point precedes this series). `mapped_decodes`,
-  // when non-null, is incremented once per non-resident chunk decoded from
-  // the mapped store.
-  void MaterializeAll(TimeSeries& out, size_t* mapped_decodes = nullptr) const;
-
-  // Like MaterializeAll but skips chunks that end before `begin`. Decoding is
-  // chunk-granular: the result may start earlier than `begin` (never later),
-  // which window extraction tolerates.
-  void MaterializeFrom(TimePoint begin, TimeSeries& out,
-                       size_t* mapped_decodes = nullptr) const;
-
-  // Recoverable forms: a corrupt sealed chunk yields kDataLoss (with `out`
-  // holding the points decoded so far) instead of aborting. The non-Try forms
-  // above FBD_CHECK on these, which is right for chunks this process encoded;
-  // the Try forms are for deserialized or otherwise untrusted storage —
-  // including mapped payloads that survived a crash/recovery cycle.
-  Status TryMaterializeAll(TimeSeries& out, size_t* mapped_decodes = nullptr) const;
+  // The one read of stored points: appends, in order, every point of the
+  // chunks that end at or after `begin` and then the tail into `out` (which
+  // the caller has Clear()ed or whose last point precedes this series).
+  // Decoding is chunk-granular: the result may start earlier than `begin`
+  // (never later), which window extraction tolerates. A corrupt sealed chunk
+  // yields kDataLoss, with `out` holding the points decoded so far, for
+  // chunks this process encoded and for mapped payloads that survived a
+  // crash/recovery cycle alike. `mapped_decodes`, when non-null, is
+  // incremented once per non-resident chunk decoded from the mapped store.
   Status TryMaterializeFrom(TimePoint begin, TimeSeries& out,
                             size_t* mapped_decodes = nullptr) const;
 

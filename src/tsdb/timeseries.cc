@@ -106,9 +106,4 @@ void TimeSeries::Clear() {
   values_.clear();
 }
 
-void TimeSeries::Reserve(size_t capacity) {
-  timestamps_.reserve(capacity);
-  values_.reserve(capacity);
-}
-
 }  // namespace fbdetect

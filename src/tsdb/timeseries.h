@@ -65,8 +65,6 @@ class TimeSeries {
   // scan path).
   void Clear();
 
-  void Reserve(size_t capacity);
-
  private:
   std::vector<TimePoint> timestamps_;
   std::vector<double> values_;

@@ -85,8 +85,6 @@ class WriteAheadLog {
   // beyond what a torn write can produce and fails the open.
   Status Open(const std::string& path, const ReplayHandler& handler, bool fsync);
 
-  bool is_open() const { return fd_ >= 0; }
-
   // --- Buffering (caller serializes; in practice the shard mutex) ---
 
   void BufferPoints(const InternedMetricId& id, std::span<const TimePoint> timestamps,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <set>
 
 #include "src/common/random.h"
@@ -273,7 +274,7 @@ TEST(FleetEmissionsTest, EndpointCostSeriesReactToRegression) {
   // leaf; with a connected random graph usually both).
   bool any_rose = false;
   for (const MetricId& id : cost_metrics) {
-    const TimeSeries* series = db.Find(id);
+    const std::optional<TimeSeries> series = db.Find(id);
     const double before = Mean(series->ValuesBetween(0, Hours(4)));
     const double after = Mean(series->ValuesBetween(Hours(4) + 1, Hours(8) + 1));
     if (after > before * 1.02) {
@@ -309,10 +310,12 @@ TEST(FleetEmissionsTest, IoPerDataTypeRegression) {
     service.Tick(t, db);
   }
   ASSERT_EQ(db.ListMetricsOfKind("svc", MetricKind::kIoPerDataType).size(), 3u);
-  const TimeSeries* post_series = db.Find({"svc", MetricKind::kIoPerDataType, "post", ""});
-  const TimeSeries* user_series = db.Find({"svc", MetricKind::kIoPerDataType, "user", ""});
-  ASSERT_NE(post_series, nullptr);
-  ASSERT_NE(user_series, nullptr);
+  const std::optional<TimeSeries> post_series =
+      db.Find({"svc", MetricKind::kIoPerDataType, "post", ""});
+  const std::optional<TimeSeries> user_series =
+      db.Find({"svc", MetricKind::kIoPerDataType, "user", ""});
+  ASSERT_TRUE(post_series.has_value());
+  ASSERT_TRUE(user_series.has_value());
   const double post_change = Mean(post_series->ValuesBetween(Hours(3) + 1, Hours(6) + 1)) /
                              Mean(post_series->ValuesBetween(0, Hours(3)));
   const double user_change = Mean(user_series->ValuesBetween(Hours(3) + 1, Hours(6) + 1)) /

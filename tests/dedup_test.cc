@@ -1,8 +1,13 @@
 // Tests for SOM, SOMDedup, PairwiseDedup, and the cost-shift detector.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <cmath>
+#include <filesystem>
+#include <functional>
 #include <set>
+#include <string>
 
 #include "src/common/random.h"
 #include "src/core/cost_shift.h"
@@ -288,104 +293,184 @@ Regression ShiftCandidate(const std::string& subroutine, double delta, double ba
   return regression;
 }
 
+// Where a cost-shift case's member history is stored. Cost shift reads
+// members the way the scan does, so the verdict must not depend on it.
+enum class HistoryStorage {
+  kRawTail,       // Everything in the raw tail.
+  kSealed,        // History before the change point sealed into chunks.
+  kMappedChunks,  // Sealed, persisted and evicted to the mapped chunk file.
+};
+
+// A fresh directory for a durable database, removed with its files.
+struct TempDir {
+  TempDir() {
+    std::string templ =
+        (std::filesystem::temp_directory_path() / "fbd_cost_shift_XXXXXX").string();
+    EXPECT_NE(::mkdtemp(templ.data()), nullptr);
+    path = templ;
+  }
+  ~TempDir() { std::filesystem::remove_all(path); }
+  std::string path;
+};
+
+using HistoryWriter = std::function<void(TimeSeriesDatabase&)>;
+using VerdictFn = std::function<CostShiftVerdict(const TimeSeriesDatabase&)>;
+
+// Writes the history into `storage`, sealing points before `change` for the
+// sealed kinds, evaluates, and checks that the member reads took that
+// storage's path.
+CostShiftVerdict EvaluateIn(HistoryStorage storage, TimePoint change,
+                            const HistoryWriter& write, const VerdictFn& evaluate) {
+  TempDir dir;
+  TsdbOptions options;
+  if (storage == HistoryStorage::kMappedChunks) {
+    options.durable.directory = dir.path;
+    options.durable.fsync = false;
+    options.durable.resident_sealed_budget_bytes = 1;  // Evict every chunk.
+  }
+  TimeSeriesDatabase db(options);
+  write(db);
+  if (storage != HistoryStorage::kRawTail) {
+    db.SealBefore(change);
+  }
+  const TimeSeriesDatabase::ScanStats before = db.scan_stats();
+  const CostShiftVerdict verdict = evaluate(db);
+  const TimeSeriesDatabase::ScanStats after = db.scan_stats();
+  if (storage == HistoryStorage::kRawTail) {
+    EXPECT_GT(after.tail_hits, before.tail_hits);
+    EXPECT_EQ(after.sealed_decodes, before.sealed_decodes);
+  } else {
+    EXPECT_GT(after.sealed_decodes, before.sealed_decodes);
+  }
+  if (storage == HistoryStorage::kMappedChunks) {
+    EXPECT_EQ(db.memory_stats().resident_sealed_bytes, 0u);
+    EXPECT_GT(db.durable_stats().mapped_readback_decodes, 0u);
+  }
+  EXPECT_EQ(after.decode_failures, 0u);
+  return verdict;
+}
+
+// The raw-tail verdict, after checking that sealed and mapped history give
+// the same verdict and domain.
+CostShiftVerdict EvaluateInEveryStorage(TimePoint change, const HistoryWriter& write,
+                                        const VerdictFn& evaluate) {
+  const CostShiftVerdict raw = EvaluateIn(HistoryStorage::kRawTail, change, write, evaluate);
+  for (const HistoryStorage storage :
+       {HistoryStorage::kSealed, HistoryStorage::kMappedChunks}) {
+    const CostShiftVerdict stored = EvaluateIn(storage, change, write, evaluate);
+    EXPECT_EQ(stored.is_cost_shift, raw.is_cost_shift) << static_cast<int>(storage);
+    EXPECT_EQ(stored.domain, raw.domain) << static_cast<int>(storage);
+  }
+  return raw;
+}
+
 TEST(CostShiftTest, ClassDomainCatchesPureShift) {
-  TimeSeriesDatabase db;
   const TimePoint step = Hours(10);
   const TimePoint end = Hours(20);
-  // method_a gains exactly what method_b loses; method_c unchanged.
-  WriteStepSeries(db, "method_a", 0.010, 0.018, step, end);
-  WriteStepSeries(db, "method_b", 0.012, 0.004, step, end);
-  WriteStepSeries(db, "method_c", 0.005, 0.005, step, end);
-
   FakeCodeInfo code_info;
-  CostShiftDetector detector(&db, CostShiftConfig{});
-  detector.AddDomainDetector(std::make_unique<ClassDomainDetector>(&code_info));
-
-  const Regression regression = ShiftCandidate("method_a", 0.008, 0.010, step, end);
-  const CostShiftVerdict verdict = detector.Evaluate(regression);
+  const CostShiftVerdict verdict = EvaluateInEveryStorage(
+      step,
+      [&](TimeSeriesDatabase& db) {
+        // method_a gains exactly what method_b loses; method_c unchanged.
+        WriteStepSeries(db, "method_a", 0.010, 0.018, step, end);
+        WriteStepSeries(db, "method_b", 0.012, 0.004, step, end);
+        WriteStepSeries(db, "method_c", 0.005, 0.005, step, end);
+      },
+      [&](const TimeSeriesDatabase& db) {
+        CostShiftDetector detector(&db, CostShiftConfig{});
+        detector.AddDomainDetector(std::make_unique<ClassDomainDetector>(&code_info));
+        return detector.Evaluate(ShiftCandidate("method_a", 0.008, 0.010, step, end));
+      });
   EXPECT_TRUE(verdict.is_cost_shift);
   EXPECT_EQ(verdict.domain, "enclosing_class:class/Widget");
 }
 
 TEST(CostShiftTest, RealRegressionNotFlagged) {
-  TimeSeriesDatabase db;
   const TimePoint step = Hours(10);
   const TimePoint end = Hours(20);
-  // method_a gains cost; nothing compensates -> the class total rises too.
-  WriteStepSeries(db, "method_a", 0.010, 0.018, step, end);
-  WriteStepSeries(db, "method_b", 0.012, 0.012, step, end);
-  WriteStepSeries(db, "method_c", 0.005, 0.005, step, end);
-
   FakeCodeInfo code_info;
-  CostShiftDetector detector(&db, CostShiftConfig{});
-  detector.AddDomainDetector(std::make_unique<ClassDomainDetector>(&code_info));
-
-  const Regression regression = ShiftCandidate("method_a", 0.008, 0.010, step, end);
-  EXPECT_FALSE(detector.Evaluate(regression).is_cost_shift);
+  const CostShiftVerdict verdict = EvaluateInEveryStorage(
+      step,
+      [&](TimeSeriesDatabase& db) {
+        // method_a gains cost; nothing compensates -> the class total rises too.
+        WriteStepSeries(db, "method_a", 0.010, 0.018, step, end);
+        WriteStepSeries(db, "method_b", 0.012, 0.012, step, end);
+        WriteStepSeries(db, "method_c", 0.005, 0.005, step, end);
+      },
+      [&](const TimeSeriesDatabase& db) {
+        CostShiftDetector detector(&db, CostShiftConfig{});
+        detector.AddDomainDetector(std::make_unique<ClassDomainDetector>(&code_info));
+        return detector.Evaluate(ShiftCandidate("method_a", 0.008, 0.010, step, end));
+      });
+  EXPECT_FALSE(verdict.is_cost_shift);
 }
 
 TEST(CostShiftTest, CallerDomainCatchesShiftAmongCallees) {
-  TimeSeriesDatabase db;
   const TimePoint step = Hours(10);
   const TimePoint end = Hours(20);
-  WriteStepSeries(db, "method_a", 0.010, 0.018, step, end);
-  // The caller's own (inclusive) gCPU is flat: the shift happened below it.
-  WriteStepSeries(db, "caller", 0.040, 0.040, step, end);
-
   FakeCodeInfo code_info;
-  CostShiftDetector detector(&db, CostShiftConfig{});
-  detector.AddDomainDetector(std::make_unique<CallerDomainDetector>(&code_info));
-
-  const Regression regression = ShiftCandidate("method_a", 0.008, 0.010, step, end);
-  const CostShiftVerdict verdict = detector.Evaluate(regression);
+  const CostShiftVerdict verdict = EvaluateInEveryStorage(
+      step,
+      [&](TimeSeriesDatabase& db) {
+        WriteStepSeries(db, "method_a", 0.010, 0.018, step, end);
+        // The caller's own (inclusive) gCPU is flat: the shift happened below it.
+        WriteStepSeries(db, "caller", 0.040, 0.040, step, end);
+      },
+      [&](const TimeSeriesDatabase& db) {
+        CostShiftDetector detector(&db, CostShiftConfig{});
+        detector.AddDomainDetector(std::make_unique<CallerDomainDetector>(&code_info));
+        return detector.Evaluate(ShiftCandidate("method_a", 0.008, 0.010, step, end));
+      });
   EXPECT_TRUE(verdict.is_cost_shift);
   EXPECT_EQ(verdict.domain, "upstream_caller:callers_of/method_a");
 }
 
 TEST(CostShiftTest, HugeDomainExcluded) {
-  TimeSeriesDatabase db;
   const TimePoint step = Hours(10);
   const TimePoint end = Hours(20);
-  WriteStepSeries(db, "method_a", 0.0001, 0.0002, step, end);
-  // Caller at 20% gCPU — 2000x the regression delta of 0.0001: excluded by
-  // check 2 even though it is flat.
-  WriteStepSeries(db, "caller", 0.20, 0.20, step, end);
-
   FakeCodeInfo code_info;
-  CostShiftDetector detector(&db, CostShiftConfig{});
-  detector.AddDomainDetector(std::make_unique<CallerDomainDetector>(&code_info));
-
-  const Regression regression = ShiftCandidate("method_a", 0.0001, 0.0001, step, end);
-  EXPECT_FALSE(detector.Evaluate(regression).is_cost_shift);
+  const CostShiftVerdict verdict = EvaluateInEveryStorage(
+      step,
+      [&](TimeSeriesDatabase& db) {
+        WriteStepSeries(db, "method_a", 0.0001, 0.0002, step, end);
+        // Caller at 20% gCPU — 2000x the regression delta of 0.0001: excluded
+        // by check 2 even though it is flat.
+        WriteStepSeries(db, "caller", 0.20, 0.20, step, end);
+      },
+      [&](const TimeSeriesDatabase& db) {
+        CostShiftDetector detector(&db, CostShiftConfig{});
+        detector.AddDomainDetector(std::make_unique<CallerDomainDetector>(&code_info));
+        return detector.Evaluate(ShiftCandidate("method_a", 0.0001, 0.0001, step, end));
+      });
+  EXPECT_FALSE(verdict.is_cost_shift);
 }
 
 TEST(CostShiftTest, NewDomainNotACostShift) {
-  TimeSeriesDatabase db;
   const TimePoint step = Hours(10);
   const TimePoint end = Hours(20);
-  WriteStepSeries(db, "method_a", 0.010, 0.018, step, end);
-  // method_b's series only exists AFTER the change: the domain is new.
-  const MetricId b_id{"svc", MetricKind::kGcpu, "method_b", ""};
-  for (TimePoint t = step; t < end; t += Minutes(10)) {
-    db.Write(b_id, t, 0.001);
-  }
-  WriteStepSeries(db, "method_c", 0.005, 0.0, step, end);
-
   FakeCodeInfo code_info;
-  CostShiftDetector detector(&db, CostShiftConfig{});
-  detector.AddDomainDetector(std::make_unique<ClassDomainDetector>(&code_info));
-
-  const Regression regression = ShiftCandidate("method_a", 0.008, 0.010, step, end);
-  EXPECT_FALSE(detector.Evaluate(regression).is_cost_shift);
+  const CostShiftVerdict verdict = EvaluateInEveryStorage(
+      step,
+      [&](TimeSeriesDatabase& db) {
+        WriteStepSeries(db, "method_a", 0.010, 0.018, step, end);
+        // method_b's series only exists AFTER the change: the domain is new.
+        const MetricId b_id{"svc", MetricKind::kGcpu, "method_b", ""};
+        for (TimePoint t = step; t < end; t += Minutes(10)) {
+          db.Write(b_id, t, 0.001);
+        }
+        WriteStepSeries(db, "method_c", 0.005, 0.0, step, end);
+      },
+      [&](const TimeSeriesDatabase& db) {
+        CostShiftDetector detector(&db, CostShiftConfig{});
+        detector.AddDomainDetector(std::make_unique<ClassDomainDetector>(&code_info));
+        return detector.Evaluate(ShiftCandidate("method_a", 0.008, 0.010, step, end));
+      });
+  EXPECT_FALSE(verdict.is_cost_shift);
 }
 
 TEST(CostShiftTest, CommitDomainGroupsTouchedSubroutines) {
-  TimeSeriesDatabase db;
   const TimePoint step = Hours(10);
   const TimePoint end = Hours(20);
-  WriteStepSeries(db, "method_a", 0.010, 0.018, step, end);
-  WriteStepSeries(db, "method_b", 0.012, 0.004, step, end);
-
   ChangeLog log;
   Commit commit;
   commit.service = "svc";
@@ -393,12 +478,17 @@ TEST(CostShiftTest, CommitDomainGroupsTouchedSubroutines) {
   commit.title = "refactor";
   commit.touched_subroutines = {"method_a", "method_b"};
   log.Add(commit);
-
-  CostShiftDetector detector(&db, CostShiftConfig{});
-  detector.AddDomainDetector(std::make_unique<CommitDomainDetector>(&log, Days(1)));
-
-  const Regression regression = ShiftCandidate("method_a", 0.008, 0.010, step, end);
-  const CostShiftVerdict verdict = detector.Evaluate(regression);
+  const CostShiftVerdict verdict = EvaluateInEveryStorage(
+      step,
+      [&](TimeSeriesDatabase& db) {
+        WriteStepSeries(db, "method_a", 0.010, 0.018, step, end);
+        WriteStepSeries(db, "method_b", 0.012, 0.004, step, end);
+      },
+      [&](const TimeSeriesDatabase& db) {
+        CostShiftDetector detector(&db, CostShiftConfig{});
+        detector.AddDomainDetector(std::make_unique<CommitDomainDetector>(&log, Days(1)));
+        return detector.Evaluate(ShiftCandidate("method_a", 0.008, 0.010, step, end));
+      });
   EXPECT_TRUE(verdict.is_cost_shift);
 }
 

@@ -25,6 +25,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -389,10 +390,10 @@ void RoundTripWorkload(TimeSeriesDatabase& db) {
 void ExpectSameContent(const TimeSeriesDatabase& got, const TimeSeriesDatabase& want) {
   ASSERT_EQ(got.ListMetrics(), want.ListMetrics());
   for (const MetricId& id : want.ListMetrics()) {
-    const TimeSeries* g = got.Find(id);
-    const TimeSeries* w = want.Find(id);
-    ASSERT_NE(g, nullptr) << id.ToString();
-    ASSERT_NE(w, nullptr) << id.ToString();
+    const std::optional<TimeSeries> g = got.Find(id);
+    const std::optional<TimeSeries> w = want.Find(id);
+    ASSERT_TRUE(g.has_value()) << id.ToString();
+    ASSERT_TRUE(w.has_value()) << id.ToString();
     EXPECT_EQ(g->timestamps(), w->timestamps()) << id.ToString();
     EXPECT_EQ(g->values(), w->values()) << id.ToString();
   }
@@ -445,8 +446,9 @@ TEST(DurableDbTest, ExpiredPointsDoNotResurrectAcrossReopen) {
     db.Expire(60 * 180);
   }
   TimeSeriesDatabase db(DurableDbOptions(dir.path));
-  const TimeSeries* series = db.Find(MetricId{"svc", MetricKind::kGcpu, "a", ""});
-  ASSERT_NE(series, nullptr);
+  const std::optional<TimeSeries> series =
+      db.Find(MetricId{"svc", MetricKind::kGcpu, "a", ""});
+  ASSERT_TRUE(series.has_value());
   // The chunk file still contains superseded records for the dropped range;
   // replaying the retention cutoff must keep them dead.
   EXPECT_EQ(series->start_time(), 60 * 180);
@@ -484,8 +486,10 @@ TEST(DurableDbTest, EvictionUnderBudgetServesMappedReadback) {
   // Readback decodes the mapped payloads and matches the in-RAM oracle.
   TimeSeries scratch;
   TimeSeries ram_scratch;
-  const TimeSeries* got = db.SeriesForScan(id, 0, scratch);
-  const TimeSeries* want = ram.SeriesForScan(id, 0, ram_scratch);
+  Status status;
+  Status ram_status;
+  const TimeSeries* got = db.SeriesForScan(id, 0, scratch, &status);
+  const TimeSeries* want = ram.SeriesForScan(id, 0, ram_scratch, &ram_status);
   ASSERT_NE(got, nullptr);
   ASSERT_NE(want, nullptr);
   EXPECT_EQ(got->timestamps(), want->timestamps());
@@ -516,60 +520,6 @@ TEST(DurableDbTest, EvictedHistorySurvivesReopen) {
   }
   TimeSeriesDatabase db(options);
   ExpectSameContent(db, ram);
-}
-
-// ---------------------------------------------------------------------------
-// Find() materialized-cache budget: bytes are accounted and swept at
-// write-phase boundaries when over budget.
-// ---------------------------------------------------------------------------
-
-TEST(MaterializedCacheTest, BudgetSweepDropsCachesAtWritePhaseBoundary) {
-  TsdbOptions options;
-  options.shard_count = 1;
-  options.seal_chunk_points = 256;
-  options.materialized_budget_bytes = 1024;
-  TimeSeriesDatabase db(options);
-  const MetricId sealed{"svc", MetricKind::kGcpu, "sealed", ""};
-  const MetricId other{"svc", MetricKind::kGcpu, "other", ""};
-  for (int i = 0; i < 2000; ++i) {
-    db.Write(sealed, 60 * i, static_cast<double>(i));
-  }
-  db.Write(other, 0, 1.0);
-  db.SealBefore(60 * 2000);  // Whole series sealed: Find must materialize.
-  EXPECT_EQ(db.memory_stats().materialized_bytes, 0u);
-
-  const TimeSeries* series = db.Find(sealed);
-  ASSERT_NE(series, nullptr);
-  EXPECT_EQ(series->size(), 2000u);
-  EXPECT_EQ(db.memory_stats().materialized_bytes, 2000u * 16u);
-
-  // Over budget: the next write-phase boundary sweeps every cache.
-  db.Write(other, 60, 2.0);
-  EXPECT_EQ(db.memory_stats().materialized_bytes, 0u);
-
-  // The cache rebuilds on demand, correct and re-accounted.
-  series = db.Find(sealed);
-  ASSERT_NE(series, nullptr);
-  EXPECT_EQ(series->size(), 2000u);
-  EXPECT_EQ(series->values()[123], 123.0);
-  EXPECT_EQ(db.memory_stats().materialized_bytes, 2000u * 16u);
-}
-
-TEST(MaterializedCacheTest, UnboundedBudgetNeverSweeps) {
-  TsdbOptions options;
-  options.shard_count = 1;
-  options.seal_chunk_points = 256;  // Budget 0 = unbounded.
-  TimeSeriesDatabase db(options);
-  const MetricId sealed{"svc", MetricKind::kGcpu, "sealed", ""};
-  const MetricId other{"svc", MetricKind::kGcpu, "other", ""};
-  for (int i = 0; i < 1000; ++i) {
-    db.Write(sealed, 60 * i, static_cast<double>(i));
-  }
-  db.SealBefore(60 * 1000);
-  ASSERT_NE(db.Find(sealed), nullptr);
-  EXPECT_EQ(db.memory_stats().materialized_bytes, 1000u * 16u);
-  db.Write(other, 0, 1.0);  // Unrelated write: cache intact.
-  EXPECT_EQ(db.memory_stats().materialized_bytes, 1000u * 16u);
 }
 
 // ---------------------------------------------------------------------------
@@ -879,11 +829,13 @@ void IngestSuffixIntoDurable(TimeSeriesDatabase& db, const TimeSeriesDatabase& r
                              const std::function<void(int)>& on_segment_durable,
                              unsigned throttle_us = 0) {
   const std::vector<MetricId> ids = ref.ListMetrics();
+  std::vector<TimeSeries> sources;
   std::vector<TimePoint> resume(ids.size(), std::numeric_limits<TimePoint>::min());
   TimePoint progress = std::numeric_limits<TimePoint>::max();
   for (size_t i = 0; i < ids.size(); ++i) {
-    const TimeSeries* have = db.Find(ids[i]);
-    if (have != nullptr && !have->empty()) {
+    sources.push_back(*ref.Find(ids[i]));
+    const std::optional<TimeSeries> have = db.Find(ids[i]);
+    if (have.has_value() && !have->empty()) {
       resume[i] = have->end_time();
     }
     progress = std::min(progress, resume[i]);
@@ -893,7 +845,7 @@ void IngestSuffixIntoDurable(TimeSeriesDatabase& db, const TimeSeriesDatabase& r
     const TimePoint seg_begin = s * CrashSegment();
     const TimePoint seg_end = (s + 1) * CrashSegment();
     for (size_t i = 0; i < ids.size(); ++i) {
-      const TimeSeries* src = ref.Find(ids[i]);
+      const TimeSeries* src = &sources[i];
       // Segments are half-open [begin, end), except the last which also takes
       // the final point at exactly CrashEnd().
       const TimePoint hi_time = s + 1 == CrashSegments() ? seg_end + 1 : seg_end;
@@ -991,10 +943,10 @@ TEST(DurableCrashRecoveryTest, KillAndReopenMatchesUninterruptedRun) {
       bool violated = false;
       TimeSeriesDatabase check(CrashDbOptions(dir.path));
       for (const MetricId& id : check.ListMetrics()) {
-        const TimeSeries* got = check.Find(id);
-        const TimeSeries* want = ref->db().Find(id);
-        ASSERT_NE(got, nullptr);
-        ASSERT_NE(want, nullptr);
+        const std::optional<TimeSeries> got = check.Find(id);
+        const std::optional<TimeSeries> want = ref->db().Find(id);
+        ASSERT_TRUE(got.has_value());
+        ASSERT_TRUE(want.has_value());
         const bool prefix =
             got->timestamps().size() <= want->timestamps().size() &&
             std::equal(got->timestamps().begin(), got->timestamps().end(),
@@ -1030,10 +982,10 @@ TEST(DurableCrashRecoveryTest, KillAndReopenMatchesUninterruptedRun) {
     TimeSeriesDatabase recovered(CrashDbOptions(dir.path));
     ASSERT_EQ(recovered.ListMetrics(), ref->db().ListMetrics());
     for (const MetricId& id : ref->db().ListMetrics()) {
-      const TimeSeries* got = recovered.Find(id);
-      const TimeSeries* want = ref->db().Find(id);
-      ASSERT_NE(got, nullptr);
-      ASSERT_NE(want, nullptr);
+      const std::optional<TimeSeries> got = recovered.Find(id);
+      const std::optional<TimeSeries> want = ref->db().Find(id);
+      ASSERT_TRUE(got.has_value());
+      ASSERT_TRUE(want.has_value());
       EXPECT_TRUE(got->timestamps() == want->timestamps() &&
                   got->values() == want->values())
           << id.ToString() << ": "

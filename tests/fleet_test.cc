@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <span>
 
 #include "src/common/random.h"
@@ -102,8 +103,8 @@ TEST(ServiceSimulatorTest, StepRegressionRaisesSubroutineGcpu) {
     service.Tick(t, db);
   }
   const MetricId metric{"svc", MetricKind::kGcpu, name, ""};
-  const TimeSeries* series = db.Find(metric);
-  ASSERT_NE(series, nullptr);
+  const std::optional<TimeSeries> series = db.Find(metric);
+  ASSERT_TRUE(series.has_value());
   const std::vector<double> before = series->ValuesBetween(0, Hours(5));
   const std::vector<double> after = series->ValuesBetween(Hours(5) + 1, Hours(10) + 1);
   ASSERT_FALSE(before.empty());
@@ -171,8 +172,8 @@ TEST(ServiceSimulatorTest, TransientThroughputDipRecovers) {
     service.Tick(t, db);
   }
   const MetricId metric{"svc", MetricKind::kThroughput, "", ""};
-  const TimeSeries* series = db.Find(metric);
-  ASSERT_NE(series, nullptr);
+  const std::optional<TimeSeries> series = db.Find(metric);
+  ASSERT_TRUE(series.has_value());
   const double before = Mean(series->ValuesBetween(0, Hours(4)));
   const double during = Mean(series->ValuesBetween(Hours(4) + 1, Hours(5) + 1));
   const double after = Mean(series->ValuesBetween(Hours(6), Hours(8) + 1));

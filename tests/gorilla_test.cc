@@ -10,18 +10,26 @@
 namespace fbdetect {
 namespace {
 
+// Decodes through the one decode path and checks that it succeeded.
+TimeSeries DecodeOk(const CompressedTimeSeries& compressed) {
+  TimeSeries decoded;
+  const Status status = compressed.TryDecodeInto(decoded);
+  EXPECT_TRUE(status.ok()) << status.message();
+  return decoded;
+}
+
 TEST(BitStreamTest, RoundTripsBitPatterns) {
   BitWriter writer;
   writer.WriteBit(true);
   writer.WriteBits(0b1011, 4);
   writer.WriteBits(0xDEADBEEFCAFEF00DULL, 64);
   writer.WriteBit(false);
-  BitReader reader(writer.bytes(), writer.bit_count());
-  EXPECT_TRUE(reader.ReadBit());
-  EXPECT_EQ(reader.ReadBits(4), 0b1011u);
-  EXPECT_EQ(reader.ReadBits(64), 0xDEADBEEFCAFEF00DULL);
-  EXPECT_FALSE(reader.ReadBit());
-  EXPECT_TRUE(reader.AtEnd());
+  // 1 | 1011 | DEADBEEFCAFEF00D | 0, packed MSB-first and zero-padded to
+  // whole bytes.
+  EXPECT_EQ(writer.bit_count(), 70u);
+  const std::vector<uint8_t> expected = {0xDE, 0xF5, 0x6D, 0xF7, 0x7E,
+                                         0x57, 0xF7, 0x80, 0x68};
+  EXPECT_EQ(writer.bytes(), expected);
 }
 
 TEST(GorillaTest, ExactRoundTripRegularSeries) {
@@ -34,7 +42,7 @@ TEST(GorillaTest, ExactRoundTripRegularSeries) {
     values.push_back(rng.Normal(0.05, 0.001));
     compressed.Append(timestamps.back(), values.back());
   }
-  const TimeSeries decoded = compressed.Decode();
+  const TimeSeries decoded = DecodeOk(compressed);
   ASSERT_EQ(decoded.size(), 2000u);
   for (size_t i = 0; i < 2000; ++i) {
     EXPECT_EQ(decoded.timestamps()[i], timestamps[i]);
@@ -54,7 +62,7 @@ TEST(GorillaTest, ExactRoundTripIrregularTimestamps) {
     values.push_back(rng.Uniform(-1e9, 1e9));
     compressed.Append(t, values.back());
   }
-  const TimeSeries decoded = compressed.Decode();
+  const TimeSeries decoded = DecodeOk(compressed);
   ASSERT_EQ(decoded.size(), 500u);
   for (size_t i = 0; i < 500; ++i) {
     EXPECT_EQ(decoded.timestamps()[i], timestamps[i]);
@@ -73,7 +81,7 @@ TEST(GorillaTest, SpecialValuesRoundTrip) {
   for (size_t i = 0; i < specials.size(); ++i) {
     compressed.Append(static_cast<TimePoint>(i * 60), specials[i]);
   }
-  const TimeSeries decoded = compressed.Decode();
+  const TimeSeries decoded = DecodeOk(compressed);
   ASSERT_EQ(decoded.size(), specials.size());
   for (size_t i = 0; i < specials.size(); ++i) {
     // Compare bit patterns (handles -0.0 vs 0.0).
@@ -93,7 +101,7 @@ TEST(GorillaTest, ConstantRegularSeriesCompressesHard) {
       8.0 * static_cast<double>(compressed.byte_size()) / n;
   EXPECT_LT(bits_per_point, 3.0);
   // And the round trip still holds.
-  const TimeSeries decoded = compressed.Decode();
+  const TimeSeries decoded = DecodeOk(compressed);
   EXPECT_EQ(decoded.size(), static_cast<size_t>(n));
   EXPECT_EQ(decoded.values()[n / 2], 0.25);
 }
@@ -109,16 +117,16 @@ TEST(GorillaTest, NoisySeriesStillBeatsRawStorage) {
   // lands well under that thanks to timestamp compression + shared exponents.
   const double bytes_per_point = static_cast<double>(compressed.byte_size()) / n;
   EXPECT_LT(bytes_per_point, 12.0);
-  const TimeSeries decoded = compressed.Decode();
+  const TimeSeries decoded = DecodeOk(compressed);
   EXPECT_EQ(decoded.size(), static_cast<size_t>(n));
 }
 
 TEST(GorillaTest, EmptyAndSingle) {
   CompressedTimeSeries compressed;
   EXPECT_TRUE(compressed.empty());
-  EXPECT_TRUE(compressed.Decode().empty());
+  EXPECT_TRUE(DecodeOk(compressed).empty());
   compressed.Append(42, 3.14);
-  const TimeSeries decoded = compressed.Decode();
+  const TimeSeries decoded = DecodeOk(compressed);
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded.timestamps()[0], 42);
   EXPECT_EQ(decoded.values()[0], 3.14);
@@ -135,7 +143,7 @@ TEST(GorillaTest, NanRoundTripsBitExactly) {
   for (size_t i = 0; i < values.size(); ++i) {
     compressed.Append(static_cast<TimePoint>(i * 600), values[i]);
   }
-  const TimeSeries decoded = compressed.Decode();
+  const TimeSeries decoded = DecodeOk(compressed);
   ASSERT_EQ(decoded.size(), values.size());
   for (size_t i = 0; i < values.size(); ++i) {
     uint64_t expected = 0;
@@ -156,7 +164,7 @@ TEST(GorillaTest, LargeTimestampGapsRoundTrip) {
   for (size_t i = 0; i < timestamps.size(); ++i) {
     compressed.Append(timestamps[i], static_cast<double>(i));
   }
-  const TimeSeries decoded = compressed.Decode();
+  const TimeSeries decoded = DecodeOk(compressed);
   ASSERT_EQ(decoded.size(), timestamps.size());
   for (size_t i = 0; i < timestamps.size(); ++i) {
     EXPECT_EQ(decoded.timestamps()[i], timestamps[i]);
@@ -166,13 +174,12 @@ TEST(GorillaTest, LargeTimestampGapsRoundTrip) {
 
 TEST(GorillaTest, SinglePointChunkRoundTripsThroughRawParts) {
   // Single-point chunks are the smallest sealed unit; they must survive the
-  // serialize-like FromRaw reconstruction and DecodeInto.
+  // serialize-like FromRaw reconstruction and decoding.
   CompressedTimeSeries compressed;
   compressed.Append(987654321, 0.125);
   const CompressedTimeSeries rebuilt = CompressedTimeSeries::FromRaw(
       compressed.bytes() /* copy */, compressed.bit_count(), compressed.size());
-  TimeSeries out;
-  rebuilt.DecodeInto(out);
+  const TimeSeries out = DecodeOk(rebuilt);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.timestamps()[0], 987654321);
   EXPECT_EQ(out.values()[0], 0.125);
@@ -191,12 +198,6 @@ TEST(GorillaDeathTest, TruncatedStreamFailsLoudly) {
   EXPECT_DEATH(CompressedTimeSeries::FromRaw(truncated, compressed.bit_count(),
                                              compressed.size()),
                "");
-
-  // Consistent bytes/bits but an overstated point count: the decoder runs off
-  // the end of the stream and must abort, not read garbage.
-  const CompressedTimeSeries overcounted = CompressedTimeSeries::FromRaw(
-      compressed.bytes(), compressed.bit_count(), compressed.size() + 50);
-  EXPECT_DEATH(overcounted.Decode(), "");
 }
 
 TEST(GorillaTest, TryDecodeIntoRoundTripsValidChunk) {
@@ -217,9 +218,9 @@ TEST(GorillaTest, TryDecodeIntoOverstatedCountIsDataLossWithValidPrefix) {
   for (int i = 0; i < 200; ++i) {
     compressed.Append(600 * i, 0.01 * i);
   }
-  // Same bytes/bits but an overstated point count: Decode() aborts on this
-  // input (see death test above); the recoverable path reports kDataLoss and
-  // keeps the valid prefix it decoded before running out of bits.
+  // Same bytes/bits but an overstated point count: the decoder runs off the
+  // end of the stream, reports kDataLoss and keeps the valid prefix it
+  // decoded before running out of bits.
   const CompressedTimeSeries overcounted = CompressedTimeSeries::FromRaw(
       compressed.bytes(), compressed.bit_count(), compressed.size() + 50);
   TimeSeries partial;
@@ -275,7 +276,7 @@ TEST_P(GorillaRoundTripTest, BitExactRoundTrip) {
     values.push_back(v);
     compressed.Append(t, v);
   }
-  const TimeSeries decoded = compressed.Decode();
+  const TimeSeries decoded = DecodeOk(compressed);
   ASSERT_EQ(decoded.size(), static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     ASSERT_EQ(decoded.timestamps()[static_cast<size_t>(i)], timestamps[static_cast<size_t>(i)]);

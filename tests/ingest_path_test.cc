@@ -1,6 +1,6 @@
 // Tests for the sharded, interned, Gorilla-backed ingestion path: the
 // SymbolTable, InternedMetricId round trips, the ListMetrics cache,
-// WriteBatch semantics, the TieredSeries seal/materialize invariants,
+// WriteBatch semantics, the TieredSeries seal/read invariants,
 // SeriesForScan's zero-copy guarantees, and — the load-bearing properties —
 // that ingest thread count and compression tiering do not change database
 // content or pipeline output at all.
@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,14 +129,20 @@ TEST(ShardedDatabaseTest, InternedAndStringPathsAgree) {
   const InternedMetricId interned = db.Intern(id);
   db.Write(id, 10, 1.0);
   db.Write(interned, 20, 2.0);
-  ASSERT_NE(db.Find(id), nullptr);
-  EXPECT_EQ(db.Find(id), db.Find(interned));
-  EXPECT_EQ(db.Find(id)->size(), 2u);
+  const std::optional<TimeSeries> found = db.Find(id);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->size(), 2u);
+  TimeSeries scratch;
+  Status status;
+  const TimeSeries* scanned = db.SeriesForScan(interned, 0, scratch, &status);
+  ASSERT_NE(scanned, nullptr);
+  EXPECT_EQ(scanned->timestamps(), found->timestamps());
+  EXPECT_EQ(scanned->values(), found->values());
   EXPECT_TRUE(db.Contains(id));
   EXPECT_TRUE(db.Contains(interned));
   // Lookups for identities never interned return absent without creating
   // symbols.
-  EXPECT_EQ(db.Find(MetricId{"ghost", MetricKind::kCpu, "", ""}), nullptr);
+  EXPECT_FALSE(db.Find(MetricId{"ghost", MetricKind::kCpu, "", ""}).has_value());
   EXPECT_FALSE(db.Contains(MetricId{"ghost", MetricKind::kCpu, "", ""}));
 }
 
@@ -162,10 +170,12 @@ TEST(ShardedDatabaseTest, ShardCountInvisibleToReaders) {
   const std::vector<MetricId> ids_a = a.ListMetrics();
   ASSERT_EQ(ids_a, b.ListMetrics());
   for (const MetricId& id : ids_a) {
-    ASSERT_NE(a.Find(id), nullptr);
-    ASSERT_NE(b.Find(id), nullptr);
-    EXPECT_EQ(a.Find(id)->timestamps(), b.Find(id)->timestamps());
-    EXPECT_EQ(a.Find(id)->values(), b.Find(id)->values());
+    const std::optional<TimeSeries> series_a = a.Find(id);
+    const std::optional<TimeSeries> series_b = b.Find(id);
+    ASSERT_TRUE(series_a.has_value());
+    ASSERT_TRUE(series_b.has_value());
+    EXPECT_EQ(series_a->timestamps(), series_b->timestamps());
+    EXPECT_EQ(series_a->values(), series_b->values());
   }
   EXPECT_EQ(a.ListMetrics("svc_2"), b.ListMetrics("svc_2"));
   EXPECT_EQ(a.ListMetricsOfKind("svc_2", MetricKind::kGcpu),
@@ -267,9 +277,10 @@ TEST(WriteBatchTest, StagedPointsInvisibleUntilCommit) {
   EXPECT_EQ(db.total_points(), 0u);
   batch.Commit();
   EXPECT_TRUE(batch.empty());
-  ASSERT_NE(db.Find(id), nullptr);
-  EXPECT_EQ(db.Find(id)->size(), 2u);
-  EXPECT_EQ(db.Find(id)->values()[1], 0.6);
+  const std::optional<TimeSeries> series = db.Find(id);
+  ASSERT_TRUE(series.has_value());
+  EXPECT_EQ(series->size(), 2u);
+  EXPECT_EQ(series->values()[1], 0.6);
 }
 
 TEST(WriteBatchTest, BatchedContentMatchesPointwiseWrites) {
@@ -322,6 +333,9 @@ TimeSeries SmoothSeries(size_t n, uint64_t seed) {
   return series;
 }
 
+// TryMaterializeFrom's `begin` that reads every chunk.
+constexpr TimePoint kAllHistory = std::numeric_limits<TimePoint>::min();
+
 void ExpectSameSeries(const TimeSeries& a, const TimeSeries& b) {
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.timestamps(), b.timestamps());
@@ -342,7 +356,7 @@ TEST(TieredSeriesTest, SealPreservesContentBitExactly) {
   EXPECT_GT(tiered.chunk_count(), 1u);  // 2000 points at 256/chunk.
 
   TimeSeries materialized;
-  tiered.MaterializeAll(materialized);
+  ASSERT_TRUE(tiered.TryMaterializeFrom(kAllHistory, materialized).ok());
   ExpectSameSeries(materialized, reference);
 }
 
@@ -372,7 +386,8 @@ TEST(TieredSeriesTest, TailCoversAndAppendAfterSeal) {
   EXPECT_EQ(tiered.size(), 101u);
 
   TimeSeries out;
-  tiered.MaterializeFrom(600 * 200, out);  // Range beyond data: tail only.
+  // Range beyond data: tail only.
+  ASSERT_TRUE(tiered.TryMaterializeFrom(600 * 200, out).ok());
   EXPECT_EQ(out.size(), tiered.tail().size());
 }
 
@@ -389,7 +404,7 @@ TEST(TieredSeriesTest, DropBeforeAcrossChunks) {
   const TimePoint cutoff = 350 * 600;
   tiered.DropBefore(cutoff);
   TimeSeries materialized;
-  tiered.MaterializeAll(materialized);
+  ASSERT_TRUE(tiered.TryMaterializeFrom(kAllHistory, materialized).ok());
   TimeSeries expected = reference;
   expected.DropBefore(cutoff);
   ExpectSameSeries(materialized, expected);
@@ -403,7 +418,7 @@ TEST(TieredSeriesTest, DropBeforeAcrossChunks) {
 
 // ---------------------------------------------------------------------------
 // SeriesForScan: zero-copy on the raw tail, decode-to-scratch over sealed
-// history, Find materialization.
+// history, miss accounting; Find's owned copy.
 // ---------------------------------------------------------------------------
 
 TEST(SeriesForScanTest, TailOnlySeriesIsZeroCopy) {
@@ -413,10 +428,15 @@ TEST(SeriesForScanTest, TailOnlySeriesIsZeroCopy) {
     db.Write(id, t, 0.5);
   }
   TimeSeries scratch;
-  const TimeSeries* series = db.SeriesForScan(id, 600 * 50, scratch);
+  Status status;
+  const TimeSeries* series = db.SeriesForScan(id, 600 * 50, scratch, &status);
   ASSERT_NE(series, nullptr);
-  EXPECT_NE(series, &scratch);            // No decode happened...
-  EXPECT_EQ(series, db.Find(id));         // ...it is the stored series itself.
+  EXPECT_TRUE(status.ok());
+  EXPECT_NE(series, &scratch);  // No decode happened...
+  // ...it is the stored series itself: the same object on every lookup,
+  // holding every point.
+  EXPECT_EQ(db.SeriesForScan(id, 600 * 50, scratch, &status), series);
+  ExpectSameSeries(*series, *db.Find(id));
   EXPECT_TRUE(scratch.empty());
 }
 
@@ -433,7 +453,8 @@ TEST(SeriesForScanTest, SealedHistoryDecodesIntoScratch) {
 
   // Scan range entirely inside the raw tail: still zero-copy.
   TimeSeries scratch;
-  const TimeSeries* tail_scan = db.SeriesForScan(id, 400 * 600, scratch);
+  Status status;
+  const TimeSeries* tail_scan = db.SeriesForScan(id, 400 * 600, scratch, &status);
   ASSERT_NE(tail_scan, nullptr);
   EXPECT_NE(tail_scan, &scratch);
   EXPECT_EQ(tail_scan->size(), 100u);
@@ -441,8 +462,9 @@ TEST(SeriesForScanTest, SealedHistoryDecodesIntoScratch) {
   // Scan range reaching into sealed history: decoded into the scratch
   // buffer, never later than `begin`, bit-exact.
   const TimePoint begin = 200 * 600;
-  const TimeSeries* deep_scan = db.SeriesForScan(id, begin, scratch);
+  const TimeSeries* deep_scan = db.SeriesForScan(id, begin, scratch, &status);
   ASSERT_EQ(deep_scan, &scratch);
+  EXPECT_TRUE(status.ok());
   ASSERT_GT(scratch.size(), 0u);
   EXPECT_LE(scratch.start_time(), begin);
   EXPECT_EQ(scratch.end_time(), reference.end_time());
@@ -466,17 +488,39 @@ TEST(SeriesForScanTest, FindMaterializesSealedSeries) {
     db.Write(id, reference.timestamps()[i], reference.values()[i]);
   }
   db.SealBefore(250 * 600);
-  const TimeSeries* found = db.Find(id);
-  ASSERT_NE(found, nullptr);
+  const std::optional<TimeSeries> found = db.Find(id);
+  ASSERT_TRUE(found.has_value());
   ExpectSameSeries(*found, reference);
-  EXPECT_EQ(db.Find(id), found);  // Cached: same object on repeat lookups.
 
-  // Mutations invalidate the materialized cache.
+  // A later write shows up in the next lookup.
   db.Write(id, reference.end_time() + 600, 42.0);
-  const TimeSeries* refound = db.Find(id);
-  ASSERT_NE(refound, nullptr);
+  const std::optional<TimeSeries> refound = db.Find(id);
+  ASSERT_TRUE(refound.has_value());
   EXPECT_EQ(refound->size(), reference.size() + 1);
   EXPECT_EQ(refound->values().back(), 42.0);
+}
+
+TEST(SeriesForScanTest, MissesCountAbsentSeriesWhetherOrNotInterned) {
+  TimeSeriesDatabase db;
+  db.Write(MetricId{"svc", MetricKind::kGcpu, "sub", ""}, 600, 1.0);
+  db.Write(MetricId{"svc", MetricKind::kGcpu, "other", ""}, 600, 1.0);
+  // Every name of this id is interned, but no series carries it.
+  const MetricId interned_absent{"svc", MetricKind::kGcpu, "other", "sub"};
+  // "never_seen" was never interned: the id cannot resolve at all.
+  const MetricId never_interned{"svc", MetricKind::kGcpu, "never_seen", ""};
+  ASSERT_TRUE(db.TryIntern(interned_absent).has_value());
+  ASSERT_FALSE(db.TryIntern(never_interned).has_value());
+
+  const uint64_t misses_before = db.scan_stats().misses;
+  TimeSeries scratch;
+  Status status = Status::DataLoss("overwritten");
+  EXPECT_EQ(db.SeriesForScan(interned_absent, 0, scratch, &status), nullptr);
+  EXPECT_TRUE(status.ok());
+  status = Status::DataLoss("overwritten");
+  EXPECT_EQ(db.SeriesForScan(never_interned, 0, scratch, &status), nullptr);
+  EXPECT_TRUE(status.ok());
+  EXPECT_EQ(db.scan_stats().misses, misses_before + 2);
+  EXPECT_FALSE(db.TryIntern(never_interned).has_value());  // Reads intern nothing.
 }
 
 TEST(SeriesForScanTest, MemoryStatsTrackTiers) {
@@ -538,10 +582,10 @@ void ExpectIdenticalDatabases(const TimeSeriesDatabase& a, const TimeSeriesDatab
   const std::vector<MetricId> ids = a.ListMetrics();
   ASSERT_EQ(ids, b.ListMetrics());
   for (const MetricId& id : ids) {
-    const TimeSeries* series_a = a.Find(id);
-    const TimeSeries* series_b = b.Find(id);
-    ASSERT_NE(series_a, nullptr) << id.ToString();
-    ASSERT_NE(series_b, nullptr) << id.ToString();
+    const std::optional<TimeSeries> series_a = a.Find(id);
+    const std::optional<TimeSeries> series_b = b.Find(id);
+    ASSERT_TRUE(series_a.has_value()) << id.ToString();
+    ASSERT_TRUE(series_b.has_value()) << id.ToString();
     EXPECT_EQ(series_a->timestamps(), series_b->timestamps()) << id.ToString();
     EXPECT_EQ(series_a->values(), series_b->values()) << id.ToString();
   }

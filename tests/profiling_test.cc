@@ -204,7 +204,7 @@ TEST(SamplingProfilerTest, WriteGcpuBucketPopulatesDatabase) {
   TimeSeriesDatabase db;
   profiler.WriteGcpuBucket(t.graph, 600, rng, db);
   const MetricId main_metric{"svc", MetricKind::kGcpu, "main", ""};
-  ASSERT_NE(db.Find(main_metric), nullptr);
+  ASSERT_TRUE(db.Find(main_metric).has_value());
   EXPECT_NEAR(db.Find(main_metric)->values()[0], 1.0, 0.01);
 }
 

@@ -12,6 +12,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -163,7 +164,7 @@ uint64_t DbFingerprint(const TimeSeriesDatabase& db) {
     for (const char c : id.ToString()) {
       mix(static_cast<uint64_t>(static_cast<uint8_t>(c)));
     }
-    const TimeSeries* series = db.Find(id);
+    const std::optional<TimeSeries> series = db.Find(id);
     mix(series->size());
     for (size_t i = 0; i < series->size(); ++i) {
       mix(static_cast<uint64_t>(series->timestamps()[i]));

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -535,9 +536,9 @@ TEST(ServiceServerTest, TextAndBinaryIngestEndToEnd) {
 
   harness.StopHard();
   // The committed points are really in the database.
-  const TimeSeries* series =
+  const std::optional<TimeSeries> series =
       harness.db->Find(MetricId{"svc", MetricKind::kGcpu, "sub/alpha", ""});
-  ASSERT_NE(series, nullptr);
+  ASSERT_TRUE(series.has_value());
   EXPECT_EQ(series->size(), 2u);
 }
 
@@ -1085,8 +1086,8 @@ TEST(ServiceServerTest, DrainUnderLoadIsLosslessAcrossDurableReopen) {
   for (int s = 0; s < kSeriesCount; ++s) {
     const MetricId id{"svc", MetricKind::kApplication,
                       "synthetic_" + std::to_string(s), ""};
-    const TimeSeries* series = reopened.Find(id);
-    if (series != nullptr) {
+    const std::optional<TimeSeries> series = reopened.Find(id);
+    if (series.has_value()) {
       recovered_points += series->size();
     }
   }
@@ -1150,9 +1151,9 @@ TEST(ServiceServerTest, SealEndpointCheckpointsDurableTier) {
   }
 
   TimeSeriesDatabase reopened(tsdb);
-  const TimeSeries* series =
+  const std::optional<TimeSeries> series =
       reopened.Find(MetricId{"svc", MetricKind::kGcpu, "s", ""});
-  ASSERT_NE(series, nullptr);
+  ASSERT_TRUE(series.has_value());
   EXPECT_EQ(series->size(), acked);
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/common/sim_time.h"
 #include "src/tsdb/database.h"
 #include "src/tsdb/metric_id.h"
@@ -119,10 +121,10 @@ TEST(DatabaseTest, WriteAndFind) {
   const MetricId id{"svc", MetricKind::kCpu, "", ""};
   db.Write(id, 10, 0.5);
   db.Write(id, 20, 0.6);
-  const TimeSeries* series = db.Find(id);
-  ASSERT_NE(series, nullptr);
+  const std::optional<TimeSeries> series = db.Find(id);
+  ASSERT_TRUE(series.has_value());
   EXPECT_EQ(series->size(), 2u);
-  EXPECT_EQ(db.Find(MetricId{"other", MetricKind::kCpu, "", ""}), nullptr);
+  EXPECT_FALSE(db.Find(MetricId{"other", MetricKind::kCpu, "", ""}).has_value());
 }
 
 TEST(DatabaseTest, ListMetricsFiltersAndSorts) {

@@ -3,14 +3,18 @@
 // The decoder is the one place FBDetect parses a packed binary format whose
 // bytes may come from untrusted storage, so it must never read out of
 // bounds, hit signed-overflow UB, or abort — for any input. The harness
-// feeds arbitrary bytes through CompressedTimeSeries::FromRaw +
-// TryDecodeInto and checks the invariants the decoder promises: errors come
-// back as Status (never an exception or a crash), and any decoded prefix is
-// strictly increasing in time.
+// decodes every input twice: through CompressedTimeSeries::FromRaw (whose
+// size check needs a bit count that fits the bytes), and through
+// CompressedChunkView over the input bytes in place with the bit count as
+// given — the path evicted and recovered chunks take, where the reader
+// clamps an overstated bit count to the payload. Both decodes are checked
+// for the invariants the decoder promises: errors come back as Status (never
+// an exception or a crash), any decoded prefix is strictly increasing in
+// time, and a successful decode returns `count` points.
 //
 // Input layout: [0..7] little-endian point count (clamped to 64k),
-// [8..15] claimed bit count (clamped to what the remaining bytes hold),
-// [16..] the bit stream.
+// [8..15] claimed bit count (reduced modulo what the remaining bytes hold
+// for FromRaw, passed unchanged to the view), [16..] the bit stream.
 //
 // Two build modes:
 //   * FBD_USE_LIBFUZZER: a classic LLVMFuzzerTestOneInput entry point for
@@ -37,30 +41,39 @@ uint64_t ReadLittleEndian64(const uint8_t* data) {
   return value;
 }
 
-// Shared driver: build a chunk from raw fuzz bytes and decode it. Returns
-// the decode status code so the smoke harness can track coverage counters.
-fbdetect::StatusCode DecodeOne(const uint8_t* data, size_t size) {
-  if (size < 16) {
-    return fbdetect::StatusCode::kInvalidArgument;
-  }
-  const size_t count = static_cast<size_t>(ReadLittleEndian64(data) % 65536);
-  std::vector<uint8_t> bytes(data + 16, data + size);
-  const size_t max_bits = bytes.size() * 8;
-  const size_t bit_count =
-      max_bits == 0 ? 0 : static_cast<size_t>(ReadLittleEndian64(data + 8) % (max_bits + 1));
-  const fbdetect::CompressedTimeSeries chunk =
-      fbdetect::CompressedTimeSeries::FromRaw(std::move(bytes), bit_count, count);
-
-  fbdetect::TimeSeries out;
-  const fbdetect::Status status = chunk.TryDecodeInto(out);
-  // Whatever the outcome, any decoded prefix obeys the TimeSeries ordering
-  // invariant (TryAppend enforced it point by point).
+// Whatever the outcome, any decoded prefix obeys the TimeSeries ordering
+// invariant, and a successful decode holds every claimed point.
+void CheckDecode(const fbdetect::Status& status, const fbdetect::TimeSeries& out,
+                 size_t count) {
   for (size_t i = 1; i < out.size(); ++i) {
     FBD_CHECK(out.timestamps()[i] > out.timestamps()[i - 1]);
   }
   if (status.ok()) {
     FBD_CHECK(out.size() == count);
   }
+}
+
+// Decodes raw fuzz bytes as an owned chunk and as a mapped payload, for both
+// build modes. Returns the owned chunk's status code so the smoke harness can
+// track coverage counters.
+fbdetect::StatusCode DecodeOne(const uint8_t* data, size_t size) {
+  if (size < 16) {
+    return fbdetect::StatusCode::kInvalidArgument;
+  }
+  const size_t count = static_cast<size_t>(ReadLittleEndian64(data) % 65536);
+  const size_t claimed_bits = static_cast<size_t>(ReadLittleEndian64(data + 8));
+  std::vector<uint8_t> bytes(data + 16, data + size);
+  const size_t max_bits = bytes.size() * 8;
+  const size_t bit_count = max_bits == 0 ? 0 : claimed_bits % (max_bits + 1);
+  const fbdetect::CompressedTimeSeries chunk =
+      fbdetect::CompressedTimeSeries::FromRaw(std::move(bytes), bit_count, count);
+  fbdetect::TimeSeries out;
+  const fbdetect::Status status = chunk.TryDecodeInto(out);
+  CheckDecode(status, out, count);
+
+  const fbdetect::CompressedChunkView view(data + 16, size - 16, claimed_bits, count);
+  fbdetect::TimeSeries view_out;
+  CheckDecode(view.TryDecodeInto(view_out), view_out, count);
   return status.code();
 }
 
