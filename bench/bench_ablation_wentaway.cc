@@ -156,14 +156,14 @@ int main() {
       }
       candidate.relative_delta = candidate.delta / candidate.baseline_mean;
       ++rates.candidates;
-      rates.iteration1 += InverseCusumWentAway(config).Keep(candidate) ? 1 : 0;
-      rates.iteration2_good += TrendCompareWentAway(config, 0).Keep(candidate) ? 1 : 0;
+      rates.iteration1 += InverseCusumWentAway().Keep(candidate) ? 1 : 0;
+      rates.iteration2_good += TrendCompareWentAway(0).Keep(candidate) ? 1 : 0;
       // The "bad" offset selects the historical slice containing the spike
       // (spike at hours 10-11 of a 48h history; slices are one analysis+
       // extended window = 6h wide, counted from the end: offset 6 covers
       // hours 6..12).
-      rates.iteration2_bad += TrendCompareWentAway(config, 6).Keep(candidate) ? 1 : 0;
-      rates.iteration3 += WentAwayDetector(config).Evaluate(candidate, 144).keep ? 1 : 0;
+      rates.iteration2_bad += TrendCompareWentAway(6).Keep(candidate) ? 1 : 0;
+      rates.iteration3 += WentAwayDetector().Evaluate(candidate, 144).keep ? 1 : 0;
     }
     auto pct = [&](int kept) {
       return rates.candidates == 0 ? 0.0 : 100.0 * kept / rates.candidates;

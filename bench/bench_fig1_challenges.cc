@@ -97,7 +97,7 @@ void ScenarioB() {
     bool IsDescendant(const std::string&, const std::string&) const override { return false; }
   };
   PairInfo code_info;
-  CostShiftDetector detector(&db, CostShiftConfig{});
+  CostShiftDetector detector(&db);
   detector.AddDomainDetector(std::make_unique<ClassDomainDetector>(&code_info));
   if (candidate.has_value()) {
     const CostShiftVerdict verdict = detector.Evaluate(*candidate);
@@ -128,7 +128,7 @@ void ScenarioC() {
   std::printf("    change-point stage flags the dip: %s\n",
               candidate.has_value() ? "YES" : "no");
   if (candidate.has_value()) {
-    const WentAwayVerdict verdict = WentAwayDetector(config).Evaluate(*candidate, 144);
+    const WentAwayVerdict verdict = WentAwayDetector().Evaluate(*candidate, 144);
     std::printf("    went-away detector verdict: %s (gone_away=%d)\n",
                 verdict.keep ? "kept (WRONG)" : "TRANSIENT -> filtered (correct)",
                 verdict.gone_away);

@@ -65,7 +65,7 @@ Outcome RunCase(double spike_level, double regression_level, bool draw, uint64_t
       ChangePointStage(config).Detect({"svc", MetricKind::kGcpu, "sub", ""}, windows);
   outcome.change_point = candidate.has_value();
   if (candidate) {
-    outcome.verdict = WentAwayDetector(config).Evaluate(*candidate, 144);
+    outcome.verdict = WentAwayDetector().Evaluate(*candidate, 144);
   }
   return outcome;
 }

@@ -113,10 +113,10 @@ bool FbdetectClassify(const TimeSeries& series, const DetectionConfig& config) {
   if (!candidate) {
     return false;
   }
-  if (!WentAwayDetector(config).Evaluate(*candidate, static_cast<size_t>(kDay / kTick)).keep) {
+  if (!WentAwayDetector().Evaluate(*candidate, static_cast<size_t>(kDay / kTick)).keep) {
     return false;
   }
-  if (SeasonalityStage(config).Evaluate(*candidate).seasonal_filtered) {
+  if (SeasonalityStage().Evaluate(*candidate).seasonal_filtered) {
     return false;
   }
   return PassesThreshold(*candidate, config);

@@ -108,13 +108,10 @@ FunnelResult RunFunnel(const std::vector<std::vector<Regression>>& batches,
   SameRegressionMerger merger(tolerance);
   const SomDedup som_dedup;
   PairwiseDedup pairwise;
-  const SomDedupConfig som_config;
-  const FingerprintConfig fp_config{som_config.fourier_coefficients,
-                                    som_config.root_cause_bitmap_dims, true};
   for (const std::vector<Regression>& batch : batches) {
     std::vector<FunnelCandidate> candidates(batch.size());
     ParallelIndexFor(batch.size(), pool, [&](size_t i) {
-      candidates[i].fingerprint = ComputeFingerprint(batch[i], fp_config);
+      candidates[i].fingerprint = ComputeFingerprint(batch[i], FingerprintConfig{});
       candidates[i].regression = batch[i];
     });
     std::vector<FunnelCandidate> admitted = merger.Filter(std::move(candidates));

@@ -74,11 +74,11 @@ RunResult RunPreset(const DetectionConfig& preset, double step_multiple, uint64_
     return result;
   }
   const size_t points_per_day = static_cast<size_t>(kDay / tick);
-  result.went_away_kept = WentAwayDetector(config).Evaluate(*candidate, points_per_day).keep;
+  result.went_away_kept = WentAwayDetector().Evaluate(*candidate, points_per_day).keep;
   if (!result.went_away_kept) {
     return result;
   }
-  result.seasonality_kept = !SeasonalityStage(config).Evaluate(*candidate).seasonal_filtered;
+  result.seasonality_kept = !SeasonalityStage().Evaluate(*candidate).seasonal_filtered;
   if (!result.seasonality_kept) {
     return result;
   }

@@ -12,25 +12,21 @@
 namespace fbdetect {
 namespace {
 
+// CUSUM+EM's defaults are §5.2.1's: segments of at least kMinSegment points,
+// at most 20 EM iterations and a likelihood-ratio test at level 0.01.
+static_assert(ChangePointConfig{}.min_segment == kMinSegment);
+
 // The configured detector's strongest single split of `values`, in the
 // §5.2.1 form: `index` is the first post-change element, `delta` the
 // after-minus-before mean difference, and `found` only when the split is
-// significant at config.significance_level. Both detectors are deterministic
-// (E-divisive's permutation test uses a fixed seed).
-ChangePoint LocateChangePoint(std::span<const double> values, const DetectionConfig& config) {
-  switch (config.change_point_detector) {
-    case ChangePointDetector::kCusumEm: {
-      ChangePointConfig cusum_em;
-      cusum_em.min_segment = config.min_segment;
-      cusum_em.max_iterations = config.max_em_iterations;
-      cusum_em.significance_level = config.significance_level;
-      return DetectChangePoint(values, cusum_em);
-    }
+// significant at level 0.01. Both detectors are deterministic (E-divisive's
+// permutation test uses a fixed seed).
+ChangePoint LocateChangePoint(std::span<const double> values, ChangePointDetector detector) {
+  switch (detector) {
+    case ChangePointDetector::kCusumEm:
+      return DetectChangePoint(values);
     case ChangePointDetector::kEDivisive: {
-      EDivisiveConfig e_divisive;
-      e_divisive.min_segment = config.min_segment;
-      e_divisive.significance_level = config.significance_level;
-      const EDivisiveResult split = EDivisiveSingleSplit(values, e_divisive);
+      const EDivisiveResult split = EDivisiveSingleSplit(values);
       ChangePoint cp;
       if (!split.found || split.index == 0) {
         return cp;
@@ -52,7 +48,7 @@ ChangePoint LocateChangePoint(std::span<const double> values, const DetectionCon
 std::optional<ScanCandidate> ChangePointStage::DetectCandidate(const ScanView& view) const {
   // Minimum data requirements: the statistics below need a meaningful
   // baseline and enough analysis points to host a split.
-  const size_t min_analysis = std::max<size_t>(2 * config_.min_segment, 8);
+  const size_t min_analysis = std::max<size_t>(2 * kMinSegment, 8);
   if (view.analysis_size + view.extended_size < min_analysis ||
       view.historical_size < min_analysis) {
     return std::nullopt;
@@ -69,7 +65,7 @@ std::optional<ScanCandidate> ChangePointStage::DetectCandidate(const ScanView& v
   const size_t context = std::min(view.historical_size, view.analysis_size);
   const std::span<const double> scan = view.full.subspan(view.historical_size - context);
 
-  const ChangePoint cp = LocateChangePoint(scan, config_);
+  const ChangePoint cp = LocateChangePoint(scan, config_.change_point_detector);
   if (!cp.found) {
     return std::nullopt;
   }

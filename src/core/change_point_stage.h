@@ -25,6 +25,10 @@
 
 namespace fbdetect {
 
+// Minimum points per change-point segment (§5.2.1). Also the segment floor of
+// the first went-away iteration (went_away_legacy.h).
+inline constexpr size_t kMinSegment = 4;
+
 class ChangePointStage {
  public:
   // Keeps a reference to `config`, which must outlive the stage. Stateless

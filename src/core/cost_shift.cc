@@ -12,6 +12,15 @@
 namespace fbdetect {
 namespace {
 
+// Check 2: exclude domains whose cost exceeds this multiple of the
+// regression delta.
+constexpr double kLargeDomainRatio = 50.0;
+// Check 3: a domain delta below this fraction of the regression delta is
+// negligible.
+constexpr double kNegligibleRatio = 0.25;
+// A domain needs this many points on each side of the change to be measured.
+constexpr size_t kMinWindowPoints = 4;
+
 // Sums the member series around the regression's change point, returning the
 // domain's mean cost before/after and whether every member existed before the
 // change. Sampling is aligned on the regression's analysis timestamps plus an
@@ -24,7 +33,7 @@ struct DomainWindow {
 };
 
 DomainWindow MeasureDomain(const TimeSeriesDatabase& db, const CostDomain& domain,
-                           const Regression& regression, size_t min_points) {
+                           const Regression& regression) {
   DomainWindow window;
   const TimePoint change = regression.change_time;
   // Compare an equally long window on each side of the change point.
@@ -70,7 +79,7 @@ DomainWindow MeasureDomain(const TimeSeriesDatabase& db, const CostDomain& domai
     after_sum += Sum(after);
     after_points = std::max(after_points, after.size());
   }
-  if (!any_series || before_points < min_points || after_points < min_points) {
+  if (!any_series || before_points < kMinWindowPoints || after_points < kMinWindowPoints) {
     return window;
   }
   window.any_data = true;
@@ -82,8 +91,7 @@ DomainWindow MeasureDomain(const TimeSeriesDatabase& db, const CostDomain& domai
 
 }  // namespace
 
-CostShiftDetector::CostShiftDetector(const TimeSeriesDatabase* db, CostShiftConfig config)
-    : db_(db), config_(config) {
+CostShiftDetector::CostShiftDetector(const TimeSeriesDatabase* db) : db_(db) {
   FBD_CHECK(db_ != nullptr);
 }
 
@@ -112,8 +120,7 @@ CostShiftVerdict CostShiftDetector::Evaluate(const Regression& regression) const
   }
   for (const auto& detector : detectors_) {
     for (const CostDomain& domain : detector->DomainsFor(regression)) {
-      const DomainWindow window =
-          MeasureDomain(*db_, domain, regression, config_.min_window_points);
+      const DomainWindow window = MeasureDomain(*db_, domain, regression);
       if (!window.any_data) {
         continue;
       }
@@ -124,12 +131,12 @@ CostShiftVerdict CostShiftDetector::Evaluate(const Regression& regression) const
       }
       // Check 2: a domain far larger than the regression is excluded — its
       // own variation would mask the shift signal.
-      if (window.mean_before > config_.large_domain_ratio * regression_delta) {
+      if (window.mean_before > kLargeDomainRatio * regression_delta) {
         continue;
       }
       // Check 3: domain total barely moved while the member jumped -> shift.
       const double domain_delta = std::fabs(window.mean_after - window.mean_before);
-      if (domain_delta < config_.negligible_ratio * regression_delta) {
+      if (domain_delta < kNegligibleRatio * regression_delta) {
         verdict.is_cost_shift = true;
         verdict.domain = detector->name() + ":" + domain.name;
         return verdict;

@@ -18,9 +18,9 @@
 //
 // Per-domain decision (§5.4's three checks):
 //  1. domain absent before the regression (new subroutine) -> not a shift;
-//  2. domain cost >> regression delta (default 50x) -> domain excluded
+//  2. domain cost >> regression delta (over 50x) -> domain excluded
 //     (its seasonal wiggle would swamp the effect);
-//  3. domain delta negligible vs regression delta (default < 25%) -> the
+//  3. domain delta negligible vs regression delta (under 25%) -> the
 //     regression IS a shift within this domain -> filter it.
 #ifndef FBDETECT_SRC_CORE_COST_SHIFT_H_
 #define FBDETECT_SRC_CORE_COST_SHIFT_H_
@@ -53,14 +53,6 @@ class CostDomainDetector {
   virtual std::vector<CostDomain> DomainsFor(const Regression& regression) const = 0;
 };
 
-struct CostShiftConfig {
-  double large_domain_ratio = 50.0;   // Check 2: exclude domains bigger than
-                                      // ratio x regression delta.
-  double negligible_ratio = 0.25;     // Check 3: domain delta below this
-                                      // fraction of the regression delta.
-  size_t min_window_points = 4;
-};
-
 struct CostShiftVerdict {
   bool is_cost_shift = false;
   std::string domain;  // The domain that explained the shift, when any.
@@ -68,7 +60,7 @@ struct CostShiftVerdict {
 
 class CostShiftDetector {
  public:
-  CostShiftDetector(const TimeSeriesDatabase* db, CostShiftConfig config);
+  explicit CostShiftDetector(const TimeSeriesDatabase* db);
 
   // Registers a domain detector (takes ownership).
   void AddDomainDetector(std::unique_ptr<CostDomainDetector> detector);
@@ -82,7 +74,6 @@ class CostShiftDetector {
 
  private:
   const TimeSeriesDatabase* db_;
-  CostShiftConfig config_;
   std::vector<std::unique_ptr<CostDomainDetector>> detectors_;
 };
 

@@ -27,8 +27,8 @@
 namespace fbdetect {
 
 struct FingerprintConfig {
-  // Sizing of the SOM shape-feature block; must match the SomDedupConfig the
-  // cohort is clustered with.
+  // Sizing of the SOM shape-feature block. SomDedup and the pipeline use
+  // these defaults; they are the only home of the two sizes.
   size_t fourier_coefficients = 4;
   size_t root_cause_bitmap_dims = 8;
   // Skip the SOM feature block entirely (cheap fingerprints for stages that

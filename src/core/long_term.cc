@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "src/core/seasonality_stage.h"
 #include "src/stats/correlation.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/linreg.h"
@@ -12,6 +13,13 @@
 #include "src/tsa/stl.h"
 
 namespace fbdetect {
+namespace {
+
+// A normalized trend whose linear fit has RMSE below this is a gradual ramp
+// starting at the analysis window's beginning.
+constexpr double kLongTermRmseThreshold = 0.15;
+
+}  // namespace
 
 std::optional<Regression> LongTermDetector::Detect(const MetricId& metric,
                                                    const ScanView& view) const {
@@ -32,7 +40,7 @@ std::optional<Regression> LongTermDetector::Detect(const MetricId& metric,
   // the trend alone; otherwise smooth with STL's trend extraction anyway
   // (period fallback) to suppress noise.
   const SeasonalityEstimate season =
-      DetectSeasonality(full, 4, full.size() / 3, config_.seasonality_min_correlation);
+      DetectSeasonality(full, 4, full.size() / 3, kSeasonalityMinCorrelation);
   const size_t period = season.present ? season.period : std::max<size_t>(4, full.size() / 20);
   const Decomposition stl = StlDecompose(full, period);
   const std::span<const double> trend_span =
@@ -73,7 +81,7 @@ std::optional<Regression> LongTermDetector::Detect(const MetricId& metric,
   }
   size_t change_index = 0;
   const LinearFit fit = FitLine(normalized);
-  if (!(fit.valid && fit.rmse < config_.long_term_rmse_threshold)) {
+  if (!(fit.valid && fit.rmse < kLongTermRmseThreshold)) {
     // Not a clean ramp: DP search (normal loss) for the split.
     change_index = BestSingleSplit(analysis_trend, /*min_segment=*/edge);
   }

@@ -35,22 +35,16 @@ Pipeline::Pipeline(const TimeSeriesDatabase* db, const ChangeLog* change_log,
       change_log_(change_log),
       options_(std::move(options)),
       change_point_stage_(options_.detection),
-      went_away_(options_.detection),
-      seasonality_(options_.detection),
       long_term_(options_.detection),
       merger_(options_.detection.windows.analysis),
-      som_dedup_(options_.som_dedup),
-      cost_shift_(db, options_.cost_shift),
-      pairwise_(options_.pairwise_rule),
+      cost_shift_(db),
       pool_(static_cast<size_t>(std::max(1, options_.scan_threads) - 1)),
       worker_scratch_(static_cast<size_t>(std::max(1, options_.scan_threads))),
       worker_series_scratch_(static_cast<size_t>(std::max(1, options_.scan_threads))) {
   FBD_CHECK(db_ != nullptr);
   cost_shift_.AddDefaultDetectors(code_info, change_log_);
   if (change_log_ != nullptr) {
-    RootCauseConfig rc = options_.root_cause;
-    rc.lookback = options_.detection.root_cause_lookback;
-    root_cause_ = std::make_unique<RootCauseAnalyzer>(change_log_, code_info, rc);
+    root_cause_ = std::make_unique<RootCauseAnalyzer>(change_log_, code_info, RootCauseConfig{});
   }
   RegisterInstruments();
 }
@@ -114,7 +108,7 @@ void Pipeline::RegisterInstruments() {
 }
 
 void Pipeline::set_stack_overlap(StackOverlapFn overlap) {
-  pairwise_ = PairwiseDedup(options_.pairwise_rule, std::move(overlap));
+  pairwise_ = PairwiseDedup(PairwiseRule{}, std::move(overlap));
 }
 
 void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
@@ -401,9 +395,6 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
 
   // Stage: fingerprints — the text/shape artifacts every later stage reuses,
   // computed exactly once per survivor, in parallel into per-index slots.
-  const FingerprintConfig fp_config{options_.som_dedup.fourier_coefficients,
-                                    options_.som_dedup.root_cause_bitmap_dims,
-                                    /*som_features=*/true};
   obs_.fingerprint.in->Add(survivors.size());
   std::vector<FunnelCandidate> candidates(survivors.size());
   std::vector<uint8_t> fingerprint_failed(survivors.size(), 0);
@@ -412,7 +403,7 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
     StageTimer timer(obs_.fingerprint.wall_ns, obs_.fingerprint.cpu_ns);
     ParallelIndexFor(survivors.size(), FunnelPool(), [&](size_t i) {
       try {
-        candidates[i].fingerprint = ComputeFingerprint(survivors[i], fp_config);
+        candidates[i].fingerprint = ComputeFingerprint(survivors[i], FingerprintConfig{});
         candidates[i].regression = std::move(survivors[i]);
       } catch (const std::exception& e) {
         fingerprint_failed[i] = 1;  // Survivor left intact for accounting.

@@ -83,14 +83,13 @@ struct TelemetryOptions {
   bool enabled = false;
 };
 
+// The funnel stages run with their §5 defaults (PairwiseRule,
+// RootCauseConfig, SomTrainConfig, FingerprintConfig); only what a workload
+// or an experiment varies is an option here.
 struct PipelineOptions {
   DetectionConfig detection;
   TelemetryOptions telemetry;
   bool enable_cost_shift = true;   // AdServing disables it (Table 3).
-  CostShiftConfig cost_shift;
-  SomDedupConfig som_dedup;
-  PairwiseRule pairwise_rule;
-  RootCauseConfig root_cause;
   // Per-series detection (stages 1-3 + threshold) is embarrassingly
   // parallel; production FBDetect fans it out across a serverless platform
   // (§5.1). >1 scans series on that many threads (a persistent pool, spawned

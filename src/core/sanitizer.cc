@@ -120,16 +120,6 @@ uint64_t QuarantineReport::total_dropped_out_of_order() const {
   return total;
 }
 
-size_t QuarantineReport::CountAtLeast(QualityVerdict verdict) const {
-  size_t count = 0;
-  for (const QuarantineRecord& record : records) {
-    if (record.worst >= verdict) {
-      ++count;
-    }
-  }
-  return count;
-}
-
 WindowQuality InspectWindow(MetricKind kind, const WindowView& view, const WindowSpec& spec) {
   WindowQuality quality;
   if (view.full.empty()) {

@@ -89,8 +89,6 @@ struct QuarantineReport {
   uint64_t total_exceptions() const;
   uint64_t total_dropped_duplicate() const;
   uint64_t total_dropped_out_of_order() const;
-  // Records whose worst verdict is at least `verdict`.
-  size_t CountAtLeast(QualityVerdict verdict) const;
 };
 
 // Read-only inspection of one extracted window. `kind` decides whether

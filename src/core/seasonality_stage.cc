@@ -10,6 +10,13 @@
 #include "src/tsa/stl.h"
 
 namespace fbdetect {
+namespace {
+
+// A deseasonalized shift below this many residual standard deviations, in
+// both the analysis and the extended window, is seasonal.
+constexpr double kSeasonalityZscoreThreshold = 2.0;
+
+}  // namespace
 
 SeasonalityVerdict SeasonalityStage::Evaluate(const ScanView& view,
                                               const ScanCandidate& candidate) const {
@@ -26,7 +33,7 @@ SeasonalityVerdict SeasonalityStage::Evaluate(const ScanView& view,
 
   const SeasonalityEstimate season = DetectSeasonality(
       combined, /*min_period=*/4, /*max_period=*/combined.size() / 3,
-      config_.seasonality_min_correlation);
+      kSeasonalityMinCorrelation);
   if (!season.present) {
     return verdict;  // No seasonality: the stage passes the regression on.
   }
@@ -69,8 +76,8 @@ SeasonalityVerdict SeasonalityStage::Evaluate(const ScanView& view,
   // Filter as seasonal only when the deseasonalized shift is small in BOTH
   // windows (§5.2.3 requires both z-scores below the threshold).
   verdict.seasonal_filtered =
-      verdict.analysis_zscore < config_.seasonality_zscore_threshold &&
-      verdict.extended_zscore < config_.seasonality_zscore_threshold;
+      verdict.analysis_zscore < kSeasonalityZscoreThreshold &&
+      verdict.extended_zscore < kSeasonalityZscoreThreshold;
   return verdict;
 }
 

@@ -12,11 +12,16 @@
 #ifndef FBDETECT_SRC_CORE_SEASONALITY_STAGE_H_
 #define FBDETECT_SRC_CORE_SEASONALITY_STAGE_H_
 
+#include <cstddef>
+
 #include "src/core/regression.h"
 #include "src/core/scan_view.h"
-#include "src/core/workload_config.h"
 
 namespace fbdetect {
+
+// Minimum autocorrelation at the detected period for seasonality to count as
+// present (§5.2.3). The long-term detector (§5.3) uses the same bar.
+inline constexpr double kSeasonalityMinCorrelation = 0.30;
 
 struct SeasonalityVerdict {
   bool seasonal_filtered = false;  // True = drop the regression.
@@ -28,17 +33,12 @@ struct SeasonalityVerdict {
 
 class SeasonalityStage {
  public:
-  explicit SeasonalityStage(const DetectionConfig& config) : config_(config) {}
-
   // Zero-copy core: seasonality is estimated over view.full (historical +
   // analysis + extended, contiguous and oriented) with no concatenation.
   SeasonalityVerdict Evaluate(const ScanView& view, const ScanCandidate& candidate) const;
 
   // Convenience: re-evaluates a stored Regression.
   SeasonalityVerdict Evaluate(const Regression& regression) const;
-
- private:
-  const DetectionConfig& config_;
 };
 
 }  // namespace fbdetect

@@ -10,6 +10,14 @@
 namespace fbdetect {
 namespace {
 
+// ImportanceScore weights (§5.5.1).
+constexpr double kWeightRelative = 0.2;
+constexpr double kWeightAbsolute = 0.6;
+constexpr double kWeightPopularity = 0.1;
+constexpr double kWeightRootCause = 0.1;
+// Dimensions of the TF-IDF metric-ID embedding.
+constexpr size_t kMetricIdDims = 8;
+
 // Z-score normalization per dimension (constant dimensions collapse to 0).
 // Same summation order as the historical nested-vector version.
 void NormalizeColumns(FlatMatrix& rows) {
@@ -50,16 +58,14 @@ double SomDedup::ImportanceScore(const Regression& regression, double max_abs_de
                                 ? std::clamp(regression.baseline_mean, 0.0, 1.0)
                                 : 0.5;
   const double has_root_cause = regression.candidate_root_causes.empty() ? 0.0 : 1.0;
-  return config_.w_relative * relative + config_.w_absolute * absolute +
-         config_.w_popularity * (1.0 - popularity) + config_.w_root_cause * has_root_cause;
+  return kWeightRelative * relative + kWeightAbsolute * absolute +
+         kWeightPopularity * (1.0 - popularity) + kWeightRootCause * has_root_cause;
 }
 
 std::vector<Regression> SomDedup::Deduplicate(std::vector<Regression> regressions) const {
-  const FingerprintConfig fp_config{config_.fourier_coefficients, config_.root_cause_bitmap_dims,
-                                    /*som_features=*/true};
   std::vector<FunnelCandidate> candidates(regressions.size());
   for (size_t i = 0; i < regressions.size(); ++i) {
-    candidates[i].fingerprint = ComputeFingerprint(regressions[i], fp_config);
+    candidates[i].fingerprint = ComputeFingerprint(regressions[i], FingerprintConfig{});
     candidates[i].regression = std::move(regressions[i]);
   }
   std::vector<FunnelCandidate> representatives = Deduplicate(std::move(candidates), nullptr);
@@ -90,7 +96,7 @@ std::vector<FunnelCandidate> SomDedup::Deduplicate(std::vector<FunnelCandidate> 
   for (const FunnelCandidate& candidate : candidates) {
     corpus.push_back(&candidate.fingerprint.grams);
   }
-  TfIdfHasher hasher(config_.metric_id_dims);
+  TfIdfHasher hasher(kMetricIdDims);
   hasher.FitHashed(corpus);
 
   // Assemble the flat feature matrix: cached shape block + cohort-fitted
@@ -98,7 +104,7 @@ std::vector<FunnelCandidate> SomDedup::Deduplicate(std::vector<FunnelCandidate> 
   const size_t base_dims = candidates[0].fingerprint.som_base.size();
   FBD_CHECK(base_dims > 0);  // Fingerprints must carry som_features.
   FlatMatrix features;
-  features.Resize(candidates.size(), base_dims + config_.metric_id_dims);
+  features.Resize(candidates.size(), base_dims + kMetricIdDims);
   ParallelIndexFor(candidates.size(), pool, [&](size_t i) {
     const RegressionFingerprint& fingerprint = candidates[i].fingerprint;
     FBD_CHECK(fingerprint.som_base.size() == base_dims);
@@ -109,8 +115,9 @@ std::vector<FunnelCandidate> SomDedup::Deduplicate(std::vector<FunnelCandidate> 
   NormalizeColumns(features);
 
   const int grid = SomGridSize(candidates.size());
-  SelfOrganizingMap som(features.cols, grid, config_.training.seed);
-  som.Train(features, config_.training);
+  const SomTrainConfig training;
+  SelfOrganizingMap som(features.cols, grid, training.seed);
+  som.Train(features, training);
   std::vector<int> assignment(candidates.size());
   som.Assign(features, assignment, pool);
 

@@ -31,23 +31,8 @@
 
 namespace fbdetect {
 
-struct SomDedupConfig {
-  // ImportanceScore weights (paper defaults).
-  double w_relative = 0.2;
-  double w_absolute = 0.6;
-  double w_popularity = 0.1;
-  double w_root_cause = 0.1;
-
-  size_t fourier_coefficients = 4;
-  size_t root_cause_bitmap_dims = 8;
-  size_t metric_id_dims = 8;
-  SomTrainConfig training;
-};
-
 class SomDedup {
  public:
-  explicit SomDedup(const SomDedupConfig& config = {}) : config_(config) {}
-
   // Clusters `regressions` and returns one representative per cluster (the
   // max-ImportanceScore member), with `som_cluster`, `importance`, and
   // `merged_count` filled in. Input order does not affect the set of
@@ -56,18 +41,14 @@ class SomDedup {
   std::vector<Regression> Deduplicate(std::vector<Regression> regressions) const;
 
   // Funnel form: candidates arrive with fingerprints (whose som_base must
-  // have been built with this config's fourier_coefficients /
-  // root_cause_bitmap_dims). `pool` may be null (serial); results are
-  // byte-identical for any pool size.
+  // have been built with FingerprintConfig's default sizes). `pool` may be
+  // null (serial); results are byte-identical for any pool size.
   std::vector<FunnelCandidate> Deduplicate(std::vector<FunnelCandidate> candidates,
                                            ThreadPool* pool) const;
 
   // The ImportanceScore of one regression given cohort-normalization bounds.
   double ImportanceScore(const Regression& regression, double max_abs_delta,
                          double max_rel_delta) const;
-
- private:
-  SomDedupConfig config_;
 };
 
 }  // namespace fbdetect

@@ -11,6 +11,18 @@
 #include "src/tsa/sax.h"
 
 namespace fbdetect {
+namespace {
+
+// NewPattern: at least this fraction of post-regression letters are invalid
+// in the historical window.
+constexpr double kNewPatternInvalidFraction = 0.6;
+// LastingTrend: the projected slope must reach this many normalized MADs.
+constexpr double kTrendCoefficient = 1.5;
+// RegressionGoneAway: the tail has recovered below baseline + this fraction
+// of the delta.
+constexpr double kGoneAwayRecoveryFraction = 0.5;
+
+}  // namespace
 
 WentAwayVerdict WentAwayDetector::Evaluate(const ScanView& view,
                                            const ScanCandidate& candidate,
@@ -28,9 +40,8 @@ WentAwayVerdict WentAwayDetector::Evaluate(const ScanView& view,
   // boundaries — view.full IS that combined range, contiguous and already
   // oriented, so no concatenation is materialized. The encoder's validity is
   // computed from the historical distribution only.
-  SaxConfig sax_config;
-  sax_config.num_buckets = config_.sax_buckets;
-  sax_config.min_bucket_fraction = config_.sax_min_bucket_fraction;
+  // SaxConfig's defaults are §5.2.2's: N = 20 buckets, X = 3% validity.
+  const SaxConfig sax_config;
   // Bucket boundaries from the combined span; validity recomputed over the
   // historical span by counting historical encodings against the combined
   // range encoder.
@@ -84,7 +95,7 @@ WentAwayVerdict WentAwayDetector::Evaluate(const ScanView& view,
   const double invalid_fraction =
       post_sax.empty() ? 1.0
                        : static_cast<double>(invalid) / static_cast<double>(post_sax.size());
-  if (invalid_fraction >= config_.new_pattern_invalid_fraction) {
+  if (invalid_fraction >= kNewPatternInvalidFraction) {
     // New pattern — unless the level is BELOW the lowest valid bucket, which
     // means a new pattern without a cost increase.
     const double post_mean = Mean(post);
@@ -135,7 +146,7 @@ WentAwayVerdict WentAwayDetector::Evaluate(const ScanView& view,
     // slope is per tick; project it over the post window to compare a total
     // movement against the noise scale.
     const double mad = MedianAbsoluteDeviation(historical, /*normalized=*/true);
-    const double threshold = config_.trend_coefficient * mad;
+    const double threshold = kTrendCoefficient * mad;
     verdict.lasting_trend =
         slope * static_cast<double>(std::max<size_t>(post.size(), 1)) >= threshold;
   } else if (mk_post.direction != TrendDirection::kDecreasing) {
@@ -145,12 +156,11 @@ WentAwayVerdict WentAwayDetector::Evaluate(const ScanView& view,
   }
 
   // --- RegressionGoneAway ---
-  const size_t tail = std::min<size_t>(std::max<size_t>(config_.gone_away_tail_points, 1),
-                                       post.size());
+  const size_t tail = std::min(kGoneAwayTailPoints, post.size());
   const double tail_mean = Mean(post.subspan(post.size() - tail));
   verdict.gone_away =
       tail_mean <= candidate.baseline_mean +
-                       config_.gone_away_recovery_fraction * candidate.delta;
+                       kGoneAwayRecoveryFraction * candidate.delta;
 
   verdict.keep = verdict.new_pattern ||
                  (verdict.significant && verdict.lasting_trend && !verdict.gone_away);

@@ -25,11 +25,16 @@
 #ifndef FBDETECT_SRC_CORE_WENT_AWAY_H_
 #define FBDETECT_SRC_CORE_WENT_AWAY_H_
 
+#include <cstddef>
+
 #include "src/core/regression.h"
 #include "src/core/scan_view.h"
-#include "src/core/workload_config.h"
 
 namespace fbdetect {
+
+// RegressionGoneAway's "last few data points" (§5.2.2). Also the recovery
+// tail of the second went-away iteration (went_away_legacy.h).
+inline constexpr size_t kGoneAwayTailPoints = 5;
 
 struct WentAwayVerdict {
   bool keep = false;  // True = real regression; false = transient, filter out.
@@ -42,8 +47,6 @@ struct WentAwayVerdict {
 
 class WentAwayDetector {
  public:
-  explicit WentAwayDetector(const DetectionConfig& config) : config_(config) {}
-
   // Zero-copy core: evaluates `candidate` against the oriented windows of
   // `view` (the SAX range reference is view.full — historical + analysis +
   // extended — with no materialization). A points-per-day hint (from the
@@ -56,9 +59,6 @@ class WentAwayDetector {
   // Convenience: re-evaluates a stored Regression (copies its windows into a
   // contiguous scratch first).
   WentAwayVerdict Evaluate(const Regression& regression, size_t points_per_day) const;
-
- private:
-  const DetectionConfig& config_;
 };
 
 }  // namespace fbdetect

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <span>
 
+#include "src/core/change_point_stage.h"
+#include "src/core/went_away.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/trend.h"
 #include "src/tsa/cusum.h"
@@ -16,14 +18,13 @@ bool InverseCusumWentAway::Keep(const Regression& regression) const {
     return false;
   }
   const std::span<const double> post = analysis.subspan(regression.change_index);
-  const size_t min_segment = std::max<size_t>(config_.min_segment, 1);
-  if (post.size() < 2 * min_segment) {
+  if (post.size() < 2 * kMinSegment) {
     return true;  // Not enough post-change data to find an inverse shift.
   }
   // Search the post-change window for the most NEGATIVE mean shift — the
   // candidate "inverse regression".
   double most_negative = 0.0;
-  for (size_t t = min_segment; t + min_segment <= post.size(); ++t) {
+  for (size_t t = kMinSegment; t + kMinSegment <= post.size(); ++t) {
     const double shift = Mean(post.subspan(t)) - Mean(post.subspan(0, t));
     most_negative = std::min(most_negative, shift);
   }
@@ -55,8 +56,7 @@ bool TrendCompareWentAway::Keep(const Regression& regression) const {
   const size_t begin = end >= slice ? end - slice : 0;
   const std::span<const double> baseline = historical.subspan(begin, end - begin);
 
-  const size_t tail = std::min<size_t>(std::max<size_t>(config_.gone_away_tail_points, 1),
-                                       post.size());
+  const size_t tail = std::min(kGoneAwayTailPoints, post.size());
   const double tail_mean = Mean(post.subspan(post.size() - tail));
   const double baseline_high = Percentile(baseline, 90.0);
   // Recovered to within the baseline slice's range => "went away".

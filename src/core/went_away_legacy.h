@@ -18,20 +18,16 @@
 #ifndef FBDETECT_SRC_CORE_WENT_AWAY_LEGACY_H_
 #define FBDETECT_SRC_CORE_WENT_AWAY_LEGACY_H_
 
+#include <cstddef>
+
 #include "src/core/regression.h"
-#include "src/core/workload_config.h"
 
 namespace fbdetect {
 
 // Iteration 1. Returns true when the regression should be KEPT.
 class InverseCusumWentAway {
  public:
-  explicit InverseCusumWentAway(const DetectionConfig& config) : config_(config) {}
-
   bool Keep(const Regression& regression) const;
-
- private:
-  const DetectionConfig& config_;
 };
 
 // Iteration 2. `historical_window_offset` selects which slice of the
@@ -40,13 +36,12 @@ class InverseCusumWentAway {
 // analysis-window earlier, etc.
 class TrendCompareWentAway {
  public:
-  TrendCompareWentAway(const DetectionConfig& config, size_t historical_window_offset)
-      : config_(config), offset_(historical_window_offset) {}
+  explicit TrendCompareWentAway(size_t historical_window_offset)
+      : offset_(historical_window_offset) {}
 
   bool Keep(const Regression& regression) const;
 
  private:
-  const DetectionConfig& config_;
   size_t offset_;
 };
 

@@ -30,6 +30,10 @@ enum class ChangePointDetector {
   kEDivisive,
 };
 
+// What Table 1 varies per workload, plus the two choices a bench or example
+// sets (the change-point detector and the long-term path). The fixed §5
+// parameters (SAX N and X%, the test level, the went-away, seasonality and
+// long-term thresholds) are constants in the stage that reads them.
 struct DetectionConfig {
   std::string name = "custom";
   ThresholdMode threshold_mode = ThresholdMode::kAbsolute;
@@ -37,30 +41,8 @@ struct DetectionConfig {
   Duration rerun_interval = Hours(2);
   WindowSpec windows;
 
-  // Change-point machinery knobs (defaults follow §5.2).
-  double significance_level = 0.01;   // Likelihood-ratio test level.
-  size_t min_segment = 4;             // Min points per change-point segment.
-  int max_em_iterations = 20;
   ChangePointDetector change_point_detector = ChangePointDetector::kCusumEm;
-
-  // Went-away detector (§5.2.2).
-  int sax_buckets = 20;               // N.
-  double sax_min_bucket_fraction = 0.03;  // X%.
-  double trend_coefficient = 1.5;     // Regression coefficient for LastingTrend.
-  double gone_away_recovery_fraction = 0.5;  // Recovered below baseline+f*delta.
-  size_t gone_away_tail_points = 5;   // "Last few data points".
-  double new_pattern_invalid_fraction = 0.6;  // Most letters invalid => new.
-
-  // Seasonality detector (§5.2.3).
-  double seasonality_min_correlation = 0.30;
-  double seasonality_zscore_threshold = 2.0;
-
-  // Long-term detector (§5.3).
-  bool enable_long_term = true;
-  double long_term_rmse_threshold = 0.15;  // Normalized-trend linear-fit RMSE.
-
-  // How far back root-cause candidate generation looks (§5.6).
-  Duration root_cause_lookback = Days(1);
+  bool enable_long_term = true;  // The long-term path (§5.3).
 };
 
 // The twelve Table 1 rows. Thresholds are the paper's values; window

@@ -87,6 +87,7 @@ ServiceServer::ServiceServer(TimeSeriesDatabase* db, Pipeline* pipeline,
       .shed_drain = runtime("service.shed_drain"),
       .malformed = runtime("service.malformed_requests"),
       .evicted_slow_clients = runtime("service.evicted_slow_clients"),
+      .refused_connections = runtime("service.refused_connections"),
       .commits = runtime("service.commits"),
       .seals = runtime("service.seals"),
       .queued_points = runtime("service.queued_points"),
@@ -278,6 +279,7 @@ void ServiceServer::AcceptReady(uint64_t now_ns) {
     }
     if (connections_.size() >= options_.max_connections) {
       ::close(fd);
+      counters_.refused_connections->Increment();
       continue;
     }
     const int one = 1;
@@ -858,6 +860,7 @@ ServiceServer::Stats ServiceServer::stats() const {
   s.shed_drain = c.shed_drain->value();
   s.malformed = c.malformed->value();
   s.evicted_slow_clients = c.evicted_slow_clients->value();
+  s.refused_connections = c.refused_connections->value();
   s.commits = c.commits->value();
   s.seals = c.seals->value();
   s.parse_queue_peak_points = parse_queue_.max_cost_observed();
@@ -896,6 +899,7 @@ std::string ServiceServer::StatsJson() const {
   field("shed_drain", s.shed_drain);
   field("malformed", s.malformed);
   field("evicted_slow_clients", s.evicted_slow_clients);
+  field("refused_connections", s.refused_connections);
   field("commits", s.commits);
   field("seals", s.seals);
   field("parse_queue_points", parse_queue_.cost());

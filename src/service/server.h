@@ -123,6 +123,7 @@ class ServiceServer {
     uint64_t shed_drain = 0;          // 503: draining.
     uint64_t malformed = 0;           // 4xx before pricing.
     uint64_t evicted_slow_clients = 0;
+    uint64_t refused_connections = 0;  // Closed at accept: over max_connections.
     uint64_t commits = 0;             // WriteBatch flushes.
     uint64_t seals = 0;               // Checkpoints (incl. drain's).
     uint64_t parse_queue_peak_points = 0;
@@ -131,7 +132,6 @@ class ServiceServer {
   };
   Stats stats() const;
 
-  bool draining() const { return draining_.load(std::memory_order_relaxed); }
   bool drained() const { return drained_.load(std::memory_order_relaxed); }
 
  private:
@@ -257,6 +257,7 @@ class ServiceServer {
     Counter* shed_drain = nullptr;
     Counter* malformed = nullptr;
     Counter* evicted_slow_clients = nullptr;
+    Counter* refused_connections = nullptr;
     Counter* commits = nullptr;
     Counter* seals = nullptr;
     Counter* queued_points = nullptr;  // Gauge, Set by the event loop.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/random.h"
@@ -9,16 +10,25 @@
 namespace fbdetect {
 namespace {
 
+constexpr size_t kMinSegment = 4;            // Minimum points on each side of the split.
+constexpr double kSignificanceLevel = 0.01;  // Permutation-test level.
+// Number of permutations R; the attainable p-value floor is 1/(R+1), so R
+// must satisfy 1/(R+1) < kSignificanceLevel for detection to be possible.
+constexpr int kPermutations = 199;
+// Fixed seed for the permutation shuffles: repeated calls on the same data
+// return identical results (the determinism contract of the scan path).
+constexpr uint64_t kSeed = 0x0fbde71f5ULL;
+
 // Max of Q(t) over admissible splits, computed in O(n^2) by sliding the
 // split left-to-right and updating the between/within absolute-difference
 // sums incrementally as each point changes sides. Returns 0 when no
 // admissible split exists or the series is constant.
-double MaxEnergySplit(std::span<const double> values, size_t min_segment, size_t* best_index) {
+double MaxEnergySplit(std::span<const double> values, size_t* best_index) {
   const size_t n = values.size();
   if (best_index != nullptr) {
     *best_index = 0;
   }
-  if (n < 2 * min_segment) {
+  if (n < 2 * kMinSegment) {
     return 0.0;
   }
 
@@ -41,8 +51,8 @@ double MaxEnergySplit(std::span<const double> values, size_t min_segment, size_t
   double within_y = total_pairs - between;
 
   double best_q = 0.0;
-  for (size_t t = 1; t + min_segment <= n; ++t) {
-    if (t >= min_segment) {
+  for (size_t t = 1; t + kMinSegment <= n; ++t) {
+    if (t >= kMinSegment) {
       const double m = static_cast<double>(t);
       const double k = static_cast<double>(n - t);
       const double energy = 2.0 * between / (m * k) - 2.0 * within_x / (m * (m - 1.0)) -
@@ -74,17 +84,15 @@ double MaxEnergySplit(std::span<const double> values, size_t min_segment, size_t
 
 }  // namespace
 
-EDivisiveResult EDivisiveSingleSplit(std::span<const double> values,
-                                     const EDivisiveConfig& config) {
+EDivisiveResult EDivisiveSingleSplit(std::span<const double> values) {
   EDivisiveResult result;
   const size_t n = values.size();
-  const size_t min_segment = std::max<size_t>(config.min_segment, 2);
-  if (n < 2 * min_segment) {
+  if (n < 2 * kMinSegment) {
     return result;
   }
 
   size_t best_index = 0;
-  const double observed = MaxEnergySplit(values, min_segment, &best_index);
+  const double observed = MaxEnergySplit(values, &best_index);
   if (!(observed > 0.0) || best_index == 0) {
     return result;  // Constant (all distances zero) or no admissible split.
   }
@@ -96,20 +104,19 @@ EDivisiveResult EDivisiveSingleSplit(std::span<const double> values,
   // verdict and only refine an already-insignificant p. The stop rule
   // depends only on the deterministic shuffle sequence, so results stay
   // bit-for-bit reproducible.
-  const int permutations = std::max(config.permutations, 1);
   const int reject_count = static_cast<int>(
-      std::ceil(config.significance_level * static_cast<double>(permutations + 1)));
-  Rng rng(config.seed);
+      std::ceil(kSignificanceLevel * static_cast<double>(kPermutations + 1)));
+  Rng rng(kSeed);
   std::vector<double> shuffled(values.begin(), values.end());
   int exceedances = 0;
   int performed = 0;
-  for (int r = 0; r < permutations; ++r) {
+  for (int r = 0; r < kPermutations; ++r) {
     for (size_t i = n - 1; i > 0; --i) {
       const size_t j = static_cast<size_t>(rng.NextUint64(static_cast<uint64_t>(i + 1)));
       std::swap(shuffled[i], shuffled[j]);
     }
     ++performed;
-    if (MaxEnergySplit(shuffled, min_segment, nullptr) >= observed) {
+    if (MaxEnergySplit(shuffled, nullptr) >= observed) {
       ++exceedances;
       if (exceedances >= reject_count) {
         break;  // p >= alpha is already certain.
@@ -118,7 +125,7 @@ EDivisiveResult EDivisiveSingleSplit(std::span<const double> values,
   }
   result.p_value = (1.0 + static_cast<double>(exceedances)) /
                    (1.0 + static_cast<double>(performed));
-  result.found = result.p_value < config.significance_level;
+  result.found = result.p_value < kSignificanceLevel;
   return result;
 }
 

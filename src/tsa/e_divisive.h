@@ -19,34 +19,22 @@
 #define FBDETECT_SRC_TSA_E_DIVISIVE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 namespace fbdetect {
 
-struct EDivisiveConfig {
-  size_t min_segment = 4;            // Minimum points on each side of the split.
-  double significance_level = 0.01;  // Permutation-test level.
-  // Number of permutations R; the attainable p-value floor is 1/(R+1), so R
-  // must satisfy 1/(R+1) < significance_level for detection to be possible.
-  int permutations = 199;
-  // Fixed seed for the permutation shuffles: repeated calls on the same data
-  // return identical results (the determinism contract of the scan path).
-  uint64_t seed = 0x0fbde71f5ULL;
-};
-
 struct EDivisiveResult {
-  bool found = false;    // Significant at the configured level.
+  bool found = false;    // Significant at level 0.01.
   size_t index = 0;      // First element of the post-change segment.
   double statistic = 0;  // Q at the best split.
   double p_value = 1.0;  // Permutation p-value, floored at 1/(R+1).
 };
 
-// Locates and tests the single best energy-distance split. Returns
-// found=false when the series is too short, constant, or the permutation
-// test does not reject. Deterministic for fixed (values, config).
-EDivisiveResult EDivisiveSingleSplit(std::span<const double> values,
-                                     const EDivisiveConfig& config = {});
+// Locates and tests the single best energy-distance split, with at least 4
+// points on each side and R = 199 permutations. Returns found=false when the
+// series is too short, constant, or the permutation test does not reject at
+// level 0.01. Deterministic for fixed values.
+EDivisiveResult EDivisiveSingleSplit(std::span<const double> values);
 
 }  // namespace fbdetect
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/check.h"
-
 namespace fbdetect {
 namespace {
 
@@ -13,10 +11,9 @@ double Tricube(double u) {
   return a <= 0.0 ? 0.0 : a * a * a;
 }
 
-// Weighted local linear fit evaluated at point i (the generic path: handles
-// clamped edge windows and robustness weights).
-double LoessFitAt(std::span<const double> values, std::span<const double> robustness,
-                  size_t span, size_t i) {
+// Tricube-weighted local linear fit evaluated at point i (the generic path:
+// handles clamped edge windows).
+double LoessFitAt(std::span<const double> values, size_t span, size_t i) {
   const size_t n = values.size();
   // Neighborhood of `span` points centered on i, shifted at the edges.
   size_t lo = i >= span / 2 ? i - span / 2 : 0;
@@ -34,10 +31,7 @@ double LoessFitAt(std::span<const double> values, std::span<const double> robust
   double swxy = 0.0;
   for (size_t j = lo; j < hi; ++j) {
     const double dist = std::fabs(static_cast<double>(j) - static_cast<double>(i));
-    double w = max_dist > 0.0 ? Tricube(dist / (max_dist + 1.0)) : 1.0;
-    if (!robustness.empty()) {
-      w *= robustness[j];
-    }
+    const double w = max_dist > 0.0 ? Tricube(dist / (max_dist + 1.0)) : 1.0;
     if (w <= 0.0) {
       continue;
     }
@@ -63,24 +57,21 @@ double LoessFitAt(std::span<const double> values, std::span<const double> robust
 
 }  // namespace
 
-std::vector<double> LoessSmoothWeighted(std::span<const double> values, size_t span,
-                                        std::span<const double> robustness) {
+std::vector<double> LoessSmooth(std::span<const double> values, size_t span) {
   const size_t n = values.size();
   std::vector<double> smoothed(n, 0.0);
   if (n == 0) {
     return smoothed;
   }
-  FBD_CHECK(robustness.empty() || robustness.size() == n);
   if (n == 1) {
     smoothed[0] = values[0];
     return smoothed;
   }
   span = std::clamp<size_t>(span, 2, n);
 
-  // Fast path for the unweighted case (STL's default: outer_iterations == 1
-  // keeps the robustness weights empty). Away from the edges every window is
-  // the same shape, so the tricube weights form one fixed kernel and the fit
-  // at i collapses to two kernel dot products:
+  // Away from the edges every window is the same shape, so the tricube
+  // weights form one fixed kernel and the fit at i collapses to two kernel
+  // dot products:
   //   smoothed[i] = (swy - slope * swk) / sw,
   //   slope = (sw * swky - swk * swy) / (sw * swkk - swk^2),
   // where sw/swk/swkk are kernel constants and swy/swky are dot products of
@@ -88,7 +79,7 @@ std::vector<double> LoessSmoothWeighted(std::span<const double> values, size_t s
   // This is the same least-squares fit with the arithmetic hoisted out of the
   // per-point loop. Edge windows are clamped and keep the generic path.
   const size_t half = span / 2;
-  if (robustness.empty() && n > span) {
+  if (n > span) {
     const double center = static_cast<double>(half);
     const double max_dist = std::max(center, static_cast<double>(span - 1 - half));
     std::vector<double> kernel(span);
@@ -126,22 +117,18 @@ std::vector<double> LoessSmoothWeighted(std::span<const double> values, size_t s
       }
     }
     for (size_t i = 0; i < first; ++i) {
-      smoothed[i] = LoessFitAt(values, robustness, span, i);
+      smoothed[i] = LoessFitAt(values, span, i);
     }
     for (size_t i = last + 1; i < n; ++i) {
-      smoothed[i] = LoessFitAt(values, robustness, span, i);
+      smoothed[i] = LoessFitAt(values, span, i);
     }
     return smoothed;
   }
 
   for (size_t i = 0; i < n; ++i) {
-    smoothed[i] = LoessFitAt(values, robustness, span, i);
+    smoothed[i] = LoessFitAt(values, span, i);
   }
   return smoothed;
-}
-
-std::vector<double> LoessSmooth(std::span<const double> values, size_t span) {
-  return LoessSmoothWeighted(values, span, {});
 }
 
 }  // namespace fbdetect

@@ -14,11 +14,6 @@ namespace fbdetect {
 // empty vector.
 std::vector<double> LoessSmooth(std::span<const double> values, size_t span);
 
-// Loess evaluated with optional per-point robustness weights (used by STL's
-// outer loop). `robustness` must be empty or the same length as `values`.
-std::vector<double> LoessSmoothWeighted(std::span<const double> values, size_t span,
-                                        std::span<const double> robustness);
-
 }  // namespace fbdetect
 
 #endif  // FBDETECT_SRC_TSA_LOESS_H_

@@ -1,14 +1,15 @@
 #include "src/tsa/stl.h"
 
 #include <algorithm>
-#include <cmath>
+#include <utility>
 
-#include "src/common/check.h"
-#include "src/stats/descriptive.h"
 #include "src/tsa/loess.h"
 
 namespace fbdetect {
 namespace {
+
+constexpr int kInnerIterations = 2;
+constexpr size_t kSeasonalSpan = 7;  // Loess span for cycle-subseries smoothing.
 
 // Next odd number >= x.
 size_t NextOdd(size_t x) { return x % 2 == 0 ? x + 1 : x; }
@@ -51,8 +52,7 @@ std::vector<double> Decomposition::Deseasonalized() const {
   return out;
 }
 
-Decomposition StlDecompose(std::span<const double> values, size_t period,
-                           const StlConfig& config) {
+Decomposition StlDecompose(std::span<const double> values, size_t period) {
   Decomposition result;
   const size_t n = values.size();
   result.seasonal.assign(n, 0.0);
@@ -62,72 +62,46 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
     return result;  // valid=false; everything stays in trend.
   }
 
-  const size_t trend_span =
-      config.trend_span != 0 ? config.trend_span : NextOdd(period + period / 2);
-  const size_t lowpass_span = config.lowpass_span != 0 ? config.lowpass_span : NextOdd(period);
+  const size_t trend_span = NextOdd(period + period / 2);
+  const size_t lowpass_span = NextOdd(period);
 
   std::vector<double> seasonal(n, 0.0);
   std::vector<double> trend(n, 0.0);
-  std::vector<double> robustness;  // Empty = unweighted.
-
-  for (int outer = 0; outer < std::max(1, config.outer_iterations); ++outer) {
-    for (int inner = 0; inner < std::max(1, config.inner_iterations); ++inner) {
-      // Step 1: detrend.
-      std::vector<double> detrended(n);
-      for (size_t i = 0; i < n; ++i) {
-        detrended[i] = values[i] - trend[i];
-      }
-      // Step 2: cycle-subseries smoothing. Each phase (i mod period) is
-      // smoothed independently with loess, producing the raw seasonal.
-      std::vector<double> cycle(n, 0.0);
-      for (size_t phase = 0; phase < period; ++phase) {
-        std::vector<double> subseries;
-        std::vector<double> subweights;
-        std::vector<size_t> indices;
-        for (size_t i = phase; i < n; i += period) {
-          subseries.push_back(detrended[i]);
-          indices.push_back(i);
-          if (!robustness.empty()) {
-            subweights.push_back(robustness[i]);
-          }
-        }
-        const std::vector<double> smoothed =
-            LoessSmoothWeighted(subseries, config.seasonal_span, subweights);
-        for (size_t k = 0; k < indices.size(); ++k) {
-          cycle[indices[k]] = smoothed[k];
-        }
-      }
-      // Step 3: low-pass filter of the cycle-subseries (moving average of
-      // width `period`, then loess) to extract leftover trend in it.
-      std::vector<double> lowpass = CenteredMovingAverage(cycle, period);
-      lowpass = LoessSmooth(lowpass, lowpass_span);
-      // Step 4: seasonal = cycle - lowpass (centers the seasonal around 0).
-      for (size_t i = 0; i < n; ++i) {
-        seasonal[i] = cycle[i] - lowpass[i];
-      }
-      // Step 5: deseasonalize and smooth for the new trend.
-      std::vector<double> deseasonalized(n);
-      for (size_t i = 0; i < n; ++i) {
-        deseasonalized[i] = values[i] - seasonal[i];
-      }
-      trend = LoessSmoothWeighted(deseasonalized, trend_span, robustness);
+  for (int inner = 0; inner < kInnerIterations; ++inner) {
+    // Step 1: detrend.
+    std::vector<double> detrended(n);
+    for (size_t i = 0; i < n; ++i) {
+      detrended[i] = values[i] - trend[i];
     }
-    if (outer + 1 < config.outer_iterations) {
-      // Outer loop: recompute robustness weights from residuals (bisquare).
-      std::vector<double> abs_residuals(n);
-      for (size_t i = 0; i < n; ++i) {
-        abs_residuals[i] = std::fabs(values[i] - seasonal[i] - trend[i]);
+    // Step 2: cycle-subseries smoothing. Each phase (i mod period) is
+    // smoothed independently with loess, producing the raw seasonal.
+    std::vector<double> cycle(n, 0.0);
+    for (size_t phase = 0; phase < period; ++phase) {
+      std::vector<double> subseries;
+      std::vector<size_t> indices;
+      for (size_t i = phase; i < n; i += period) {
+        subseries.push_back(detrended[i]);
+        indices.push_back(i);
       }
-      const double h = 6.0 * Median(abs_residuals);
-      robustness.assign(n, 1.0);
-      if (h > 0.0) {
-        for (size_t i = 0; i < n; ++i) {
-          const double u = abs_residuals[i] / h;
-          const double w = u >= 1.0 ? 0.0 : (1.0 - u * u) * (1.0 - u * u);
-          robustness[i] = w;
-        }
+      const std::vector<double> smoothed = LoessSmooth(subseries, kSeasonalSpan);
+      for (size_t k = 0; k < indices.size(); ++k) {
+        cycle[indices[k]] = smoothed[k];
       }
     }
+    // Step 3: low-pass filter of the cycle-subseries (moving average of
+    // width `period`, then loess) to extract leftover trend in it.
+    std::vector<double> lowpass = CenteredMovingAverage(cycle, period);
+    lowpass = LoessSmooth(lowpass, lowpass_span);
+    // Step 4: seasonal = cycle - lowpass (centers the seasonal around 0).
+    for (size_t i = 0; i < n; ++i) {
+      seasonal[i] = cycle[i] - lowpass[i];
+    }
+    // Step 5: deseasonalize and smooth for the new trend.
+    std::vector<double> deseasonalized(n);
+    for (size_t i = 0; i < n; ++i) {
+      deseasonalized[i] = values[i] - seasonal[i];
+    }
+    trend = LoessSmooth(deseasonalized, trend_span);
   }
 
   result.seasonal = std::move(seasonal);

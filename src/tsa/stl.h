@@ -22,19 +22,14 @@ struct Decomposition {
   std::vector<double> Deseasonalized() const;
 };
 
-struct StlConfig {
-  int inner_iterations = 2;
-  int outer_iterations = 1;      // Robustness passes; 1 = plain STL.
-  size_t seasonal_span = 7;      // Loess span for cycle-subseries smoothing.
-  size_t trend_span = 0;         // 0 = derive from period (next odd >= 1.5*period).
-  size_t lowpass_span = 0;       // 0 = derive from period.
-};
-
 // Decomposes `values` with seasonal period `period` (>= 2, and the series
 // must contain at least two full periods; otherwise returns valid=false with
-// all signal assigned to trend=input).
-Decomposition StlDecompose(std::span<const double> values, size_t period,
-                           const StlConfig& config = {});
+// all signal assigned to trend=input). Plain STL without the robustness
+// loop: two inner passes, a seasonal span of 7 and trend and low-pass spans
+// derived from the period. Every step is an unweighted loess, a moving
+// average or a subtraction, so for a fixed (n, period) the seasonal and
+// trend are linear in `values`.
+Decomposition StlDecompose(std::span<const double> values, size_t period);
 
 // Classical moving-average decomposition: centered MA of width `period` as
 // trend, per-phase means of the detrended series as seasonality. The paper

@@ -11,7 +11,6 @@
 #include "src/core/clustering_alternatives.h"
 #include "src/core/went_away.h"
 #include "src/core/went_away_legacy.h"
-#include "src/core/workload_config.h"
 #include "src/fleet/service.h"
 #include "src/stats/descriptive.h"
 
@@ -21,14 +20,6 @@ namespace {
 // ---------------------------------------------------------------------------
 // Legacy went-away iterations.
 // ---------------------------------------------------------------------------
-
-DetectionConfig LegacyConfig() {
-  DetectionConfig config;
-  config.windows.historical = Days(2);
-  config.windows.analysis = Hours(4);
-  config.windows.extended = Hours(2);
-  return config;
-}
 
 // A regression record with a hand-built shape: historical flat at
 // `base` (with an optional spike), post-change data given explicitly.
@@ -73,12 +64,11 @@ TEST(LegacyWentAwayTest, InverseCusumFiltersTrueRegressionWithDip) {
     post.push_back(rng.Normal(level, 0.001));
   }
   const Regression regression = BuildRegression(0.050, post, false);
-  const DetectionConfig config = LegacyConfig();
   // Iteration 1 wrongly filters it (the dip looks like a compensating
   // inverse shift)...
-  EXPECT_FALSE(InverseCusumWentAway(config).Keep(regression));
+  EXPECT_FALSE(InverseCusumWentAway().Keep(regression));
   // ...while the current SAX-based detector keeps it.
-  EXPECT_TRUE(WentAwayDetector(config).Evaluate(regression, 144).keep);
+  EXPECT_TRUE(WentAwayDetector().Evaluate(regression, 144).keep);
 }
 
 TEST(LegacyWentAwayTest, InverseCusumKeepsCleanStep) {
@@ -88,7 +78,7 @@ TEST(LegacyWentAwayTest, InverseCusumKeepsCleanStep) {
     post.push_back(rng.Normal(0.065, 0.001));
   }
   const Regression regression = BuildRegression(0.050, post, false);
-  EXPECT_TRUE(InverseCusumWentAway(LegacyConfig()).Keep(regression));
+  EXPECT_TRUE(InverseCusumWentAway().Keep(regression));
 }
 
 // Fig. 7's counter-example for iteration 2: with a spike in the chosen
@@ -102,7 +92,6 @@ TEST(LegacyWentAwayTest, TrendCompareDependsOnBaselineWindowChoice) {
     const double level = 0.062 + 0.02 * std::exp(-i / 6.0);
     post.push_back(rng.Normal(level, 0.0005));
   }
-  const DetectionConfig config = LegacyConfig();
   const Regression with_spike = BuildRegression(0.050, post, /*historical_spike=*/true);
   // The spike sits at indices 60..66 of 288 historical points. With offset
   // such that the baseline slice contains the spike, the still-regressed
@@ -110,13 +99,13 @@ TEST(LegacyWentAwayTest, TrendCompareDependsOnBaselineWindowChoice) {
   // offset counts slices from the end; slice size = analysis size (48).
   // Spike at 60..66 => inside slice [48, 96) => offset 4 covers [96+..]..
   // offsets: 0 -> [240,288), 4 -> [48,96).
-  const TrendCompareWentAway spike_baseline(config, 4);
+  const TrendCompareWentAway spike_baseline(4);
   EXPECT_FALSE(spike_baseline.Keep(with_spike));
   // With a clean baseline slice the same regression is kept.
-  const TrendCompareWentAway clean_baseline(config, 0);
+  const TrendCompareWentAway clean_baseline(0);
   EXPECT_TRUE(clean_baseline.Keep(with_spike));
   // The current detector keeps it regardless — no window choice to get wrong.
-  EXPECT_TRUE(WentAwayDetector(config).Evaluate(with_spike, 144).keep);
+  EXPECT_TRUE(WentAwayDetector().Evaluate(with_spike, 144).keep);
 }
 
 // ---------------------------------------------------------------------------

@@ -377,7 +377,7 @@ TEST(CostShiftTest, ClassDomainCatchesPureShift) {
         WriteStepSeries(db, "method_c", 0.005, 0.005, step, end);
       },
       [&](const TimeSeriesDatabase& db) {
-        CostShiftDetector detector(&db, CostShiftConfig{});
+        CostShiftDetector detector(&db);
         detector.AddDomainDetector(std::make_unique<ClassDomainDetector>(&code_info));
         return detector.Evaluate(ShiftCandidate("method_a", 0.008, 0.010, step, end));
       });
@@ -398,7 +398,7 @@ TEST(CostShiftTest, RealRegressionNotFlagged) {
         WriteStepSeries(db, "method_c", 0.005, 0.005, step, end);
       },
       [&](const TimeSeriesDatabase& db) {
-        CostShiftDetector detector(&db, CostShiftConfig{});
+        CostShiftDetector detector(&db);
         detector.AddDomainDetector(std::make_unique<ClassDomainDetector>(&code_info));
         return detector.Evaluate(ShiftCandidate("method_a", 0.008, 0.010, step, end));
       });
@@ -417,7 +417,7 @@ TEST(CostShiftTest, CallerDomainCatchesShiftAmongCallees) {
         WriteStepSeries(db, "caller", 0.040, 0.040, step, end);
       },
       [&](const TimeSeriesDatabase& db) {
-        CostShiftDetector detector(&db, CostShiftConfig{});
+        CostShiftDetector detector(&db);
         detector.AddDomainDetector(std::make_unique<CallerDomainDetector>(&code_info));
         return detector.Evaluate(ShiftCandidate("method_a", 0.008, 0.010, step, end));
       });
@@ -438,7 +438,7 @@ TEST(CostShiftTest, HugeDomainExcluded) {
         WriteStepSeries(db, "caller", 0.20, 0.20, step, end);
       },
       [&](const TimeSeriesDatabase& db) {
-        CostShiftDetector detector(&db, CostShiftConfig{});
+        CostShiftDetector detector(&db);
         detector.AddDomainDetector(std::make_unique<CallerDomainDetector>(&code_info));
         return detector.Evaluate(ShiftCandidate("method_a", 0.0001, 0.0001, step, end));
       });
@@ -461,7 +461,7 @@ TEST(CostShiftTest, NewDomainNotACostShift) {
         WriteStepSeries(db, "method_c", 0.005, 0.0, step, end);
       },
       [&](const TimeSeriesDatabase& db) {
-        CostShiftDetector detector(&db, CostShiftConfig{});
+        CostShiftDetector detector(&db);
         detector.AddDomainDetector(std::make_unique<ClassDomainDetector>(&code_info));
         return detector.Evaluate(ShiftCandidate("method_a", 0.008, 0.010, step, end));
       });
@@ -485,7 +485,7 @@ TEST(CostShiftTest, CommitDomainGroupsTouchedSubroutines) {
         WriteStepSeries(db, "method_b", 0.012, 0.004, step, end);
       },
       [&](const TimeSeriesDatabase& db) {
-        CostShiftDetector detector(&db, CostShiftConfig{});
+        CostShiftDetector detector(&db);
         detector.AddDomainDetector(std::make_unique<CommitDomainDetector>(&log, Days(1)));
         return detector.Evaluate(ShiftCandidate("method_a", 0.008, 0.010, step, end));
       });

@@ -227,7 +227,7 @@ TEST(WentAwayTest, PersistentStepKept) {
   });
   const auto regression = DetectOn(series, config);
   ASSERT_TRUE(regression.has_value());
-  const WentAwayVerdict verdict = WentAwayDetector(config).Evaluate(*regression, 144);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(*regression, 144);
   EXPECT_TRUE(verdict.keep);
   EXPECT_FALSE(verdict.gone_away);
 }
@@ -246,7 +246,7 @@ TEST(WentAwayTest, TransientSpikeFiltered) {
   if (!regression.has_value()) {
     GTEST_SKIP() << "change point not flagged; nothing to filter";
   }
-  const WentAwayVerdict verdict = WentAwayDetector(config).Evaluate(*regression, 144);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(*regression, 144);
   EXPECT_FALSE(verdict.keep);
   EXPECT_TRUE(verdict.gone_away);
 }
@@ -268,7 +268,7 @@ TEST(WentAwayTest, Figure7RegressionAtEndDespiteHistoricalSpike) {
   });
   const auto regression = DetectOn(series, config);
   ASSERT_TRUE(regression.has_value());
-  const WentAwayVerdict verdict = WentAwayDetector(config).Evaluate(*regression, 144);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(*regression, 144);
   EXPECT_TRUE(verdict.keep);
 }
 
@@ -286,7 +286,7 @@ TEST(WentAwayTest, GradualRampKeptViaLastingTrend) {
   });
   const auto regression = DetectOn(series, config);
   ASSERT_TRUE(regression.has_value());
-  const WentAwayVerdict verdict = WentAwayDetector(config).Evaluate(*regression, 144);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(*regression, 144);
   EXPECT_TRUE(verdict.keep);
   EXPECT_TRUE(verdict.lasting_trend);
 }
@@ -307,14 +307,13 @@ TEST(WentAwayTest, DecayingSpikeWithRecoveryTailFiltered) {
   if (!regression.has_value()) {
     GTEST_SKIP() << "change point not flagged";
   }
-  const WentAwayVerdict verdict = WentAwayDetector(config).Evaluate(*regression, 144);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(*regression, 144);
   EXPECT_FALSE(verdict.keep);
 }
 
 TEST(WentAwayTest, EmptyDataRejected) {
-  const DetectionConfig config = TestConfig();
   Regression regression;
-  const WentAwayVerdict verdict = WentAwayDetector(config).Evaluate(regression, 0);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(regression, 0);
   EXPECT_FALSE(verdict.keep);
 }
 
@@ -335,7 +334,6 @@ TEST(WentAwayTest, ChangeAtFinalPointGivesSinglePointPostWindow) {
   // change_index == analysis.size() - 1: the post window is exactly one
   // point. Tail mean, percentiles, Mann-Kendall and Theil-Sen all run on that
   // single point; nothing may read past the span or divide by zero.
-  const DetectionConfig config = TestConfig();
   Rng rng(20);
   std::vector<double> data;
   for (int i = 0; i < 288; ++i) {
@@ -352,8 +350,7 @@ TEST(WentAwayTest, ChangeAtFinalPointGivesSinglePointPostWindow) {
   candidate.regressed_mean = 0.070;
   candidate.delta = 0.020;
   candidate.relative_delta = 0.4;
-  const WentAwayVerdict verdict =
-      WentAwayDetector(config).Evaluate(view, candidate, 144);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(view, candidate, 144);
   // The single elevated tail point has not recovered toward baseline.
   EXPECT_FALSE(verdict.gone_away);
 }
@@ -361,7 +358,6 @@ TEST(WentAwayTest, ChangeAtFinalPointGivesSinglePointPostWindow) {
 TEST(WentAwayTest, SinglePointPostWindowAtBaselineGoesAway) {
   // Same boundary, but the lone post point sits at the baseline: the
   // recovery test must see it as gone away and the verdict must not keep it.
-  const DetectionConfig config = TestConfig();
   Rng rng(21);
   std::vector<double> data;
   for (int i = 0; i < 288 + 35; ++i) {
@@ -375,8 +371,7 @@ TEST(WentAwayTest, SinglePointPostWindowAtBaselineGoesAway) {
   candidate.regressed_mean = 0.050;
   candidate.delta = 0.020;  // Claimed delta never materialized in the tail.
   candidate.relative_delta = 0.4;
-  const WentAwayVerdict verdict =
-      WentAwayDetector(config).Evaluate(view, candidate, 144);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(view, candidate, 144);
   EXPECT_TRUE(verdict.gone_away);
   EXPECT_FALSE(verdict.keep);
 }
@@ -387,7 +382,6 @@ TEST(WentAwayTest, NonFiniteHistoryIsSkippedNotIndexed) {
   // survived the sanitizer (sub-threshold fraction, or the gate disabled)
   // could index out of the table. Non-finite points must be skipped — and a
   // persistent step must still be judged on the finite points alone.
-  const DetectionConfig config = TestConfig();
   Rng rng(22);
   std::vector<double> data;
   for (int i = 0; i < 288; ++i) {
@@ -409,8 +403,7 @@ TEST(WentAwayTest, NonFiniteHistoryIsSkippedNotIndexed) {
   candidate.regressed_mean = 0.062;
   candidate.delta = 0.012;
   candidate.relative_delta = 0.24;
-  const WentAwayVerdict verdict =
-      WentAwayDetector(config).Evaluate(view, candidate, 144);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(view, candidate, 144);
   EXPECT_FALSE(verdict.gone_away);
 }
 
@@ -418,7 +411,6 @@ TEST(WentAwayTest, AllNanHistoryProducesNoValidBuckets) {
   // Degenerate extreme of the same bug: with every historical point
   // non-finite there are no valid SAX buckets, so the significance rule has
   // nothing to compare against and must not crash or report significance.
-  const DetectionConfig config = TestConfig();
   std::vector<double> data(288, std::numeric_limits<double>::quiet_NaN());
   Rng rng(23);
   for (int i = 0; i < 36; ++i) {
@@ -431,8 +423,7 @@ TEST(WentAwayTest, AllNanHistoryProducesNoValidBuckets) {
   candidate.regressed_mean = 0.062;
   candidate.delta = 0.012;
   candidate.relative_delta = 0.24;
-  const WentAwayVerdict verdict =
-      WentAwayDetector(config).Evaluate(view, candidate, 144);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(view, candidate, 144);
   EXPECT_FALSE(verdict.significant);
 }
 
@@ -455,7 +446,7 @@ TEST(SeasonalityStageTest, SeasonalPeakFilteredAsFalsePositive) {
   if (!regression.has_value()) {
     GTEST_SKIP() << "seasonal flank did not trigger the change-point stage";
   }
-  const SeasonalityVerdict verdict = SeasonalityStage(config).Evaluate(*regression);
+  const SeasonalityVerdict verdict = SeasonalityStage().Evaluate(*regression);
   EXPECT_TRUE(verdict.seasonality_present);
   EXPECT_TRUE(verdict.seasonal_filtered);
 }
@@ -474,7 +465,7 @@ TEST(SeasonalityStageTest, RealStepOnSeasonalSeriesKept) {
   });
   const auto regression = DetectOn(series, config);
   ASSERT_TRUE(regression.has_value());
-  const SeasonalityVerdict verdict = SeasonalityStage(config).Evaluate(*regression);
+  const SeasonalityVerdict verdict = SeasonalityStage().Evaluate(*regression);
   EXPECT_FALSE(verdict.seasonal_filtered);
 }
 
@@ -487,7 +478,7 @@ TEST(SeasonalityStageTest, NonSeasonalSeriesPassesThrough) {
   });
   const auto regression = DetectOn(series, config);
   ASSERT_TRUE(regression.has_value());
-  const SeasonalityVerdict verdict = SeasonalityStage(config).Evaluate(*regression);
+  const SeasonalityVerdict verdict = SeasonalityStage().Evaluate(*regression);
   EXPECT_FALSE(verdict.seasonality_present);
   EXPECT_FALSE(verdict.seasonal_filtered);
 }

@@ -704,9 +704,8 @@ TEST(SameRegressionMergerTest, CandidatePathMatchesRegressionPath) {
   const std::vector<Regression> admitted_regressions = by_string.Filter(regressions);
 
   std::vector<FunnelCandidate> candidates(regressions.size());
-  const FingerprintConfig fp_config{4, 8, true};
   for (size_t i = 0; i < regressions.size(); ++i) {
-    candidates[i].fingerprint = ComputeFingerprint(regressions[i], fp_config);
+    candidates[i].fingerprint = ComputeFingerprint(regressions[i], FingerprintConfig{});
     candidates[i].regression = regressions[i];
   }
   SameRegressionMerger by_fingerprint(Hours(1));
@@ -736,13 +735,10 @@ TEST(SomDedupFunnelTest, CandidatePathMatchesRegressionPathForAnyPoolSize) {
   const SomDedup dedup;
   const std::vector<Regression> reference = dedup.Deduplicate(regressions);
 
-  const SomDedupConfig config;
-  const FingerprintConfig fp_config{config.fourier_coefficients, config.root_cause_bitmap_dims,
-                                    true};
   for (const size_t workers : {size_t{0}, size_t{3}}) {
     std::vector<FunnelCandidate> candidates(regressions.size());
     for (size_t i = 0; i < regressions.size(); ++i) {
-      candidates[i].fingerprint = ComputeFingerprint(regressions[i], fp_config);
+      candidates[i].fingerprint = ComputeFingerprint(regressions[i], FingerprintConfig{});
       candidates[i].regression = regressions[i];
     }
     ThreadPool pool(workers);

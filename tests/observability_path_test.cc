@@ -111,7 +111,7 @@ TEST(StageTimerTest, RecordsIntoHistogramsAndNullIsFree) {
     StageTimer timer(&wall, &cpu);
     volatile uint64_t sink = 0;
     for (int i = 0; i < 10000; ++i) {
-      sink += static_cast<uint64_t>(i);
+      sink = sink + static_cast<uint64_t>(i);
     }
   }
   EXPECT_EQ(wall.count(), 1u);

@@ -379,7 +379,7 @@ TEST(PipelineIntegrationTest, WentAwayPreviousDayIgnoresADroppedAnalysisSample) 
   const std::optional<Regression> candidate = ChangePointStage(config).Detect(
       metric, ExtractWindows(full, PreviousDaySeries::kAsOf, config.windows));
   ASSERT_TRUE(candidate.has_value());
-  const WentAwayDetector went_away(config);
+  const WentAwayDetector went_away;
   EXPECT_FALSE(went_away.Evaluate(*candidate, 144).keep);
   EXPECT_TRUE(went_away.Evaluate(*candidate, 72).keep);
 

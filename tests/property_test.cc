@@ -83,7 +83,7 @@ TEST_P(ThresholdSweepTest, DetectsAboveRejectsBelow) {
     if (!candidate) {
       return false;
     }
-    if (!WentAwayDetector(config).Evaluate(*candidate, 144).keep) {
+    if (!WentAwayDetector().Evaluate(*candidate, 144).keep) {
       return false;
     }
     return PassesThreshold(*candidate, config);

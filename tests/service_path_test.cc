@@ -633,6 +633,56 @@ TEST(ServiceServerTest, SlowClientIsEvicted) {
 }
 
 // ---------------------------------------------------------------------------
+// Connection cap: a connection past max_connections is closed at accept and
+// counted; the connections already open keep being served.
+// ---------------------------------------------------------------------------
+
+TEST(ServiceServerTest, ConnectionsPastTheCapAreRefusedAndCounted) {
+  ServiceOptions service;
+  service.max_connections = 2;
+  ServerHarness harness(TsdbOptions{}, ServicePipelineOptions(), service);
+
+  // Each client is served once, so both are registered before the third
+  // connects.
+  HttpClient first;
+  HttpClient second;
+  HttpResponse response;
+  for (HttpClient* client : {&first, &second}) {
+    ASSERT_TRUE(client->Connect("127.0.0.1", harness.port()).ok());
+    ASSERT_TRUE(client->Get("/healthz", &response).ok());
+    EXPECT_EQ(response.status, 200);
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(harness.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  char byte = 0;
+  ssize_t got = -1;
+  for (int i = 0; i < 100; ++i) {
+    got = ::recv(fd, &byte, 1, MSG_DONTWAIT);
+    if (got == 0) {
+      break;  // Orderly close from the server.
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(got, 0);
+  ::close(fd);
+
+  for (HttpClient* client : {&first, &second}) {
+    ASSERT_TRUE(client->Get("/healthz", &response).ok());
+    EXPECT_EQ(response.status, 200);
+  }
+  EXPECT_EQ(harness.server->stats().refused_connections, 1u);
+  ASSERT_TRUE(first.Get("/stats", &response).ok());
+  EXPECT_NE(response.body.find("\"refused_connections\":1"), std::string::npos)
+      << response.body;
+}
+
+// ---------------------------------------------------------------------------
 // Overload sweep: 0.5x / 1x / 4x the admission budget, at scan_threads
 // 1 / 2 / 8. Conservation (offered == admitted + shed) must hold exactly;
 // queue depth stays bounded; the 4x leg must actually shed.

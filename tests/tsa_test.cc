@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -200,6 +201,47 @@ TEST(StlTest, TrendFollowsLevelShiftSmoothly) {
   ASSERT_TRUE(stl.valid);
   EXPECT_LT(stl.trend[period * 2], 1.3);
   EXPECT_GT(stl.trend[period * 14], 1.7);
+}
+
+TEST(StlTest, DecompositionIsLinearInTheInput) {
+  // Every STL step is an unweighted loess, a moving average or a
+  // subtraction, so for a fixed (n, period) the trend and seasonal of
+  // a*x + y equal a times those of x plus those of y, up to rounding. A
+  // residual-weighted (robust) pass would break this by orders of magnitude
+  // on inputs with spikes like these.
+  Rng rng(41);
+  for (int shape = 0; shape < 40; ++shape) {
+    const size_t period = 2 + static_cast<size_t>(rng.NextUint64(100));
+    const size_t n = 2 * period + static_cast<size_t>(rng.NextUint64(500));
+    const double a = rng.Uniform(-3.0, 3.0);
+    std::vector<double> x(n);
+    std::vector<double> y(n);
+    std::vector<double> combined(n);
+    double scale = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double phase = 2.0 * M_PI * static_cast<double>(i) / static_cast<double>(period);
+      x[i] = 5.0 + std::sin(phase) + rng.Normal(0.0, 0.3);
+      y[i] = 0.01 * static_cast<double>(i) + 2.0 * std::cos(phase) + rng.Normal(0.0, 0.5);
+      if (rng.NextBool(0.02)) {
+        x[i] += 20.0;  // A spike a robustness pass would down-weight.
+      }
+      combined[i] = a * x[i] + y[i];
+      scale = std::max({scale, std::fabs(a * x[i]), std::fabs(y[i]), std::fabs(combined[i])});
+    }
+    const Decomposition dx = StlDecompose(x, period);
+    const Decomposition dy = StlDecompose(y, period);
+    const Decomposition dc = StlDecompose(combined, period);
+    ASSERT_TRUE(dx.valid && dy.valid && dc.valid) << "n=" << n << " period=" << period;
+    double trend_error = 0.0;
+    double seasonal_error = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      trend_error = std::max(trend_error, std::fabs(dc.trend[i] - (a * dx.trend[i] + dy.trend[i])));
+      seasonal_error = std::max(
+          seasonal_error, std::fabs(dc.seasonal[i] - (a * dx.seasonal[i] + dy.seasonal[i])));
+    }
+    EXPECT_LE(trend_error, 1e-12 * scale) << "n=" << n << " period=" << period;
+    EXPECT_LE(seasonal_error, 1e-12 * scale) << "n=" << n << " period=" << period;
+  }
 }
 
 TEST(MovingAverageTest, DecomposesSeasonalSeries) {
