@@ -100,7 +100,8 @@ void CostShiftDetector::AddDomainDetector(std::unique_ptr<CostDomainDetector> de
 }
 
 void CostShiftDetector::AddDefaultDetectors(const CodeInfoProvider* code_info,
-                                            const ChangeLog* change_log) {
+                                            const ChangeLog* change_log,
+                                            Duration commit_lookback) {
   if (code_info != nullptr) {
     AddDomainDetector(std::make_unique<CallerDomainDetector>(code_info));
     AddDomainDetector(std::make_unique<ClassDomainDetector>(code_info));
@@ -108,7 +109,7 @@ void CostShiftDetector::AddDefaultDetectors(const CodeInfoProvider* code_info,
   AddDomainDetector(std::make_unique<MetadataPrefixDomainDetector>(db_));
   AddDomainDetector(std::make_unique<EndpointPrefixDomainDetector>(db_));
   if (change_log != nullptr) {
-    AddDomainDetector(std::make_unique<CommitDomainDetector>(change_log, Days(1)));
+    AddDomainDetector(std::make_unique<CommitDomainDetector>(change_log, commit_lookback));
   }
 }
 

@@ -68,7 +68,11 @@ class CostShiftDetector {
   // Convenience: registers the built-in detectors that apply given the
   // available context (callers/class need `code_info`; commit domains need
   // `change_log`). Pointers may be null; they must outlive the detector.
-  void AddDefaultDetectors(const CodeInfoProvider* code_info, const ChangeLog* change_log);
+  // Commit domains take the commits in `commit_lookback` before the change,
+  // the same §5.6 window root-cause analysis searches
+  // (RootCauseConfig::lookback).
+  void AddDefaultDetectors(const CodeInfoProvider* code_info, const ChangeLog* change_log,
+                           Duration commit_lookback);
 
   CostShiftVerdict Evaluate(const Regression& regression) const;
 

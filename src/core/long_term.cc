@@ -5,12 +5,9 @@
 #include <span>
 #include <vector>
 
-#include "src/core/seasonality_stage.h"
-#include "src/stats/correlation.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/linreg.h"
 #include "src/tsa/dp_changepoint.h"
-#include "src/tsa/stl.h"
 
 namespace fbdetect {
 namespace {
@@ -22,7 +19,9 @@ constexpr double kLongTermRmseThreshold = 0.15;
 }  // namespace
 
 std::optional<Regression> LongTermDetector::Detect(const MetricId& metric,
-                                                   const ScanView& view) const {
+                                                   const ScanView& view,
+                                                   WindowSeasonality& seasonality,
+                                                   Histogram* locate_ns) const {
   const size_t analysis_size = view.analysis_size;
   const size_t hist_size = view.historical_size;
   if (analysis_size < 16 || hist_size < 16) {
@@ -39,10 +38,9 @@ std::optional<Regression> LongTermDetector::Detect(const MetricId& metric,
   // Step 1: seasonality decomposition. When seasonality is present, work on
   // the trend alone; otherwise smooth with STL's trend extraction anyway
   // (period fallback) to suppress noise.
-  const SeasonalityEstimate season =
-      DetectSeasonality(full, 4, full.size() / 3, kSeasonalityMinCorrelation);
+  const SeasonalityEstimate& season = seasonality.Estimate();
   const size_t period = season.present ? season.period : std::max<size_t>(4, full.size() / 20);
-  const Decomposition stl = StlDecompose(full, period);
+  const Decomposition& stl = seasonality.Stl(period);
   const std::span<const double> trend_span =
       stl.valid ? std::span<const double>(stl.trend) : full;
 
@@ -71,19 +69,22 @@ std::optional<Regression> LongTermDetector::Detect(const MetricId& metric,
   }
 
   // Step 3: change-point location within the analysis window's trend.
-  std::vector<double> normalized(analysis_trend.begin(), analysis_trend.end());
-  const double lo = Min(normalized);
-  const double hi = Max(normalized);
-  if (hi > lo) {
-    for (double& v : normalized) {
-      v = (v - lo) / (hi - lo);
-    }
-  }
   size_t change_index = 0;
-  const LinearFit fit = FitLine(normalized);
-  if (!(fit.valid && fit.rmse < kLongTermRmseThreshold)) {
-    // Not a clean ramp: DP search (normal loss) for the split.
-    change_index = BestSingleSplit(analysis_trend, /*min_segment=*/edge);
+  {
+    StageTimer timer(locate_ns);
+    std::vector<double> normalized(analysis_trend.begin(), analysis_trend.end());
+    const double lo = Min(normalized);
+    const double hi = Max(normalized);
+    if (hi > lo) {
+      for (double& v : normalized) {
+        v = (v - lo) / (hi - lo);
+      }
+    }
+    const LinearFit fit = FitLine(normalized);
+    if (!(fit.valid && fit.rmse < kLongTermRmseThreshold)) {
+      // Not a clean ramp: DP search (normal loss) for the split.
+      change_index = BestSingleSplit(analysis_trend, /*min_segment=*/edge);
+    }
   }
 
   Regression regression;
@@ -114,7 +115,8 @@ std::optional<Regression> LongTermDetector::Detect(const MetricId& metric,
   const double sign = LowerIsRegression(metric.kind) ? -1.0 : 1.0;
   std::vector<double> scratch;
   const ScanView view = OrientWindows(windows, sign, scratch);
-  return Detect(metric, view);
+  WindowSeasonality seasonality(view.full);
+  return Detect(metric, view, seasonality);
 }
 
 }  // namespace fbdetect

@@ -20,7 +20,9 @@
 
 #include "src/core/regression.h"
 #include "src/core/scan_view.h"
+#include "src/core/seasonality_stage.h"
 #include "src/core/workload_config.h"
+#include "src/observe/telemetry.h"
 #include "src/tsdb/metric_id.h"
 #include "src/tsdb/window.h"
 
@@ -32,9 +34,13 @@ class LongTermDetector {
 
   // Zero-copy core: consumes a pre-oriented ScanView (no window copies are
   // made on the non-detecting path; the returned Regression stores the STL
-  // trend, as before). DetectSeasonality underneath runs the O(n log n) FFT
-  // autocorrelation for the long windows this path sees.
-  std::optional<Regression> Detect(const MetricId& metric, const ScanView& view) const;
+  // trend, as before). The seasonality estimate and STL come from
+  // `seasonality`, the window's holder over view.full, which the seasonality
+  // stage may already have filled. `locate_ns` (null: no clock) times the
+  // change-point location step of each window that passes the threshold.
+  std::optional<Regression> Detect(const MetricId& metric, const ScanView& view,
+                                   WindowSeasonality& seasonality,
+                                   Histogram* locate_ns = nullptr) const;
 
   // Convenience: orients `windows` by the metric's kind first.
   std::optional<Regression> Detect(const MetricId& metric, const WindowExtract& windows) const;

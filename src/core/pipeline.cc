@@ -42,9 +42,12 @@ Pipeline::Pipeline(const TimeSeriesDatabase* db, const ChangeLog* change_log,
       worker_scratch_(static_cast<size_t>(std::max(1, options_.scan_threads))),
       worker_series_scratch_(static_cast<size_t>(std::max(1, options_.scan_threads))) {
   FBD_CHECK(db_ != nullptr);
-  cost_shift_.AddDefaultDetectors(code_info, change_log_);
+  // One §5.6 lookback: the commits root-cause analysis ranks are the ones
+  // that define commit cost domains.
+  const RootCauseConfig root_cause_config;
+  cost_shift_.AddDefaultDetectors(code_info, change_log_, root_cause_config.lookback);
   if (change_log_ != nullptr) {
-    root_cause_ = std::make_unique<RootCauseAnalyzer>(change_log_, code_info, RootCauseConfig{});
+    root_cause_ = std::make_unique<RootCauseAnalyzer>(change_log_, code_info, root_cause_config);
   }
   RegisterInstruments();
 }
@@ -105,6 +108,9 @@ void Pipeline::RegisterInstruments() {
 
   obs_.scan_wall_ns = histogram("pipeline.scan.wall_ns");
   obs_.run_wall_ns = histogram("pipeline.run.wall_ns");
+  obs_.seasonality_estimate_ns = histogram("pipeline.substage.seasonality_estimate.wall_ns");
+  obs_.stl_ns = histogram("pipeline.substage.stl.wall_ns");
+  obs_.long_term_locate_ns = histogram("pipeline.substage.long_term_locate.wall_ns");
 }
 
 void Pipeline::set_stack_overlap(StackOverlapFn overlap) {
@@ -175,6 +181,10 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
 
   const double sign = LowerIsRegression(id.kind) ? -1.0 : 1.0;
   const ScanView view = OrientWindows(windows, sign, scratch);
+  // The seasonality stage and the long-term detector estimate seasonality
+  // and run STL over the same window with the same arguments: whichever asks
+  // first computes each, inside its own stage timer.
+  WindowSeasonality seasonality(view.full, obs_.seasonality_estimate_ns, obs_.stl_ns);
 
   // Detector exceptions are isolated to the series: one throwing detector
   // quarantines this metric for this re-run instead of unwinding through the
@@ -205,7 +215,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
         SeasonalityVerdict seasonal;
         {
           StageTimer timer(obs_.seasonality.wall_ns);
-          seasonal = seasonality_.Evaluate(view, *candidate);
+          seasonal = seasonality_.Evaluate(view, *candidate, seasonality);
         }
         if (!seasonal.seasonal_filtered) {
           obs_.seasonality.out->Increment();
@@ -234,7 +244,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
       std::optional<Regression> long_candidate;
       {
         StageTimer timer(obs_.long_term.wall_ns);
-        long_candidate = long_term_.Detect(id, view);
+        long_candidate = long_term_.Detect(id, view, seasonality, obs_.long_term_locate_ns);
       }
       if (long_candidate) {
         obs_.long_term_detected->Increment();

@@ -177,6 +177,13 @@ class Pipeline {
         fingerprint, same_merger, som_dedup, cost_shift, pairwise, root_cause;
     Histogram* scan_wall_ns = nullptr;  // Whole ScanAllMetrics, per run.
     Histogram* run_wall_ns = nullptr;   // Whole RunAt, per run.
+    // Substages, nested inside the stage histograms (null unless enabled):
+    // one window's seasonality estimate and STL, each computed once per
+    // window by whichever stage asks first, and long-term's change-point
+    // location step.
+    Histogram* seasonality_estimate_ns = nullptr;
+    Histogram* stl_ns = nullptr;
+    Histogram* long_term_locate_ns = nullptr;
   };
 
   // Registers every instrument with the registry and fills `obs_`.

@@ -5,9 +5,8 @@
 #include <span>
 #include <vector>
 
-#include "src/stats/correlation.h"
+#include "src/common/check.h"
 #include "src/stats/descriptive.h"
-#include "src/tsa/stl.h"
 
 namespace fbdetect {
 namespace {
@@ -18,8 +17,28 @@ constexpr double kSeasonalityZscoreThreshold = 2.0;
 
 }  // namespace
 
+const SeasonalityEstimate& WindowSeasonality::Estimate() {
+  if (!estimate_) {
+    StageTimer timer(estimate_ns_);
+    estimate_ = DetectSeasonality(full_, /*min_period=*/4, /*max_period=*/full_.size() / 3,
+                                  kSeasonalityMinCorrelation);
+  }
+  return *estimate_;
+}
+
+const Decomposition& WindowSeasonality::Stl(size_t period) {
+  if (!stl_) {
+    StageTimer timer(stl_ns_);
+    stl_ = StlDecompose(full_, period);
+    stl_period_ = period;
+  }
+  FBD_CHECK(stl_period_ == period);
+  return *stl_;
+}
+
 SeasonalityVerdict SeasonalityStage::Evaluate(const ScanView& view,
-                                              const ScanCandidate& candidate) const {
+                                              const ScanCandidate& candidate,
+                                              WindowSeasonality& seasonality) const {
   SeasonalityVerdict verdict;
   const size_t analysis_total = view.analysis_size + view.extended_size;
   if (view.historical_size < 16 || analysis_total == 0) {
@@ -31,16 +50,14 @@ SeasonalityVerdict SeasonalityStage::Evaluate(const ScanView& view,
   // combined range — contiguous, already oriented, nothing materialized.
   const std::span<const double> combined = view.full;
 
-  const SeasonalityEstimate season = DetectSeasonality(
-      combined, /*min_period=*/4, /*max_period=*/combined.size() / 3,
-      kSeasonalityMinCorrelation);
+  const SeasonalityEstimate& season = seasonality.Estimate();
   if (!season.present) {
     return verdict;  // No seasonality: the stage passes the regression on.
   }
   verdict.seasonality_present = true;
   verdict.period = season.period;
 
-  const Decomposition stl = StlDecompose(combined, season.period);
+  const Decomposition& stl = seasonality.Stl(season.period);
   if (!stl.valid) {
     return verdict;
   }
@@ -84,7 +101,8 @@ SeasonalityVerdict SeasonalityStage::Evaluate(const ScanView& view,
 SeasonalityVerdict SeasonalityStage::Evaluate(const Regression& regression) const {
   std::vector<double> scratch;
   const ScanView view = ViewOfRegression(regression, scratch);
-  return Evaluate(view, CandidateOfRegression(regression));
+  WindowSeasonality seasonality(view.full);
+  return Evaluate(view, CandidateOfRegression(regression), seasonality);
 }
 
 }  // namespace fbdetect

@@ -76,28 +76,6 @@ double PearsonCorrelation(std::span<const double> x, std::span<const double> y) 
   return std::isfinite(r) ? r : 0.0;
 }
 
-double Autocorrelation(std::span<const double> values, size_t lag) {
-  const size_t n = values.size();
-  if (lag == 0 || lag >= n) {
-    return 0.0;
-  }
-  const double mean = Mean(values);
-  double denom = 0.0;
-  for (double v : values) {
-    const double d = v - mean;
-    denom += d * d;
-  }
-  if (denom <= 0.0) {
-    return 0.0;
-  }
-  double num = 0.0;
-  for (size_t i = 0; i + lag < n; ++i) {
-    num += (values[i] - mean) * (values[i + lag] - mean);
-  }
-  const double r = num / denom;
-  return std::isfinite(r) ? r : 0.0;  // Same non-finite guard as Pearson.
-}
-
 std::vector<double> AutocorrelationFunctionBruteForce(std::span<const double> values,
                                                       size_t max_lag) {
   const size_t n = values.size();
@@ -115,7 +93,7 @@ std::vector<double> AutocorrelationFunctionBruteForce(std::span<const double> va
     denom += d * d;
   }
   if (denom <= 0.0) {
-    return acf;  // Constant series: all zeros, matching Autocorrelation().
+    return acf;  // Constant series: all zeros.
   }
   for (size_t lag = 1; lag <= limit; ++lag) {
     double num = 0.0;

@@ -19,10 +19,6 @@ namespace fbdetect {
 // side is constant or shorter than 2.
 double PearsonCorrelation(std::span<const double> x, std::span<const double> y);
 
-// Autocorrelation at a single lag (1 <= lag < n); 0.0 outside that range or
-// for constant series.
-double Autocorrelation(std::span<const double> values, size_t lag);
-
 // Autocorrelation for lags 1..max_lag (clamped to n-1). Uses the FFT-based
 // O(n log n) path for large inputs and the direct path for small ones; both
 // agree to ~1e-12 (tested at 1e-9).

@@ -3,14 +3,19 @@
 // * FourierMagnitudes / DominantFrequency — the handful of DFT coefficient
 //   magnitudes SOMDedup uses as clustering features (§5.5.1); computed
 //   naively since only a few coefficients are needed.
-// * Fft — an iterative radix-2 in-place FFT (power-of-two sizes). The
-//   seasonality detector's autocorrelation function is computed through it
-//   via the Wiener–Khinchin theorem (power spectrum -> inverse FFT), turning
-//   the per-candidate O(n^2) ACF scan into O(n log n).
+// * AutocovarianceSumsFft — the seasonality detector's autocorrelation sums
+//   via the Wiener–Khinchin theorem (FFT -> power spectrum -> inverse FFT),
+//   turning the per-candidate O(n^2) ACF scan into O(n log n). The radix-2
+//   transform underneath runs on split real/imaginary arrays in plain real
+//   arithmetic, with each stage's twiddles filled once per call into a table
+//   by the serial w *= wlen recurrence. It performs the same floating-point
+//   operations in the same order as the textbook std::complex transform
+//   that tests keep as its oracle, so every sum is bit-identical to it. With
+//   no complex multiply left, no target's vectorizer can fuse one into an
+//   FMA, so the sums are also the same on every ISA.
 #ifndef FBDETECT_SRC_STATS_FOURIER_H_
 #define FBDETECT_SRC_STATS_FOURIER_H_
 
-#include <complex>
 #include <span>
 #include <vector>
 
@@ -27,11 +32,6 @@ size_t DominantFrequency(std::span<const double> values);
 
 // Smallest power of two >= n (and >= 1).
 size_t NextPowerOfTwo(size_t n);
-
-// In-place iterative radix-2 Cooley-Tukey FFT. data.size() must be a power
-// of two (FBD_CHECKed). `inverse` computes the inverse transform including
-// the 1/n scaling, so Fft(Fft(x), inverse=true) == x up to round-off.
-void Fft(std::vector<std::complex<double>>& data, bool inverse);
 
 // Raw autocovariance sums of the mean-removed series via Wiener–Khinchin:
 //   result[k] = sum_{i=0}^{n-1-k} (v[i] - mean) * (v[i+k] - mean)

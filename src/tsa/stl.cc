@@ -65,43 +65,47 @@ Decomposition StlDecompose(std::span<const double> values, size_t period) {
   const size_t trend_span = NextOdd(period + period / 2);
   const size_t lowpass_span = NextOdd(period);
 
+  // Every buffer is allocated once per decomposition and reused by both
+  // passes and every phase; each pass overwrites what it reads.
   std::vector<double> seasonal(n, 0.0);
   std::vector<double> trend(n, 0.0);
+  std::vector<double> work(n);  // Detrended, then deseasonalized.
+  std::vector<double> cycle(n);
+  std::vector<double> lowpass(n);
+  const size_t max_cycles = (n + period - 1) / period;
+  std::vector<double> subseries(max_cycles);
+  std::vector<double> smoothed(max_cycles);
+  LoessScratch scratch;
   for (int inner = 0; inner < kInnerIterations; ++inner) {
     // Step 1: detrend.
-    std::vector<double> detrended(n);
     for (size_t i = 0; i < n; ++i) {
-      detrended[i] = values[i] - trend[i];
+      work[i] = values[i] - trend[i];
     }
     // Step 2: cycle-subseries smoothing. Each phase (i mod period) is
     // smoothed independently with loess, producing the raw seasonal.
-    std::vector<double> cycle(n, 0.0);
     for (size_t phase = 0; phase < period; ++phase) {
-      std::vector<double> subseries;
-      std::vector<size_t> indices;
+      size_t count = 0;
       for (size_t i = phase; i < n; i += period) {
-        subseries.push_back(detrended[i]);
-        indices.push_back(i);
+        subseries[count++] = work[i];
       }
-      const std::vector<double> smoothed = LoessSmooth(subseries, kSeasonalSpan);
-      for (size_t k = 0; k < indices.size(); ++k) {
-        cycle[indices[k]] = smoothed[k];
+      LoessSmoothInto(std::span<const double>(subseries).first(count), kSeasonalSpan,
+                      std::span<double>(smoothed).first(count), scratch);
+      for (size_t k = 0, i = phase; k < count; ++k, i += period) {
+        cycle[i] = smoothed[k];
       }
     }
     // Step 3: low-pass filter of the cycle-subseries (moving average of
     // width `period`, then loess) to extract leftover trend in it.
-    std::vector<double> lowpass = CenteredMovingAverage(cycle, period);
-    lowpass = LoessSmooth(lowpass, lowpass_span);
+    LoessSmoothInto(CenteredMovingAverage(cycle, period), lowpass_span, lowpass, scratch);
     // Step 4: seasonal = cycle - lowpass (centers the seasonal around 0).
     for (size_t i = 0; i < n; ++i) {
       seasonal[i] = cycle[i] - lowpass[i];
     }
     // Step 5: deseasonalize and smooth for the new trend.
-    std::vector<double> deseasonalized(n);
     for (size_t i = 0; i < n; ++i) {
-      deseasonalized[i] = values[i] - seasonal[i];
+      work[i] = values[i] - seasonal[i];
     }
-    trend = LoessSmooth(deseasonalized, trend_span);
+    LoessSmoothInto(work, trend_span, trend, scratch);
   }
 
   result.seasonal = std::move(seasonal);

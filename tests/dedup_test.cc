@@ -12,6 +12,7 @@
 #include "src/common/random.h"
 #include "src/core/cost_shift.h"
 #include "src/core/pairwise_dedup.h"
+#include "src/core/root_cause.h"
 #include "src/core/som.h"
 #include "src/core/som_dedup.h"
 #include "src/tsdb/database.h"
@@ -490,6 +491,42 @@ TEST(CostShiftTest, CommitDomainGroupsTouchedSubroutines) {
         return detector.Evaluate(ShiftCandidate("method_a", 0.008, 0.010, step, end));
       });
   EXPECT_TRUE(verdict.is_cost_shift);
+}
+
+// The pipeline gives cost shift's commit domains the lookback of the one
+// RootCauseConfig it gives root-cause analysis (§5.6), so the commits that
+// can explain a regression are the ones that can define its cost domain. A
+// commit 36 h before the change is both under a 2-day lookback, and neither
+// under the default day.
+TEST(CostShiftTest, CommitDomainAndRootCauseShareOneLookback) {
+  const TimePoint step = Hours(40);
+  const TimePoint end = Hours(60);
+  ChangeLog log;
+  Commit commit;
+  commit.service = "svc";
+  commit.time = step - Hours(36);
+  commit.title = "refactor";
+  commit.touched_subroutines = {"method_a", "method_b"};
+  const int64_t commit_id = log.Add(commit);
+  TimeSeriesDatabase db;
+  WriteStepSeries(db, "method_a", 0.010, 0.018, step, end);
+  WriteStepSeries(db, "method_b", 0.012, 0.004, step, end);
+  const Regression candidate = ShiftCandidate("method_a", 0.008, 0.010, step, end);
+  for (const Duration lookback : {Days(2), RootCauseConfig{}.lookback}) {
+    const bool reaches = lookback == Days(2);
+    RootCauseConfig config;
+    config.lookback = lookback;
+    const RootCauseAnalyzer analyzer(&log, nullptr, config);
+    EXPECT_EQ(analyzer.QuickCandidates(candidate),
+              reaches ? std::vector<int64_t>{commit_id} : std::vector<int64_t>{})
+        << "lookback=" << lookback;
+    CostShiftDetector detector(&db);
+    detector.AddDefaultDetectors(/*code_info=*/nullptr, &log, config.lookback);
+    const CostShiftVerdict verdict = detector.Evaluate(candidate);
+    EXPECT_EQ(verdict.is_cost_shift, reaches) << "lookback=" << lookback;
+    EXPECT_EQ(verdict.domain, reaches ? "commit:commit/" + std::to_string(commit_id) : "")
+        << "lookback=" << lookback;
+  }
 }
 
 }  // namespace

