@@ -2,19 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+
+#include "src/tsa/loess_kernels.h"
 
 namespace fbdetect {
 namespace {
 
-double Tricube(double u) {
-  const double a = 1.0 - std::fabs(u) * std::fabs(u) * std::fabs(u);
-  return a <= 0.0 ? 0.0 : a * a * a;
-}
+using loess_internal::Tricube;
 
-// Number of interior outputs fitted side by side per pass over the kernel
-// (InteriorSums4). Each output keeps its own two sequential sums, so this
-// changes no bit.
-constexpr size_t kInteriorLanes = 4;
+// W doubles side by side in one vector register, one per output. Lanes only
+// ever hold different outputs' sums, never parts of one sum, so each output
+// is summed in the order of a one-output-at-a-time fit, and multiplies and
+// adds stay separate (-ffp-contract=off; the AVX2 entry's target has no
+// FMA). Vectors are passed only by reference: a 32-byte vector passed by
+// value has a different ABI in AVX2 and baseline code.
+template <size_t W>
+struct Lanes {
+  typedef double V __attribute__((vector_size(W * sizeof(double))));
+};
+
+template <size_t W>
+[[gnu::always_inline]] inline void Splat(double s, typename Lanes<W>::V& v) {
+  for (size_t l = 0; l < W; ++l) {
+    v[l] = s;
+  }
+}
 
 // The degree-1 fit at i from its five tricube-weighted sums over the
 // absolute positions x = j.
@@ -41,9 +54,9 @@ double FinishEdgeFit(double sw, double swx, double swy, double swxx, double swxy
 // of `span` tricube weights in `row` serves both, and within the row each
 // distance's weight is computed once for j = m - d and j = m + d. Each point
 // keeps its five sums in ascending j, skipping zero weights, over the
-// absolute x = j.
+// absolute x = j. FitEdgeLanes does the same for W points at once.
 void FitEdgePair(std::span<const double> values, size_t span, size_t m, bool mirrored,
-                 std::vector<double>& row, std::span<double> smoothed) {
+                 double* row, std::span<double> smoothed) {
   const size_t n = values.size();
   const double max_dist =
       std::max(static_cast<double>(m), static_cast<double>(span - 1 - m));
@@ -92,44 +105,114 @@ void FitEdgePair(std::span<const double> values, size_t span, size_t m, bool mir
   }
 }
 
-// The kernel's two dot products with the windows of four consecutive
-// outputs starting at `window`: swy[l] = sum_k kernel[k] * window[l + k] and
+// FitEdgePair for the W consecutive left edge points m .. m+W-1, lane l
+// holding point i = m + l, and for their mirrors n-1-i, which all exist.
+// Lane l's row holds Tricube(|t - i| / (max_dist + 1)) over t in [0, span),
+// max_dist = max(i, span-1-i), the same operations as the one-point form
+// (the distance is an exact integer, and a vector divide rounds like a
+// scalar one); `rows` interleaves the W rows, rows[t * W + l]. The mirror's
+// weight at x = n-span+t is the row's at span-1-t, so the mirrors read the
+// same rows in reverse. Every weight is positive (loess_kernels.h), so all
+// are summed: each lane's five sums run in ascending t, as FitEdgePair's do.
+template <size_t W>
+[[gnu::always_inline]] inline void FitEdgeLanes(std::span<const double> values, size_t span,
+                                                size_t m, double* rows,
+                                                std::span<double> smoothed) {
+  using V = typename Lanes<W>::V;
+  const size_t n = values.size();
+  V one = {};
+  Splat<W>(1.0, one);
+  V point = {};
+  V scale = {};  // max_dist + 1.
+  for (size_t l = 0; l < W; ++l) {
+    const size_t i = m + l;
+    point[l] = static_cast<double>(i);
+    scale[l] = std::max(static_cast<double>(i), static_cast<double>(span - 1 - i)) + 1.0;
+  }
+  V x = {};  // t, an exact integer.
+  for (size_t t = 0; t < span; ++t, x += one) {
+    V d = x - point;
+    d = d < V{} ? -d : d;
+    const V u = d / scale;
+    const V a = one - u * u * u;
+    const V w = a * a * a;
+    std::memcpy(rows + t * W, &w, sizeof(w));
+  }
+  V sw = {};
+  V swx = {};
+  V swy = {};
+  V swxx = {};
+  V swxy = {};
+  V rsw = {};
+  V rswx = {};
+  V rswy = {};
+  V rswxx = {};
+  V rswxy = {};
+  const size_t base = n - span;
+  x = V{};
+  V rx = {};  // base + t.
+  Splat<W>(static_cast<double>(base), rx);
+  for (size_t t = 0; t < span; ++t, x += one, rx += one) {
+    V w = {};
+    V y = {};
+    std::memcpy(&w, rows + t * W, sizeof(w));
+    Splat<W>(values[t], y);
+    const V wx = w * x;
+    sw += w;
+    swx += wx;
+    swy += w * y;
+    swxx += wx * x;
+    swxy += wx * y;
+    V rw = {};
+    V ry = {};
+    std::memcpy(&rw, rows + (span - 1 - t) * W, sizeof(rw));
+    Splat<W>(values[base + t], ry);
+    const V rwx = rw * rx;
+    rsw += rw;
+    rswx += rwx;
+    rswy += rw * ry;
+    rswxx += rwx * rx;
+    rswxy += rwx * ry;
+  }
+  for (size_t l = 0; l < W; ++l) {
+    const size_t i = m + l;
+    smoothed[i] = FinishEdgeFit(sw[l], swx[l], swy[l], swxx[l], swxy[l], values[i], i);
+    const size_t r = n - 1 - i;
+    smoothed[r] = FinishEdgeFit(rsw[l], rswx[l], rswy[l], rswxx[l], rswxy[l], values[r], r);
+  }
+}
+
+// The kernel's two dot products with the windows of 2*W consecutive outputs
+// starting at `window`: swy[l] = sum_k kernel[k] * window[l + k] and
 // swky[l] = sum_k kernel_k[k] * window[l + k], each summed in ascending k.
-// The eight sums are independent chains the CPU can overlap.
-void InteriorSums4(const double* window, const double* kernel, const double* kernel_k,
-                   size_t span, double* swy, double* swky) {
-  double y0 = 0.0;
-  double y1 = 0.0;
-  double y2 = 0.0;
-  double y3 = 0.0;
-  double ky0 = 0.0;
-  double ky1 = 0.0;
-  double ky2 = 0.0;
-  double ky3 = 0.0;
+// Two vectors per sum, so four independent vector chains.
+template <size_t W>
+[[gnu::always_inline]] inline void InteriorSumsLanes(const double* window, const double* kernel,
+                                                     const double* kernel_k, size_t span,
+                                                     double* swy, double* swky) {
+  using V = typename Lanes<W>::V;
+  V y0 = {};
+  V y1 = {};
+  V ky0 = {};
+  V ky1 = {};
   for (size_t k = 0; k < span; ++k) {
-    const double w = kernel[k];
-    const double wk = kernel_k[k];
-    const double v0 = window[k];
-    const double v1 = window[k + 1];
-    const double v2 = window[k + 2];
-    const double v3 = window[k + 3];
+    V w = {};
+    V wk = {};
+    V v0 = {};
+    V v1 = {};
+    Splat<W>(kernel[k], w);
+    Splat<W>(kernel_k[k], wk);
+    std::memcpy(&v0, window + k, sizeof(v0));
+    std::memcpy(&v1, window + k + W, sizeof(v1));
     y0 += w * v0;
     y1 += w * v1;
-    y2 += w * v2;
-    y3 += w * v3;
     ky0 += wk * v0;
     ky1 += wk * v1;
-    ky2 += wk * v2;
-    ky3 += wk * v3;
   }
-  swy[0] = y0;
-  swy[1] = y1;
-  swy[2] = y2;
-  swy[3] = y3;
-  swky[0] = ky0;
-  swky[1] = ky1;
-  swky[2] = ky2;
-  swky[3] = ky3;
+  std::memcpy(swy, &y0, sizeof(y0));
+  std::memcpy(swy + W, &y1, sizeof(y1));
+  std::memcpy(swky, &ky0, sizeof(ky0));
+  std::memcpy(swky + W, &ky1, sizeof(ky1));
 }
 
 // One output's two dot products, for the interior's last few points.
@@ -145,17 +228,11 @@ void InteriorSums1(const double* window, const double* kernel, const double* ker
   *swky = ky;
 }
 
-}  // namespace
-
-std::vector<double> LoessSmooth(std::span<const double> values, size_t span) {
-  std::vector<double> smoothed(values.size(), 0.0);
-  LoessScratch scratch;
-  LoessSmoothInto(values, span, smoothed, scratch);
-  return smoothed;
-}
-
-void LoessSmoothInto(std::span<const double> values, size_t span, std::span<double> smoothed,
-                     LoessScratch& scratch) {
+// LoessSmoothInto with W lanes per vector; each entry below instantiates it.
+template <size_t W>
+[[gnu::always_inline]] inline void SmoothLanes(std::span<const double> values, size_t span,
+                                               std::span<double> smoothed,
+                                               LoessScratch& scratch) {
   const size_t n = values.size();
   if (n == 0) {
     return;
@@ -213,11 +290,12 @@ void LoessSmoothInto(std::span<const double> values, size_t span, std::span<doub
     // Interior: lo = i - half >= 0 and lo + span <= n.
     const size_t end = n - span + half + 1;  // Exclusive.
     size_t i = half;
-    double swy[kInteriorLanes];
-    double swky[kInteriorLanes];
-    for (; i + kInteriorLanes <= end; i += kInteriorLanes) {
-      InteriorSums4(values.data() + (i - half), kernel.data(), kernel_k.data(), span, swy, swky);
-      for (size_t l = 0; l < kInteriorLanes; ++l) {
+    double swy[2 * W] = {};
+    double swky[2 * W] = {};
+    for (; i + 2 * W <= end; i += 2 * W) {
+      InteriorSumsLanes<W>(values.data() + (i - half), kernel.data(), kernel_k.data(), span, swy,
+                           swky);
+      for (size_t l = 0; l < 2 * W; ++l) {
         finish(i + l, swy[l], swky[l]);
       }
     }
@@ -227,10 +305,61 @@ void LoessSmoothInto(std::span<const double> values, size_t span, std::span<doub
     }
   }
 
-  scratch.row.resize(span);
-  for (size_t m = 0; m < left_edge; ++m) {
-    FitEdgePair(values, span, m, /*mirrored=*/m < right_edge, scratch.row, smoothed);
+  // Edge points W at a time while each has a mirror, then one at a time; with
+  // span == n they all go one at a time.
+  scratch.rows.resize(span * W);
+  size_t m = 0;
+  if (n > span) {
+    for (; m + W <= right_edge; m += W) {
+      FitEdgeLanes<W>(values, span, m, scratch.rows.data(), smoothed);
+    }
   }
+  for (; m < left_edge; ++m) {
+    FitEdgePair(values, span, m, /*mirrored=*/m < right_edge, scratch.rows.data(), smoothed);
+  }
+}
+
+}  // namespace
+
+namespace loess_internal {
+
+void LoessSmoothIntoBaseline(std::span<const double> values, size_t span,
+                             std::span<double> smoothed, LoessScratch& scratch) {
+  SmoothLanes<2>(values, span, smoothed, scratch);
+}
+
+#if FBD_LOESS_HAS_AVX2_ENTRY
+// `avx2` alone, not `arch=x86-64-v3`: that level brings FMA, which nothing
+// here may use.
+[[gnu::target("avx2")]] void LoessSmoothIntoAvx2(std::span<const double> values, size_t span,
+                                                 std::span<double> smoothed,
+                                                 LoessScratch& scratch) {
+  SmoothLanes<4>(values, span, smoothed, scratch);
+}
+#endif
+
+}  // namespace loess_internal
+
+std::vector<double> LoessSmooth(std::span<const double> values, size_t span) {
+  std::vector<double> smoothed(values.size(), 0.0);
+  LoessScratch scratch;
+  LoessSmoothInto(values, span, smoothed, scratch);
+  return smoothed;
+}
+
+void LoessSmoothInto(std::span<const double> values, size_t span, std::span<double> smoothed,
+                     LoessScratch& scratch) {
+#if FBD_LOESS_HAS_AVX2_ENTRY
+  // Picked once per process; both entries return the same bits.
+  static const auto entry = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? &loess_internal::LoessSmoothIntoAvx2
+                                          : &loess_internal::LoessSmoothIntoBaseline;
+  }();
+  entry(values, span, smoothed, scratch);
+#else
+  loess_internal::LoessSmoothIntoBaseline(values, span, smoothed, scratch);
+#endif
 }
 
 }  // namespace fbdetect

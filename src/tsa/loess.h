@@ -1,9 +1,12 @@
 // Loess (locally weighted linear regression) smoother — the building block of
 // STL (§5.2.3). Tricube kernel over a sliding neighborhood of `span` points,
-// degree-1 local fits, evaluated at every index. Interior points are fitted
-// four at a time and each edge weight row serves a point and its mirror, but
-// every output is summed in the order of a one-point-at-a-time fit, so the
-// results are bit-identical to that simpler form (kept as a test oracle).
+// degree-1 local fits, evaluated at every index. The kernel runs W outputs to
+// a vector register, W = 4 where the CPU has AVX2 and 2 elsewhere: the
+// interior fits 2·W outputs per pass and the edges W points and their mirrors
+// per pass. Lanes hold different outputs, never parts of one sum, so every
+// output is summed in the order of a one-point-at-a-time fit and the results
+// are bit-identical to that simpler form (kept as a test oracle) on every
+// CPU. loess_kernels.h declares the two entries for tests.
 #ifndef FBDETECT_SRC_TSA_LOESS_H_
 #define FBDETECT_SRC_TSA_LOESS_H_
 
@@ -17,13 +20,14 @@ namespace fbdetect {
 // empty vector.
 std::vector<double> LoessSmooth(std::span<const double> values, size_t span);
 
-// Working storage for LoessSmoothInto: the interior kernel and one edge
-// weight row. Nothing in it carries from one call to the next; reusing one
-// across calls only saves their allocations.
+// Working storage for LoessSmoothInto: the interior kernel and the edge
+// weight rows, W interleaved rows of span weights. Nothing in it carries
+// from one call to the next; reusing one across calls only saves their
+// allocations.
 struct LoessScratch {
   std::vector<double> kernel;
   std::vector<double> kernel_k;
-  std::vector<double> row;
+  std::vector<double> rows;
 };
 
 // LoessSmooth writing into `smoothed` (values.size() elements, not aliasing

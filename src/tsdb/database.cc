@@ -148,7 +148,7 @@ void TimeSeriesDatabase::OpenDurable() {
   bool recovered_any = symbols_logged_ > 1;
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = shards_[i];
-    const std::string suffix = "." + std::to_string(i);
+    const std::string suffix = std::string(".").append(std::to_string(i));
     shard.chunk_store = std::make_unique<ChunkStore>();
     shard.wal = std::make_unique<WriteAheadLog>();
     // Sealed history: restore chunk records in file order. Re-persisted

@@ -747,7 +747,7 @@ std::string DescribeTimestampDiff(const std::vector<TimePoint>& got,
       if (!out.empty()) {
         out += ", ";
       }
-      out += "[" + std::to_string(ts[i]) + ".." + std::to_string(ts[j]) + "]x" +
+      out += std::string("[") + std::to_string(ts[i]) + ".." + std::to_string(ts[j]) + "]x" +
              std::to_string(j - i + 1);
       i = j + 1;
     }
@@ -782,7 +782,7 @@ void DumpDurableDir(const std::string& dir, int shard_count) {
     return name_of(id.service) + "/" + name_of(id.entity);
   };
   for (int i = 0; i < shard_count; ++i) {
-    const std::string suffix = "." + std::to_string(i);
+    const std::string suffix = std::string(".").append(std::to_string(i));
     std::fprintf(stderr, "== shard %d chunks ==\n", i);
     ChunkStore chunks;
     (void)chunks.Open(

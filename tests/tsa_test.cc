@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "src/tsa/e_divisive.h"
 #include "src/tsa/em_changepoint.h"
 #include "src/tsa/loess.h"
+#include "src/tsa/loess_kernels.h"
 #include "src/tsa/sax.h"
 #include "src/tsa/stl.h"
 #include "tests/kernel_oracles.h"
@@ -265,29 +267,73 @@ std::vector<double> KernelInput(Rng& rng, size_t n, size_t c) {
   return values;
 }
 
-// The production loess fits four interior outputs per pass and shares each
-// edge weight row with its mirror point, but every output keeps its own sums
-// in the oracle's order, so the two agree bit for bit. The cases cover
-// span > n (clamped), span == n, span 2, even spans (one fewer right edge
-// point than left) and n = span + 1 .. span + 4, which leave every
-// remainder of the four-wide interior.
+bool HasAvx2() {
+#if FBD_LOESS_HAS_AVX2_ENTRY
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+// The production loess fits 2·W interior outputs and W edge points (with
+// their mirrors) per pass, W lanes to a vector, but every output keeps its
+// own sums in the oracle's order, so both entries agree with the oracle bit
+// for bit. The cases cover span > n (clamped), span == n, span 2, every span
+// from 8 to 20 (odd and even: W-wide edge groups, their remainders, and an
+// even span's last left point, which has no mirror) and n = span + 1 ..
+// span + 12, which leave every remainder of the 4- and 8-wide interior
+// groups. Each entry reuses one scratch across all cases.
 TEST(LoessTest, MatchesTheOracleBitForBit) {
   Rng rng(23);
   std::vector<std::pair<size_t, size_t>> cases;  // (n, span)
-  for (size_t span : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 75, 76, 145, 216, 217, 300}) {
-    for (size_t n = span > 3 ? span - 3 : 1; n <= span + 4; ++n) {
+  std::vector<size_t> spans = {75, 76, 145, 216, 217, 300};
+  for (size_t span = 0; span <= 20; ++span) {
+    spans.push_back(span);
+  }
+  for (size_t span : spans) {
+    for (size_t n = span > 3 ? span - 3 : 1; n <= span + 12; ++n) {
       cases.emplace_back(n, span);
     }
   }
-  while (cases.size() < 2100) {
+  while (cases.size() < 2400) {
     cases.emplace_back(1 + static_cast<size_t>(rng.NextUint64(1600)),
                        static_cast<size_t>(rng.NextUint64(301)));
   }
+  const bool avx2 = HasAvx2();
+  if (!avx2) {
+    std::printf("note: no AVX2 entry on this CPU; only the baseline entry is checked\n");
+  }
+  LoessScratch baseline_scratch;
+  LoessScratch avx2_scratch;
+  std::vector<double> smoothed;
   for (size_t c = 0; c < cases.size(); ++c) {
     const auto [n, span] = cases[c];
     const std::vector<double> values = KernelInput(rng, n, c);
-    EXPECT_TRUE(SameBits(LoessSmooth(values, span), oracle::LoessSmooth(values, span)))
-        << "n=" << n << " span=" << span << " case=" << c;
+    const std::vector<double> expected = oracle::LoessSmooth(values, span);
+    smoothed.assign(n, std::nan(""));
+    loess_internal::LoessSmoothIntoBaseline(values, span, smoothed, baseline_scratch);
+    EXPECT_TRUE(SameBits(smoothed, expected))
+        << "baseline entry: n=" << n << " span=" << span << " case=" << c;
+#if FBD_LOESS_HAS_AVX2_ENTRY
+    if (avx2) {
+      smoothed.assign(n, std::nan(""));
+      loess_internal::LoessSmoothIntoAvx2(values, span, smoothed, avx2_scratch);
+      EXPECT_TRUE(SameBits(smoothed, expected))
+          << "AVX2 entry: n=" << n << " span=" << span << " case=" << c;
+    }
+#endif
+  }
+}
+
+// The vector edge fits sum every weight, with no zero-weight skip. An edge
+// point whose farthest neighbour is M away weighs it Tricube(M / (M + 1)),
+// its smallest weight (division, cubing and 1 - x are monotone under
+// rounding), and that is positive for every M up to 2^20, far past any
+// window the detectors scan.
+TEST(LoessTest, EveryEdgeWeightIsPositive) {
+  for (size_t m = 0; m <= (size_t{1} << 20); ++m) {
+    const double max_dist = static_cast<double>(m);
+    ASSERT_GT(loess_internal::Tricube(max_dist / (max_dist + 1.0)), 0.0) << "M=" << m;
   }
 }
 

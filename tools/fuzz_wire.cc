@@ -137,7 +137,7 @@ std::string SeedRequest(fbdetect::Rng& rng) {
     series.id.service = "svc" + std::to_string(rng.NextUint64(3));
     series.id.kind = static_cast<fbdetect::MetricKind>(
         rng.NextUint64(static_cast<uint64_t>(fbdetect::MetricKind::kApplication) + 1));
-    series.id.entity = "e" + std::to_string(rng.NextUint64(100));
+    series.id.entity = std::string("e").append(std::to_string(rng.NextUint64(100)));
     const size_t points = 1 + rng.NextUint64(16);
     int64_t t = static_cast<int64_t>(rng.NextUint64(100000));
     for (size_t i = 0; i < points; ++i) {
