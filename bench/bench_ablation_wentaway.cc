@@ -15,7 +15,7 @@
 
 #include "bench/bench_util.h"
 #include "src/common/random.h"
-#include "src/core/change_point_stage.h"
+#include "src/core/scan_view.h"
 #include "src/stats/descriptive.h"
 #include "src/core/went_away.h"
 #include "src/core/went_away_legacy.h"
@@ -119,7 +119,9 @@ int main() {
   using namespace fbdetect;
   PrintHeader("§5.2.2 ablation — went-away detector iterations 1/2/3");
   const DetectionConfig config = BenchConfig();
+  const MetricId metric{"svc", MetricKind::kGcpu, "sub", ""};
   const int kTrials = 40;
+  std::vector<double> scratch;  // Unused: gCPU windows need no negation.
 
   std::printf("%-38s %-6s %-8s %-10s %-10s %-8s %s\n", "shape", "cands", "iter1", "iter2good",
               "iter2bad", "iter3", "expected");
@@ -128,42 +130,37 @@ int main() {
     KeepRates rates;
     for (int trial = 0; trial < kTrials; ++trial) {
       const TimeSeries series = MakeSeries(shape, 1000 + static_cast<uint64_t>(trial));
-      const WindowExtract windows =
-          ExtractWindows(series, series.end_time() + kTick, config.windows);
-      // Build the regression record at the KNOWN change point — the ablation
-      // compares the went-away predicates, not change-point placement.
-      Regression candidate;
-      candidate.metric = {"svc", MetricKind::kGcpu, "sub", ""};
-      candidate.historical = windows.historical;
-      candidate.analysis = windows.analysis_plus_extended;
-      candidate.analysis_timestamps = windows.analysis_timestamps;
-      candidate.extended_size = windows.extended.size();
+      const ScanView view = OrientWindows(
+          ExtractWindowView(series, series.end_time() + kTick, config.windows), +1.0, scratch);
+      // The candidate at the KNOWN change point — the ablation compares the
+      // went-away predicates, not change-point placement.
       const TimePoint change_at = series.end_time() + kTick - Hours(5);
-      candidate.change_index = 0;
-      for (size_t i = 0; i < windows.analysis_timestamps.size(); ++i) {
-        if (windows.analysis_timestamps[i] >= change_at) {
+      ScanCandidate candidate;
+      for (size_t i = 0; i < view.analysis_timestamps.size(); ++i) {
+        if (view.analysis_timestamps[i] >= change_at) {
           candidate.change_index = i;
           break;
         }
       }
-      candidate.change_time = change_at;
-      candidate.baseline_mean = Mean(candidate.historical);
+      candidate.baseline_mean = Mean(view.historical());
       candidate.regressed_mean =
-          Mean(std::span<const double>(candidate.analysis).subspan(candidate.change_index));
+          Mean(view.analysis_plus_extended().subspan(candidate.change_index));
       candidate.delta = candidate.regressed_mean - candidate.baseline_mean;
       if (candidate.delta <= 0.0) {
         continue;
       }
       candidate.relative_delta = candidate.delta / candidate.baseline_mean;
+      // Iterations 1 and 2 take the survivor record the scan would build.
+      const Regression regression = MaterializeRegression(metric, view, candidate);
       ++rates.candidates;
-      rates.iteration1 += InverseCusumWentAway().Keep(candidate) ? 1 : 0;
-      rates.iteration2_good += TrendCompareWentAway(0).Keep(candidate) ? 1 : 0;
+      rates.iteration1 += InverseCusumWentAway().Keep(regression) ? 1 : 0;
+      rates.iteration2_good += TrendCompareWentAway(0).Keep(regression) ? 1 : 0;
       // The "bad" offset selects the historical slice containing the spike
       // (spike at hours 10-11 of a 48h history; slices are one analysis+
       // extended window = 6h wide, counted from the end: offset 6 covers
       // hours 6..12).
-      rates.iteration2_bad += TrendCompareWentAway(6).Keep(candidate) ? 1 : 0;
-      rates.iteration3 += WentAwayDetector().Evaluate(candidate, 144).keep ? 1 : 0;
+      rates.iteration2_bad += TrendCompareWentAway(6).Keep(regression) ? 1 : 0;
+      rates.iteration3 += WentAwayDetector().Evaluate(view, candidate, 144).keep ? 1 : 0;
     }
     auto pct = [&](int kept) {
       return rates.candidates == 0 ? 0.0 : 100.0 * kept / rates.candidates;

@@ -6,8 +6,9 @@
 //      filter it;
 //  (c) a false positive from a transient throughput dip — the went-away
 //      detector must filter it.
-// The bench constructs each scenario and prints the verdict of the relevant
-// FBDetect stage next to the paper's expectation.
+// The bench constructs each scenario, scans it through the pipeline's
+// single-series entry (Pipeline::ScanSeries) and prints the verdict of the
+// relevant FBDetect stage next to the paper's expectation.
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -15,14 +16,12 @@
 
 #include "bench/bench_util.h"
 #include "src/common/random.h"
-#include "src/core/change_point_stage.h"
 #include "src/core/cost_shift.h"
-#include "src/core/went_away.h"
+#include "src/core/pipeline.h"
 #include "src/core/workload_config.h"
 #include "src/fleet/scenario.h"
 #include "src/tsdb/database.h"
 #include "src/tsdb/timeseries.h"
-#include "src/tsdb/window.h"
 
 namespace fbdetect {
 namespace {
@@ -36,6 +35,12 @@ DetectionConfig BenchConfig() {
   config.windows.analysis = Hours(4);
   config.windows.extended = Hours(2);
   return config;
+}
+
+PipelineOptions BenchOptions() {
+  PipelineOptions options;
+  options.detection = BenchConfig();
+  return options;
 }
 
 TimeSeries SeriesFromValues(const std::vector<double>& values) {
@@ -77,18 +82,23 @@ void ScenarioB() {
   std::printf("    method_b gCPU: %s\n", Sparkline(b_values).c_str());
 
   // Stage 1: the change-point stage DOES flag method_a (as the paper says,
-  // the rise looks like an obvious regression).
-  const std::optional<TimeSeries> a_series = db.Find({"svc", MetricKind::kGcpu, "method_a", ""});
-  const WindowExtract windows = ExtractWindows(*a_series, total, config.windows);
-  ChangePointStage stage(config);
-  const auto candidate = stage.Detect({"svc", MetricKind::kGcpu, "method_a", ""}, windows);
+  // the rise looks like an obvious regression), and it survives the scan.
+  Pipeline pipeline(&db, nullptr, nullptr, BenchOptions());
+  const SeriesVerdicts verdicts =
+      pipeline.ScanSeries({"svc", MetricKind::kGcpu, "method_a", ""}, total);
   std::printf("    change-point stage flags method_a: %s\n",
-              candidate.has_value() ? "YES" : "no");
+              verdicts.change_point.has_value() ? "YES" : "no");
+  // The short-term survivor; the long-term path may keep the rise as well.
+  const Regression* candidate = nullptr;
+  for (const Regression& survivor : verdicts.survivors) {
+    if (!survivor.long_term) {
+      candidate = &survivor;
+    }
+  }
 
   // Cost-shift detector: the class domain's total is flat -> filtered.
   class PairInfo : public CodeInfoProvider {
    public:
-    bool Exists(const std::string&) const override { return true; }
     std::vector<std::string> CallersOf(const std::string&) const override { return {}; }
     std::string ClassOf(const std::string&) const override { return "Widget"; }
     std::vector<std::string> ClassMembers(const std::string&) const override {
@@ -99,7 +109,7 @@ void ScenarioB() {
   PairInfo code_info;
   CostShiftDetector detector(&db);
   detector.AddDomainDetector(std::make_unique<ClassDomainDetector>(&code_info));
-  if (candidate.has_value()) {
+  if (candidate != nullptr) {
     const CostShiftVerdict verdict = detector.Evaluate(*candidate);
     std::printf("    cost-shift detector verdict: %s (domain %s)\n",
                 verdict.is_cost_shift ? "COST SHIFT -> filtered (correct)" : "kept (WRONG)",
@@ -120,15 +130,15 @@ void ScenarioC() {
     values.push_back(rng.Normal(dipped ? 70.0 : 120.0, 3.0));
   }
   std::printf("    throughput:    %s\n", Sparkline(values).c_str());
-  const TimeSeries series = SeriesFromValues(values);
   const MetricId metric{"svc", MetricKind::kThroughput, "", ""};
-  const WindowExtract windows = ExtractWindows(series, total, config.windows);
-  ChangePointStage stage(config);
-  const auto candidate = stage.Detect(metric, windows);
+  TimeSeriesDatabase db;
+  db.WriteSeries(metric, SeriesFromValues(values));
+  Pipeline pipeline(&db, nullptr, nullptr, BenchOptions());
+  const SeriesVerdicts verdicts = pipeline.ScanSeries(metric, total);
   std::printf("    change-point stage flags the dip: %s\n",
-              candidate.has_value() ? "YES" : "no");
-  if (candidate.has_value()) {
-    const WentAwayVerdict verdict = WentAwayDetector().Evaluate(*candidate, 144);
+              verdicts.change_point.has_value() ? "YES" : "no");
+  if (verdicts.went_away.has_value()) {
+    const WentAwayVerdict& verdict = *verdicts.went_away;
     std::printf("    went-away detector verdict: %s (gone_away=%d)\n",
                 verdict.keep ? "kept (WRONG)" : "TRANSIENT -> filtered (correct)",
                 verdict.gone_away);

@@ -6,17 +6,16 @@
 // the spike window concludes the terminal regression recovered); the SAX
 // validity rule of the third iteration ignores the spike's buckets (< 3% of
 // historical points) and keeps the regression. We sweep spike height and
-// regression level to chart the detector's behaviour.
+// regression level to chart the detector's behaviour, reading each series'
+// verdicts from the pipeline's single-series entry (Pipeline::ScanSeries).
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/random.h"
-#include "src/core/change_point_stage.h"
-#include "src/core/went_away.h"
+#include "src/core/pipeline.h"
 #include "src/core/workload_config.h"
-#include "src/tsdb/timeseries.h"
-#include "src/tsdb/window.h"
+#include "src/tsdb/database.h"
 
 namespace fbdetect {
 namespace {
@@ -43,8 +42,9 @@ Outcome RunCase(double spike_level, double regression_level, bool draw, uint64_t
   const TimePoint spike_start = Hours(10);
   const TimePoint spike_end = Hours(11);  // ~2% of the historical window.
   const TimePoint regression_at = total - Hours(5);
+  const MetricId metric{"svc", MetricKind::kGcpu, "sub", ""};
   Rng rng(seed);
-  TimeSeries series;
+  TimeSeriesDatabase db;
   std::vector<double> values;
   for (TimePoint t = 0; t < total; t += kTick) {
     double level = 0.050;
@@ -54,18 +54,19 @@ Outcome RunCase(double spike_level, double regression_level, bool draw, uint64_t
       level = regression_level;
     }
     values.push_back(rng.Normal(level, 0.0008));
-    series.Append(t, values.back());
+    db.Write(metric, t, values.back());
   }
   if (draw) {
     std::printf("  %s\n", Sparkline(values).c_str());
   }
-  const WindowExtract windows = ExtractWindows(series, total, config.windows);
+  PipelineOptions options;
+  options.detection = config;
+  Pipeline pipeline(&db, nullptr, nullptr, options);
+  const SeriesVerdicts verdicts = pipeline.ScanSeries(metric, total);
   Outcome outcome;
-  const auto candidate =
-      ChangePointStage(config).Detect({"svc", MetricKind::kGcpu, "sub", ""}, windows);
-  outcome.change_point = candidate.has_value();
-  if (candidate) {
-    outcome.verdict = WentAwayDetector().Evaluate(*candidate, 144);
+  outcome.change_point = verdicts.change_point.has_value();
+  if (verdicts.went_away) {
+    outcome.verdict = *verdicts.went_away;
   }
   return outcome;
 }

@@ -5,22 +5,22 @@
 //   * negative series — pure noise, transient spikes/dips that self-recover,
 //     and seasonal series (the production confounders of Fig. 1(c)).
 // FBDetect classifies via its short-term stack (change point -> went-away ->
-// seasonality -> threshold) and yields a single (FPR, FNR) point. Each EGADS
-// algorithm is swept over its sensitivity knob, tracing a curve. Per the
-// paper, EGADS combines FBDetect's analysis+extended windows into its
-// analysis window.
+// seasonality -> threshold), read per series from the pipeline's
+// single-series entry (Pipeline::ScanSeries), and yields a single (FPR, FNR)
+// point. Each EGADS algorithm is swept over its sensitivity knob, tracing a
+// curve. Per the paper, EGADS combines FBDetect's analysis+extended windows
+// into its analysis window.
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/random.h"
-#include "src/core/change_point_stage.h"
-#include "src/core/seasonality_stage.h"
-#include "src/core/threshold_filter.h"
-#include "src/core/went_away.h"
+#include "src/core/pipeline.h"
 #include "src/core/workload_config.h"
 #include "src/egads/egads.h"
+#include "src/tsdb/database.h"
 #include "src/tsdb/timeseries.h"
 #include "src/tsdb/window.h"
 
@@ -105,21 +105,15 @@ std::vector<Case> MakeCorpus(uint64_t seed) {
   return corpus;
 }
 
-bool FbdetectClassify(const TimeSeries& series, const DetectionConfig& config) {
-  const WindowExtract windows =
-      ExtractWindows(series, series.end_time() + kTick, config.windows);
-  const MetricId metric{"svc", MetricKind::kGcpu, "sub", ""};
-  const auto candidate = ChangePointStage(config).Detect(metric, windows);
-  if (!candidate) {
-    return false;
-  }
-  if (!WentAwayDetector().Evaluate(*candidate, static_cast<size_t>(kDay / kTick)).keep) {
-    return false;
-  }
-  if (SeasonalityStage().Evaluate(*candidate).seasonal_filtered) {
-    return false;
-  }
-  return PassesThreshold(*candidate, config);
+// Case i's series is stored as this gCPU metric.
+MetricId CaseMetric(size_t i) {
+  return {"svc", MetricKind::kGcpu, "sub_" + std::to_string(i), ""};
+}
+
+// Whether the short-term path reports the series: it passed the threshold,
+// the last stage after change point, went-away and seasonality.
+bool FbdetectClassify(Pipeline& pipeline, const MetricId& metric, const TimeSeries& series) {
+  return pipeline.ScanSeries(metric, series.end_time() + kTick).threshold.value_or(false);
 }
 
 }  // namespace
@@ -132,12 +126,20 @@ int main() {
   const std::vector<Case> corpus = MakeCorpus(88);
 
   // FBDetect point.
+  TimeSeriesDatabase db;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    db.WriteSeries(CaseMetric(i), corpus[i].series);
+  }
+  PipelineOptions options;
+  options.detection = config;
+  Pipeline pipeline(&db, nullptr, nullptr, options);
   int false_positives = 0;
   int false_negatives = 0;
   int positives = 0;
   int negatives = 0;
-  for (const Case& c : corpus) {
-    const bool flagged = FbdetectClassify(c.series, config);
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const Case& c = corpus[i];
+    const bool flagged = FbdetectClassify(pipeline, CaseMetric(i), c.series);
     if (c.is_regression) {
       ++positives;
       false_negatives += flagged ? 0 : 1;
@@ -161,8 +163,8 @@ int main() {
       int fp = 0;
       int fn = 0;
       for (const Case& c : corpus) {
-        const WindowExtract windows =
-            ExtractWindows(c.series, c.series.end_time() + kTick, config.windows);
+        const WindowView windows =
+            ExtractWindowView(c.series, c.series.end_time() + kTick, config.windows);
         const bool flagged = detector->IsAnomalous(
             windows.historical, windows.analysis_plus_extended, sensitivity);
         if (c.is_regression) {

@@ -16,6 +16,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -111,7 +112,7 @@ FunnelResult RunFunnel(const std::vector<std::vector<Regression>>& batches,
   for (const std::vector<Regression>& batch : batches) {
     std::vector<FunnelCandidate> candidates(batch.size());
     ParallelIndexFor(batch.size(), pool, [&](size_t i) {
-      candidates[i].fingerprint = ComputeFingerprint(batch[i], FingerprintConfig{});
+      candidates[i].fingerprint = ComputeFingerprint(batch[i]);
       candidates[i].regression = batch[i];
     });
     std::vector<FunnelCandidate> admitted = merger.Filter(std::move(candidates));
@@ -148,6 +149,16 @@ std::vector<double> TimeThreadCounts(const std::vector<std::vector<Regression>>&
                 thread_ms.front() / thread_ms.back());
   }
   return thread_ms;
+}
+
+// The funnel's unit for each regression: the regression and its fingerprint.
+std::vector<FunnelCandidate> Fingerprinted(std::vector<Regression> regressions) {
+  std::vector<FunnelCandidate> candidates(regressions.size());
+  for (size_t i = 0; i < regressions.size(); ++i) {
+    candidates[i].fingerprint = ComputeFingerprint(regressions[i]);
+    candidates[i].regression = std::move(regressions[i]);
+  }
+  return candidates;
 }
 
 // `count` seed regressions in one analysis window; they correlate and share
@@ -250,10 +261,11 @@ int main(int argc, char** argv) {
   std::vector<double> ingest_ms;
   for (size_t count : seed_counts) {
     PairwiseDedup pairwise;
-    pairwise.Ingest(MakeGroupSeeds(count));  // Seeding is untimed.
-    const std::vector<Regression> probes = MakeGroupProbes(kProbes, count);
+    // Seeding and fingerprinting are untimed.
+    pairwise.Ingest(Fingerprinted(MakeGroupSeeds(count)));
+    std::vector<FunnelCandidate> probes = Fingerprinted(MakeGroupProbes(kProbes, count));
     const auto t0 = Clock::now();
-    pairwise.Ingest(probes);
+    pairwise.Ingest(std::move(probes));
     ingest_ms.push_back(MillisSince(t0));
     std::printf("    G=%5zu (%zu probes)  ingest: %8.2f ms\n", count, kProbes,
                 ingest_ms.back());

@@ -1,12 +1,10 @@
 // Scan-path throughput harness. Writes BENCH_pipeline.json.
 //
-// Three measurements:
-//   1. Window extraction: copying ExtractWindows vs zero-copy
-//      ExtractWindowView, per-extract nanoseconds.
-//   2. End-to-end Pipeline::RunPeriod series-scans/sec at scan_threads 1
+// Two measurements:
+//   1. End-to-end Pipeline::RunPeriod series-scans/sec at scan_threads 1
 //      and 4. NOTE: thread scaling is only visible with >= 4 hardware cores;
 //      the JSON records the machine's core count next to the numbers.
-//   3. Telemetry overhead: RunPeriod with the registry off vs on, in paired
+//   2. Telemetry overhead: RunPeriod with the registry off vs on, in paired
 //      rounds.
 //
 // `--threads-sweep` instead records RunPeriod at scan_threads 1/2/4/8 into
@@ -15,7 +13,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -30,7 +27,6 @@
 #include "src/fleet/fleet.h"
 #include "src/fleet/scenario.h"
 #include "src/stats/descriptive.h"
-#include "src/tsdb/window.h"
 
 namespace fbdetect {
 namespace {
@@ -149,7 +145,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  PrintHeader(std::string("Scan-path throughput: zero-copy windows, thread pool, telemetry") +
+  PrintHeader(std::string("Scan-path throughput: thread pool, telemetry") +
               (smoke ? " [smoke]" : "") + (threads_sweep ? " [threads-sweep]" : ""));
   const unsigned hw_cores = std::thread::hardware_concurrency();
   std::printf("hardware cores: %u\n", hw_cores);
@@ -193,51 +189,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // --- 1. Window extraction: copy vs view -------------------------------
-  TimeSeries long_series;
-  for (int i = 0; i < 2016; ++i) {  // 14 days at 10-minute ticks.
-    long_series.Append(static_cast<TimePoint>(i) * Minutes(10),
-                       1.0 + 0.1 * std::sin(i / 24.0));
-  }
-  WindowSpec wide;
-  wide.historical = Days(10);
-  wide.analysis = Hours(4);
-  wide.extended = Hours(2);
-  const TimePoint wide_as_of = long_series.end_time() + Minutes(10);
-
-  const int kExtractIters = smoke ? 500 : 20000;
-  auto t0 = Clock::now();
-  double copy_checksum = 0.0;
-  for (int i = 0; i < kExtractIters; ++i) {
-    const WindowExtract extract = ExtractWindows(long_series, wide_as_of, wide);
-    copy_checksum += extract.analysis_plus_extended.back();
-  }
-  const double copy_extract_ms = MillisSince(t0);
-
-  t0 = Clock::now();
-  double view_checksum = 0.0;
-  for (int i = 0; i < kExtractIters; ++i) {
-    const WindowView view = ExtractWindowView(long_series, wide_as_of, wide);
-    view_checksum += view.analysis_plus_extended.back();
-  }
-  const double view_extract_ms = MillisSince(t0);
-  FBD_CHECK(copy_checksum == view_checksum);
-  const double extract_speedup = copy_extract_ms / view_extract_ms;
-  std::printf("\n[1] window extraction (%d iters, 1476-point window)\n", kExtractIters);
-  std::printf("    copy: %8.1f ms   view: %8.1f ms   speedup: %.1fx\n", copy_extract_ms,
-              view_extract_ms, extract_speedup);
-
-  // --- 2. End-to-end RunPeriod, 1 vs 4 scan threads ---------------------
+  // --- 1. End-to-end RunPeriod, 1 vs 4 scan threads ---------------------
   BenchWorld world(smoke);
   const size_t num_ids = world.fleet.db().ListMetrics("svc").size();
-  std::printf("\n[2] end-to-end RunPeriod (scan_threads 1 vs 4)\n");
+  std::printf("\n[1] end-to-end RunPeriod (scan_threads 1 vs 4)\n");
   double run_ms_1 = 0.0;
   double run_ms_4 = 0.0;
   size_t reruns = 0;
   for (int threads : {1, 4}) {
     Pipeline pipeline(&world.fleet.db(), &world.fleet.change_log(), nullptr,
                       world.Options(threads));
-    t0 = Clock::now();
+    const auto t0 = Clock::now();
     pipeline.RunPeriod("svc", world.run_begin, world.duration);
     const double ms = MillisSince(t0);
     reruns = static_cast<size_t>((world.duration - world.run_begin) /
@@ -249,7 +211,7 @@ int main(int argc, char** argv) {
   }
   const double series_scans = static_cast<double>(num_ids * reruns);
 
-  // --- 3. Telemetry overhead: RunPeriod with the stage clocks off vs on --
+  // --- 2. Telemetry overhead: RunPeriod with the stage clocks off vs on --
   // The off-by-default contract: with telemetry disabled the hot path does
   // zero clock reads, and with it enabled the cost stays under 5% (asserted
   // in smoke mode, where CI runs this harness). Each round runs the two back
@@ -258,7 +220,7 @@ int main(int argc, char** argv) {
   // of a round and cancels in its ratio, where it would move a minimum over
   // a few separate runs, while a real cost shows in every round.
   constexpr int kTelemetryRounds = 31;
-  std::printf("\n[3] telemetry overhead (RunPeriod, scan_threads 2, median of %d paired rounds)\n",
+  std::printf("\n[2] telemetry overhead (RunPeriod, scan_threads 2, median of %d paired rounds)\n",
               kTelemetryRounds);
   std::vector<double> off_ms;
   std::vector<double> on_ms;
@@ -270,7 +232,7 @@ int main(int argc, char** argv) {
       PipelineOptions observed = world.Options(2);
       observed.telemetry.enabled = enabled;
       Pipeline pipeline(&world.fleet.db(), &world.fleet.change_log(), nullptr, observed);
-      t0 = Clock::now();
+      const auto t0 = Clock::now();
       pipeline.RunPeriod("svc", world.run_begin, world.duration);
       ms[enabled] = MillisSince(t0);
       if (enabled && round == kTelemetryRounds - 1 && !telemetry_out.empty()) {
@@ -300,9 +262,6 @@ int main(int argc, char** argv) {
   WriteHardwareJson(json);
   std::fprintf(json, ",\n");
   std::fprintf(json, "  \"hardware_cores\": %u,\n", hw_cores);
-  std::fprintf(json, "  \"window_extraction\": {\"iters\": %d, \"copy_ms\": %.3f, "
-                     "\"view_ms\": %.3f, \"speedup\": %.2f},\n",
-               kExtractIters, copy_extract_ms, view_extract_ms, extract_speedup);
   std::fprintf(json, "  \"run_period\": {\"series_scans\": %.0f, \"threads1_ms\": %.1f, "
                      "\"threads4_ms\": %.1f, \"threads1_scans_per_sec\": %.0f, "
                      "\"threads4_scans_per_sec\": %.0f},\n",

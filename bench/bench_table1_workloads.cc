@@ -4,22 +4,20 @@
 // For each preset we synthesize a metric series at the preset's window
 // geometry (time scaled so every series has a bounded number of points),
 // inject a step regression of 2x the configured threshold inside the
-// analysis window, and run the short-term detection stack (change point ->
-// went-away -> seasonality -> threshold). We also verify that a 0.2x-
-// threshold step is NOT reported (the threshold filter works both ways).
+// analysis window, and run it through the pipeline's single-series entry
+// (Pipeline::ScanSeries), reading the short-term stack's verdicts (change
+// point -> went-away -> seasonality -> threshold). We also verify that a
+// 0.2x-threshold step is NOT reported (the threshold filter works both ways).
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/random.h"
-#include "src/core/change_point_stage.h"
-#include "src/core/seasonality_stage.h"
-#include "src/core/threshold_filter.h"
-#include "src/core/went_away.h"
+#include "src/core/pipeline.h"
 #include "src/core/workload_config.h"
-#include "src/tsdb/timeseries.h"
-#include "src/tsdb/window.h"
+#include "src/tsdb/database.h"
 
 namespace fbdetect {
 namespace {
@@ -42,49 +40,44 @@ RunResult RunPreset(const DetectionConfig& preset, double step_multiple, uint64_
   const Duration tick = std::max<Duration>(Minutes(10), config.windows.historical / 600);
 
   // Metric family: gCPU-like for absolute rows, throughput-like for the
-  // relative CT rows.
+  // relative CT rows. Noise: modest relative to the detectable step so the
+  // long windows matter. gCPU is a fraction of stack samples and cannot be
+  // negative, so an absolute row's baseline sits at least five noise sds
+  // above zero (only FrontFaaS (large), whose 3% threshold brings 2.4% noise,
+  // needs more than 0.02).
   const bool relative = config.threshold_mode == ThresholdMode::kRelative;
-  const double baseline = relative ? 1000.0 : 0.02;
+  const double absolute_noise = config.threshold * 0.8;
+  const double baseline = relative ? 1000.0 : std::max(0.02, 5.0 * absolute_noise);
   const double step =
       relative ? config.threshold * baseline * step_multiple : config.threshold * step_multiple;
-  // Noise: modest relative to the detectable step so the long windows matter.
-  const double noise = relative ? baseline * 0.01 : config.threshold * 0.8;
+  const double noise = relative ? baseline * 0.01 : absolute_noise;
 
   const Duration total = config.windows.Total();
   const TimePoint step_at = total - config.windows.extended - config.windows.analysis / 2;
+  const MetricId metric{"svc",
+                        relative ? MetricKind::kMaxThroughput : MetricKind::kGcpu,
+                        relative ? "" : "sub_x", ""};
   Rng rng(seed);
-  TimeSeries series;
+  TimeSeriesDatabase db;
   // CT rows monitor throughput, where the regression direction is a DROP.
   const double direction = relative ? -1.0 : 1.0;
   for (TimePoint t = 0; t < total; t += tick) {
     const double level = baseline + (t >= step_at ? direction * step : 0.0);
-    series.Append(t, rng.Normal(level, noise));
+    db.Write(metric, t, rng.Normal(level, noise));
   }
 
-  const MetricId metric{"svc",
-                        relative ? MetricKind::kMaxThroughput : MetricKind::kGcpu,
-                        relative ? "" : "sub_x", ""};
-  const WindowExtract windows = ExtractWindows(series, total, config.windows);
-
+  // The CT rows measure throughput where regressions are drops; the scan
+  // orients the delta, so the threshold check is uniform.
+  PipelineOptions options;
+  options.detection = config;
+  Pipeline pipeline(&db, nullptr, nullptr, options);
+  const SeriesVerdicts verdicts = pipeline.ScanSeries(metric, total);
   RunResult result;
-  ChangePointStage stage(config);
-  auto candidate = stage.Detect(metric, windows);
-  result.change_point = candidate.has_value();
-  if (!candidate) {
-    return result;
-  }
-  const size_t points_per_day = static_cast<size_t>(kDay / tick);
-  result.went_away_kept = WentAwayDetector().Evaluate(*candidate, points_per_day).keep;
-  if (!result.went_away_kept) {
-    return result;
-  }
-  result.seasonality_kept = !SeasonalityStage().Evaluate(*candidate).seasonal_filtered;
-  if (!result.seasonality_kept) {
-    return result;
-  }
-  // The CT rows measure throughput where regressions are drops; the stage
-  // already oriented the delta, so the threshold check is uniform.
-  result.threshold_passed = PassesThreshold(*candidate, config);
+  result.change_point = verdicts.change_point.has_value();
+  result.went_away_kept = verdicts.went_away.has_value() && verdicts.went_away->keep;
+  result.seasonality_kept =
+      verdicts.seasonality.has_value() && !verdicts.seasonality->seasonal_filtered;
+  result.threshold_passed = verdicts.threshold.value_or(false);
   return result;
 }
 

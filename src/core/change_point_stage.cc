@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
-#include <vector>
 
 #include "src/stats/descriptive.h"
 #include "src/tsa/e_divisive.h"
@@ -97,20 +96,6 @@ std::optional<ScanCandidate> ChangePointStage::DetectCandidate(const ScanView& v
     return std::nullopt;
   }
   return candidate;
-}
-
-std::optional<Regression> ChangePointStage::Detect(const MetricId& metric,
-                                                   const WindowExtract& windows) const {
-  // Regression-positive orientation: for throughput-like metrics a drop is
-  // the regression, so the detector works on negated values.
-  const double sign = LowerIsRegression(metric.kind) ? -1.0 : 1.0;
-  std::vector<double> scratch;
-  const ScanView view = OrientWindows(windows, sign, scratch);
-  const std::optional<ScanCandidate> candidate = DetectCandidate(view);
-  if (!candidate) {
-    return std::nullopt;
-  }
-  return MaterializeRegression(metric, view, *candidate);
 }
 
 }  // namespace fbdetect

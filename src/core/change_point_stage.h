@@ -7,21 +7,18 @@
 // candidate with the detector's significance test, and — when the change
 // point falls inside the analysis window — emits a candidate.
 //
-// The hot path (DetectCandidate) consumes a pre-oriented ScanView and emits
-// only scalars; window data is copied into a Regression exclusively for
-// candidates that survive the downstream filters. The Regression-returning
-// Detect overload is the convenience form for tests and benches.
+// DetectCandidate consumes a pre-oriented ScanView and emits only scalars;
+// window data is copied into a Regression (MaterializeRegression) only for
+// candidates that survive the downstream filters. It is the stage's one
+// entry: benches and tests that want the verdict of the whole chain call
+// Pipeline::ScanSeries.
 #ifndef FBDETECT_SRC_CORE_CHANGE_POINT_STAGE_H_
 #define FBDETECT_SRC_CORE_CHANGE_POINT_STAGE_H_
 
 #include <optional>
 
-#include "src/common/sim_time.h"
-#include "src/core/regression.h"
 #include "src/core/scan_view.h"
 #include "src/core/workload_config.h"
-#include "src/tsdb/metric_id.h"
-#include "src/tsdb/window.h"
 
 namespace fbdetect {
 
@@ -36,15 +33,10 @@ class ChangePointStage {
   // serves every scan worker (the determinism contract).
   explicit ChangePointStage(const DetectionConfig& config) : config_(config) {}
 
-  // Zero-copy core: returns candidate scalars, or nullopt when no
-  // significant change point lies in the analysis window. `view` must be
-  // oriented (regression-positive) and built with the same config's
-  // WindowSpec.
+  // Returns candidate scalars, or nullopt when no significant change point
+  // lies in the analysis window. `view` must be oriented
+  // (regression-positive) and built with the same config's WindowSpec.
   std::optional<ScanCandidate> DetectCandidate(const ScanView& view) const;
-
-  // Convenience: orients `windows` by the metric's kind and materializes a
-  // full Regression for the candidate.
-  std::optional<Regression> Detect(const MetricId& metric, const WindowExtract& windows) const;
 
  private:
   const DetectionConfig& config_;

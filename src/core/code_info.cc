@@ -2,10 +2,6 @@
 
 namespace fbdetect {
 
-bool CallGraphCodeInfo::Exists(const std::string& subroutine) const {
-  return graph_->FindByName(subroutine) != kInvalidNode;
-}
-
 std::vector<std::string> CallGraphCodeInfo::CallersOf(const std::string& subroutine) const {
   std::vector<std::string> names;
   const NodeId id = graph_->FindByName(subroutine);

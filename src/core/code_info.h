@@ -1,6 +1,6 @@
 // Code-structure information consumed by the cost-shift detector and
-// root-cause analysis: callers, enclosing classes, existence, and descendant
-// relations of subroutines. Production FBDetect derives this from stack
+// root-cause analysis: callers, enclosing classes, and descendant relations
+// of subroutines. Production FBDetect derives this from stack
 // traces and source analysis; here an adapter over the profiling CallGraph
 // provides it (and tests can supply hand-built fakes).
 #ifndef FBDETECT_SRC_CORE_CODE_INFO_H_
@@ -17,7 +17,6 @@ class CodeInfoProvider {
  public:
   virtual ~CodeInfoProvider() = default;
 
-  virtual bool Exists(const std::string& subroutine) const = 0;
   virtual std::vector<std::string> CallersOf(const std::string& subroutine) const = 0;
   virtual std::string ClassOf(const std::string& subroutine) const = 0;
   virtual std::vector<std::string> ClassMembers(const std::string& class_name) const = 0;
@@ -30,7 +29,6 @@ class CallGraphCodeInfo : public CodeInfoProvider {
  public:
   explicit CallGraphCodeInfo(const CallGraph* graph) : graph_(graph) {}
 
-  bool Exists(const std::string& subroutine) const override;
   std::vector<std::string> CallersOf(const std::string& subroutine) const override;
   std::string ClassOf(const std::string& subroutine) const override;
   std::vector<std::string> ClassMembers(const std::string& class_name) const override;

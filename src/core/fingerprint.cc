@@ -16,19 +16,15 @@ uint64_t MixCommitId(int64_t id) {
 
 }  // namespace
 
-RegressionFingerprint ComputeFingerprint(const Regression& regression,
-                                         const FingerprintConfig& config) {
+RegressionFingerprint ComputeFingerprint(const Regression& regression) {
   RegressionFingerprint fingerprint;
   fingerprint.metric_string = regression.metric.ToString();
   fingerprint.tokens = BuildTokenVector(TokenizeIdentifier(fingerprint.metric_string));
   HashGramsOf(fingerprint.metric_string, fingerprint.grams);
-  if (!config.som_features) {
-    return fingerprint;
-  }
   // Shape features, in the order the pre-fingerprint SOMDedup built them.
   std::vector<double>& features = fingerprint.som_base;
   const std::vector<double> fourier =
-      FourierMagnitudes(regression.analysis, config.fourier_coefficients);
+      FourierMagnitudes(regression.analysis, kFourierCoefficients);
   features.insert(features.end(), fourier.begin(), fourier.end());
   features.push_back(SampleVariance(regression.analysis));
   features.push_back(regression.analysis.empty()
@@ -39,9 +35,9 @@ RegressionFingerprint ComputeFingerprint(const Regression& regression,
   features.push_back(regression.relative_delta);
   // Candidate-root-cause bitmap (hashed to a fixed width).
   const size_t bitmap_begin = features.size();
-  features.resize(bitmap_begin + config.root_cause_bitmap_dims, 0.0);
+  features.resize(bitmap_begin + kRootCauseBitmapDims, 0.0);
   for (int64_t commit : regression.candidate_root_causes) {
-    features[bitmap_begin + MixCommitId(commit) % config.root_cause_bitmap_dims] = 1.0;
+    features[bitmap_begin + MixCommitId(commit) % kRootCauseBitmapDims] = 1.0;
   }
   return fingerprint;
 }

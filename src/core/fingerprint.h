@@ -26,15 +26,10 @@
 
 namespace fbdetect {
 
-struct FingerprintConfig {
-  // Sizing of the SOM shape-feature block. SomDedup and the pipeline use
-  // these defaults; they are the only home of the two sizes.
-  size_t fourier_coefficients = 4;
-  size_t root_cause_bitmap_dims = 8;
-  // Skip the SOM feature block entirely (cheap fingerprints for stages that
-  // only need the text features, e.g. PairwiseDedup's compat path).
-  bool som_features = true;
-};
+// Sizing of the SOM shape-feature block (§5.5.1): Fourier magnitudes of the
+// analysis window, and the width of the hashed root-cause bitmap.
+inline constexpr size_t kFourierCoefficients = 4;
+inline constexpr size_t kRootCauseBitmapDims = 8;
 
 struct RegressionFingerprint {
   // metric.ToString(), computed once.
@@ -48,7 +43,7 @@ struct RegressionFingerprint {
   // Metric-independent SOM features: Fourier magnitudes, variance, change
   // position, absolute/relative magnitude, root-cause bitmap. SOMDedup
   // appends the cohort-fitted TF-IDF metric embedding (from `grams`) to
-  // form the full clustering vector. Empty when som_features was false.
+  // form the full clustering vector.
   std::vector<double> som_base;
 };
 
@@ -60,8 +55,7 @@ struct FunnelCandidate {
 
 // Computes the fingerprint of one regression. Pure; safe to call
 // concurrently for distinct regressions.
-RegressionFingerprint ComputeFingerprint(const Regression& regression,
-                                         const FingerprintConfig& config);
+RegressionFingerprint ComputeFingerprint(const Regression& regression);
 
 }  // namespace fbdetect
 

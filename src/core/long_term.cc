@@ -110,13 +110,4 @@ std::optional<Regression> LongTermDetector::Detect(const MetricId& metric,
   return regression;
 }
 
-std::optional<Regression> LongTermDetector::Detect(const MetricId& metric,
-                                                   const WindowExtract& windows) const {
-  const double sign = LowerIsRegression(metric.kind) ? -1.0 : 1.0;
-  std::vector<double> scratch;
-  const ScanView view = OrientWindows(windows, sign, scratch);
-  WindowSeasonality seasonality(view.full);
-  return Detect(metric, view, seasonality);
-}
-
 }  // namespace fbdetect

@@ -24,7 +24,6 @@
 #include "src/core/workload_config.h"
 #include "src/observe/telemetry.h"
 #include "src/tsdb/metric_id.h"
-#include "src/tsdb/window.h"
 
 namespace fbdetect {
 
@@ -32,18 +31,15 @@ class LongTermDetector {
  public:
   explicit LongTermDetector(const DetectionConfig& config) : config_(config) {}
 
-  // Zero-copy core: consumes a pre-oriented ScanView (no window copies are
-  // made on the non-detecting path; the returned Regression stores the STL
-  // trend, as before). The seasonality estimate and STL come from
+  // Consumes a pre-oriented ScanView (no window copies are made on the
+  // non-detecting path; the returned Regression stores the STL trend). The
+  // seasonality estimate and STL come from
   // `seasonality`, the window's holder over view.full, which the seasonality
   // stage may already have filled. `locate_ns` (null: no clock) times the
   // change-point location step of each window that passes the threshold.
   std::optional<Regression> Detect(const MetricId& metric, const ScanView& view,
                                    WindowSeasonality& seasonality,
                                    Histogram* locate_ns = nullptr) const;
-
-  // Convenience: orients `windows` by the metric's kind first.
-  std::optional<Regression> Detect(const MetricId& metric, const WindowExtract& windows) const;
 
  private:
   const DetectionConfig& config_;

@@ -55,23 +55,6 @@ double AlignedPearson(const Regression& a, const Regression& b) {
                             std::span<const double>(ys).first(n));
 }
 
-PairwiseScores PairwiseDedup::Score(const Regression& candidate,
-                                    const RegressionGroup& group) const {
-  PairwiseScores scores;
-  for (const Regression& member : group.members) {
-    scores.pearson = std::max(scores.pearson, AlignedPearson(candidate, member));
-    scores.text = std::max(
-        scores.text,
-        TextCosineSimilarity(candidate.metric.ToString(), member.metric.ToString()));
-    if (overlap_ != nullptr && candidate.metric.kind == MetricKind::kGcpu &&
-        member.metric.kind == MetricKind::kGcpu) {
-      scores.stack_overlap =
-          std::max(scores.stack_overlap, overlap_(candidate.metric, member.metric));
-    }
-  }
-  return scores;
-}
-
 Regression& PairwiseDedup::GroupRepresentative(int group_id) {
   FBD_CHECK(group_id >= 0 && static_cast<size_t>(group_id) < groups_.size());
   FBD_CHECK(!groups_[static_cast<size_t>(group_id)].members.empty());
@@ -150,16 +133,6 @@ std::vector<int> PairwiseDedup::Ingest(std::vector<FunnelCandidate> candidates,
     new_groups.push_back(OpenGroup(std::move(candidate)));
   }
   return new_groups;
-}
-
-std::vector<int> PairwiseDedup::Ingest(std::vector<Regression> regressions) {
-  const FingerprintConfig fp_config{0, 0, /*som_features=*/false};
-  std::vector<FunnelCandidate> candidates(regressions.size());
-  for (size_t i = 0; i < regressions.size(); ++i) {
-    candidates[i].fingerprint = ComputeFingerprint(regressions[i], fp_config);
-    candidates[i].regression = std::move(regressions[i]);
-  }
-  return Ingest(std::move(candidates), nullptr);
 }
 
 }  // namespace fbdetect

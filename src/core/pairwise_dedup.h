@@ -93,19 +93,11 @@ class PairwiseDedup {
   // Checks the analysis_timestamps invariant on every candidate.
   std::vector<int> Ingest(std::vector<FunnelCandidate> candidates, ThreadPool* pool = nullptr);
 
-  // Compat form: fingerprints the regressions itself (text features only).
-  std::vector<int> Ingest(std::vector<Regression> regressions);
-
   const std::vector<RegressionGroup>& groups() const { return groups_; }
 
   // Mutable access to a group's representative (members[0]), so root-cause
   // analysis can run in place instead of on a copy.
   Regression& GroupRepresentative(int group_id);
-
-  // Scores one candidate pair (exposed for tests). Recomputes the text
-  // features from the metric strings; Ingest uses the cached fingerprints
-  // and member token vectors instead.
-  PairwiseScores Score(const Regression& candidate, const RegressionGroup& group) const;
 
  private:
   // Scores `candidate` against every group into the aggregates_ / eligible_

@@ -113,14 +113,11 @@ void Pipeline::RegisterInstruments() {
   obs_.long_term_locate_ns = histogram("pipeline.substage.long_term_locate.wall_ns");
 }
 
-void Pipeline::set_stack_overlap(StackOverlapFn overlap) {
-  pairwise_ = PairwiseDedup(PairwiseRule{}, std::move(overlap));
-}
-
-void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
-                          std::vector<Regression>& survivors, std::vector<double>& scratch,
-                          TimeSeries& series_scratch,
-                          std::vector<QuarantineRecord>& quarantine) const {
+SeriesVerdicts Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
+                                    std::vector<Regression>& survivors,
+                                    std::vector<double>& scratch, TimeSeries& series_scratch,
+                                    std::vector<QuarantineRecord>& quarantine) const {
+  SeriesVerdicts verdicts;
   obs_.series_in->Increment();
   // Points before the detection windows are irrelevant, so the lookup only
   // needs [as_of - total, inf): when those live in the raw tail this is the
@@ -142,10 +139,11 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
       record.decode_failures = 1;
       record.last_error = scan_status.message();
       quarantine.push_back(std::move(record));
+      verdicts.quarantined = true;
     } else {
       obs_.series_no_data->Increment();
     }
-    return;
+    return verdicts;
   }
   // Zero-copy windows + one orientation pass shared by both paths. For
   // higher-is-worse kinds the view aliases the series' storage directly.
@@ -154,7 +152,8 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
   // Data-quality gate: classify the window before any detector touches it.
   // A quarantined window is skipped for this re-run only — the series stays
   // in the database and is re-inspected at the next re-run.
-  const WindowQuality quality = InspectWindow(id.kind, windows, options_.detection.windows);
+  verdicts.quality = InspectWindow(id.kind, windows, options_.detection.windows);
+  const WindowQuality& quality = verdicts.quality;
   const bool quarantined = ShouldQuarantine(quality.verdict);
   if (quality.observed) {
     obs_.sanitizer_verdict[static_cast<size_t>(quality.verdict)]->Increment();
@@ -176,7 +175,8 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
   }
   if (quarantined) {
     obs_.windows_quarantined->Increment();
-    return;
+    verdicts.quarantined = true;
+    return verdicts;
   }
 
   const double sign = LowerIsRegression(id.kind) ? -1.0 : 1.0;
@@ -197,6 +197,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
       StageTimer timer(obs_.change_point.wall_ns);
       candidate = change_point_stage_.DetectCandidate(view);
     }
+    verdicts.change_point = candidate;
     if (candidate) {
       obs_.change_point.out->Increment();
       obs_.went_away.in->Increment();
@@ -209,6 +210,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
         StageTimer timer(obs_.went_away.wall_ns);
         went_away = went_away_.Evaluate(view, *candidate, points_per_day);
       }
+      verdicts.went_away = went_away;
       if (went_away.keep) {
         obs_.went_away.out->Increment();
         obs_.seasonality.in->Increment();
@@ -217,6 +219,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
           StageTimer timer(obs_.seasonality.wall_ns);
           seasonal = seasonality_.Evaluate(view, *candidate, seasonality);
         }
+        verdicts.seasonality = seasonal;
         if (!seasonal.seasonal_filtered) {
           obs_.seasonality.out->Increment();
           obs_.threshold.in->Increment();
@@ -225,6 +228,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
             StageTimer timer(obs_.threshold.wall_ns);
             passes = PassesThreshold(*candidate, options_.detection);
           }
+          verdicts.threshold = passes;
           if (passes) {
             obs_.threshold.out->Increment();
             // First (and only) copy of window data on this path: the survivor.
@@ -248,6 +252,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
       }
       if (long_candidate) {
         obs_.long_term_detected->Increment();
+        verdicts.long_term_detected = true;
         // The long-term detector applies the threshold internally; recheck for
         // the funnel row (Table 3 shows ~1/1.03 here).
         if (PassesThreshold(*long_candidate, options_.detection)) {
@@ -263,9 +268,24 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
     }
   } catch (const std::exception& e) {
     QuarantineDetectorException(id, e.what(), quarantine);
+    verdicts.quarantined = true;
   } catch (...) {
     QuarantineDetectorException(id, "unknown exception", quarantine);
+    verdicts.quarantined = true;
   }
+  return verdicts;
+}
+
+SeriesVerdicts Pipeline::ScanSeries(const MetricId& id, TimePoint as_of) {
+  std::vector<Regression> survivors;
+  std::vector<double> scratch;
+  TimeSeries series_scratch;
+  std::vector<QuarantineRecord> quarantine;
+  SeriesVerdicts verdicts =
+      ScanMetric(id, as_of, survivors, scratch, series_scratch, quarantine);
+  MergeQuarantine(quarantine);
+  verdicts.survivors = std::move(survivors);
+  return verdicts;
 }
 
 void Pipeline::QuarantineDetectorException(const MetricId& id, const char* what,
@@ -413,7 +433,7 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
     StageTimer timer(obs_.fingerprint.wall_ns, obs_.fingerprint.cpu_ns);
     ParallelIndexFor(survivors.size(), FunnelPool(), [&](size_t i) {
       try {
-        candidates[i].fingerprint = ComputeFingerprint(survivors[i], FingerprintConfig{});
+        candidates[i].fingerprint = ComputeFingerprint(survivors[i]);
         candidates[i].regression = std::move(survivors[i]);
       } catch (const std::exception& e) {
         fingerprint_failed[i] = 1;  // Survivor left intact for accounting.

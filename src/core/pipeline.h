@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,8 +85,8 @@ struct TelemetryOptions {
 };
 
 // The funnel stages run with their §5 defaults (PairwiseRule,
-// RootCauseConfig, SomTrainConfig, FingerprintConfig); only what a workload
-// or an experiment varies is an option here.
+// RootCauseConfig, SomTrainConfig); only what a workload or an experiment
+// varies is an option here.
 struct PipelineOptions {
   DetectionConfig detection;
   TelemetryOptions telemetry;
@@ -98,6 +99,29 @@ struct PipelineOptions {
   int scan_threads = 1;
 };
 
+// What each scan stage decided for one series at one re-run: the per-series
+// half of Fig. 6, up to the funnel. A stage's field is set only when that
+// stage ran, so a candidate that the went-away detector dropped has
+// `went_away` set and `seasonality` and `threshold` empty.
+struct SeriesVerdicts {
+  // The sanitizer's reading of the window; `observed` is false when the
+  // window held no points, the series is absent or its stored history
+  // failed to decode.
+  WindowQuality quality;
+  // The scan withheld the series for this re-run: a dirty window, a decode
+  // failure or a detector exception (its QuarantineRecord counts one
+  // quarantined window).
+  bool quarantined = false;
+  std::optional<ScanCandidate> change_point;
+  std::optional<WentAwayVerdict> went_away;
+  std::optional<SeasonalityVerdict> seasonality;
+  std::optional<bool> threshold;  // Whether the candidate passed.
+  bool long_term_detected = false;  // Before the threshold recheck.
+  // Filled by ScanSeries: the short-term survivor first, then the long-term
+  // one, with quick root-cause candidates attached as in the scan.
+  std::vector<Regression> survivors;
+};
+
 class Pipeline {
  public:
   // `change_log` and `code_info` may be null (root-cause analysis and the
@@ -106,11 +130,6 @@ class Pipeline {
   Pipeline(const TimeSeriesDatabase* db, const ChangeLog* change_log,
            const CodeInfoProvider* code_info, PipelineOptions options);
 
-  // Supplies the stack-trace-overlap feature to PairwiseDedup. Must be called
-  // before the first run to take effect. The function must be thread-safe
-  // when scan_threads > 1 (pairwise scoring fans over the pool).
-  void set_stack_overlap(StackOverlapFn overlap);
-
   // One re-run at `as_of`: scans every series of `service` and returns the
   // representatives of NEWLY opened regression groups, root causes attached.
   std::vector<Regression> RunAt(const std::string& service, TimePoint as_of);
@@ -118,6 +137,14 @@ class Pipeline {
   // Periodic re-runs over [begin + interval, end]; returns all newly reported
   // regressions across runs.
   std::vector<Regression> RunPeriod(const std::string& service, TimePoint begin, TimePoint end);
+
+  // Scans one series at `as_of` through the same ScanMetric that RunAt's scan
+  // runs, and returns each stage's verdict. It has the same effect on the
+  // pipeline.scan.*, pipeline.sanitizer.* and pipeline.stage.* instruments
+  // and on quarantine_report() as that series' scan inside RunAt; it does not
+  // count a pipeline.runs and runs no funnel stage. Must not run concurrently
+  // with RunAt.
+  SeriesVerdicts ScanSeries(const MetricId& id, TimePoint as_of);
 
   // Table 3 rows accumulated over every run so far.
   FunnelStats short_term_funnel() const { return Funnel(/*long_term=*/false); }
@@ -193,8 +220,9 @@ class Pipeline {
   FunnelStats Funnel(bool long_term) const;
 
   // Runs window extraction, the sanitizer, detection stages 1-3 + threshold
-  // and the long-term detector for one metric; appends survivors and counts
-  // into the registry's scan counters.
+  // and the long-term detector for one metric; appends survivors, counts
+  // into the registry's scan counters and returns each stage's verdict
+  // (every field but `survivors`).
   // `scratch` is the caller's orientation buffer (reused across metrics;
   // untouched for higher-is-worse kinds); `series_scratch` is the caller's
   // decode buffer for series whose scan range extends into Gorilla-sealed
@@ -205,9 +233,10 @@ class Pipeline {
   // exceptions are caught and quarantined the same way, so one corrupt series
   // can never take down a re-run. Thread-safe: counters are atomic and every
   // other output is the caller's.
-  void ScanMetric(const MetricId& id, TimePoint as_of, std::vector<Regression>& survivors,
-                  std::vector<double>& scratch, TimeSeries& series_scratch,
-                  std::vector<QuarantineRecord>& quarantine) const;
+  SeriesVerdicts ScanMetric(const MetricId& id, TimePoint as_of,
+                            std::vector<Regression>& survivors, std::vector<double>& scratch,
+                            TimeSeries& series_scratch,
+                            std::vector<QuarantineRecord>& quarantine) const;
 
   // Scans all metrics of a service, optionally on several threads; returns
   // survivors in deterministic metric order.

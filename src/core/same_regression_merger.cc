@@ -4,10 +4,6 @@
 
 namespace fbdetect {
 
-bool SameRegressionMerger::Admit(const Regression& regression) {
-  return Admit(regression, regression.metric.ToString());
-}
-
 bool SameRegressionMerger::Admit(const Regression& regression,
                                  const std::string& metric_string) {
   std::vector<TimePoint>& times = seen_[metric_string];
@@ -19,16 +15,6 @@ bool SameRegressionMerger::Admit(const Regression& regression,
   }
   times.push_back(regression.change_time);
   return true;
-}
-
-std::vector<Regression> SameRegressionMerger::Filter(std::vector<Regression> regressions) {
-  std::vector<Regression> admitted;
-  for (Regression& regression : regressions) {
-    if (Admit(regression)) {
-      admitted.push_back(std::move(regression));
-    }
-  }
-  return admitted;
 }
 
 std::vector<FunnelCandidate> SameRegressionMerger::Filter(

@@ -18,19 +18,15 @@ class SameRegressionMerger {
  public:
   explicit SameRegressionMerger(Duration tolerance) : tolerance_(tolerance) {}
 
-  // Returns true (and records the regression) when it is NEW; false when it
-  // duplicates an already-seen one. The second form takes the precomputed
-  // metric string (fingerprint path) instead of calling ToString().
-  bool Admit(const Regression& regression);
-  bool Admit(const Regression& regression, const std::string& metric_string);
-
-  // Filters a batch, keeping only new regressions.
-  std::vector<Regression> Filter(std::vector<Regression> regressions);
-
-  // Funnel form: keys on the candidates' cached metric strings.
+  // Filters a batch, keeping only new regressions, in order; keys on the
+  // candidates' cached metric strings.
   std::vector<FunnelCandidate> Filter(std::vector<FunnelCandidate> candidates);
 
  private:
+  // Returns true (and records the regression) when it is NEW; false when it
+  // duplicates an already-seen one.
+  bool Admit(const Regression& regression, const std::string& metric_string);
+
   Duration tolerance_;
   // metric-id string -> change times already reported for that metric.
   std::unordered_map<std::string, std::vector<TimePoint>> seen_;

@@ -1,7 +1,5 @@
 #include "src/core/scan_view.h"
 
-#include <algorithm>
-
 namespace fbdetect {
 
 ScanView OrientWindows(const WindowView& view, double sign, std::vector<double>& scratch) {
@@ -22,60 +20,6 @@ ScanView OrientWindows(const WindowView& view, double sign, std::vector<double>&
   }
   oriented.full = scratch;
   return oriented;
-}
-
-ScanView OrientWindows(const WindowExtract& extract, double sign,
-                       std::vector<double>& scratch) {
-  ScanView oriented;
-  oriented.historical_size = extract.historical.size();
-  oriented.analysis_size = extract.analysis.size();
-  oriented.extended_size = extract.extended.size();
-  oriented.analysis_timestamps = extract.analysis_timestamps;
-  oriented.analysis_begin = extract.analysis_begin;
-  oriented.as_of = extract.as_of;
-  scratch.clear();
-  scratch.reserve(extract.historical.size() + extract.analysis.size() +
-                  extract.extended.size());
-  for (double v : extract.historical) {
-    scratch.push_back(sign * v);
-  }
-  for (double v : extract.analysis) {
-    scratch.push_back(sign * v);
-  }
-  for (double v : extract.extended) {
-    scratch.push_back(sign * v);
-  }
-  oriented.full = scratch;
-  return oriented;
-}
-
-ScanView ViewOfRegression(const Regression& regression, std::vector<double>& scratch) {
-  ScanView view;
-  view.historical_size = regression.historical.size();
-  view.extended_size = std::min(regression.extended_size, regression.analysis.size());
-  view.analysis_size = regression.analysis.size() - view.extended_size;
-  view.analysis_timestamps = regression.analysis_timestamps;
-  view.analysis_begin = regression.analysis_timestamps.empty()
-                            ? regression.change_time
-                            : regression.analysis_timestamps.front();
-  view.as_of = regression.detected_at;
-  scratch.clear();
-  scratch.reserve(regression.historical.size() + regression.analysis.size());
-  scratch.insert(scratch.end(), regression.historical.begin(), regression.historical.end());
-  scratch.insert(scratch.end(), regression.analysis.begin(), regression.analysis.end());
-  view.full = scratch;
-  return view;
-}
-
-ScanCandidate CandidateOfRegression(const Regression& regression) {
-  ScanCandidate candidate;
-  candidate.change_index = regression.change_index;
-  candidate.p_value = regression.p_value;
-  candidate.baseline_mean = regression.baseline_mean;
-  candidate.regressed_mean = regression.regressed_mean;
-  candidate.delta = regression.delta;
-  candidate.relative_delta = regression.relative_delta;
-  return candidate;
 }
 
 Regression MaterializeRegression(const MetricId& metric, const ScanView& view,

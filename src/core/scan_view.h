@@ -1,8 +1,9 @@
 // The zero-copy scan path's working view (§5.1).
 //
-// Detection stages 1–3 + threshold all consume the same windows of one
-// series in regression-positive orientation (increase = worse). ScanView
-// packages those windows as ONE contiguous oriented span plus offsets, so:
+// Detection stages 1–3 + threshold and the long-term detector all consume
+// the same windows of one series in regression-positive orientation
+// (increase = worse). ScanView packages those windows as ONE contiguous
+// oriented span plus offsets, so:
 //   * for metrics where higher is worse the spans alias the TSDB storage
 //     directly (zero copies);
 //   * for throughput-like metrics (LowerIsRegression) the values are negated
@@ -10,6 +11,9 @@
 //     instead of once per stage;
 //   * window data is copied into a Regression only when a candidate survives
 //     every per-series filter (ScanCandidate -> MaterializeRegression).
+// Each scan stage has one entry, over this view. Pipeline::ScanMetric is
+// the one caller that chains them; Pipeline::ScanSeries runs that chain for
+// one series and returns each stage's verdict.
 //
 // Lifetime: a ScanView borrows either the TSDB series storage or the scratch
 // buffer. It is invalidated by any TimeSeriesDatabase mutation and by reuse
@@ -65,18 +69,6 @@ struct ScanCandidate {
 // Builds an oriented view over `view`'s series storage. sign == +1 aliases
 // the storage directly (zero copy); sign == -1 negates into `scratch`.
 ScanView OrientWindows(const WindowView& view, double sign, std::vector<double>& scratch);
-
-// Compatibility: orients a materialized WindowExtract into `scratch` (the
-// extract's windows are separate vectors, so contiguity requires one copy).
-ScanView OrientWindows(const WindowExtract& extract, double sign, std::vector<double>& scratch);
-
-// View over a Regression's stored (already oriented) windows; copies
-// historical + analysis into `scratch` to restore contiguity. Lets the
-// filter stages re-run on stored regressions (tests, ablation benches).
-ScanView ViewOfRegression(const Regression& regression, std::vector<double>& scratch);
-
-// The candidate scalars mirrored from a stored Regression.
-ScanCandidate CandidateOfRegression(const Regression& regression);
 
 // Copies a SURVIVING candidate's window data out of `view` into a full
 // Regression record for the downstream dedup / root-cause stages.

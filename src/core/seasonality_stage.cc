@@ -98,11 +98,4 @@ SeasonalityVerdict SeasonalityStage::Evaluate(const ScanView& view,
   return verdict;
 }
 
-SeasonalityVerdict SeasonalityStage::Evaluate(const Regression& regression) const {
-  std::vector<double> scratch;
-  const ScanView view = ViewOfRegression(regression, scratch);
-  WindowSeasonality seasonality(view.full);
-  return Evaluate(view, CandidateOfRegression(regression), seasonality);
-}
-
 }  // namespace fbdetect

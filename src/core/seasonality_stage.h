@@ -18,7 +18,6 @@
 #include <optional>
 #include <span>
 
-#include "src/core/regression.h"
 #include "src/core/scan_view.h"
 #include "src/observe/telemetry.h"
 #include "src/stats/correlation.h"
@@ -69,14 +68,11 @@ struct SeasonalityVerdict {
 
 class SeasonalityStage {
  public:
-  // Zero-copy core: seasonality is estimated over view.full (historical +
-  // analysis + extended, contiguous and oriented) with no concatenation,
-  // through `seasonality`, the window's shared holder over view.full.
+  // Seasonality is estimated over view.full (historical + analysis +
+  // extended, contiguous and oriented) with no concatenation, through
+  // `seasonality`, the window's shared holder over view.full.
   SeasonalityVerdict Evaluate(const ScanView& view, const ScanCandidate& candidate,
                               WindowSeasonality& seasonality) const;
-
-  // Convenience: re-evaluates a stored Regression.
-  SeasonalityVerdict Evaluate(const Regression& regression) const;
 };
 
 }  // namespace fbdetect

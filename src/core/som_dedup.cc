@@ -62,21 +62,6 @@ double SomDedup::ImportanceScore(const Regression& regression, double max_abs_de
          kWeightPopularity * (1.0 - popularity) + kWeightRootCause * has_root_cause;
 }
 
-std::vector<Regression> SomDedup::Deduplicate(std::vector<Regression> regressions) const {
-  std::vector<FunnelCandidate> candidates(regressions.size());
-  for (size_t i = 0; i < regressions.size(); ++i) {
-    candidates[i].fingerprint = ComputeFingerprint(regressions[i], FingerprintConfig{});
-    candidates[i].regression = std::move(regressions[i]);
-  }
-  std::vector<FunnelCandidate> representatives = Deduplicate(std::move(candidates), nullptr);
-  std::vector<Regression> out;
-  out.reserve(representatives.size());
-  for (FunnelCandidate& representative : representatives) {
-    out.push_back(std::move(representative.regression));
-  }
-  return out;
-}
-
 std::vector<FunnelCandidate> SomDedup::Deduplicate(std::vector<FunnelCandidate> candidates,
                                                    ThreadPool* pool) const {
   if (candidates.size() <= 1) {
@@ -102,7 +87,7 @@ std::vector<FunnelCandidate> SomDedup::Deduplicate(std::vector<FunnelCandidate> 
   // Assemble the flat feature matrix: cached shape block + cohort-fitted
   // metric embedding, one row per candidate, filled in parallel.
   const size_t base_dims = candidates[0].fingerprint.som_base.size();
-  FBD_CHECK(base_dims > 0);  // Fingerprints must carry som_features.
+  FBD_CHECK(base_dims > 0);
   FlatMatrix features;
   features.Resize(candidates.size(), base_dims + kMetricIdDims);
   ParallelIndexFor(candidates.size(), pool, [&](size_t i) {

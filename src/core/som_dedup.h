@@ -33,16 +33,12 @@ namespace fbdetect {
 
 class SomDedup {
  public:
-  // Clusters `regressions` and returns one representative per cluster (the
-  // max-ImportanceScore member), with `som_cluster`, `importance`, and
-  // `merged_count` filled in. Input order does not affect the set of
-  // representatives chosen (ties break on metric ID). Convenience wrapper
-  // that computes fingerprints itself.
-  std::vector<Regression> Deduplicate(std::vector<Regression> regressions) const;
-
-  // Funnel form: candidates arrive with fingerprints (whose som_base must
-  // have been built with FingerprintConfig's default sizes). `pool` may be
-  // null (serial); results are byte-identical for any pool size.
+  // Clusters `candidates` (fingerprinted by ComputeFingerprint) and returns
+  // one representative per cluster (the max-ImportanceScore member), with
+  // `som_cluster`, `importance`, and `merged_count` filled in. Input order
+  // does not affect the set of representatives chosen (ties break on metric
+  // ID). `pool` may be null (serial); results are byte-identical for any
+  // pool size.
   std::vector<FunnelCandidate> Deduplicate(std::vector<FunnelCandidate> candidates,
                                            ThreadPool* pool) const;
 

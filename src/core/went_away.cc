@@ -167,11 +167,4 @@ WentAwayVerdict WentAwayDetector::Evaluate(const ScanView& view,
   return verdict;
 }
 
-WentAwayVerdict WentAwayDetector::Evaluate(const Regression& regression,
-                                           size_t points_per_day) const {
-  std::vector<double> scratch;
-  const ScanView view = ViewOfRegression(regression, scratch);
-  return Evaluate(view, CandidateOfRegression(regression), points_per_day);
-}
-
 }  // namespace fbdetect

@@ -27,7 +27,6 @@
 
 #include <cstddef>
 
-#include "src/core/regression.h"
 #include "src/core/scan_view.h"
 
 namespace fbdetect {
@@ -47,18 +46,14 @@ struct WentAwayVerdict {
 
 class WentAwayDetector {
  public:
-  // Zero-copy core: evaluates `candidate` against the oriented windows of
-  // `view` (the SAX range reference is view.full — historical + analysis +
-  // extended — with no materialization). A points-per-day hint (from the
+  // Evaluates `candidate` against the oriented windows of `view` (the SAX
+  // range reference is view.full — historical + analysis + extended — with
+  // no materialization). A points-per-day hint (from the
   // metric's resolution) lets the previous-day percentile term pick the
   // right slice; pass 0 when unknown to fall back to the last quarter of the
   // historical window.
   WentAwayVerdict Evaluate(const ScanView& view, const ScanCandidate& candidate,
                            size_t points_per_day) const;
-
-  // Convenience: re-evaluates a stored Regression (copies its windows into a
-  // contiguous scratch first).
-  WentAwayVerdict Evaluate(const Regression& regression, size_t points_per_day) const;
 };
 
 }  // namespace fbdetect

@@ -6,12 +6,6 @@
 
 namespace fbdetect {
 
-TimeSeries::TimeSeries(std::vector<TimePoint> timestamps, std::vector<double> values)
-    : timestamps_(std::move(timestamps)), values_(std::move(values)) {
-  FBD_CHECK(timestamps_.size() == values_.size());
-  FBD_CHECK(std::is_sorted(timestamps_.begin(), timestamps_.end()));
-}
-
 void TimeSeries::Append(TimePoint timestamp, double value) {
   FBD_CHECK(TryAppend(timestamp, value));
 }
@@ -52,43 +46,10 @@ std::pair<size_t, size_t> TimeSeries::SliceIndices(TimePoint begin, TimePoint en
           static_cast<size_t>(last - timestamps_.begin())};
 }
 
-TimeSeries TimeSeries::Slice(TimePoint begin, TimePoint end) const {
-  const auto [first, last] = SliceIndices(begin, end);
-  TimeSeries out;
-  out.timestamps_.assign(timestamps_.begin() + static_cast<long>(first),
-                         timestamps_.begin() + static_cast<long>(last));
-  out.values_.assign(values_.begin() + static_cast<long>(first),
-                     values_.begin() + static_cast<long>(last));
-  return out;
-}
-
 std::vector<double> TimeSeries::ValuesBetween(TimePoint begin, TimePoint end) const {
   const auto [first, last] = SliceIndices(begin, end);
   return std::vector<double>(values_.begin() + static_cast<long>(first),
                              values_.begin() + static_cast<long>(last));
-}
-
-TimeSeries TimeSeries::Resample(Duration bucket_width) const {
-  FBD_CHECK(bucket_width > 0);
-  TimeSeries out;
-  if (empty()) {
-    return out;
-  }
-  size_t i = 0;
-  while (i < timestamps_.size()) {
-    // Bucket containing timestamps_[i], aligned to the epoch.
-    const TimePoint bucket_start = timestamps_[i] / bucket_width * bucket_width;
-    const TimePoint bucket_end = bucket_start + bucket_width;
-    double sum = 0.0;
-    size_t count = 0;
-    while (i < timestamps_.size() && timestamps_[i] < bucket_end) {
-      sum += values_[i];
-      ++count;
-      ++i;
-    }
-    out.Append(bucket_start, sum / static_cast<double>(count));
-  }
-  return out;
 }
 
 void TimeSeries::DropBefore(TimePoint cutoff) {

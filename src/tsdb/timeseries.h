@@ -1,5 +1,5 @@
 // A time series: timestamps (ascending) plus values. Supports appends,
-// window slicing, and alignment utilities. Values are stored densely; series
+// time-range lookups and retention. Values are stored densely; series
 // produced by the fleet simulator are regularly spaced, but the API does not
 // require it.
 #ifndef FBDETECT_SRC_TSDB_TIMESERIES_H_
@@ -15,7 +15,6 @@ namespace fbdetect {
 class TimeSeries {
  public:
   TimeSeries() = default;
-  TimeSeries(std::vector<TimePoint> timestamps, std::vector<double> values);
 
   // Appends a point; `timestamp` must be strictly after the last one.
   void Append(TimePoint timestamp, double value);
@@ -43,20 +42,12 @@ class TimeSeries {
   TimePoint start_time() const;  // 0 if empty.
   TimePoint end_time() const;    // 0 if empty.
 
-  // Points with begin <= t < end, as a new series.
-  TimeSeries Slice(TimePoint begin, TimePoint end) const;
-
   // Values with begin <= t < end (copy; spans into internal storage are
   // available via SliceIndices for zero-copy paths).
   std::vector<double> ValuesBetween(TimePoint begin, TimePoint end) const;
 
   // Index range [first, last) of points with begin <= t < end.
   std::pair<size_t, size_t> SliceIndices(TimePoint begin, TimePoint end) const;
-
-  // Downsamples into buckets of `bucket_width` seconds by averaging, with
-  // bucket timestamps at the bucket start. Useful to compare series of
-  // different native resolutions.
-  TimeSeries Resample(Duration bucket_width) const;
 
   // Drops all points strictly older than `cutoff` (retention).
   void DropBefore(TimePoint cutoff);

@@ -4,29 +4,6 @@
 
 namespace fbdetect {
 
-WindowExtract ExtractWindows(const TimeSeries& series, TimePoint as_of, const WindowSpec& spec) {
-  FBD_CHECK(spec.historical > 0);
-  FBD_CHECK(spec.analysis > 0);
-  FBD_CHECK(spec.extended >= 0);
-  WindowExtract extract;
-  extract.as_of = as_of;
-  extract.extended_begin = as_of - spec.extended;
-  extract.analysis_begin = extract.extended_begin - spec.analysis;
-  extract.historical_begin = extract.analysis_begin - spec.historical;
-
-  extract.historical = series.ValuesBetween(extract.historical_begin, extract.analysis_begin);
-  extract.analysis = series.ValuesBetween(extract.analysis_begin, extract.extended_begin);
-  extract.extended = series.ValuesBetween(extract.extended_begin, as_of);
-
-  extract.analysis_plus_extended = extract.analysis;
-  extract.analysis_plus_extended.insert(extract.analysis_plus_extended.end(),
-                                        extract.extended.begin(), extract.extended.end());
-
-  const TimeSeries scan = series.Slice(extract.analysis_begin, as_of);
-  extract.analysis_timestamps = scan.timestamps();
-  return extract;
-}
-
 WindowView ExtractWindowView(const TimeSeries& series, TimePoint as_of, const WindowSpec& spec) {
   FBD_CHECK(spec.historical > 0);
   FBD_CHECK(spec.analysis > 0);

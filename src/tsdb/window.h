@@ -5,20 +5,17 @@
 //   * extended window — used to evaluate whether a regression persists
 //     (went-away detection); optional (N/A rows in Table 1).
 //
-// WindowSpec holds durations. Two extraction forms exist:
-//   * WindowView (ExtractWindowView) — zero-copy spans into the series'
-//     internal storage, the pipeline's hot path. Spans are invalidated by
-//     any mutation of the series (TimeSeriesDatabase::Write / WriteSeries /
-//     Expire, TimeSeries::Append / DropBefore), so scans must not
-//     interleave with ingestion.
-//   * WindowExtract (ExtractWindows) — materialized copies that own their
-//     data; the reference implementation, kept for callers that outlive the
-//     series or mutate the values.
+// WindowSpec holds durations. ExtractWindowView splits a series into a
+// WindowView: zero-copy spans into the series' internal storage, which is
+// the only form the scan reads. Spans are invalidated by any mutation of the
+// series (TimeSeriesDatabase::Write / WriteSeries / Expire,
+// TimeSeries::Append / DropBefore), so scans must not interleave with
+// ingestion. scan_path_test checks the split against a linear-scan oracle
+// that shares no code with TimeSeries::SliceIndices.
 #ifndef FBDETECT_SRC_TSDB_WINDOW_H_
 #define FBDETECT_SRC_TSDB_WINDOW_H_
 
 #include <span>
-#include <vector>
 
 #include "src/common/sim_time.h"
 #include "src/tsdb/timeseries.h"
@@ -33,30 +30,11 @@ struct WindowSpec {
   Duration Total() const { return historical + analysis + extended; }
 };
 
-struct WindowExtract {
-  std::vector<double> historical;
-  std::vector<double> analysis;
-  std::vector<double> extended;
-  // analysis followed by extended — the span the short-term detector scans.
-  std::vector<double> analysis_plus_extended;
-  TimePoint historical_begin = 0;
-  TimePoint analysis_begin = 0;
-  TimePoint extended_begin = 0;
-  TimePoint as_of = 0;
-  // Timestamps aligned with analysis_plus_extended (for change-point
-  // timestamps in reports).
-  std::vector<TimePoint> analysis_timestamps;
-
-  bool HasEnoughData(size_t min_historical, size_t min_analysis) const {
-    return historical.size() >= min_historical && analysis.size() >= min_analysis;
-  }
-};
-
-// Zero-copy equivalent of WindowExtract: spans into the series' internal
-// storage (see the lifetime rules in the file comment). Because the three
-// windows are adjacent index ranges of one series, `full` and
-// `analysis_plus_extended` are single contiguous spans — detectors can scan
-// across window boundaries without re-materializing anything.
+// The three windows as spans into the series' internal storage (see the
+// lifetime rules in the file comment). Because the windows are adjacent
+// index ranges of one series, `full` and `analysis_plus_extended` are single
+// contiguous spans — detectors can scan across window boundaries without
+// re-materializing anything.
 struct WindowView {
   std::span<const double> historical;
   std::span<const double> analysis;
@@ -68,7 +46,8 @@ struct WindowView {
   TimePoint analysis_begin = 0;
   TimePoint extended_begin = 0;
   TimePoint as_of = 0;
-  // Timestamps aligned with analysis_plus_extended.
+  // Timestamps aligned with analysis_plus_extended (for change-point
+  // timestamps in reports).
   std::span<const TimePoint> analysis_timestamps;
 
   bool HasEnoughData(size_t min_historical, size_t min_analysis) const {
@@ -80,9 +59,7 @@ struct WindowView {
 //   [as_of - total, as_of - analysis - extended) -> historical
 //   [as_of - analysis - extended, as_of - extended) -> analysis
 //   [as_of - extended, as_of)                     -> extended
-WindowExtract ExtractWindows(const TimeSeries& series, TimePoint as_of, const WindowSpec& spec);
-
-// Same split, but as spans into `series`' storage (no copies). Built on
+// as spans into `series`' storage (no copies). Built on
 // TimeSeries::SliceIndices; O(log n) and allocation-free.
 WindowView ExtractWindowView(const TimeSeries& series, TimePoint as_of, const WindowSpec& spec);
 

@@ -9,6 +9,7 @@
 
 #include "src/common/random.h"
 #include "src/core/clustering_alternatives.h"
+#include "src/core/scan_view.h"
 #include "src/core/went_away.h"
 #include "src/core/went_away_legacy.h"
 #include "src/fleet/service.h"
@@ -21,34 +22,62 @@ namespace {
 // Legacy went-away iterations.
 // ---------------------------------------------------------------------------
 
-// A regression record with a hand-built shape: historical flat at
-// `base` (with an optional spike), post-change data given explicitly.
-Regression BuildRegression(double base, const std::vector<double>& post,
-                           bool historical_spike) {
-  Regression regression;
-  regression.metric = {"svc", MetricKind::kGcpu, "sub", ""};
+// A hand-built gCPU window and its change-point candidate: historical flat
+// at `base` (with an optional spike), then an analysis window of 12 points at
+// `base` followed by the post-change data given explicitly.
+struct HandBuiltWindow {
+  std::vector<double> values;  // historical | analysis, oriented.
+  size_t historical_size = 0;
+  std::vector<TimePoint> analysis_timestamps;
+  ScanCandidate candidate;
+
+  ScanView View() const {
+    ScanView view;
+    view.full = values;
+    view.historical_size = historical_size;
+    view.analysis_size = values.size() - historical_size;
+    view.analysis_timestamps = analysis_timestamps;
+    return view;
+  }
+
+  // The Regression the scan would build for it, which the legacy iterations
+  // take.
+  Regression ToRegression() const {
+    return MaterializeRegression({"svc", MetricKind::kGcpu, "sub", ""}, View(), candidate);
+  }
+
+  bool CurrentDetectorKeeps() const {
+    return WentAwayDetector().Evaluate(View(), candidate, 144).keep;
+  }
+};
+
+HandBuiltWindow BuildWindow(double base, const std::vector<double>& post,
+                            bool historical_spike) {
+  HandBuiltWindow window;
   Rng rng(7);
   for (int i = 0; i < 288; ++i) {
     double level = base;
     if (historical_spike && i >= 60 && i < 66) {
       level = base * 1.8;  // 6 of 288 points: ~2%, below SAX validity.
     }
-    regression.historical.push_back(rng.Normal(level, base * 0.02));
+    window.values.push_back(rng.Normal(level, base * 0.02));
   }
+  window.historical_size = window.values.size();
   // Analysis window: half pre-change at base, half the provided post data.
   for (int i = 0; i < 12; ++i) {
-    regression.analysis.push_back(rng.Normal(base, base * 0.02));
+    window.values.push_back(rng.Normal(base, base * 0.02));
   }
-  regression.change_index = regression.analysis.size();
-  regression.analysis.insert(regression.analysis.end(), post.begin(), post.end());
-  for (size_t i = 0; i < regression.analysis.size(); ++i) {
-    regression.analysis_timestamps.push_back(static_cast<TimePoint>(i) * Minutes(10));
+  window.candidate.change_index = window.values.size() - window.historical_size;
+  window.values.insert(window.values.end(), post.begin(), post.end());
+  for (size_t i = window.historical_size; i < window.values.size(); ++i) {
+    window.analysis_timestamps.push_back(
+        static_cast<TimePoint>(i - window.historical_size) * Minutes(10));
   }
-  regression.baseline_mean = base;
-  regression.regressed_mean = Mean(std::span<const double>(post));
-  regression.delta = regression.regressed_mean - base;
-  regression.relative_delta = regression.delta / base;
-  return regression;
+  window.candidate.baseline_mean = base;
+  window.candidate.regressed_mean = Mean(std::span<const double>(post));
+  window.candidate.delta = window.candidate.regressed_mean - base;
+  window.candidate.relative_delta = window.candidate.delta / base;
+  return window;
 }
 
 // A true regression whose post window contains a temporary dip: the paper's
@@ -63,12 +92,12 @@ TEST(LegacyWentAwayTest, InverseCusumFiltersTrueRegressionWithDip) {
     }
     post.push_back(rng.Normal(level, 0.001));
   }
-  const Regression regression = BuildRegression(0.050, post, false);
+  const HandBuiltWindow window = BuildWindow(0.050, post, false);
   // Iteration 1 wrongly filters it (the dip looks like a compensating
   // inverse shift)...
-  EXPECT_FALSE(InverseCusumWentAway().Keep(regression));
+  EXPECT_FALSE(InverseCusumWentAway().Keep(window.ToRegression()));
   // ...while the current SAX-based detector keeps it.
-  EXPECT_TRUE(WentAwayDetector().Evaluate(regression, 144).keep);
+  EXPECT_TRUE(window.CurrentDetectorKeeps());
 }
 
 TEST(LegacyWentAwayTest, InverseCusumKeepsCleanStep) {
@@ -77,8 +106,7 @@ TEST(LegacyWentAwayTest, InverseCusumKeepsCleanStep) {
   for (int i = 0; i < 36; ++i) {
     post.push_back(rng.Normal(0.065, 0.001));
   }
-  const Regression regression = BuildRegression(0.050, post, false);
-  EXPECT_TRUE(InverseCusumWentAway().Keep(regression));
+  EXPECT_TRUE(InverseCusumWentAway().Keep(BuildWindow(0.050, post, false).ToRegression()));
 }
 
 // Fig. 7's counter-example for iteration 2: with a spike in the chosen
@@ -92,7 +120,8 @@ TEST(LegacyWentAwayTest, TrendCompareDependsOnBaselineWindowChoice) {
     const double level = 0.062 + 0.02 * std::exp(-i / 6.0);
     post.push_back(rng.Normal(level, 0.0005));
   }
-  const Regression with_spike = BuildRegression(0.050, post, /*historical_spike=*/true);
+  const HandBuiltWindow window = BuildWindow(0.050, post, /*historical_spike=*/true);
+  const Regression with_spike = window.ToRegression();
   // The spike sits at indices 60..66 of 288 historical points. With offset
   // such that the baseline slice contains the spike, the still-regressed
   // tail (~0.062) compares BELOW the spike's P90 -> wrongly filtered.
@@ -105,7 +134,7 @@ TEST(LegacyWentAwayTest, TrendCompareDependsOnBaselineWindowChoice) {
   const TrendCompareWentAway clean_baseline(0);
   EXPECT_TRUE(clean_baseline.Keep(with_spike));
   // The current detector keeps it regardless — no window choice to get wrong.
-  EXPECT_TRUE(WentAwayDetector().Evaluate(with_spike, 144).keep);
+  EXPECT_TRUE(window.CurrentDetectorKeeps());
 }
 
 // ---------------------------------------------------------------------------

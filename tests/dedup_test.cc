@@ -16,6 +16,7 @@
 #include "src/core/som.h"
 #include "src/core/som_dedup.h"
 #include "src/tsdb/database.h"
+#include "tests/stage_helpers.h"
 
 namespace fbdetect {
 namespace {
@@ -73,6 +74,16 @@ TEST(SomTest, IdenticalItemsShareCell) {
 // SOMDedup.
 // ---------------------------------------------------------------------------
 
+// The representatives SOMDedup keeps of `regressions`, serially.
+std::vector<Regression> Deduplicate(const SomDedup& dedup, std::vector<Regression> regressions) {
+  std::vector<Regression> representatives;
+  for (FunnelCandidate& candidate :
+       dedup.Deduplicate(Fingerprinted(std::move(regressions)), nullptr)) {
+    representatives.push_back(std::move(candidate.regression));
+  }
+  return representatives;
+}
+
 Regression MakeRegression(const std::string& subroutine, double delta, double baseline,
                           const std::vector<double>& analysis,
                           std::vector<int64_t> causes = {}) {
@@ -112,7 +123,7 @@ TEST(SomDedupTest, MergesSameShapeSameCauseRegressions) {
                                          StepShape(0.05, 0.01, 48, 100 + i), {7}));
   }
   const SomDedup dedup;
-  const std::vector<Regression> representatives = dedup.Deduplicate(regressions);
+  const std::vector<Regression> representatives = Deduplicate(dedup, regressions);
   EXPECT_LT(representatives.size(), regressions.size() / 2);
   size_t merged_total = 0;
   for (const Regression& representative : representatives) {
@@ -132,7 +143,7 @@ TEST(SomDedupTest, KeepsDistinctRegressionsApart) {
   big.metric.kind = MetricKind::kEndpointCost;
   regressions.push_back(big);
   const SomDedup dedup;
-  const std::vector<Regression> representatives = dedup.Deduplicate(regressions);
+  const std::vector<Regression> representatives = Deduplicate(dedup, regressions);
   bool found_big = false;
   for (const Regression& representative : representatives) {
     if (representative.metric.entity == "sub_huge") {
@@ -152,7 +163,7 @@ TEST(SomDedupTest, RepresentativeHasHighestImportance) {
   regressions.push_back(MakeRegression("sub_heavy", 0.012, 0.05,
                                        StepShape(0.05, 0.012, 48, 400), {3}));
   const SomDedup dedup;
-  const std::vector<Regression> representatives = dedup.Deduplicate(regressions);
+  const std::vector<Regression> representatives = Deduplicate(dedup, regressions);
   for (const Regression& representative : representatives) {
     if (representative.merged_count > 1) {
       // Within any merged cluster the representative's importance is maximal
@@ -174,9 +185,9 @@ TEST(SomDedupTest, ImportanceScoreWeights) {
 
 TEST(SomDedupTest, EmptyAndSingletonInputs) {
   const SomDedup dedup;
-  EXPECT_TRUE(dedup.Deduplicate({}).empty());
+  EXPECT_TRUE(Deduplicate(dedup, {}).empty());
   const std::vector<Regression> one =
-      dedup.Deduplicate({MakeRegression("s", 0.01, 0.05, StepShape(0.05, 0.01, 16, 2))});
+      Deduplicate(dedup, {MakeRegression("s", 0.01, 0.05, StepShape(0.05, 0.01, 16, 2))});
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0].som_cluster, 0);
 }
@@ -192,9 +203,9 @@ TEST(PairwiseDedupTest, MergesCorrelatedSimilarlyNamedRegressions) {
   // Same shape (same seed => identical noise), closely related name.
   Regression second = MakeRegression("TaoClient_fetch_user_by_id", 0.01, 0.05,
                                      StepShape(0.05, 0.01, 48, 500, 0.0001));
-  const std::vector<int> first_new = dedup.Ingest({first});
+  const std::vector<int> first_new = dedup.Ingest(Fingerprinted({first}));
   EXPECT_EQ(first_new.size(), 1u);
-  const std::vector<int> second_new = dedup.Ingest({second});
+  const std::vector<int> second_new = dedup.Ingest(Fingerprinted({second}));
   EXPECT_TRUE(second_new.empty());  // Merged into the existing group.
   EXPECT_EQ(dedup.groups().size(), 1u);
   EXPECT_EQ(dedup.groups()[0].members.size(), 2u);
@@ -210,8 +221,8 @@ TEST(PairwiseDedupTest, KeepsUncorrelatedApart) {
     reversed.push_back((i < 24 ? 0.08 : 0.05) + rng.Normal(0.0, 0.002));  // Opposite step.
   }
   Regression second = MakeRegression("zeta_engine_step", 0.01, 0.06, reversed);
-  dedup.Ingest({first});
-  const std::vector<int> new_groups = dedup.Ingest({second});
+  dedup.Ingest(Fingerprinted({first}));
+  const std::vector<int> new_groups = dedup.Ingest(Fingerprinted({second}));
   EXPECT_EQ(new_groups.size(), 1u);
   EXPECT_EQ(dedup.groups().size(), 2u);
 }
@@ -224,21 +235,29 @@ TEST(PairwiseDedupTest, StackOverlapEnablesMergeOfDissimilarNames) {
                                     StepShape(0.05, 0.01, 48, 700, 0.0001));
   Regression second = MakeRegression("omega", 0.01, 0.05,
                                      StepShape(0.05, 0.01, 48, 700, 0.0001));
-  dedup.Ingest({first});
-  const std::vector<int> new_groups = dedup.Ingest({second});
+  dedup.Ingest(Fingerprinted({first}));
+  const std::vector<int> new_groups = dedup.Ingest(Fingerprinted({second}));
   EXPECT_TRUE(new_groups.empty());  // Overlap carried the merge.
 }
 
 TEST(PairwiseDedupTest, ScoreExposesFeatureValues) {
-  PairwiseDedup dedup;
+  // Identical shape and name: the Pearson and text features Ingest scores
+  // the pair on are both near 1, so the probe merges even under a rule that
+  // asks for near-perfect scores.
+  PairwiseRule rule;
+  rule.min_pearson = 0.95;
+  rule.min_text = 0.95;
+  PairwiseDedup dedup(rule);
   Regression first = MakeRegression("svc_sub", 0.01, 0.05,
                                     StepShape(0.05, 0.01, 48, 800, 0.0001));
-  dedup.Ingest({first});
+  dedup.Ingest(Fingerprinted({first}));
   Regression probe = MakeRegression("svc_sub", 0.01, 0.05,
                                     StepShape(0.05, 0.01, 48, 800, 0.0001));
-  const PairwiseScores scores = dedup.Score(probe, dedup.groups()[0]);
-  EXPECT_GT(scores.pearson, 0.95);
-  EXPECT_GT(scores.text, 0.95);
+  EXPECT_GT(AlignedPearson(probe, first), 0.95);
+  EXPECT_GT(CosineSimilarity(ComputeFingerprint(probe).tokens, ComputeFingerprint(first).tokens),
+            0.95);
+  EXPECT_TRUE(dedup.Ingest(Fingerprinted({probe})).empty());
+  EXPECT_EQ(dedup.groups()[0].members.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -248,10 +267,6 @@ TEST(PairwiseDedupTest, ScoreExposesFeatureValues) {
 // Fake code info with one class of three subroutines and a caller.
 class FakeCodeInfo : public CodeInfoProvider {
  public:
-  bool Exists(const std::string& subroutine) const override {
-    return subroutine == "caller" || subroutine == "method_a" || subroutine == "method_b" ||
-           subroutine == "method_c";
-  }
   std::vector<std::string> CallersOf(const std::string& subroutine) const override {
     if (subroutine == "method_a" || subroutine == "method_b" || subroutine == "method_c") {
       return {"caller"};
@@ -262,7 +277,9 @@ class FakeCodeInfo : public CodeInfoProvider {
     if (subroutine == "caller") {
       return "Caller";
     }
-    return Exists(subroutine) ? "Widget" : "";
+    const bool member =
+        subroutine == "method_a" || subroutine == "method_b" || subroutine == "method_c";
+    return member ? "Widget" : "";
   }
   std::vector<std::string> ClassMembers(const std::string& class_name) const override {
     if (class_name == "Widget") {

@@ -17,7 +17,7 @@
 #include "src/core/went_away.h"
 #include "src/core/workload_config.h"
 #include "src/tsdb/timeseries.h"
-#include "src/tsdb/window.h"
+#include "tests/stage_helpers.h"
 
 namespace fbdetect {
 namespace {
@@ -48,6 +48,26 @@ TimeSeries BuildSeries(Duration total, double noise_sd, uint64_t seed, Fn level)
 
 MetricId GcpuMetric() { return {"svc", MetricKind::kGcpu, "sub_7", ""}; }
 
+// The scan's oriented view of `series` at the tick after its last point;
+// `scratch` backs it for lower-is-worse kinds.
+ScanView ViewOf(const TimeSeries& series, const DetectionConfig& config,
+                std::vector<double>& scratch, MetricKind kind = MetricKind::kGcpu) {
+  return OrientedView(series, series.end_time() + kTick, config.windows, kind, scratch);
+}
+
+// The change-point stage's candidate on `series`, materialized into the
+// Regression the scan builds for a survivor.
+std::optional<Regression> DetectOn(const TimeSeries& series, const DetectionConfig& config,
+                                   const MetricId& metric = GcpuMetric()) {
+  std::vector<double> scratch;
+  const ScanView view = ViewOf(series, config, scratch, metric.kind);
+  const std::optional<ScanCandidate> candidate = ChangePointStage(config).DetectCandidate(view);
+  if (!candidate) {
+    return std::nullopt;
+  }
+  return MaterializeRegression(metric, view, *candidate);
+}
+
 // ---------------------------------------------------------------------------
 // ChangePointStage.
 // ---------------------------------------------------------------------------
@@ -59,9 +79,7 @@ TEST(ChangePointStageTest, DetectsStepInAnalysisWindow) {
   const TimeSeries series = BuildSeries(total, 0.001, 1, [&](TimePoint t) {
     return t >= step_at ? 0.060 : 0.050;
   });
-  const WindowExtract windows = ExtractWindows(series, total, config.windows);
-  ChangePointStage stage(config);
-  const auto regression = stage.Detect(GcpuMetric(), windows);
+  const auto regression = DetectOn(series, config);
   ASSERT_TRUE(regression.has_value());
   EXPECT_NEAR(static_cast<double>(regression->change_time), static_cast<double>(step_at),
               static_cast<double>(Hours(1)));
@@ -75,9 +93,7 @@ TEST(ChangePointStageTest, NoChangeNoDetection) {
   const Duration total = config.windows.Total();
   const TimeSeries series =
       BuildSeries(total, 0.001, 2, [](TimePoint) { return 0.05; });
-  const WindowExtract windows = ExtractWindows(series, total, config.windows);
-  ChangePointStage stage(config);
-  EXPECT_FALSE(stage.Detect(GcpuMetric(), windows).has_value());
+  EXPECT_FALSE(DetectOn(series, config).has_value());
 }
 
 TEST(ChangePointStageTest, ImprovementIsNotRegression) {
@@ -87,9 +103,7 @@ TEST(ChangePointStageTest, ImprovementIsNotRegression) {
   const TimeSeries series = BuildSeries(total, 0.001, 3, [&](TimePoint t) {
     return t >= step_at ? 0.040 : 0.050;  // CPU drops: an improvement.
   });
-  const WindowExtract windows = ExtractWindows(series, total, config.windows);
-  ChangePointStage stage(config);
-  EXPECT_FALSE(stage.Detect(GcpuMetric(), windows).has_value());
+  EXPECT_FALSE(DetectOn(series, config).has_value());
 }
 
 TEST(ChangePointStageTest, ThroughputDropIsRegression) {
@@ -99,10 +113,7 @@ TEST(ChangePointStageTest, ThroughputDropIsRegression) {
   const TimeSeries series = BuildSeries(total, 5.0, 4, [&](TimePoint t) {
     return t >= step_at ? 900.0 : 1000.0;
   });
-  const WindowExtract windows = ExtractWindows(series, total, config.windows);
-  ChangePointStage stage(config);
-  const MetricId metric{"svc", MetricKind::kThroughput, "", ""};
-  const auto regression = stage.Detect(metric, windows);
+  const auto regression = DetectOn(series, config, {"svc", MetricKind::kThroughput, "", ""});
   ASSERT_TRUE(regression.has_value());
   // Oriented delta is positive (regression-positive orientation).
   EXPECT_GT(regression->delta, 50.0);
@@ -117,18 +128,13 @@ TEST(ChangePointStageTest, StepInHistoricalContextRejected) {
   const TimeSeries series = BuildSeries(total, 0.0005, 5, [&](TimePoint t) {
     return t >= step_at ? 0.058 : 0.050;
   });
-  const WindowExtract windows = ExtractWindows(series, total, config.windows);
-  ChangePointStage stage(config);
-  EXPECT_FALSE(stage.Detect(GcpuMetric(), windows).has_value());
+  EXPECT_FALSE(DetectOn(series, config).has_value());
 }
 
 TEST(ChangePointStageTest, InsufficientDataRejected) {
   const DetectionConfig config = TestConfig();
   const TimeSeries series = BuildSeries(Hours(2), 0.001, 6, [](TimePoint) { return 0.05; });
-  const WindowExtract windows =
-      ExtractWindows(series, Hours(2), config.windows);
-  ChangePointStage stage(config);
-  EXPECT_FALSE(stage.Detect(GcpuMetric(), windows).has_value());
+  EXPECT_FALSE(DetectOn(series, config).has_value());
 }
 
 TEST(ChangePointStageTest, DefaultConfigIsExplicitCusumEm) {
@@ -142,9 +148,8 @@ TEST(ChangePointStageTest, DefaultConfigIsExplicitCusumEm) {
   const TimeSeries series = BuildSeries(total, 0.001, 8, [&](TimePoint t) {
     return t >= step_at ? 0.058 : 0.050;
   });
-  const WindowExtract windows = ExtractWindows(series, total, default_config.windows);
-  const auto a = ChangePointStage(default_config).Detect(GcpuMetric(), windows);
-  const auto b = ChangePointStage(explicit_config).Detect(GcpuMetric(), windows);
+  const auto a = DetectOn(series, default_config);
+  const auto b = DetectOn(series, explicit_config);
   ASSERT_EQ(a.has_value(), b.has_value());
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->change_time, b->change_time);
@@ -165,9 +170,7 @@ TEST(ChangePointStageTest, AlternativeBackendsDetectStepInAnalysisWindow) {
        {ChangePointDetector::kCusumEm, ChangePointDetector::kEDivisive}) {
     DetectionConfig config = TestConfig();
     config.change_point_detector = detector;
-    const WindowExtract windows = ExtractWindows(series, total, config.windows);
-    ChangePointStage stage(config);
-    const auto regression = stage.Detect(GcpuMetric(), windows);
+    const auto regression = DetectOn(series, config);
     const int id = static_cast<int>(detector);
     ASSERT_TRUE(regression.has_value()) << "detector=" << id;
     EXPECT_NEAR(static_cast<double>(regression->change_time), static_cast<double>(step_at),
@@ -194,9 +197,7 @@ TEST_P(ChangePointSweepTest, LocalizesStep) {
   const TimeSeries series = BuildSeries(total, c.noise, 7, [&](TimePoint t) {
     return t >= step_at ? 0.05 + c.step : 0.05;
   });
-  const WindowExtract windows = ExtractWindows(series, total, config.windows);
-  ChangePointStage stage(config);
-  const auto regression = stage.Detect(GcpuMetric(), windows);
+  const auto regression = DetectOn(series, config);
   ASSERT_TRUE(regression.has_value()) << "step=" << c.step << " noise=" << c.noise;
   EXPECT_NEAR(regression->delta, c.step, c.step * 0.5);
 }
@@ -209,15 +210,6 @@ INSTANTIATE_TEST_SUITE_P(Steps, ChangePointSweepTest,
 // WentAwayDetector.
 // ---------------------------------------------------------------------------
 
-// Builds a Regression by running the change-point stage on a constructed
-// series (keeps test data realistic).
-std::optional<Regression> DetectOn(const TimeSeries& series, const DetectionConfig& config,
-                                   MetricId metric = GcpuMetric()) {
-  const WindowExtract windows =
-      ExtractWindows(series, series.end_time() + kTick, config.windows);
-  return ChangePointStage(config).Detect(metric, windows);
-}
-
 TEST(WentAwayTest, PersistentStepKept) {
   const DetectionConfig config = TestConfig();
   const Duration total = config.windows.Total();
@@ -225,9 +217,11 @@ TEST(WentAwayTest, PersistentStepKept) {
   const TimeSeries series = BuildSeries(total, 0.001, 8, [&](TimePoint t) {
     return t >= step_at ? 0.060 : 0.050;
   });
-  const auto regression = DetectOn(series, config);
-  ASSERT_TRUE(regression.has_value());
-  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(*regression, 144);
+  std::vector<double> scratch;
+  const ScanView view = ViewOf(series, config, scratch);
+  const auto candidate = ChangePointStage(config).DetectCandidate(view);
+  ASSERT_TRUE(candidate.has_value());
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(view, *candidate, 144);
   EXPECT_TRUE(verdict.keep);
   EXPECT_FALSE(verdict.gone_away);
 }
@@ -242,11 +236,13 @@ TEST(WentAwayTest, TransientSpikeFiltered) {
   const TimeSeries series = BuildSeries(total, 0.001, 9, [&](TimePoint t) {
     return (t >= spike_start && t < spike_end) ? 0.065 : 0.050;
   });
-  const auto regression = DetectOn(series, config);
-  if (!regression.has_value()) {
+  std::vector<double> scratch;
+  const ScanView view = ViewOf(series, config, scratch);
+  const auto candidate = ChangePointStage(config).DetectCandidate(view);
+  if (!candidate.has_value()) {
     GTEST_SKIP() << "change point not flagged; nothing to filter";
   }
-  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(*regression, 144);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(view, *candidate, 144);
   EXPECT_FALSE(verdict.keep);
   EXPECT_TRUE(verdict.gone_away);
 }
@@ -266,9 +262,11 @@ TEST(WentAwayTest, Figure7RegressionAtEndDespiteHistoricalSpike) {
     }
     return t >= regression_at ? 0.062 : 0.050;
   });
-  const auto regression = DetectOn(series, config);
-  ASSERT_TRUE(regression.has_value());
-  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(*regression, 144);
+  std::vector<double> scratch;
+  const ScanView view = ViewOf(series, config, scratch);
+  const auto candidate = ChangePointStage(config).DetectCandidate(view);
+  ASSERT_TRUE(candidate.has_value());
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(view, *candidate, 144);
   EXPECT_TRUE(verdict.keep);
 }
 
@@ -284,9 +282,11 @@ TEST(WentAwayTest, GradualRampKeptViaLastingTrend) {
         static_cast<double>(t - ramp_start) / static_cast<double>(Hours(6));
     return 0.050 + 0.012 * progress;
   });
-  const auto regression = DetectOn(series, config);
-  ASSERT_TRUE(regression.has_value());
-  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(*regression, 144);
+  std::vector<double> scratch;
+  const ScanView view = ViewOf(series, config, scratch);
+  const auto candidate = ChangePointStage(config).DetectCandidate(view);
+  ASSERT_TRUE(candidate.has_value());
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(view, *candidate, 144);
   EXPECT_TRUE(verdict.keep);
   EXPECT_TRUE(verdict.lasting_trend);
 }
@@ -303,17 +303,18 @@ TEST(WentAwayTest, DecayingSpikeWithRecoveryTailFiltered) {
     const double age = static_cast<double>(t - spike_at) / static_cast<double>(Hours(1));
     return 0.050 + 0.02 * std::exp(-age);
   });
-  const auto regression = DetectOn(series, config);
-  if (!regression.has_value()) {
+  std::vector<double> scratch;
+  const ScanView view = ViewOf(series, config, scratch);
+  const auto candidate = ChangePointStage(config).DetectCandidate(view);
+  if (!candidate.has_value()) {
     GTEST_SKIP() << "change point not flagged";
   }
-  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(*regression, 144);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(view, *candidate, 144);
   EXPECT_FALSE(verdict.keep);
 }
 
 TEST(WentAwayTest, EmptyDataRejected) {
-  Regression regression;
-  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(regression, 0);
+  const WentAwayVerdict verdict = WentAwayDetector().Evaluate(ScanView{}, ScanCandidate{}, 0);
   EXPECT_FALSE(verdict.keep);
 }
 
@@ -442,11 +443,14 @@ TEST(SeasonalityStageTest, SeasonalPeakFilteredAsFalsePositive) {
                          static_cast<double>(period);
     return 0.050 + 0.010 * std::sin(phase);
   });
-  const auto regression = DetectOn(series, config);
-  if (!regression.has_value()) {
+  std::vector<double> scratch;
+  const ScanView view = ViewOf(series, config, scratch);
+  const auto candidate = ChangePointStage(config).DetectCandidate(view);
+  if (!candidate.has_value()) {
     GTEST_SKIP() << "seasonal flank did not trigger the change-point stage";
   }
-  const SeasonalityVerdict verdict = SeasonalityStage().Evaluate(*regression);
+  WindowSeasonality seasonality(view.full);
+  const SeasonalityVerdict verdict = SeasonalityStage().Evaluate(view, *candidate, seasonality);
   EXPECT_TRUE(verdict.seasonality_present);
   EXPECT_TRUE(verdict.seasonal_filtered);
 }
@@ -463,9 +467,12 @@ TEST(SeasonalityStageTest, RealStepOnSeasonalSeriesKept) {
     const double seasonal = 0.006 * std::sin(phase);
     return (t >= step_at ? 0.065 : 0.050) + seasonal;
   });
-  const auto regression = DetectOn(series, config);
-  ASSERT_TRUE(regression.has_value());
-  const SeasonalityVerdict verdict = SeasonalityStage().Evaluate(*regression);
+  std::vector<double> scratch;
+  const ScanView view = ViewOf(series, config, scratch);
+  const auto candidate = ChangePointStage(config).DetectCandidate(view);
+  ASSERT_TRUE(candidate.has_value());
+  WindowSeasonality seasonality(view.full);
+  const SeasonalityVerdict verdict = SeasonalityStage().Evaluate(view, *candidate, seasonality);
   EXPECT_FALSE(verdict.seasonal_filtered);
 }
 
@@ -476,9 +483,12 @@ TEST(SeasonalityStageTest, NonSeasonalSeriesPassesThrough) {
   const TimeSeries series = BuildSeries(total, 0.001, 15, [&](TimePoint t) {
     return t >= step_at ? 0.060 : 0.050;
   });
-  const auto regression = DetectOn(series, config);
-  ASSERT_TRUE(regression.has_value());
-  const SeasonalityVerdict verdict = SeasonalityStage().Evaluate(*regression);
+  std::vector<double> scratch;
+  const ScanView view = ViewOf(series, config, scratch);
+  const auto candidate = ChangePointStage(config).DetectCandidate(view);
+  ASSERT_TRUE(candidate.has_value());
+  WindowSeasonality seasonality(view.full);
+  const SeasonalityVerdict verdict = SeasonalityStage().Evaluate(view, *candidate, seasonality);
   EXPECT_FALSE(verdict.seasonality_present);
   EXPECT_FALSE(verdict.seasonal_filtered);
 }
@@ -530,9 +540,10 @@ TEST(LongTermTest, DetectsSlowRamp) {
         static_cast<double>(t - ramp_start) / static_cast<double>(Days(3));
     return 0.050 + 0.010 * progress;
   });
-  const WindowExtract windows = ExtractWindows(series, total, config.windows);
-  LongTermDetector detector(config);
-  const auto regression = detector.Detect(GcpuMetric(), windows);
+  std::vector<double> scratch;
+  const ScanView view = ViewOf(series, config, scratch);
+  WindowSeasonality seasonality(view.full);
+  const auto regression = LongTermDetector(config).Detect(GcpuMetric(), view, seasonality);
   ASSERT_TRUE(regression.has_value());
   EXPECT_TRUE(regression->long_term);
   EXPECT_GT(regression->delta, 0.003);
@@ -546,9 +557,10 @@ TEST(LongTermTest, StableSeriesNotDetected) {
   config.windows.extended = 0;
   const Duration total = config.windows.Total();
   const TimeSeries series = BuildSeries(total, 0.002, 17, [](TimePoint) { return 0.05; });
-  const WindowExtract windows = ExtractWindows(series, total, config.windows);
-  LongTermDetector detector(config);
-  EXPECT_FALSE(detector.Detect(GcpuMetric(), windows).has_value());
+  std::vector<double> scratch;
+  const ScanView view = ViewOf(series, config, scratch);
+  WindowSeasonality seasonality(view.full);
+  EXPECT_FALSE(LongTermDetector(config).Detect(GcpuMetric(), view, seasonality).has_value());
 }
 
 TEST(LongTermTest, SeasonalSeriesWithoutTrendNotDetected) {
@@ -564,48 +576,51 @@ TEST(LongTermTest, SeasonalSeriesWithoutTrendNotDetected) {
                          static_cast<double>(period);
     return 0.050 + 0.008 * std::sin(phase);
   });
-  const WindowExtract windows = ExtractWindows(series, total, config.windows);
-  LongTermDetector detector(config);
-  EXPECT_FALSE(detector.Detect(GcpuMetric(), windows).has_value());
+  std::vector<double> scratch;
+  const ScanView view = ViewOf(series, config, scratch);
+  WindowSeasonality seasonality(view.full);
+  EXPECT_FALSE(LongTermDetector(config).Detect(GcpuMetric(), view, seasonality).has_value());
 }
 
 // ---------------------------------------------------------------------------
 // SameRegressionMerger.
 // ---------------------------------------------------------------------------
 
+// A regression of `metric` whose change point is at `change_time`.
+Regression ChangeAt(const MetricId& metric, TimePoint change_time) {
+  Regression regression;
+  regression.metric = metric;
+  regression.change_time = change_time;
+  return regression;
+}
+
+// Whether the merger admits `regression` as new (and records it).
+bool Admits(SameRegressionMerger& merger, const Regression& regression) {
+  return merger.Filter(Fingerprinted({regression})).size() == 1;
+}
+
 TEST(SameRegressionMergerTest, DropsRepeatedChangePoint) {
   SameRegressionMerger merger(Hours(4));
-  Regression regression;
-  regression.metric = GcpuMetric();
-  regression.change_time = Hours(100);
-  EXPECT_TRUE(merger.Admit(regression));
-  regression.change_time = Hours(100) + Hours(2);  // Same regression, re-run.
-  EXPECT_FALSE(merger.Admit(regression));
-  regression.change_time = Hours(100) + Hours(10);  // A genuinely new one.
-  EXPECT_TRUE(merger.Admit(regression));
+  EXPECT_TRUE(Admits(merger, ChangeAt(GcpuMetric(), Hours(100))));
+  // Same regression, re-run.
+  EXPECT_FALSE(Admits(merger, ChangeAt(GcpuMetric(), Hours(100) + Hours(2))));
+  // A genuinely new one.
+  EXPECT_TRUE(Admits(merger, ChangeAt(GcpuMetric(), Hours(100) + Hours(10))));
 }
 
 TEST(SameRegressionMergerTest, DifferentMetricsIndependent) {
   SameRegressionMerger merger(Hours(4));
-  Regression a;
-  a.metric = GcpuMetric();
-  a.change_time = Hours(10);
-  Regression b;
-  b.metric = {"svc", MetricKind::kGcpu, "other_sub", ""};
-  b.change_time = Hours(10);
-  EXPECT_TRUE(merger.Admit(a));
-  EXPECT_TRUE(merger.Admit(b));
+  EXPECT_TRUE(Admits(merger, ChangeAt(GcpuMetric(), Hours(10))));
+  EXPECT_TRUE(
+      Admits(merger, ChangeAt({"svc", MetricKind::kGcpu, "other_sub", ""}, Hours(10))));
 }
 
 TEST(SameRegressionMergerTest, FilterBatch) {
   SameRegressionMerger merger(Hours(4));
-  Regression a;
-  a.metric = GcpuMetric();
-  a.change_time = Hours(10);
-  Regression duplicate = a;
-  duplicate.change_time = Hours(11);
-  const std::vector<Regression> kept = merger.Filter({a, duplicate});
-  EXPECT_EQ(kept.size(), 1u);
+  const std::vector<FunnelCandidate> kept = merger.Filter(
+      Fingerprinted({ChangeAt(GcpuMetric(), Hours(10)), ChangeAt(GcpuMetric(), Hours(11))}));
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].regression.change_time, Hours(10));
 }
 
 }  // namespace

@@ -23,7 +23,6 @@
 #include "src/core/fingerprint.h"
 #include "src/core/pairwise_dedup.h"
 #include "src/core/pipeline.h"
-#include "src/core/same_regression_merger.h"
 #include "src/core/som.h"
 #include "src/core/som_dedup.h"
 #include "src/core/workload_config.h"
@@ -31,6 +30,7 @@
 #include "src/fleet/scenario.h"
 #include "src/stats/correlation.h"
 #include "src/stats/text.h"
+#include "tests/stage_helpers.h"
 
 namespace fbdetect {
 namespace {
@@ -476,7 +476,7 @@ TEST(AlignedPearsonDeathTest, TruncatedTimestampsFailTheInvariantCheck) {
   a.analysis_timestamps.pop_back();
   EXPECT_DEATH(AlignedPearson(a, b), "FBD_CHECK failed");
   PairwiseDedup dedup;
-  EXPECT_DEATH(dedup.Ingest({a}), "FBD_CHECK failed");
+  EXPECT_DEATH(dedup.Ingest(Fingerprinted({a})), "FBD_CHECK failed");
 }
 
 // ---------------------------------------------------------------------------
@@ -615,19 +615,12 @@ void RunPairwiseOracleComparison(const PairwiseRule& rule, StackOverlapFn overla
   PairwiseDedup serial(rule, overlap);
   PairwiseDedup parallel(rule, overlap);
   ThreadPool pool(3);
-  const FingerprintConfig fp_config{0, 0, /*som_features=*/false};
 
   for (const std::vector<Regression>& batch : batches) {
     const std::vector<int> expected_new = oracle.Ingest(batch);
-    const std::vector<int> serial_new = serial.Ingest(batch);
+    const std::vector<int> serial_new = serial.Ingest(Fingerprinted(batch), nullptr);
     EXPECT_EQ(serial_new, expected_new) << label;
-
-    std::vector<FunnelCandidate> candidates(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      candidates[i].fingerprint = ComputeFingerprint(batch[i], fp_config);
-      candidates[i].regression = batch[i];
-    }
-    const std::vector<int> parallel_new = parallel.Ingest(std::move(candidates), &pool);
+    const std::vector<int> parallel_new = parallel.Ingest(Fingerprinted(batch), &pool);
     EXPECT_EQ(parallel_new, expected_new) << label;
   }
   ExpectSameGroups(oracle.groups(), serial.groups(), label + " serial");
@@ -639,9 +632,9 @@ TEST(PairwiseIngestTest, DefaultRuleMatchesAllPairsOracle) {
 
   // The foreign regression correlates with the TaoClient group but shares no
   // token with it: text == 0, so the default rule scores it and rejects it.
-  PairwiseDedup dedup;
-  dedup.Ingest(PairwiseWorkload()[0]);
-  const PairwiseScores scores = dedup.Score(ForeignLatencyRegression(), dedup.groups()[0]);
+  legacy::PairwiseOracle oracle;
+  oracle.Ingest(PairwiseWorkload()[0]);
+  const PairwiseScores scores = oracle.Score(ForeignLatencyRegression(), oracle.groups()[0]);
   EXPECT_EQ(scores.text, 0.0);
   EXPECT_GE(scores.pearson, PairwiseRule{}.min_pearson);
   EXPECT_FALSE(PairwiseRule{}.ShouldMerge(scores));
@@ -668,63 +661,11 @@ TEST(PairwiseIngestTest, PearsonOnlyRuleMatchesAllPairsOracle) {
   RunPairwiseOracleComparison(rule, nullptr, "non-exclusionary rule");
 }
 
-TEST(PairwiseIngestTest, CompatScoreMatchesIngestDecisions) {
-  // The public Score (string-recomputing) must agree with the fingerprint
-  // path used inside Ingest.
-  PairwiseDedup dedup;
-  const Regression first = MakeRegression("TaoClient_fetch_user", 0.01, 0.05,
-                                          StepShape(0.05, 0.01, 48, 800, 0.0001));
-  dedup.Ingest({first});
-  const Regression probe = MakeRegression("TaoClient_fetch_user_by_id", 0.01, 0.05,
-                                          StepShape(0.05, 0.01, 48, 800, 0.0001));
-  const PairwiseScores scores = dedup.Score(probe, dedup.groups()[0]);
-
-  legacy::PairwiseOracle oracle;
-  oracle.Ingest({first});
-  const PairwiseScores expected = oracle.Score(probe, oracle.groups()[0]);
-  EXPECT_EQ(scores.pearson, expected.pearson);
-  EXPECT_EQ(scores.text, expected.text);
-  EXPECT_EQ(scores.stack_overlap, expected.stack_overlap);
-}
-
 // ---------------------------------------------------------------------------
-// SameRegressionMerger: fingerprint path vs string path.
+// SOMDedup: pooled vs serial.
 // ---------------------------------------------------------------------------
 
-TEST(SameRegressionMergerTest, CandidatePathMatchesRegressionPath) {
-  std::vector<Regression> regressions;
-  regressions.push_back(MakeRegression("sub_a", 0.01, 0.05, StepShape(0.05, 0.01, 16, 1)));
-  regressions.push_back(MakeRegression("sub_a", 0.01, 0.05, StepShape(0.05, 0.01, 16, 2)));
-  regressions.push_back(MakeRegression("sub_b", 0.01, 0.05, StepShape(0.05, 0.01, 16, 3)));
-  regressions[1].change_time = regressions[0].change_time + Minutes(5);  // Duplicate.
-  regressions.push_back(regressions[0]);
-  regressions.back().change_time += Days(1);  // Same metric, far-away change.
-
-  SameRegressionMerger by_string(Hours(1));
-  const std::vector<Regression> admitted_regressions = by_string.Filter(regressions);
-
-  std::vector<FunnelCandidate> candidates(regressions.size());
-  for (size_t i = 0; i < regressions.size(); ++i) {
-    candidates[i].fingerprint = ComputeFingerprint(regressions[i], FingerprintConfig{});
-    candidates[i].regression = regressions[i];
-  }
-  SameRegressionMerger by_fingerprint(Hours(1));
-  const std::vector<FunnelCandidate> admitted_candidates =
-      by_fingerprint.Filter(std::move(candidates));
-
-  ASSERT_EQ(admitted_candidates.size(), admitted_regressions.size());
-  for (size_t i = 0; i < admitted_regressions.size(); ++i) {
-    EXPECT_EQ(admitted_candidates[i].regression.metric, admitted_regressions[i].metric);
-    EXPECT_EQ(admitted_candidates[i].regression.change_time,
-              admitted_regressions[i].change_time);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SOMDedup: candidate path vs regression path.
-// ---------------------------------------------------------------------------
-
-TEST(SomDedupFunnelTest, CandidatePathMatchesRegressionPathForAnyPoolSize) {
+TEST(SomDedupFunnelTest, PooledMatchesSerialForAnyPoolSize) {
   std::vector<Regression> regressions;
   for (int i = 0; i < 12; ++i) {
     regressions.push_back(MakeRegression("caller_" + std::to_string(i), 0.01, 0.05,
@@ -733,23 +674,20 @@ TEST(SomDedupFunnelTest, CandidatePathMatchesRegressionPathForAnyPoolSize) {
   regressions.push_back(MakeRegression("sub_huge", 0.5, 0.2, StepShape(0.2, 0.5, 48, 950), {9}));
 
   const SomDedup dedup;
-  const std::vector<Regression> reference = dedup.Deduplicate(regressions);
+  const std::vector<FunnelCandidate> reference =
+      dedup.Deduplicate(Fingerprinted(regressions), nullptr);
 
-  for (const size_t workers : {size_t{0}, size_t{3}}) {
-    std::vector<FunnelCandidate> candidates(regressions.size());
-    for (size_t i = 0; i < regressions.size(); ++i) {
-      candidates[i].fingerprint = ComputeFingerprint(regressions[i], FingerprintConfig{});
-      candidates[i].regression = regressions[i];
-    }
+  for (const size_t workers : {size_t{1}, size_t{3}}) {
     ThreadPool pool(workers);
     const std::vector<FunnelCandidate> result =
-        dedup.Deduplicate(std::move(candidates), workers == 0 ? nullptr : &pool);
+        dedup.Deduplicate(Fingerprinted(regressions), &pool);
     ASSERT_EQ(result.size(), reference.size()) << "workers=" << workers;
     for (size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(result[i].regression.metric, reference[i].metric) << "workers=" << workers;
-      EXPECT_EQ(result[i].regression.som_cluster, reference[i].som_cluster);
-      EXPECT_EQ(result[i].regression.merged_count, reference[i].merged_count);
-      EXPECT_EQ(result[i].regression.importance, reference[i].importance);
+      const Regression& expected = reference[i].regression;
+      EXPECT_EQ(result[i].regression.metric, expected.metric) << "workers=" << workers;
+      EXPECT_EQ(result[i].regression.som_cluster, expected.som_cluster);
+      EXPECT_EQ(result[i].regression.merged_count, expected.merged_count);
+      EXPECT_EQ(result[i].regression.importance, expected.importance);
     }
   }
 }

@@ -6,18 +6,23 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/common/check.h"
+#include "src/common/random.h"
 #include "src/core/change_point_stage.h"
 #include "src/core/pipeline.h"
+#include "src/core/scan_view.h"
 #include "src/core/went_away.h"
 #include "src/core/workload_config.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/scenario.h"
 #include "src/observe/telemetry.h"
 #include "src/tsdb/database.h"
-#include "src/tsdb/window.h"
+#include "tests/stage_helpers.h"
 
 namespace fbdetect {
 namespace {
@@ -376,25 +381,254 @@ TEST(PipelineIntegrationTest, WentAwayPreviousDayIgnoresADroppedAnalysisSample) 
   // The series discriminates: a full previous day (144 points) drops the
   // candidate, half a day (72 points) would keep it.
   const TimeSeries full = PreviousDaySeries::Build(/*drop_analysis_sample=*/false);
-  const std::optional<Regression> candidate = ChangePointStage(config).Detect(
-      metric, ExtractWindows(full, PreviousDaySeries::kAsOf, config.windows));
+  std::vector<double> scratch;
+  const ScanView view =
+      OrientedView(full, PreviousDaySeries::kAsOf, config.windows, metric.kind, scratch);
+  const std::optional<ScanCandidate> candidate = ChangePointStage(config).DetectCandidate(view);
   ASSERT_TRUE(candidate.has_value());
   const WentAwayDetector went_away;
-  EXPECT_FALSE(went_away.Evaluate(*candidate, 144).keep);
-  EXPECT_TRUE(went_away.Evaluate(*candidate, 72).keep);
+  EXPECT_FALSE(went_away.Evaluate(view, *candidate, 144).keep);
+  EXPECT_TRUE(went_away.Evaluate(view, *candidate, 72).keep);
 
-  // The pipeline must reach the same verdict with and without analysis
-  // sample 1: one dropped sample must not halve the previous day.
+  // The scan must reach the same verdict with and without analysis sample 1:
+  // one dropped sample must not halve the previous day.
   for (const bool drop : {false, true}) {
     TimeSeriesDatabase db;
     db.WriteSeries(metric, PreviousDaySeries::Build(drop));
     PipelineOptions options;
     options.detection = config;
     Pipeline pipeline(&db, nullptr, nullptr, options);
-    EXPECT_TRUE(pipeline.RunAt("svc", PreviousDaySeries::kAsOf).empty()) << "drop=" << drop;
-    EXPECT_EQ(pipeline.short_term_funnel().change_points, 1u) << "drop=" << drop;
-    EXPECT_EQ(pipeline.short_term_funnel().after_went_away, 0u) << "drop=" << drop;
+    const SeriesVerdicts verdicts = pipeline.ScanSeries(metric, PreviousDaySeries::kAsOf);
+    EXPECT_TRUE(verdicts.change_point.has_value()) << "drop=" << drop;
+    ASSERT_TRUE(verdicts.went_away.has_value()) << "drop=" << drop;
+    EXPECT_FALSE(verdicts.went_away->keep) << "drop=" << drop;
+    EXPECT_TRUE(verdicts.survivors.empty()) << "drop=" << drop;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pipeline::ScanSeries: one series through the scan that RunAt runs.
+// ---------------------------------------------------------------------------
+
+// Whether ScanMetric counts into the instrument: the scan, the sanitizer and
+// the per-series stages, not the funnel.
+bool IsScanCounter(const std::string& name) {
+  for (const char* prefix :
+       {"pipeline.scan.", "pipeline.sanitizer.", "pipeline.stage.change_point.",
+        "pipeline.stage.went_away.", "pipeline.stage.seasonality.",
+        "pipeline.stage.threshold.", "pipeline.stage.long_term."}) {
+    if (name.rfind(prefix, 0) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Tallies of ScanSeries verdicts, one per RunAt counter they reconcile with.
+struct VerdictTallies {
+  uint64_t change_points = 0;
+  uint64_t went_away_kept = 0;
+  uint64_t seasonality_kept = 0;
+  uint64_t threshold_passed = 0;
+  uint64_t long_term_detected = 0;
+  uint64_t quarantined = 0;
+  uint64_t survivors = 0;
+
+  void Add(const SeriesVerdicts& verdicts) {
+    change_points += verdicts.change_point.has_value() ? 1 : 0;
+    went_away_kept += verdicts.went_away.has_value() && verdicts.went_away->keep ? 1 : 0;
+    seasonality_kept +=
+        verdicts.seasonality.has_value() && !verdicts.seasonality->seasonal_filtered ? 1 : 0;
+    threshold_passed += verdicts.threshold.value_or(false) ? 1 : 0;
+    long_term_detected += verdicts.long_term_detected ? 1 : 0;
+    quarantined += verdicts.quarantined ? 1 : 0;
+    survivors += verdicts.survivors.size();
+  }
+};
+
+TEST(ScanSeriesTest, VerdictTalliesReconcileWithRunAtCounters) {
+  for (const uint64_t seed : {1u, 2u}) {
+    World world(seed);
+    CallGraphCodeInfo code_info(&world.service->graph());
+    const PipelineOptions options = world.Options();
+    const std::vector<MetricId> ids = world.fleet.db().ListMetrics("svc");
+    const Duration interval = options.detection.rerun_interval;
+
+    // Every metric at every re-run's as_of, one series at a time.
+    Pipeline by_series(&world.fleet.db(), &world.fleet.change_log(), &code_info, options);
+    VerdictTallies tallies;
+    for (TimePoint as_of = Days(2) + interval; as_of <= World::kDuration; as_of += interval) {
+      for (const MetricId& id : ids) {
+        tallies.Add(by_series.ScanSeries(id, as_of));
+      }
+    }
+    EXPECT_GT(tallies.change_points, 0u) << "seed=" << seed;
+    EXPECT_GT(tallies.survivors, 0u) << "seed=" << seed;
+    EXPECT_EQ(CounterValue(by_series, "pipeline.runs"), 0u) << "seed=" << seed;
+    EXPECT_EQ(CounterValue(by_series, "pipeline.stage.fingerprint.in"), 0u) << "seed=" << seed;
+
+    for (const int threads : {1, 4}) {
+      const std::string label = "seed=" + std::to_string(seed) + " threads=" +
+                                std::to_string(threads);
+      PipelineOptions threaded = options;
+      threaded.scan_threads = threads;
+      Pipeline run_at(&world.fleet.db(), &world.fleet.change_log(), &code_info, threaded);
+      run_at.RunPeriod("svc", Days(2), World::kDuration);
+
+      EXPECT_EQ(tallies.change_points, CounterValue(run_at, "pipeline.stage.change_point.out"))
+          << label;
+      EXPECT_EQ(tallies.went_away_kept, CounterValue(run_at, "pipeline.stage.went_away.out"))
+          << label;
+      EXPECT_EQ(tallies.seasonality_kept, CounterValue(run_at, "pipeline.stage.seasonality.out"))
+          << label;
+      EXPECT_EQ(tallies.threshold_passed, CounterValue(run_at, "pipeline.stage.threshold.out"))
+          << label;
+      EXPECT_EQ(tallies.long_term_detected,
+                CounterValue(run_at, "pipeline.stage.long_term.detected"))
+          << label;
+      EXPECT_EQ(tallies.quarantined,
+                CounterValue(run_at, "pipeline.scan.windows_quarantined") +
+                    CounterValue(run_at, "pipeline.scan.series_decode_failures") +
+                    CounterValue(run_at, "pipeline.scan.detector_exceptions"))
+          << label;
+      EXPECT_EQ(tallies.survivors, CounterValue(run_at, "pipeline.stage.fingerprint.in"))
+          << label;
+
+      // The same effect on every scan instrument and on the quarantine report.
+      for (const CounterSnapshot& counter : run_at.telemetry().SnapshotCounters()) {
+        if (IsScanCounter(counter.name)) {
+          EXPECT_EQ(CounterValue(by_series, counter.name), counter.value)
+              << label << " " << counter.name;
+        }
+      }
+      EXPECT_EQ(by_series.quarantine_report().records.size(),
+                run_at.quarantine_report().records.size())
+          << label;
+    }
+  }
+}
+
+// A gCPU series with a clean step inside the analysis window, at 10-minute
+// ticks over [0, kAsOf).
+struct SteppedSeries {
+  static constexpr Duration kTick = Minutes(10);
+  static constexpr TimePoint kAsOf = Days(2) + Hours(6);
+
+  static PipelineOptions Options() {
+    PipelineOptions options;
+    options.detection.threshold = 0.001;
+    options.detection.windows.historical = Days(2);
+    options.detection.windows.analysis = Hours(4);
+    options.detection.windows.extended = Hours(2);
+    return options;
+  }
+
+  static TimeSeries Build() {
+    Rng rng(8);
+    TimeSeries series;
+    for (TimePoint t = 0; t < kAsOf; t += kTick) {
+      series.Append(t, (t >= kAsOf - Hours(5) ? 0.060 : 0.050) + rng.Normal(0.0, 0.001));
+    }
+    return series;
+  }
+};
+
+void ExpectNoStageRan(const SeriesVerdicts& verdicts) {
+  EXPECT_FALSE(verdicts.change_point.has_value());
+  EXPECT_FALSE(verdicts.went_away.has_value());
+  EXPECT_FALSE(verdicts.seasonality.has_value());
+  EXPECT_FALSE(verdicts.threshold.has_value());
+  EXPECT_FALSE(verdicts.long_term_detected);
+  EXPECT_TRUE(verdicts.survivors.empty());
+}
+
+TEST(ScanSeriesTest, AbsentSeriesIsUnobservedAndRunsNoStage) {
+  TimeSeriesDatabase db;
+  db.WriteSeries({"svc", MetricKind::kGcpu, "present", ""}, SteppedSeries::Build());
+  Pipeline pipeline(&db, nullptr, nullptr, SteppedSeries::Options());
+  const SeriesVerdicts verdicts =
+      pipeline.ScanSeries({"svc", MetricKind::kGcpu, "absent", ""}, SteppedSeries::kAsOf);
+  EXPECT_FALSE(verdicts.quality.observed);
+  EXPECT_FALSE(verdicts.quarantined);
+  ExpectNoStageRan(verdicts);
+  EXPECT_EQ(CounterValue(pipeline, "pipeline.scan.series_in"), 1u);
+  EXPECT_EQ(CounterValue(pipeline, "pipeline.scan.series_no_data"), 1u);
+  EXPECT_EQ(CounterValue(pipeline, "pipeline.stage.change_point.in"), 0u);
+  EXPECT_TRUE(pipeline.quarantine_report().records.empty());
+}
+
+TEST(ScanSeriesTest, OneNanQuarantinesTheWindowBeforeAnyStage) {
+  const MetricId metric{"svc", MetricKind::kGcpu, "leaf", ""};
+  const TimeSeries clean = SteppedSeries::Build();
+  TimeSeries dirty;
+  for (size_t i = 0; i < clean.size(); ++i) {
+    dirty.Append(clean.timestamps()[i], i == 100 ? std::numeric_limits<double>::quiet_NaN()
+                                                 : clean.values()[i]);
+  }
+  TimeSeriesDatabase db;
+  db.WriteSeries(metric, dirty);
+  Pipeline pipeline(&db, nullptr, nullptr, SteppedSeries::Options());
+  const SeriesVerdicts verdicts = pipeline.ScanSeries(metric, SteppedSeries::kAsOf);
+  EXPECT_TRUE(verdicts.quality.observed);
+  EXPECT_EQ(verdicts.quality.verdict, QualityVerdict::kCorrupt);
+  EXPECT_EQ(verdicts.quality.non_finite, 1u);
+  EXPECT_TRUE(verdicts.quarantined);
+  ExpectNoStageRan(verdicts);
+  // The sanitizer withheld the window: no detector saw it.
+  EXPECT_EQ(CounterValue(pipeline, "pipeline.scan.windows_quarantined"), 1u);
+  EXPECT_EQ(CounterValue(pipeline, "pipeline.stage.change_point.in"), 0u);
+  const QuarantineReport report = pipeline.quarantine_report();
+  ASSERT_EQ(report.records.size(), 1u);
+  EXPECT_EQ(report.records[0].metric, metric);
+  EXPECT_EQ(report.records[0].windows_quarantined, 1u);
+  EXPECT_EQ(report.records[0].non_finite, 1u);
+}
+
+TEST(ScanSeriesTest, CleanStepSetsEveryStageAndSurvivesAsMaterialized) {
+  const MetricId metric{"svc", MetricKind::kGcpu, "leaf", ""};
+  const TimeSeries series = SteppedSeries::Build();
+  TimeSeriesDatabase db;
+  db.WriteSeries(metric, series);
+  const PipelineOptions options = SteppedSeries::Options();
+  Pipeline pipeline(&db, nullptr, nullptr, options);
+  const SeriesVerdicts verdicts = pipeline.ScanSeries(metric, SteppedSeries::kAsOf);
+
+  EXPECT_TRUE(verdicts.quality.observed);
+  EXPECT_EQ(verdicts.quality.verdict, QualityVerdict::kOk);
+  EXPECT_FALSE(verdicts.quarantined);
+  ASSERT_TRUE(verdicts.change_point.has_value());
+  ASSERT_TRUE(verdicts.went_away.has_value());
+  EXPECT_TRUE(verdicts.went_away->keep);
+  ASSERT_TRUE(verdicts.seasonality.has_value());
+  EXPECT_FALSE(verdicts.seasonality->seasonal_filtered);
+  ASSERT_TRUE(verdicts.threshold.has_value());
+  EXPECT_TRUE(*verdicts.threshold);
+
+  // The short-term survivor comes first and is the change-point candidate
+  // materialized over the scan's view, bit for bit.
+  ASSERT_FALSE(verdicts.survivors.empty());
+  const Regression& survivor = verdicts.survivors.front();
+  EXPECT_FALSE(survivor.long_term);
+  std::vector<double> scratch;
+  const Regression expected = MaterializeRegression(
+      metric,
+      OrientedView(series, SteppedSeries::kAsOf, options.detection.windows, metric.kind,
+                   scratch),
+      *verdicts.change_point);
+  EXPECT_EQ(survivor.metric, expected.metric);
+  EXPECT_EQ(survivor.detected_at, expected.detected_at);
+  EXPECT_EQ(survivor.change_time, expected.change_time);
+  EXPECT_EQ(survivor.change_index, expected.change_index);
+  EXPECT_EQ(survivor.extended_size, expected.extended_size);
+  EXPECT_EQ(survivor.p_value, expected.p_value);
+  EXPECT_EQ(survivor.baseline_mean, expected.baseline_mean);
+  EXPECT_EQ(survivor.regressed_mean, expected.regressed_mean);
+  EXPECT_EQ(survivor.delta, expected.delta);
+  EXPECT_EQ(survivor.relative_delta, expected.relative_delta);
+  EXPECT_EQ(survivor.historical, expected.historical);
+  EXPECT_EQ(survivor.analysis, expected.analysis);
+  EXPECT_EQ(survivor.analysis_timestamps, expected.analysis_timestamps);
+  EXPECT_TRUE(survivor.candidate_root_causes.empty());  // No change log.
 }
 
 TEST(WorkloadConfigTest, AllTwelveTable1Presets) {

@@ -4,6 +4,7 @@
 #include "src/core/pairwise_dedup.h"
 #include "src/profiling/call_graph.h"
 #include "src/profiling/profile_store.h"
+#include "tests/stage_helpers.h"
 
 namespace fbdetect {
 namespace {
@@ -163,8 +164,8 @@ TEST(ProfileStoreTest, FeedsPairwiseDedupOverlapFeature) {
     regression.delta = 0.01;
     return regression;
   };
-  dedup.Ingest({make_regression("root")});
-  const std::vector<int> new_groups = dedup.Ingest({make_regression("left")});
+  dedup.Ingest(Fingerprinted({make_regression("root")}));
+  const std::vector<int> new_groups = dedup.Ingest(Fingerprinted({make_regression("left")}));
   EXPECT_TRUE(new_groups.empty());  // Merged through the stored overlap.
   EXPECT_EQ(dedup.groups().size(), 1u);
 }

@@ -5,14 +5,13 @@
 #include <cmath>
 
 #include "src/common/random.h"
-#include "src/core/change_point_stage.h"
-#include "src/core/threshold_filter.h"
-#include "src/core/went_away.h"
+#include "src/core/pipeline.h"
 #include "src/core/workload_config.h"
 #include "src/profiling/call_graph.h"
 #include "src/profiling/profile.h"
 #include "src/stats/descriptive.h"
 #include "src/tsa/stl.h"
+#include "src/tsdb/database.h"
 #include "src/tsdb/timeseries.h"
 #include "src/tsdb/window.h"
 
@@ -69,24 +68,21 @@ TEST_P(ThresholdSweepTest, DetectsAboveRejectsBelow) {
   config.windows.analysis = Hours(4);
   config.windows.extended = Hours(2);
 
+  // Whether the short-term path reports the step: the scan's threshold
+  // stage, after change point, went-away and seasonality, passed it.
   auto run_with_step = [&](double step) {
+    const MetricId metric{"svc", MetricKind::kGcpu, "s", ""};
     Rng rng(99);
-    TimeSeries series;
+    TimeSeriesDatabase db;
     const Duration total = config.windows.Total();
     const TimePoint step_at = total - Hours(4);
     for (TimePoint t = 0; t < total; t += Minutes(10)) {
-      series.Append(t, rng.Normal(0.05 + (t >= step_at ? step : 0.0), threshold * 0.5));
+      db.Write(metric, t, rng.Normal(0.05 + (t >= step_at ? step : 0.0), threshold * 0.5));
     }
-    const WindowExtract windows = ExtractWindows(series, total, config.windows);
-    const auto candidate =
-        ChangePointStage(config).Detect({"svc", MetricKind::kGcpu, "s", ""}, windows);
-    if (!candidate) {
-      return false;
-    }
-    if (!WentAwayDetector().Evaluate(*candidate, 144).keep) {
-      return false;
-    }
-    return PassesThreshold(*candidate, config);
+    PipelineOptions options;
+    options.detection = config;
+    Pipeline pipeline(&db, nullptr, nullptr, options);
+    return pipeline.ScanSeries(metric, total).threshold.value_or(false);
   };
 
   EXPECT_TRUE(run_with_step(threshold * 3.0)) << "threshold " << threshold;
@@ -201,18 +197,18 @@ TEST_P(WindowPartitionTest, WindowsPartitionTheRange) {
     series.Append(t, static_cast<double>(t));
   }
   const TimePoint as_of = spec.Total() + Hours(7);
-  const WindowExtract extract = ExtractWindows(series, as_of, spec);
+  const WindowView view = ExtractWindowView(series, as_of, spec);
   // Sizes add up to the number of points in [as_of - total, as_of).
   const size_t expected = series.ValuesBetween(as_of - spec.Total(), as_of).size();
-  EXPECT_EQ(extract.historical.size() + extract.analysis.size() + extract.extended.size(),
+  EXPECT_EQ(view.historical.size() + view.analysis.size() + view.extended.size(),
             expected);
   // Boundaries: last historical value < first analysis value (values are the
   // timestamps themselves).
-  if (!extract.historical.empty() && !extract.analysis.empty()) {
-    EXPECT_LT(extract.historical.back(), extract.analysis.front());
+  if (!view.historical.empty() && !view.analysis.empty()) {
+    EXPECT_LT(view.historical.back(), view.analysis.front());
   }
-  if (!extract.analysis.empty() && !extract.extended.empty()) {
-    EXPECT_LT(extract.analysis.back(), extract.extended.front());
+  if (!view.analysis.empty() && !view.extended.empty()) {
+    EXPECT_LT(view.analysis.back(), view.extended.front());
   }
 }
 

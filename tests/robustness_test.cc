@@ -114,10 +114,10 @@ TEST(RobustnessTest, WindowsBeforeSeriesStartAreEmpty) {
   TimeSeries series;
   series.Append(Days(10), 1.0);
   WindowSpec spec;
-  const WindowExtract extract = ExtractWindows(series, Days(1), spec);
-  EXPECT_TRUE(extract.historical.empty());
-  EXPECT_TRUE(extract.analysis.empty());
-  EXPECT_TRUE(extract.extended.empty());
+  const WindowView view = ExtractWindowView(series, Days(1), spec);
+  EXPECT_TRUE(view.historical.empty());
+  EXPECT_TRUE(view.analysis.empty());
+  EXPECT_TRUE(view.extended.empty());
 }
 
 // --- Degenerate inputs to the TSA primitives ---

@@ -58,7 +58,6 @@ TEST(GcpuAttributionTest, EmptyInputsSafe) {
 
 class FakeCodeInfo : public CodeInfoProvider {
  public:
-  bool Exists(const std::string&) const override { return true; }
   std::vector<std::string> CallersOf(const std::string&) const override { return {}; }
   std::string ClassOf(const std::string& subroutine) const override {
     return subroutine.substr(0, 1);  // Class = first letter.

@@ -1,5 +1,5 @@
-// Tests for the zero-copy scan path: WindowView extraction vs the copying
-// reference, the FFT-based autocorrelation vs the direct implementation, the
+// Tests for the zero-copy scan path: WindowView extraction vs a linear-scan
+// oracle, the FFT-based autocorrelation vs the direct implementation, the
 // persistent ThreadPool, the database generation counter behind the
 // pipeline's metric-list cache, and — the load-bearing property — that
 // scan_threads does not change pipeline output at all.
@@ -34,10 +34,54 @@ TimeSeries MakeSeries(TimePoint start, Duration step, const std::vector<double>&
 }
 
 // ---------------------------------------------------------------------------
-// WindowView vs ExtractWindows: the span form must select exactly the same
-// elements and boundaries as the copying form, on the normal case and on
+// WindowView vs a linear-scan oracle: ExtractWindowView must select exactly
+// the elements and boundaries the oracle does, on the normal case and on
 // every truncation edge case.
 // ---------------------------------------------------------------------------
+
+// The three windows as owned copies.
+struct WindowExtract {
+  std::vector<double> historical;
+  std::vector<double> analysis;
+  std::vector<double> extended;
+  std::vector<double> analysis_plus_extended;
+  TimePoint historical_begin = 0;
+  TimePoint analysis_begin = 0;
+  TimePoint extended_begin = 0;
+  TimePoint as_of = 0;
+  // Timestamps aligned with analysis_plus_extended.
+  std::vector<TimePoint> analysis_timestamps;
+
+  bool HasEnoughData(size_t min_historical, size_t min_analysis) const {
+    return historical.size() >= min_historical && analysis.size() >= min_analysis;
+  }
+};
+
+// The oracle: visits every point and files it by comparing its timestamp
+// with the window boundaries. It shares no code with
+// TimeSeries::SliceIndices, the binary search under ExtractWindowView.
+WindowExtract ExtractWindows(const TimeSeries& series, TimePoint as_of, const WindowSpec& spec) {
+  WindowExtract extract;
+  extract.as_of = as_of;
+  extract.extended_begin = as_of - spec.extended;
+  extract.analysis_begin = extract.extended_begin - spec.analysis;
+  extract.historical_begin = extract.analysis_begin - spec.historical;
+  for (size_t i = 0; i < series.size(); ++i) {
+    const TimePoint t = series.timestamps()[i];
+    const double value = series.values()[i];
+    if (t < extract.historical_begin || t >= as_of) {
+      continue;
+    }
+    if (t < extract.analysis_begin) {
+      extract.historical.push_back(value);
+      continue;
+    }
+    (t < extract.extended_begin ? extract.analysis : extract.extended).push_back(value);
+    extract.analysis_plus_extended.push_back(value);
+    extract.analysis_timestamps.push_back(t);
+  }
+  return extract;
+}
 
 void ExpectViewMatchesExtract(const TimeSeries& series, TimePoint as_of,
                               const WindowSpec& spec) {

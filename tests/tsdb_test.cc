@@ -53,25 +53,10 @@ TEST(TimeSeriesTest, AppendAndAccess) {
   EXPECT_EQ(series.end_time(), 120);
 }
 
-TEST(TimeSeriesTest, SliceHalfOpenInterval) {
-  const TimeSeries series = MakeSeries(0, 10, {0.0, 1.0, 2.0, 3.0, 4.0});
-  const TimeSeries slice = series.Slice(10, 40);
-  EXPECT_EQ(slice.size(), 3u);
-  EXPECT_EQ(slice.values(), (std::vector<double>{1.0, 2.0, 3.0}));
-}
-
 TEST(TimeSeriesTest, ValuesBetweenEmptyRange) {
   const TimeSeries series = MakeSeries(0, 10, {1.0, 2.0});
   EXPECT_TRUE(series.ValuesBetween(100, 200).empty());
   EXPECT_TRUE(series.ValuesBetween(5, 5).empty());
-}
-
-TEST(TimeSeriesTest, ResampleAverages) {
-  const TimeSeries series = MakeSeries(0, 10, {1.0, 3.0, 5.0, 7.0});
-  const TimeSeries resampled = series.Resample(20);
-  ASSERT_EQ(resampled.size(), 2u);
-  EXPECT_DOUBLE_EQ(resampled.values()[0], 2.0);
-  EXPECT_DOUBLE_EQ(resampled.values()[1], 6.0);
 }
 
 TEST(TimeSeriesTest, DropBefore) {
@@ -92,16 +77,16 @@ TEST(WindowTest, ExtractSplitsCorrectly) {
   spec.historical = 70;
   spec.analysis = 20;
   spec.extended = 10;
-  const WindowExtract extract = ExtractWindows(series, 100, spec);
-  EXPECT_EQ(extract.historical.size(), 70u);
-  EXPECT_EQ(extract.analysis.size(), 20u);
-  EXPECT_EQ(extract.extended.size(), 10u);
-  EXPECT_DOUBLE_EQ(extract.historical.front(), 0.0);
-  EXPECT_DOUBLE_EQ(extract.analysis.front(), 70.0);
-  EXPECT_DOUBLE_EQ(extract.extended.front(), 90.0);
-  EXPECT_EQ(extract.analysis_plus_extended.size(), 30u);
-  EXPECT_EQ(extract.analysis_timestamps.size(), 30u);
-  EXPECT_EQ(extract.analysis_timestamps.front(), 70);
+  const WindowView view = ExtractWindowView(series, 100, spec);
+  EXPECT_EQ(view.historical.size(), 70u);
+  EXPECT_EQ(view.analysis.size(), 20u);
+  EXPECT_EQ(view.extended.size(), 10u);
+  EXPECT_DOUBLE_EQ(view.historical.front(), 0.0);
+  EXPECT_DOUBLE_EQ(view.analysis.front(), 70.0);
+  EXPECT_DOUBLE_EQ(view.extended.front(), 90.0);
+  EXPECT_EQ(view.analysis_plus_extended.size(), 30u);
+  EXPECT_EQ(view.analysis_timestamps.size(), 30u);
+  EXPECT_EQ(view.analysis_timestamps.front(), 70);
 }
 
 TEST(WindowTest, PartialDataYieldsShortWindows) {
@@ -109,11 +94,11 @@ TEST(WindowTest, PartialDataYieldsShortWindows) {
   WindowSpec spec;
   spec.historical = 50;
   spec.analysis = 10;
-  const WindowExtract extract = ExtractWindows(series, 100, spec);
-  EXPECT_TRUE(extract.historical.empty());
-  EXPECT_EQ(extract.analysis.size(), 3u);
-  EXPECT_FALSE(extract.HasEnoughData(1, 1));
-  EXPECT_TRUE(extract.HasEnoughData(0, 2));
+  const WindowView view = ExtractWindowView(series, 100, spec);
+  EXPECT_TRUE(view.historical.empty());
+  EXPECT_EQ(view.analysis.size(), 3u);
+  EXPECT_FALSE(view.HasEnoughData(1, 1));
+  EXPECT_TRUE(view.HasEnoughData(0, 2));
 }
 
 TEST(DatabaseTest, WriteAndFind) {
