@@ -80,18 +80,7 @@ double Rng::ClippedNormal(double mean, double stddev, double lo, double hi) {
   return std::clamp(Normal(mean, stddev), lo, hi);
 }
 
-double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
-
 bool Rng::NextBool(double probability_true) { return NextDouble() < probability_true; }
-
-double Rng::Exponential(double rate) {
-  FBD_CHECK(rate > 0.0);
-  double u = 0.0;
-  do {
-    u = NextDouble();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
 
 int Rng::Poisson(double mean) {
   FBD_CHECK(mean >= 0.0);
@@ -112,25 +101,5 @@ int Rng::Poisson(double mean) {
   }
   return count;
 }
-
-size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  FBD_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    FBD_DCHECK(w >= 0.0);
-    total += w;
-  }
-  FBD_CHECK(total > 0.0);
-  double target = NextDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) {
-      return i;
-    }
-  }
-  return weights.size() - 1;
-}
-
-Rng Rng::Fork() { return Rng(NextUint64()); }
 
 }  // namespace fbdetect

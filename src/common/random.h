@@ -7,9 +7,7 @@
 #ifndef FBDETECT_SRC_COMMON_RANDOM_H_
 #define FBDETECT_SRC_COMMON_RANDOM_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace fbdetect {
 
@@ -42,25 +40,11 @@ class Rng {
   // paper's "capping sample values within [0, 1]" methodology in §2).
   double ClippedNormal(double mean, double stddev, double lo, double hi);
 
-  // Log-normal with the given parameters of the underlying normal.
-  double LogNormal(double mu, double sigma);
-
   // Bernoulli trial.
   bool NextBool(double probability_true);
 
-  // Exponential with the given rate (> 0).
-  double Exponential(double rate);
-
   // Poisson-distributed count (Knuth for small means, normal approx above 64).
   int Poisson(double mean);
-
-  // Picks an index in [0, weights.size()) proportionally to weights.
-  // All weights must be >= 0 and at least one must be > 0.
-  size_t WeightedIndex(const std::vector<double>& weights);
-
-  // Derives an independent child generator; useful to give each simulated
-  // server or service its own stream without correlated draws.
-  Rng Fork();
 
  private:
   uint64_t state_[4];

@@ -4,42 +4,6 @@
 
 namespace fbdetect {
 
-std::vector<std::string> SplitString(std::string_view input, char delimiter) {
-  std::vector<std::string> pieces;
-  size_t start = 0;
-  while (start <= input.size()) {
-    const size_t end = input.find(delimiter, start);
-    const size_t len = (end == std::string_view::npos ? input.size() : end) - start;
-    if (len > 0) {
-      pieces.emplace_back(input.substr(start, len));
-    }
-    if (end == std::string_view::npos) {
-      break;
-    }
-    start = end + 1;
-  }
-  return pieces;
-}
-
-std::string JoinStrings(const std::vector<std::string>& pieces, std::string_view separator) {
-  std::string out;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) {
-      out.append(separator);
-    }
-    out.append(pieces[i]);
-  }
-  return out;
-}
-
-std::string ToLowerAscii(std::string_view input) {
-  std::string out(input);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
@@ -70,23 +34,6 @@ std::vector<std::string> TokenizeIdentifier(std::string_view text) {
   }
   flush();
   return tokens;
-}
-
-std::vector<std::string> CharNgrams(std::string_view input, int n) {
-  std::vector<std::string> grams;
-  const std::string lowered = ToLowerAscii(input);
-  if (lowered.empty()) {
-    return grams;
-  }
-  if (static_cast<int>(lowered.size()) <= n) {
-    grams.push_back(lowered);
-    return grams;
-  }
-  grams.reserve(lowered.size() - static_cast<size_t>(n) + 1);
-  for (size_t i = 0; i + static_cast<size_t>(n) <= lowered.size(); ++i) {
-    grams.push_back(lowered.substr(i, static_cast<size_t>(n)));
-  }
-  return grams;
 }
 
 }  // namespace fbdetect

@@ -1,6 +1,5 @@
-// Small string utilities shared across modules: splitting, joining, case
-// folding, identifier tokenization (camelCase / snake_case aware), and
-// character n-grams for TF-IDF features.
+// Small string utilities shared across modules: prefix tests and
+// identifier tokenization (camelCase / snake_case aware).
 #ifndef FBDETECT_SRC_COMMON_STRINGS_H_
 #define FBDETECT_SRC_COMMON_STRINGS_H_
 
@@ -10,15 +9,6 @@
 
 namespace fbdetect {
 
-// Splits on any occurrence of `delimiter`; empty pieces are dropped.
-std::vector<std::string> SplitString(std::string_view input, char delimiter);
-
-// Joins pieces with the given separator.
-std::string JoinStrings(const std::vector<std::string>& pieces, std::string_view separator);
-
-// ASCII lower-casing.
-std::string ToLowerAscii(std::string_view input);
-
 // True if `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
@@ -26,11 +16,6 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 // Understands camelCase, snake_case, ::, ., /, and whitespace boundaries, so
 // "TaoClient::fetchUserById" -> {"tao", "client", "fetch", "user", "by", "id"}.
 std::vector<std::string> TokenizeIdentifier(std::string_view text);
-
-// Character n-grams of the lower-cased input (used for metric-ID TF-IDF with
-// 2- and 3-gram lengths, per §5.5.1). Inputs shorter than `n` yield the whole
-// string as a single gram.
-std::vector<std::string> CharNgrams(std::string_view input, int n);
 
 }  // namespace fbdetect
 

@@ -64,7 +64,6 @@ Regression& PairwiseDedup::GroupRepresentative(int group_id) {
 void PairwiseDedup::ScoreCandidate(const FunnelCandidate& candidate, ThreadPool* pool) {
   aggregates_.assign(groups_.size(), 0.0);
   eligible_.assign(groups_.size(), 0);
-  const bool candidate_gcpu = candidate.regression.metric.kind == MetricKind::kGcpu;
   // A pool dispatch per probe costs more than scoring a handful of groups.
   // The granularity floor keeps tiny group lists on the calling thread
   // (identical results either way — per-index slots).
@@ -81,11 +80,6 @@ void PairwiseDedup::ScoreCandidate(const FunnelCandidate& candidate, ThreadPool*
           scores.text = std::max(
               scores.text,
               CosineSimilarity(candidate.fingerprint.tokens, member_tokens_[g][m]));
-          if (overlap_ != nullptr && candidate_gcpu &&
-              member.metric.kind == MetricKind::kGcpu) {
-            scores.stack_overlap = std::max(
-                scores.stack_overlap, overlap_(candidate.regression.metric, member.metric));
-          }
         }
         eligible_[g] = rule_.ShouldMerge(scores) ? 1 : 0;
         aggregates_[g] = scores.Aggregate();

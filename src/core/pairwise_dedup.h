@@ -6,15 +6,14 @@
 // similarity scores:
 //  * Pearson time-series correlation — max over group members, on the
 //    timestamp-aligned overlap of the analysis windows;
-//  * text cosine similarity of metric IDs — max over members;
-//  * stack-trace overlap — fraction of shared samples between two
-//    subroutines' gCPU calculations (via a pluggable provider, since it
-//    needs profile data).
-// A user-configurable rule decides the merge; the default follows the
-// paper's example shape: strong correlation plus either textual or
-// stack-trace affinity. Among eligible groups the one with the highest
-// aggregate score wins (ties to the lowest group id, matching the original
-// serial scan order).
+//  * text cosine similarity of metric IDs — max over members.
+// The paper also lists stack-trace overlap (the fraction of samples two
+// subroutines' gCPU share). It needs per-sample stacks, which the analytic
+// profiler does not keep, so this reproduction scores the two features
+// above. A rule decides the merge; the default follows the paper's example
+// shape: strong correlation plus textual affinity. Among eligible groups the
+// one with the highest aggregate score wins (ties to the lowest group id,
+// matching the original serial scan order).
 //
 // Ingest internals (PR 3): instead of re-tokenizing every member string per
 // pair, each group keeps its members' hashed token vectors. Every existing
@@ -28,7 +27,6 @@
 #define FBDETECT_SRC_CORE_PAIRWISE_DEDUP_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -38,31 +36,20 @@
 
 namespace fbdetect {
 
-// Returns the sample overlap in [0, 1] of two subroutines' gCPU stack
-// samples; used for the stack-trace-overlap feature. May be empty (feature
-// = 0). Must be safe to call concurrently: Ingest invokes it from pool
-// workers when given a ThreadPool.
-using StackOverlapFn =
-    std::function<double(const MetricId& a, const MetricId& b)>;
-
 struct PairwiseScores {
   double pearson = 0.0;
   double text = 0.0;
-  double stack_overlap = 0.0;
 
-  double Aggregate() const { return pearson + text + stack_overlap; }
+  double Aggregate() const { return pearson + text; }
 };
 
 struct PairwiseRule {
   double min_pearson = 0.70;
   double min_text = 0.40;
-  double min_stack_overlap = 0.30;
 
-  // Default rule: correlated in time AND related in identity (by name or by
-  // shared stack samples).
+  // Correlated in time AND related by name.
   bool ShouldMerge(const PairwiseScores& scores) const {
-    return scores.pearson >= min_pearson &&
-           (scores.text >= min_text || scores.stack_overlap >= min_stack_overlap);
+    return scores.pearson >= min_pearson && scores.text >= min_text;
   }
 };
 
@@ -82,8 +69,7 @@ double AlignedPearson(const Regression& a, const Regression& b);
 
 class PairwiseDedup {
  public:
-  explicit PairwiseDedup(PairwiseRule rule = {}, StackOverlapFn overlap = nullptr)
-      : rule_(rule), overlap_(std::move(overlap)) {}
+  explicit PairwiseDedup(PairwiseRule rule = {}) : rule_(rule) {}
 
   // Merges each new candidate into the best matching existing group or
   // opens a new group. Returns the indices of groups that are NEW (their
@@ -107,7 +93,6 @@ class PairwiseDedup {
   int OpenGroup(FunnelCandidate candidate);
 
   PairwiseRule rule_;
-  StackOverlapFn overlap_;
   std::vector<RegressionGroup> groups_;
   // Hashed token vector per member, parallel to groups_[g].members.
   std::vector<std::vector<TokenVector>> member_tokens_;

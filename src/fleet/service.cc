@@ -60,26 +60,6 @@ ServiceSimulator::ServiceSimulator(const ServiceConfig& config)
     w /= weight_total;
   }
 
-  // Endpoint entry subroutines for end-to-end tracing: round-robin over the
-  // graph's roots so each endpoint exercises a distinct entry path.
-  const std::vector<NodeId>& roots = graph_.roots();
-  endpoint_entries_.resize(endpoint_weights_.size());
-  for (size_t e = 0; e < endpoint_entries_.size(); ++e) {
-    endpoint_entries_[e] = roots.empty() ? kInvalidNode : roots[e % roots.size()];
-  }
-
-  // SetFrameMetadata annotations on random subroutines.
-  const int annotated = std::min<int>(config_.num_annotated_subroutines, static_cast<int>(n));
-  for (int i = 0; i < annotated; ++i) {
-    const NodeId node = static_cast<NodeId>(rng_.NextUint64(n));
-    graph_.mutable_node(node).metadata =
-        "feature/group" + std::to_string(i % std::max(1, config_.num_annotation_groups));
-  }
-
-  for (const std::string& data_type : config_.io_data_types) {
-    io_factor_[data_type] = 1.0;
-  }
-
   endpoint_names_.reserve(endpoint_weights_.size());
   for (size_t e = 0; e < endpoint_weights_.size(); ++e) {
     endpoint_names_.push_back("endpoint_" + std::to_string(e));
@@ -104,12 +84,6 @@ void ServiceSimulator::EnsureHandles(TimeSeriesDatabase& db) {
         db.Intern(MetricId{config_.name, MetricKind::kLatency, endpoint, {}}));
     handles_.endpoint_error.push_back(
         db.Intern(MetricId{config_.name, MetricKind::kErrorRate, endpoint, {}}));
-    handles_.endpoint_cost.push_back(
-        db.Intern(MetricId{config_.name, MetricKind::kEndpointCost, endpoint, {}}));
-  }
-  for (const std::string& data_type : config_.io_data_types) {
-    handles_.io.push_back(
-        db.Intern(MetricId{config_.name, MetricKind::kIoPerDataType, data_type, {}}));
   }
 }
 
@@ -138,10 +112,6 @@ void ServiceSimulator::ApplyEventTransitions(TimePoint t) {
         case EventKind::kStepRegression:
           if (target != kInvalidNode) {
             ApplyFactor(target, 1.0 + event.magnitude);
-          } else if (event.subroutine.rfind("io/", 0) == 0) {
-            // Per-data-type I/O regression (TAO-style, §3): target the
-            // downstream ops rate of one data type.
-            io_factor_[event.subroutine.substr(3)] *= 1.0 + event.magnitude;
           } else {
             // Service-level regression: per-request CPU rises. Incoming
             // traffic (throughput/demand) is exogenous and unaffected;
@@ -339,30 +309,6 @@ void ServiceSimulator::EmitCtMetrics(TimePoint t, WriteBatch& batch) {
   batch.Add(handles_.ct_demand, t, std::max(0.0, rng_.Normal(demand, demand * 0.03)));
 }
 
-void ServiceSimulator::EmitEndpointCost(TimePoint t, WriteBatch& batch) {
-  TraceGeneratorOptions options;
-  options.async_probability = config_.trace_async_probability;
-  const TraceGenerator generator(&graph_, options);
-  const int traces = std::max(1, config_.traces_per_endpoint_per_tick);
-  for (size_t e = 0; e < endpoint_entries_.size(); ++e) {
-    if (endpoint_entries_[e] == kInvalidNode) {
-      continue;
-    }
-    const double cost =
-        generator.MeanEndpointCost(endpoint_names_[e], endpoint_entries_[e], traces, rng_);
-    batch.Add(handles_.endpoint_cost[e], t, cost);
-  }
-}
-
-void ServiceSimulator::EmitIoMetrics(TimePoint t, WriteBatch& batch) {
-  const double load = LoadFactor(t);
-  for (size_t i = 0; i < config_.io_data_types.size(); ++i) {
-    const double rate = config_.base_io_per_server * static_cast<double>(config_.num_servers) *
-                        load * io_factor_[config_.io_data_types[i]];
-    batch.Add(handles_.io[i], t, std::max(0.0, rng_.Normal(rate, rate * config_.io_noise)));
-  }
-}
-
 void ServiceSimulator::Tick(TimePoint t, WriteBatch& batch) {
   FBD_CHECK(t > last_tick_);
   EnsureHandles(*batch.db());
@@ -370,9 +316,6 @@ void ServiceSimulator::Tick(TimePoint t, WriteBatch& batch) {
   RefreshGraphCosts(t);
   if (config_.emit_gcpu) {
     EmitGcpu(t, batch);
-  }
-  if (config_.emit_metadata_gcpu) {
-    profiler_.WriteMetadataGcpuBucket(graph_, t, rng_, batch);
   }
   if (config_.emit_process_cpu) {
     EmitProcessCpu(t, batch);
@@ -382,12 +325,6 @@ void ServiceSimulator::Tick(TimePoint t, WriteBatch& batch) {
   }
   if (config_.emit_ct_metrics) {
     EmitCtMetrics(t, batch);
-  }
-  if (config_.emit_endpoint_cost) {
-    EmitEndpointCost(t, batch);
-  }
-  if (!config_.io_data_types.empty()) {
-    EmitIoMetrics(t, batch);
   }
   last_tick_ = t;
 }

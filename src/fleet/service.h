@@ -13,11 +13,13 @@
 //   * process-level CPU (fleet average across servers and generations),
 //   * service and per-endpoint throughput / latency / error rate,
 //   * CT-supply max-throughput and CT-demand peak-request series.
+// These are the kinds the simulator's consumers read. The pipeline scans any
+// kind /ingest carries, so §3's endpoint cost, per-data-type I/O and
+// metadata-annotated gCPU series come in over the wire, not from here.
 #ifndef FBDETECT_SRC_FLEET_SERVICE_H_
 #define FBDETECT_SRC_FLEET_SERVICE_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/random.h"
@@ -25,7 +27,6 @@
 #include "src/fleet/events.h"
 #include "src/profiling/call_graph.h"
 #include "src/profiling/profiler.h"
-#include "src/tracing/trace_generator.h"
 #include "src/tsdb/database.h"
 
 namespace fbdetect {
@@ -69,27 +70,6 @@ struct ServiceConfig {
   bool emit_process_cpu = true;
   bool emit_endpoint_metrics = true;
   bool emit_ct_metrics = false;  // CT-supply / CT-demand series.
-
-  // End-to-end-traced endpoint cost (§3: endpoint-level regressions).
-  // Requires tracing: each endpoint gets an entry subroutine and its
-  // kEndpointCost series aggregates all spans of sampled request traces.
-  bool emit_endpoint_cost = false;
-  int traces_per_endpoint_per_tick = 25;
-  double trace_async_probability = 0.25;
-
-  // Per-data-type I/O to a downstream database (§3: TAO). One
-  // kIoPerDataType series per entry; events target a type by setting
-  // InjectedEvent::subroutine to "io/<data_type>".
-  std::vector<std::string> io_data_types;
-  double base_io_per_server = 50.0;  // Ops/s per data type at load 1.
-  double io_noise = 0.02;
-
-  // SetFrameMetadata annotations (§3): this many subroutines get an
-  // annotation ("feature/group<i>"); one gCPU series per distinct value is
-  // emitted when emit_metadata_gcpu is set.
-  int num_annotated_subroutines = 0;
-  int num_annotation_groups = 4;
-  bool emit_metadata_gcpu = false;
 
   uint64_t seed = 1;
 };
@@ -140,8 +120,6 @@ class ServiceSimulator {
   void EmitProcessCpu(TimePoint t, WriteBatch& batch);
   void EmitEndpointMetrics(TimePoint t, WriteBatch& batch);
   void EmitCtMetrics(TimePoint t, WriteBatch& batch);
-  void EmitEndpointCost(TimePoint t, WriteBatch& batch);
-  void EmitIoMetrics(TimePoint t, WriteBatch& batch);
 
   ServiceConfig config_;
   Rng rng_;
@@ -166,10 +144,7 @@ class ServiceSimulator {
   std::vector<bool> event_ended_;
   std::vector<double> gradual_applied_;  // Fraction of ramp already applied.
 
-  std::unordered_map<std::string, double> io_factor_;  // Per-data-type multiplier.
-
   std::vector<double> endpoint_weights_;
-  std::vector<NodeId> endpoint_entries_;  // Entry subroutine per endpoint.
   std::vector<std::string> endpoint_names_;  // "endpoint_<i>", built once.
   TimePoint last_tick_ = -1;
 
@@ -183,8 +158,6 @@ class ServiceSimulator {
     std::vector<InternedMetricId> endpoint_throughput;
     std::vector<InternedMetricId> endpoint_latency;
     std::vector<InternedMetricId> endpoint_error;
-    std::vector<InternedMetricId> endpoint_cost;
-    std::vector<InternedMetricId> io;  // Parallel to config().io_data_types.
   };
   TimeSeriesDatabase* handles_db_ = nullptr;
   MetricHandles handles_;

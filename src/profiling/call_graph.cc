@@ -182,54 +182,6 @@ std::vector<double> CallGraph::ReachProbabilities() const {
   return reach;
 }
 
-std::vector<NodeId> CallGraph::SampleStack(Rng& rng) const {
-  const std::vector<double>& subtree = SubtreeCosts();
-  std::vector<NodeId> stack;
-  if (roots_.empty()) {
-    return stack;
-  }
-  // Pick the entry weighted by subtree cost.
-  std::vector<double> root_weights;
-  root_weights.reserve(roots_.size());
-  for (NodeId r : roots_) {
-    root_weights.push_back(subtree[static_cast<size_t>(r)]);
-  }
-  double total = 0.0;
-  for (double w : root_weights) {
-    total += w;
-  }
-  if (total <= 0.0) {
-    return stack;
-  }
-  NodeId current = roots_[rng.WeightedIndex(root_weights)];
-  for (;;) {
-    stack.push_back(current);
-    const Subroutine& node = nodes_[static_cast<size_t>(current)];
-    const double sub = subtree[static_cast<size_t>(current)];
-    if (sub <= 0.0) {
-      break;
-    }
-    const double stop_probability = node.self_cost / sub;
-    if (rng.NextDouble() < stop_probability || edges_[static_cast<size_t>(current)].empty()) {
-      break;
-    }
-    std::vector<double> edge_weights;
-    edge_weights.reserve(edges_[static_cast<size_t>(current)].size());
-    for (const CallEdge& e : edges_[static_cast<size_t>(current)]) {
-      edge_weights.push_back(e.weight * subtree[static_cast<size_t>(e.callee)]);
-    }
-    double edge_total = 0.0;
-    for (double w : edge_weights) {
-      edge_total += w;
-    }
-    if (edge_total <= 0.0) {
-      break;
-    }
-    current = edges_[static_cast<size_t>(current)][rng.WeightedIndex(edge_weights)].callee;
-  }
-  return stack;
-}
-
 double CallGraph::TotalCost() const {
   const std::vector<double>& subtree = SubtreeCosts();
   double total = 0.0;
@@ -237,19 +189,6 @@ double CallGraph::TotalCost() const {
     total += subtree[static_cast<size_t>(r)];
   }
   return total;
-}
-
-void CallGraph::ScaleSelfCost(NodeId id, double factor) {
-  FBD_CHECK(factor > 0.0);
-  mutable_node(id).self_cost *= factor;
-}
-
-void CallGraph::ShiftSelfCost(NodeId from, NodeId to, double amount) {
-  FBD_CHECK(amount >= 0.0);
-  Subroutine& source = mutable_node(from);
-  const double moved = std::min(amount, source.self_cost);
-  source.self_cost -= moved;
-  mutable_node(to).self_cost += moved;
 }
 
 CallGraph GenerateRandomCallGraph(const RandomCallGraphOptions& options, Rng& rng) {

@@ -14,8 +14,8 @@
 // ReachProbabilities(), which lets the fleet simulator synthesize sample
 // counts without materializing billions of stack walks.
 //
-// Costs are mutable so the fleet can inject regressions (raise a self cost)
-// and cost shifts (move self cost between two subroutines).
+// Self costs are mutable (mutable_node) so the fleet simulator can apply its
+// per-tick costs: base cost times event factor times seasonal mix.
 #ifndef FBDETECT_SRC_PROFILING_CALL_GRAPH_H_
 #define FBDETECT_SRC_PROFILING_CALL_GRAPH_H_
 
@@ -35,7 +35,6 @@ struct Subroutine {
   std::string name;
   std::string class_name;  // Enclosing class; cost-shift domain (§5.4).
   double self_cost = 0.0;  // Expected on-CPU weight of the node's own code.
-  std::string metadata;    // SetFrameMetadata annotation, may be empty.
 };
 
 struct CallEdge {
@@ -75,21 +74,8 @@ class CallGraph {
   // under the sampling model.
   std::vector<double> ReachProbabilities() const;
 
-  // Draws one stack-trace sample (root-to-leaf node ids).
-  std::vector<NodeId> SampleStack(Rng& rng) const;
-
   // Total expected cost (Σ subtree over roots); the normalizer for sampling.
   double TotalCost() const;
-
-  // --- Mutations used by the fleet's event injectors ---
-
-  // Multiplies `node`'s self cost by `factor` (> 0).
-  void ScaleSelfCost(NodeId id, double factor);
-
-  // Moves `amount` of self cost from `from` to `to` (clamped at from's cost).
-  // This is the §5.4 "code refactoring" cost shift: the total cost of the
-  // enclosing domain is unchanged.
-  void ShiftSelfCost(NodeId from, NodeId to, double amount);
 
  private:
   void Recompute() const;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
-#include <unordered_map>
 
 #include "src/common/check.h"
 
@@ -44,15 +42,6 @@ SamplingProfiler::SamplingProfiler(std::string service, SamplingConfig config)
   FBD_CHECK(config_.bucket_width > 0);
 }
 
-ProfileAggregate SamplingProfiler::ExactBucket(const CallGraph& graph, uint64_t num_samples,
-                                               Rng& rng) const {
-  ProfileAggregate aggregate;
-  for (uint64_t i = 0; i < num_samples; ++i) {
-    aggregate.AddSample(graph.SampleStack(rng));
-  }
-  return aggregate;
-}
-
 std::vector<uint64_t> SamplingProfiler::AnalyticBucket(const CallGraph& graph, Rng& rng) const {
   const std::vector<double> reach = graph.ReachProbabilities();
   std::vector<uint64_t> counts(reach.size(), 0);
@@ -71,7 +60,6 @@ void SamplingProfiler::EnsureHandles(const CallGraph& graph, TimeSeriesDatabase&
   gcpu_ids_.clear();
   gcpu_ids_.reserve(n);
   gcpu_recorded_.assign(n, false);
-  metadata_ids_.clear();
   for (size_t i = 0; i < n; ++i) {
     MetricId id;
     id.service = service_;
@@ -104,40 +92,6 @@ void SamplingProfiler::WriteGcpuBucket(const CallGraph& graph, TimePoint bucket_
                                        TimeSeriesDatabase& db) {
   WriteBatch batch(&db);
   WriteGcpuBucket(graph, bucket_start, rng, batch);
-  batch.Commit();
-}
-
-void SamplingProfiler::WriteMetadataGcpuBucket(const CallGraph& graph, TimePoint bucket_start,
-                                               Rng& rng, WriteBatch& batch) {
-  EnsureHandles(graph, *batch.db());
-  const std::vector<double> reach = graph.ReachProbabilities();
-  std::unordered_map<std::string, double> reach_by_metadata;
-  for (size_t i = 0; i < graph.node_count(); ++i) {
-    const Subroutine& node = graph.node(static_cast<NodeId>(i));
-    if (!node.metadata.empty()) {
-      reach_by_metadata[node.metadata] += reach[i];
-    }
-  }
-  const double denom = static_cast<double>(config_.samples_per_bucket);
-  for (const auto& [metadata, total_reach] : reach_by_metadata) {
-    const double p = std::min(1.0, total_reach);
-    const uint64_t count = SampleBinomial(config_.samples_per_bucket, p, rng);
-    auto it = metadata_ids_.find(metadata);
-    if (it == metadata_ids_.end()) {
-      MetricId id;
-      id.service = service_;
-      id.kind = MetricKind::kGcpu;
-      id.metadata = metadata;
-      it = metadata_ids_.emplace(metadata, batch.db()->Intern(id)).first;
-    }
-    batch.Add(it->second, bucket_start, static_cast<double>(count) / denom);
-  }
-}
-
-void SamplingProfiler::WriteMetadataGcpuBucket(const CallGraph& graph, TimePoint bucket_start,
-                                               Rng& rng, TimeSeriesDatabase& db) {
-  WriteBatch batch(&db);
-  WriteMetadataGcpuBucket(graph, bucket_start, rng, batch);
   batch.Commit();
 }
 

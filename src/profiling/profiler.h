@@ -5,28 +5,24 @@
 // minute (FrontFaaS) to one per server per second (Invoicer) — and converts
 // them to per-subroutine gCPU time series.
 //
-// Two collection paths are provided:
-//  * ExactBucket(): draws real stack walks one by one. Faithful, used by
-//    tests, examples, and the overhead benchmark.
-//  * AnalyticBucket(): draws per-subroutine containment counts directly from
-//    Binomial(n, p_u) where p_u is the closed-form reach probability. This is
-//    statistically identical for per-subroutine gCPU (each subroutine's
-//    count is exactly Binomial(n, p_u) under the walk model) and lets the
-//    fleet simulator synthesize millions of samples per tick in O(k) time.
-//    Cross-subroutine correlations are not preserved — acceptable because the
-//    detectors consume per-series data.
+// The simulated profiler does not walk stacks one by one. AnalyticBucket()
+// draws each subroutine's containment count directly from Binomial(n, p_u),
+// where p_u is the call graph's closed-form reach probability. Under the walk
+// model each count is exactly Binomial(n, p_u), so per-subroutine gCPU keeps
+// its distribution while the fleet simulator synthesizes millions of samples
+// per tick in O(k) time. Cross-subroutine correlations are not preserved:
+// the detectors consume per-series data. The tests check the counts against
+// an explicit stack-walk oracle (tests/sampling_oracle.h).
 #ifndef FBDETECT_SRC_PROFILING_PROFILER_H_
 #define FBDETECT_SRC_PROFILING_PROFILER_H_
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/common/sim_time.h"
 #include "src/profiling/call_graph.h"
-#include "src/profiling/profile.h"
 #include "src/tsdb/database.h"
 
 namespace fbdetect {
@@ -41,9 +37,6 @@ struct SamplingConfig {
 class SamplingProfiler {
  public:
   SamplingProfiler(std::string service, SamplingConfig config);
-
-  // Collects one bucket by materializing individual stack walks.
-  ProfileAggregate ExactBucket(const CallGraph& graph, uint64_t num_samples, Rng& rng) const;
 
   // Per-node containment counts ~ Binomial(samples_per_bucket, reach_u),
   // using a normal approximation when n*p is large.
@@ -62,18 +55,6 @@ class SamplingProfiler {
   void WriteGcpuBucket(const CallGraph& graph, TimePoint bucket_start, Rng& rng,
                        TimeSeriesDatabase& db);
 
-  // Metadata-annotated gCPU (§3): subroutines can annotate their stack
-  // frames via SetFrameMetadata; FBDetect then monitors one gCPU series per
-  // distinct annotation value. The containment probability of an annotation
-  // is approximated as min(1, Σ reach over its subroutines) — exact when at
-  // most one annotated subroutine appears per sample, which holds when
-  // annotations mark disjoint leaf features. Series are written as
-  // MetricId{service, kGcpu, entity="", metadata=value}.
-  void WriteMetadataGcpuBucket(const CallGraph& graph, TimePoint bucket_start, Rng& rng,
-                               WriteBatch& batch);
-  void WriteMetadataGcpuBucket(const CallGraph& graph, TimePoint bucket_start, Rng& rng,
-                               TimeSeriesDatabase& db);
-
   const std::string& service() const { return service_; }
   const SamplingConfig& config() const { return config_; }
 
@@ -89,7 +70,6 @@ class SamplingProfiler {
   TimeSeriesDatabase* handles_db_ = nullptr;
   std::vector<InternedMetricId> gcpu_ids_;          // Per graph node.
   std::vector<bool> gcpu_recorded_;                 // Node ever written?
-  std::unordered_map<std::string, InternedMetricId> metadata_ids_;
 };
 
 // Draws from Binomial(n, p) with a normal approximation when n*p*(1-p) > 100

@@ -2,61 +2,9 @@
 
 #include <cstring>
 
+#include "src/service/wire.h"
+
 namespace fbdetect {
-namespace {
-
-// Scratch database tuned for staging only: the workload never scans it.
-TsdbOptions ScratchOptions() {
-  TsdbOptions options;
-  options.shard_count = 4;
-  return options;
-}
-
-}  // namespace
-
-WireWorkload::WireWorkload(const WireWorkloadOptions& options)
-    : options_(options),
-      scratch_db_(ScratchOptions()),
-      simulator_(options.service),
-      batch_(&scratch_db_),
-      next_tick_(options.start) {
-  if (options_.inject_faults) {
-    injector_ = std::make_unique<FaultInjector>(options_.faults);
-  }
-}
-
-WireWorkload::~WireWorkload() = default;
-
-std::string WireWorkload::NextBody(uint32_t* points) {
-  simulator_.Tick(next_tick_, batch_);
-  next_tick_ += simulator_.config().tick;
-  if (injector_ != nullptr) {
-    injector_->Corrupt(batch_);
-  }
-  WireBatch wire;
-  // Export the staged columns and clear them in place: the scratch database
-  // never sees a Commit, so it stays a pure interning/layout donor.
-  batch_.MutateColumns([&](const InternedMetricId& id,
-                           std::vector<TimePoint>& timestamps,
-                           std::vector<double>& values) {
-    if (!timestamps.empty()) {
-      WireSeries series;
-      series.id = scratch_db_.Resolve(id);
-      series.timestamps = timestamps;
-      series.values = values;
-      wire.total_points += timestamps.size();
-      wire.series.push_back(std::move(series));
-    }
-    timestamps.clear();
-    values.clear();
-  });
-  if (points != nullptr) {
-    *points = static_cast<uint32_t>(wire.total_points);
-  }
-  std::string body;
-  EncodeWireBatch(wire, body);
-  return body;
-}
 
 SyntheticWorkload::SyntheticWorkload(const std::string& service, int series_count,
                                      int points_per_series, TimePoint start,

@@ -1,11 +1,5 @@
-// Load generators for the service endpoint (bench + tests), reusing the
-// fleet layer instead of inventing a second telemetry model.
-//
-// WireWorkload drives a PR-1 ServiceSimulator tick-by-tick, stages each tick
-// into a WriteBatch against a private scratch database (so interning and
-// column layout match the real ingest path), optionally corrupts the staged
-// columns through the PR-4 FaultInjector (dirty-telemetry realism for the
-// overload tests), and exports the staged columns as an encoded wire body.
+// Load generator for the service endpoint (bench_service and the service
+// tests).
 //
 // SyntheticWorkload is the throughput instrument: a fixed series population
 // whose encoded body is built once and then timestamp/value-patched in
@@ -14,53 +8,14 @@
 #ifndef FBDETECT_SRC_SERVICE_WORKLOAD_H_
 #define FBDETECT_SRC_SERVICE_WORKLOAD_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/fleet/fault_injector.h"
-#include "src/fleet/service.h"
-#include "src/service/wire.h"
-#include "src/tsdb/database.h"
+#include "src/common/sim_time.h"
 
 namespace fbdetect {
-
-struct WireWorkloadOptions {
-  ServiceConfig service;
-  // When set, staged columns pass through FaultInjector::Corrupt before
-  // export — duplicated, reordered, and garbage points ride the wire like
-  // real retransmitted fleet telemetry.
-  bool inject_faults = false;
-  FaultInjectorConfig faults;
-  TimePoint start = 0;
-};
-
-class WireWorkload {
- public:
-  explicit WireWorkload(const WireWorkloadOptions& options);
-  ~WireWorkload();
-
-  // Advances one simulator tick and returns the encoded binary request body
-  // for it. `points` (optional) receives the batch's point count.
-  std::string NextBody(uint32_t* points = nullptr);
-
-  // Schedules a simulator event (regression, cost shift, ...) so the wire
-  // stream carries a detectable anomaly — the byte-identity tests compare
-  // /run output against an offline pipeline over the same bodies.
-  void ScheduleEvent(const InjectedEvent& event) { simulator_.ScheduleEvent(event); }
-
-  TimePoint next_tick() const { return next_tick_; }
-  const ServiceConfig& config() const { return simulator_.config(); }
-
- private:
-  WireWorkloadOptions options_;
-  TimeSeriesDatabase scratch_db_;
-  ServiceSimulator simulator_;
-  WriteBatch batch_;
-  std::unique_ptr<FaultInjector> injector_;
-  TimePoint next_tick_;
-};
 
 class SyntheticWorkload {
  public:

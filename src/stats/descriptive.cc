@@ -31,19 +31,6 @@ double SampleVariance(std::span<const double> values) {
   return sum_sq / static_cast<double>(values.size() - 1);
 }
 
-double PopulationVariance(std::span<const double> values) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  const double mean = Mean(values);
-  double sum_sq = 0.0;
-  for (double v : values) {
-    const double d = v - mean;
-    sum_sq += d * d;
-  }
-  return sum_sq / static_cast<double>(values.size());
-}
-
 double SampleStdDev(std::span<const double> values) { return std::sqrt(SampleVariance(values)); }
 
 double Median(std::span<const double> values) { return Percentile(values, 50.0); }

@@ -18,9 +18,6 @@ double Mean(std::span<const double> values);
 // Unbiased sample variance (n-1 denominator); 0.0 if fewer than 2 values.
 double SampleVariance(std::span<const double> values);
 
-// Population variance (n denominator); 0.0 for an empty span.
-double PopulationVariance(std::span<const double> values);
-
 // Sample standard deviation.
 double SampleStdDev(std::span<const double> values);
 

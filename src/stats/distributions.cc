@@ -71,43 +71,6 @@ double GammaQContinuedFraction(double a, double x) {
 
 double NormalCdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
-double NormalQuantile(double p) {
-  FBD_CHECK(p > 0.0 && p < 1.0);
-  // Acklam's inverse-normal approximation.
-  static const double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                             -2.759285104469687e+02, 1.383577518672690e+02,
-                             -3.066479806614716e+01, 2.506628277459239e+00};
-  static const double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                             -1.556989798598866e+02, 6.680131188771972e+01,
-                             -1.328068155288572e+01};
-  static const double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                             -2.400758277161838e+00, -2.549732539343734e+00,
-                             4.374664141464968e+00,  2.938163982698783e+00};
-  static const double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                             2.445134137142996e+00, 3.754408661907416e+00};
-  const double p_low = 0.02425;
-  double x = 0.0;
-  if (p < p_low) {
-    const double q = std::sqrt(-2.0 * std::log(p));
-    x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  } else if (p <= 1.0 - p_low) {
-    const double q = p - 0.5;
-    const double r = q * q;
-    x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q /
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-  } else {
-    const double q = std::sqrt(-2.0 * std::log(1.0 - p));
-    x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  }
-  // One step of Halley's method against the exact CDF.
-  const double e = NormalCdf(x) - p;
-  const double u = e * std::sqrt(2.0 * M_PI) * std::exp(x * x / 2.0);
-  x = x - u / (1.0 + x * u / 2.0);
-  return x;
-}
-
 double RegularizedGammaP(double a, double x) {
   FBD_CHECK(a > 0.0);
   FBD_CHECK(x >= 0.0);
@@ -128,22 +91,6 @@ double ChiSquaredCdf(double x, double k) {
 }
 
 double ChiSquaredSurvival(double x, double k) { return 1.0 - ChiSquaredCdf(x, k); }
-
-double StudentTCriticalTwoSided(double alpha, double degrees_of_freedom) {
-  FBD_CHECK(alpha > 0.0 && alpha < 1.0);
-  FBD_CHECK(degrees_of_freedom >= 1.0);
-  const double z = NormalQuantile(1.0 - alpha / 2.0);
-  const double df = degrees_of_freedom;
-  // Cornish–Fisher expansion of the t quantile in powers of 1/df.
-  const double z3 = z * z * z;
-  const double z5 = z3 * z * z;
-  const double z7 = z5 * z * z;
-  double t = z;
-  t += (z3 + z) / (4.0 * df);
-  t += (5.0 * z5 + 16.0 * z3 + 3.0 * z) / (96.0 * df * df);
-  t += (3.0 * z7 + 19.0 * z5 + 17.0 * z3 - 15.0 * z) / (384.0 * df * df * df);
-  return t;
-}
 
 double RegularizedIncompleteBeta(double a, double b, double x) {
   FBD_CHECK(a > 0.0 && b > 0.0);

@@ -1,6 +1,7 @@
 // Probability distribution functions needed by the hypothesis tests:
-// standard normal CDF/quantile, chi-squared CDF (via the regularized lower
-// incomplete gamma function), and Student-t critical values.
+// standard normal CDF, chi-squared CDF (via the regularized lower incomplete
+// gamma function), and Student-t p-values (via the regularized incomplete
+// beta function).
 //
 // Accuracy targets are the needs of the detectors (p-values compared against
 // 0.01/0.05-style thresholds), not scientific libraries: everything here is
@@ -13,10 +14,6 @@ namespace fbdetect {
 // Standard normal cumulative distribution function.
 double NormalCdf(double z);
 
-// Inverse of NormalCdf for p in (0, 1) (Acklam's rational approximation with
-// one Halley refinement step).
-double NormalQuantile(double p);
-
 // Regularized lower incomplete gamma function P(a, x), a > 0, x >= 0.
 double RegularizedGammaP(double a, double x);
 
@@ -25,12 +22,6 @@ double ChiSquaredCdf(double x, double k);
 
 // Upper-tail p-value for a chi-squared statistic.
 double ChiSquaredSurvival(double x, double k);
-
-// Two-sided Student-t critical value for the given significance level alpha
-// (e.g. 0.01) and degrees of freedom. Uses the normal quantile plus the
-// Cornish–Fisher expansion in 1/df, accurate to ~1e-3 for df >= 3 which is
-// ample for detection thresholds.
-double StudentTCriticalTwoSided(double alpha, double degrees_of_freedom);
 
 // Regularized incomplete beta function I_x(a, b) for a, b > 0, x in [0, 1].
 double RegularizedIncompleteBeta(double a, double b, double x);

@@ -39,24 +39,6 @@ std::vector<double> FourierMagnitudes(std::span<const double> values, size_t num
   return magnitudes;
 }
 
-size_t DominantFrequency(std::span<const double> values) {
-  const size_t n = values.size();
-  if (n < 4) {
-    return 0;
-  }
-  const double mean = Mean(values);
-  size_t best_k = 0;
-  double best_mag = 0.0;
-  for (size_t k = 1; k <= n / 2; ++k) {
-    const double mag = CoefficientMagnitude(values, mean, k);
-    if (mag > best_mag) {
-      best_mag = mag;
-      best_k = k;
-    }
-  }
-  return best_mag > 1e-12 ? best_k : 0;
-}
-
 size_t NextPowerOfTwo(size_t n) {
   size_t power = 1;
   while (power < n) {

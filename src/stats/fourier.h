@@ -1,8 +1,8 @@
 // Discrete Fourier machinery.
 //
-// * FourierMagnitudes / DominantFrequency — the handful of DFT coefficient
-//   magnitudes SOMDedup uses as clustering features (§5.5.1); computed
-//   naively since only a few coefficients are needed.
+// * FourierMagnitudes — the handful of DFT coefficient magnitudes SOMDedup
+//   uses as clustering features (§5.5.1); computed naively since only a few
+//   coefficients are needed.
 // * AutocovarianceSumsFft — the seasonality detector's autocorrelation sums
 //   via the Wiener–Khinchin theorem (FFT -> power spectrum -> inverse FFT),
 //   turning the per-candidate O(n^2) ACF scan into O(n log n). The radix-2
@@ -25,10 +25,6 @@ namespace fbdetect {
 // series, each normalized by n. O(n * num_coefficients) — the callers only
 // need a handful of coefficients, so no FFT machinery is warranted.
 std::vector<double> FourierMagnitudes(std::span<const double> values, size_t num_coefficients);
-
-// Index (1-based frequency bin) of the strongest coefficient among 1..n/2;
-// 0 for series shorter than 4 points or constant series.
-size_t DominantFrequency(std::span<const double> values);
 
 // Smallest power of two >= n (and >= 1).
 size_t NextPowerOfTwo(size_t n);

@@ -27,8 +27,8 @@ uint64_t HashGram(std::string_view gram) {
   return hash;
 }
 
-// FNV-1a of the lower-cased window [begin, begin + n) of `text`; hashes the
-// same bytes CharNgrams would have materialized.
+// FNV-1a of the lower-cased window [begin, begin + n) of `text`, without
+// materializing the gram.
 uint64_t HashLoweredWindow(std::string_view text, size_t begin, size_t n) {
   uint64_t hash = kFnvOffset;
   for (size_t i = begin; i < begin + n; ++i) {
@@ -38,9 +38,9 @@ uint64_t HashLoweredWindow(std::string_view text, size_t begin, size_t n) {
   return hash;
 }
 
-// Appends the hashes of the lower-cased n-grams of `text`, mirroring
-// CharNgrams' edge cases: empty input contributes nothing; input no longer
-// than n contributes the whole string once.
+// Appends the hashes of the lower-cased n-grams of `text`. Empty input
+// contributes nothing; input no longer than n contributes the whole string
+// once.
 void AppendNgramHashes(std::string_view text, size_t n, HashedGrams& out) {
   if (text.empty()) {
     return;
@@ -123,12 +123,6 @@ void HashGramsOf(std::string_view text, HashedGrams& out) {
   SortAndMerge(out);
 }
 
-HashedGrams HashGramsOf(std::string_view text) {
-  HashedGrams grams;
-  HashGramsOf(text, grams);
-  return grams;
-}
-
 TokenVector BuildTokenVector(const std::vector<std::string>& tokens) {
   TokenVector vector;
   vector.terms.reserve(tokens.size());
@@ -170,32 +164,14 @@ TfIdfHasher::TfIdfHasher(size_t dimensions) : dimensions_(dimensions) {
   FBD_CHECK(dimensions > 0);
 }
 
-void TfIdfHasher::Fit(const std::vector<std::string>& corpus) {
-  corpus_size_ = corpus.size();
-  document_frequency_.clear();
-  HashedGrams scratch;
-  for (const std::string& document : corpus) {
-    HashGramsOf(document, scratch);
-    for (const HashedGram& gram : scratch) {  // Already distinct per document.
-      ++document_frequency_[gram.hash];
-    }
-  }
-}
-
 void TfIdfHasher::FitHashed(std::span<const HashedGrams* const> corpus) {
   corpus_size_ = corpus.size();
   document_frequency_.clear();
   for (const HashedGrams* document : corpus) {
-    for (const HashedGram& gram : *document) {
+    for (const HashedGram& gram : *document) {  // Already distinct per document.
       ++document_frequency_[gram.hash];
     }
   }
-}
-
-std::vector<double> TfIdfHasher::Embed(std::string_view text) const {
-  std::vector<double> embedding(dimensions_, 0.0);
-  EmbedHashed(HashGramsOf(text), embedding);
-  return embedding;
 }
 
 void TfIdfHasher::EmbedHashed(const HashedGrams& grams, std::span<double> out) const {

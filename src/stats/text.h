@@ -6,12 +6,12 @@
 //   using TF-IDF with 2- and 3-gram lengths".
 //
 // Two representations coexist:
-// * String-keyed TermVector / Fit(corpus of strings) — the readable form used
-//   by tests and the root-cause text matching.
-// * Hash-keyed TokenVector / HashedGrams — the funnel's hot-path form
-//   (PR 3): terms and 2/3-grams are reduced to 64-bit FNV-1a hashes without
-//   materializing a std::string per gram, precomputed once per regression in
-//   its RegressionFingerprint and reused by every downstream stage.
+// * String-keyed TermVector — the readable form the root-cause text matching
+//   uses.
+// * Hash-keyed TokenVector / HashedGrams — the funnel's hot-path form: terms
+//   and 2/3-grams are reduced to 64-bit FNV-1a hashes without materializing a
+//   std::string per gram, precomputed once per regression in its
+//   RegressionFingerprint and reused by every downstream stage.
 #ifndef FBDETECT_SRC_STATS_TEXT_H_
 #define FBDETECT_SRC_STATS_TEXT_H_
 
@@ -56,11 +56,10 @@ struct HashedGram {
 using HashedGrams = std::vector<HashedGram>;
 
 // The hashed 2- and 3-character-gram multiset of `text`, lower-cased on the
-// fly (no per-gram string materialization). Mirrors CharNgrams' edge case:
-// input no longer than n contributes the whole lowered string as a single
-// gram for that n. `out` is cleared first; capacity is reused.
+// fly (no per-gram string materialization). Input no longer than n
+// contributes the whole lowered string as a single gram for that n. `out` is
+// cleared first; capacity is reused.
 void HashGramsOf(std::string_view text, HashedGrams& out);
-HashedGrams HashGramsOf(std::string_view text);
 
 // Hash-keyed term-frequency vector with its precomputed squared L2 norm.
 // `terms` is sorted ascending by hash (same determinism rationale as
@@ -83,26 +82,21 @@ TokenVector BuildTokenVector(const std::vector<std::string>& tokens);
 double CosineSimilarity(const TokenVector& a, const TokenVector& b);
 
 // TF-IDF embedding of strings into a fixed-dimension dense vector using
-// hashed character 2- and 3-grams. The model is fitted on a corpus (to learn
-// document frequencies) and then embeds any string; SOMDedup feeds these
-// dense vectors into the map. Document frequencies are keyed by gram hash,
-// so a fitted model never stores gram strings.
+// hashed character 2- and 3-grams (HashGramsOf). The model is fitted on a
+// corpus (to learn document frequencies) and then embeds any gram set;
+// SOMDedup feeds these dense vectors into the map. Document frequencies are
+// keyed by gram hash, so a fitted model never stores gram strings.
 class TfIdfHasher {
  public:
   explicit TfIdfHasher(size_t dimensions);
 
-  // Learns document frequencies from the corpus.
-  void Fit(const std::vector<std::string>& corpus);
-
-  // Same, from pre-hashed gram sets (one per document); the funnel fits on
-  // the fingerprints' cached grams without touching the strings again.
+  // Learns document frequencies from pre-hashed gram sets (one per
+  // document); the funnel fits on the fingerprints' cached grams.
   void FitHashed(std::span<const HashedGrams* const> corpus);
 
-  // Embeds one string. Uses IDF weights when fitted; otherwise plain TF.
-  std::vector<double> Embed(std::string_view text) const;
-
   // Allocation-free embedding of a pre-hashed gram set into `out`, which
-  // must have exactly `dimensions()` elements (zeroed by this call).
+  // must have exactly `dimensions()` elements (zeroed by this call). Uses IDF
+  // weights when fitted; otherwise plain TF.
   void EmbedHashed(const HashedGrams& grams, std::span<double> out) const;
 
   size_t dimensions() const { return dimensions_; }

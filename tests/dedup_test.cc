@@ -227,19 +227,6 @@ TEST(PairwiseDedupTest, KeepsUncorrelatedApart) {
   EXPECT_EQ(dedup.groups().size(), 2u);
 }
 
-TEST(PairwiseDedupTest, StackOverlapEnablesMergeOfDissimilarNames) {
-  PairwiseRule rule;
-  rule.min_text = 0.99;  // Make text matching impossible for these names.
-  PairwiseDedup dedup(rule, [](const MetricId&, const MetricId&) { return 0.9; });
-  Regression first = MakeRegression("alpha", 0.01, 0.05,
-                                    StepShape(0.05, 0.01, 48, 700, 0.0001));
-  Regression second = MakeRegression("omega", 0.01, 0.05,
-                                     StepShape(0.05, 0.01, 48, 700, 0.0001));
-  dedup.Ingest(Fingerprinted({first}));
-  const std::vector<int> new_groups = dedup.Ingest(Fingerprinted({second}));
-  EXPECT_TRUE(new_groups.empty());  // Overlap carried the merge.
-}
-
 TEST(PairwiseDedupTest, ScoreExposesFeatureValues) {
   // Identical shape and name: the Pearson and text features Ingest scores
   // the pair on are both near 1, so the probe merges even under a rule that

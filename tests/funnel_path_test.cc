@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -39,6 +41,33 @@ namespace {
 // Legacy oracles: the exact pre-change implementations.
 // ---------------------------------------------------------------------------
 namespace legacy {
+
+std::string ToLowerAscii(std::string_view input) {
+  std::string out(input);
+  for (char& c : out) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
+// Character n-grams of the lower-cased input. Inputs no longer than `n` yield
+// the whole string as a single gram.
+std::vector<std::string> CharNgrams(std::string_view input, int n) {
+  std::vector<std::string> grams;
+  const std::string lowered = ToLowerAscii(input);
+  if (lowered.empty()) {
+    return grams;
+  }
+  if (static_cast<int>(lowered.size()) <= n) {
+    grams.push_back(lowered);
+    return grams;
+  }
+  grams.reserve(lowered.size() - static_cast<size_t>(n) + 1);
+  for (size_t i = 0; i + static_cast<size_t>(n) <= lowered.size(); ++i) {
+    grams.push_back(lowered.substr(i, static_cast<size_t>(n)));
+  }
+  return grams;
+}
 
 uint64_t HashGram(const std::string& gram) {
   uint64_t hash = 1469598103934665603ULL;
@@ -223,8 +252,7 @@ class NestedSom {
 // recomputing text similarity from the metric strings each time.
 class PairwiseOracle {
  public:
-  explicit PairwiseOracle(PairwiseRule rule = {}, StackOverlapFn overlap = nullptr)
-      : rule_(rule), overlap_(std::move(overlap)) {}
+  explicit PairwiseOracle(PairwiseRule rule = {}) : rule_(rule) {}
 
   PairwiseScores Score(const Regression& candidate, const RegressionGroup& group) const {
     PairwiseScores scores;
@@ -233,11 +261,6 @@ class PairwiseOracle {
       scores.text = std::max(
           scores.text,
           TextCosineSimilarity(candidate.metric.ToString(), member.metric.ToString()));
-      if (overlap_ != nullptr && candidate.metric.kind == MetricKind::kGcpu &&
-          member.metric.kind == MetricKind::kGcpu) {
-        scores.stack_overlap =
-            std::max(scores.stack_overlap, overlap_(candidate.metric, member.metric));
-      }
     }
     return scores;
   }
@@ -271,7 +294,6 @@ class PairwiseOracle {
 
  private:
   PairwiseRule rule_;
-  StackOverlapFn overlap_;
   std::vector<RegressionGroup> groups_;
 };
 
@@ -328,6 +350,16 @@ std::vector<std::vector<double>> RandomItems(size_t n, size_t dims, uint64_t see
 // Hashed text features.
 // ---------------------------------------------------------------------------
 
+TEST(StringsTest, ToLowerAscii) {
+  EXPECT_EQ(legacy::ToLowerAscii("AbC-123"), "abc-123");
+}
+
+TEST(StringsTest, CharNgrams) {
+  EXPECT_EQ(legacy::CharNgrams("abcd", 2), (std::vector<std::string>{"ab", "bc", "cd"}));
+  EXPECT_EQ(legacy::CharNgrams("ab", 3), (std::vector<std::string>{"ab"}));
+  EXPECT_TRUE(legacy::CharNgrams("", 2).empty());
+}
+
 TEST(HashedTextTest, HashGramsOfMatchesLegacyCharNgramHashes) {
   const std::vector<std::string> inputs = {
       "", "a", "ab", "abc", "AB", "TaoClient::fetchUserById",
@@ -337,7 +369,8 @@ TEST(HashedTextTest, HashGramsOfMatchesLegacyCharNgramHashes) {
     for (const std::string& gram : legacy::GramsOf(text)) {
       expected[legacy::HashGram(gram)] += 1.0;
     }
-    const HashedGrams grams = HashGramsOf(text);
+    HashedGrams grams;
+    HashGramsOf(text, grams);
     // Sorted ascending and distinct.
     for (size_t i = 1; i < grams.size(); ++i) {
       EXPECT_LT(grams[i - 1].hash, grams[i].hash) << text;
@@ -380,33 +413,24 @@ TEST(HashedTextTest, HashedTfIdfMatchesLegacyStringTfIdf) {
   legacy::TfIdf reference(kDims);
   reference.Fit(corpus);
 
-  TfIdfHasher hashed(kDims);
-  hashed.Fit(corpus);
-
-  // FitHashed over precomputed gram sets must behave identically to Fit.
-  std::vector<HashedGrams> gram_sets;
-  for (const std::string& text : corpus) {
-    gram_sets.push_back(HashGramsOf(text));
-  }
+  // FitHashed over precomputed gram sets must behave like the string Fit.
+  std::vector<HashedGrams> gram_sets(corpus.size());
   std::vector<const HashedGrams*> gram_ptrs;
-  for (const HashedGrams& grams : gram_sets) {
-    gram_ptrs.push_back(&grams);
+  for (size_t d = 0; d < corpus.size(); ++d) {
+    HashGramsOf(corpus[d], gram_sets[d]);
+    gram_ptrs.push_back(&gram_sets[d]);
   }
-  TfIdfHasher prehashed(kDims);
-  prehashed.FitHashed(gram_ptrs);
+  TfIdfHasher hashed(kDims);
+  hashed.FitHashed(gram_ptrs);
 
-  std::vector<double> out(kDims);
+  std::vector<double> embedded(kDims);
   for (size_t d = 0; d < corpus.size(); ++d) {
     const std::vector<double> expected = reference.Embed(corpus[d]);
-    const std::vector<double> embedded = hashed.Embed(corpus[d]);
-    prehashed.EmbedHashed(gram_sets[d], out);
-    ASSERT_EQ(embedded.size(), kDims);
+    hashed.EmbedHashed(gram_sets[d], embedded);
     for (size_t i = 0; i < kDims; ++i) {
       // Same grams, same buckets, same IDF weights; only the accumulation
       // order differs (sorted hashes vs unordered_map iteration).
       EXPECT_NEAR(embedded[i], expected[i], 1e-12) << corpus[d] << " dim " << i;
-      // Embed and EmbedHashed walk the identical sorted gram set: bit-exact.
-      EXPECT_EQ(out[i], embedded[i]) << corpus[d] << " dim " << i;
     }
   }
 }
@@ -607,13 +631,12 @@ void ExpectSameGroups(const std::vector<RegressionGroup>& expected,
   }
 }
 
-void RunPairwiseOracleComparison(const PairwiseRule& rule, StackOverlapFn overlap,
-                                 const std::string& label) {
+void RunPairwiseOracleComparison(const PairwiseRule& rule, const std::string& label) {
   const std::vector<std::vector<Regression>> batches = PairwiseWorkload();
 
-  legacy::PairwiseOracle oracle(rule, overlap);
-  PairwiseDedup serial(rule, overlap);
-  PairwiseDedup parallel(rule, overlap);
+  legacy::PairwiseOracle oracle(rule);
+  PairwiseDedup serial(rule);
+  PairwiseDedup parallel(rule);
   ThreadPool pool(3);
 
   for (const std::vector<Regression>& batch : batches) {
@@ -628,7 +651,7 @@ void RunPairwiseOracleComparison(const PairwiseRule& rule, StackOverlapFn overla
 }
 
 TEST(PairwiseIngestTest, DefaultRuleMatchesAllPairsOracle) {
-  RunPairwiseOracleComparison(PairwiseRule{}, nullptr, "default rule, no overlap");
+  RunPairwiseOracleComparison(PairwiseRule{}, "default rule");
 
   // The foreign regression correlates with the TaoClient group but shares no
   // token with it: text == 0, so the default rule scores it and rejects it.
@@ -640,25 +663,12 @@ TEST(PairwiseIngestTest, DefaultRuleMatchesAllPairsOracle) {
   EXPECT_FALSE(PairwiseRule{}.ShouldMerge(scores));
 }
 
-TEST(PairwiseIngestTest, GcpuOverlapClauseMatchesAllPairsOracle) {
-  // Symmetric, thread-safe overlap: high for single-token names (alpha_module
-  // vs omega share no tokens, so only this clause can merge them).
-  StackOverlapFn overlap = [](const MetricId& a, const MetricId& b) {
-    return a.entity.find('_') == std::string::npos && b.entity.find('_') == std::string::npos
-               ? 0.9
-               : 0.1;
-  };
-  PairwiseRule rule;
-  rule.min_text = 0.99;  // Force merges through the overlap clause.
-  RunPairwiseOracleComparison(rule, overlap, "overlap clause");
-}
-
 TEST(PairwiseIngestTest, PearsonOnlyRuleMatchesAllPairsOracle) {
   // min_text = 0 means Pearson alone can merge, so groups sharing no token
   // with the candidate (the foreign regression) can win the argmax.
   PairwiseRule rule;
   rule.min_text = 0.0;
-  RunPairwiseOracleComparison(rule, nullptr, "non-exclusionary rule");
+  RunPairwiseOracleComparison(rule, "non-exclusionary rule");
 }
 
 // ---------------------------------------------------------------------------

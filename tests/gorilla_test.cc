@@ -269,7 +269,7 @@ TEST_P(GorillaRoundTripTest, BitExactRoundTrip) {
         v = rng.Uniform(-1e12, 1e12);
         break;
       default:
-        v = rng.LogNormal(0.0, 10.0);
+        v = std::exp(rng.Normal(0.0, 10.0));
         break;
     }
     timestamps.push_back(t);

@@ -262,6 +262,79 @@ TEST(PipelineIntegrationTest, EmptyServiceYieldsNothing) {
   EXPECT_EQ(pipeline.short_term_funnel().change_points, 0u);
 }
 
+// The pipeline scans every kind /ingest carries, not only the kinds the fleet
+// simulator emits. §3's endpoint cost, per-data-type I/O and
+// metadata-annotated gCPU are written straight into the database here: in
+// each family one series steps up among flat siblings.
+TEST(PipelineIntegrationTest, ReportsTheSection3KindsTheServiceAccepts) {
+  constexpr TimePoint kStepAt = Days(2) + Hours(8);
+  TimeSeriesDatabase db;
+  // Three days at 10-minute ticks of `base` plus Normal(0, noise), with `step`
+  // added from kStepAt on.
+  auto write = [&db](const MetricId& id, double base, double noise, double step,
+                     uint64_t seed) {
+    Rng rng(seed);
+    for (TimePoint t = 0; t < Days(3); t += Minutes(10)) {
+      db.Write(id, t, base + (t >= kStepAt ? step : 0.0) + rng.Normal(0.0, noise));
+    }
+  };
+  auto run = [&db](const std::string& service, double threshold, ThresholdMode mode) {
+    PipelineOptions options;
+    options.detection.threshold = threshold;
+    options.detection.threshold_mode = mode;
+    options.detection.windows.historical = Days(2);
+    options.detection.windows.analysis = Hours(4);
+    options.detection.windows.extended = Hours(2);
+    options.detection.rerun_interval = Hours(4);
+    options.detection.enable_long_term = false;
+    Pipeline pipeline(&db, nullptr, nullptr, options);
+    return pipeline.RunPeriod(service, Days(2), Days(3));
+  };
+
+  // Endpoint cost in arbitrary cost units: endpoint_0 rises 30%.
+  const MetricId endpoint{"web", MetricKind::kEndpointCost, "endpoint_0", ""};
+  for (int e = 0; e < 3; ++e) {
+    const double base = 40.0 * (e + 1);
+    write({"web", MetricKind::kEndpointCost, "endpoint_" + std::to_string(e), ""}, base,
+          0.01 * base, e == 0 ? 0.3 * base : 0.0, 100 + e);
+  }
+  bool endpoint_reported = false;
+  for (const Regression& report : run("web", 0.02, ThresholdMode::kRelative)) {
+    if (report.metric.kind == MetricKind::kEndpointCost) {
+      EXPECT_GT(report.relative_delta, 0.02) << report.metric.ToString();
+      endpoint_reported = endpoint_reported || report.metric == endpoint;
+    }
+  }
+  EXPECT_TRUE(endpoint_reported);
+
+  // TAO-style I/O per data type: only "comment" rises, by 20%.
+  const std::vector<std::string> data_types = {"user", "post", "comment", "like"};
+  for (size_t i = 0; i < data_types.size(); ++i) {
+    write({"tao_like", MetricKind::kIoPerDataType, data_types[i], ""}, 25000.0, 500.0,
+          data_types[i] == "comment" ? 5000.0 : 0.0, 200 + i);
+  }
+  bool io_reported = false;
+  for (const Regression& report : run("tao_like", 0.05, ThresholdMode::kRelative)) {
+    if (report.metric.kind == MetricKind::kIoPerDataType) {
+      io_reported = true;
+      EXPECT_EQ(report.metric.entity, "comment");
+    }
+  }
+  EXPECT_TRUE(io_reported);
+
+  // SetFrameMetadata-annotated gCPU, one series per annotation value:
+  // feature/group2 gains 0.002 of gCPU.
+  for (int g = 0; g < 4; ++g) {
+    write({"annotated", MetricKind::kGcpu, "", "feature/group" + std::to_string(g)},
+          0.01 * (g + 1), 0.00007, g == 2 ? 0.002 : 0.0, 300 + g);
+  }
+  bool metadata_reported = false;
+  for (const Regression& report : run("annotated", 0.0001, ThresholdMode::kAbsolute)) {
+    metadata_reported = metadata_reported || report.metric.metadata == "feature/group2";
+  }
+  EXPECT_TRUE(metadata_reported);
+}
+
 TEST(PipelineIntegrationTest, ParallelScanMatchesSerial) {
   World world(6);
   CallGraphCodeInfo code_info(&world.service->graph());

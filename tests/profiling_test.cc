@@ -5,10 +5,10 @@
 
 #include "src/common/random.h"
 #include "src/profiling/call_graph.h"
-#include "src/profiling/profile.h"
 #include "src/profiling/profiler.h"
 #include "src/profiling/pyperf.h"
 #include "src/tsdb/database.h"
+#include "tests/sampling_oracle.h"
 
 namespace fbdetect {
 namespace {
@@ -22,10 +22,10 @@ struct TinyGraph {
   NodeId leaf;
 
   TinyGraph() {
-    main_id = graph.AddNode({"main", "Main", 1.0, ""});
-    work = graph.AddNode({"work", "Worker", 2.0, ""});
-    io = graph.AddNode({"io", "Worker", 3.0, ""});
-    leaf = graph.AddNode({"leaf", "Worker", 4.0, ""});
+    main_id = graph.AddNode({"main", "Main", 1.0});
+    work = graph.AddNode({"work", "Worker", 2.0});
+    io = graph.AddNode({"io", "Worker", 3.0});
+    leaf = graph.AddNode({"leaf", "Worker", 4.0});
     graph.AddEdge(main_id, work, 1.0);
     graph.AddEdge(main_id, io, 1.0);
     graph.AddEdge(work, leaf, 1.0);
@@ -56,40 +56,12 @@ TEST(CallGraphTest, ReachProbabilities) {
 TEST(CallGraphTest, SampledGcpuMatchesReach) {
   TinyGraph t;
   Rng rng(1);
-  ProfileAggregate aggregate;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    aggregate.AddSample(t.graph.SampleStack(rng));
-  }
+  const std::vector<double> sampled = oracle::SampledGcpu(t.graph, 50000, rng);
   const std::vector<double> reach = t.graph.ReachProbabilities();
   for (NodeId id : {t.main_id, t.work, t.io, t.leaf}) {
-    EXPECT_NEAR(aggregate.Gcpu(id), reach[static_cast<size_t>(id)], 0.01)
+    EXPECT_NEAR(sampled[static_cast<size_t>(id)], reach[static_cast<size_t>(id)], 0.01)
         << t.graph.node(id).name;
   }
-}
-
-TEST(CallGraphTest, ScaleSelfCostRaisesReach) {
-  TinyGraph t;
-  const double before = t.graph.ReachProbabilities()[static_cast<size_t>(t.io)];
-  t.graph.ScaleSelfCost(t.io, 2.0);
-  const double after = t.graph.ReachProbabilities()[static_cast<size_t>(t.io)];
-  EXPECT_GT(after, before);
-}
-
-TEST(CallGraphTest, ShiftSelfCostPreservesTotal) {
-  TinyGraph t;
-  const double total_before = t.graph.TotalCost();
-  t.graph.ShiftSelfCost(t.io, t.leaf, 2.0);
-  EXPECT_NEAR(t.graph.TotalCost(), total_before, 1e-12);
-  EXPECT_DOUBLE_EQ(t.graph.node(t.io).self_cost, 1.0);
-  EXPECT_DOUBLE_EQ(t.graph.node(t.leaf).self_cost, 6.0);
-}
-
-TEST(CallGraphTest, ShiftClampsAtAvailableCost) {
-  TinyGraph t;
-  t.graph.ShiftSelfCost(t.io, t.leaf, 100.0);
-  EXPECT_DOUBLE_EQ(t.graph.node(t.io).self_cost, 0.0);
-  EXPECT_DOUBLE_EQ(t.graph.node(t.leaf).self_cost, 7.0);
 }
 
 TEST(CallGraphTest, CallersOfAndClassMembers) {
@@ -117,48 +89,6 @@ TEST(CallGraphTest, RandomGraphIsWellFormed) {
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);
   }
-}
-
-TEST(ProfileAggregateTest, GcpuCountsContainment) {
-  ProfileAggregate aggregate;
-  aggregate.AddSample({0, 1, 2});
-  aggregate.AddSample({0, 1});
-  aggregate.AddSample({0, 3});
-  aggregate.AddSample({0, 1, 2});
-  EXPECT_EQ(aggregate.total_samples(), 4u);
-  EXPECT_DOUBLE_EQ(aggregate.Gcpu(0), 1.0);
-  EXPECT_DOUBLE_EQ(aggregate.Gcpu(1), 0.75);
-  EXPECT_DOUBLE_EQ(aggregate.Gcpu(2), 0.5);
-  EXPECT_DOUBLE_EQ(aggregate.Gcpu(3), 0.25);
-  EXPECT_DOUBLE_EQ(aggregate.Gcpu(99), 0.0);
-}
-
-TEST(ProfileAggregateTest, SampleOverlapJaccard) {
-  ProfileAggregate aggregate;
-  aggregate.AddSample({0, 1});  // Both.
-  aggregate.AddSample({0});     // Only 0.
-  aggregate.AddSample({1});     // Only 1.
-  // |0 and 1| = 1, |0 or 1| = 3.
-  EXPECT_NEAR(aggregate.SampleOverlap(0, 1), 1.0 / 3.0, 1e-12);
-  EXPECT_EQ(aggregate.SampleOverlap(0, 9), 0.0);
-}
-
-TEST(ProfileAggregateTest, MergeOffsetsSampleIndices) {
-  ProfileAggregate a;
-  a.AddSample({0});
-  ProfileAggregate b;
-  b.AddSample({0, 1});
-  a.Merge(b);
-  EXPECT_EQ(a.total_samples(), 2u);
-  EXPECT_DOUBLE_EQ(a.Gcpu(0), 1.0);
-  EXPECT_DOUBLE_EQ(a.Gcpu(1), 0.5);
-  EXPECT_NEAR(a.SampleOverlap(0, 1), 0.5, 1e-12);
-}
-
-TEST(ProfileAggregateTest, DuplicateFramesCountedOnce) {
-  ProfileAggregate aggregate;
-  aggregate.AddSample({5, 5, 5});
-  EXPECT_EQ(aggregate.CountOf(5), 1u);
 }
 
 TEST(SampleBinomialTest, MatchesMoments) {

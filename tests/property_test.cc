@@ -8,12 +8,12 @@
 #include "src/core/pipeline.h"
 #include "src/core/workload_config.h"
 #include "src/profiling/call_graph.h"
-#include "src/profiling/profile.h"
 #include "src/stats/descriptive.h"
 #include "src/tsa/stl.h"
 #include "src/tsdb/database.h"
 #include "src/tsdb/timeseries.h"
 #include "src/tsdb/window.h"
+#include "tests/sampling_oracle.h"
 
 namespace fbdetect {
 namespace {
@@ -35,17 +35,13 @@ TEST_P(ReachVsSamplingTest, AnalyticMatchesSampled) {
   const std::vector<double> reach = graph.ReachProbabilities();
 
   Rng sample_rng(GetParam() + 1000);
-  ProfileAggregate aggregate;
   const int n = 40000;
-  for (int i = 0; i < n; ++i) {
-    aggregate.AddSample(graph.SampleStack(sample_rng));
-  }
+  const std::vector<double> sampled = oracle::SampledGcpu(graph, n, sample_rng);
   // Compare on the heavier nodes where the binomial error bound is tight.
   for (size_t i = 0; i < reach.size(); ++i) {
     if (reach[i] > 0.02) {
-      const double sampled = aggregate.Gcpu(static_cast<NodeId>(i));
       const double bound = 5.0 * std::sqrt(reach[i] * (1.0 - reach[i]) / n);
-      EXPECT_NEAR(sampled, reach[i], bound + 1e-9)
+      EXPECT_NEAR(sampled[i], reach[i], bound + 1e-9)
           << graph.node(static_cast<NodeId>(i)).name;
     }
   }
@@ -130,52 +126,6 @@ TEST_P(StlSweepTest, ReconstructsAndSeparates) {
 INSTANTIATE_TEST_SUITE_P(Cases, StlSweepTest,
                          ::testing::Values(StlCase{8, 1.0, 0.05}, StlCase{24, 0.5, 0.1},
                                            StlCase{48, 2.0, 0.2}, StlCase{12, 0.2, 0.01}));
-
-// ---------------------------------------------------------------------------
-// Property: ShiftSelfCost conserves the SUM OF SELF COSTS exactly, for any
-// pair and any amount. (The root-weighted TotalCost is only conserved when
-// the two subroutines have equal aggregate path weights — e.g. siblings with
-// equal-weight edges — because a subroutine invoked more often contributes
-// its self cost once per invocation; the cost-shift detector's
-// negligible-ratio tolerance absorbs that difference.)
-// ---------------------------------------------------------------------------
-
-class CostShiftInvariantTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(CostShiftInvariantTest, ShiftsPreserveSelfCostSum) {
-  Rng rng(GetParam());
-  RandomCallGraphOptions options;
-  options.num_subroutines = 50;
-  CallGraph graph = GenerateRandomCallGraph(options, rng);
-  auto self_cost_sum = [&graph]() {
-    double sum = 0.0;
-    for (size_t i = 0; i < graph.node_count(); ++i) {
-      sum += graph.node(static_cast<NodeId>(i)).self_cost;
-    }
-    return sum;
-  };
-  const double sum_before = self_cost_sum();
-  for (int i = 0; i < 20; ++i) {
-    const NodeId from = static_cast<NodeId>(rng.NextUint64(graph.node_count()));
-    const NodeId to = static_cast<NodeId>(rng.NextUint64(graph.node_count()));
-    graph.ShiftSelfCost(from, to, rng.Uniform(0.0, 0.5));
-  }
-  EXPECT_NEAR(self_cost_sum(), sum_before, sum_before * 1e-12);
-}
-
-TEST(CostShiftInvariantTest, EqualWeightSiblingShiftPreservesTotalCost) {
-  CallGraph graph;
-  const NodeId root = graph.AddNode({"root", "Main", 1.0, ""});
-  const NodeId a = graph.AddNode({"a", "Work", 3.0, ""});
-  const NodeId b = graph.AddNode({"b", "Work", 2.0, ""});
-  graph.AddEdge(root, a, 1.0);
-  graph.AddEdge(root, b, 1.0);  // Equal path weights: total IS conserved.
-  const double total_before = graph.TotalCost();
-  graph.ShiftSelfCost(a, b, 1.5);
-  EXPECT_NEAR(graph.TotalCost(), total_before, 1e-12);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CostShiftInvariantTest, ::testing::Values(3, 17, 99));
 
 // ---------------------------------------------------------------------------
 // Property: window extraction partitions the covered range — the three

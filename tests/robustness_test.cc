@@ -156,7 +156,10 @@ TEST(RobustnessTest, SaxEmptyReference) {
 
 TEST(RobustnessTest, TfIdfWithoutFitStillEmbeds) {
   TfIdfHasher hasher(8);
-  const std::vector<double> embedding = hasher.Embed("anything");
+  HashedGrams grams;
+  HashGramsOf("anything", grams);
+  std::vector<double> embedding(hasher.dimensions());
+  hasher.EmbedHashed(grams, embedding);
   double norm = 0.0;
   for (double v : embedding) {
     norm += v * v;

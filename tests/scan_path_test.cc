@@ -51,10 +51,6 @@ struct WindowExtract {
   TimePoint as_of = 0;
   // Timestamps aligned with analysis_plus_extended.
   std::vector<TimePoint> analysis_timestamps;
-
-  bool HasEnoughData(size_t min_historical, size_t min_analysis) const {
-    return historical.size() >= min_historical && analysis.size() >= min_analysis;
-  }
 };
 
 // The oracle: visits every point and files it by comparing its timestamp
@@ -120,7 +116,6 @@ void ExpectViewMatchesExtract(const TimeSeries& series, TimePoint as_of,
   EXPECT_EQ(view.analysis_begin, extract.analysis_begin);
   EXPECT_EQ(view.extended_begin, extract.extended_begin);
   EXPECT_EQ(view.as_of, extract.as_of);
-  EXPECT_EQ(view.HasEnoughData(1, 1), extract.HasEnoughData(1, 1));
 }
 
 WindowSpec SmallSpec() {

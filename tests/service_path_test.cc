@@ -44,6 +44,7 @@
 #include "src/service/wire.h"
 #include "src/service/workload.h"
 #include "src/tsdb/database.h"
+#include "tests/wire_workload.h"
 
 namespace fbdetect {
 namespace {

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/random.h"
@@ -29,7 +31,6 @@ namespace {
 TEST(DescriptiveTest, MeanAndVariance) {
   const std::vector<double> values = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(Mean(values), 5.0);
-  EXPECT_DOUBLE_EQ(PopulationVariance(values), 4.0);
   EXPECT_NEAR(SampleVariance(values), 4.0 * 8.0 / 7.0, 1e-12);
 }
 
@@ -101,26 +102,11 @@ TEST(DistributionsTest, NormalCdfKnownValues) {
   EXPECT_NEAR(NormalCdf(-1.96), 0.0249979, 1e-5);
 }
 
-TEST(DistributionsTest, NormalQuantileRoundTrips) {
-  for (double p : {0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999}) {
-    EXPECT_NEAR(NormalCdf(NormalQuantile(p)), p, 1e-8) << "p=" << p;
-  }
-}
-
 TEST(DistributionsTest, ChiSquaredKnownValues) {
   // chi2(1): P(X <= 3.841) ~= 0.95; chi2(2): P(X <= 5.991) ~= 0.95.
   EXPECT_NEAR(ChiSquaredCdf(3.841, 1.0), 0.95, 1e-3);
   EXPECT_NEAR(ChiSquaredCdf(5.991, 2.0), 0.95, 1e-3);
   EXPECT_NEAR(ChiSquaredSurvival(6.635, 1.0), 0.01, 1e-3);
-}
-
-TEST(DistributionsTest, StudentTCriticalMatchesTables) {
-  // Two-sided alpha=0.05: df=10 -> 2.228, df=30 -> 2.042, df=inf -> 1.960.
-  EXPECT_NEAR(StudentTCriticalTwoSided(0.05, 10.0), 2.228, 0.01);
-  EXPECT_NEAR(StudentTCriticalTwoSided(0.05, 30.0), 2.042, 0.005);
-  EXPECT_NEAR(StudentTCriticalTwoSided(0.05, 1e6), 1.960, 0.001);
-  // alpha=0.01, df=20 -> 2.845.
-  EXPECT_NEAR(StudentTCriticalTwoSided(0.01, 20.0), 2.845, 0.02);
 }
 
 TEST(DistributionsTest, RegularizedGammaBoundaries) {
@@ -556,20 +542,6 @@ TEST(LinRegTest, NoisyLineHasPositiveRmse) {
   EXPECT_NEAR(fit.slope, 1.0, 0.1);
 }
 
-TEST(FourierTest, DominantFrequencyOfSine) {
-  std::vector<double> values;
-  const size_t n = 128;
-  for (size_t i = 0; i < n; ++i) {
-    values.push_back(std::sin(2.0 * M_PI * 4.0 * static_cast<double>(i) / n));
-  }
-  EXPECT_EQ(DominantFrequency(values), 4u);
-}
-
-TEST(FourierTest, ConstantSeriesHasNoDominantFrequency) {
-  const std::vector<double> values(64, 2.5);
-  EXPECT_EQ(DominantFrequency(values), 0u);
-}
-
 TEST(FourierTest, MagnitudesVectorHasRequestedLength) {
   const std::vector<double> values = {1.0, 2.0, 1.0, 2.0, 1.0, 2.0};
   EXPECT_EQ(FourierMagnitudes(values, 4).size(), 4u);
@@ -594,10 +566,30 @@ TEST(TextTest, CosineSimilarityPartialOverlap) {
   EXPECT_LT(similarity, 1.0);
 }
 
+// Fits `hasher` on the hashed grams of `corpus`, as SOMDedup fits on its
+// fingerprints' grams.
+void FitOnStrings(TfIdfHasher& hasher, const std::vector<std::string>& corpus) {
+  std::vector<HashedGrams> grams(corpus.size());
+  std::vector<const HashedGrams*> documents;
+  for (size_t d = 0; d < corpus.size(); ++d) {
+    HashGramsOf(corpus[d], grams[d]);
+    documents.push_back(&grams[d]);
+  }
+  hasher.FitHashed(documents);
+}
+
+std::vector<double> EmbedString(const TfIdfHasher& hasher, std::string_view text) {
+  HashedGrams grams;
+  HashGramsOf(text, grams);
+  std::vector<double> embedding(hasher.dimensions());
+  hasher.EmbedHashed(grams, embedding);
+  return embedding;
+}
+
 TEST(TextTest, TfIdfEmbedIsUnitNorm) {
   TfIdfHasher hasher(16);
-  hasher.Fit({"service/gcpu/sub_1", "service/gcpu/sub_2", "service/throughput"});
-  const std::vector<double> embedding = hasher.Embed("service/gcpu/sub_3");
+  FitOnStrings(hasher, {"service/gcpu/sub_1", "service/gcpu/sub_2", "service/throughput"});
+  const std::vector<double> embedding = EmbedString(hasher, "service/gcpu/sub_3");
   double norm = 0.0;
   for (double v : embedding) {
     norm += v * v;
@@ -607,7 +599,7 @@ TEST(TextTest, TfIdfEmbedIsUnitNorm) {
 
 TEST(TextTest, TfIdfSimilarStringsCloser) {
   TfIdfHasher hasher(32);
-  hasher.Fit({"svc/gcpu/sub_10", "svc/gcpu/sub_11", "svc/throughput/endpoint_1"});
+  FitOnStrings(hasher, {"svc/gcpu/sub_10", "svc/gcpu/sub_11", "svc/throughput/endpoint_1"});
   auto dot = [](const std::vector<double>& a, const std::vector<double>& b) {
     double sum = 0.0;
     for (size_t i = 0; i < a.size(); ++i) {
@@ -615,9 +607,9 @@ TEST(TextTest, TfIdfSimilarStringsCloser) {
     }
     return sum;
   };
-  const auto base = hasher.Embed("svc/gcpu/sub_10");
-  EXPECT_GT(dot(base, hasher.Embed("svc/gcpu/sub_11")),
-            dot(base, hasher.Embed("svc/throughput/endpoint_1")));
+  const auto base = EmbedString(hasher, "svc/gcpu/sub_10");
+  EXPECT_GT(dot(base, EmbedString(hasher, "svc/gcpu/sub_11")),
+            dot(base, EmbedString(hasher, "svc/throughput/endpoint_1")));
 }
 
 TEST(TextTest, EmptyTermVectorSimilarityIsZero) {

@@ -97,8 +97,6 @@ TEST(WindowTest, PartialDataYieldsShortWindows) {
   const WindowView view = ExtractWindowView(series, 100, spec);
   EXPECT_TRUE(view.historical.empty());
   EXPECT_EQ(view.analysis.size(), 3u);
-  EXPECT_FALSE(view.HasEnoughData(1, 1));
-  EXPECT_TRUE(view.HasEnoughData(0, 2));
 }
 
 TEST(DatabaseTest, WriteAndFind) {
