@@ -43,14 +43,6 @@ PipelineOptions BenchOptions() {
   return options;
 }
 
-TimeSeries SeriesFromValues(const std::vector<double>& values) {
-  TimeSeries series;
-  for (size_t i = 0; i < values.size(); ++i) {
-    series.Append(static_cast<TimePoint>(i) * kTick, values[i]);
-  }
-  return series;
-}
-
 void ScenarioA() {
   std::printf("\n(a) True 0.005%% regression on a single noisy server\n");
   Rng rng(1);
@@ -65,6 +57,9 @@ void ScenarioB() {
   std::printf("\n(b) False positive from a cost shift (code refactoring)\n");
   // Two same-class methods; at t*, 60%% of method_b's cost moves to method_a.
   TimeSeriesDatabase db;
+  const InternedMetricId method_a = db.Intern({"svc", MetricKind::kGcpu, "method_a", ""});
+  const InternedMetricId method_b = db.Intern({"svc", MetricKind::kGcpu, "method_b", ""});
+  WriteBatch batch(&db);
   const DetectionConfig config = BenchConfig();
   const Duration total = config.windows.Total();
   const TimePoint shift_at = total - Hours(4);
@@ -75,9 +70,10 @@ void ScenarioB() {
     const bool post = t >= shift_at;
     a_values.push_back(rng.Normal(post ? 0.0172 : 0.0100, 0.0004));
     b_values.push_back(rng.Normal(post ? 0.0048 : 0.0120, 0.0004));
-    db.Write({"svc", MetricKind::kGcpu, "method_a", ""}, t, a_values.back());
-    db.Write({"svc", MetricKind::kGcpu, "method_b", ""}, t, b_values.back());
+    batch.Add(method_a, t, a_values.back());
+    batch.Add(method_b, t, b_values.back());
   }
+  batch.Commit();
   std::printf("    method_a gCPU: %s\n", Sparkline(a_values).c_str());
   std::printf("    method_b gCPU: %s\n", Sparkline(b_values).c_str());
 
@@ -132,7 +128,12 @@ void ScenarioC() {
   std::printf("    throughput:    %s\n", Sparkline(values).c_str());
   const MetricId metric{"svc", MetricKind::kThroughput, "", ""};
   TimeSeriesDatabase db;
-  db.WriteSeries(metric, SeriesFromValues(values));
+  const InternedMetricId id = db.Intern(metric);
+  WriteBatch batch(&db);
+  for (size_t i = 0; i < values.size(); ++i) {
+    batch.Add(id, static_cast<TimePoint>(i) * kTick, values[i]);
+  }
+  batch.Commit();
   Pipeline pipeline(&db, nullptr, nullptr, BenchOptions());
   const SeriesVerdicts verdicts = pipeline.ScanSeries(metric, total);
   std::printf("    change-point stage flags the dip: %s\n",

@@ -45,6 +45,8 @@ Outcome RunCase(double spike_level, double regression_level, bool draw, uint64_t
   const MetricId metric{"svc", MetricKind::kGcpu, "sub", ""};
   Rng rng(seed);
   TimeSeriesDatabase db;
+  const InternedMetricId id = db.Intern(metric);
+  WriteBatch batch(&db);
   std::vector<double> values;
   for (TimePoint t = 0; t < total; t += kTick) {
     double level = 0.050;
@@ -54,8 +56,9 @@ Outcome RunCase(double spike_level, double regression_level, bool draw, uint64_t
       level = regression_level;
     }
     values.push_back(rng.Normal(level, 0.0008));
-    db.Write(metric, t, values.back());
+    batch.Add(id, t, values.back());
   }
+  batch.Commit();
   if (draw) {
     std::printf("  %s\n", Sparkline(values).c_str());
   }

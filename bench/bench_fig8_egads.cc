@@ -127,9 +127,15 @@ int main() {
 
   // FBDetect point.
   TimeSeriesDatabase db;
+  WriteBatch batch(&db);
   for (size_t i = 0; i < corpus.size(); ++i) {
-    db.WriteSeries(CaseMetric(i), corpus[i].series);
+    const InternedMetricId id = db.Intern(CaseMetric(i));
+    const TimeSeries& series = corpus[i].series;
+    for (size_t k = 0; k < series.size(); ++k) {
+      batch.Add(id, series.timestamps()[k], series.values()[k]);
+    }
   }
+  batch.Commit();
   PipelineOptions options;
   options.detection = config;
   Pipeline pipeline(&db, nullptr, nullptr, options);

@@ -4,13 +4,10 @@
 // Three measurements:
 //   1. Micro ingest, single thread: the same (series x points) workload,
 //      interleaved by time step the way the fleet emits it, pushed through
-//      (a) the string-keyed point-at-a-time path, building a MetricId per
-//          point;
-//      (b) pre-interned ids, point-at-a-time;
-//      (c) pre-interned ids + WriteBatch, shard_count = 1;
-//      (d) pre-interned ids + WriteBatch, shard_count = 16 (the production
-//          configuration);
-//      (e) as (d) but with periodic SealBefore, i.e. the tiered store paying
+//      the database's one write path, pre-interned ids + WriteBatch:
+//      (a) shard_count = 1;
+//      (b) shard_count = 16 (the production configuration);
+//      (c) as (b) but with periodic SealBefore, i.e. the tiered store paying
 //          its compression cost inline with ingestion.
 //   2. Multi-thread scaling: one WriteBatch per worker over disjoint series
 //      sets into one shared sharded database, at 1/2/4/8 threads.
@@ -53,9 +50,8 @@ struct Workload {
 
 // Fleet-shaped identities: many services, one gCPU series per subroutine.
 // Entity names mimic what stack-trace sampling actually produces — long,
-// namespace-qualified, templated C++ symbols — because the cost of hashing
-// and comparing those strings on every Write is precisely what interning
-// removes from the hot path.
+// namespace-qualified, templated C++ symbols — which writers intern once per
+// series, so the hot path never hashes them.
 Workload MakeWorkload(size_t num_services, size_t metrics_per_service, size_t num_points) {
   Workload workload;
   workload.num_points = num_points;
@@ -133,48 +129,7 @@ int main(int argc, char** argv) {
   std::printf("\n[1] micro ingest: %zu series x %zu points = %zu points, per-service tick order\n",
               workload.ids.size(), workload.num_points, workload.total_points());
 
-  // Fleet emission order: each service's metrics are written tick by tick
-  // (one ingest worker owns one service), time-interleaved within a service.
-  auto pointwise = [&](TimeSeriesDatabase& db, const std::vector<InternedMetricId>& keys) {
-    for (size_t s = 0; s < num_services; ++s) {
-      const size_t first = s * metrics_per_service;
-      for (size_t p = 0; p < workload.num_points; ++p) {
-        const TimePoint t = Workload::TimeAt(p);
-        for (size_t m = 0; m < metrics_per_service; ++m) {
-          db.Write(keys[first + m], t, workload.values[p]);
-        }
-      }
-    }
-  };
-
-  // The string-keyed baseline: a fresh MetricId per point, copying the
-  // service and entity strings on every Write, which the database then
-  // hashes. This is the cost the interned handles remove.
-  auto pointwise_constructing = [&](TimeSeriesDatabase& db) {
-    for (size_t s = 0; s < num_services; ++s) {
-      const size_t first = s * metrics_per_service;
-      for (size_t p = 0; p < workload.num_points; ++p) {
-        const TimePoint t = Workload::TimeAt(p);
-        for (size_t m = 0; m < metrics_per_service; ++m) {
-          const MetricId& proto = workload.ids[first + m];
-          MetricId id;
-          id.service = proto.service;
-          id.kind = proto.kind;
-          id.entity = proto.entity;
-          db.Write(id, t, workload.values[p]);
-        }
-      }
-    }
-  };
-
   const int reps = smoke ? 1 : 3;
-
-  const MicroResult string_result = BestOf(reps, [&] {
-    TimeSeriesDatabase db;
-    const MicroResult result = TimeIngest(workload, [&] { pointwise_constructing(db); });
-    FBD_CHECK(db.total_points() == workload.total_points());
-    return result;
-  });
 
   auto intern_all = [&](TimeSeriesDatabase& db) {
     std::vector<InternedMetricId> interned;
@@ -185,14 +140,8 @@ int main(int argc, char** argv) {
     return interned;
   };
 
-  const MicroResult interned_result = BestOf(reps, [&] {
-    TimeSeriesDatabase db;
-    const std::vector<InternedMetricId> keys = intern_all(db);
-    const MicroResult result = TimeIngest(workload, [&] { pointwise(db, keys); });
-    FBD_CHECK(db.total_points() == workload.total_points());
-    return result;
-  });
-
+  // Fleet emission order: each service's metrics are written tick by tick
+  // (one ingest worker owns one service), time-interleaved within a service.
   auto batched = [&](TimeSeriesDatabase& db, const std::vector<InternedMetricId>& keys,
                      size_t flush_points, size_t seal_every_steps) {
     WriteBatch batch(&db);
@@ -234,10 +183,6 @@ int main(int argc, char** argv) {
   // compression cost lands inside the timed region.
   const MicroResult tiered_result = batched_variant(16, workload.num_points / 4);
 
-  std::printf("    %-38s %8.1f ms  %6.2f Mpts/s\n", "string keys, id per point:",
-              string_result.ms, string_result.mpps);
-  std::printf("    %-38s %8.1f ms  %6.2f Mpts/s\n", "interned, point-at-a-time:",
-              interned_result.ms, interned_result.mpps);
   std::printf("    %-38s %8.1f ms  %6.2f Mpts/s\n", "interned + batch, 1 shard:",
               unsharded_batched_result.ms, unsharded_batched_result.mpps);
   std::printf("    %-38s %8.1f ms  %6.2f Mpts/s\n", "interned + batch, 16 shards:",
@@ -339,8 +284,6 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"micro_ingest\": {\n");
   std::fprintf(json, "    \"series\": %zu, \"points_per_series\": %zu,\n", workload.ids.size(),
                workload.num_points);
-  std::fprintf(json, "    \"string_pointwise_mpps\": %.3f,\n", string_result.mpps);
-  std::fprintf(json, "    \"interned_pointwise_mpps\": %.3f,\n", interned_result.mpps);
   std::fprintf(json, "    \"interned_batched_1shard_mpps\": %.3f,\n",
                unsharded_batched_result.mpps);
   std::fprintf(json, "    \"interned_batched_16shard_mpps\": %.3f,\n",

@@ -59,12 +59,15 @@ RunResult RunPreset(const DetectionConfig& preset, double step_multiple, uint64_
                         relative ? "" : "sub_x", ""};
   Rng rng(seed);
   TimeSeriesDatabase db;
+  const InternedMetricId id = db.Intern(metric);
+  WriteBatch batch(&db);
   // CT rows monitor throughput, where the regression direction is a DROP.
   const double direction = relative ? -1.0 : 1.0;
   for (TimePoint t = 0; t < total; t += tick) {
     const double level = baseline + (t >= step_at ? direction * step : 0.0);
-    db.Write(metric, t, rng.Normal(level, noise));
+    batch.Add(id, t, rng.Normal(level, noise));
   }
+  batch.Commit();
 
   // The CT rows measure throughput where regressions are drops; the scan
   // orients the delta, so the threshold check is uniform.

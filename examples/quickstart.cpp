@@ -31,17 +31,22 @@ int main(int argc, char** argv) {
   const Duration total = Days(3);
   const TimePoint regression_at = total - Hours(5);
 
+  // Points enter the database through a WriteBatch: intern each series'
+  // identity once, stage its points, then commit the batch.
+  WriteBatch batch(&db);
   for (int sub = 0; sub < 8; ++sub) {
-    const MetricId metric{"demo_service", MetricKind::kGcpu, "sub_" + std::to_string(sub), ""};
+    const InternedMetricId metric =
+        db.Intern({"demo_service", MetricKind::kGcpu, "sub_" + std::to_string(sub), ""});
     const double baseline = 0.01 + 0.005 * sub;
     for (TimePoint t = 0; t < total; t += tick) {
       double level = baseline;
       if (sub == 3 && t >= regression_at) {
         level *= 1.10;  // The planted regression: +10% in sub_3.
       }
-      db.Write(metric, t, rng.Normal(level, baseline * 0.02));
+      batch.Add(metric, t, rng.Normal(level, baseline * 0.02));
     }
   }
+  batch.Commit();
 
   // --- 2. Configure --------------------------------------------------------
   PipelineOptions options;

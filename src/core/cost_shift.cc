@@ -4,6 +4,8 @@
 #include <cmath>
 #include <memory>
 #include <span>
+#include <string>
+#include <string_view>
 
 #include "src/common/check.h"
 #include "src/common/strings.h"
@@ -20,6 +22,19 @@ constexpr double kLargeDomainRatio = 50.0;
 constexpr double kNegligibleRatio = 0.25;
 // A domain needs this many points on each side of the change to be measured.
 constexpr size_t kMinWindowPoints = 4;
+
+// The part of a '/'-separated name before its last '/' (or the whole name).
+std::string PathPrefix(const std::string& name) {
+  const size_t slash = name.rfind('/');
+  return slash == std::string::npos ? name : name.substr(0, slash);
+}
+
+// A prefix domain holds the names equal to the prefix or below it, by whole
+// path segments: "api/v1" holds "api/v1/a" but not "api/v10/x".
+bool InPrefixDomain(std::string_view name, std::string_view prefix) {
+  return StartsWith(name, prefix) &&
+         (name.size() == prefix.size() || name[prefix.size()] == '/');
+}
 
 // Sums the member series around the regression's change point, returning the
 // domain's mean cost before/after and whether every member existed before the
@@ -201,15 +216,12 @@ std::vector<CostDomain> MetadataPrefixDomainDetector::DomainsFor(
   if (regression.metric.metadata.empty()) {
     return domains;
   }
-  // Prefix = metadata up to the last '/' (or the whole string).
-  const std::string& metadata = regression.metric.metadata;
-  const size_t slash = metadata.rfind('/');
-  const std::string prefix = slash == std::string::npos ? metadata : metadata.substr(0, slash);
+  const std::string prefix = PathPrefix(regression.metric.metadata);
   CostDomain domain;
   domain.name = "metadata/" + prefix;
   for (const MetricId& id :
        db_->ListMetricsOfKind(regression.metric.service, regression.metric.kind)) {
-    if (StartsWith(id.metadata, prefix)) {
+    if (InPrefixDomain(id.metadata, prefix)) {
       domain.members.push_back(id);
     }
   }
@@ -225,14 +237,12 @@ std::vector<CostDomain> EndpointPrefixDomainDetector::DomainsFor(
   if (regression.metric.kind != MetricKind::kEndpointCost || regression.metric.entity.empty()) {
     return domains;
   }
-  const std::string& endpoint = regression.metric.entity;
-  const size_t slash = endpoint.rfind('/');
-  const std::string prefix = slash == std::string::npos ? endpoint : endpoint.substr(0, slash);
+  const std::string prefix = PathPrefix(regression.metric.entity);
   CostDomain domain;
   domain.name = "endpoint/" + prefix;
   for (const MetricId& id :
        db_->ListMetricsOfKind(regression.metric.service, regression.metric.kind)) {
-    if (StartsWith(id.entity, prefix)) {
+    if (InPrefixDomain(id.entity, prefix)) {
       domain.members.push_back(id);
     }
   }

@@ -13,6 +13,9 @@
 //  * enclosing class — sum of class members' gCPU;
 //  * metadata prefix — subroutines sharing a SetFrameMetadata prefix;
 //  * endpoint prefix — endpoints with a common name prefix;
+//    both prefixes end before the name's last '/' and match whole '/'
+//    segments, so "api/v1/a" and "api/v1/b" share a domain and "api/v10/x"
+//    is not in it;
 //  * commit — all subroutines modified by one code commit.
 // Users can register custom detectors.
 //

@@ -13,6 +13,9 @@
 namespace fbdetect {
 namespace {
 
+// §5.2.2's validity rule: a SAX letter is valid when its bucket holds at
+// least this fraction (X = 3%) of the historical window's points.
+constexpr double kValidBucketFraction = 0.03;
 // NewPattern: at least this fraction of post-regression letters are invalid
 // in the historical window.
 constexpr double kNewPatternInvalidFraction = 0.6;
@@ -38,14 +41,10 @@ WentAwayVerdict WentAwayDetector::Evaluate(const ScanView& view,
 
   // SAX over the combined range so historical and post share bucket
   // boundaries — view.full IS that combined range, contiguous and already
-  // oriented, so no concatenation is materialized. The encoder's validity is
-  // computed from the historical distribution only.
-  // SaxConfig's defaults are §5.2.2's: N = 20 buckets, X = 3% validity.
-  const SaxConfig sax_config;
-  // Bucket boundaries from the combined span; validity recomputed over the
-  // historical span by counting historical encodings against the combined
-  // range encoder.
-  const SaxEncoder range_encoder(view.full, sax_config);
+  // oriented, so no concatenation is materialized. Validity is computed over
+  // the historical span only, by counting historical encodings against the
+  // combined-range encoder. SaxConfig's default is §5.2.2's N = 20 buckets.
+  const SaxEncoder range_encoder(view.full, SaxConfig{});
   // Validity per letter over the HISTORICAL window. A non-finite value that
   // survived the sanitizer (sub-threshold NaN fraction, or the gate disabled)
   // must neither vote for a bucket nor index out of the count table, so skip
@@ -61,8 +60,7 @@ WentAwayVerdict WentAwayDetector::Evaluate(const ScanView& view,
     }
     ++hist_counts[static_cast<size_t>(bucket)];
   }
-  const double min_count =
-      sax_config.min_bucket_fraction * static_cast<double>(historical.size());
+  const double min_count = kValidBucketFraction * static_cast<double>(historical.size());
   auto is_valid = [&](char letter) {
     const int bucket = letter - 'a';
     if (bucket < 0 || bucket >= range_encoder.num_buckets()) {

@@ -37,8 +37,6 @@ struct FleetIngestOptions {
 class FleetSimulator {
  public:
   FleetSimulator() = default;
-  // Configures the backing database (shard count, chunk sealing).
-  explicit FleetSimulator(const TsdbOptions& tsdb_options) : db_(tsdb_options) {}
   FleetSimulator(const FleetSimulator&) = delete;
   FleetSimulator& operator=(const FleetSimulator&) = delete;
 

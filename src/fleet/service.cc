@@ -329,18 +329,4 @@ void ServiceSimulator::Tick(TimePoint t, WriteBatch& batch) {
   last_tick_ = t;
 }
 
-void ServiceSimulator::Tick(TimePoint t, TimeSeriesDatabase& db) {
-  WriteBatch batch(&db);
-  Tick(t, batch);
-  batch.Commit();
-}
-
-double ServiceSimulator::ExpectedGcpu(const std::string& subroutine) const {
-  const NodeId id = graph_.FindByName(subroutine);
-  if (id == kInvalidNode) {
-    return 0.0;
-  }
-  return graph_.ReachProbabilities()[static_cast<size_t>(id)];
-}
-
 }  // namespace fbdetect

@@ -88,16 +88,9 @@ class ServiceSimulator {
   // packed integer keys without constructing MetricId strings.
   void Tick(TimePoint t, WriteBatch& batch);
 
-  // Convenience form: one-shot batch committed before returning.
-  void Tick(TimePoint t, TimeSeriesDatabase& db);
-
   const ServiceConfig& config() const { return config_; }
   const CallGraph& graph() const { return graph_; }
   const std::vector<InjectedEvent>& events() const { return events_; }
-
-  // Current gCPU expectation of a subroutine (reach probability), for tests
-  // and ground-truth computation.
-  double ExpectedGcpu(const std::string& subroutine) const;
 
  private:
   // Applies start/end transitions for all events whose boundary lies in

@@ -44,13 +44,6 @@ NodeId CallGraph::FindByName(const std::string& name) const {
   return it == by_name_.end() ? kInvalidNode : it->second;
 }
 
-const std::vector<NodeId>& CallGraph::roots() const {
-  if (dirty_) {
-    Recompute();
-  }
-  return roots_;
-}
-
 std::vector<NodeId> CallGraph::CallersOf(NodeId id) const {
   std::vector<NodeId> callers;
   for (size_t v = 0; v < edges_.size(); ++v) {

@@ -58,9 +58,6 @@ class CallGraph {
   // Id by subroutine name; kInvalidNode when absent.
   NodeId FindByName(const std::string& name) const;
 
-  // Entry nodes (no callers).
-  const std::vector<NodeId>& roots() const;
-
   // Direct callers of a node.
   std::vector<NodeId> CallersOf(NodeId id) const;
 

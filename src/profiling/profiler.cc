@@ -88,11 +88,4 @@ void SamplingProfiler::WriteGcpuBucket(const CallGraph& graph, TimePoint bucket_
   }
 }
 
-void SamplingProfiler::WriteGcpuBucket(const CallGraph& graph, TimePoint bucket_start, Rng& rng,
-                                       TimeSeriesDatabase& db) {
-  WriteBatch batch(&db);
-  WriteGcpuBucket(graph, bucket_start, rng, batch);
-  batch.Commit();
-}
-
 }  // namespace fbdetect

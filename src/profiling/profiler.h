@@ -51,10 +51,6 @@ class SamplingProfiler {
   void WriteGcpuBucket(const CallGraph& graph, TimePoint bucket_start, Rng& rng,
                        WriteBatch& batch);
 
-  // Convenience form: one-shot batch committed before returning.
-  void WriteGcpuBucket(const CallGraph& graph, TimePoint bucket_start, Rng& rng,
-                       TimeSeriesDatabase& db);
-
   const std::string& service() const { return service_; }
   const SamplingConfig& config() const { return config_; }
 

@@ -340,13 +340,6 @@ void LoessSmoothIntoBaseline(std::span<const double> values, size_t span,
 
 }  // namespace loess_internal
 
-std::vector<double> LoessSmooth(std::span<const double> values, size_t span) {
-  std::vector<double> smoothed(values.size(), 0.0);
-  LoessScratch scratch;
-  LoessSmoothInto(values, span, smoothed, scratch);
-  return smoothed;
-}
-
 void LoessSmoothInto(std::span<const double> values, size_t span, std::span<double> smoothed,
                      LoessScratch& scratch) {
 #if FBD_LOESS_HAS_AVX2_ENTRY

@@ -15,11 +15,6 @@
 
 namespace fbdetect {
 
-// Smooths `values` with a loess window of `span` points (clamped to
-// [2, n]). Returns a series of the same length. An empty input returns an
-// empty vector.
-std::vector<double> LoessSmooth(std::span<const double> values, size_t span);
-
 // Working storage for LoessSmoothInto: the interior kernel and the edge
 // weight rows, W interleaved rows of span weights. Nothing in it carries
 // from one call to the next; reusing one across calls only saves their
@@ -30,8 +25,9 @@ struct LoessScratch {
   std::vector<double> rows;
 };
 
-// LoessSmooth writing into `smoothed` (values.size() elements, not aliasing
-// `values`), with its working storage in `scratch`.
+// Smooths `values` with a loess window of `span` points (clamped to
+// [2, n]) into `smoothed` (values.size() elements, not aliasing `values`),
+// with its working storage in `scratch`. An empty input writes nothing.
 void LoessSmoothInto(std::span<const double> values, size_t span, std::span<double> smoothed,
                      LoessScratch& scratch);
 

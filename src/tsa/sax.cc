@@ -22,22 +22,6 @@ SaxEncoder::SaxEncoder(std::span<const double> reference, const SaxConfig& confi
     config_.num_buckets = 1;
   }
   bucket_width_ = (range_max_ - range_min_) / static_cast<double>(config_.num_buckets);
-
-  // Count reference points per bucket to determine validity.
-  std::vector<size_t> counts(static_cast<size_t>(config_.num_buckets), 0);
-  for (double v : reference) {
-    ++counts[static_cast<size_t>(BucketIndex(v))];
-  }
-  letter_valid_.assign(static_cast<size_t>(config_.num_buckets), false);
-  const double min_count =
-      config_.min_bucket_fraction * static_cast<double>(reference.size());
-  for (int b = 0; b < config_.num_buckets; ++b) {
-    if (!reference.empty() && static_cast<double>(counts[static_cast<size_t>(b)]) >= min_count &&
-        counts[static_cast<size_t>(b)] > 0) {
-      letter_valid_[static_cast<size_t>(b)] = true;
-      valid_letters_.push_back(static_cast<char>('a' + b));
-    }
-  }
 }
 
 int SaxEncoder::BucketIndex(double value) const {
@@ -71,34 +55,9 @@ std::string SaxEncoder::EncodeSeries(std::span<const double> values) const {
   return encoded;
 }
 
-bool SaxEncoder::IsValidLetter(char letter) const {
-  const int bucket = letter - 'a';
-  if (bucket < 0 || bucket >= config_.num_buckets) {
-    return false;
-  }
-  return letter_valid_[static_cast<size_t>(bucket)];
-}
-
-char SaxEncoder::LargestValidLetter() const {
-  return valid_letters_.empty() ? '\0' : valid_letters_.back();
-}
-
 double SaxEncoder::BucketLowerBound(char letter) const {
   const int bucket = std::clamp(letter - 'a', 0, config_.num_buckets - 1);
   return range_min_ + static_cast<double>(bucket) * bucket_width_;
-}
-
-double SaxEncoder::InvalidFraction(const std::string& encoded) const {
-  if (encoded.empty()) {
-    return 1.0;
-  }
-  size_t invalid = 0;
-  for (char letter : encoded) {
-    if (!IsValidLetter(letter)) {
-      ++invalid;
-    }
-  }
-  return static_cast<double>(invalid) / static_cast<double>(encoded.size());
 }
 
 }  // namespace fbdetect

@@ -3,24 +3,23 @@
 // SAX discretizes a real-valued series into a string: the value range is
 // split into N equal-width buckets, each mapped to a letter ('a' is the
 // lowest bucket). The paper's configuration is N=20 buckets with a validity
-// rule: a bucket (letter) is "valid" only if it holds at least X% (default
-// 3%) of the data points — this makes the representation robust to outliers.
+// rule: a bucket (letter) is "valid" only if it holds at least X% (3%) of the
+// data points — this makes the representation robust to outliers.
 //
-// The went-away detector compares SAX strings of different windows against
-// the valid-letter alphabet of a reference window to decide whether two
-// anomalies share a cause.
+// The went-away detector, this encoder's one user, compares SAX strings of
+// different windows against the valid-letter alphabet of a reference window
+// to decide whether two anomalies share a cause; it applies the validity rule
+// itself, over its historical window (src/core/went_away.cc).
 #ifndef FBDETECT_SRC_TSA_SAX_H_
 #define FBDETECT_SRC_TSA_SAX_H_
 
 #include <span>
 #include <string>
-#include <vector>
 
 namespace fbdetect {
 
 struct SaxConfig {
-  int num_buckets = 20;            // N in the paper.
-  double min_bucket_fraction = 0.03;  // X% validity threshold.
+  int num_buckets = 20;  // N in the paper.
 };
 
 class SaxEncoder {
@@ -37,24 +36,10 @@ class SaxEncoder {
   // SAX string for a span of values.
   std::string EncodeSeries(std::span<const double> values) const;
 
-  // Letters whose bucket contains >= min_bucket_fraction of the reference
-  // points, in ascending bucket order.
-  const std::vector<char>& valid_letters() const { return valid_letters_; }
-
-  // True if `letter` is valid for the reference distribution.
-  bool IsValidLetter(char letter) const;
-
-  // Largest (highest-bucket) valid letter; '\0' when no bucket is valid.
-  char LargestValidLetter() const;
-
   // Lower bound of the bucket for `letter`.
   double BucketLowerBound(char letter) const;
 
   int num_buckets() const { return config_.num_buckets; }
-
-  // Fraction of `encoded` whose letters are NOT valid for this encoder's
-  // reference distribution. 1.0 for an empty string.
-  double InvalidFraction(const std::string& encoded) const;
 
  private:
   int BucketIndex(double value) const;
@@ -63,8 +48,6 @@ class SaxEncoder {
   double range_min_ = 0.0;
   double range_max_ = 0.0;
   double bucket_width_ = 0.0;
-  std::vector<char> valid_letters_;
-  std::vector<bool> letter_valid_;  // Indexed by bucket.
 };
 
 }  // namespace fbdetect

@@ -41,10 +41,6 @@ void WriteBatch::Add(const InternedMetricId& id, TimePoint timestamp, double val
   ++point_count_;
 }
 
-void WriteBatch::Add(const MetricId& id, TimePoint timestamp, double value) {
-  Add(db_->Intern(id), timestamp, value);
-}
-
 void WriteBatch::MutateColumns(
     const std::function<void(const InternedMetricId&, std::vector<TimePoint>&,
                              std::vector<double>&)>& fn) {
@@ -311,22 +307,15 @@ TimeSeriesDatabase::SeriesEntry& TimeSeriesDatabase::EntryLocked(
   return it->second;
 }
 
-void TimeSeriesDatabase::Write(const MetricId& id, TimePoint timestamp, double value) {
-  Write(Intern(id), timestamp, value);
-}
-
-bool TimeSeriesDatabase::AppendCounted(Shard& shard, SeriesEntry& entry,
-                                       TimePoint timestamp, double value) {
+bool TimeSeriesDatabase::AppendCounted(SeriesEntry& entry, TimePoint timestamp,
+                                       double value) {
   switch (entry.data.TryAppend(timestamp, value)) {
     case AppendOutcome::kAppended:
-      ++shard.ingest.accepted;
       return true;
     case AppendOutcome::kDuplicate:
-      ++shard.ingest.dropped_duplicate;
       ++entry.rejected_duplicate;
       return false;
     case AppendOutcome::kOutOfOrder:
-      ++shard.ingest.dropped_out_of_order;
       ++entry.rejected_out_of_order;
       return false;
   }
@@ -350,48 +339,6 @@ void TimeSeriesDatabase::LogAppendLocked(Shard& shard, const InternedMetricId& i
       std::span<const double>(tail.values()).subspan(tail_before, count));
 }
 
-void TimeSeriesDatabase::Write(const InternedMetricId& id, TimePoint timestamp,
-                               double value) {
-  Shard& shard = shards_[ShardIndex(id)];
-  bool committed = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    SeriesEntry& entry = EntryLocked(shard, id);
-    const size_t tail_before = entry.data.tail().size();
-    if (AppendCounted(shard, entry, timestamp, value)) {
-      shard.generation.fetch_add(1, std::memory_order_relaxed);
-      LogAppendLocked(shard, id, entry, tail_before);
-      committed = MaybeGroupCommitLocked(shard);
-    }
-  }
-  if (committed) {
-    PublishDurableTotals(/*memory=*/false);
-  }
-}
-
-void TimeSeriesDatabase::WriteSeries(const MetricId& id, TimeSeries series) {
-  const InternedMetricId interned = Intern(id);
-  Shard& shard = shards_[ShardIndex(interned)];
-  bool committed = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    SeriesEntry& entry = EntryLocked(shard, interned);
-    const size_t tail_before = entry.data.tail().size();
-    bool stored = false;
-    for (size_t i = 0; i < series.size(); ++i) {
-      stored |= AppendCounted(shard, entry, series.timestamps()[i], series.values()[i]);
-    }
-    if (stored) {
-      shard.generation.fetch_add(1, std::memory_order_relaxed);
-      LogAppendLocked(shard, interned, entry, tail_before);
-      committed = MaybeGroupCommitLocked(shard);
-    }
-  }
-  if (committed) {
-    PublishDurableTotals(/*memory=*/false);
-  }
-}
-
 void TimeSeriesDatabase::Apply(WriteBatch& batch) {
   FBD_CHECK(batch.db_ == this);
   bool committed = false;
@@ -412,7 +359,7 @@ void TimeSeriesDatabase::Apply(WriteBatch& batch) {
       const size_t tail_before = entry.data.tail().size();
       bool stored = false;
       for (size_t i = 0; i < column.timestamps.size(); ++i) {
-        stored |= AppendCounted(shard, entry, column.timestamps[i], column.values[i]);
+        stored |= AppendCounted(entry, column.timestamps[i], column.values[i]);
       }
       if (stored) {
         changed = true;
@@ -427,17 +374,6 @@ void TimeSeriesDatabase::Apply(WriteBatch& batch) {
   if (committed) {
     PublishDurableTotals(/*memory=*/false);
   }
-}
-
-TimeSeriesDatabase::IngestStats TimeSeriesDatabase::ingest_stats() const {
-  IngestStats total;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total.accepted += shard.ingest.accepted;
-    total.dropped_duplicate += shard.ingest.dropped_duplicate;
-    total.dropped_out_of_order += shard.ingest.dropped_out_of_order;
-  }
-  return total;
 }
 
 void TimeSeriesDatabase::ForEachIngestReject(
@@ -486,11 +422,6 @@ std::optional<TimeSeries> TimeSeriesDatabase::Find(const MetricId& id) const {
     return std::nullopt;
   }
   return series;
-}
-
-bool TimeSeriesDatabase::Contains(const MetricId& id) const {
-  const auto interned = TryIntern(id);
-  return interned && Contains(*interned);
 }
 
 bool TimeSeriesDatabase::Contains(const InternedMetricId& id) const {

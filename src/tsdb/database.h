@@ -4,6 +4,9 @@
 // uses ODS/Gorilla-class storage); the interface is deliberately the subset
 // the detectors need.
 //
+// Points enter one way: Intern the identity, stage points with
+// WriteBatch::Add, then WriteBatch::Commit.
+//
 // Storage layout (PR 2): metric identity strings are interned into a
 // SymbolTable so the hot write path keys on a 16-byte InternedMetricId; the
 // series map is split into lock-striped shards so fleet ingestion scales
@@ -94,10 +97,8 @@ class WriteBatch {
  public:
   explicit WriteBatch(TimeSeriesDatabase* db);
 
-  // Stages one point. The MetricId form interns the identity first; callers
-  // on the hot path should intern once and use the InternedMetricId form.
+  // Stages one point of a series interned by this batch's database.
   void Add(const InternedMetricId& id, TimePoint timestamp, double value);
-  void Add(const MetricId& id, TimePoint timestamp, double value);
 
   // Applies all staged points and clears the staged data (the id -> column
   // mapping and vector capacities are retained for the next fill).
@@ -206,16 +207,6 @@ class TimeSeriesDatabase {
   };
   ScanStats scan_stats() const;
 
-  // Fleet telemetry is dirty: retransmitted buffers duplicate points, delayed
-  // buffers arrive behind newer data. The write path classifies and counts
-  // such points per shard (and per series) instead of aborting the process.
-  struct IngestStats {
-    uint64_t accepted = 0;
-    uint64_t dropped_duplicate = 0;
-    uint64_t dropped_out_of_order = 0;
-    uint64_t dropped() const { return dropped_duplicate + dropped_out_of_order; }
-  };
-
   TimeSeriesDatabase() : TimeSeriesDatabase(TsdbOptions{}) {}
   // With durable options set, the constructor recovers prior on-disk state:
   // symbols log, then each shard's chunk file, then each shard's WAL (torn
@@ -239,26 +230,14 @@ class TimeSeriesDatabase {
   MetricId Resolve(const InternedMetricId& id) const;
   const SymbolTable& symbols() const { return symbols_; }
 
-  // --- Ingestion ---
+  // --- Ingest rejects ---
 
-  // Appends one point. A timestamp at or before the newest stored point of
-  // its series is dropped and counted (see IngestStats), never stored.
-  void Write(const MetricId& id, TimePoint timestamp, double value);
-  void Write(const InternedMetricId& id, TimePoint timestamp, double value);
-
-  // Bulk-appends a series.
-  void WriteSeries(const MetricId& id, TimeSeries series);
-
-  // Applies a staged batch: each touched shard is locked once and its
-  // generation bumped once. Called by WriteBatch::Commit.
-  void Apply(WriteBatch& batch);
-
-  // Aggregate accept/drop counters across all shards.
-  IngestStats ingest_stats() const;
-
-  // Invokes `fn(id, dropped_duplicate, dropped_out_of_order)` for every
-  // series that has dropped at least one point, in canonical MetricId order.
-  // The pipeline folds these into its quarantine report.
+  // Fleet telemetry is dirty: retransmitted buffers duplicate points, delayed
+  // buffers arrive behind newer data. Commit drops a point whose timestamp is
+  // at or before the newest stored point of its series and counts it once,
+  // on that series. Invokes `fn(id, dropped_duplicate, dropped_out_of_order)`
+  // for every series that has dropped at least one point, in canonical
+  // MetricId order. The pipeline folds these into its quarantine report.
   void ForEachIngestReject(
       const std::function<void(const MetricId&, uint64_t, uint64_t)>& fn) const;
 
@@ -270,7 +249,6 @@ class TimeSeriesDatabase {
   // (tsdb.durable.mapped_readback_decodes); tsdb.scan.* is not touched.
   std::optional<TimeSeries> Find(const MetricId& id) const;
 
-  bool Contains(const MetricId& id) const;
   bool Contains(const InternedMetricId& id) const;
 
   // Scan-path lookup for points in [begin, inf). If the raw tail covers the
@@ -325,11 +303,11 @@ class TimeSeriesDatabase {
   // tsdb.durable.* / tsdb.memory.* when the durable tier is on. Events are
   // counted where they happen; totals derived from per-file WAL/chunk stats
   // and per-series sizes are Set at the end of the write-phase call that
-  // changed them (Write/Apply when they group-commit, SealBefore, Expire,
+  // changed them (Commit when it group-commits, SealBefore, Expire,
   // SyncDurable, recovery), so reading the registry never takes a shard lock.
   const TelemetryRegistry& telemetry() const { return telemetry_; }
 
-  // Bumped on every mutation (Write/Apply/WriteSeries/SealBefore/Expire).
+  // Bumped on every mutation (Commit/SealBefore/Expire).
   // Readers that cache derived data — e.g. ListMetrics' sorted per-service
   // lists — or that hold zero-copy spans into series storage compare
   // generations to decide whether their view is still valid. Monotonic
@@ -350,7 +328,6 @@ class TimeSeriesDatabase {
   struct Shard {
     mutable std::mutex mutex;
     std::atomic<uint64_t> generation{0};
-    IngestStats ingest;  // Guarded by `mutex`.
     std::unordered_map<InternedMetricId, SeriesEntry, InternedMetricIdHash> series;
     // Durable tier (null when disabled). Guarded by `mutex` on the write
     // path; the chunk store's Payload() is safe for lock-free readers (see
@@ -375,14 +352,19 @@ class TimeSeriesDatabase {
   // shard mutex.
   SeriesEntry& EntryLocked(Shard& shard, const InternedMetricId& id);
 
-  // Appends one point with reject accounting (shard + per-series counters).
-  // Caller holds the shard mutex. Returns true iff the point was stored.
-  static bool AppendCounted(Shard& shard, SeriesEntry& entry, TimePoint timestamp,
-                            double value);
+  // The one write path, run by WriteBatch::Commit: classifies each staged
+  // point as new, duplicate or out of order, logs the stored ones to the
+  // WAL, group-commits and bumps the generation, locking each touched shard
+  // once.
+  void Apply(WriteBatch& batch);
+
+  // Appends one point, counting a rejection on the series. Caller holds the
+  // shard mutex. Returns true iff the point was stored.
+  static bool AppendCounted(SeriesEntry& entry, TimePoint timestamp, double value);
 
   // With the durable tier on, buffers the tail suffix [tail_before,
-  // tail.size()) — the points a write call just stored — into the shard's
-  // WAL. Caller holds the shard mutex.
+  // tail.size()) — the points Apply just stored — into the shard's WAL.
+  // Caller holds the shard mutex.
   void LogAppendLocked(Shard& shard, const InternedMetricId& id,
                        const SeriesEntry& entry, size_t tail_before);
 

@@ -47,15 +47,6 @@ std::string MetricId::ToString() const {
   return out;
 }
 
-size_t MetricIdHash::operator()(const MetricId& id) const {
-  const std::hash<std::string> string_hash;
-  size_t h = string_hash(id.service);
-  h = h * 1315423911u + static_cast<size_t>(id.kind);
-  h = h * 1315423911u + string_hash(id.entity);
-  h = h * 1315423911u + string_hash(id.metadata);
-  return h;
-}
-
 size_t InternedMetricIdHash::operator()(const InternedMetricId& id) const {
   // SplitMix64-style finalizer over the packed components; symbols are dense
   // small integers, so raw mixing would cluster shards without it.

@@ -50,10 +50,6 @@ struct MetricId {
   std::string ToString() const;
 };
 
-struct MetricIdHash {
-  size_t operator()(const MetricId& id) const;
-};
-
 // The interned form of a MetricId: each string component replaced by its
 // dense SymbolTable handle. This is the key of the sharded storage and the
 // currency of the hot write path — hashing it mixes three 32-bit integers

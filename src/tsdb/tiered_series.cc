@@ -7,10 +7,6 @@
 
 namespace fbdetect {
 
-void TieredSeries::Append(TimePoint timestamp, double value) {
-  FBD_CHECK(TryAppend(timestamp, value) == AppendOutcome::kAppended);
-}
-
 AppendOutcome TieredSeries::TryAppend(TimePoint timestamp, double value) {
   const TimePoint newest =
       tail_.empty() ? (chunks_.empty() ? 0 : chunks_.back().last) : tail_.end_time();

@@ -76,12 +76,8 @@ class TieredSeries {
   explicit TieredSeries(size_t seal_chunk_points = 1024)
       : seal_chunk_points_(seal_chunk_points) {}
 
-  // Appends to the tail; `timestamp` must be strictly after every stored
-  // point, sealed or not.
-  void Append(TimePoint timestamp, double value);
-
-  // Recoverable form: classifies instead of aborting when `timestamp` is not
-  // strictly after the newest stored point. Nothing is stored on rejection.
+  // Appends to the tail when `timestamp` is strictly after every stored
+  // point, sealed or not; otherwise classifies the point and stores nothing.
   AppendOutcome TryAppend(TimePoint timestamp, double value);
 
   size_t size() const { return sealed_points_ + tail_.size(); }

@@ -8,7 +8,7 @@
 // WindowSpec holds durations. ExtractWindowView splits a series into a
 // WindowView: zero-copy spans into the series' internal storage, which is
 // the only form the scan reads. Spans are invalidated by any mutation of the
-// series (TimeSeriesDatabase::Write / WriteSeries / Expire,
+// series (WriteBatch::Commit, TimeSeriesDatabase::SealBefore / Expire,
 // TimeSeries::Append / DropBefore), so scans must not interleave with
 // ingestion. scan_path_test checks the split against a linear-scan oracle
 // that shares no code with TimeSeries::SliceIndices.

@@ -8,6 +8,8 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/core/cost_shift.h"
@@ -16,6 +18,7 @@
 #include "src/core/som.h"
 #include "src/core/som_dedup.h"
 #include "src/tsdb/database.h"
+#include "tests/batch_writes.h"
 #include "tests/stage_helpers.h"
 
 namespace fbdetect {
@@ -277,25 +280,39 @@ class FakeCodeInfo : public CodeInfoProvider {
   bool IsDescendant(const std::string&, const std::string&) const override { return false; }
 };
 
-// Writes a gCPU series with a step at `step_at`.
-void WriteStepSeries(TimeSeriesDatabase& db, const std::string& subroutine, double before,
-                     double after, TimePoint step_at, TimePoint end) {
-  const MetricId id{"svc", MetricKind::kGcpu, subroutine, ""};
+// Writes a series with a step at `step_at`.
+void WriteStepSeries(TimeSeriesDatabase& db, const MetricId& id, double before, double after,
+                     TimePoint step_at, TimePoint end) {
+  TimeSeries series;
   for (TimePoint t = 0; t < end; t += Minutes(10)) {
-    db.Write(id, t, t < step_at ? before : after);
+    series.Append(t, t < step_at ? before : after);
   }
+  CommitSeries(db, id, series);
 }
 
-Regression ShiftCandidate(const std::string& subroutine, double delta, double baseline,
+// The same for the gCPU series of `subroutine`.
+void WriteStepSeries(TimeSeriesDatabase& db, const std::string& subroutine, double before,
+                     double after, TimePoint step_at, TimePoint end) {
+  WriteStepSeries(db, MetricId{"svc", MetricKind::kGcpu, subroutine, ""}, before, after,
+                  step_at, end);
+}
+
+Regression ShiftCandidate(const MetricId& metric, double delta, double baseline,
                           TimePoint change, TimePoint detected) {
   Regression regression;
-  regression.metric = {"svc", MetricKind::kGcpu, subroutine, ""};
+  regression.metric = metric;
   regression.change_time = change;
   regression.detected_at = detected;
   regression.baseline_mean = baseline;
   regression.delta = delta;
   regression.relative_delta = delta / baseline;
   return regression;
+}
+
+Regression ShiftCandidate(const std::string& subroutine, double delta, double baseline,
+                          TimePoint change, TimePoint detected) {
+  return ShiftCandidate(MetricId{"svc", MetricKind::kGcpu, subroutine, ""}, delta, baseline,
+                        change, detected);
 }
 
 // Where a cost-shift case's member history is stored. Cost shift reads
@@ -459,10 +476,11 @@ TEST(CostShiftTest, NewDomainNotACostShift) {
       [&](TimeSeriesDatabase& db) {
         WriteStepSeries(db, "method_a", 0.010, 0.018, step, end);
         // method_b's series only exists AFTER the change: the domain is new.
-        const MetricId b_id{"svc", MetricKind::kGcpu, "method_b", ""};
+        TimeSeries late;
         for (TimePoint t = step; t < end; t += Minutes(10)) {
-          db.Write(b_id, t, 0.001);
+          late.Append(t, 0.001);
         }
+        CommitSeries(db, {"svc", MetricKind::kGcpu, "method_b", ""}, late);
         WriteStepSeries(db, "method_c", 0.005, 0.0, step, end);
       },
       [&](const TimeSeriesDatabase& db) {
@@ -495,6 +513,76 @@ TEST(CostShiftTest, CommitDomainGroupsTouchedSubroutines) {
         return detector.Evaluate(ShiftCandidate("method_a", 0.008, 0.010, step, end));
       });
   EXPECT_TRUE(verdict.is_cost_shift);
+}
+
+// An endpoint-cost series of service "svc".
+MetricId Endpoint(const std::string& endpoint) {
+  return {"svc", MetricKind::kEndpointCost, endpoint, ""};
+}
+
+// A gCPU series of service "svc" annotated with `metadata`.
+MetricId Annotated(const std::string& metadata) {
+  return {"svc", MetricKind::kGcpu, "sub", metadata};
+}
+
+// `rising` steps from 0.010 to 0.018 and each of `others` from 0.012 by its
+// delta; the verdict on `rising` under the default domain detectors, which
+// without code info or a change log are the two prefix domains.
+CostShiftVerdict EvaluatePrefixCase(const MetricId& rising,
+                                    const std::vector<std::pair<MetricId, double>>& others) {
+  const TimePoint step = Hours(10);
+  const TimePoint end = Hours(20);
+  return EvaluateInEveryStorage(
+      step,
+      [&](TimeSeriesDatabase& db) {
+        WriteStepSeries(db, rising, 0.010, 0.018, step, end);
+        for (const auto& [id, delta] : others) {
+          WriteStepSeries(db, id, 0.012, 0.012 + delta, step, end);
+        }
+      },
+      [&](const TimeSeriesDatabase& db) {
+        CostShiftDetector detector(&db);
+        detector.AddDefaultDetectors(/*code_info=*/nullptr, /*change_log=*/nullptr, Days(1));
+        return detector.Evaluate(ShiftCandidate(rising, 0.008, 0.010, step, end));
+      });
+}
+
+TEST(CostShiftTest, EndpointPrefixDomainCatchesSiblingShift) {
+  const CostShiftVerdict verdict =
+      EvaluatePrefixCase(Endpoint("api/v1/a"), {{Endpoint("api/v1/b"), -0.008}});
+  EXPECT_TRUE(verdict.is_cost_shift);
+  EXPECT_EQ(verdict.domain, "endpoint_prefix:endpoint/api/v1");
+}
+
+TEST(CostShiftTest, MetadataPrefixDomainCatchesSiblingShift) {
+  const CostShiftVerdict verdict =
+      EvaluatePrefixCase(Annotated("feature/a"), {{Annotated("feature/b"), -0.008}});
+  EXPECT_TRUE(verdict.is_cost_shift);
+  EXPECT_EQ(verdict.domain, "metadata_prefix:metadata/feature");
+}
+
+// A prefix domain holds whole path segments only. In each case a look-alike
+// name, which merely starts with the same characters, drops by what the
+// rising series gained; a flat true sibling makes the domain form, so its
+// reads are checked in every storage. Counting the look-alike in the domain
+// would cancel the rise and filter a real regression.
+TEST(CostShiftTest, PrefixDomainsMatchWholePathSegments) {
+  struct Case {
+    MetricId rising;
+    MetricId sibling;
+    MetricId look_alike;
+  };
+  const std::vector<Case> cases = {
+      {Endpoint("api/v1/a"), Endpoint("api/v1/b"), Endpoint("api/v10/x")},
+      {Annotated("feature/a"), Annotated("feature/b"), Annotated("feature_flags/x")},
+      {Endpoint("endpoint_1"), Endpoint("endpoint_1/v2"), Endpoint("endpoint_10")},
+  };
+  for (const Case& c : cases) {
+    const CostShiftVerdict verdict =
+        EvaluatePrefixCase(c.rising, {{c.sibling, 0.0}, {c.look_alike, -0.008}});
+    EXPECT_FALSE(verdict.is_cost_shift)
+        << c.rising.ToString() << " filtered as " << verdict.domain;
+  }
 }
 
 // The pipeline gives cost shift's commit domains the lookback of the one

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "src/common/random.h"
@@ -186,6 +187,11 @@ struct StepCase {
   double step;
   double noise;
 };
+
+// Names each case by its fields in the test ids.
+void PrintTo(const StepCase& c, std::ostream* os) {
+  *os << "step=" << c.step << " noise=" << c.noise;
+}
 
 class ChangePointSweepTest : public ::testing::TestWithParam<StepCase> {};
 

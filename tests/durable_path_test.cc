@@ -41,6 +41,7 @@
 #include "src/tsdb/durable_io.h"
 #include "src/tsdb/metric_id.h"
 #include "src/tsdb/wal.h"
+#include "tests/batch_writes.h"
 
 namespace fbdetect {
 namespace {
@@ -371,20 +372,33 @@ std::vector<MetricId> RoundTripIds() {
           MetricId{"svc2", MetricKind::kLatency, "x", ""}};
 }
 
-void RoundTripWorkload(TimeSeriesDatabase& db) {
+// Commits minutes [begin, end) of every round-trip series in one batch.
+void CommitRoundTripMinutes(TimeSeriesDatabase& db, int begin, int end) {
   const std::vector<MetricId> ids = RoundTripIds();
-  for (int i = 0; i < 200; ++i) {
+  WriteBatch batch(&db);
+  for (int i = begin; i < end; ++i) {
     for (size_t s = 0; s < ids.size(); ++s) {
-      db.Write(ids[s], 60 * i, static_cast<double>(i) + 0.25 * static_cast<double>(s));
+      batch.Add(db.Intern(ids[s]), 60 * i,
+                static_cast<double>(i) + 0.25 * static_cast<double>(s));
     }
   }
+  batch.Commit();
+}
+
+void RoundTripWorkload(TimeSeriesDatabase& db) {
+  CommitRoundTripMinutes(db, 0, 200);
   db.SealBefore(60 * 150);
-  for (int i = 200; i < 250; ++i) {
-    for (size_t s = 0; s < ids.size(); ++s) {
-      db.Write(ids[s], 60 * i, static_cast<double>(i) + 0.25 * static_cast<double>(s));
-    }
-  }
+  CommitRoundTripMinutes(db, 200, 250);
   db.Expire(60 * 30);
+}
+
+// One value a minute from minute `begin` to `end` (exclusive).
+TimeSeries Minutely(int begin, int end, const std::function<double(int)>& value) {
+  TimeSeries series;
+  for (int i = begin; i < end; ++i) {
+    series.Append(60 * i, value(i));
+  }
+  return series;
 }
 
 void ExpectSameContent(const TimeSeriesDatabase& got, const TimeSeriesDatabase& want) {
@@ -423,10 +437,10 @@ TEST(DurableDbTest, CleanCloseReopenIsLossless) {
     ExpectSameContent(db, ram);
 
     // Keep growing after recovery; reopen again — convergent, still lossless.
-    for (int i = 250; i < 300; ++i) {
-      db.Write(RoundTripIds()[0], 60 * i, static_cast<double>(i));
-      ram.Write(RoundTripIds()[0], 60 * i, static_cast<double>(i));
-    }
+    const TimeSeries growth =
+        Minutely(250, 300, [](int i) { return static_cast<double>(i); });
+    CommitSeries(db, RoundTripIds()[0], growth);
+    CommitSeries(ram, RoundTripIds()[0], growth);
     db.SealBefore(60 * 280);
     ram.SealBefore(60 * 280);
   }
@@ -438,10 +452,8 @@ TEST(DurableDbTest, ExpiredPointsDoNotResurrectAcrossReopen) {
   const ScopedDir dir("expire");
   {
     TimeSeriesDatabase db(DurableDbOptions(dir.path));
-    const MetricId id{"svc", MetricKind::kGcpu, "a", ""};
-    for (int i = 0; i < 200; ++i) {
-      db.Write(id, 60 * i, static_cast<double>(i));
-    }
+    CommitSeries(db, MetricId{"svc", MetricKind::kGcpu, "a", ""},
+                 Minutely(0, 200, [](int i) { return static_cast<double>(i); }));
     db.SealBefore(60 * 150);  // Chunks now hold points the cutoff will drop.
     db.Expire(60 * 180);
   }
@@ -467,11 +479,10 @@ TEST(DurableDbTest, EvictionUnderBudgetServesMappedReadback) {
   TimeSeriesDatabase ram;
   TimeSeriesDatabase db(options);
   const MetricId id{"svc", MetricKind::kGcpu, "hot", ""};
-  for (int i = 0; i < 5000; ++i) {
-    const double value = 10.0 + static_cast<double>(i % 17);
-    db.Write(id, 60 * i, value);
-    ram.Write(id, 60 * i, value);
-  }
+  const TimeSeries hot =
+      Minutely(0, 5000, [](int i) { return 10.0 + static_cast<double>(i % 17); });
+  CommitSeries(db, id, hot);
+  CommitSeries(ram, id, hot);
   db.SealBefore(60 * 4500);
   ram.SealBefore(60 * 4500);
 
@@ -511,10 +522,9 @@ TEST(DurableDbTest, EvictedHistorySurvivesReopen) {
   const MetricId id{"svc", MetricKind::kGcpu, "hot", ""};
   {
     TimeSeriesDatabase db(options);
-    for (int i = 0; i < 3000; ++i) {
-      db.Write(id, 60 * i, static_cast<double>(i % 29));
-      ram.Write(id, 60 * i, static_cast<double>(i % 29));
-    }
+    const TimeSeries hot = Minutely(0, 3000, [](int i) { return static_cast<double>(i % 29); });
+    CommitSeries(db, id, hot);
+    CommitSeries(ram, id, hot);
     db.SealBefore(60 * 2500);
     ram.SealBefore(60 * 2500);
   }
@@ -589,6 +599,22 @@ std::string RenderPipelineState(Pipeline& pipeline) {
   return out;
 }
 
+// Ticks `service` over (begin, end] into `db`, committing once
+// `flush_points` points are staged and at the end: the ingest loop each of
+// FleetSimulator::Run's workers runs for one service.
+void TickInto(ServiceSimulator& service, TimeSeriesDatabase& db, TimePoint begin,
+              TimePoint end, size_t flush_points) {
+  const Duration tick = service.config().tick;
+  WriteBatch batch(&db);
+  for (TimePoint t = begin + tick; t <= end; t += tick) {
+    service.Tick(t, batch);
+    if (batch.point_count() >= flush_points) {
+      batch.Commit();
+    }
+  }
+  batch.Commit();
+}
+
 struct TierRun {
   std::string rendered;
   uint64_t tail_hits = 0;
@@ -600,32 +626,28 @@ struct TierRun {
 // reads both the raw tail and sealed chunks (resident or mapped).
 TierRun RunTierScenario(const TsdbOptions& tsdb, int scan_threads) {
   const ServiceConfig config = TierServiceConfig();
-  FleetSimulator fleet(tsdb);
-  fleet.AddService(config);
+  ServiceSimulator service(config);
   InjectedEvent event;
   event.kind = EventKind::kStepRegression;
   event.service = config.name;
   event.subroutine = DetectableLeaf(config);
   event.start = Hours(36);
   event.magnitude = 0.5;
-  fleet.InjectEvent(event);
+  service.ScheduleEvent(event);
 
-  Pipeline pipeline(&fleet.db(), nullptr, nullptr, DetectOptions(scan_threads));
-  FleetIngestOptions ingest;
-  ingest.threads = 2;
-  ingest.flush_points = 1024;
-
+  TimeSeriesDatabase db(tsdb);
+  Pipeline pipeline(&db, nullptr, nullptr, DetectOptions(scan_threads));
   TierRun result;
   TimePoint ingested = -kTick;
   for (TimePoint as_of = kFirstRun; as_of <= kDataEnd; as_of += kRunStep) {
-    fleet.Run(ingested, as_of, ingest);
+    TickInto(service, db, ingested, as_of, /*flush_points=*/1024);
     ingested = as_of;
-    fleet.db().SealBefore(as_of - Hours(12));
+    db.SealBefore(as_of - Hours(12));
     result.rendered += Serialize(pipeline.RunAt(config.name, as_of));
   }
   result.rendered += RenderPipelineState(pipeline);
-  result.tail_hits = fleet.db().scan_stats().tail_hits;
-  result.mapped_decodes = fleet.db().durable_stats().mapped_readback_decodes;
+  result.tail_hits = db.scan_stats().tail_hits;
+  result.mapped_decodes = db.durable_stats().mapped_readback_decodes;
   return result;
 }
 
@@ -829,10 +851,12 @@ void IngestSuffixIntoDurable(TimeSeriesDatabase& db, const TimeSeriesDatabase& r
                              const std::function<void(int)>& on_segment_durable,
                              unsigned throttle_us = 0) {
   const std::vector<MetricId> ids = ref.ListMetrics();
+  std::vector<InternedMetricId> interned;
   std::vector<TimeSeries> sources;
   std::vector<TimePoint> resume(ids.size(), std::numeric_limits<TimePoint>::min());
   TimePoint progress = std::numeric_limits<TimePoint>::max();
   for (size_t i = 0; i < ids.size(); ++i) {
+    interned.push_back(db.Intern(ids[i]));
     sources.push_back(*ref.Find(ids[i]));
     const std::optional<TimeSeries> have = db.Find(ids[i]);
     if (have.has_value() && !have->empty()) {
@@ -852,7 +876,7 @@ void IngestSuffixIntoDurable(TimeSeriesDatabase& db, const TimeSeriesDatabase& r
       const auto [lo, hi] =
           src->SliceIndices(std::max(resume[i] + 1, seg_begin), hi_time);
       for (size_t k = lo; k < hi; ++k) {
-        batch.Add(ids[i], src->timestamps()[k], src->values()[k]);
+        batch.Add(interned[i], src->timestamps()[k], src->values()[k]);
       }
       if (throttle_us != 0) {
         usleep(throttle_us);
@@ -1026,18 +1050,17 @@ uint64_t CounterValue(const TelemetryRegistry& registry, const std::string& name
 
 TEST(DurableTelemetryTest, RuntimeExportCarriesDiskTierGauges) {
   const ScopedDir dir("gauges");
-  TsdbOptions tsdb = DurableDbOptions(dir.path);
-  FleetSimulator fleet(tsdb);
-  fleet.AddService(TierServiceConfig());
-  fleet.Run(-kTick, kFirstRun);
-  fleet.db().SealBefore(Hours(18));
+  TimeSeriesDatabase db(DurableDbOptions(dir.path));
+  ServiceSimulator service(TierServiceConfig());
+  TickInto(service, db, -kTick, kFirstRun, FleetIngestOptions{}.flush_points);
+  db.SealBefore(Hours(18));
 
   PipelineOptions options = DetectOptions(/*scan_threads=*/2);
   options.telemetry.enabled = true;
-  Pipeline pipeline(&fleet.db(), nullptr, nullptr, options);
+  Pipeline pipeline(&db, nullptr, nullptr, options);
   pipeline.RunAt("svc", kFirstRun);
 
-  const TelemetryRegistries registries = {&fleet.db().telemetry(), &pipeline.telemetry()};
+  const TelemetryRegistries registries = {&db.telemetry(), &pipeline.telemetry()};
   const std::string runtime_json = RenderTelemetryJson(registries, true);
   for (const char* gauge :
        {"tsdb.durable.group_commits", "tsdb.durable.chunk_file_bytes",
@@ -1052,17 +1075,16 @@ TEST(DurableTelemetryTest, RuntimeExportCarriesDiskTierGauges) {
 
   // The totals are current as of the last write-phase call; the run only
   // read, so they equal the files' own stats.
-  const TimeSeriesDatabase::DurableStats durable = fleet.db().durable_stats();
-  EXPECT_EQ(CounterValue(fleet.db().telemetry(), "tsdb.durable.group_commits"),
-            durable.group_commits);
-  EXPECT_EQ(CounterValue(fleet.db().telemetry(), "tsdb.durable.chunks_persisted"),
+  const TimeSeriesDatabase::DurableStats durable = db.durable_stats();
+  EXPECT_EQ(CounterValue(db.telemetry(), "tsdb.durable.group_commits"), durable.group_commits);
+  EXPECT_EQ(CounterValue(db.telemetry(), "tsdb.durable.chunks_persisted"),
             durable.chunks_persisted);
-  EXPECT_EQ(CounterValue(fleet.db().telemetry(), "tsdb.memory.resident_sealed_bytes"),
-            fleet.db().memory_stats().resident_sealed_bytes);
+  EXPECT_EQ(CounterValue(db.telemetry(), "tsdb.memory.resident_sealed_bytes"),
+            db.memory_stats().resident_sealed_bytes);
 
   // A RAM-only database registers no durable instruments at all.
   TimeSeriesDatabase ram;
-  ram.Write(MetricId{"svc", MetricKind::kGcpu, "a", ""}, 0, 1.0);
+  CommitPoint(ram, MetricId{"svc", MetricKind::kGcpu, "a", ""}, 0, 1.0);
   Pipeline ram_pipeline(&ram, nullptr, nullptr, options);
   ram_pipeline.RunAt("svc", kFirstRun);
   const std::string ram_json =
@@ -1129,7 +1151,7 @@ TEST(DurableDegradationTest, StickyWriteFailureDegradesToMemoryWithoutAbort) {
   int tick = 0;
   for (TimePoint at = kTick; at <= kDataEnd; at += kTick, ++tick) {
     const double base = at < Hours(36) ? 10000.0 : 12000.0;
-    db.Write(id, at, base + static_cast<double>(tick % 7) * 20.0);
+    CommitPoint(db, id, at, base + static_cast<double>(tick % 7) * 20.0);
     if (at == Hours(20)) {
       // The disk dies mid-stream: every write syscall from here on fails.
       durable_io::SetFailure(durable_io::Op::kWrite, 1, /*sticky=*/true);

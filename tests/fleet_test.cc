@@ -60,9 +60,11 @@ TEST(ServiceSimulatorTest, EmitsAllMetricFamilies) {
   ServiceConfig config = SmallServiceConfig("svc");
   ServiceSimulator service(config);
   TimeSeriesDatabase db;
+  WriteBatch batch(&db);
   for (TimePoint t = Minutes(10); t <= Hours(2); t += Minutes(10)) {
-    service.Tick(t, db);
+    service.Tick(t, batch);
   }
+  batch.Commit();
   EXPECT_FALSE(db.ListMetricsOfKind("svc", MetricKind::kGcpu).empty());
   EXPECT_FALSE(db.ListMetricsOfKind("svc", MetricKind::kCpu).empty());
   EXPECT_FALSE(db.ListMetricsOfKind("svc", MetricKind::kThroughput).empty());
@@ -99,9 +101,11 @@ TEST(ServiceSimulatorTest, StepRegressionRaisesSubroutineGcpu) {
   service.ScheduleEvent(event);
 
   TimeSeriesDatabase db;
+  WriteBatch batch(&db);
   for (TimePoint t = Minutes(10); t <= Hours(10); t += Minutes(10)) {
-    service.Tick(t, db);
+    service.Tick(t, batch);
   }
+  batch.Commit();
   const MetricId metric{"svc", MetricKind::kGcpu, name, ""};
   const std::optional<TimeSeries> series = db.Find(metric);
   ASSERT_TRUE(series.has_value());
@@ -146,9 +150,11 @@ TEST(ServiceSimulatorTest, CostShiftPreservesClassTotal) {
 
   const double total_before = graph.TotalCost();
   TimeSeriesDatabase db;
+  WriteBatch batch(&db);
   for (TimePoint t = Minutes(10); t <= Hours(6); t += Minutes(10)) {
-    service.Tick(t, db);
+    service.Tick(t, batch);
   }
+  batch.Commit();
   // Leaf self-cost shifts do not change total graph cost.
   EXPECT_NEAR(service.graph().TotalCost(), total_before, total_before * 0.01);
 }
@@ -168,9 +174,11 @@ TEST(ServiceSimulatorTest, TransientThroughputDipRecovers) {
   service.ScheduleEvent(event);
 
   TimeSeriesDatabase db;
+  WriteBatch batch(&db);
   for (TimePoint t = Minutes(10); t <= Hours(8); t += Minutes(10)) {
-    service.Tick(t, db);
+    service.Tick(t, batch);
   }
+  batch.Commit();
   const MetricId metric{"svc", MetricKind::kThroughput, "", ""};
   const std::optional<TimeSeries> series = db.Find(metric);
   ASSERT_TRUE(series.has_value());
@@ -204,16 +212,23 @@ TEST(ServiceSimulatorTest, GradualRegressionRampsUp) {
   event.magnitude = 0.6;
   service.ScheduleEvent(event);
 
-  const double base = service.ExpectedGcpu(event.subroutine);
+  // The target's current gCPU expectation: its reach under the self costs
+  // the last tick applied.
+  const auto expected_gcpu = [&] {
+    return graph.ReachProbabilities()[static_cast<size_t>(target)];
+  };
+  const double base = expected_gcpu();
   TimeSeriesDatabase db;
+  WriteBatch batch(&db);
   for (TimePoint t = Minutes(10); t <= Hours(4); t += Minutes(10)) {
-    service.Tick(t, db);
+    service.Tick(t, batch);
   }
-  const double mid = service.ExpectedGcpu(event.subroutine);
+  const double mid = expected_gcpu();
   for (TimePoint t = Hours(4) + Minutes(10); t <= Hours(10); t += Minutes(10)) {
-    service.Tick(t, db);
+    service.Tick(t, batch);
   }
-  const double full = service.ExpectedGcpu(event.subroutine);
+  batch.Commit();
+  const double full = expected_gcpu();
   EXPECT_GT(mid, base);
   EXPECT_GT(full, mid);
 }

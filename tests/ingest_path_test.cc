@@ -23,6 +23,7 @@
 #include "src/tsdb/symbol_table.h"
 #include "src/tsdb/tiered_series.h"
 #include "src/tsdb/timeseries.h"
+#include "tests/batch_writes.h"
 
 namespace fbdetect {
 namespace {
@@ -119,32 +120,8 @@ TEST(InternedMetricIdTest, DistinguishesAllComponents) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded database: string and interned paths agree; shard count is
-// invisible to readers.
+// Sharded database: shard count is invisible to readers.
 // ---------------------------------------------------------------------------
-
-TEST(ShardedDatabaseTest, InternedAndStringPathsAgree) {
-  TimeSeriesDatabase db;
-  const MetricId id{"svc", MetricKind::kThroughput, "endpoint_0", ""};
-  const InternedMetricId interned = db.Intern(id);
-  db.Write(id, 10, 1.0);
-  db.Write(interned, 20, 2.0);
-  const std::optional<TimeSeries> found = db.Find(id);
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->size(), 2u);
-  TimeSeries scratch;
-  Status status;
-  const TimeSeries* scanned = db.SeriesForScan(interned, 0, scratch, &status);
-  ASSERT_NE(scanned, nullptr);
-  EXPECT_EQ(scanned->timestamps(), found->timestamps());
-  EXPECT_EQ(scanned->values(), found->values());
-  EXPECT_TRUE(db.Contains(id));
-  EXPECT_TRUE(db.Contains(interned));
-  // Lookups for identities never interned return absent without creating
-  // symbols.
-  EXPECT_FALSE(db.Find(MetricId{"ghost", MetricKind::kCpu, "", ""}).has_value());
-  EXPECT_FALSE(db.Contains(MetricId{"ghost", MetricKind::kCpu, "", ""}));
-}
 
 TEST(ShardedDatabaseTest, ShardCountInvisibleToReaders) {
   TsdbOptions unsharded;
@@ -158,11 +135,12 @@ TEST(ShardedDatabaseTest, ShardCountInvisibleToReaders) {
     for (int e = 0; e < 8; ++e) {
       const MetricId id{"svc_" + std::to_string(s), MetricKind::kGcpu,
                         "sub_" + std::to_string(e), ""};
+      TimeSeries series;
       for (TimePoint t = 0; t < 50; ++t) {
-        const double value = rng.NextDouble();
-        a.Write(id, t * 600 + 600, value);
-        b.Write(id, t * 600 + 600, value);
+        series.Append(t * 600 + 600, rng.NextDouble());
       }
+      CommitSeries(a, id, series);
+      CommitSeries(b, id, series);
     }
   }
   EXPECT_EQ(a.metric_count(), b.metric_count());
@@ -184,12 +162,12 @@ TEST(ShardedDatabaseTest, ShardCountInvisibleToReaders) {
 
 TEST(ShardedDatabaseTest, ListMetricsCacheInvalidatesOnWrite) {
   TimeSeriesDatabase db;
-  db.Write({"svc", MetricKind::kCpu, "", ""}, 10, 0.5);
+  CommitPoint(db, {"svc", MetricKind::kCpu, "", ""}, 10, 0.5);
   EXPECT_EQ(db.ListMetrics("svc").size(), 1u);
   // Second call hits the cache (no way to observe directly, but it must not
   // serve stale data after a write creates a new metric).
   EXPECT_EQ(db.ListMetrics("svc").size(), 1u);
-  db.Write({"svc", MetricKind::kThroughput, "", ""}, 10, 1.0);
+  CommitPoint(db, {"svc", MetricKind::kThroughput, "", ""}, 10, 1.0);
   EXPECT_EQ(db.ListMetrics("svc").size(), 2u);
   db.Expire(100);  // Drops everything.
   EXPECT_TRUE(db.ListMetrics("svc").empty());
@@ -206,7 +184,7 @@ TEST(TsdbListCacheTest, HitsUntilAWriteThenRebuilds) {
   for (int i = 0; i < 64; ++i) {
     char name[16];
     std::snprintf(name, sizeof(name), "sub%02d", i);
-    db.Write(MetricId{"svc", MetricKind::kGcpu, name, ""}, 0, 1.0);
+    CommitPoint(db, MetricId{"svc", MetricKind::kGcpu, name, ""}, 0, 1.0);
   }
 
   // Cold miss: the list is built once.
@@ -225,14 +203,14 @@ TEST(TsdbListCacheTest, HitsUntilAWriteThenRebuilds) {
 
   // A point on an existing series moves the generation: the next call
   // misses, and the rebuilt listing is unchanged.
-  db.Write(all.front(), 1, 2.0);
+  CommitPoint(db, all.front(), 1, 2.0);
   EXPECT_EQ(db.ListMetrics("svc"), all);
   const TimeSeriesDatabase::ScanStats warm = db.scan_stats();
   EXPECT_EQ(warm.list_cache_misses, hit.list_cache_misses + 1);
 
   // A brand-new series lands at its canonical position.
   const MetricId extra{"svc", MetricKind::kGcpu, "aaa-extra", ""};
-  db.Write(extra, 0, 1.0);
+  CommitPoint(db, extra, 0, 1.0);
   std::vector<MetricId> expected = all;
   expected.insert(std::upper_bound(expected.begin(), expected.end(), extra), extra);
   EXPECT_EQ(db.ListMetrics("svc"), expected);
@@ -242,7 +220,7 @@ TEST(TsdbListCacheTest, HitsUntilAWriteThenRebuilds) {
 
 TEST(TsdbListCacheTest, UnknownServiceNamesLeaveTheCacheUntouched) {
   TimeSeriesDatabase db;
-  db.Write(MetricId{"svc", MetricKind::kGcpu, "sub00", ""}, 0, 1.0);
+  CommitPoint(db, MetricId{"svc", MetricKind::kGcpu, "sub00", ""}, 0, 1.0);
   ASSERT_EQ(db.ListMetrics("svc").size(), 1u);
 
   // Names the symbol table never saw (e.g. /run on an unknown service) get
@@ -270,48 +248,26 @@ TEST(WriteBatchTest, StagedPointsInvisibleUntilCommit) {
   TimeSeriesDatabase db;
   WriteBatch batch(&db);
   const MetricId id{"svc", MetricKind::kCpu, "", ""};
-  batch.Add(id, 10, 0.5);
-  batch.Add(id, 20, 0.6);
+  const InternedMetricId interned = db.Intern(id);
+  batch.Add(interned, 10, 0.5);
+  batch.Add(interned, 20, 0.6);
   EXPECT_EQ(batch.point_count(), 2u);
-  EXPECT_FALSE(db.Contains(id));
+  EXPECT_FALSE(db.Contains(interned));
   EXPECT_EQ(db.total_points(), 0u);
   batch.Commit();
   EXPECT_TRUE(batch.empty());
+  EXPECT_TRUE(db.Contains(interned));
   const std::optional<TimeSeries> series = db.Find(id);
   ASSERT_TRUE(series.has_value());
   EXPECT_EQ(series->size(), 2u);
   EXPECT_EQ(series->values()[1], 0.6);
 }
 
-TEST(WriteBatchTest, BatchedContentMatchesPointwiseWrites) {
-  TimeSeriesDatabase pointwise;
-  TimeSeriesDatabase batched;
-  WriteBatch batch(&batched);
-  Rng rng(5);
-  for (TimePoint t = 600; t <= 600 * 40; t += 600) {
-    for (int m = 0; m < 10; ++m) {
-      const MetricId id{"svc", MetricKind::kGcpu, "sub_" + std::to_string(m), ""};
-      const double value = rng.NextDouble();
-      pointwise.Write(id, t, value);
-      batch.Add(id, t, value);
-    }
-    if (t % (600 * 7) == 0) {
-      batch.Commit();  // Flush at an uneven cadence on purpose.
-    }
-  }
-  batch.Commit();
-  ASSERT_EQ(pointwise.ListMetrics(), batched.ListMetrics());
-  for (const MetricId& id : pointwise.ListMetrics()) {
-    EXPECT_EQ(pointwise.Find(id)->timestamps(), batched.Find(id)->timestamps());
-    EXPECT_EQ(pointwise.Find(id)->values(), batched.Find(id)->values());
-  }
-}
-
 TEST(WriteBatchTest, CommitBumpsGeneration) {
   TimeSeriesDatabase db;
   const uint64_t g0 = db.generation();
   WriteBatch batch(&db);
-  batch.Add(MetricId{"svc", MetricKind::kCpu, "", ""}, 10, 0.5);
+  batch.Add(db.Intern(MetricId{"svc", MetricKind::kCpu, "", ""}), 10, 0.5);
   EXPECT_EQ(db.generation(), g0);  // Staging is not a mutation.
   batch.Commit();
   EXPECT_GT(db.generation(), g0);
@@ -342,12 +298,18 @@ void ExpectSameSeries(const TimeSeries& a, const TimeSeries& b) {
   EXPECT_EQ(a.values(), b.values());
 }
 
+// Appends every point of `series`, each after all stored points.
+void AppendAll(TieredSeries& tiered, const TimeSeries& series) {
+  for (size_t i = 0; i < series.size(); ++i) {
+    ASSERT_EQ(tiered.TryAppend(series.timestamps()[i], series.values()[i]),
+              AppendOutcome::kAppended);
+  }
+}
+
 TEST(TieredSeriesTest, SealPreservesContentBitExactly) {
   const TimeSeries reference = SmoothSeries(3000, 7);
   TieredSeries tiered(256);
-  for (size_t i = 0; i < reference.size(); ++i) {
-    tiered.Append(reference.timestamps()[i], reference.values()[i]);
-  }
+  AppendAll(tiered, reference);
   EXPECT_EQ(tiered.sealed_points(), 0u);
   tiered.SealBefore(2000 * 600);
   EXPECT_EQ(tiered.sealed_points(), 2000u);
@@ -363,9 +325,7 @@ TEST(TieredSeriesTest, SealPreservesContentBitExactly) {
 TEST(TieredSeriesTest, SealedHistoryCompresses) {
   TieredSeries tiered(1024);
   const TimeSeries reference = SmoothSeries(5000, 11);
-  for (size_t i = 0; i < reference.size(); ++i) {
-    tiered.Append(reference.timestamps()[i], reference.values()[i]);
-  }
+  AppendAll(tiered, reference);
   tiered.SealBefore(reference.end_time() + 1);  // Seal everything.
   EXPECT_EQ(tiered.tail().size(), 0u);
   // Raw storage is 16 bytes/point; the acceptance bar for the tiered store
@@ -377,12 +337,13 @@ TEST(TieredSeriesTest, SealedHistoryCompresses) {
 TEST(TieredSeriesTest, TailCoversAndAppendAfterSeal) {
   TieredSeries tiered(128);
   for (TimePoint t = 600; t <= 600 * 100; t += 600) {
-    tiered.Append(t, 1.0);
+    ASSERT_EQ(tiered.TryAppend(t, 1.0), AppendOutcome::kAppended);
   }
   tiered.SealBefore(600 * 50);
   EXPECT_FALSE(tiered.TailCovers(600 * 49));  // Sealed history overlaps.
   EXPECT_TRUE(tiered.TailCovers(600 * 50));   // Sealed last is 49*600.
-  tiered.Append(600 * 101, 2.0);  // Appends keep working after sealing.
+  // Appends keep working after sealing.
+  EXPECT_EQ(tiered.TryAppend(600 * 101, 2.0), AppendOutcome::kAppended);
   EXPECT_EQ(tiered.size(), 101u);
 
   TimeSeries out;
@@ -394,9 +355,7 @@ TEST(TieredSeriesTest, TailCoversAndAppendAfterSeal) {
 TEST(TieredSeriesTest, DropBeforeAcrossChunks) {
   const TimeSeries reference = SmoothSeries(1000, 13);
   TieredSeries tiered(100);
-  for (size_t i = 0; i < reference.size(); ++i) {
-    tiered.Append(reference.timestamps()[i], reference.values()[i]);
-  }
+  AppendAll(tiered, reference);
   tiered.SealBefore(900 * 600);
 
   // Cutoff in the middle of the 4th chunk: 3 whole chunks dropped, the
@@ -424,9 +383,11 @@ TEST(TieredSeriesTest, DropBeforeAcrossChunks) {
 TEST(SeriesForScanTest, TailOnlySeriesIsZeroCopy) {
   TimeSeriesDatabase db;
   const MetricId id{"svc", MetricKind::kCpu, "", ""};
+  TimeSeries written;
   for (TimePoint t = 600; t <= 600 * 100; t += 600) {
-    db.Write(id, t, 0.5);
+    written.Append(t, 0.5);
   }
+  CommitSeries(db, id, written);
   TimeSeries scratch;
   Status status;
   const TimeSeries* series = db.SeriesForScan(id, 600 * 50, scratch, &status);
@@ -446,9 +407,7 @@ TEST(SeriesForScanTest, SealedHistoryDecodesIntoScratch) {
   TimeSeriesDatabase db(options);
   const MetricId id{"svc", MetricKind::kGcpu, "sub", ""};
   const TimeSeries reference = SmoothSeries(500, 17);
-  for (size_t i = 0; i < reference.size(); ++i) {
-    db.Write(id, reference.timestamps()[i], reference.values()[i]);
-  }
+  CommitSeries(db, id, reference);
   db.SealBefore(400 * 600);
 
   // Scan range entirely inside the raw tail: still zero-copy.
@@ -484,16 +443,14 @@ TEST(SeriesForScanTest, FindMaterializesSealedSeries) {
   TimeSeriesDatabase db(options);
   const MetricId id{"svc", MetricKind::kGcpu, "sub", ""};
   const TimeSeries reference = SmoothSeries(300, 19);
-  for (size_t i = 0; i < reference.size(); ++i) {
-    db.Write(id, reference.timestamps()[i], reference.values()[i]);
-  }
+  CommitSeries(db, id, reference);
   db.SealBefore(250 * 600);
   const std::optional<TimeSeries> found = db.Find(id);
   ASSERT_TRUE(found.has_value());
   ExpectSameSeries(*found, reference);
 
   // A later write shows up in the next lookup.
-  db.Write(id, reference.end_time() + 600, 42.0);
+  CommitPoint(db, id, reference.end_time() + 600, 42.0);
   const std::optional<TimeSeries> refound = db.Find(id);
   ASSERT_TRUE(refound.has_value());
   EXPECT_EQ(refound->size(), reference.size() + 1);
@@ -502,8 +459,8 @@ TEST(SeriesForScanTest, FindMaterializesSealedSeries) {
 
 TEST(SeriesForScanTest, MissesCountAbsentSeriesWhetherOrNotInterned) {
   TimeSeriesDatabase db;
-  db.Write(MetricId{"svc", MetricKind::kGcpu, "sub", ""}, 600, 1.0);
-  db.Write(MetricId{"svc", MetricKind::kGcpu, "other", ""}, 600, 1.0);
+  CommitPoint(db, MetricId{"svc", MetricKind::kGcpu, "sub", ""}, 600, 1.0);
+  CommitPoint(db, MetricId{"svc", MetricKind::kGcpu, "other", ""}, 600, 1.0);
   // Every name of this id is interned, but no series carries it.
   const MetricId interned_absent{"svc", MetricKind::kGcpu, "other", "sub"};
   // "never_seen" was never interned: the id cannot resolve at all.
@@ -528,9 +485,11 @@ TEST(SeriesForScanTest, MemoryStatsTrackTiers) {
   options.seal_chunk_points = 128;
   TimeSeriesDatabase db(options);
   const MetricId id{"svc", MetricKind::kCpu, "", ""};
+  TimeSeries written;
   for (TimePoint t = 600; t <= 600 * 400; t += 600) {
-    db.Write(id, t, 0.5);
+    written.Append(t, 0.5);
   }
+  CommitSeries(db, id, written);
   TimeSeriesDatabase::MemoryStats before = db.memory_stats();
   EXPECT_EQ(before.raw_points, 400u);
   EXPECT_EQ(before.sealed_points, 0u);
@@ -550,8 +509,8 @@ TEST(SeriesForScanTest, MemoryStatsTrackTiers) {
 
 constexpr Duration kWorldDuration = Days(2);
 
-std::unique_ptr<FleetSimulator> BuildWorld(const TsdbOptions& tsdb_options) {
-  auto fleet = std::make_unique<FleetSimulator>(tsdb_options);
+std::unique_ptr<FleetSimulator> BuildWorld() {
+  auto fleet = std::make_unique<FleetSimulator>();
   for (int s = 0; s < 3; ++s) {
     ServiceConfig config;
     config.name = "svc_" + std::to_string(s);
@@ -592,11 +551,11 @@ void ExpectIdenticalDatabases(const TimeSeriesDatabase& a, const TimeSeriesDatab
 }
 
 TEST(ParallelIngestTest, ThreadCountDoesNotChangeDatabaseContent) {
-  std::unique_ptr<FleetSimulator> reference = BuildWorld(TsdbOptions{});
+  std::unique_ptr<FleetSimulator> reference = BuildWorld();
   reference->Run(0, kWorldDuration);  // Serial, default batching.
 
   for (int threads : {2, 8}) {
-    std::unique_ptr<FleetSimulator> fleet = BuildWorld(TsdbOptions{});
+    std::unique_ptr<FleetSimulator> fleet = BuildWorld();
     FleetIngestOptions options;
     options.threads = threads;
     options.flush_points = 512;  // Different flush cadence on purpose.
@@ -636,7 +595,7 @@ void ExpectIdenticalReports(const std::vector<Regression>& a,
 TEST(ParallelIngestTest, PipelineOutputIdenticalAcrossIngestThreads) {
   std::vector<std::vector<Regression>> reports;
   for (int threads : {1, 2, 8}) {
-    std::unique_ptr<FleetSimulator> fleet = BuildWorld(TsdbOptions{});
+    std::unique_ptr<FleetSimulator> fleet = BuildWorld();
     FleetIngestOptions options;
     options.threads = threads;
     fleet->Run(0, kWorldDuration, options);
@@ -653,9 +612,9 @@ TEST(ParallelIngestTest, PipelineOutputIdenticalAcrossIngestThreads) {
 TEST(ParallelIngestTest, PipelineOutputIdenticalWithTieringOnAndOff) {
   // Raw database vs one whose first day is sealed into Gorilla chunks: the
   // decode-to-scratch scan path must reproduce the raw output bit-for-bit.
-  std::unique_ptr<FleetSimulator> raw = BuildWorld(TsdbOptions{});
+  std::unique_ptr<FleetSimulator> raw = BuildWorld();
   raw->Run(0, kWorldDuration);
-  std::unique_ptr<FleetSimulator> tiered = BuildWorld(TsdbOptions{});
+  std::unique_ptr<FleetSimulator> tiered = BuildWorld();
   tiered->Run(0, kWorldDuration);
   tiered->db().SealBefore(Days(1) + Hours(6));
   ASSERT_GT(tiered->db().memory_stats().sealed_points, 0u);

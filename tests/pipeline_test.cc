@@ -22,6 +22,7 @@
 #include "src/fleet/scenario.h"
 #include "src/observe/telemetry.h"
 #include "src/tsdb/database.h"
+#include "tests/batch_writes.h"
 #include "tests/stage_helpers.h"
 
 namespace fbdetect {
@@ -274,9 +275,11 @@ TEST(PipelineIntegrationTest, ReportsTheSection3KindsTheServiceAccepts) {
   auto write = [&db](const MetricId& id, double base, double noise, double step,
                      uint64_t seed) {
     Rng rng(seed);
+    TimeSeries series;
     for (TimePoint t = 0; t < Days(3); t += Minutes(10)) {
-      db.Write(id, t, base + (t >= kStepAt ? step : 0.0) + rng.Normal(0.0, noise));
+      series.Append(t, base + (t >= kStepAt ? step : 0.0) + rng.Normal(0.0, noise));
     }
+    CommitSeries(db, id, series);
   };
   auto run = [&db](const std::string& service, double threshold, ThresholdMode mode) {
     PipelineOptions options;
@@ -467,7 +470,7 @@ TEST(PipelineIntegrationTest, WentAwayPreviousDayIgnoresADroppedAnalysisSample) 
   // one dropped sample must not halve the previous day.
   for (const bool drop : {false, true}) {
     TimeSeriesDatabase db;
-    db.WriteSeries(metric, PreviousDaySeries::Build(drop));
+    CommitSeries(db, metric, PreviousDaySeries::Build(drop));
     PipelineOptions options;
     options.detection = config;
     Pipeline pipeline(&db, nullptr, nullptr, options);
@@ -617,7 +620,7 @@ void ExpectNoStageRan(const SeriesVerdicts& verdicts) {
 
 TEST(ScanSeriesTest, AbsentSeriesIsUnobservedAndRunsNoStage) {
   TimeSeriesDatabase db;
-  db.WriteSeries({"svc", MetricKind::kGcpu, "present", ""}, SteppedSeries::Build());
+  CommitSeries(db, {"svc", MetricKind::kGcpu, "present", ""}, SteppedSeries::Build());
   Pipeline pipeline(&db, nullptr, nullptr, SteppedSeries::Options());
   const SeriesVerdicts verdicts =
       pipeline.ScanSeries({"svc", MetricKind::kGcpu, "absent", ""}, SteppedSeries::kAsOf);
@@ -639,7 +642,7 @@ TEST(ScanSeriesTest, OneNanQuarantinesTheWindowBeforeAnyStage) {
                                                  : clean.values()[i]);
   }
   TimeSeriesDatabase db;
-  db.WriteSeries(metric, dirty);
+  CommitSeries(db, metric, dirty);
   Pipeline pipeline(&db, nullptr, nullptr, SteppedSeries::Options());
   const SeriesVerdicts verdicts = pipeline.ScanSeries(metric, SteppedSeries::kAsOf);
   EXPECT_TRUE(verdicts.quality.observed);
@@ -661,7 +664,7 @@ TEST(ScanSeriesTest, CleanStepSetsEveryStageAndSurvivesAsMaterialized) {
   const MetricId metric{"svc", MetricKind::kGcpu, "leaf", ""};
   const TimeSeries series = SteppedSeries::Build();
   TimeSeriesDatabase db;
-  db.WriteSeries(metric, series);
+  CommitSeries(db, metric, series);
   const PipelineOptions options = SteppedSeries::Options();
   Pipeline pipeline(&db, nullptr, nullptr, options);
   const SeriesVerdicts verdicts = pipeline.ScanSeries(metric, SteppedSeries::kAsOf);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "src/common/random.h"
 #include "src/core/pipeline.h"
@@ -70,11 +71,14 @@ TEST_P(ThresholdSweepTest, DetectsAboveRejectsBelow) {
     const MetricId metric{"svc", MetricKind::kGcpu, "s", ""};
     Rng rng(99);
     TimeSeriesDatabase db;
+    const InternedMetricId id = db.Intern(metric);
+    WriteBatch batch(&db);
     const Duration total = config.windows.Total();
     const TimePoint step_at = total - Hours(4);
     for (TimePoint t = 0; t < total; t += Minutes(10)) {
-      db.Write(metric, t, rng.Normal(0.05 + (t >= step_at ? step : 0.0), threshold * 0.5));
+      batch.Add(id, t, rng.Normal(0.05 + (t >= step_at ? step : 0.0), threshold * 0.5));
     }
+    batch.Commit();
     PipelineOptions options;
     options.detection = config;
     Pipeline pipeline(&db, nullptr, nullptr, options);
@@ -99,6 +103,11 @@ struct StlCase {
   double amplitude;
   double noise;
 };
+
+// Names each case by its fields in the test ids.
+void PrintTo(const StlCase& c, std::ostream* os) {
+  *os << "period=" << c.period << " amplitude=" << c.amplitude << " noise=" << c.noise;
+}
 
 class StlSweepTest : public ::testing::TestWithParam<StlCase> {};
 

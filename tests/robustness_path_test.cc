@@ -174,6 +174,24 @@ uint64_t DbFingerprint(const TimeSeriesDatabase& db) {
   return h;
 }
 
+// A series' ingest rejects as the quarantine report reads them.
+struct SeriesRejects {
+  MetricId metric;
+  uint64_t duplicate = 0;
+  uint64_t out_of_order = 0;
+  bool operator==(const SeriesRejects& other) const = default;
+};
+
+// Every series that dropped a point, in canonical order.
+std::vector<SeriesRejects> IngestRejects(const TimeSeriesDatabase& db) {
+  std::vector<SeriesRejects> rejects;
+  db.ForEachIngestReject([&rejects](const MetricId& metric, uint64_t duplicate,
+                                    uint64_t out_of_order) {
+    rejects.push_back({metric, duplicate, out_of_order});
+  });
+  return rejects;
+}
+
 std::string Serialize(const std::vector<Regression>& reports) {
   std::string out;
   for (const Regression& report : reports) {
@@ -233,7 +251,8 @@ TEST(FaultInjectorTest, InjectionIsDeterministicAcrossThreadsAndFlushCadence) {
 
   std::vector<uint64_t> fingerprints;
   std::vector<std::unique_ptr<FaultInjector>> injectors;
-  std::vector<TimeSeriesDatabase::IngestStats> stats;
+  std::vector<size_t> stored;
+  std::vector<std::vector<SeriesRejects>> rejects;
   for (const Variant& variant : variants) {
     auto injector = std::make_unique<FaultInjector>(config);
     FleetSimulator fleet;
@@ -249,7 +268,8 @@ TEST(FaultInjectorTest, InjectionIsDeterministicAcrossThreadsAndFlushCadence) {
     options.fault_injector = injector.get();
     fleet.Run(-kTick, Hours(6), options);
     fingerprints.push_back(DbFingerprint(fleet.db()));
-    stats.push_back(fleet.db().ingest_stats());
+    stored.push_back(fleet.db().total_points());
+    rejects.push_back(IngestRejects(fleet.db()));
     injectors.push_back(std::move(injector));
   }
 
@@ -258,9 +278,8 @@ TEST(FaultInjectorTest, InjectionIsDeterministicAcrossThreadsAndFlushCadence) {
   EXPECT_GT(faulted.size(), 0u);
   for (size_t v = 1; v < injectors.size(); ++v) {
     EXPECT_EQ(fingerprints[v], fingerprints[0]);
-    EXPECT_EQ(stats[v].accepted, stats[0].accepted);
-    EXPECT_EQ(stats[v].dropped_duplicate, stats[0].dropped_duplicate);
-    EXPECT_EQ(stats[v].dropped_out_of_order, stats[0].dropped_out_of_order);
+    EXPECT_EQ(stored[v], stored[0]);
+    EXPECT_EQ(rejects[v], rejects[0]);
     const FaultLedger& ledger = injectors[v]->ledger();
     EXPECT_EQ(ledger.FaultedSeries(), faulted);
     for (const MetricId& metric : faulted) {
@@ -280,7 +299,7 @@ TEST(FaultInjectorTest, ZeroRatesLeaveTheFleetUntouched) {
   const auto faulted = BuildFleet(config, {}, &injector, Hours(6), 1, 4096);
   EXPECT_EQ(DbFingerprint(faulted->db()), DbFingerprint(clean->db()));
   EXPECT_EQ(injector.ledger().total(), 0u);
-  EXPECT_EQ(faulted->db().ingest_stats().dropped(), 0u);
+  EXPECT_TRUE(IngestRejects(faulted->db()).empty());
 }
 
 TEST(FaultInjectorTest, LedgerOnlyNamesSelectedSeries) {
@@ -315,9 +334,14 @@ TEST(RobustnessPathTest, DirtyFleetSurvivesAndCleanSeriesDetectionsAreIdentical)
   }
 
   // Retransmit faults reconcile exactly with the database's ingest rejects.
-  const TimeSeriesDatabase::IngestStats stats = dirty_fleet->db().ingest_stats();
-  EXPECT_EQ(stats.dropped_duplicate, ledger.TotalByKind(FaultKind::kDuplicate));
-  EXPECT_EQ(stats.dropped_out_of_order, ledger.TotalByKind(FaultKind::kOutOfOrder));
+  uint64_t duplicates = 0;
+  uint64_t out_of_order = 0;
+  for (const SeriesRejects& series : IngestRejects(dirty_fleet->db())) {
+    duplicates += series.duplicate;
+    out_of_order += series.out_of_order;
+  }
+  EXPECT_EQ(duplicates, ledger.TotalByKind(FaultKind::kDuplicate));
+  EXPECT_EQ(out_of_order, ledger.TotalByKind(FaultKind::kOutOfOrder));
 
   // The dirty run must complete without an abort or an uncaught exception,
   // at every scan_threads value, with byte-identical output.

@@ -39,13 +39,31 @@ inline size_t WeightedIndex(Rng& rng, const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-// Draws one stack-trace sample (root-to-leaf node ids): an entry weighted by
-// subtree cost, then at each node a stop test with probability
-// self/subtree and otherwise a callee weighted by weight * subtree(callee).
-// One NextDouble per weighted pick and one per stop test.
-inline std::vector<NodeId> SampleStack(const CallGraph& graph, Rng& rng) {
+// Entry nodes (no callers), in node order.
+inline std::vector<NodeId> Roots(const CallGraph& graph) {
+  std::vector<bool> called(graph.node_count(), false);
+  for (size_t v = 0; v < graph.node_count(); ++v) {
+    for (const CallEdge& e : graph.edges(static_cast<NodeId>(v))) {
+      called[static_cast<size_t>(e.callee)] = true;
+    }
+  }
+  std::vector<NodeId> roots;
+  for (size_t v = 0; v < called.size(); ++v) {
+    if (!called[v]) {
+      roots.push_back(static_cast<NodeId>(v));
+    }
+  }
+  return roots;
+}
+
+// Draws one stack-trace sample (root-to-leaf node ids) from the graph's
+// entry nodes `roots`: an entry weighted by subtree cost, then at each node a
+// stop test with probability self/subtree and otherwise a callee weighted by
+// weight * subtree(callee). One NextDouble per weighted pick and one per
+// stop test.
+inline std::vector<NodeId> SampleStack(const CallGraph& graph,
+                                       const std::vector<NodeId>& roots, Rng& rng) {
   const std::vector<double>& subtree = graph.SubtreeCosts();
-  const std::vector<NodeId>& roots = graph.roots();
   std::vector<NodeId> stack;
   std::vector<double> weights;
   for (NodeId r : roots) {
@@ -87,8 +105,9 @@ inline std::vector<NodeId> SampleStack(const CallGraph& graph, Rng& rng) {
 // contain it (a DAG walk visits each node at most once per stack).
 inline std::vector<double> SampledGcpu(const CallGraph& graph, int samples, Rng& rng) {
   std::vector<uint64_t> containing(graph.node_count(), 0);
+  const std::vector<NodeId> roots = Roots(graph);
   for (int i = 0; i < samples; ++i) {
-    for (NodeId id : SampleStack(graph, rng)) {
+    for (NodeId id : SampleStack(graph, roots, rng)) {
       ++containing[static_cast<size_t>(id)];
     }
   }

@@ -19,6 +19,7 @@
 #include "src/tsdb/metric_id.h"
 #include "src/tsdb/timeseries.h"
 #include "src/tsdb/window.h"
+#include "tests/batch_writes.h"
 
 namespace fbdetect {
 namespace {
@@ -297,10 +298,10 @@ TEST(ThreadPoolTest, EmptyBatchIsNoOp) {
 TEST(DatabaseGenerationTest, BumpsOnEveryMutation) {
   TimeSeriesDatabase db;
   const uint64_t g0 = db.generation();
-  db.Write({"svc", MetricKind::kCpu, "", ""}, 10, 0.5);
+  CommitPoint(db, {"svc", MetricKind::kCpu, "", ""}, 10, 0.5);
   const uint64_t g1 = db.generation();
   EXPECT_GT(g1, g0);
-  db.WriteSeries({"svc", MetricKind::kGcpu, "sub", ""}, MakeSeries(0, 10, {1.0, 2.0}));
+  CommitSeries(db, {"svc", MetricKind::kGcpu, "sub", ""}, MakeSeries(0, 10, {1.0, 2.0}));
   const uint64_t g2 = db.generation();
   EXPECT_GT(g2, g1);
   db.Expire(5);
@@ -310,7 +311,7 @@ TEST(DatabaseGenerationTest, BumpsOnEveryMutation) {
 TEST(DatabaseGenerationTest, StableAcrossReads) {
   TimeSeriesDatabase db;
   const MetricId id{"svc", MetricKind::kCpu, "", ""};
-  db.Write(id, 10, 0.5);
+  CommitPoint(db, id, 10, 0.5);
   const uint64_t g = db.generation();
   (void)db.Find(id);
   (void)db.ListMetrics("svc");

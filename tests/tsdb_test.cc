@@ -7,6 +7,7 @@
 #include "src/tsdb/metric_id.h"
 #include "src/tsdb/timeseries.h"
 #include "src/tsdb/window.h"
+#include "tests/batch_writes.h"
 
 namespace fbdetect {
 namespace {
@@ -36,8 +37,12 @@ TEST(MetricIdTest, EqualityAndHash) {
   const MetricId c{"svc", MetricKind::kGcpu, "bar", ""};
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-  const MetricIdHash hash;
-  EXPECT_EQ(hash(a), hash(b));
+  // Storage hashes the interned key: equal identities intern to equal keys.
+  TimeSeriesDatabase db;
+  const InternedMetricIdHash hash;
+  EXPECT_EQ(db.Intern(a), db.Intern(b));
+  EXPECT_EQ(hash(db.Intern(a)), hash(db.Intern(b)));
+  EXPECT_NE(db.Intern(a), db.Intern(c));
 }
 
 TEST(MetricIdTest, AllKindsHaveNames) {
@@ -102,8 +107,7 @@ TEST(WindowTest, PartialDataYieldsShortWindows) {
 TEST(DatabaseTest, WriteAndFind) {
   TimeSeriesDatabase db;
   const MetricId id{"svc", MetricKind::kCpu, "", ""};
-  db.Write(id, 10, 0.5);
-  db.Write(id, 20, 0.6);
+  CommitSeries(db, id, MakeSeries(10, 10, {0.5, 0.6}));
   const std::optional<TimeSeries> series = db.Find(id);
   ASSERT_TRUE(series.has_value());
   EXPECT_EQ(series->size(), 2u);
@@ -112,10 +116,10 @@ TEST(DatabaseTest, WriteAndFind) {
 
 TEST(DatabaseTest, ListMetricsFiltersAndSorts) {
   TimeSeriesDatabase db;
-  db.Write({"b_svc", MetricKind::kCpu, "", ""}, 1, 0.1);
-  db.Write({"a_svc", MetricKind::kGcpu, "sub_2", ""}, 1, 0.1);
-  db.Write({"a_svc", MetricKind::kGcpu, "sub_1", ""}, 1, 0.1);
-  db.Write({"a_svc", MetricKind::kThroughput, "", ""}, 1, 0.1);
+  CommitPoint(db, {"b_svc", MetricKind::kCpu, "", ""}, 1, 0.1);
+  CommitPoint(db, {"a_svc", MetricKind::kGcpu, "sub_2", ""}, 1, 0.1);
+  CommitPoint(db, {"a_svc", MetricKind::kGcpu, "sub_1", ""}, 1, 0.1);
+  CommitPoint(db, {"a_svc", MetricKind::kThroughput, "", ""}, 1, 0.1);
 
   const std::vector<MetricId> all = db.ListMetrics();
   EXPECT_EQ(all.size(), 4u);
@@ -132,8 +136,8 @@ TEST(DatabaseTest, ListMetricsFiltersAndSorts) {
 TEST(DatabaseTest, WriteSeriesBulkAndAppend) {
   TimeSeriesDatabase db;
   const MetricId id{"svc", MetricKind::kLatency, "e", ""};
-  db.WriteSeries(id, MakeSeries(0, 10, {1.0, 2.0}));
-  db.WriteSeries(id, MakeSeries(20, 10, {3.0}));
+  CommitSeries(db, id, MakeSeries(0, 10, {1.0, 2.0}));
+  CommitSeries(db, id, MakeSeries(20, 10, {3.0}));
   EXPECT_EQ(db.Find(id)->size(), 3u);
 }
 
@@ -141,8 +145,8 @@ TEST(DatabaseTest, ExpireDropsOldPointsAndEmptyMetrics) {
   TimeSeriesDatabase db;
   const MetricId keep{"svc", MetricKind::kCpu, "", ""};
   const MetricId drop{"svc", MetricKind::kMemory, "", ""};
-  db.WriteSeries(keep, MakeSeries(0, 10, {1.0, 2.0, 3.0}));
-  db.WriteSeries(drop, MakeSeries(0, 10, {1.0}));
+  CommitSeries(db, keep, MakeSeries(0, 10, {1.0, 2.0, 3.0}));
+  CommitSeries(db, drop, MakeSeries(0, 10, {1.0}));
   db.Expire(15);  // Keeps only points with t >= 15: {20} of `keep`.
   EXPECT_EQ(db.metric_count(), 1u);
   EXPECT_EQ(db.Find(keep)->size(), 1u);
