@@ -5,7 +5,7 @@
 //      and 4. NOTE: thread scaling is only visible with >= 4 hardware cores;
 //      the JSON records the machine's core count next to the numbers.
 //   2. Telemetry overhead: RunPeriod with the registry off vs on, in paired
-//      rounds.
+//      rounds at scan_threads 1.
 //
 // `--threads-sweep` instead records RunPeriod at scan_threads 1/2/4/8 into
 // BENCH_scaling.json, checking that the reports are identical at every
@@ -218,10 +218,13 @@ int main(int argc, char** argv) {
   // to back, alternating which goes first, and the gate reads the median of
   // the rounds' on/off ratios: a slow spell of the host lands on both halves
   // of a round and cancels in its ratio, where it would move a minimum over
-  // a few separate runs, while a real cost shows in every round.
+  // a few separate runs, while a real cost shows in every round. One scan
+  // thread, the setting of perfbench's gated `detect` workload, keeps the
+  // round-to-round spread narrower than two threads do.
   constexpr int kTelemetryRounds = 31;
-  std::printf("\n[2] telemetry overhead (RunPeriod, scan_threads 2, median of %d paired rounds)\n",
-              kTelemetryRounds);
+  constexpr int kTelemetryScanThreads = 1;
+  std::printf("\n[2] telemetry overhead (RunPeriod, scan_threads %d, median of %d paired rounds)\n",
+              kTelemetryScanThreads, kTelemetryRounds);
   std::vector<double> off_ms;
   std::vector<double> on_ms;
   std::vector<double> ratios;
@@ -229,7 +232,7 @@ int main(int argc, char** argv) {
     double ms[2] = {0.0, 0.0};  // Indexed by `enabled`.
     for (int side = 0; side < 2; ++side) {
       const bool enabled = (round + side) % 2 == 1;
-      PipelineOptions observed = world.Options(2);
+      PipelineOptions observed = world.Options(kTelemetryScanThreads);
       observed.telemetry.enabled = enabled;
       Pipeline pipeline(&world.fleet.db(), &world.fleet.change_log(), nullptr, observed);
       const auto t0 = Clock::now();

@@ -1,11 +1,11 @@
 #include "src/tsdb/chunk_store.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/tsdb/durable_io.h"
@@ -42,9 +42,6 @@ T GetRaw(const uint8_t* p) {
 }  // namespace
 
 ChunkStore::~ChunkStore() {
-  for (const Mapping& m : mappings_) {
-    ::munmap(m.data, m.size);
-  }
   if (fd_ >= 0) {
     ::close(fd_);
   }
@@ -66,18 +63,24 @@ Status ChunkStore::Open(const std::string& path, const RestoreFn& restore,
   }
   fd_ = fd;
   const uint64_t size = static_cast<uint64_t>(file_size);
-  Status mapped = EnsureMapped(size);
-  if (!mapped.ok()) {
-    return mapped;
+  std::vector<uint8_t> content(size);
+  for (size_t got = 0; got < content.size();) {
+    const ssize_t n = ::pread(fd, content.data() + got, content.size() - got,
+                              static_cast<off_t>(got));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return ErrnoStatus("pread", path);
+    }
+    got += static_cast<size_t>(n);
   }
-  const uint8_t* base =
-      mappings_.empty() ? nullptr : mappings_.back().data;
   // Validate records sequentially; stop (and truncate) at the first record
   // whose magic, bounds, or CRC fails — the torn tail of an interrupted
   // persist, not an error.
   uint64_t valid_end = 0;
   while (size - valid_end >= kRecordHeaderBytes) {
-    const uint8_t* rec = base + valid_end;
+    const uint8_t* rec = content.data() + valid_end;
     const uint32_t magic = GetRaw<uint32_t>(rec);
     const uint32_t crc = GetRaw<uint32_t>(rec + 4);
     const uint32_t payload_len = GetRaw<uint32_t>(rec + 28);
@@ -95,11 +98,10 @@ Status ChunkStore::Open(const std::string& path, const RestoreFn& restore,
     chunk.id.entity = GetRaw<uint32_t>(rec + 16);
     chunk.id.metadata = GetRaw<uint32_t>(rec + 20);
     chunk.count = GetRaw<uint32_t>(rec + 24);
-    chunk.payload_len = payload_len;
+    chunk.payload = {rec + kRecordHeaderBytes, payload_len};
     chunk.bit_count = GetRaw<uint64_t>(rec + 32);
     chunk.first = GetRaw<TimePoint>(rec + 40);
     chunk.last = GetRaw<TimePoint>(rec + 48);
-    chunk.payload_offset = valid_end + kRecordHeaderBytes;
     ++stats_.restored_chunks;
     if (restore) {
       restore(chunk);
@@ -118,8 +120,7 @@ Status ChunkStore::Open(const std::string& path, const RestoreFn& restore,
 
 Status ChunkStore::Append(const InternedMetricId& id,
                           std::span<const uint8_t> payload, uint64_t bit_count,
-                          uint32_t count, TimePoint first, TimePoint last,
-                          uint64_t* payload_offset) {
+                          uint32_t count, TimePoint first, TimePoint last) {
   FBD_CHECK(fd_ >= 0);
   FBD_CHECK(payload.size() <= kMaxPayloadBytes);
   std::vector<uint8_t> record;
@@ -152,12 +153,8 @@ Status ChunkStore::Append(const InternedMetricId& id,
     }
     written += static_cast<size_t>(n);
   }
-  if (payload_offset != nullptr) {
-    *payload_offset = append_offset_ + kRecordHeaderBytes;
-  }
   append_offset_ += record.size();
   ++stats_.appends;
-  stats_.append_bytes += record.size();
   stats_.file_bytes = append_offset_;
   return Status::Ok();
 }
@@ -167,38 +164,6 @@ Status ChunkStore::Sync() {
   if (fsync_ && durable_io::Fsync(fd_) != 0) {
     return ErrnoStatus("fsync", path_);
   }
-  return EnsureMapped(append_offset_);
-}
-
-std::span<const uint8_t> ChunkStore::Payload(uint64_t offset, uint32_t len) const {
-  FBD_CHECK(fd_ >= 0);
-  FBD_CHECK(offset + len <= append_offset_);
-  FBD_CHECK(!mappings_.empty());
-  const Mapping& mapping = mappings_.back();
-  FBD_CHECK(offset + len <= mapping.size);
-  return {mapping.data + offset, len};
-}
-
-Status ChunkStore::EnsureMapped(uint64_t end) {
-  if (end == 0) {
-    return Status::Ok();
-  }
-  if (!mappings_.empty() && mappings_.back().size >= end) {
-    return Status::Ok();
-  }
-  // Round the mapping generously (next power of two, >= 1 MiB) so growth
-  // costs O(log file size) remaps. Old mappings are kept — spans handed out
-  // earlier must stay valid — so over-rounding also bounds their count.
-  uint64_t target = 1u << 20;
-  while (target < end) {
-    target <<= 1;
-  }
-  void* data = ::mmap(nullptr, target, PROT_READ, MAP_SHARED, fd_, 0);
-  if (data == MAP_FAILED) {
-    return ErrnoStatus("mmap", path_);
-  }
-  mappings_.push_back(Mapping{static_cast<uint8_t*>(data), target});
-  ++stats_.remaps;
   return Status::Ok();
 }
 

@@ -84,9 +84,6 @@ TimeSeriesDatabase::TimeSeriesDatabase(const TsdbOptions& options)
     };
     durable_counters_ = DurableCounters{
         .io_errors = runtime("tsdb.durable.io_errors"),
-        .chunks_evicted = runtime("tsdb.durable.chunks_evicted"),
-        .evicted_bytes = runtime("tsdb.durable.evicted_bytes"),
-        .mapped_readback_decodes = runtime("tsdb.durable.mapped_readback_decodes"),
         .recoveries = runtime("tsdb.durable.recoveries"),
         .recovered_points = runtime("tsdb.durable.recovered_points"),
         .group_commits = runtime("tsdb.durable.group_commits"),
@@ -96,7 +93,6 @@ TimeSeriesDatabase::TimeSeriesDatabase(const TsdbOptions& options)
         .chunks_persisted = runtime("tsdb.durable.chunks_persisted"),
         .degraded = runtime("tsdb.durable.degraded"),
         .resident_sealed_bytes = runtime("tsdb.memory.resident_sealed_bytes"),
-        .mapped_sealed_bytes = runtime("tsdb.memory.mapped_sealed_bytes"),
     };
     OpenDurable();
     PublishDurableTotals(/*memory=*/true);
@@ -147,11 +143,12 @@ void TimeSeriesDatabase::OpenDurable() {
     const std::string suffix = std::string(".").append(std::to_string(i));
     shard.chunk_store = std::make_unique<ChunkStore>();
     shard.wal = std::make_unique<WriteAheadLog>();
-    // Sealed history: restore chunk records in file order. Re-persisted
-    // chunks (grown or retention-trimmed) appear later and supersede what
-    // they overlap (TieredSeries::RestoreSealedChunk). Records whose symbols
-    // the names log does not know cannot have been committed by a correct
-    // writer (symbols are fsync'd first); skipping them is belt-and-braces.
+    // Sealed history: restore chunk records onto the heap in file order.
+    // Re-persisted chunks (grown or retention-trimmed) appear later and
+    // supersede what they overlap (TieredSeries::RestoreSealedChunk). Records
+    // whose symbols the names log does not know cannot have been committed by
+    // a correct writer (symbols are fsync'd first); skipping them is
+    // belt-and-braces.
     const Status chunks_opened = shard.chunk_store->Open(
         dir + "/chunks" + suffix,
         [this, &shard, &symbols_known](const ChunkStore::RestoredChunk& chunk) {
@@ -159,9 +156,8 @@ void TimeSeriesDatabase::OpenDurable() {
             return;
           }
           SeriesEntry& entry = EntryLocked(shard, chunk.id);
-          entry.data.RestoreSealedChunk(chunk.payload_offset, chunk.payload_len,
-                                        chunk.bit_count, chunk.count, chunk.first,
-                                        chunk.last);
+          entry.data.RestoreSealedChunk(chunk.payload, chunk.bit_count, chunk.count,
+                                        chunk.first, chunk.last);
         },
         fsync);
     if (!HandleDurableError(chunks_opened)) {
@@ -268,9 +264,7 @@ void TimeSeriesDatabase::PublishDurableTotals(bool memory) {
   c.chunks_persisted->Set(durable.chunks_persisted);
   c.degraded->Set(durable.degraded ? 1 : 0);
   if (memory) {
-    const MemoryStats resident = memory_stats();
-    c.resident_sealed_bytes->Set(resident.resident_sealed_bytes);
-    c.mapped_sealed_bytes->Set(resident.mapped_sealed_bytes);
+    c.resident_sealed_bytes->Set(memory_stats().resident_sealed_bytes);
   }
 }
 
@@ -300,9 +294,6 @@ TimeSeriesDatabase::SeriesEntry& TimeSeriesDatabase::EntryLocked(
   auto it = shard.series.find(id);
   if (it == shard.series.end()) {
     it = shard.series.emplace(id, SeriesEntry(options_.seal_chunk_points)).first;
-    if (shard.chunk_store != nullptr) {
-      it->second.data.set_chunk_source(shard.chunk_store.get());
-    }
   }
   return it->second;
 }
@@ -412,12 +403,8 @@ std::optional<TimeSeries> TimeSeriesDatabase::Find(const MetricId& id) const {
     return std::nullopt;
   }
   TimeSeries series;
-  size_t mapped = 0;
-  const Status status = it->second.data.TryMaterializeFrom(
-      std::numeric_limits<TimePoint>::min(), series, &mapped);
-  if (mapped > 0) {  // Mapped chunks exist only with the durable tier on.
-    durable_counters_.mapped_readback_decodes->Add(mapped);
-  }
+  const Status status =
+      it->second.data.TryMaterializeFrom(std::numeric_limits<TimePoint>::min(), series);
   if (!status.ok()) {
     return std::nullopt;
   }
@@ -462,11 +449,7 @@ const TimeSeries* TimeSeriesDatabase::SeriesForScan(const InternedMetricId& id,
   }
   scan_counters_.sealed_decodes->Increment();
   scratch.Clear();
-  size_t mapped = 0;
-  *status = data.TryMaterializeFrom(begin, scratch, &mapped);
-  if (mapped > 0) {
-    durable_counters_.mapped_readback_decodes->Add(mapped);
-  }
+  *status = data.TryMaterializeFrom(begin, scratch);
   if (!status->ok()) {
     scan_counters_.decode_failures->Increment();
     return nullptr;
@@ -559,11 +542,9 @@ TimeSeriesDatabase::MemoryStats TimeSeriesDatabase::memory_stats() const {
     for (const auto& [unused, entry] : shard.series) {
       stats.raw_points += entry.data.tail().size();
       stats.sealed_points += entry.data.sealed_points();
-      stats.sealed_bytes += entry.data.sealed_bytes();
-      stats.resident_sealed_bytes += entry.data.resident_sealed_bytes();
+      stats.resident_sealed_bytes += entry.data.sealed_bytes();
     }
   }
-  stats.mapped_sealed_bytes = stats.sealed_bytes - stats.resident_sealed_bytes;
   return stats;
 }
 
@@ -601,14 +582,12 @@ void TimeSeriesDatabase::SealBefore(TimePoint boundary) {
         }
         const CompressedTimeSeries& data = entry.data.ChunkData(i);
         const TieredSeries::ChunkInfo info = entry.data.GetChunkInfo(i);
-        uint64_t offset = 0;
         if (!HandleDurableError(shard.chunk_store->Append(
                 id, data.bytes(), data.bit_count(), info.count, info.first,
-                info.last, &offset))) {
+                info.last))) {
           break;  // Not appended — leave the chunk marked non-durable.
         }
-        entry.data.MarkChunkDurable(i, offset, static_cast<uint32_t>(data.byte_size()),
-                                    data.bit_count());
+        entry.data.MarkChunkDurable(i);
       }
     }
     if (!DurableActive() ||
@@ -639,11 +618,6 @@ void TimeSeriesDatabase::SealBefore(TimePoint boundary) {
   }
   if (options_.durable.enabled()) {
     last_seal_boundary_ = std::max(last_seal_boundary_, boundary);
-  }
-  if (DurableActive()) {
-    // Degraded: keep everything resident — eviction's mapped readback is only
-    // guaranteed for chunks persisted before the failure.
-    EnforceSealedBudget();
   }
   PublishDurableTotals(/*memory=*/true);
 }
@@ -677,68 +651,6 @@ void TimeSeriesDatabase::Expire(TimePoint cutoff) {
     have_drop_cutoff_ = true;
   }
   PublishDurableTotals(/*memory=*/true);
-}
-
-void TimeSeriesDatabase::EnforceSealedBudget() {
-  const size_t budget = options_.durable.resident_sealed_budget_bytes;
-  if (budget == 0) {
-    return;
-  }
-  // Single-writer phase: collect, then evict, with no mutation in between —
-  // chunk indices stay stable. Oldest chunks first, with a full identity
-  // tiebreak so the eviction order (and thus the runtime counters) is
-  // deterministic for a fixed ingest schedule.
-  struct Candidate {
-    TimePoint first;
-    InternedMetricId id;
-    uint32_t shard;
-    uint32_t index;
-  };
-  size_t resident = 0;
-  std::vector<Candidate> candidates;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto& [id, entry] : shard.series) {
-      resident += entry.data.resident_sealed_bytes();
-      for (size_t i = 0; i < entry.data.chunk_count(); ++i) {
-        const TieredSeries::ChunkInfo info = entry.data.GetChunkInfo(i);
-        if (info.resident && info.count > 0 && info.durable_count == info.count) {
-          candidates.push_back(Candidate{info.first, id, static_cast<uint32_t>(s),
-                                         static_cast<uint32_t>(i)});
-        }
-      }
-    }
-  }
-  if (resident <= budget) {
-    return;
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.first != b.first) return a.first < b.first;
-              if (a.id.service != b.id.service) return a.id.service < b.id.service;
-              if (a.id.kind != b.id.kind) return a.id.kind < b.id.kind;
-              if (a.id.entity != b.id.entity) return a.id.entity < b.id.entity;
-              if (a.id.metadata != b.id.metadata) return a.id.metadata < b.id.metadata;
-              return a.index < b.index;
-            });
-  for (const Candidate& candidate : candidates) {
-    if (resident <= budget) {
-      break;
-    }
-    Shard& shard = shards_[candidate.shard];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.series.find(candidate.id);
-    if (it == shard.series.end()) {
-      continue;
-    }
-    const size_t freed = it->second.data.EvictChunk(candidate.index);
-    resident -= freed;
-    durable_counters_.chunks_evicted->Increment();
-    durable_counters_.evicted_bytes->Add(freed);
-    // No generation bump: eviction changes where bytes live, not what the
-    // series contains — readers' caches must not observe it.
-  }
 }
 
 uint64_t TimeSeriesDatabase::generation() const {
@@ -782,9 +694,6 @@ TimeSeriesDatabase::DurableStats TimeSeriesDatabase::durable_stats() const {
       stats.chunks_persisted += chunks.appends;
     }
   }
-  stats.chunks_evicted = c.chunks_evicted->value();
-  stats.evicted_bytes = c.evicted_bytes->value();
-  stats.mapped_readback_decodes = c.mapped_readback_decodes->value();
   stats.recoveries = c.recoveries->value();
   stats.recovered_points = c.recovered_points->value();
   stats.recovered_chunks = recovered_chunks_;

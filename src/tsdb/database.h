@@ -18,6 +18,8 @@
 // decodes sealed chunks recoverably and caches nothing. SeriesForScan serves
 // the scan and cost shift through it (or returns the raw tail zero-copy);
 // Find returns an owned copy of a whole series for tests and benches.
+// Sealed history has one home, the heap: the durable tier's chunk files are
+// written at each seal and read once, when the database opens.
 //
 // Thread-safety: concurrent writers are safe (per-shard mutexes; the symbol
 // table has its own lock). Readers that hold raw pointers or spans into
@@ -53,18 +55,13 @@ namespace fbdetect {
 class TimeSeriesDatabase;
 
 // Durable storage tier (DESIGN.md §15). When `directory` is set, every shard
-// gets a group-commit write-ahead log and a memory-mapped chunk file there;
-// opening the database replays both into a consistent state (symbols first,
-// then chunks, then each shard's log). Durability is group-granular: points
+// gets a group-commit write-ahead log and a chunk file there; opening the
+// database replays both into a consistent state (symbols first, then chunks
+// onto the heap, then each shard's log). Durability is group-granular: points
 // buffered since the last group commit are lost on a crash, never torn.
 struct DurableOptions {
   // Empty = durable tier disabled.
   std::string directory;
-  // Heap budget for resident sealed-chunk bytes across all shards. After each
-  // durable seal, fully persisted chunks are evicted oldest-first until
-  // resident sealed bytes fit; readback decodes the mapped chunk file.
-  // 0 = never evict.
-  size_t resident_sealed_budget_bytes = 0;
   // Pending WAL bytes that trigger an automatic group commit on the write
   // path. Commits also happen at every seal (checkpoint) and on SyncDurable.
   size_t group_commit_bytes = 256 * 1024;
@@ -140,19 +137,15 @@ class TimeSeriesDatabase {
   struct MemoryStats {
     size_t raw_points = 0;     // Points in mutable tails.
     size_t sealed_points = 0;  // Points in Gorilla chunks.
-    size_t sealed_bytes = 0;   // Compressed bytes of sealed history (all tiers).
-    // Split of sealed_bytes by tier: heap-resident encoded chunks vs chunks
-    // evicted to the memory-mapped chunk file (page cache, not heap).
+    // Compressed bytes of sealed history; every sealed chunk is on the heap.
     size_t resident_sealed_bytes = 0;
-    size_t mapped_sealed_bytes = 0;
     // What the sealed points would occupy as raw (timestamp, value) pairs.
     size_t sealed_raw_bytes() const { return sealed_points * 16; }
   };
 
   // Durable-tier observability. All counters are runtime telemetry (they
-  // depend on budgets, commit batching, and crash history, not on detection
-  // inputs); the registry carries them as tsdb.durable.* with kRuntime
-  // stability.
+  // depend on commit batching and crash history, not on detection inputs);
+  // the registry carries them as tsdb.durable.* with kRuntime stability.
   struct DurableStats {
     bool enabled = false;
     uint64_t group_commits = 0;         // WAL frames written (all shards).
@@ -161,9 +154,6 @@ class TimeSeriesDatabase {
     uint64_t log_bytes_written = 0;     // WAL bytes written since open.
     uint64_t chunk_file_bytes = 0;      // Current chunk-file bytes.
     uint64_t chunks_persisted = 0;      // Chunk records appended since open.
-    uint64_t chunks_evicted = 0;        // Sealed chunks evicted from heap.
-    uint64_t evicted_bytes = 0;         // Heap bytes freed by eviction.
-    uint64_t mapped_readback_decodes = 0;  // Non-resident chunk decodes.
     // Recovery: what the constructor's replay found.
     uint64_t recoveries = 0;            // 1 if this open replayed prior state.
     uint64_t recovered_points = 0;      // Points replayed from WALs.
@@ -180,11 +170,10 @@ class TimeSeriesDatabase {
   DurableStats durable_stats() const;
 
   // True once a durable-tier I/O failure has switched the database to
-  // memory-only tiering: no further WAL commits, chunk persists, checkpoint
-  // rewrites, or budget evictions. Already-evicted chunks stay readable (the
-  // chunk file's mappings outlive the failure); everything newer simply stays
-  // on the heap. Ingest, scans, seals, and retention all keep working —
-  // losing the durable tier must not take down detection.
+  // memory-only tiering: no further WAL commits, chunk persists, or
+  // checkpoint rewrites. Sealed history is on the heap either way, so
+  // ingest, scans, seals, and retention all keep working — losing the
+  // durable tier must not take down detection.
   bool durable_degraded() const {
     return durable_degraded_.load(std::memory_order_relaxed);
   }
@@ -245,8 +234,7 @@ class TimeSeriesDatabase {
 
   // An owned copy of the whole series (sealed history decoded, then the
   // tail); empty when the series is absent or its sealed history fails to
-  // decode. Nothing is cached. Mapped-chunk readbacks are counted
-  // (tsdb.durable.mapped_readback_decodes); tsdb.scan.* is not touched.
+  // decode. Nothing is cached and nothing is counted.
   std::optional<TimeSeries> Find(const MetricId& id) const;
 
   bool Contains(const InternedMetricId& id) const;
@@ -282,10 +270,9 @@ class TimeSeriesDatabase {
   // Seals all points strictly older than `boundary` into compressed chunks.
   // Invalidates outstanding spans/pointers into the affected tails.
   // With the durable tier on, sealing is also the checkpoint: new/grown
-  // chunks are persisted to the chunk file (one fsync per shard), each
+  // chunks are persisted to the chunk file (one fsync per shard) and each
   // shard's WAL is rewritten to {retention cutoff, seal boundary, tail
-  // snapshots}, and the resident-sealed budget is enforced by evicting fully
-  // durable chunks oldest-first.
+  // snapshots}.
   void SealBefore(TimePoint boundary);
 
   // Applies retention: drops points older than `cutoff` and removes metrics
@@ -329,9 +316,8 @@ class TimeSeriesDatabase {
     mutable std::mutex mutex;
     std::atomic<uint64_t> generation{0};
     std::unordered_map<InternedMetricId, SeriesEntry, InternedMetricIdHash> series;
-    // Durable tier (null when disabled). Guarded by `mutex` on the write
-    // path; the chunk store's Payload() is safe for lock-free readers (see
-    // chunk_store.h).
+    // Durable tier (null when disabled). Guarded by `mutex`; readers never
+    // touch either file.
     std::unique_ptr<WriteAheadLog> wal;
     std::unique_ptr<ChunkStore> chunk_store;
   };
@@ -347,9 +333,8 @@ class TimeSeriesDatabase {
     return InternedMetricIdHash{}(id) & shard_mask_;
   }
 
-  // Returns the entry for `id` in `shard`, creating it if absent (with the
-  // shard's chunk store attached as its payload source). Caller holds the
-  // shard mutex.
+  // Returns the entry for `id` in `shard`, creating it if absent. Caller
+  // holds the shard mutex.
   SeriesEntry& EntryLocked(Shard& shard, const InternedMetricId& id);
 
   // The one write path, run by WriteBatch::Commit: classifies each staged
@@ -403,10 +388,6 @@ class TimeSeriesDatabase {
   // without the durable tier. Write phase only, with no shard lock held.
   void PublishDurableTotals(bool memory);
 
-  // Evicts fully durable sealed chunks, oldest first across all shards,
-  // until resident sealed bytes fit the budget. Write phase only.
-  void EnforceSealedBudget();
-
   TsdbOptions options_;
   size_t shard_mask_ = 0;
   SymbolTable symbols_;
@@ -441,9 +422,6 @@ class TimeSeriesDatabase {
   struct DurableCounters {
     // Events, counted where they happen.
     Counter* io_errors = nullptr;
-    Counter* chunks_evicted = nullptr;
-    Counter* evicted_bytes = nullptr;
-    Counter* mapped_readback_decodes = nullptr;
     Counter* recoveries = nullptr;
     Counter* recovered_points = nullptr;
     // Totals Set by PublishDurableTotals.
@@ -454,7 +432,6 @@ class TimeSeriesDatabase {
     Counter* chunks_persisted = nullptr;
     Counter* degraded = nullptr;  // 0/1 gauge.
     Counter* resident_sealed_bytes = nullptr;
-    Counter* mapped_sealed_bytes = nullptr;
   } durable_counters_;
   // Serializes concurrent writers' PublishDurableTotals so the last one to
   // run leaves the freshest totals.

@@ -35,7 +35,7 @@ int64_t UnZigZag(uint64_t value) {
 // iteration (the historical decoder's dominant cost), each read loads a
 // 64-bit window around the cursor and shifts the field out. `bit_count` is
 // clamped to the bytes, and every checked read is bounds-checked against it;
-// a failed read becomes a kDataLoss status in DecodeGorillaStream.
+// a failed read becomes a kDataLoss status in TryDecodeInto.
 class FastBitReader {
  public:
   FastBitReader(const uint8_t* data, size_t size_bytes, size_t bit_count)
@@ -146,7 +146,7 @@ class FastBitReader {
   size_t position_ = 0;
 };
 
-// Phase-1 result of the two-phase batch decode (see DecodeGorillaStream).
+// Phase-1 result of the two-phase batch decode (see TryDecodeInto).
 struct ParsedChunk {
   size_t decoded = 0;           // Fully parsed points (header included).
   const char* error = nullptr;  // Null when all `count` points parsed.
@@ -344,6 +344,7 @@ void BitWriter::WriteBits(uint64_t value, int bits) {
 }
 
 void CompressedTimeSeries::Append(TimePoint timestamp, double value) {
+  FBD_CHECK(can_append_);
   FBD_CHECK(count_ == 0 || timestamp > last_timestamp_);
   const uint64_t value_bits = DoubleToBits(value);
 
@@ -413,10 +414,7 @@ void CompressedTimeSeries::Append(TimePoint timestamp, double value) {
   ++count_;
 }
 
-namespace {
-
-// Two-phase batch decode shared by CompressedTimeSeries and
-// CompressedChunkView (the latter over memory-mapped chunk-file payloads).
+// Two-phase batch decode.
 //
 // Phase 1 (ParseChunk) walks the bit stream once with word-sized reads and
 // leaves flat dod/xor arrays in per-thread scratch. Phase 2 reconstructs the
@@ -430,9 +428,8 @@ namespace {
 // Matches the historical point-at-a-time decoder exactly: same points
 // appended (the valid prefix), same error precedence (a non-increasing
 // timestamp reports before a later parse failure).
-Status DecodeGorillaStream(const uint8_t* bytes, size_t size_bytes, size_t bit_count,
-                           size_t count, TimeSeries& out) {
-  if (count == 0) {
+Status CompressedTimeSeries::TryDecodeInto(TimeSeries& out) const {
+  if (count_ == 0) {
     return Status::Ok();
   }
   // Per-thread scratch that only grows, so steady-state decodes allocate
@@ -442,15 +439,15 @@ Status DecodeGorillaStream(const uint8_t* bytes, size_t size_bytes, size_t bit_c
   thread_local std::vector<int64_t> deltas;
   thread_local std::vector<TimePoint> stamps;
   thread_local std::vector<double> values;
-  if (dods.size() < count) {
-    dods.resize(count);
-    xors.resize(count);
-    deltas.resize(count);
-    stamps.resize(count);
-    values.resize(count);
+  if (dods.size() < count_) {
+    dods.resize(count_);
+    xors.resize(count_);
+    deltas.resize(count_);
+    stamps.resize(count_);
+    values.resize(count_);
   }
-  const ParsedChunk parsed =
-      ParseChunk(bytes, size_bytes, bit_count, count, dods.data(), xors.data());
+  const ParsedChunk parsed = ParseChunk(stream_.bytes().data(), stream_.bytes().size(),
+                                        stream_.bit_count(), count_, dods.data(), xors.data());
   if (parsed.decoded == 0) {
     return Status::DataLoss(parsed.error);
   }
@@ -480,17 +477,6 @@ Status DecodeGorillaStream(const uint8_t* bytes, size_t size_bytes, size_t bit_c
   return Status::Ok();
 }
 
-}  // namespace
-
-Status CompressedTimeSeries::TryDecodeInto(TimeSeries& out) const {
-  return DecodeGorillaStream(stream_.bytes().data(), stream_.bytes().size(),
-                             stream_.bit_count(), count_, out);
-}
-
-Status CompressedChunkView::TryDecodeInto(TimeSeries& out) const {
-  return DecodeGorillaStream(data_, size_bytes_, bit_count_, count_, out);
-}
-
 CompressedTimeSeries CompressedTimeSeries::FromRaw(std::vector<uint8_t> bytes,
                                                    size_t bit_count, size_t count) {
   CompressedTimeSeries chunk;
@@ -498,6 +484,7 @@ CompressedTimeSeries CompressedTimeSeries::FromRaw(std::vector<uint8_t> bytes,
   chunk.stream_ = BitWriter(std::move(bytes), bit_count);
   // Timestamp bookkeeping (first/last/delta, XOR block state) is unknown for
   // a raw stream; the chunk supports decoding, not further appends.
+  chunk.can_append_ = false;
   return chunk;
 }
 

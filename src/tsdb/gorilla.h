@@ -7,11 +7,11 @@
 // (~800k series at 10-minute resolution over 10+ day windows) this is the
 // difference between fitting in memory and not.
 //
-// CompressedTimeSeries is an append-only encoder; it and CompressedChunkView
-// (a chunk payload in storage the view does not own) decode through one
-// recoverable decoder that appends to a TimeSeries. The round trip is exact
-// (bit-level) for both timestamps and IEEE-754 doubles, and a corrupt stream
-// is a kDataLoss status, never an abort.
+// CompressedTimeSeries is an append-only encoder with one recoverable
+// decoder that appends to a TimeSeries; chunks this process encoded and
+// chunks rebuilt from the durable chunk file (FromRaw) decode alike. The
+// round trip is exact (bit-level) for both timestamps and IEEE-754 doubles,
+// and a corrupt stream is a kDataLoss status, never an abort.
 #ifndef FBDETECT_SRC_TSDB_GORILLA_H_
 #define FBDETECT_SRC_TSDB_GORILLA_H_
 
@@ -44,34 +44,6 @@ class BitWriter {
   size_t bit_count_ = 0;
 };
 
-// Zero-copy view of an encoded Gorilla stream that lives in storage the view
-// does not own — in practice a chunk payload inside a memory-mapped chunk
-// file (src/tsdb/chunk_store.h). Decodes through the same two-phase
-// FastBitReader + prefix-kernel path as CompressedTimeSeries, reading the
-// mapped bytes in place (page-cache-served, no copy into a vector). The view
-// is only valid while the underlying bytes are; chunk-file mappings are
-// never unmapped before database destruction, which is what makes handing
-// these spans to the scan path safe. A `bit_count` larger than the bytes is
-// clamped to them, so an overstated count reads as a truncated stream.
-class CompressedChunkView {
- public:
-  CompressedChunkView(const uint8_t* data, size_t size_bytes, size_t bit_count,
-                      size_t count)
-      : data_(data), size_bytes_(size_bytes), bit_count_(bit_count), count_(count) {}
-
-  size_t size() const { return count_; }
-
-  // Appends all points to `out` (which must end before this chunk's first
-  // timestamp). Same contract as CompressedTimeSeries::TryDecodeInto.
-  Status TryDecodeInto(TimeSeries& out) const;
-
- private:
-  const uint8_t* data_;
-  size_t size_bytes_;
-  size_t bit_count_;
-  size_t count_;
-};
-
 class CompressedTimeSeries {
  public:
   // Appends a point; timestamps must be strictly increasing.
@@ -96,11 +68,16 @@ class CompressedTimeSeries {
   // storage or fuzzing take the same path.
   Status TryDecodeInto(TimeSeries& out) const;
 
-  // Reconstructs a chunk from raw stream parts, e.g. deserialized storage.
-  // Checks (fatally) that `bit_count` fits in `bytes`; a stream that still
-  // understates the data for `count` points is a kDataLoss at decode time.
+  // Reconstructs a chunk from raw stream parts, e.g. a chunk record read
+  // back from the chunk file. Checks (fatally) that `bit_count` fits in
+  // `bytes`; a stream that still understates the data for `count` points is
+  // a kDataLoss at decode time.
   static CompressedTimeSeries FromRaw(std::vector<uint8_t> bytes, size_t bit_count,
                                       size_t count);
+
+  // False for a chunk rebuilt by FromRaw: it holds the stream but not the
+  // encoder state Append continues from, so it decodes and takes no points.
+  bool can_append() const { return can_append_; }
 
  private:
   size_t count_ = 0;
@@ -109,6 +86,7 @@ class CompressedTimeSeries {
   uint64_t last_value_bits_ = 0;
   int last_leading_ = -1;   // Leading zero count of the previous XOR block.
   int last_trailing_ = 0;   // Trailing zero count of the previous XOR block.
+  bool can_append_ = true;
   BitWriter stream_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 
@@ -21,17 +22,7 @@ AppendOutcome TieredSeries::TryAppend(TimePoint timestamp, double value) {
 size_t TieredSeries::sealed_bytes() const {
   size_t bytes = 0;
   for (const Chunk& chunk : chunks_) {
-    bytes += chunk.resident ? chunk.data.byte_size() : chunk.store_len;
-  }
-  return bytes;
-}
-
-size_t TieredSeries::resident_sealed_bytes() const {
-  size_t bytes = 0;
-  for (const Chunk& chunk : chunks_) {
-    if (chunk.resident) {
-      bytes += chunk.data.byte_size();
-    }
+    bytes += chunk.data.byte_size();
   }
   return bytes;
 }
@@ -49,11 +40,11 @@ void TieredSeries::SealBefore(TimePoint boundary) {
   const std::vector<TimePoint>& timestamps = tail_.timestamps();
   const std::vector<double>& values = tail_.values();
   for (size_t i = 0; i < split; ++i) {
-    // A non-resident newest chunk is immutable (its heap copy is gone), so
-    // sealing after an eviction starts a fresh chunk. Chunk boundaries may
-    // therefore differ from a RAM-only run, which is fine: boundaries are a
-    // storage detail and window extraction slices exact spans either way.
-    if (chunks_.empty() || !chunks_.back().resident ||
+    // A restored newest chunk has no encoder state, so the first seal after
+    // a reopen starts a fresh chunk. Chunk boundaries may therefore differ
+    // from a RAM-only run, which is fine: boundaries are a storage detail and
+    // window extraction slices exact spans either way.
+    if (chunks_.empty() || !chunks_.back().data.can_append() ||
         chunks_.back().count >= seal_chunk_points_) {
       chunks_.emplace_back();
       chunks_.back().first = timestamps[i];
@@ -67,29 +58,12 @@ void TieredSeries::SealBefore(TimePoint boundary) {
   tail_.DropBefore(boundary);
 }
 
-Status TieredSeries::DecodeChunkInto(const Chunk& chunk, TimeSeries& out,
-                                     size_t* mapped_decodes) const {
-  if (chunk.resident) {
-    return chunk.data.TryDecodeInto(out);
-  }
-  FBD_CHECK(chunk_source_ != nullptr);
-  const std::span<const uint8_t> payload =
-      chunk_source_->ChunkPayload(chunk.store_offset, chunk.store_len);
-  const CompressedChunkView view(payload.data(), payload.size(),
-                                 chunk.store_bit_count, chunk.count);
-  if (mapped_decodes != nullptr) {
-    ++*mapped_decodes;
-  }
-  return view.TryDecodeInto(out);
-}
-
-Status TieredSeries::TryMaterializeFrom(TimePoint begin, TimeSeries& out,
-                                        size_t* mapped_decodes) const {
+Status TieredSeries::TryMaterializeFrom(TimePoint begin, TimeSeries& out) const {
   for (const Chunk& chunk : chunks_) {
     if (chunk.last < begin) {
       continue;
     }
-    FBD_RETURN_IF_ERROR(DecodeChunkInto(chunk, out, mapped_decodes));
+    FBD_RETURN_IF_ERROR(chunk.data.TryDecodeInto(out));
   }
   // The tail is a TimeSeries, so it is internally strictly increasing by
   // invariant; only the seam against the decoded chunks needs checking
@@ -113,12 +87,11 @@ void TieredSeries::DropBefore(TimePoint cutoff) {
     chunks_.erase(chunks_.begin(), chunks_.begin() + static_cast<long>(drop));
   }
   if (!chunks_.empty() && chunks_.front().first < cutoff) {
-    // Straddling chunk: decode (from heap or the mapped store), trim,
-    // re-encode resident. The trimmed chunk no longer matches what the store
-    // holds, so it must be re-persisted before it can be evicted again.
+    // Straddling chunk: decode, trim, re-encode. The trimmed chunk no longer
+    // matches what the store holds, so the next durable seal re-persists it.
     Chunk& chunk = chunks_.front();
     TimeSeries decoded;
-    const Status status = DecodeChunkInto(chunk, decoded, nullptr);
+    const Status status = chunk.data.TryDecodeInto(decoded);
     FBD_CHECK(status.ok());
     decoded.DropBefore(cutoff);
     sealed_points_ -= chunk.count - decoded.size();
@@ -132,13 +105,12 @@ void TieredSeries::DropBefore(TimePoint cutoff) {
     chunk.first = decoded.start_time();
     chunk.count = static_cast<uint32_t>(decoded.size());
     chunk.durable_count = 0;
-    chunk.resident = true;
   }
   tail_.DropBefore(cutoff);
 }
 
-void TieredSeries::RestoreSealedChunk(uint64_t store_offset, uint32_t store_len,
-                                      uint64_t store_bit_count, uint32_t count,
+void TieredSeries::RestoreSealedChunk(std::span<const uint8_t> payload,
+                                      uint64_t bit_count, uint32_t count,
                                       TimePoint first, TimePoint last) {
   FBD_CHECK(tail_.empty());
   FBD_CHECK(count > 0);
@@ -161,14 +133,14 @@ void TieredSeries::RestoreSealedChunk(uint64_t store_offset, uint32_t store_len,
   chunks_.erase(std::remove_if(chunks_.begin(), chunks_.end(), intersects),
                 chunks_.end());
   Chunk chunk;
+  // Clamped: FromRaw checks fatally that the bit count fits the bytes.
+  chunk.data = CompressedTimeSeries::FromRaw(
+      std::vector<uint8_t>(payload.begin(), payload.end()),
+      std::min<uint64_t>(bit_count, payload.size() * 8), count);
   chunk.first = first;
   chunk.last = last;
   chunk.count = count;
   chunk.durable_count = count;
-  chunk.resident = false;
-  chunk.store_offset = store_offset;
-  chunk.store_len = store_len;
-  chunk.store_bit_count = store_bit_count;
   const auto at = std::upper_bound(
       chunks_.begin(), chunks_.end(), chunk,
       [](const Chunk& a, const Chunk& b) { return a.first < b.first; });
@@ -183,47 +155,23 @@ TieredSeries::ChunkInfo TieredSeries::GetChunkInfo(size_t index) const {
   info.first = chunk.first;
   info.last = chunk.last;
   info.count = chunk.count;
-  info.durable_count = chunk.durable_count;
-  info.resident = chunk.resident;
-  info.store_offset = chunk.store_offset;
-  info.store_len = chunk.store_len;
-  info.store_bit_count = chunk.store_bit_count;
   return info;
 }
 
 bool TieredSeries::ChunkNeedsPersist(size_t index) const {
   FBD_CHECK(index < chunks_.size());
   const Chunk& chunk = chunks_[index];
-  return chunk.resident && chunk.count > chunk.durable_count;
+  return chunk.count > chunk.durable_count;
 }
 
 const CompressedTimeSeries& TieredSeries::ChunkData(size_t index) const {
   FBD_CHECK(index < chunks_.size());
-  FBD_CHECK(chunks_[index].resident);
   return chunks_[index].data;
 }
 
-void TieredSeries::MarkChunkDurable(size_t index, uint64_t store_offset,
-                                    uint32_t store_len, uint64_t store_bit_count) {
+void TieredSeries::MarkChunkDurable(size_t index) {
   FBD_CHECK(index < chunks_.size());
-  Chunk& chunk = chunks_[index];
-  FBD_CHECK(chunk.resident);
-  chunk.durable_count = chunk.count;
-  chunk.store_offset = store_offset;
-  chunk.store_len = store_len;
-  chunk.store_bit_count = store_bit_count;
-}
-
-size_t TieredSeries::EvictChunk(size_t index) {
-  FBD_CHECK(index < chunks_.size());
-  Chunk& chunk = chunks_[index];
-  FBD_CHECK(chunk.resident);
-  FBD_CHECK(chunk.durable_count == chunk.count);
-  FBD_CHECK(chunk_source_ != nullptr);
-  const size_t freed = chunk.data.byte_size();
-  chunk.data = CompressedTimeSeries();
-  chunk.resident = false;
-  return freed;
+  chunks_[index].durable_count = chunks_[index].count;
 }
 
 }  // namespace fbdetect

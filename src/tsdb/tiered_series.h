@@ -2,11 +2,10 @@
 // Gorilla-compressed chunks, plus a raw mutable tail that recent writes and
 // the zero-copy scan path (ScanView / WindowView) operate on directly.
 //
-// With the durable tier enabled (TsdbOptions::durable), sealed chunks gain a
-// third state: persisted to a per-shard memory-mapped chunk file and evicted
-// from heap. A non-resident chunk keeps only its location in the file
-// (offset/len/bit_count) and its range; readback decodes the mapped payload
-// in place through CompressedChunkView — page-cache-served, no heap copy.
+// Every sealed chunk lives on the heap. With the durable tier enabled
+// (TsdbOptions::durable) the database also persists each new or changed
+// chunk to the shard's chunk file, and a reopened database restores the
+// chunks from it (RestoreSealedChunk) as decode-only streams.
 //
 // Invariants:
 //   - Every sealed point is strictly older than every tail point.
@@ -14,12 +13,10 @@
 //   - Sealed chunks are immutable except for DropBefore (retention), which
 //     drops whole chunks and re-encodes at most the one straddling chunk.
 //   - Appends go to the tail only; SealBefore moves tail points into chunks.
-//   - A chunk is evictable only once every point in it is durable
-//     (durable_count == count); eviction never loses data.
 //
-// Because the Gorilla round trip is bit-exact — for resident chunks and for
-// mapped payloads alike — materializing a tiered series yields the
-// byte-identical TimeSeries the raw path would have produced: tiering and
+// Because the Gorilla round trip is bit-exact — for chunks this process
+// encoded and for restored ones alike — materializing a tiered series yields
+// the byte-identical TimeSeries the raw path would have produced: tiering and
 // the disk tier on/off cannot change detection output.
 #ifndef FBDETECT_SRC_TSDB_TIERED_SERIES_H_
 #define FBDETECT_SRC_TSDB_TIERED_SERIES_H_
@@ -45,30 +42,14 @@ enum class AppendOutcome {
   kOutOfOrder,   // Timestamp precedes the newest stored point.
 };
 
-// Where non-resident chunk payloads come from: in production, the owning
-// shard's ChunkStore (src/tsdb/chunk_store.h) behind a thin adapter. Spans
-// returned must stay valid for the source's lifetime (the chunk store never
-// unmaps old mapping generations, which is what makes this safe to call from
-// concurrent scan threads).
-class ChunkPayloadSource {
- public:
-  virtual ~ChunkPayloadSource() = default;
-  virtual std::span<const uint8_t> ChunkPayload(uint64_t offset, uint32_t len) = 0;
-};
-
 class TieredSeries {
  public:
   // Durable-tier metadata for one sealed chunk, exposed so the database can
-  // drive persistence and eviction without knowing chunk internals.
+  // drive persistence without knowing chunk internals.
   struct ChunkInfo {
     TimePoint first = 0;
     TimePoint last = 0;
-    uint32_t count = 0;          // Points in the chunk.
-    uint32_t durable_count = 0;  // Points covered by the last persist.
-    bool resident = false;       // Heap-resident encoded copy present.
-    uint64_t store_offset = 0;   // Valid when durable_count > 0.
-    uint32_t store_len = 0;
-    uint64_t store_bit_count = 0;
+    uint32_t count = 0;  // Points in the chunk.
   };
 
   // `seal_chunk_points`: target points per sealed chunk; SealBefore keeps
@@ -84,7 +65,6 @@ class TieredSeries {
   bool empty() const { return size() == 0; }
   size_t sealed_points() const { return sealed_points_; }
   size_t sealed_bytes() const;
-  size_t resident_sealed_bytes() const;
   size_t chunk_count() const { return chunks_.size(); }
 
   // The raw mutable tail. When TailCovers(begin) holds, scanning the tail
@@ -95,7 +75,8 @@ class TieredSeries {
   // chunk overlaps [begin, inf)).
   bool TailCovers(TimePoint begin) const;
 
-  // Seals tail points strictly older than `boundary` into compressed chunks.
+  // Seals tail points strictly older than `boundary` into compressed chunks,
+  // growing the newest chunk while it can take points.
   void SealBefore(TimePoint boundary);
 
   // The one read of stored points: appends, in order, every point of the
@@ -104,33 +85,29 @@ class TieredSeries {
   // Decoding is chunk-granular: the result may start earlier than `begin`
   // (never later), which window extraction tolerates. A corrupt sealed chunk
   // yields kDataLoss, with `out` holding the points decoded so far, for
-  // chunks this process encoded and for mapped payloads that survived a
-  // crash/recovery cycle alike. `mapped_decodes`, when non-null, is
-  // incremented once per non-resident chunk decoded from the mapped store.
-  Status TryMaterializeFrom(TimePoint begin, TimeSeries& out,
-                            size_t* mapped_decodes = nullptr) const;
+  // chunks this process encoded and for chunks restored from the chunk file
+  // alike.
+  Status TryMaterializeFrom(TimePoint begin, TimeSeries& out) const;
 
   // Retention: drops all points strictly older than `cutoff`. Whole chunks
-  // before the cutoff are freed; a chunk straddling it is decoded (from heap
-  // or the mapped store), trimmed, and re-encoded resident with
-  // durable_count reset (it must be re-persisted before it can be evicted
-  // again).
+  // before the cutoff are freed; a chunk straddling it is decoded, trimmed,
+  // and re-encoded with durable_count reset, so the next durable seal
+  // persists it again.
   void DropBefore(TimePoint cutoff);
 
   // --- Durable tier (driven by TimeSeriesDatabase; see chunk_store.h) ---
 
-  // Source for non-resident chunk payloads; must be set (and stay alive)
-  // before any chunk is restored non-resident or evicted.
-  void set_chunk_source(ChunkPayloadSource* source) { chunk_source_ = source; }
-
-  // Recovery: installs one persisted chunk, non-resident, in file order.
+  // Recovery: installs one persisted chunk, in file order, as a heap copy
+  // of `payload` (CompressedTimeSeries::FromRaw). A `bit_count` beyond the
+  // payload is clamped to it, so a record that overstates its stream reads
+  // as a truncated chunk (kDataLoss at decode), not an abort. A restored
+  // chunk keeps no encoder state, so the next seal starts a new chunk.
   // Re-persisted chunks (grown by a later seal, or trimmed by retention and
   // re-encoded) appear later in the file and supersede what they overlap:
   // previously restored chunks whose range intersects the incoming record
   // are popped. Only valid before any tail appends for this series.
-  void RestoreSealedChunk(uint64_t store_offset, uint32_t store_len,
-                          uint64_t store_bit_count, uint32_t count, TimePoint first,
-                          TimePoint last);
+  void RestoreSealedChunk(std::span<const uint8_t> payload, uint64_t bit_count,
+                          uint32_t count, TimePoint first, TimePoint last);
 
   ChunkInfo GetChunkInfo(size_t index) const;
 
@@ -138,38 +115,25 @@ class TieredSeries {
   // or trimmed-and-re-encoded chunks).
   bool ChunkNeedsPersist(size_t index) const;
 
-  // Encoded stream parts of a resident chunk, for persistence.
+  // Encoded stream parts of a chunk, for persistence.
   const CompressedTimeSeries& ChunkData(size_t index) const;
 
   // Records a completed persist of chunk `index` covering all current points.
-  void MarkChunkDurable(size_t index, uint64_t store_offset, uint32_t store_len,
-                        uint64_t store_bit_count);
-
-  // Drops the heap copy of a fully durable resident chunk; returns the heap
-  // bytes freed. Readback will decode from the mapped store.
-  size_t EvictChunk(size_t index);
+  void MarkChunkDurable(size_t index);
 
  private:
   struct Chunk {
-    CompressedTimeSeries data;   // Empty when !resident.
+    CompressedTimeSeries data;
     TimePoint first = 0;
     TimePoint last = 0;
     uint32_t count = 0;
     uint32_t durable_count = 0;
-    bool resident = true;
-    uint64_t store_offset = 0;
-    uint32_t store_len = 0;
-    uint64_t store_bit_count = 0;
   };
-
-  Status DecodeChunkInto(const Chunk& chunk, TimeSeries& out,
-                         size_t* mapped_decodes) const;
 
   size_t seal_chunk_points_;
   std::vector<Chunk> chunks_;
   size_t sealed_points_ = 0;
   TimeSeries tail_;
-  ChunkPayloadSource* chunk_source_ = nullptr;
 };
 
 }  // namespace fbdetect

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -318,9 +319,9 @@ Regression ShiftCandidate(const std::string& subroutine, double delta, double ba
 // Where a cost-shift case's member history is stored. Cost shift reads
 // members the way the scan does, so the verdict must not depend on it.
 enum class HistoryStorage {
-  kRawTail,       // Everything in the raw tail.
-  kSealed,        // History before the change point sealed into chunks.
-  kMappedChunks,  // Sealed, persisted and evicted to the mapped chunk file.
+  kRawTail,         // Everything in the raw tail.
+  kSealed,          // History before the change point sealed into chunks.
+  kRestoredChunks,  // Sealed, persisted, then restored from the chunk file.
 };
 
 // A fresh directory for a durable database, removed with its files.
@@ -339,46 +340,46 @@ using HistoryWriter = std::function<void(TimeSeriesDatabase&)>;
 using VerdictFn = std::function<CostShiftVerdict(const TimeSeriesDatabase&)>;
 
 // Writes the history into `storage`, sealing points before `change` for the
-// sealed kinds, evaluates, and checks that the member reads took that
-// storage's path.
+// sealed kinds (and closing and reopening the database for restored chunks),
+// evaluates, and checks that the member reads took that storage's path.
 CostShiftVerdict EvaluateIn(HistoryStorage storage, TimePoint change,
                             const HistoryWriter& write, const VerdictFn& evaluate) {
   TempDir dir;
   TsdbOptions options;
-  if (storage == HistoryStorage::kMappedChunks) {
+  if (storage == HistoryStorage::kRestoredChunks) {
     options.durable.directory = dir.path;
     options.durable.fsync = false;
-    options.durable.resident_sealed_budget_bytes = 1;  // Evict every chunk.
   }
-  TimeSeriesDatabase db(options);
-  write(db);
+  auto db = std::make_unique<TimeSeriesDatabase>(options);
+  write(*db);
   if (storage != HistoryStorage::kRawTail) {
-    db.SealBefore(change);
+    db->SealBefore(change);
   }
-  const TimeSeriesDatabase::ScanStats before = db.scan_stats();
-  const CostShiftVerdict verdict = evaluate(db);
-  const TimeSeriesDatabase::ScanStats after = db.scan_stats();
+  if (storage == HistoryStorage::kRestoredChunks) {
+    db.reset();  // Clean close before the reopen reads the files.
+    db = std::make_unique<TimeSeriesDatabase>(options);
+    EXPECT_GT(db->durable_stats().recovered_chunks, 0u);
+  }
+  const TimeSeriesDatabase::ScanStats before = db->scan_stats();
+  const CostShiftVerdict verdict = evaluate(*db);
+  const TimeSeriesDatabase::ScanStats after = db->scan_stats();
   if (storage == HistoryStorage::kRawTail) {
     EXPECT_GT(after.tail_hits, before.tail_hits);
     EXPECT_EQ(after.sealed_decodes, before.sealed_decodes);
   } else {
     EXPECT_GT(after.sealed_decodes, before.sealed_decodes);
   }
-  if (storage == HistoryStorage::kMappedChunks) {
-    EXPECT_EQ(db.memory_stats().resident_sealed_bytes, 0u);
-    EXPECT_GT(db.durable_stats().mapped_readback_decodes, 0u);
-  }
   EXPECT_EQ(after.decode_failures, 0u);
   return verdict;
 }
 
-// The raw-tail verdict, after checking that sealed and mapped history give
+// The raw-tail verdict, after checking that sealed and restored history give
 // the same verdict and domain.
 CostShiftVerdict EvaluateInEveryStorage(TimePoint change, const HistoryWriter& write,
                                         const VerdictFn& evaluate) {
   const CostShiftVerdict raw = EvaluateIn(HistoryStorage::kRawTail, change, write, evaluate);
   for (const HistoryStorage storage :
-       {HistoryStorage::kSealed, HistoryStorage::kMappedChunks}) {
+       {HistoryStorage::kSealed, HistoryStorage::kRestoredChunks}) {
     const CostShiftVerdict stored = EvaluateIn(storage, change, write, evaluate);
     EXPECT_EQ(stored.is_cost_shift, raw.is_cost_shift) << static_cast<int>(storage);
     EXPECT_EQ(stored.domain, raw.domain) << static_cast<int>(storage);

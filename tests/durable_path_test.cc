@@ -1,11 +1,12 @@
 // End-to-end acceptance tests for the durable storage tier (DESIGN.md §15):
 // the group-commit WAL and the chunk store must truncate torn tails at frame
-// granularity, a clean close + reopen must be lossless, chunk-granular
-// eviction must serve readback from the memory-mapped chunk file, detection
-// output must be byte-identical with the tier off, on, and under an eviction
-// budget at scan_threads 1/2/8, a SIGKILL'd writer must recover to a state
-// whose detection output matches an uninterrupted run, and the database's
-// own tsdb.durable.* / tsdb.memory.* instruments must track the tier.
+// granularity, a clean close + reopen must be lossless, chunks restored from
+// the chunk file must serve scans, retention and later seals like the
+// in-memory oracle, a corrupt restored chunk must read as kDataLoss,
+// detection output must be byte-identical with the tier off and on at
+// scan_threads 1/2/8, a SIGKILL'd writer must recover to a state whose
+// detection output matches an uninterrupted run, and the database's own
+// tsdb.durable.* / tsdb.memory.* instruments must track the tier.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -27,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/sim_time.h"
@@ -108,6 +110,16 @@ void TruncateBy(const std::string& path, off_t bytes) {
   const off_t size = FileSize(path);
   ASSERT_GE(size, bytes);
   ASSERT_EQ(::truncate(path.c_str(), size - bytes), 0);
+}
+
+uint64_t CounterValue(const TelemetryRegistry& registry, const std::string& name) {
+  for (const CounterSnapshot& counter : registry.SnapshotCounters()) {
+    if (counter.name == name) {
+      return counter.value;
+    }
+  }
+  ADD_FAILURE() << "counter not registered: " << name;
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -279,41 +291,56 @@ std::vector<uint8_t> TestPayload(size_t n, uint8_t salt) {
   return payload;
 }
 
+// A restored chunk record with its payload copied out of the callback, whose
+// span is valid only during the call.
+struct RestoredRecord {
+  ChunkStore::RestoredChunk chunk;  // `chunk.payload` is cleared.
+  std::vector<uint8_t> payload;
+};
+
+// Opens `store` on `path` and returns the records it restores, in file order.
+std::vector<RestoredRecord> OpenAndRestore(ChunkStore& store, const std::string& path) {
+  std::vector<RestoredRecord> records;
+  const Status opened = store.Open(
+      path,
+      [&](const ChunkStore::RestoredChunk& c) {
+        RestoredRecord record{c, std::vector<uint8_t>(c.payload.begin(), c.payload.end())};
+        record.chunk.payload = {};
+        records.push_back(std::move(record));
+      },
+      /*fsync=*/false);
+  EXPECT_TRUE(opened.ok()) << opened.message();
+  return records;
+}
+
 TEST(ChunkStoreTest, AppendSyncReopenRestoresRecordsAndPayloads) {
   const ScopedDir dir("chunks");
   const std::string path = dir.path + "/chunks.0";
   const std::vector<uint8_t> p1 = TestPayload(100, 1);
   const std::vector<uint8_t> p2 = TestPayload(333, 2);
-  uint64_t off1 = 0, off2 = 0;
   {
     ChunkStore store;
     ASSERT_TRUE(store.Open(path, nullptr, /*fsync=*/false).ok());
     ASSERT_TRUE(store.Append(kIdA, p1, /*bit_count=*/800, /*count=*/17,
-                             /*first=*/100, /*last=*/200, &off1)
+                             /*first=*/100, /*last=*/200)
                     .ok());
-    ASSERT_TRUE(store.Append(kIdB, p2, 2661, 40, 210, 400, &off2).ok());
+    ASSERT_TRUE(store.Append(kIdB, p2, 2661, 40, 210, 400).ok());
     ASSERT_TRUE(store.Sync().ok());
-    const std::span<const uint8_t> got = store.Payload(off1, p1.size());
-    EXPECT_TRUE(std::equal(p1.begin(), p1.end(), got.begin(), got.end()));
     EXPECT_EQ(store.stats().appends, 2u);
   }
   ChunkStore reopened;
-  std::vector<ChunkStore::RestoredChunk> restored;
-  ASSERT_TRUE(reopened
-                  .Open(path, [&](const ChunkStore::RestoredChunk& c) { restored.push_back(c); },
-                        false)
-                  .ok());
+  const std::vector<RestoredRecord> restored = OpenAndRestore(reopened, path);
   ASSERT_EQ(restored.size(), 2u);
-  EXPECT_EQ(restored[0].id, kIdA);
-  EXPECT_EQ(restored[0].payload_offset, off1);
-  EXPECT_EQ(restored[0].payload_len, p1.size());
-  EXPECT_EQ(restored[0].bit_count, 800u);
-  EXPECT_EQ(restored[0].count, 17u);
-  EXPECT_EQ(restored[0].first, 100);
-  EXPECT_EQ(restored[0].last, 200);
-  EXPECT_EQ(restored[1].id, kIdB);
-  const std::span<const uint8_t> got2 = reopened.Payload(off2, p2.size());
-  EXPECT_TRUE(std::equal(p2.begin(), p2.end(), got2.begin(), got2.end()));
+  EXPECT_EQ(restored[0].chunk.id, kIdA);
+  EXPECT_EQ(restored[0].payload, p1);
+  EXPECT_EQ(restored[0].chunk.bit_count, 800u);
+  EXPECT_EQ(restored[0].chunk.count, 17u);
+  EXPECT_EQ(restored[0].chunk.first, 100);
+  EXPECT_EQ(restored[0].chunk.last, 200);
+  EXPECT_EQ(restored[1].chunk.id, kIdB);
+  EXPECT_EQ(restored[1].payload, p2);
+  EXPECT_EQ(restored[1].chunk.bit_count, 2661u);
+  EXPECT_EQ(reopened.stats().restored_chunks, 2u);
 }
 
 TEST(ChunkStoreTest, TornTailDropsOnlyTheLastRecord) {
@@ -323,10 +350,8 @@ TEST(ChunkStoreTest, TornTailDropsOnlyTheLastRecord) {
   {
     ChunkStore store;
     ASSERT_TRUE(store.Open(path, nullptr, false).ok());
-    uint64_t off = 0;
     for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(
-          store.Append(kIdA, payload, 512, 8, 100 * i, 100 * i + 90, &off).ok());
+      ASSERT_TRUE(store.Append(kIdA, payload, 512, 8, 100 * i, 100 * i + 90).ok());
     }
     ASSERT_TRUE(store.Sync().ok());
   }
@@ -340,8 +365,7 @@ TEST(ChunkStoreTest, TornTailDropsOnlyTheLastRecord) {
     EXPECT_GT(store.stats().truncated_bytes, 0u);
 
     // The truncated store accepts appends on the clean prefix.
-    uint64_t off = 0;
-    ASSERT_TRUE(store.Append(kIdB, payload, 512, 8, 300, 390, &off).ok());
+    ASSERT_TRUE(store.Append(kIdB, payload, 512, 8, 300, 390).ok());
     ASSERT_TRUE(store.Sync().ok());
   }
   ChunkStore store;
@@ -468,74 +492,115 @@ TEST(DurableDbTest, ExpiredPointsDoNotResurrectAcrossReopen) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk-granular eviction: under a resident budget, sealed history moves to
-// the mapped chunk file and readback decodes it in place.
+// Restored history: after a reopen every sealed chunk comes back from the
+// chunk file onto the heap and serves scans, retention and later seals.
 // ---------------------------------------------------------------------------
 
-TEST(DurableDbTest, EvictionUnderBudgetServesMappedReadback) {
-  const ScopedDir dir("evict");
-  TsdbOptions options = DurableDbOptions(dir.path);
-  options.durable.resident_sealed_budget_bytes = 1;  // Evict everything durable.
-  TimeSeriesDatabase ram;
-  TimeSeriesDatabase db(options);
+TEST(DurableDbTest, RestoredChunksServeScansRetentionAndNewSeals) {
+  const ScopedDir dir("restored");
+  // Oracle: same history and chunk size, no durable tier.
+  TsdbOptions ram_options = DurableDbOptions(dir.path);
+  ram_options.durable = DurableOptions{};
+  TimeSeriesDatabase ram(ram_options);
   const MetricId id{"svc", MetricKind::kGcpu, "hot", ""};
   const TimeSeries hot =
-      Minutely(0, 5000, [](int i) { return 10.0 + static_cast<double>(i % 17); });
-  CommitSeries(db, id, hot);
+      Minutely(0, 3000, [](int i) { return 10.0 + static_cast<double>(i % 29); });
   CommitSeries(ram, id, hot);
-  db.SealBefore(60 * 4500);
-  ram.SealBefore(60 * 4500);
+  // 2,500 sealed points in chunks of 64: the newest restored chunk holds 4
+  // points, so a seal that grew it would have to continue its stream.
+  ram.SealBefore(60 * 2500);
+  {
+    TimeSeriesDatabase db(DurableDbOptions(dir.path));
+    CommitSeries(db, id, hot);
+    db.SealBefore(60 * 2500);
+  }
+  {
+    TimeSeriesDatabase db(DurableDbOptions(dir.path));
+    EXPECT_GT(db.durable_stats().recovered_chunks, 0u);
+    const TimeSeriesDatabase::MemoryStats memory = db.memory_stats();
+    EXPECT_EQ(memory.sealed_points, 2500u);
+    EXPECT_EQ(memory.resident_sealed_bytes, ram.memory_stats().resident_sealed_bytes);
 
-  const TimeSeriesDatabase::MemoryStats memory = db.memory_stats();
-  EXPECT_EQ(memory.resident_sealed_bytes, 0u);  // All sealed chunks evicted.
-  EXPECT_GT(memory.mapped_sealed_bytes, 0u);
-  EXPECT_EQ(memory.sealed_bytes, memory.mapped_sealed_bytes);
-  const TimeSeriesDatabase::DurableStats durable = db.durable_stats();
-  EXPECT_GT(durable.chunks_evicted, 0u);
-  EXPECT_GT(durable.evicted_bytes, 0u);
+    // A scan from 0 decodes every restored chunk, then the replayed tail.
+    TimeSeries scratch;
+    TimeSeries ram_scratch;
+    Status status;
+    Status ram_status;
+    const TimeSeries* got = db.SeriesForScan(id, 0, scratch, &status);
+    const TimeSeries* want = ram.SeriesForScan(id, 0, ram_scratch, &ram_status);
+    ASSERT_NE(got, nullptr) << status.message();
+    ASSERT_NE(want, nullptr);
+    EXPECT_EQ(got->timestamps(), want->timestamps());
+    EXPECT_EQ(got->values(), want->values());
+    EXPECT_EQ(db.scan_stats().sealed_decodes, 1u);
+    EXPECT_EQ(db.scan_stats().decode_failures, 0u);
 
-  // Readback decodes the mapped payloads and matches the in-RAM oracle.
-  TimeSeries scratch;
-  TimeSeries ram_scratch;
-  Status status;
-  Status ram_status;
-  const TimeSeries* got = db.SeriesForScan(id, 0, scratch, &status);
-  const TimeSeries* want = ram.SeriesForScan(id, 0, ram_scratch, &ram_status);
-  ASSERT_NE(got, nullptr);
-  ASSERT_NE(want, nullptr);
-  EXPECT_EQ(got->timestamps(), want->timestamps());
-  EXPECT_EQ(got->values(), want->values());
-  EXPECT_GT(db.durable_stats().mapped_readback_decodes, 0u);
-
-  // Retention trimming a non-resident chunk decodes it from the map,
-  // re-encodes the keep-suffix resident, and stays correct across reopen.
-  db.Expire(60 * 1000);
-  ram.Expire(60 * 1000);
+    // Retention trims a restored chunk (minutes 960..1023) and re-encodes its
+    // suffix; the seal then starts a new chunk behind the restored ones.
+    db.Expire(60 * 1000);
+    ram.Expire(60 * 1000);
+    db.SealBefore(60 * 2800);
+    ram.SealBefore(60 * 2800);
+    ExpectSameContent(db, ram);
+  }
+  TimeSeriesDatabase db(DurableDbOptions(dir.path));
   ExpectSameContent(db, ram);
 }
 
-TEST(DurableDbTest, EvictedHistorySurvivesReopen) {
-  const ScopedDir dir("evictreopen");
-  TsdbOptions options = DurableDbOptions(dir.path);
-  options.durable.resident_sealed_budget_bytes = 1;
-  TimeSeriesDatabase ram;
-  const MetricId id{"svc", MetricKind::kGcpu, "hot", ""};
+// A CRC-valid chunk record whose bit count overstates its payload cannot be
+// written by this process, only by a bug or a bad disk. The restore clamps
+// the count to the payload, so the chunk reads as truncated: kDataLoss at
+// scan time, counted once, instead of an abort at open.
+TEST(DurableDbTest, OverstatedBitCountReadsAsDataLoss) {
+  const ScopedDir dir("overstated");
+  const MetricId id{"svc", MetricKind::kGcpu, "a", ""};
+  const TsdbOptions options = DurableDbOptions(dir.path);
   {
     TimeSeriesDatabase db(options);
-    const TimeSeries hot = Minutely(0, 3000, [](int i) { return static_cast<double>(i % 29); });
-    CommitSeries(db, id, hot);
-    CommitSeries(ram, id, hot);
-    db.SealBefore(60 * 2500);
-    ram.SealBefore(60 * 2500);
+    CommitSeries(db, id, Minutely(0, 200, [](int i) { return static_cast<double>(i % 7); }));
+    db.SealBefore(60 * 150);
   }
+  // Supersede the series' first chunk with a copy that keeps its bit count
+  // but only half its payload.
+  size_t rewritten = 0;
+  for (size_t shard = 0; shard < options.shard_count; ++shard) {
+    ChunkStore store;
+    const std::vector<RestoredRecord> records =
+        OpenAndRestore(store, dir.path + "/chunks." + std::to_string(shard));
+    if (records.empty()) {
+      continue;
+    }
+    const ChunkStore::RestoredChunk& first = records.front().chunk;
+    const std::vector<uint8_t>& payload = records.front().payload;
+    ASSERT_EQ(first.first, 0);
+    const std::vector<uint8_t> half(payload.begin(), payload.begin() + payload.size() / 2);
+    ASSERT_GT(first.bit_count, half.size() * 8);
+    ASSERT_TRUE(store.Append(first.id, half, first.bit_count, first.count, first.first,
+                             first.last)
+                    .ok());
+    ASSERT_TRUE(store.Sync().ok());
+    ++rewritten;
+  }
+  ASSERT_EQ(rewritten, 1u);
+
   TimeSeriesDatabase db(options);
-  ExpectSameContent(db, ram);
+  TimeSeries scratch;
+  Status status;
+  EXPECT_EQ(db.SeriesForScan(id, 0, scratch, &status), nullptr);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(db.scan_stats().decode_failures, 1u);
+  EXPECT_EQ(CounterValue(db.telemetry(), "tsdb.scan.decode_failures"), 1u);
+  // The intact chunks and the tail still serve a scan that starts after the
+  // corrupt one.
+  const TimeSeries* tail = db.SeriesForScan(id, 60 * 64, scratch, &status);
+  ASSERT_NE(tail, nullptr) << status.message();
+  EXPECT_EQ(tail->start_time(), 60 * 64);
+  EXPECT_EQ(db.scan_stats().decode_failures, 1u);
 }
 
 // ---------------------------------------------------------------------------
-// Detection byte-identity: disk tier off, on, and under an eviction budget
-// must produce identical reports, funnels, quarantine, and tail_hits at
-// scan_threads 1/2/8.
+// Detection byte-identity: disk tier off and on must produce identical
+// reports, funnels, quarantine, and tail_hits at scan_threads 1/2/8.
 // ---------------------------------------------------------------------------
 
 constexpr Duration kTick = Minutes(10);
@@ -618,12 +683,11 @@ void TickInto(ServiceSimulator& service, TimeSeriesDatabase& db, TimePoint begin
 struct TierRun {
   std::string rendered;
   uint64_t tail_hits = 0;
-  uint64_t mapped_decodes = 0;
 };
 
 // Interleaved ingest / seal / detect over one deterministic fleet. The seal
 // boundary trails as_of by 12h, inside the historical window, so every run
-// reads both the raw tail and sealed chunks (resident or mapped).
+// reads both the raw tail and sealed chunks.
 TierRun RunTierScenario(const TsdbOptions& tsdb, int scan_threads) {
   const ServiceConfig config = TierServiceConfig();
   ServiceSimulator service(config);
@@ -647,7 +711,6 @@ TierRun RunTierScenario(const TsdbOptions& tsdb, int scan_threads) {
   }
   result.rendered += RenderPipelineState(pipeline);
   result.tail_hits = db.scan_stats().tail_hits;
-  result.mapped_decodes = db.durable_stats().mapped_readback_decodes;
   return result;
 }
 
@@ -655,26 +718,17 @@ TEST(DurableDetectionTest, OutputByteIdenticalAcrossTiersAndThreads) {
   std::vector<TierRun> ram_runs;
   for (const int threads : {1, 2, 8}) {
     const ScopedDir durable_dir("tier_on");
-    const ScopedDir budget_dir("tier_budget");
 
     const TierRun ram = RunTierScenario(TsdbOptions{}, threads);
     TsdbOptions durable;
     durable.durable.directory = durable_dir.path;
     durable.durable.fsync = false;
     const TierRun on = RunTierScenario(durable, threads);
-    TsdbOptions budget = durable;
-    budget.durable.directory = budget_dir.path;
-    budget.durable.resident_sealed_budget_bytes = 1;
-    const TierRun evicting = RunTierScenario(budget, threads);
 
     EXPECT_EQ(on.rendered, ram.rendered) << "scan_threads=" << threads;
-    EXPECT_EQ(evicting.rendered, ram.rendered) << "scan_threads=" << threads;
     // The zero-copy tail fast path is untouched by the tier: same boundaries,
-    // same tail hits — eviction only changes WHERE sealed decodes read from.
+    // same tail hits.
     EXPECT_EQ(on.tail_hits, ram.tail_hits) << "scan_threads=" << threads;
-    EXPECT_EQ(evicting.tail_hits, ram.tail_hits) << "scan_threads=" << threads;
-    EXPECT_EQ(on.mapped_decodes, 0u);  // No budget pressure: nothing evicted.
-    EXPECT_GT(evicting.mapped_decodes, 0u) << "eviction path not exercised";
     ram_runs.push_back(ram);
   }
   EXPECT_EQ(ram_runs[1].rendered, ram_runs[0].rendered);
@@ -810,11 +864,11 @@ void DumpDurableDir(const std::string& dir, int shard_count) {
     (void)chunks.Open(
         dir + "/chunks" + suffix,
         [&](const ChunkStore::RestoredChunk& chunk) {
-          std::fprintf(stderr, "  chunk %s [%lld..%lld]x%u off=%llu\n",
+          std::fprintf(stderr, "  chunk %s [%lld..%lld]x%u bytes=%zu\n",
                        series_of(chunk.id).c_str(),
                        static_cast<long long>(chunk.first),
                        static_cast<long long>(chunk.last), chunk.count,
-                       static_cast<unsigned long long>(chunk.payload_offset));
+                       chunk.payload.size());
         },
         false);
     std::fprintf(stderr, "== shard %d wal ==\n", i);
@@ -1038,16 +1092,6 @@ TEST(DurableCrashRecoveryTest, KillAndReopenMatchesUninterruptedRun) {
 // Durable-tier telemetry: the database owns its tsdb.* instruments.
 // ---------------------------------------------------------------------------
 
-uint64_t CounterValue(const TelemetryRegistry& registry, const std::string& name) {
-  for (const CounterSnapshot& counter : registry.SnapshotCounters()) {
-    if (counter.name == name) {
-      return counter.value;
-    }
-  }
-  ADD_FAILURE() << "counter not registered: " << name;
-  return 0;
-}
-
 TEST(DurableTelemetryTest, RuntimeExportCarriesDiskTierGauges) {
   const ScopedDir dir("gauges");
   TimeSeriesDatabase db(DurableDbOptions(dir.path));
@@ -1065,7 +1109,7 @@ TEST(DurableTelemetryTest, RuntimeExportCarriesDiskTierGauges) {
   for (const char* gauge :
        {"tsdb.durable.group_commits", "tsdb.durable.chunk_file_bytes",
         "tsdb.durable.chunks_persisted", "tsdb.durable.recoveries",
-        "tsdb.memory.resident_sealed_bytes", "tsdb.memory.mapped_sealed_bytes"}) {
+        "tsdb.memory.resident_sealed_bytes"}) {
     EXPECT_NE(runtime_json.find(gauge), std::string::npos) << gauge;
   }
   // The deterministic export is unchanged by the tier.

@@ -497,8 +497,8 @@ TEST(SeriesForScanTest, MemoryStatsTrackTiers) {
   TimeSeriesDatabase::MemoryStats after = db.memory_stats();
   EXPECT_EQ(after.raw_points, 101u);
   EXPECT_EQ(after.sealed_points, 299u);
-  EXPECT_GT(after.sealed_bytes, 0u);
-  EXPECT_LT(after.sealed_bytes, after.sealed_raw_bytes());
+  EXPECT_GT(after.resident_sealed_bytes, 0u);
+  EXPECT_LT(after.resident_sealed_bytes, after.sealed_raw_bytes());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,18 +3,17 @@
 // The decoder is the one place FBDetect parses a packed binary format whose
 // bytes may come from untrusted storage, so it must never read out of
 // bounds, hit signed-overflow UB, or abort — for any input. The harness
-// decodes every input twice: through CompressedTimeSeries::FromRaw (whose
-// size check needs a bit count that fits the bytes), and through
-// CompressedChunkView over the input bytes in place with the bit count as
-// given — the path evicted and recovered chunks take, where the reader
-// clamps an overstated bit count to the payload. Both decodes are checked
-// for the invariants the decoder promises: errors come back as Status (never
-// an exception or a crash), any decoded prefix is strictly increasing in
-// time, and a successful decode returns `count` points.
+// decodes every input through CompressedTimeSeries::FromRaw, the path a
+// chunk restored from the chunk file takes (the restore clamps the record's
+// bit count to its payload; here it is reduced modulo what the bytes hold,
+// since FromRaw's size check needs a bit count that fits). The decode is
+// checked for the invariants the decoder promises: errors come back as
+// Status (never an exception or a crash), any decoded prefix is strictly
+// increasing in time, and a successful decode returns `count` points.
 //
 // Input layout: [0..7] little-endian point count (clamped to 64k),
-// [8..15] claimed bit count (reduced modulo what the remaining bytes hold
-// for FromRaw, passed unchanged to the view), [16..] the bit stream.
+// [8..15] claimed bit count (reduced modulo what the remaining bytes hold),
+// [16..] the bit stream.
 //
 // Two build modes:
 //   * FBD_USE_LIBFUZZER: a classic LLVMFuzzerTestOneInput entry point for
@@ -53,9 +52,8 @@ void CheckDecode(const fbdetect::Status& status, const fbdetect::TimeSeries& out
   }
 }
 
-// Decodes raw fuzz bytes as an owned chunk and as a mapped payload, for both
-// build modes. Returns the owned chunk's status code so the smoke harness can
-// track coverage counters.
+// Decodes raw fuzz bytes as a chunk, for both build modes. Returns the
+// status code so the smoke harness can track coverage counters.
 fbdetect::StatusCode DecodeOne(const uint8_t* data, size_t size) {
   if (size < 16) {
     return fbdetect::StatusCode::kInvalidArgument;
@@ -70,10 +68,6 @@ fbdetect::StatusCode DecodeOne(const uint8_t* data, size_t size) {
   fbdetect::TimeSeries out;
   const fbdetect::Status status = chunk.TryDecodeInto(out);
   CheckDecode(status, out, count);
-
-  const fbdetect::CompressedChunkView view(data + 16, size - 16, claimed_bits, count);
-  fbdetect::TimeSeries view_out;
-  CheckDecode(view.TryDecodeInto(view_out), view_out, count);
   return status.code();
 }
 
