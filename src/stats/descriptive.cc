@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "src/common/check.h"
 
@@ -40,27 +41,35 @@ double Percentile(std::span<const double> values, double p) {
     return 0.0;
   }
   FBD_CHECK(p >= 0.0 && p <= 100.0);
-  // NaN breaks std::sort's strict weak ordering (UB); the percentile is
-  // defined over the finite samples only, 0.0 when none remain.
-  std::vector<double> sorted;
-  sorted.reserve(values.size());
+  // NaN breaks the strict weak ordering selection needs (UB); the
+  // percentile is defined over the finite samples only, 0.0 when none
+  // remain.
+  std::vector<double> finite;
+  finite.reserve(values.size());
   for (const double v : values) {
     if (std::isfinite(v)) {
-      sorted.push_back(v);
+      finite.push_back(v);
     }
   }
-  if (sorted.empty()) {
+  if (finite.empty()) {
     return 0.0;
   }
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) {
-    return sorted[0];
+  if (finite.size() == 1) {
+    return finite[0];
   }
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const double rank = p / 100.0 * static_cast<double>(finite.size() - 1);
   const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const size_t hi = std::min(lo + 1, finite.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  // Only the order statistics at lo and hi are needed: select lo, and the
+  // next one up is the smallest element after it. Both equal the sorted
+  // copy's elements at lo and hi (up to the sign of a zero, which sorting
+  // does not fix either).
+  const auto lo_it = finite.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(finite.begin(), lo_it, finite.end());
+  const double lo_value = *lo_it;
+  const double hi_value = hi == lo ? lo_value : *std::min_element(lo_it + 1, finite.end());
+  return lo_value + frac * (hi_value - lo_value);
 }
 
 double MedianAbsoluteDeviation(std::span<const double> values, bool normalized) {

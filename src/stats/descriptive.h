@@ -25,8 +25,9 @@ double SampleStdDev(std::span<const double> values);
 double Median(std::span<const double> values);
 
 // Percentile p in [0, 100] with linear interpolation over the FINITE
-// samples (NaN would make the sort undefined); 0.0 for an empty span or
-// when no finite samples remain.
+// samples (NaN would make the selection undefined); 0.0 for an empty span or
+// when no finite samples remain. Copies the finite samples and selects the
+// two order statistics it interpolates between, O(n) on average.
 double Percentile(std::span<const double> values, double p);
 
 // Median Absolute Deviation. When `normalized` is true the result is scaled

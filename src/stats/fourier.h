@@ -7,12 +7,15 @@
 //   via the Wiener–Khinchin theorem (FFT -> power spectrum -> inverse FFT),
 //   turning the per-candidate O(n^2) ACF scan into O(n log n). The radix-2
 //   transform underneath runs on split real/imaginary arrays in plain real
-//   arithmetic, with each stage's twiddles filled once per call into a table
-//   by the serial w *= wlen recurrence. It performs the same floating-point
-//   operations in the same order as the textbook std::complex transform
-//   that tests keep as its oracle, so every sum is bit-identical to it. With
-//   no complex multiply left, no target's vectorizer can fuse one into an
-//   FMA, so the sums are also the same on every ISA.
+//   arithmetic, two butterflies per SSE2 vector. Its bit-reversal
+//   permutation and both directions' stage twiddles (the serial w *= wlen
+//   recurrence) come from a plan built once per power-of-two size, shared
+//   by every thread and immutable after. It performs the same
+//   floating-point operations in the same order as the textbook
+//   std::complex transform that tests keep as its oracle, so every sum is
+//   bit-identical to it. With no complex multiply left, no target's
+//   vectorizer can fuse one into an FMA, so the sums are also the same on
+//   every ISA.
 #ifndef FBDETECT_SRC_STATS_FOURIER_H_
 #define FBDETECT_SRC_STATS_FOURIER_H_
 

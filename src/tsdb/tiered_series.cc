@@ -86,13 +86,14 @@ void TieredSeries::DropBefore(TimePoint cutoff) {
   if (drop > 0) {
     chunks_.erase(chunks_.begin(), chunks_.begin() + static_cast<long>(drop));
   }
-  if (!chunks_.empty() && chunks_.front().first < cutoff) {
+  TimeSeries decoded;
+  if (!chunks_.empty() && chunks_.front().first < cutoff &&
+      chunks_.front().data.TryDecodeInto(decoded).ok()) {
     // Straddling chunk: decode, trim, re-encode. The trimmed chunk no longer
     // matches what the store holds, so the next durable seal re-persists it.
+    // A chunk that does not decode stays as it is, untrimmed, and its range
+    // keeps reading as kDataLoss.
     Chunk& chunk = chunks_.front();
-    TimeSeries decoded;
-    const Status status = chunk.data.TryDecodeInto(decoded);
-    FBD_CHECK(status.ok());
     decoded.DropBefore(cutoff);
     sealed_points_ -= chunk.count - decoded.size();
     CompressedTimeSeries reencoded;

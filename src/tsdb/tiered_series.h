@@ -92,7 +92,9 @@ class TieredSeries {
   // Retention: drops all points strictly older than `cutoff`. Whole chunks
   // before the cutoff are freed; a chunk straddling it is decoded, trimmed,
   // and re-encoded with durable_count reset, so the next durable seal
-  // persists it again.
+  // persists it again. A straddling chunk that does not decode is left
+  // whole, so its range keeps reading as kDataLoss and later chunks still
+  // serve scans.
   void DropBefore(TimePoint cutoff);
 
   // --- Durable tier (driven by TimeSeriesDatabase; see chunk_store.h) ---

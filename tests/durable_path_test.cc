@@ -551,22 +551,20 @@ TEST(DurableDbTest, RestoredChunksServeScansRetentionAndNewSeals) {
 // written by this process, only by a bug or a bad disk. The restore clamps
 // the count to the payload, so the chunk reads as truncated: kDataLoss at
 // scan time, counted once, instead of an abort at open.
-TEST(DurableDbTest, OverstatedBitCountReadsAsDataLoss) {
-  const ScopedDir dir("overstated");
-  const MetricId id{"svc", MetricKind::kGcpu, "a", ""};
-  const TsdbOptions options = DurableDbOptions(dir.path);
+// Writes 200 minutely points of `id` into a durable database, seals 150 of
+// them, then supersedes the series' first chunk (minutes 0-63) with a
+// CRC-valid record that keeps its bit count but only half its payload.
+void WriteOverstatedFirstChunk(const TsdbOptions& options, const MetricId& id) {
   {
     TimeSeriesDatabase db(options);
     CommitSeries(db, id, Minutely(0, 200, [](int i) { return static_cast<double>(i % 7); }));
     db.SealBefore(60 * 150);
   }
-  // Supersede the series' first chunk with a copy that keeps its bit count
-  // but only half its payload.
   size_t rewritten = 0;
   for (size_t shard = 0; shard < options.shard_count; ++shard) {
     ChunkStore store;
     const std::vector<RestoredRecord> records =
-        OpenAndRestore(store, dir.path + "/chunks." + std::to_string(shard));
+        OpenAndRestore(store, options.durable.directory + "/chunks." + std::to_string(shard));
     if (records.empty()) {
       continue;
     }
@@ -582,6 +580,13 @@ TEST(DurableDbTest, OverstatedBitCountReadsAsDataLoss) {
     ++rewritten;
   }
   ASSERT_EQ(rewritten, 1u);
+}
+
+TEST(DurableDbTest, OverstatedBitCountReadsAsDataLoss) {
+  const ScopedDir dir("overstated");
+  const MetricId id{"svc", MetricKind::kGcpu, "a", ""};
+  const TsdbOptions options = DurableDbOptions(dir.path);
+  WriteOverstatedFirstChunk(options, id);
 
   TimeSeriesDatabase db(options);
   TimeSeries scratch;
@@ -596,6 +601,36 @@ TEST(DurableDbTest, OverstatedBitCountReadsAsDataLoss) {
   ASSERT_NE(tail, nullptr) << status.message();
   EXPECT_EQ(tail->start_time(), 60 * 64);
   EXPECT_EQ(db.scan_stats().decode_failures, 1u);
+}
+
+// Retention whose cutoff falls inside a chunk that does not decode leaves
+// that chunk whole, both in Expire and when a reopen replays the cutoff from
+// the log: the chunk's range still reads as kDataLoss and the chunks and
+// tail after it still serve scans.
+TEST(DurableDbTest, RetentionInsideAnUndecodableChunkLeavesItWhole) {
+  const ScopedDir dir("overstated_retention");
+  const MetricId id{"svc", MetricKind::kGcpu, "a", ""};
+  const TsdbOptions options = DurableDbOptions(dir.path);
+  WriteOverstatedFirstChunk(options, id);
+
+  const auto expect_trimmed_history = [&](const TimeSeriesDatabase& db) {
+    TimeSeries scratch;
+    Status status;
+    EXPECT_EQ(db.SeriesForScan(id, 0, scratch, &status), nullptr);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+    const TimeSeries* later = db.SeriesForScan(id, 60 * 64, scratch, &status);
+    ASSERT_NE(later, nullptr) << status.message();
+    EXPECT_EQ(later->start_time(), 60 * 64);
+    EXPECT_EQ(later->end_time(), 60 * 199);
+    EXPECT_EQ(later->size(), 136u);
+  };
+  {
+    TimeSeriesDatabase db(options);
+    db.Expire(60 * 30);
+    expect_trimmed_history(db);
+  }
+  const TimeSeriesDatabase reopened(options);
+  expect_trimmed_history(reopened);
 }
 
 // ---------------------------------------------------------------------------

@@ -143,8 +143,7 @@ TEST(RobustnessTest, EmChangePointOnTwoValues) {
 TEST(RobustnessTest, LoessSpanLargerThanSeries) {
   const std::vector<double> values = {1.0, 2.0, 3.0};
   std::vector<double> smoothed(values.size());
-  LoessScratch scratch;
-  LoessSmoothInto(values, 100, smoothed, scratch);
+  LoessPlan(values.size(), 100).Apply(values, smoothed);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(smoothed[i], values[i], 1e-9);  // Linear data: exact.
   }

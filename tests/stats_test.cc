@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -8,6 +10,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "src/common/random.h"
@@ -77,6 +80,69 @@ TEST(DescriptiveTest, PercentileIgnoresNonFiniteValues) {
   const std::vector<double> all_bad = {std::numeric_limits<double>::quiet_NaN(),
                                        std::numeric_limits<double>::infinity()};
   EXPECT_EQ(Percentile(all_bad, 50.0), 0.0);
+}
+
+// Percentile as it was before selection: sort the finite copy, then
+// interpolate between the order statistics at floor(rank) and the next.
+double PercentileBySort(std::span<const double> values, double p) {
+  std::vector<double> sorted;
+  for (const double v : values) {
+    if (std::isfinite(v)) {
+      sorted.push_back(v);
+    }
+  }
+  if (sorted.empty()) {
+    return 0.0;
+  }
+  std::sort(sorted.begin(), sorted.end());
+  if (sorted.size() == 1) {
+    return sorted[0];
+  }
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+// Selecting the two order statistics gives the sort form's result bit for
+// bit, on inputs with many duplicates and with NaN and infinities mixed in.
+// With signed zeros in the input the sort may place -0.0 and 0.0 either way
+// round, so there the two only compare equal.
+TEST(DescriptiveTest, PercentileSelectionMatchesTheSortForm) {
+  Rng rng(31);
+  const double kPercents[] = {0.0, 25.0, 50.0, 90.0, 95.0, 100.0};
+  for (int c = 0; c < 400; ++c) {
+    const size_t n = 1 + static_cast<size_t>(rng.NextUint64(c % 4 == 0 ? 8 : 1500));
+    const bool signed_zeros = c % 5 == 0;
+    const int distinct = 1 + static_cast<int>(rng.NextUint64(c % 2 == 0 ? 6 : 1000));
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = static_cast<double>(static_cast<int>(rng.NextUint64(distinct)) - distinct / 2) * 0.25;
+      if (!signed_zeros && v == 0.0) {
+        v = 0.5;
+      }
+      if (signed_zeros && v == 0.0 && rng.NextBool(0.5)) {
+        v = -0.0;
+      }
+      if (rng.NextBool(0.03)) {
+        v = std::numeric_limits<double>::quiet_NaN();
+      } else if (rng.NextBool(0.01)) {
+        v = rng.NextBool(0.5) ? std::numeric_limits<double>::infinity()
+                              : -std::numeric_limits<double>::infinity();
+      }
+    }
+    for (const double p : kPercents) {
+      const double expected = PercentileBySort(values, p);
+      const double actual = Percentile(values, p);
+      if (signed_zeros) {
+        EXPECT_EQ(actual, expected) << "case " << c << " n=" << n << " p=" << p;
+      } else {
+        EXPECT_EQ(std::bit_cast<uint64_t>(actual), std::bit_cast<uint64_t>(expected))
+            << "case " << c << " n=" << n << " p=" << p;
+      }
+    }
+  }
 }
 
 TEST(DescriptiveTest, MadRobustToOutlier) {
@@ -485,6 +551,43 @@ TEST(FftKernelTest, AutocovarianceSumsMatchTheComplexOracleBitForBit) {
   const std::vector<double> constant(700, 3.25);
   EXPECT_TRUE(SameBits(AutocovarianceSumsFft(constant, 300),
                        oracle::AutocovarianceSumsFft(constant, 300)));
+}
+
+// The FFT's plans are built once per padded size and shared by every
+// thread. Four threads at once run interleaved sizes, each size's first use
+// racing to build its plan, and every result still matches the oracle bit
+// for bit.
+TEST(FftKernelTest, SharedPlansMatchTheOracleAcrossThreads) {
+  const std::vector<size_t> sizes = {1500, 3, 2049, 1500, 700, 3, 4100, 2049, 17, 1500, 33, 700};
+  Rng rng(37);
+  std::vector<std::vector<double>> inputs;
+  std::vector<std::vector<double>> expected;
+  for (size_t n : sizes) {
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = 100.0 + rng.Normal(0.0, 3.0);
+    }
+    expected.push_back(oracle::AutocovarianceSumsFft(values, n / 3));
+    inputs.push_back(std::move(values));
+  }
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; round < 20; ++round) {
+        for (size_t k = 0; k < sizes.size(); ++k) {
+          const size_t c = (k + t * 3) % sizes.size();
+          if (!SameBits(AutocovarianceSumsFft(inputs[c], sizes[c] / 3), expected[c])) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 class SeasonalityDetectionTest : public ::testing::TestWithParam<size_t> {};
