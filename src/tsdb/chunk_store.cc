@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/tsdb/crc32c.h"
 #include "src/tsdb/durable_io.h"
-#include "src/tsdb/wal.h"  // Crc32c
 
 namespace fbdetect {
 namespace {
@@ -64,16 +64,8 @@ Status ChunkStore::Open(const std::string& path, const RestoreFn& restore,
   fd_ = fd;
   const uint64_t size = static_cast<uint64_t>(file_size);
   std::vector<uint8_t> content(size);
-  for (size_t got = 0; got < content.size();) {
-    const ssize_t n = ::pread(fd, content.data() + got, content.size() - got,
-                              static_cast<off_t>(got));
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      return ErrnoStatus("pread", path);
-    }
-    got += static_cast<size_t>(n);
+  if (!durable_io::ReadAll(fd, content.data(), content.size())) {
+    return ErrnoStatus("pread", path);
   }
   // Validate records sequentially; stop (and truncate) at the first record
   // whose magic, bounds, or CRC fails — the torn tail of an interrupted

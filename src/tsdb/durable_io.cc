@@ -117,6 +117,23 @@ int Rename(const char* from, const char* to) {
   return ::rename(from, to);
 }
 
+bool ReadAll(int fd, uint8_t* data, size_t size) {
+  for (size_t got = 0; got < size;) {
+    const ssize_t n = ::pread(fd, data + got, size - got, static_cast<off_t>(got));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      if (n == 0) {
+        errno = EIO;
+      }
+      return false;
+    }
+    got += static_cast<size_t>(n);
+  }
+  return true;
+}
+
 void SetFailure(Op op, uint64_t nth, bool sticky) {
   g_plan.op.store(static_cast<int>(op), std::memory_order_relaxed);
   g_plan.nth.store(nth, std::memory_order_relaxed);

@@ -46,6 +46,13 @@ ssize_t Pwrite(int fd, const void* data, size_t size, off_t offset);
 int Fsync(int fd);
 int Rename(const char* from, const char* to);
 
+// Fills `data[0, size)` from offset 0 of `fd` with as many pread() calls as
+// it takes, retrying EINTR: Linux moves at most 0x7ffff000 bytes per call,
+// so a file of 2 GiB or more never arrives in one. False on a read error
+// (errno set) or on a file shorter than `size` (errno EIO). Not counted or
+// failed by injection.
+bool ReadAll(int fd, uint8_t* data, size_t size);
+
 // Arms a failure plan: the `nth` (1-based) future call of `op` fails; with
 // `sticky`, every call from the nth on fails. Overrides any env plan.
 void SetFailure(Op op, uint64_t nth, bool sticky = false);

@@ -338,9 +338,32 @@ void BitWriter::WriteBit(bool bit) {
 
 void BitWriter::WriteBits(uint64_t value, int bits) {
   FBD_DCHECK(bits >= 0 && bits <= 64);
-  for (int i = bits - 1; i >= 0; --i) {
-    WriteBit(((value >> i) & 1) != 0);
+  if (bits == 0) {
+    return;
   }
+  const size_t end_bit = bit_count_ + static_cast<size_t>(bits);
+  const size_t need = (end_bit + 7) / 8;
+  if (need > bytes_.size()) {
+    if (need > bytes_.capacity()) {
+      // Double from the current capacity, as push_back does one byte at a
+      // time, so a chunk's buffer keeps no more slack than WriteBit leaves.
+      size_t capacity = std::max<size_t>(bytes_.capacity(), 1);
+      while (capacity < need) {
+        capacity *= 2;
+      }
+      bytes_.reserve(capacity);
+    }
+    bytes_.resize(need);
+  }
+  // The field's first bit at bit 63; bits of `value` above `bits` fall off.
+  const uint64_t field = value << (64 - bits);
+  uint8_t* out = bytes_.data() + bit_count_ / 8;
+  const int open_bits = 8 - static_cast<int>(bit_count_ % 8);
+  *out |= static_cast<uint8_t>(field >> (64 - open_bits));
+  for (int done = open_bits; done < bits; done += 8) {
+    *++out |= static_cast<uint8_t>((field << done) >> 56);
+  }
+  bit_count_ = end_bit;
 }
 
 void CompressedTimeSeries::Append(TimePoint timestamp, double value) {

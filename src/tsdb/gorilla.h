@@ -33,7 +33,8 @@ class BitWriter {
   BitWriter(std::vector<uint8_t> bytes, size_t bit_count);
 
   void WriteBit(bool bit);
-  // Writes the low `bits` bits of `value`, most significant first.
+  // Writes the low `bits` (0..64) bits of `value`, most significant first;
+  // higher bits of `value` are ignored. Grows the buffer as push_back would.
   void WriteBits(uint64_t value, int bits);
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }

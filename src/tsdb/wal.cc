@@ -3,11 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstring>
 
 #include "src/common/check.h"
+#include "src/tsdb/crc32c.h"
 #include "src/tsdb/durable_io.h"
 
 namespace fbdetect {
@@ -26,20 +26,6 @@ enum RecordKind : uint8_t {
   kSealBoundary = 3,
   kSymbol = 4,
 };
-
-struct Crc32cTable {
-  std::array<uint32_t, 256> entries{};
-  constexpr Crc32cTable() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int k = 0; k < 8; ++k) {
-        crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
-      }
-      entries[i] = crc;
-    }
-  }
-};
-constexpr Crc32cTable kCrcTable;
 
 template <typename T>
 void PutRaw(std::vector<uint8_t>& out, const T& value) {
@@ -203,14 +189,6 @@ bool ReplayFrame(const uint8_t* payload, size_t size,
 
 }  // namespace
 
-uint32_t Crc32c(const uint8_t* data, size_t size, uint32_t seed) {
-  uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kCrcTable.entries[(crc ^ data[i]) & 0xff];
-  }
-  return ~crc;
-}
-
 WriteAheadLog::~WriteAheadLog() {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -232,12 +210,9 @@ Status WriteAheadLog::Open(const std::string& path, const ReplayHandler& handler
     return ErrnoStatus("lseek", path);
   }
   std::vector<uint8_t> content(static_cast<size_t>(file_size));
-  if (file_size > 0) {
-    ssize_t got = ::pread(fd, content.data(), content.size(), 0);
-    if (got != file_size) {
-      ::close(fd);
-      return ErrnoStatus("pread", path);
-    }
+  if (!durable_io::ReadAll(fd, content.data(), content.size())) {
+    ::close(fd);
+    return ErrnoStatus("pread", path);
   }
   // Replay whole valid frames; stop (and truncate) at the first frame whose
   // header or checksum fails — that is the torn tail of an interrupted group

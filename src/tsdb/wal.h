@@ -49,9 +49,6 @@
 
 namespace fbdetect {
 
-// CRC32C (Castagnoli), table-driven. Shared by the WAL and the chunk store.
-uint32_t Crc32c(const uint8_t* data, size_t size, uint32_t seed = 0);
-
 class WriteAheadLog {
  public:
   struct Stats {

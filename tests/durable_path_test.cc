@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/common/sim_time.h"
 #include "src/core/pipeline.h"
 #include "src/fleet/fleet.h"
@@ -39,6 +40,7 @@
 #include "src/observe/telemetry_export.h"
 #include "src/report/report.h"
 #include "src/tsdb/chunk_store.h"
+#include "src/tsdb/crc32c.h"
 #include "src/tsdb/database.h"
 #include "src/tsdb/durable_io.h"
 #include "src/tsdb/metric_id.h"
@@ -374,6 +376,84 @@ TEST(ChunkStoreTest, TornTailDropsOnlyTheLastRecord) {
                   .ok());
   EXPECT_EQ(restored, 3u);
   EXPECT_EQ(store.stats().truncated_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// CRC32C: every compiled entry returns the table loop's value, which files
+// already on disk were framed with.
+// ---------------------------------------------------------------------------
+
+// The entries this CPU runs, with a note for each it lacks.
+std::vector<const crc32c_internal::Entry*> RunnableCrcEntries() {
+  std::vector<const crc32c_internal::Entry*> entries;
+  for (const crc32c_internal::Entry& entry : crc32c_internal::CompiledEntries()) {
+    if (entry.cpu_runs()) {
+      entries.push_back(&entry);
+    } else {
+      std::printf("note: this CPU lacks the %s entry's ISA; it is not checked\n", entry.name);
+    }
+  }
+  return entries;
+}
+
+TEST(Crc32cTest, EveryEntryMatchesKnownAnswers) {
+  // RFC 3720 §B.4 and the customary "123456789" check value.
+  std::vector<uint8_t> ascending(32);
+  std::vector<uint8_t> descending(32);
+  for (uint8_t i = 0; i < 32; ++i) {
+    ascending[i] = i;
+    descending[i] = static_cast<uint8_t>(31 - i);
+  }
+  const std::string check = "123456789";
+  const std::vector<std::pair<std::vector<uint8_t>, uint32_t>> cases = {
+      {std::vector<uint8_t>(32, 0x00), 0x8A9136AAu},
+      {std::vector<uint8_t>(32, 0xFF), 0x62A8AB43u},
+      {ascending, 0x46DD794Eu},
+      {descending, 0x113FDB5Cu},
+      {std::vector<uint8_t>(check.begin(), check.end()), 0xE3069283u},
+  };
+  for (const crc32c_internal::Entry* entry : RunnableCrcEntries()) {
+    for (size_t c = 0; c < cases.size(); ++c) {
+      const std::vector<uint8_t>& bytes = cases[c].first;
+      EXPECT_EQ(entry->crc(bytes.data(), bytes.size(), 0), cases[c].second)
+          << entry->name << " entry, case " << c;
+    }
+  }
+  EXPECT_EQ(Crc32c(reinterpret_cast<const uint8_t*>(check.data()), check.size()),
+            0xE3069283u);
+}
+
+TEST(Crc32cTest, EveryEntryMatchesTheTableLoop) {
+  const crc32c_internal::Entry& table = crc32c_internal::CompiledEntries()[0];
+  Rng rng(47);
+  std::vector<uint8_t> buffer(1024 + 8);
+  for (uint8_t& byte : buffer) {
+    byte = static_cast<uint8_t>(rng.NextUint64(256));
+  }
+  for (const crc32c_internal::Entry* entry : RunnableCrcEntries()) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t size = 0; size <= 1024; ++size) {
+        const auto seed = static_cast<uint32_t>(rng.NextUint64());
+        const uint8_t* data = buffer.data() + offset;
+        ASSERT_EQ(entry->crc(data, size, seed), table.crc(data, size, seed))
+            << entry->name << " entry: offset " << offset << " size " << size;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainedCallsComposeTheConcatenation) {
+  Rng rng(53);
+  std::vector<uint8_t> joined(600);
+  for (uint8_t& byte : joined) {
+    byte = static_cast<uint8_t>(rng.NextUint64(256));
+  }
+  for (size_t split = 0; split <= joined.size(); split += 7) {
+    const uint32_t head = Crc32c(joined.data(), split);
+    EXPECT_EQ(Crc32c(joined.data() + split, joined.size() - split, head),
+              Crc32c(joined.data(), joined.size()))
+        << "split " << split;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -32,6 +32,65 @@ TEST(BitStreamTest, RoundTripsBitPatterns) {
   EXPECT_EQ(writer.bytes(), expected);
 }
 
+// The oracle for BitWriter::WriteBits: the writer it replaced, which wrote a
+// field one WriteBit at a time and grew its buffer by push_back.
+class BitAtATimeWriter {
+ public:
+  void WriteBit(bool bit) {
+    const size_t byte_index = bit_count_ / 8;
+    if (byte_index >= bytes_.size()) {
+      bytes_.push_back(0);
+    }
+    if (bit) {
+      bytes_[byte_index] |= static_cast<uint8_t>(0x80u >> (bit_count_ % 8));
+    }
+    ++bit_count_;
+  }
+
+  void WriteBits(uint64_t value, int bits) {
+    for (int i = bits - 1; i >= 0; --i) {
+      WriteBit(((value >> i) & 1) != 0);
+    }
+  }
+
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  size_t bit_count() const { return bit_count_; }
+
+ private:
+  std::vector<uint8_t> bytes_;
+  size_t bit_count_ = 0;
+};
+
+// Same calls, same stream: every width 0-64 at every bit offset, values with
+// set bits above the width, and never more buffer capacity than the
+// bit-at-a-time writer held (chunk buffers are most of the sealed tier's heap).
+TEST(BitStreamTest, FieldWriterMatchesTheBitAtATimeWriter) {
+  Rng rng(31);
+  size_t calls = 0;
+  for (int round = 0; round < 300; ++round) {
+    BitWriter writer;
+    BitAtATimeWriter oracle;
+    const size_t round_calls = 1 + rng.NextUint64(300);
+    for (size_t c = 0; c < round_calls; ++c, ++calls) {
+      if (rng.NextBool(0.2)) {
+        const bool bit = rng.NextBool(0.5);
+        writer.WriteBit(bit);
+        oracle.WriteBit(bit);
+      } else {
+        const int bits = static_cast<int>(rng.NextUint64(65));
+        const uint64_t value = rng.NextBool(0.1) ? ~uint64_t{0} : rng.NextUint64();
+        writer.WriteBits(value, bits);
+        oracle.WriteBits(value, bits);
+      }
+      ASSERT_EQ(writer.bit_count(), oracle.bit_count()) << "round " << round << " call " << c;
+      ASSERT_EQ(writer.bytes(), oracle.bytes()) << "round " << round << " call " << c;
+      ASSERT_LE(writer.bytes().capacity(), oracle.bytes().capacity())
+          << "round " << round << " call " << c;
+    }
+  }
+  EXPECT_GT(calls, 30000u);
+}
+
 TEST(GorillaTest, ExactRoundTripRegularSeries) {
   CompressedTimeSeries compressed;
   Rng rng(1);

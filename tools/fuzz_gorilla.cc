@@ -21,8 +21,10 @@
 //   * default: a standalone smoke binary (works with any compiler) that
 //     generates its own inputs for a wall-clock duration — random garbage,
 //     plus valid sealed chunks with random bit flips and truncations, which
-//     reach much deeper decode states than noise alone. Used by the chaos
-//     CI job: `fuzz_gorilla [seconds] [seed]`.
+//     reach much deeper decode states than noise alone. Each valid chunk is
+//     first decoded untouched and checked against the points appended, so
+//     the encoder is fuzzed too. Used by the chaos CI job:
+//     `fuzz_gorilla [seconds] [seed]`.
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -91,18 +93,57 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
 namespace {
 
+// A raw value pattern the arithmetic cases never produce: a NaN with a
+// random payload, an infinity, a zero or a denormal, of either sign, or 64
+// random bits. Many XOR with the previous value to a block spanning all 64
+// bits, the block length the encoder stores as 0.
+double RawValue(fbdetect::Rng& rng) {
+  const uint64_t sign = rng.NextBool(0.5) ? uint64_t{1} << 63 : 0;
+  const uint64_t mantissa = rng.NextUint64() & ((uint64_t{1} << 52) - 1);
+  constexpr uint64_t kExponentAllOnes = uint64_t{0x7ff} << 52;
+  uint64_t bits = 0;
+  switch (rng.NextUint64(5)) {
+    case 0:
+      bits = sign | kExponentAllOnes | (mantissa == 0 ? 1 : mantissa);  // NaN.
+      break;
+    case 1:
+      bits = sign | kExponentAllOnes;  // Infinity.
+      break;
+    case 2:
+      bits = sign;  // Zero.
+      break;
+    case 3:
+      bits = sign | (mantissa == 0 ? 1 : mantissa);  // Denormal.
+      break;
+    default:
+      bits = rng.NextUint64();
+      break;
+  }
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
 // A well-formed sealed chunk exercising every encoder branch: regular and
 // jittered timestamps (all four delta-of-delta buckets), repeated values,
-// small XOR deltas, and magnitude jumps.
-std::vector<uint8_t> SeedChunk(fbdetect::Rng& rng, size_t points, size_t& bit_count,
-                               size_t& count) {
+// small XOR deltas, magnitude jumps and raw bit patterns. `timestamps` and
+// `value_bits` receive what was appended.
+fbdetect::CompressedTimeSeries SeedChunk(fbdetect::Rng& rng, size_t points,
+                                         std::vector<fbdetect::TimePoint>& timestamps,
+                                         std::vector<uint64_t>& value_bits) {
   fbdetect::CompressedTimeSeries chunk;
+  timestamps.clear();
+  value_bits.clear();
   int64_t t = static_cast<int64_t>(rng.NextUint64(1000));
   double value = rng.Uniform(0.0, 100.0);
   for (size_t i = 0; i < points; ++i) {
     chunk.Append(t, value);
+    timestamps.push_back(t);
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    value_bits.push_back(bits);
     t += 1 + static_cast<int64_t>(rng.NextUint64(4) == 0 ? rng.NextUint64(5000) : 60);
-    switch (rng.NextUint64(4)) {
+    switch (rng.NextUint64(5)) {
       case 0:
         break;  // Unchanged value: the 1-bit XOR branch.
       case 1:
@@ -111,14 +152,31 @@ std::vector<uint8_t> SeedChunk(fbdetect::Rng& rng, size_t points, size_t& bit_co
       case 2:
         value = rng.Uniform(0.0, 1e9);
         break;
+      case 3:
+        value = RawValue(rng);
+        break;
       default:
         value = -value;
         break;
     }
   }
-  bit_count = chunk.bit_count();
-  count = chunk.size();
-  return chunk.bytes();
+  return chunk;
+}
+
+// The encoder's side of the round trip: the untouched chunk decodes to
+// exactly the appended timestamps and value bits.
+void CheckRoundTrip(const fbdetect::CompressedTimeSeries& chunk,
+                    const std::vector<fbdetect::TimePoint>& timestamps,
+                    const std::vector<uint64_t>& value_bits) {
+  fbdetect::TimeSeries out;
+  FBD_CHECK(chunk.TryDecodeInto(out).ok());
+  FBD_CHECK(out.size() == timestamps.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &out.values()[i], sizeof(bits));
+    FBD_CHECK(out.timestamps()[i] == timestamps[i]);
+    FBD_CHECK(bits == value_bits[i]);
+  }
 }
 
 }  // namespace
@@ -141,7 +199,10 @@ int main(int argc, char** argv) {
   uint64_t iterations = 0;
   uint64_t ok = 0;
   uint64_t data_loss = 0;
+  uint64_t round_trips = 0;
   std::vector<uint8_t> input;
+  std::vector<fbdetect::TimePoint> timestamps;
+  std::vector<uint64_t> value_bits;
   while (std::chrono::steady_clock::now() < deadline) {
     for (int batch = 0; batch < 512; ++batch) {
       ++iterations;
@@ -153,11 +214,16 @@ int main(int argc, char** argv) {
           input.push_back(static_cast<uint8_t>(rng.NextUint64(256)));
         }
       } else {
-        // Mode 2: a valid sealed chunk, then bit flips and/or truncation —
-        // reaches deep decoder states that random noise cannot.
-        size_t bit_count = 0;
-        size_t count = 0;
-        std::vector<uint8_t> bytes = SeedChunk(rng, 2 + rng.NextUint64(128), bit_count, count);
+        // Mode 2: a valid sealed chunk, checked to round-trip, then bit
+        // flips and/or truncation — reaches deep decoder states that random
+        // noise cannot.
+        const fbdetect::CompressedTimeSeries chunk =
+            SeedChunk(rng, 2 + rng.NextUint64(128), timestamps, value_bits);
+        CheckRoundTrip(chunk, timestamps, value_bits);
+        ++round_trips;
+        const size_t bit_count = chunk.bit_count();
+        size_t count = chunk.size();
+        std::vector<uint8_t> bytes = chunk.bytes();
         const size_t flips = rng.NextUint64(8);
         for (size_t f = 0; f < flips && !bytes.empty(); ++f) {
           bytes[rng.NextUint64(bytes.size())] ^=
@@ -190,10 +256,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "fuzz_gorilla: no input ran in %g s\n", seconds);
     return 1;
   }
-  std::printf("fuzz_gorilla: %llu inputs, %llu decoded ok, %llu data-loss, 0 crashes\n",
-              static_cast<unsigned long long>(iterations),
-              static_cast<unsigned long long>(ok),
-              static_cast<unsigned long long>(data_loss));
+  std::printf(
+      "fuzz_gorilla: %llu inputs, %llu decoded ok, %llu data-loss, %llu encoder round trips "
+      "checked, 0 crashes\n",
+      static_cast<unsigned long long>(iterations), static_cast<unsigned long long>(ok),
+      static_cast<unsigned long long>(data_loss), static_cast<unsigned long long>(round_trips));
   return 0;
 }
 
